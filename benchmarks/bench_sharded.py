@@ -1,18 +1,18 @@
-"""Sharded vs replicated worker memory: the fragment-ownership gate.
+"""Per-worker memory of the sharded backend: the fragment-ownership gate.
 
-The whole point of ``backend="sharded"`` (ISSUE 8, the top ROADMAP open
-item) is that a worker holds only its *owned* fragments -- the paper's site
-model -- instead of a full replica session, so per-worker memory scales
-with ``|F|/n`` rather than ``|F|``.  This benchmark spawns both pools over
-the same 8000-node/32000-edge web graph at ``|F| = 16`` with the ``spawn``
-start method (no copy-on-write sharing: every page a worker holds is its
-own, so ``VmHWM`` is honest), serves the same query stream through each,
-and compares per-worker peak RSS.
+The whole point of ``backend="sharded"`` is that a worker holds only its
+*owned* fragments -- the paper's site model -- so per-worker memory scales
+with ``|F|/n`` rather than ``|F|``.  This benchmark spawns two sharded
+pools over the same 8000-node/32000-edge web graph at ``|F| = 16`` -- one
+worker owning all 16 fragments, then 4 workers owning 4 each -- with the
+``spawn`` start method (no copy-on-write sharing: every page a worker holds
+is its own, so ``VmHWM`` is honest), serves the same query stream through
+each, and compares per-worker peak RSS.
 
-Gate: **max sharded worker peak RSS < 0.6x the max replicated worker's** at
-4 workers, with answers parity-checked against a from-scratch simulation.
-The RSS gate needs ``/proc/<pid>/status`` (Linux); elsewhere it degrades to
-parity-only, loudly reported.
+Gate: **max per-worker peak RSS at 4 workers < 0.6x the single worker's**,
+with answers parity-checked against a from-scratch simulation.
+Workers report their own peak RSS through ``shard_stats()``; where a worker
+cannot read it the gate degrades to parity-only, loudly reported.
 
 Runs two ways:
 
@@ -21,7 +21,7 @@ Runs two ways:
 """
 
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pytest
 
@@ -35,18 +35,6 @@ RESULTS = Path(__file__).parent / "results"
 RSS_RATIO_GATE = 0.6
 
 
-def _peak_rss_kb(pid: int) -> Optional[int]:
-    """``VmHWM`` of another live process (Linux); None where unsupported."""
-    try:
-        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        return None
-    return None
-
-
 def sharded_memory_run(
     n_nodes: int = 8000,
     n_edges: int = 32000,
@@ -55,36 +43,36 @@ def sharded_memory_run(
     n_queries: int = 6,
     seed: int = 17,
 ) -> Dict[str, object]:
-    """Serve one stream through both backends; return parity + RSS facts."""
+    """Serve one stream through both pool widths; return parity + RSS facts."""
     graph = web_graph(n_nodes, n_edges, n_labels=5, seed=seed)
     frag = hash_partition(graph, n_fragments, seed=seed)
     queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(n_queries)]
     oracles = [simulation(q, graph) for q in queries]
 
-    def drive(backend: str) -> Dict[str, object]:
+    def drive(workers: int) -> Dict[str, object]:
         with ConcurrentSessionServer(
-            frag, backend=backend, n_workers=n_workers, mp_context="spawn"
+            frag, backend="sharded", n_workers=workers, mp_context="spawn"
         ) as server:
-            pool = server._shards if backend == "sharded" else server._workers
             parity = all(
                 server.run(q, algorithm="dgpm").relation == oracle
                 for q, oracle in zip(queries, oracles)
             )
-            rss = [_peak_rss_kb(h.process.pid) for h in pool]
+            # each worker reports its own VmHWM (0 where unreadable)
+            rss = [s["peak_rss_kb"] for s in server.shard_stats()]
         return {"parity": parity, "rss_kb": rss}
 
-    replicated = drive("process")
-    sharded = drive("sharded")
-    rep_rss = [r for r in replicated["rss_kb"] if r is not None]
-    sh_rss = [r for r in sharded["rss_kb"] if r is not None]
-    ratio = (max(sh_rss) / max(rep_rss)) if rep_rss and sh_rss else None
+    single = drive(1)
+    sharded = drive(n_workers)
+    one_rss = [r for r in single["rss_kb"] if r]
+    sh_rss = [r for r in sharded["rss_kb"] if r]
+    ratio = (max(sh_rss) / max(one_rss)) if one_rss and sh_rss else None
     return {
         "n_nodes": n_nodes,
         "n_edges": n_edges,
         "n_fragments": n_fragments,
         "n_workers": n_workers,
-        "parity": bool(replicated["parity"] and sharded["parity"]),
-        "replicated_peak_rss_kb": rep_rss,
+        "parity": bool(single["parity"] and sharded["parity"]),
+        "single_worker_peak_rss_kb": one_rss,
         "sharded_peak_rss_kb": sh_rss,
         "rss_ratio": ratio,
     }
@@ -92,15 +80,15 @@ def sharded_memory_run(
 
 def render(run: Dict[str, object]) -> str:
     lines = [
-        "sharded vs replicated per-worker peak RSS "
-        f"(|F|={run['n_fragments']}, {run['n_workers']} workers, "
+        "sharded per-worker peak RSS, 1 worker vs "
+        f"{run['n_workers']} (|F|={run['n_fragments']}, "
         f"{run['n_nodes']} nodes / {run['n_edges']} edges)",
-        f"  replicated: {run['replicated_peak_rss_kb']} kB",
-        f"  sharded:    {run['sharded_peak_rss_kb']} kB",
+        f"  1 worker:   {run['single_worker_peak_rss_kb']} kB",
+        f"  {run['n_workers']} workers:  {run['sharded_peak_rss_kb']} kB",
         (
             f"  max ratio:  {run['rss_ratio']:.3f} (gate < {RSS_RATIO_GATE})"
             if run["rss_ratio"] is not None
-            else "  max ratio:  n/a (no /proc RSS on this platform)"
+            else "  max ratio:  n/a (workers cannot read their peak RSS here)"
         ),
         f"  parity:     {'ok' if run['parity'] else 'VIOLATED'}",
     ]
@@ -121,12 +109,12 @@ def test_sharded_parity(memory_run):
 def test_sharded_per_worker_rss_gate(memory_run):
     ratio = memory_run["rss_ratio"]
     if ratio is None:
-        pytest.skip("no /proc/<pid>/status on this platform")
+        pytest.skip("workers cannot read their peak RSS on this platform")
     assert ratio < RSS_RATIO_GATE, (
-        f"sharded workers must be lighter than replicas: max RSS ratio "
+        f"workers must get lighter as the pool widens: max RSS ratio "
         f"{ratio:.3f} >= {RSS_RATIO_GATE} "
-        f"(sharded {memory_run['sharded_peak_rss_kb']} kB vs replicated "
-        f"{memory_run['replicated_peak_rss_kb']} kB)"
+        f"(sharded {memory_run['sharded_peak_rss_kb']} kB vs one worker "
+        f"{memory_run['single_worker_peak_rss_kb']} kB)"
     )
 
 
@@ -162,7 +150,7 @@ def main(argv=None) -> int:
         )
     elif run["rss_ratio"] >= RSS_RATIO_GATE:
         failures.append(
-            f"max sharded/replicated RSS ratio {run['rss_ratio']:.3f} "
+            f"max {run['n_workers']}-worker/1-worker RSS ratio {run['rss_ratio']:.3f} "
             f">= {RSS_RATIO_GATE}"
         )
     record_smoke(

@@ -21,10 +21,10 @@ Two backends behind the same API:
 
 * ``backend="thread"`` (used below, works everywhere): overlap, fairness and
   one shared result cache; compute stays GIL-bound.
-* ``backend="process"``: a pool of replica sessions in OS worker processes
-  (dependency graphs shipped once, distinct queries pinned to workers) --
-  true parallel speedup on multi-core hosts; see
-  ``benchmarks/bench_concurrent.py`` for the measured gate.
+* ``backend="sharded"``: the paper's site model -- a pool of OS worker
+  processes each owning only its ring-assigned fragments, this server as
+  coordinator; see ``benchmarks/bench_sharded.py`` for the per-worker
+  memory gate.
 
 Run:  python examples/concurrent_query_server.py
 """

@@ -10,16 +10,16 @@ costs nothing; cutting a trust edge on the recommendation cycle triggers the
 full cascade -- and both leave the answer equal to a from-scratch oracle.
 
 It finishes by validating the runtime substrate itself: the same dGPM run
-executed with real OS processes (repro.runtime.mp) produces byte-identical
-message counts to the metered simulator.
+with every fragment in its own OS process (``backend="sharded"``, one
+fragment per worker) produces the metered simulator's exact message count,
+DS bytes and round count.
 
 Run:  python examples/live_maintenance.py
 """
 
-from repro import DgpmConfig, run_dgpm, simulation
+from repro import ConcurrentSessionServer, DgpmConfig, run_dgpm, simulation
 from repro.core import IncrementalDgpmSession
 from repro.graph.examples import figure1
-from repro.runtime.mp import run_dgpm_multiprocess
 
 
 def main() -> None:
@@ -54,11 +54,19 @@ def main() -> None:
     print("\n--- substrate validation: simulator vs real OS processes ---")
     config = DgpmConfig(enable_push=False)
     simulated = run_dgpm(query, fragmentation, config)
-    real = run_dgpm_multiprocess(query, fragmentation, config)
+    with ConcurrentSessionServer(
+        fragmentation,
+        backend="sharded",
+        n_workers=fragmentation.n_fragments,
+        config=config,
+    ) as server:
+        real = server.run(query, algorithm="dgpm")
     assert simulated.relation == real.relation
-    assert simulated.metrics.n_messages == real.metrics.n_messages
-    print(f"  identical answers; identical message counts"
-          f" ({simulated.metrics.n_messages})")
+    for field in ("n_messages", "ds_bytes", "n_rounds"):
+        assert getattr(simulated.metrics, field) == getattr(real.metrics, field)
+    print(f"  identical answers; identical accounting"
+          f" ({simulated.metrics.n_messages} messages,"
+          f" {simulated.metrics.ds_bytes} B, {simulated.metrics.n_rounds} rounds)")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ Public surface
   fragmentation in place and maintain the caches incrementally
   (``O(|AFF|)`` repair for hot queries) instead of dropping them;
 * concurrent serving: :class:`ConcurrentSessionServer` fronts one session
-  with many reader threads (or a pool of replica worker processes) under a
+  with many reader threads (or a pool of fragment-owning shard workers) under a
   reader-writer protocol -- queries run concurrently, mutations apply in
   coalesced batches at quiescent points, and every result carries the
   mutation stamp it observed (:mod:`repro.session.concurrent`);
@@ -48,7 +48,7 @@ Public surface
   NetworkSessionServer`) plus blocking and pipelining-asyncio clients
   speaking a length-prefixed, versioned frame protocol; the same protocol
   backs the TCP worker transport of :mod:`repro.runtime.transport`, so
-  replica/site workers can be remote processes;
+  shard workers can be remote processes;
 * benchmarks: the experiment definitions of Figure 6 in :mod:`repro.bench`.
 """
 

@@ -104,26 +104,15 @@ GUARDED: Tuple[GuardSpec, ...] = (
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",
-        attrs=("_affinity",),
-        locks=("self._route_lock",),
-        why="sticky routing table shared by every serving thread",
-    ),
-    GuardSpec(
-        class_name="ConcurrentSessionServer",
         attrs=("_write_queue", "_applying", "_closed"),
         locks=("self._write_cond",),
         why="mutation tickets coalesce under the drainer condition variable",
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",
-        attrs=("_stamp", "_desynced"),
+        attrs=("_stamp",),
         locks=("self._rw.write_locked()",),
-        exempt_methods=("_rebalance_repartition_locked",),
-        why=(
-            "stamp/desync flips happen only at quiescent points; the "
-            "_locked rebalance helper runs inside the write lock its "
-            "caller rebalance() holds"
-        ),
+        why="the stamp advances only at quiescent points",
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",

@@ -23,17 +23,25 @@ the |F|=16 stream.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.bench.concurrent import usable_cpus
 from repro.bench.stream import mixed_query_stream
 from repro.core.config import DgpmConfig
 from repro.net.client import SessionClient
 from repro.net.server import serve_in_thread
 from repro.session import ConcurrentSessionServer, SimulationSession
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 @dataclass

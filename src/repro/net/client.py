@@ -597,13 +597,13 @@ class Subscription:
             )
         except OSError:
             pass
-        # The reader exits on the UNSUBSCRIBE ack (or on EOF when the
-        # server hangs up first); closing the socket unblocks it either way.
+        # The reader exits on the UNSUBSCRIBE ack or the server's EOF; else
+        # shutdown() wakes it -- close() alone interrupts no blocked recv().
         self._reader.join(timeout=5.0)
         with contextlib.suppress(OSError):
-            self._sock.close()
-        if self._reader.is_alive():  # pragma: no cover - defensive
-            self._reader.join(timeout=5.0)
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+        self._reader.join(timeout=5.0)
 
     def __enter__(self) -> "Subscription":
         return self

@@ -18,8 +18,8 @@ Metrics reported per run (:class:`~repro.runtime.metrics.RunMetrics`):
   broadcast, control flags and final result collection are metered separately
   and excluded from the headline number.
 
-An optional :mod:`~repro.runtime.mp` executor runs the same site programs in
-real OS processes to validate that simulated trends match wall-clock ones.
+The shard workers of :mod:`~repro.runtime.mp` run the same site programs in
+real OS processes, so the simulator's accounting can be checked against them.
 """
 
 from repro.runtime.costmodel import CostModel

@@ -1,34 +1,24 @@
-"""Real-process execution of distributed runs (validation executor).
+"""Shard workers: the paper's sites as genuine OS processes.
 
 The synchronous simulator (:mod:`repro.runtime.engine`) is the metered
-substrate for all benchmarks; this module runs the *same* algorithms with
-sites as genuine OS processes, so tests can confirm that the simulator's
-answers (and message/byte accounting) are not artifacts of in-process
-execution.
-
-Design: a worker process per fragment executes the identical
-``SiteProgram`` code; the parent process plays network + coordinator,
-relaying each round's messages.  Rounds stay synchronous -- the goal is
-fidelity of the protocol, not peak throughput (the paper's asynchronous
-runs converge to the same fixpoint; see Section 4.1's correctness argument).
+substrate for all benchmarks; this module holds the one worker loop that
+runs the *same* ``SiteProgram`` code in real processes --
+:func:`_shard_worker`, which owns a subset of fragments (never the base
+graph) and takes part in coordinator-driven supersteps -- plus the
+spawn/respawn plumbing around it.  The coordinator lives in
+:mod:`repro.session.concurrent` (``backend="sharded"``); with one fragment
+per worker it reproduces the simulator's relation, message count, DS bytes
+and round count exactly, which is how tests confirm those numbers are not
+artifacts of in-process execution.
 
 Workers talk to the parent through a pluggable
-:class:`~repro.runtime.transport.Transport`: ``transport="pipe"`` keeps the
-classic same-host ``multiprocessing.Pipe`` channel, ``transport="tcp"``
-has each worker dial the parent's socket listener and receive its whole
-initial state (fragment assignment, query, config, and the pre-built
-dependency graphs -- shipped once, exactly like the pipe path) over the
-wire, so workers can in principle run on other machines.  Both transports
-share dead-peer semantics: a vanished worker surfaces as
-:class:`~repro.errors.ProtocolError` instead of a hang.
-
-:func:`_resident_session_worker` is the second kind of worker: instead of
-one fragment of one query, it holds a full replica
-:class:`~repro.session.SimulationSession` (fragmentation plus the pre-built
-dependency graphs, shipped once at startup) and serves whole queries.  The
-concurrent front-end (:mod:`repro.session.concurrent`) uses a pool of
-these -- spawned through :func:`spawn_resident_workers`, over either
-transport -- for true parallel speedup on CPU-bound query streams.
+:class:`~repro.runtime.transport.Transport`: ``transport="pipe"`` is the
+same-host ``multiprocessing.Pipe`` channel, ``transport="tcp"`` has each
+worker dial the parent's socket listener and receive its whole initial
+state (its shard and the pre-built dependency graphs -- shipped once,
+exactly like the pipe path) over the wire, so workers can in principle run
+on other machines.  Both transports share dead-peer semantics: a vanished
+worker surfaces as :class:`~repro.errors.ProtocolError` instead of a hang.
 """
 
 from __future__ import annotations
@@ -37,15 +27,10 @@ import multiprocessing as mp
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.dgpm import DgpmSiteProgram, assemble_result
 from repro.errors import ProtocolError, ReproError, TransportError
-from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.messages import COORDINATOR, Message
-from repro.runtime.metrics import RunMetrics, RunResult
-from repro.runtime.network import Network
+from repro.runtime.messages import Message
 from repro.runtime.transport import (
     TRANSPORTS,
     PipeTransport,
@@ -70,87 +55,6 @@ def _worker_init(transport: Transport, init):
     if command != "init":
         raise ProtocolError(f"worker expected init, got {command!r}")
     return payload
-
-
-def _site_worker(channel, init=None) -> None:
-    """Worker-process loop: run one DgpmSiteProgram against its transport."""
-    transport = open_worker_transport(channel)
-    fid, fragmentation, query, config, deps = _worker_init(transport, init)
-    program = DgpmSiteProgram(fid, fragmentation, query, deps, config)
-    result = program.on_start()
-    transport.send(("msgs", result.messages))
-    while True:
-        try:
-            command, payload = transport.recv()
-        except EOFError:  # pragma: no cover - parent died
-            return
-        if command == "tick":
-            round_no, inbox = payload
-            result = program.on_tick(round_no, inbox)
-            transport.send(("msgs", result.messages))
-        elif command == "collect":
-            transport.send(("result", program.collect()))
-        elif command == "stop":
-            transport.close()
-            return
-
-
-def _resident_session_worker(channel, init=None) -> None:
-    """Worker-process loop: a full replica session answering whole queries.
-
-    Commands (``(command, payload)`` over the transport):
-
-    * ``("query", (query, algorithm, config))`` -> ``("ok", RunResult)`` or
-      ``("err", exception)``;
-    * ``("mutate", updates)`` -- apply a batch through the replica's mutation
-      API (keeps it in lockstep with the parent) -> ``("ok", n_applied)``;
-    * ``("rebalance", (fragmentation, deps))`` -- adopt a re-partitioning of
-      the same graph via ``session.swap_fragmentation`` -> ``("ok", |F|)``;
-    * ``("stats", None)`` -> ``("ok", SessionStats)``;
-    * ``("stop", None)`` -- close and exit.
-
-    Replies that fail to pickle are downgraded to ``("err", ProtocolError)``
-    so the parent is never left blocked on a half-sent reply.
-    """
-    from repro.session.session import SimulationSession  # import cycle guard
-
-    transport = open_worker_transport(channel)
-    fragmentation, deps, session_kwargs = _worker_init(transport, init)
-    session = SimulationSession(fragmentation, deps=deps, **session_kwargs)
-    while True:
-        try:
-            command, payload = transport.recv()
-        except EOFError:  # pragma: no cover - parent died
-            return
-        if command == "query":
-            query, algorithm, config = payload
-            try:
-                reply = ("ok", session.run(query, algorithm=algorithm, config=config))
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "mutate":
-            try:
-                reply = ("ok", len(session.apply(payload)))
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "rebalance":
-            try:
-                new_fragmentation, new_deps = payload
-                session.swap_fragmentation(new_fragmentation, deps=new_deps)
-                reply = ("ok", new_fragmentation.n_fragments)
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "stats":
-            reply = ("ok", session.stats)
-        elif command == "stop":
-            transport.close()
-            return
-        else:
-            reply = ("err", ProtocolError(f"unknown worker command {command!r}"))
-        try:
-            transport.send(reply)
-        except Exception as exc:  # pragma: no cover - unpicklable payload
-            transport.send(("err", ProtocolError(f"worker reply failed to pickle: {exc}")))
 
 
 #: the sharded worker's full command inventory; the protocol-exhaustive
@@ -414,32 +318,6 @@ def _spawn_over_transport(
         raise
 
 
-def spawn_resident_workers(
-    fragmentation: Fragmentation,
-    deps: DependencyGraphs,
-    session_kwargs: dict,
-    n_workers: int,
-    transport: str = "pipe",
-    mp_context: Optional[str] = None,
-) -> List[Tuple[mp.Process, Transport]]:
-    """Spawn ``n_workers`` replica-session workers over the chosen transport.
-
-    Each worker builds one :class:`SimulationSession` from the shipped
-    fragmentation and pre-built dependency graphs (shipped once per worker
-    lifetime, whichever the channel).  ``mp_context`` picks the
-    multiprocessing start method (``"spawn"`` gives honest per-worker RSS
-    accounting; the platform default otherwise).  Returns
-    ``[(process, link), ...]``; the caller owns shutdown (send
-    ``("stop", None)``, join, close).
-    """
-    _check_transport(transport)
-    ctx = mp.get_context(mp_context) if mp_context else None
-    init = (fragmentation, deps, session_kwargs)
-    return _spawn_over_transport(
-        _resident_session_worker, [init] * n_workers, transport, ctx=ctx
-    )
-
-
 def spawn_shard_workers(
     fragmentation: Fragmentation,
     deps: DependencyGraphs,
@@ -512,112 +390,3 @@ def respawn_worker(
     raise ProtocolError(
         f"worker respawn failed after {policy.attempts} attempt(s): {last!r}"
     ) from last
-
-
-def run_dgpm_multiprocess(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-    max_rounds: int = 100_000,
-    deps: Optional[DependencyGraphs] = None,
-    transport: str = "pipe",
-) -> RunResult:
-    """Evaluate dGPM with each site in its own OS process.
-
-    Returns the same :class:`RunResult` shape as the simulator; PT here is
-    wall-clock (processes genuinely run in parallel), DS is metered from the
-    relayed messages with the same cost model.
-
-    ``deps`` may be a session's cached :class:`DependencyGraphs`; it is built
-    once here otherwise and shipped to every worker, so workers never re-derive
-    the per-graph structures (``SimulationSession.run(..., algorithm="dgpm-mp")``
-    reuses the resident copy).  ``transport`` picks the parent<->site channel:
-    ``"pipe"`` (same host) or ``"tcp"`` (workers dial back over a socket and
-    are initialized over the wire; answers and message accounting are
-    identical by construction -- the relay only swaps channels).
-    """
-    _check_transport(transport)
-    config = config or DgpmConfig()
-    cost = config.cost
-    start = time.perf_counter()
-    network = Network(cost)
-    if deps is None:
-        deps = DependencyGraphs(fragmentation)
-
-    fids = [frag.fid for frag in fragmentation]
-    pairs = _spawn_over_transport(
-        _site_worker,
-        [(fid, fragmentation, query, config, deps) for fid in fids],
-        transport,
-    )
-    links: Dict[int, Transport] = {
-        fid: link for fid, (_, link) in zip(fids, pairs)
-    }
-    workers = [proc for proc, _ in pairs]
-
-    def relay_recv(fid: int):
-        try:
-            return links[fid].recv()
-        except EOFError as exc:
-            raise ProtocolError(
-                f"site worker for fragment {fid} died mid-run"
-            ) from exc
-
-    try:
-        pending: List[Message] = []
-        for fid in links:
-            kind, messages = relay_recv(fid)
-            pending.extend(messages)
-        rounds = 1
-        while True:
-            deliverable = [m for m in pending if m.dst != COORDINATOR]
-            for message in pending:  # meter everything, incl. control flags
-                network.send(message)
-            network.deliver()
-            if not deliverable:
-                break
-            if rounds >= max_rounds:
-                raise ProtocolError(f"no quiescence after {max_rounds} rounds")
-            inboxes: Dict[int, List[Message]] = {}
-            for message in deliverable:
-                inboxes.setdefault(message.dst, []).append(message)
-            pending = []
-            for fid, inbox in inboxes.items():
-                links[fid].send(("tick", (rounds, inbox)))
-            for fid in inboxes:
-                kind, messages = relay_recv(fid)
-                pending.extend(messages)
-            rounds += 1
-
-        results: List[Message] = []
-        for fid, link in links.items():
-            link.send(("collect", None))
-            kind, message = relay_recv(fid)
-            network.send(message)
-            results.append(message)
-        network.deliver()
-        relation = assemble_result(query, results)
-    finally:
-        for fid, link in links.items():
-            try:
-                link.send(("stop", None))
-            except (BrokenPipeError, OSError, TransportError):
-                pass
-        for proc in workers:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        for link in links.values():
-            link.close()
-
-    wall = time.perf_counter() - start
-    metrics = RunMetrics(
-        algorithm="dGPM-mp",
-        pt_seconds=wall,
-        wall_seconds=wall,
-        ds_bytes=network.data_bytes,
-        n_messages=network.data_message_count,
-        n_rounds=rounds,
-        ds_breakdown=network.breakdown(),
-    )
-    return RunResult(relation=relation, metrics=metrics)

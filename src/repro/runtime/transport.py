@@ -4,14 +4,13 @@
 ``multiprocessing.Pipe``.  This module abstracts that channel behind
 :class:`Transport` -- ``send(obj)`` / ``recv()`` / ``close()`` with pipe
 semantics -- and adds a socket implementation framed by the shared wire
-protocol (:mod:`repro.net.protocol`), so site workers and replica-session
-workers can be remote processes.  The demo/test topology spawns them locally
-and has them dial back over localhost TCP, but nothing in the protocol
-assumes a shared host: a worker started anywhere with the listener's
+protocol (:mod:`repro.net.protocol`), so shard workers can be remote
+processes.  The demo/test topology spawns them locally and has them dial
+back over localhost TCP, but nothing in the protocol assumes a shared host: a worker started anywhere with the listener's
 ``(host, port)`` and its token joins the run.
 
 Failure semantics are deliberately identical across implementations, so the
-executors' dead-peer handling is written once:
+coordinator's dead-peer handling is written once:
 
 * ``recv()`` on a peer that went away raises :class:`EOFError` (what
   ``multiprocessing.Connection`` raises on a closed pipe);

@@ -17,9 +17,9 @@ instead of dropping them -- see :mod:`repro.session.session` for the
 contract.
 
 :class:`~repro.session.concurrent.ConcurrentSessionServer` serves one
-session from many threads -- or, with its process backend, from a pool of
-replica worker processes -- under a reader-writer protocol with snapshot
-stamps; see :mod:`repro.session.concurrent` for the contract.
+session from many threads -- or, with its sharded backend, from a pool of
+fragment-owning worker processes -- under a reader-writer protocol with
+snapshot stamps; see :mod:`repro.session.concurrent` for the contract.
 
 The one-shot entry points (``run_dgpm`` and friends) remain the public API;
 each is now a thin wrapper that builds a throwaway session.

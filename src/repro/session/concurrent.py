@@ -4,9 +4,9 @@ The paper's possibility results assume a resident fragmentation answering
 *many independent* queries (Sections 4-5); each query is a pure read and the
 engine is single-threaded per query, so serving them in parallel changes
 throughput, never answers.  :class:`ConcurrentSessionServer` is that serving
-tier: a thread/process front-end over exactly one session, with a
-reader-writer protocol that keeps the paper's correctness guarantees intact
-while the graph mutates underneath the traffic.
+tier: a front-end over exactly one session, with a reader-writer protocol
+that keeps the paper's correctness guarantees intact while the graph
+mutates underneath the traffic.
 
 The snapshot/stamp contract
 ---------------------------
@@ -38,17 +38,15 @@ Two execution backends behind one API
   (:meth:`LruResultCache.get_or_compute`), and every thread shares one
   result cache.  Pure-Python compute stays GIL-bound, so this backend is
   about overlap, not speedup.
-* ``backend="process"`` -- queries are dispatched to a pool of
-  :func:`~repro.runtime.mp._resident_session_worker` OS processes, each
-  holding a full replica session built once from the shipped fragmentation
-  *and* the parent's pre-built dependency graphs (the deps-amortization of
-  :mod:`repro.runtime.mp`).  CPU-bound streams gain true parallel speedup
-  (``benchmarks/bench_concurrent.py`` gates >= 2x at 4 workers on a
-  16-fragment mixed stream).  Sticky least-loaded routing pins each distinct
-  query (by canonical digest) to one worker, so repeats hit that worker's
-  cache instead of recomputing everywhere.  Mutation batches broadcast to
-  every replica inside the same write-lock hold that patches the parent
-  session, keeping all replicas in lockstep with the stamp counter.
+* ``backend="sharded"`` -- the paper's site model as a deployment: each of
+  a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
+  the fragments a :class:`~repro.session.sharding.HashRing` assigns it
+  (never the base graph), and this class plays coordinator, driving the
+  same supersteps as the in-process engine and routing only boundary
+  messages.  Mutation batches ship, inside the same write-lock hold that
+  patches the parent session, only to the workers owning the touched
+  fragments; a dead worker is respawned (or evicted) from the parent's
+  authoritative fragmentation, so no batch is ever lost.
 
 >>> server = ConcurrentSessionServer(fragmentation, backend="thread")
 >>> futures = [server.submit(q) for q in queries]     # concurrent reads
@@ -64,7 +62,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -236,17 +233,17 @@ class _Subscription:
         self.last = last
 
 
-class _WorkerHandle:
-    """One process-backend worker: its transport, dispatch lock, routing load."""
+class _ShardHandle:
+    """One shard worker: its process, transport, dispatch lock and ring slot."""
 
-    __slots__ = ("process", "link", "lock", "assigned", "dead")
+    __slots__ = ("process", "link", "lock", "slot", "dead")
 
-    def __init__(self, process, link) -> None:
+    def __init__(self, process, link, slot) -> None:
         self.process = process
         self.link = link  # a repro.runtime.transport.Transport
         self.lock = threading.Lock()
-        self.assigned = 0  # distinct canonical digests routed here
-        self.dead = False  # set on link failure; routing skips dead workers
+        self.slot = slot
+        self.dead = False  # set on link failure; the heal pass respawns it
 
     def _link_error(self, command: str, exc: BaseException) -> ProtocolError:
         """The uniform dead-worker error for every transport operation.
@@ -280,9 +277,9 @@ class _WorkerHandle:
     def post(self, command: str, payload) -> None:
         """Send without waiting for the reply (pair with :meth:`collect`).
 
-        Only valid under write exclusion, when nothing else can interleave
-        on this link -- the broadcast path uses it to overlap all replicas'
-        work instead of round-tripping one worker at a time.
+        Only valid under the pool lock, when nothing else can interleave
+        on this link -- supersteps and broadcasts use it to overlap all
+        workers' work instead of round-tripping one worker at a time.
         """
         try:
             with self.lock:
@@ -300,18 +297,8 @@ class _WorkerHandle:
         return self._unwrap(status, reply)
 
 
-class _ShardHandle(_WorkerHandle):
-    """One sharded-backend worker: a :class:`_WorkerHandle` plus its ring slot."""
-
-    __slots__ = ("slot",)
-
-    def __init__(self, process, link, slot) -> None:
-        super().__init__(process, link)
-        self.slot = slot
-
-
 class ConcurrentSessionServer:
-    """Thread/process front-end serving one resident session concurrently.
+    """Thread/sharded front-end serving one resident session concurrently.
 
     Parameters
     ----------
@@ -321,16 +308,16 @@ class ConcurrentSessionServer:
         :class:`SimulationSession` to front.
     backend:
         ``"thread"`` (shared session, overlap + shared cache) or
-        ``"process"`` (replica sessions in OS workers, parallel speedup);
+        ``"sharded"`` (fragment-owning OS workers, the paper's site model);
         see the module docstring.
     n_workers:
-        Thread-pool width; for the process backend also the number of
-        replica worker processes.
+        Thread-pool width; for the sharded backend also the number of
+        shard worker processes.
     config:
         Default config for a session built from a fragmentation (rejected
         together with an existing session -- that session already has one).
     transport:
-        Channel between this front-end and its replica workers (process
+        Channel between this front-end and its shard workers (sharded
         backend only): ``"pipe"`` (same-host ``multiprocessing.Pipe``, the
         default) or ``"tcp"`` (workers dial back over a token-authenticated
         localhost socket and are initialized over the wire -- the topology
@@ -338,8 +325,7 @@ class ConcurrentSessionServer:
         protocol and share dead-peer semantics.
     session_kwargs:
         Extra :class:`SimulationSession` keyword arguments for a session
-        built from a fragmentation (``cache_size``, ``maintenance``, ...);
-        the process backend forwards them to every replica.
+        built from a fragmentation (``cache_size``, ``maintenance``, ...).
     """
 
     def __init__(
@@ -354,9 +340,9 @@ class ConcurrentSessionServer:
         mp_context: Optional[str] = None,
         **session_kwargs,
     ) -> None:
-        if backend not in ("thread", "process", "sharded"):
+        if backend not in ("thread", "sharded"):
             raise ReproError(
-                f"unknown backend {backend!r} (known: thread, process, sharded)"
+                f"unknown backend {backend!r} (known: thread, sharded)"
             )
         if transport not in TRANSPORTS:
             raise ReproError(
@@ -366,7 +352,7 @@ class ConcurrentSessionServer:
         if transport != "pipe" and backend == "thread":
             raise ReproError(
                 "transport= selects the worker channel; it requires "
-                "backend='process' or backend='sharded'"
+                "backend='sharded'"
             )
         if fault_plan is not None and backend != "sharded":
             raise ReproError(
@@ -376,7 +362,7 @@ class ConcurrentSessionServer:
         if mp_context is not None and backend == "thread":
             raise ReproError(
                 "mp_context= picks the worker start method; it requires "
-                "backend='process' or backend='sharded'"
+                "backend='sharded'"
             )
         if n_workers < 1:
             raise ReproError("n_workers must be >= 1")
@@ -387,21 +373,8 @@ class ConcurrentSessionServer:
                     "Fragmentation to have the server build one"
                 )
             self._session = source
-            self._replica_kwargs = {
-                "cache_size": source._cache.max_entries,
-                "maintenance": source.maintenance,
-                "max_warm_states": source.max_warm_states,
-                "warm_after_hits": source.warm_after_hits,
-                "config": source.config,
-            }
         elif isinstance(source, Fragmentation):
             self._session = SimulationSession(source, config=config, **session_kwargs)
-            # Replicas receive deps through the worker spawn args (shipped
-            # once); a caller-supplied deps= kwarg must not ride along too.
-            self._replica_kwargs = {
-                k: v for k, v in session_kwargs.items() if k != "deps"
-            }
-            self._replica_kwargs["config"] = self._session.config
         else:
             raise ReproError(
                 f"cannot serve a {type(source).__name__}; pass a "
@@ -420,21 +393,12 @@ class ConcurrentSessionServer:
         self._rw = _ReadWriteLock()
         self._stamp = 0
         self._closed = False
-        self._desynced = False
         self._write_cond = threading.Condition()
         self._write_queue: List[_WriteTicket] = []
         self._applying = False
         self._executor = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve"
         )
-        self._workers: Optional[List[_WorkerHandle]] = None
-        self._route_lock = threading.Lock()
-        #: digest -> pinned worker, LRU-bounded: a long-running server seeing
-        #: an unbounded stream of distinct queries must not grow this (or the
-        #: per-worker load counters) forever -- old routes expire with the
-        #: replica cache entries they mirrored
-        self._affinity: "OrderedDict[str, _WorkerHandle]" = OrderedDict()
-        self._max_routes = 4096
         #: sharded backend: worker pool keyed by ring slot, serialized by a
         #: reentrant pool lock (ring state, respawns, and distributed runs)
         self._pool_lock = threading.RLock()
@@ -450,37 +414,19 @@ class ConcurrentSessionServer:
         self._sub_lock = threading.Lock()
         self._subs: Dict[int, _Subscription] = {}
         self._next_sub_id = 1
-        if backend == "process":
-            self._workers = self._spawn_workers()
-        elif backend == "sharded":
+        if backend == "sharded":
             self._ring, self._shards = self._spawn_shards()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn_workers(self) -> List[_WorkerHandle]:
-        from repro.runtime.mp import spawn_resident_workers
-
-        self._session.warm()  # deps built once here, shipped to every worker
-        return [
-            _WorkerHandle(proc, link)
-            for proc, link in spawn_resident_workers(
-                self._session.fragmentation,
-                self._session.deps,
-                self._replica_kwargs,
-                self.n_workers,
-                transport=self.transport,
-                mp_context=self.mp_context,
-            )
-        ]
-
     def _spawn_shards(self) -> Tuple[HashRing, List["_ShardHandle"]]:
         """Build the ring and spawn one fragment-owning worker per slot.
 
         Each worker ships out with only its owned fragments (plus the
         shared watcher tables) -- never the base graph -- so per-worker
         memory scales with ``|F|/n``; ``benchmarks/bench_sharded.py`` gates
-        this against the replicated process backend.
+        this against one worker owning every fragment.
         """
         from repro.runtime.mp import spawn_shard_workers
 
@@ -510,16 +456,14 @@ class ConcurrentSessionServer:
 
         New work is refused the moment the flag flips; queries already in
         the executor and mutation tickets already enqueued are drained
-        first, so a mutation that applied to the parent session is never
-        answered with a dead-worker error because its replica broadcast
-        raced the worker shutdown.
+        first, so no batch's worker broadcast races the worker shutdown.
         """
         with self._write_cond:
             if self._closed:
                 return
             self._closed = True
         self._executor.shutdown(wait=True)
-        # Let in-flight mutation batches finish their replica broadcasts
+        # Let in-flight mutation batches finish their worker broadcasts
         # before the workers are told to stop (bounded: a wedged drainer
         # must not make close() hang forever).
         deadline = time.monotonic() + 30.0
@@ -528,20 +472,17 @@ class ConcurrentSessionServer:
                 time.monotonic() < deadline
             ):
                 self._write_cond.wait(timeout=1.0)
-        for pool in (self._workers, self._shards):
-            if pool is None:
-                continue
-            for handle in pool:
-                try:
-                    with handle.lock:
-                        handle.link.send(("stop", None))
-                except (BrokenPipeError, TransportError, OSError):
-                    pass
-            for handle in pool:
-                handle.process.join(timeout=10)
-                if handle.process.is_alive():  # pragma: no cover - defensive
-                    handle.process.terminate()
-                handle.link.close()  # else the parent-side FDs live until GC
+        for handle in self._shards or ():
+            try:
+                with handle.lock:
+                    handle.link.send(("stop", None))
+            except (BrokenPipeError, TransportError, OSError):
+                pass
+        for handle in self._shards or ():
+            handle.process.join(timeout=10)
+            if handle.process.is_alive():  # pragma: no cover - defensive
+                handle.process.terminate()
+            handle.link.close()  # else the parent-side FDs live until GC
 
     def __enter__(self) -> "ConcurrentSessionServer":
         return self
@@ -564,11 +505,7 @@ class ConcurrentSessionServer:
 
     @property
     def stats(self):
-        """The fronted session's serving counters.
-
-        With the process backend these cover mutations only (queries run in
-        the replicas); use :meth:`worker_stats` for per-replica counters.
-        """
+        """The fronted session's serving counters."""
         return self._session.stats
 
     def submit(
@@ -613,78 +550,13 @@ class ConcurrentSessionServer:
     ) -> StampedResult:
         with self._rw.read_locked():
             stamp = self._stamp
-            if self._workers is not None:
-                result = self._serve_via_worker(query, algorithm, config)
-            elif self._shards is not None:
+            if self._shards is not None:
                 result = self._serve_via_shards(query, algorithm, config)
             else:
                 result = self._session.run(query, algorithm=algorithm, config=config)
         return StampedResult(
             relation=result.relation, metrics=result.metrics, stamp=stamp
         )
-
-    def _serve_via_worker(
-        self, query: Pattern, algorithm: str, config: Optional[DgpmConfig]
-    ):
-        if self._desynced:
-            raise ProtocolError(
-                "a replica failed mid-mutation; the worker pool is out of "
-                "sync with the parent session -- rebuild the server"
-            )
-        digest = self._session.canonical_form_of(query).digest
-        with self._route_lock:
-            handle = self._affinity.get(digest)
-            if handle is not None and handle.dead:
-                # The pinned replica died; un-pin and re-route below.
-                del self._affinity[digest]
-                handle = None
-            if handle is None:
-                # Sticky least-loaded routing: pin this distinct query to the
-                # live worker with the fewest pinned queries, so repeats hit
-                # that replica's cache and distinct queries spread evenly.
-                live = [h for h in self._workers if not h.dead]
-                if not live:
-                    raise ProtocolError(
-                        "every worker process has died -- rebuild the server"
-                    )
-                handle = min(live, key=lambda h: h.assigned)
-                handle.assigned += 1
-                self._affinity[digest] = handle
-                while len(self._affinity) > self._max_routes:
-                    _, stale = self._affinity.popitem(last=False)
-                    stale.assigned -= 1
-            else:
-                self._affinity.move_to_end(digest)
-        try:
-            return handle.request("query", (query, algorithm, config))
-        except ProtocolError:
-            # Pipe-level death (request distinguishes it from in-worker
-            # errors by raising ProtocolError with a dead process): take the
-            # worker out of routing so later queries re-route instead of
-            # failing on the corpse forever.
-            if not handle.process.is_alive():
-                handle.dead = True
-            raise
-
-    def worker_stats(self) -> List:
-        """Per-replica :class:`SessionStats` (process backend only, live
-        workers only)."""
-        if self._workers is None:
-            raise ReproError("worker_stats requires the process backend")
-        self._check_open()
-        if self._desynced:
-            # A failed broadcast may have left unread replies on surviving
-            # pipes; a request now would mispair replies with commands.
-            raise ProtocolError(
-                "a replica failed mid-mutation; the worker pool is out of "
-                "sync with the parent session -- rebuild the server"
-            )
-        with self._rw.read_locked():
-            return [
-                handle.request("stats", None)
-                for handle in self._workers
-                if not handle.dead
-            ]
 
     # ------------------------------------------------------------------
     # sharded backend: fragment-owning workers behind a consistent-hash ring
@@ -741,9 +613,9 @@ class ConcurrentSessionServer:
         driver = self._session._resolve_for_query(name, query)
         plan = SHARDED_PLANS.get(driver.name)
         if plan is None:
-            # Centralized baselines (match, dISHHK) and the mp validation
-            # driver ship the whole graph to one site by design; evaluating
-            # them at the coordinator is faithful to their cost model.
+            # Centralized baselines (match, dISHHK) ship the whole graph to
+            # one site by design; evaluating them at the coordinator is
+            # faithful to their cost model.
             return self._session.run(query, algorithm=driver.name, config=config)
         # Queries are pure reads, so a worker death mid-run is retried from
         # scratch after the pool heals (bounded: each retry removes or
@@ -1033,9 +905,8 @@ class ConcurrentSessionServer:
         Boundary transitions (``virtual_added``/``virtual_dropped``) patch
         every worker's watcher tables; all other deltas only touch the
         fragments of their source/target owners.  A worker that fails here
-        is marked dead, *not* desynced: its replacement re-extracts from the
-        authoritative parent fragmentation at heal time, so the batch is
-        never lost.
+        is marked dead: its replacement re-extracts from the authoritative
+        parent fragmentation at heal time, so the batch is never lost.
         """
         with self._pool_lock:
             live = {h.slot: h for h in self._shards if not h.dead}
@@ -1095,24 +966,20 @@ class ConcurrentSessionServer:
           get heavy nodes, so the partitioner both avoids cutting hot
           regions and spreads them), rebuild the watcher tables once, and
           swap every serving layer over: the parent session
-          (:meth:`SimulationSession.swap_fragmentation`), process-backend
-          replicas (a ``rebalance`` broadcast), and sharded workers (each
-          re-ships its slot's freshly extracted shard).  Works on all three
+          (:meth:`SimulationSession.swap_fragmentation`) and sharded workers
+          (each re-ships its slot's freshly extracted shard).  Works on both
           backends.
         * ``"place"`` -- sharded backend only: keep the fragmentation, move
           whole fragments between workers along a traffic-balanced ring
           (:meth:`HashRing.rebalanced`) using the existing ``install``
           machinery; only moved fragments re-ship.
 
-        ``traffic`` overrides the gathered ``{fid: count}`` window (the
-        parent session's counters, merged with every live replica's on the
-        process backend).  The write lock is held throughout -- readers see
-        the old placement or the new one, never an intermediate -- and the
-        traffic window resets afterwards so the next rebalance sees fresh
-        counters.  Worker failures mid-rebalance follow each backend's
-        existing contract: shard workers are marked dead and heal from the
-        (already swapped) parent; a failed replica broadcast desyncs the
-        process pool.
+        ``traffic`` overrides the ``{fid: count}`` window read from the
+        parent session's counters.  The write lock is held throughout --
+        readers see the old placement or the new one, never an intermediate
+        -- and the traffic window resets afterwards so the next rebalance
+        sees fresh counters.  Shard workers that fail mid-rebalance are
+        marked dead and heal from the (already swapped) parent.
         """
         if mode not in ("repartition", "place"):
             raise ReproError(
@@ -1127,7 +994,12 @@ class ConcurrentSessionServer:
         start = time.perf_counter()
         with self._rw.write_locked():
             if traffic is None:
-                traffic = self._gather_traffic_locked()
+                # The parent session's window: all traffic on the thread
+                # backend, coordinator-attributed queries plus mutations on
+                # the sharded one.  The overflow key carries no placement
+                # signal.
+                traffic = self._session.stats.traffic_snapshot()
+                traffic.pop(-1, None)
             before = partition_stats(self._session.fragmentation)
             if mode == "place":
                 moved = self._rebalance_placement_locked(traffic)
@@ -1150,28 +1022,6 @@ class ConcurrentSessionServer:
             wall_seconds=time.perf_counter() - start,
         )
 
-    def _gather_traffic_locked(self) -> Dict[int, int]:
-        """Merge the per-fragment traffic windows of every serving layer.
-
-        The parent session always contributes (thread backend: all traffic;
-        sharded: coordinator-attributed queries plus mutations); process
-        replicas each serve a slice of the query stream, so their counters
-        are summed in too.
-        """
-        merged = self._session.stats.traffic_snapshot()
-        if self._workers is not None and not self._desynced:
-            for handle in self._workers:
-                if handle.dead:
-                    continue
-                try:
-                    stats = handle.request("stats", None)
-                except ProtocolError:
-                    continue  # a dead replica's window is lost, not fatal
-                for fid, count in stats.traffic_snapshot().items():
-                    merged[fid] = merged.get(fid, 0) + count
-        merged.pop(-1, None)  # the overflow key carries no placement signal
-        return merged
-
     def _rebalance_repartition_locked(
         self, traffic: Dict[int, int], balance: float, seed: int, max_passes: int
     ) -> int:
@@ -1193,23 +1043,6 @@ class ConcurrentSessionServer:
         # re-extracts from, so a worker that fails below heals onto the
         # *new* partition, never the old one.
         session.swap_fragmentation(new_frag, deps=deps)
-        if self._workers is not None:
-            if self._desynced:
-                raise ProtocolError(
-                    "a replica failed mid-mutation; the worker pool is out "
-                    "of sync with the parent session -- rebuild the server"
-                )
-            try:
-                live = [h for h in self._workers if not h.dead]
-                for handle in live:
-                    handle.post("rebalance", (new_frag, deps))
-                for handle in live:
-                    handle.collect("rebalance")
-            except BaseException:
-                # Some replicas swapped, some did not: same contract as a
-                # failed mutation broadcast.
-                self._desynced = True
-                raise
         if self._shards is not None:
             with self._pool_lock:
                 self._heal_pool_locked()
@@ -1434,11 +1267,12 @@ class ConcurrentSessionServer:
             try:
                 self._drain_writes()
             except BaseException:
-                # An infrastructure failure (e.g. a replica broadcast) in a
-                # *coalesced* batch must not masquerade as ours: if our own
-                # ticket was decided (results or error recorded), fall through
-                # and report that decision; re-raise only when the failure
-                # struck before our ticket was resolved.
+                # An infrastructure failure (e.g. a standing query's
+                # re-evaluation raising) in a *coalesced* batch must not
+                # masquerade as ours: if our own ticket was decided (results
+                # or error recorded), fall through and report that decision;
+                # re-raise only when the failure struck before our ticket
+                # was resolved.
                 with self._write_cond:
                     if ticket.results is None and ticket.error is None:
                         raise
@@ -1478,11 +1312,11 @@ class ConcurrentSessionServer:
         """Apply every ticket inside one write-lock hold (the quiescent point).
 
         Per-ticket failures (e.g. deleting an edge that is already gone) are
-        recorded on that ticket and do not disturb the others; the replica
-        broadcast ships exactly the updates the parent session accepted.
+        recorded on that ticket and do not disturb the others; the worker
+        broadcast ships exactly the deltas the parent session produced.
         """
         with self._rw.write_locked():
-            applied: List[MutationOp] = []
+            stamp_before = self._stamp
             applied_deltas: List[MutationDelta] = []
             for ticket in batch:
                 results: List[StampedOutcome] = []
@@ -1491,7 +1325,6 @@ class ConcurrentSessionServer:
                     for op in ticket.ops:
                         failed_op = op
                         outcome = self._session.apply([op])[0]
-                        applied.append(op)
                         if outcome.delta is not None:
                             applied_deltas.append(outcome.delta)
                         self._stamp += 1
@@ -1520,30 +1353,12 @@ class ConcurrentSessionServer:
                         )
                         error.__cause__ = exc
                         ticket.error = error
-            if self._workers is not None and applied and not self._desynced:
-                # (Once desynced, pipes may hold unread replies -- no
-                # further traffic; the parent session stays authoritative.)
-                try:
-                    # Pipelined broadcast: every replica starts applying at
-                    # once, so the reader-blocking quiescent window is the
-                    # slowest replica, not the sum over workers.  Workers
-                    # already marked dead are skipped (they serve nothing).
-                    live = [h for h in self._workers if not h.dead]
-                    for handle in live:
-                        handle.post("mutate", applied)
-                    for handle in live:
-                        handle.collect("mutate")
-                except BaseException:
-                    # A replica diverged from the parent; refuse to serve
-                    # possibly-stale answers from the pool afterwards.
-                    self._desynced = True
-                    raise
             if self._shards is not None and applied_deltas:
-                # Shard workers never desync the server: a failed worker is
-                # marked dead and its respawn re-extracts from the parent
-                # fragmentation (which already holds this batch).
+                # A failed worker is marked dead and its respawn re-extracts
+                # from the parent fragmentation (which already holds this
+                # batch), so nothing here can fail the batch.
                 self._broadcast_deltas_locked(applied_deltas)
-            if applied and self._subs:
+            if self._stamp != stamp_before and self._subs:
                 # Still inside the quiescent point: the diffs below observe
                 # exactly the post-batch graph, so every pushed delta is
                 # stamped with the state it describes.

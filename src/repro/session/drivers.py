@@ -31,7 +31,6 @@ from repro.core.dgpmd import execute_dgpmd
 from repro.core.dgpmt import execute_dgpmt
 from repro.graph.pattern import Pattern
 from repro.runtime.metrics import RunResult
-from repro.runtime.mp import run_dgpm_multiprocess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.session.session import SimulationSession
@@ -140,19 +139,6 @@ class MatchDriver:
         return execute_match(query, session.fragmentation, config)
 
 
-class DgpmMultiprocessDriver:
-    """dGPM with real OS-process sites (the validation executor)."""
-
-    name = "dgpm-mp"
-    display_name = "dGPM-mp"
-    engines = ("dict",)
-
-    def run(self, session, query, config, engine="dict"):
-        return run_dgpm_multiprocess(
-            query, session.fragmentation, config, deps=session.deps
-        )
-
-
 #: name -> driver instance; the session copies this at construction so callers
 #: can register custom drivers per session without global effects.
 DRIVERS: Dict[str, AlgorithmDriver] = {
@@ -164,6 +150,5 @@ DRIVERS: Dict[str, AlgorithmDriver] = {
         DmesDriver(),
         DishhkDriver(),
         MatchDriver(),
-        DgpmMultiprocessDriver(),
     )
 }

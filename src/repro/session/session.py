@@ -103,14 +103,6 @@ from repro.session.cache import LabelInterner, LruResultCache, canonical_form
 from repro.session.drivers import DRIVERS, AlgorithmDriver
 from repro.simulation.matchrel import MatchRelation
 
-#: algorithm-name aliases accepted by :meth:`SimulationSession.run`
-#: (``dgpmnopt`` is handled separately: it is the dgpm driver plus
-#: ``config.without_optimizations()``)
-_ALIASES = {
-    "dgpm_mp": "dgpm-mp",
-}
-
-
 def _translate(
     relation: MatchRelation, stored_order: Tuple, hit_order: Tuple
 ) -> MatchRelation:
@@ -886,7 +878,7 @@ ConcurrentSessionServer` provides.
         """Validate ``run``'s names up front; one error listing every problem.
 
         Historically a bad algorithm name surfaced as a registry ``KeyError``
-        only after alias/auto resolution, and a bad engine name would have
+        only after auto resolution, and a bad engine name would have
         failed deep inside a protocol function; both are now rejected here,
         together, with the valid names spelled out.  Returns the normalized
         engine name (the session default when ``engine`` is None).
@@ -894,10 +886,9 @@ ConcurrentSessionServer` provides.
         from repro.core.arraycompile import ENGINES
 
         problems: List[str] = []
-        name = _ALIASES.get(algorithm.lower(), algorithm.lower())
         valid = {"auto", "dgpmnopt", *self.drivers}
-        if name not in valid:
-            known = ", ".join(sorted(valid | set(_ALIASES)))
+        if algorithm.lower() not in valid:
+            known = ", ".join(sorted(valid))
             problems.append(f"unknown algorithm {algorithm!r} (known: {known})")
         engine_name = (engine if engine is not None else self.engine).lower()
         if engine_name not in ENGINES:
@@ -909,7 +900,7 @@ ConcurrentSessionServer` provides.
         return engine_name
 
     def _resolve_for_query(self, algorithm: str, query: Pattern) -> AlgorithmDriver:
-        name = _ALIASES.get(algorithm.lower(), algorithm.lower())
+        name = algorithm.lower()
         if name == "auto":
             from repro.core.dispatch import choose_algorithm
 

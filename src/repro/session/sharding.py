@@ -1,9 +1,8 @@
 """Fragment->worker ownership for the sharded serving backend.
 
 The paper's site model (Section 2.2) has every site hold a *subset* of the
-fragments; the ``process`` backend instead replicates the whole session per
-worker.  This module supplies the two coordinator-side ingredients of the
-true sharded deployment:
+fragments.  This module supplies the two coordinator-side ingredients of
+that sharded deployment:
 
 * :class:`HashRing` -- a deterministic, bounded-load consistent-hash
   assignment of fragment ids to worker slots.  Ownership is a pure function

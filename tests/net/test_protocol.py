@@ -151,7 +151,7 @@ FRAMES = st.one_of(
         protocol.StatsReply,
         stats=stats(),
         stamp=st.integers(min_value=0, max_value=10**9),
-        backend=st.sampled_from(["thread", "process"]),
+        backend=st.sampled_from(["thread", "sharded"]),
         n_workers=st.integers(min_value=1, max_value=64),
     ),
     ERRORS.map(protocol.ErrorReply.from_exception),

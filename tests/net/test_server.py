@@ -439,12 +439,12 @@ class TestIngressLifecycle:
 
 
 class TestFullStackOverTcpWorkers:
-    def test_network_ingress_over_tcp_process_backend(self, instance):
+    def test_network_ingress_over_tcp_sharded_backend(self, instance):
         """The whole story at once: TCP clients -> asyncio ingress ->
-        process backend whose replica workers are themselves TCP."""
+        sharded backend whose shard workers are themselves TCP."""
         graph, frag, queries = instance
         with serve_in_thread(
-            frag, backend="process", n_workers=2, transport="tcp"
+            frag, backend="sharded", n_workers=2, transport="tcp"
         ) as srv:
             with SessionClient(*srv.address, timeout=120.0) as client:
                 for q in queries:

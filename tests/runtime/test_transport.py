@@ -1,10 +1,10 @@
 """One test suite, two transports: pipe and TCP workers must be equivalent.
 
 The ``transport`` fixture parametrizes every scenario below over both
-channel implementations -- the site-program executor, the replica-session
-pool behind :class:`ConcurrentSessionServer`, and dead-peer detection all
-run the identical assertions, so the TCP path can never drift from the
-pipe path's semantics.
+channel implementations -- one site per shard worker against the simulator,
+the resident shard-worker pool behind :class:`ConcurrentSessionServer`, and
+dead-peer detection all run the identical assertions, so the TCP path can
+never drift from the pipe path's semantics.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.graph.examples import figure1
 from repro.graph.generators import random_labeled_graph
 from repro.graph.pattern import Pattern
 from repro.partition import random_partition
-from repro.runtime.mp import _shard_worker, respawn_worker, run_dgpm_multiprocess
+from repro.runtime.mp import _shard_worker, respawn_worker
 from repro.runtime.transport import (
     PipeTransport,
     RetryPolicy,
@@ -30,6 +30,8 @@ from repro.runtime.transport import (
     connect_worker,
     open_worker_transport,
 )
+
+from tests.runtime.test_mp import assert_same_accounting, run_dgpm_one_site_per_worker
 
 
 @pytest.fixture(params=["pipe", "tcp"])
@@ -39,16 +41,16 @@ def transport(request) -> str:
 
 
 # ----------------------------------------------------------------------
-# the site-program executor
+# one site per shard worker, over either channel
 # ----------------------------------------------------------------------
 class TestSiteExecutor:
     def test_figure1_matches_simulator(self, transport):
         q, g, frag = figure1()
         config = DgpmConfig(enable_push=False)
         sim_run = run_dgpm(q, frag, config)
-        mp_run = run_dgpm_multiprocess(q, frag, config, transport=transport)
+        mp_run = run_dgpm_one_site_per_worker(q, frag, config, transport)
         assert mp_run.relation == sim_run.relation == simulation(q, g)
-        assert mp_run.metrics.n_messages == sim_run.metrics.n_messages
+        assert_same_accounting(mp_run.metrics, sim_run.metrics)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_instances(self, transport, seed):
@@ -56,8 +58,9 @@ class TestSiteExecutor:
         frag = random_partition(graph, 3, seed=seed)
         q = Pattern({"a": "L0", "b": "L1"}, [("a", "b"), ("b", "a")])
         config = DgpmConfig(enable_push=False)
-        mp_run = run_dgpm_multiprocess(q, frag, config, transport=transport)
+        mp_run = run_dgpm_one_site_per_worker(q, frag, config, transport)
         assert mp_run.relation == simulation(q, graph)
+        assert_same_accounting(mp_run.metrics, run_dgpm(q, frag, config).metrics)
 
     def test_message_accounting_is_channel_independent(self):
         """DS/message metering must not depend on the transport at all."""
@@ -65,21 +68,19 @@ class TestSiteExecutor:
         frag = random_partition(graph, 3, seed=2)
         q = Pattern({"a": "L0", "b": "L1"}, [("a", "b"), ("b", "a")])
         config = DgpmConfig(enable_push=False)
-        by_pipe = run_dgpm_multiprocess(q, frag, config, transport="pipe")
-        by_tcp = run_dgpm_multiprocess(q, frag, config, transport="tcp")
+        by_pipe = run_dgpm_one_site_per_worker(q, frag, config, "pipe")
+        by_tcp = run_dgpm_one_site_per_worker(q, frag, config, "tcp")
         assert by_pipe.relation == by_tcp.relation
-        assert by_pipe.metrics.n_messages == by_tcp.metrics.n_messages
-        assert by_pipe.metrics.ds_bytes == by_tcp.metrics.ds_bytes
-        assert by_pipe.metrics.n_rounds == by_tcp.metrics.n_rounds
+        assert_same_accounting(by_pipe.metrics, by_tcp.metrics)
 
     def test_unknown_transport_rejected(self):
-        q, _, frag = figure1()
+        """The spawn layer validates the channel name itself."""
         with pytest.raises(ReproError, match="unknown transport"):
-            run_dgpm_multiprocess(q, frag, transport="carrier-pigeon")
+            respawn_worker(_shard_worker, (), "carrier-pigeon", RetryPolicy())
 
 
 # ----------------------------------------------------------------------
-# the replica-session pool (process backend of the concurrent server)
+# the resident shard-worker pool (sharded backend of the concurrent server)
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def small_instance():
@@ -93,74 +94,43 @@ class TestResidentWorkerPool:
     def test_query_parity_and_mutation_lockstep(self, transport, small_instance):
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(
-            frag, backend="process", n_workers=2, transport=transport
+            frag, backend="sharded", n_workers=2, transport=transport
         ) as server:
             for q, r in zip(queries, server.run_many(queries, algorithm="dgpm")):
                 assert r.stamp == 0
                 assert r.relation == simulation(q, graph)
             outcome = server.delete_edge(*list(graph.edges())[0])
             assert outcome.stamp == 1
-            # replicas saw the broadcast: answers match the mutated oracle
+            # workers saw the broadcast: answers match the mutated oracle
             for q in queries:
                 r = server.run(q, algorithm="dgpm")
                 assert r.stamp == 1
                 assert r.relation == simulation(q, graph)
 
-    def test_worker_stats_reach_replicas(self, transport, small_instance):
-        graph, frag, queries = small_instance
-        with ConcurrentSessionServer(
-            frag, backend="process", n_workers=2, transport=transport
-        ) as server:
-            server.run_many(queries * 2, algorithm="dgpm")
-            stats = server.worker_stats()
-            assert len(stats) == 2
-            assert sum(s.queries_served for s in stats) == len(queries) * 2
-
-    def test_dead_worker_raises_instead_of_hanging(self, transport, small_instance):
-        """A killed worker surfaces as ProtocolError on the next dispatch --
-        identically for pipe EOF and socket EOF."""
-        graph, frag, queries = small_instance
-        with ConcurrentSessionServer(
-            frag, backend="process", n_workers=1, transport=transport
-        ) as server:
-            assert server.run(queries[0], algorithm="dgpm").stamp == 0
-            worker = server._workers[0]
-            worker.process.terminate()
-            worker.process.join(timeout=10)
-            with pytest.raises(ProtocolError):
-                server.run(queries[0], algorithm="dgpm")
-            # The only worker is dead: routing reports the pool state.
-            with pytest.raises(ProtocolError, match="every worker"):
-                server.run(queries[1], algorithm="dgpm")
-
     def test_dead_worker_is_routed_around(self, transport, small_instance):
+        """A killed worker surfaces as a dead link -- identically for pipe
+        EOF and socket EOF -- and its respawn serves the very next query."""
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(
-            frag, backend="process", n_workers=2, transport=transport
+            frag, backend="sharded", n_workers=2, transport=transport
         ) as server:
             assert server.run(queries[0], algorithm="dgpm").stamp == 0
-            victim = server._workers[0]
+            victim = server._shards[0]
             victim.process.terminate()
             victim.process.join(timeout=10)
-            survived = 0
             for q in queries * 2:
-                try:
-                    r = server.run(q, algorithm="dgpm")
-                except ProtocolError:
-                    continue  # the dispatch that discovered the corpse
-                assert r.relation == simulation(q, graph)
-                survived += 1
-            assert survived > 0, "routing never recovered onto the live worker"
+                assert server.run(q, algorithm="dgpm").relation == simulation(q, graph)
+            assert server.respawns == 1
 
     def test_thread_backend_rejects_transport_choice(self, small_instance):
         graph, frag, queries = small_instance
-        with pytest.raises(ReproError, match="backend='process'"):
+        with pytest.raises(ReproError, match="backend='sharded'"):
             ConcurrentSessionServer(frag, backend="thread", transport="tcp")
 
     def test_unknown_transport_rejected(self, small_instance):
         graph, frag, queries = small_instance
         with pytest.raises(ReproError, match="unknown transport"):
-            ConcurrentSessionServer(frag, backend="process", transport="udp")
+            ConcurrentSessionServer(frag, backend="sharded", transport="udp")
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Functional tests for :class:`ConcurrentSessionServer` (both backends).
+"""Functional tests for :class:`ConcurrentSessionServer` (thread backend).
 
-The stress/linearizability suite lives in ``test_concurrent_stress.py``;
+The stress/linearizability suite lives in ``test_concurrent_stress.py`` and
+the sharded backend's in ``test_sharding.py`` / ``test_sharded_faults.py``;
 here we pin down the API surface: stamps, batch atomicity, coalescing,
-error propagation (including across the process boundary), routing, and
-lifecycle.
+error propagation, and lifecycle.
 """
 
 from __future__ import annotations
@@ -146,8 +146,9 @@ class TestThreadBackend:
 
     def test_rejects_unknown_backend_and_sources(self, small_instance):
         _, frag, _ = small_instance
-        with pytest.raises(ReproError, match="backend"):
-            ConcurrentSessionServer(frag, backend="fiber")
+        for unknown in ("fiber", "process"):
+            with pytest.raises(ReproError, match="known: thread, sharded"):
+                ConcurrentSessionServer(frag, backend=unknown)
         with pytest.raises(ReproError, match="n_workers"):
             ConcurrentSessionServer(frag, n_workers=0)
         with pytest.raises(ReproError, match="cannot serve"):
@@ -174,129 +175,6 @@ class TestThreadBackend:
             for u, v in edges:
                 assert not graph.has_edge(u, v)
             frag.validate()
-
-
-class TestProcessBackend:
-    def test_parity_mutation_and_affinity(self, small_instance):
-        graph, frag, queries = small_instance
-        with ConcurrentSessionServer(frag, backend="process", n_workers=2) as server:
-            results = server.run_many(queries, algorithm="dgpm")
-            for q, r in zip(queries, results):
-                assert r.relation == simulation(q, graph)
-            # Repeat: sticky routing sends it back to the same replica's cache.
-            again = server.run(queries[0], algorithm="dgpm")
-            assert again.metrics.extras.get("cache_hit") == 1.0
-            # Mutate: replicas stay in lockstep with the parent session.
-            edge = next(iter(graph.edges()))
-            assert server.delete_edge(*edge).stamp == 1
-            after = server.run(queries[0], algorithm="dgpm")
-            assert after.stamp == 1
-            assert after.relation == simulation(queries[0], graph)
-            stats = server.worker_stats()
-            assert sum(s.queries_served for s in stats) == len(queries) + 2
-            assert all(s.mutations == 1 for s in stats)
-
-    def test_worker_error_propagates(self, small_instance):
-        _, frag, queries = small_instance
-        with ConcurrentSessionServer(frag, backend="process", n_workers=1) as server:
-            with pytest.raises(ReproError, match="unknown algorithm"):
-                server.run(queries[0], algorithm="nonsense")
-            # The worker survives the failed query and keeps serving.
-            ok = server.run(queries[0], algorithm="dgpm")
-            assert ok.relation is not None
-
-    def test_deps_kwarg_reaches_replicas_without_collision(self, small_instance):
-        """A caller-supplied deps= must not crash workers (deps ship via the
-        spawn args; the kwarg is consumed by the parent session only)."""
-        from repro.core.depgraph import DependencyGraphs
-
-        graph, frag, queries = small_instance
-        deps = DependencyGraphs(frag)
-        with ConcurrentSessionServer(
-            frag, backend="process", n_workers=1, deps=deps
-        ) as server:
-            assert server.session.deps is deps
-            r = server.run(queries[0], algorithm="dgpm")
-            assert r.relation == simulation(queries[0], graph)
-
-    def test_close_never_fails_an_applied_mutation(self, small_instance):
-        """close() drains in-flight mutation tickets before stopping workers:
-        a racing writer either succeeds or is refused as 'closed' -- it is
-        never told the worker died under its already-applied mutation."""
-        graph, frag, _ = small_instance
-        edges = list(graph.edges())[:4]
-        server = ConcurrentSessionServer(frag, backend="process", n_workers=1)
-        outcomes, refusals, hard_failures = [], [], []
-
-        def mutate(edge):
-            try:
-                outcomes.append(server.delete_edge(*edge))
-            except ReproError as exc:
-                (refusals if "closed" in str(exc) else hard_failures).append(exc)
-
-        threads = [threading.Thread(target=mutate, args=(e,)) for e in edges]
-        for t in threads:
-            t.start()
-        server.close()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive(), "writer deadlocked against close()"
-        assert not hard_failures, f"applied mutation reported dead worker: {hard_failures[0]!r}"
-        assert len(outcomes) + len(refusals) == len(edges)
-        assert server.stamp == len(outcomes)
-
-    def test_dead_worker_raises_instead_of_hanging(self, small_instance):
-        """A killed worker surfaces as ProtocolError on the next dispatch
-        (the parent closed its copy of the child pipe end, so recv hits EOF)."""
-        from repro.errors import ProtocolError
-
-        _, frag, queries = small_instance
-        with ConcurrentSessionServer(frag, backend="process", n_workers=1) as server:
-            server.run(queries[0], algorithm="dgpm")
-            worker = server._workers[0]
-            worker.process.terminate()
-            worker.process.join(timeout=10)
-            with pytest.raises(ProtocolError, match="died"):
-                server.run(queries[1], algorithm="dgpm")
-            # The only worker is dead: routing reports the pool state.
-            with pytest.raises(ProtocolError, match="every worker"):
-                server.run(queries[1], algorithm="dgpm")
-
-    def test_dead_worker_is_routed_around(self, small_instance):
-        """After one replica dies, its pinned queries re-route to survivors
-        (one failing dispatch, then served) and mutations keep flowing."""
-        from repro.errors import ProtocolError
-
-        graph, frag, queries = small_instance
-        with ConcurrentSessionServer(frag, backend="process", n_workers=2) as server:
-            for q in queries:
-                server.run(q, algorithm="dgpm")  # pin every digest
-            victim_digest = next(iter(server._affinity))
-            victim = server._affinity[victim_digest]
-            pinned = [
-                q for q in queries
-                if server._affinity[server.session.canonical_form_of(q).digest]
-                is victim
-            ]
-            victim.process.terminate()
-            victim.process.join(timeout=10)
-            q = pinned[0]
-            with pytest.raises(ProtocolError, match="died"):
-                server.run(q, algorithm="dgpm")
-            retried = server.run(q, algorithm="dgpm")  # re-pinned to survivor
-            assert retried.relation == simulation(q, graph)
-            # Mutations skip the corpse instead of desyncing the pool.
-            out = server.delete_edge(*next(iter(graph.edges())))
-            assert out.stamp == 1
-            after = server.run(q, algorithm="dgpm")
-            assert after.stamp == 1
-            assert after.relation == simulation(q, graph)
-
-    def test_worker_stats_requires_process_backend(self, small_instance):
-        _, frag, _ = small_instance
-        with ConcurrentSessionServer(frag, backend="thread") as server:
-            with pytest.raises(ReproError, match="process backend"):
-                server.worker_stats()
 
 
 class TestStampedResultSurface:

@@ -9,9 +9,8 @@ private copy of the graph and demands
     ``result.relation == simulation(query, graph_after_first_stamp_ops)``
 
 for **every** result every reader ever got -- across all general-graph
-algorithms the session serves, two partitioners, and both backends (the
-process backend with a smaller schedule: replica lockstep is what's under
-test, not throughput).
+algorithms the session serves and two partitioners (``test_sharding.py``
+runs the same harness against the sharded backend).
 
 Every thread is joined with a timeout and asserted dead afterwards, so a
 reader-writer deadlock fails the suite quickly even without the
@@ -189,24 +188,6 @@ def test_readers_vs_batching_writer(rng, rng_seed):
         results = _stress(server, queries, ops, "dgpm", seed, batch=3)
     boundary = {0, 3, 6, 9}
     assert {r.stamp for _, r in results} <= boundary
-    _check_snapshots(initial, queries, ops, results)
-
-
-def test_readers_vs_writer_process_backend(rng, rng_seed):
-    """Replica lockstep: worker answers carry the right stamp snapshots."""
-    seed = rng_seed % 1000
-    graph = web_graph(35, 140, n_labels=4, seed=seed)
-    initial = graph.copy()
-    frag = random_partition(graph, 3, seed=seed)
-    queries = [
-        cyclic_pattern(graph, 3, 4, seed=seed),
-        Pattern({"a": "dom0", "b": "dom1"}, [("a", "b")]),
-    ]
-    ops = _mutation_ops(graph, 5, rng)
-    with ConcurrentSessionServer(frag, backend="process", n_workers=2) as server:
-        results = _stress(
-            server, queries, ops, "dgpm", seed, n_readers=2, reads_per_reader=5
-        )
     _check_snapshots(initial, queries, ops, results)
 
 

@@ -48,7 +48,6 @@ def _replay_oracle(graph_seed, stamped, mutations):
     "backend,kwargs",
     [
         ("thread", {"n_workers": 2}),
-        ("process", {"n_workers": 2}),
         ("sharded", {"n_workers": 2}),
     ],
 )

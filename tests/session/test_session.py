@@ -283,11 +283,3 @@ class TestSessionSurface:
         assert len(session.labels) >= len(alphabet)
         first = session.labels.intern(next(iter(alphabet)))
         assert session.labels.intern(next(iter(alphabet))) == first
-
-    def test_mp_driver_matches_simulator(self, web_instance):
-        graph, frag, queries = web_instance
-        session = SimulationSession(frag, config=DgpmConfig(enable_push=False))
-        mp_result = session.run(queries[0], algorithm="dgpm-mp")
-        sim_result = session.run(queries[0], algorithm="dgpm")
-        assert mp_result.relation == sim_result.relation
-        assert mp_result.metrics.n_messages == sim_result.metrics.n_messages

@@ -14,6 +14,8 @@ Two layers, matching the two halves of ``session/sharding.py``:
 
 from __future__ import annotations
 
+import threading
+
 from repro import (
     ConcurrentSessionServer,
     citation_dag,
@@ -258,6 +260,35 @@ def test_sharded_concurrent_readers_vs_writer(rng, rng_seed):
         results = _stress(server, queries, ops, "dgpm", seed, n_readers=2,
                           reads_per_reader=4)
     _check_snapshots(initial, queries, ops, results)
+
+
+def test_close_never_fails_an_applied_mutation():
+    """close() drains in-flight mutation tickets before stopping workers:
+    a racing writer either succeeds or is refused as 'closed' -- it never
+    deadlocks and is never failed by the shutdown of its own workers."""
+    graph = web_graph(150, 600, n_labels=5, seed=17)
+    edges = list(graph.edges())[:4]
+    server = ConcurrentSessionServer(
+        hash_partition(graph, 3, seed=17), backend="sharded", n_workers=2
+    )
+    outcomes, refusals, hard_failures = [], [], []
+
+    def mutate(edge):
+        try:
+            outcomes.append(server.delete_edge(*edge))
+        except ReproError as exc:
+            (refusals if "closed" in str(exc) else hard_failures).append(exc)
+
+    threads = [threading.Thread(target=mutate, args=(e,)) for e in edges]
+    for t in threads:
+        t.start()
+    server.close()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive(), "writer deadlocked against close()"
+    assert not hard_failures, f"applied mutation failed: {hard_failures[0]!r}"
+    assert len(outcomes) + len(refusals) == len(edges)
+    assert server.stamp == len(outcomes)
 
 
 # ----------------------------------------------------------------------

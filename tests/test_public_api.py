@@ -58,14 +58,16 @@ class TestQuickstartFlow:
 
 class TestMultiprocessExecutor:
     def test_mp_matches_simulator(self):
-        from repro.runtime.mp import run_dgpm_multiprocess
-
         g = repro.web_graph(400, 1600, seed=4)
         frag = repro.partition(g, 3, seed=4)
         from repro.bench.workloads import cyclic_pattern
 
         q = cyclic_pattern(g, 4, 5, seed=2)
-        sim_result = repro.run_dgpm(q, frag, repro.DgpmConfig(enable_push=False))
-        mp_result = run_dgpm_multiprocess(q, frag, repro.DgpmConfig(enable_push=False))
+        config = repro.DgpmConfig(enable_push=False)
+        sim_result = repro.run_dgpm(q, frag, config)
+        with repro.ConcurrentSessionServer(
+            frag, backend="sharded", n_workers=3, config=config
+        ) as server:
+            mp_result = server.run(q, algorithm="dgpm")
         assert mp_result.relation == sim_result.relation
         assert mp_result.metrics.n_messages == sim_result.metrics.n_messages
