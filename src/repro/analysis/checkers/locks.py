@@ -61,7 +61,7 @@ GUARDED: Tuple[GuardSpec, ...] = (
     ),
     GuardSpec(
         class_name="DiGraph",
-        attrs=("_label_index", "_succ_label_counts"),
+        attrs=("_label_index", "_succ_label_counts", "_shape"),
         locks=("self._index_lock",),
         exempt_methods=("add_node", "add_edge", "remove_edge", "remove_node"),
         why=(

@@ -45,15 +45,7 @@ def execute_dishhk(
     start = time.perf_counter()
     network = Network(cost)
 
-    # Query broadcast.
-    for frag in fragmentation:
-        network.send(
-            Message(
-                src=COORDINATOR, dst=frag.fid, kind=MessageKind.QUERY, payload=query,
-                size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-            )
-        )
-    network.deliver()
+    network.broadcast_query((frag.fid for frag in fragmentation), query)
 
     # Phase 1: parallel local candidate extraction; PT takes the slowest
     # site.  [25] ships the label-relevant subgraph (its DS bound has an

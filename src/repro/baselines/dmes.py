@@ -207,14 +207,7 @@ def execute_dmes(
     if deps is None:
         deps = DependencyGraphs(fragmentation)
 
-    for frag in fragmentation:
-        network.send(
-            Message(
-                src=COORDINATOR, dst=frag.fid, kind=MessageKind.QUERY, payload=query,
-                size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-            )
-        )
-    network.deliver()
+    network.broadcast_query((frag.fid for frag in fragmentation), query)
 
     programs = {
         frag.fid: DmesSiteProgram(frag.fid, fragmentation, query, deps, config)

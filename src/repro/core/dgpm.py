@@ -527,19 +527,7 @@ def execute_dgpm(
     if deps is None:
         deps = DependencyGraphs(fragmentation)
 
-    # Phase 1: the coordinator posts Q to every site (metered as QUERY).
-    for frag in fragmentation:
-        network.send(
-            Message(
-                src=COORDINATOR,
-                dst=frag.fid,
-                kind=MessageKind.QUERY,
-                payload=query,
-                size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-            )
-        )
-    while network.has_pending:  # broadcast completes before evaluation
-        network.deliver()
+    network.broadcast_query((frag.fid for frag in fragmentation), query)
 
     programs = {
         frag.fid: DgpmSiteProgram(

@@ -186,6 +186,38 @@ class DgpmdSiteProgram:
         )
 
 
+def dgpmd_applies(query: Pattern, fragmentation: Fragmentation) -> bool:
+    """Theorem 3's precondition: a DAG query or a DAG data graph."""
+    return query.is_dag() or algorithms.is_dag(fragmentation.graph)
+
+
+def dgpmd_precheck(
+    query: Pattern, fragmentation: Fragmentation, algorithm: str = "dGPMd"
+) -> Optional[RunResult]:
+    """Entry check of every dGPMd run, in-process or sharded.
+
+    ``None`` to run the rank schedule; the finished (empty) result when a
+    cyclic query meets a DAG data graph and so cannot match; raises
+    :class:`~repro.errors.PatternError` when neither ``Q`` nor ``G`` is a DAG.
+    """
+    start = time.perf_counter()
+    if not dgpmd_applies(query, fragmentation):
+        raise PatternError("dGPMd requires a DAG query or a DAG data graph")
+    if query.is_dag():
+        return None
+    wall = time.perf_counter() - start
+    metrics = RunMetrics(
+        algorithm=algorithm,
+        pt_seconds=wall,
+        wall_seconds=wall,
+        ds_bytes=0,
+        n_messages=0,
+        n_rounds=0,
+        extras={"short_circuit": 1.0},
+    )
+    return RunResult(relation=MatchRelation(query.nodes(), {}), metrics=metrics)
+
+
 def execute_dgpmd(
     query: Pattern,
     fragmentation: Fragmentation,
@@ -214,37 +246,14 @@ def execute_dgpmd(
         def rank_states(fid):
             return ArrayRankState(compiled.get(fid), query, compiled.interner)
 
-    if not query.is_dag():
-        # Theorem 3 also covers DAG data graphs: a cyclic query cannot match.
-        if algorithms.is_dag(fragmentation.graph):
-            wall = time.perf_counter() - start
-            empty = MatchRelation(query.nodes(), {})
-            metrics = RunMetrics(
-                algorithm="dGPMd",
-                pt_seconds=wall,
-                wall_seconds=wall,
-                ds_bytes=0,
-                n_messages=0,
-                n_rounds=0,
-                extras={"short_circuit": 1.0},
-            )
-            return RunResult(relation=empty, metrics=metrics)
-        raise PatternError("dGPMd requires a DAG query or a DAG data graph")
+    short_circuit = dgpmd_precheck(query, fragmentation)
+    if short_circuit is not None:
+        return short_circuit
 
     network = Network(cost)
     if deps is None:
         deps = DependencyGraphs(fragmentation)
-    for frag in fragmentation:
-        network.send(
-            Message(
-                src=COORDINATOR,
-                dst=frag.fid,
-                kind=MessageKind.QUERY,
-                payload=query,
-                size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-            )
-        )
-    network.deliver()
+    network.broadcast_query((frag.fid for frag in fragmentation), query)
 
     programs = {
         frag.fid: DgpmdSiteProgram(

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Set
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.boolean.system import EquationSystem
 from repro.core.config import DgpmConfig
+from repro.core.dgpm import assemble_result
 from repro.core.state import VarKey
 from repro.errors import FragmentationError, GraphError
 from repro.graph import algorithms
@@ -35,7 +36,6 @@ from repro.runtime.engine import SyncEngine, TickResult
 from repro.runtime.messages import COORDINATOR, Message, MessageKind
 from repro.runtime.metrics import RunResult
 from repro.runtime.network import Network
-from repro.simulation.matchrel import MatchRelation
 
 
 class DgpmtSiteProgram:
@@ -223,6 +223,21 @@ class _TreeCoordinator:
         return replies
 
 
+def dgpmt_applies(fragmentation: Fragmentation) -> bool:
+    """Corollary 4's precondition: a rooted tree cut into connected fragments."""
+    return algorithms.is_tree(fragmentation.graph) and fragmentation.has_connected_fragments()
+
+
+def dgpmt_precheck(query: Pattern, fragmentation: Fragmentation, algorithm: str = "dGPMt") -> None:
+    """Entry check of every dGPMt run, in-process or sharded; raises if unmet
+    (same signature as :func:`~repro.core.dgpmd.dgpmd_precheck`)."""
+    if dgpmt_applies(fragmentation):
+        return None
+    if not algorithms.is_tree(fragmentation.graph):
+        raise GraphError("dGPMt requires a rooted directed tree data graph")
+    raise FragmentationError("dGPMt requires connected fragments")
+
+
 def execute_dgpmt(
     query: Pattern,
     fragmentation: Fragmentation,
@@ -237,10 +252,7 @@ def execute_dgpmt(
     config = config or DgpmConfig()
     cost = config.cost
     start = time.perf_counter()
-    if not algorithms.is_tree(fragmentation.graph):
-        raise GraphError("dGPMt requires a rooted directed tree data graph")
-    if not fragmentation.has_connected_fragments():
-        raise FragmentationError("dGPMt requires connected fragments")
+    dgpmt_precheck(query, fragmentation)
 
     tree_states = None
     if engine != "dict":
@@ -255,14 +267,7 @@ def execute_dgpmt(
             return ArrayTreeState(compiled.get(fid), query, compiled.interner)
 
     network = Network(cost)
-    for frag in fragmentation:
-        network.send(
-            Message(
-                src=COORDINATOR, dst=frag.fid, kind=MessageKind.QUERY, payload=query,
-                size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-            )
-        )
-    network.deliver()
+    network.broadcast_query((frag.fid for frag in fragmentation), query)
 
     programs = {
         frag.fid: DgpmtSiteProgram(
@@ -280,12 +285,8 @@ def execute_dgpmt(
     results = engine.collect_results()
     network.deliver()
 
-    merged: Dict[Node, Set[Node]] = {u: set() for u in query.nodes()}
     assemble_start = time.perf_counter()
-    for message in results:
-        for u, vs in message.payload.items():
-            merged[u] |= vs
-    relation = MatchRelation(query.nodes(), merged)
+    relation = assemble_result(query, results)  # each site reports its share
     assemble_time = time.perf_counter() - assemble_start
 
     wall = time.perf_counter() - start

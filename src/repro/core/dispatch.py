@@ -4,6 +4,11 @@ The paper's hierarchy (Sections 4-5): trees admit parallel-scalable data
 shipment (dGPMt); DAG queries/graphs admit rank scheduling (dGPMd); general
 graphs get the partition-bounded dGPM.  :func:`run_auto` applies the first
 algorithm whose precondition holds.
+
+The preconditions are the predicates the executors' own entry checks use
+(``dgpmt_applies``, ``dgpmd_applies``) and read maintained facts -- the shape
+index of :class:`~repro.graph.digraph.DiGraph`, the fragmentation's
+connected-fragments memo -- so choosing is O(1) per request, whatever ``|G|``.
 """
 
 from __future__ import annotations
@@ -11,10 +16,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import DgpmConfig
-from repro.core.dgpm import run_dgpm
-from repro.core.dgpmd import run_dgpmd
-from repro.core.dgpmt import run_dgpmt
-from repro.graph import algorithms
+from repro.core.dgpmd import dgpmd_applies
+from repro.core.dgpmt import dgpmt_applies
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.runtime.metrics import RunResult
@@ -22,10 +25,9 @@ from repro.runtime.metrics import RunResult
 
 def choose_algorithm(query: Pattern, fragmentation: Fragmentation) -> str:
     """Name of the algorithm :func:`run_auto` would use."""
-    graph = fragmentation.graph
-    if algorithms.is_tree(graph) and fragmentation.has_connected_fragments():
+    if dgpmt_applies(fragmentation):
         return "dGPMt"
-    if query.is_dag() or algorithms.is_dag(graph):
+    if dgpmd_applies(query, fragmentation):
         return "dGPMd"
     return "dGPM"
 
@@ -35,10 +37,11 @@ def run_auto(
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
 ) -> RunResult:
-    """Evaluate ``query`` with the best algorithm for the instance's shape."""
-    name = choose_algorithm(query, fragmentation)
-    if name == "dGPMt":
-        return run_dgpmt(query, fragmentation, config)
-    if name == "dGPMd":
-        return run_dgpmd(query, fragmentation, config)
-    return run_dgpm(query, fragmentation, config)
+    """Evaluate ``query`` with the best algorithm for the instance's shape.
+
+    One-shot convenience over :class:`~repro.session.SimulationSession`,
+    whose ``algorithm="auto"`` resolves through :func:`choose_algorithm`.
+    """
+    from repro.session import SimulationSession
+
+    return SimulationSession(fragmentation, config=config).run(query)

@@ -5,7 +5,9 @@ not hit Python's recursion limit):
 
 * :func:`tarjan_scc` -- strongly connected components (Tarjan, 1972), used to
   detect cyclic patterns/graphs (Section 5.1 cites Tarjan for exactly this).
-* :func:`is_dag`, :func:`topological_order` -- DAG detection and ordering.
+* :func:`is_dag`, :func:`is_tree` -- O(1) reads of the shape index that
+  :class:`~repro.graph.digraph.DiGraph` maintains across mutations (algorithm
+  dispatch asks on every request); :func:`topological_order` -- Kahn ordering.
 * :func:`topological_ranks` -- the paper's rank ``r(u)`` (Section 5.1):
   ``r(u) = 0`` for sinks, else ``1 + max(r(child))``.
 * :func:`diameter` -- the longest shortest path over the *undirected*
@@ -80,10 +82,7 @@ def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
 
 def is_dag(graph: DiGraph) -> bool:
     """True iff ``graph`` has no directed cycle (all SCCs trivial, no self loop)."""
-    for node in graph.nodes():
-        if graph.has_edge(node, node):
-            return False
-    return all(len(c) == 1 for c in tarjan_scc(graph))
+    return graph.is_acyclic()
 
 
 def topological_order(graph: DiGraph) -> List[Node]:
@@ -176,14 +175,7 @@ def is_tree(graph: DiGraph) -> bool:
     with in-degree exactly 1, and the whole graph weakly connected.  Trees are
     the precondition of the dGPMt algorithm (Section 5.2).
     """
-    if graph.n_nodes == 0:
-        return False
-    roots = [node for node in graph.nodes() if graph.in_degree(node) == 0]
-    if len(roots) != 1:
-        return False
-    if any(graph.in_degree(node) > 1 for node in graph.nodes()):
-        return False
-    return len(weakly_connected_components(graph)) == 1
+    return graph.is_rooted_tree()
 
 
 def tree_root(graph: DiGraph) -> Node:

@@ -15,6 +15,15 @@ The representation is a plain adjacency-list digraph with:
   never rescan themselves; the first-use build is race-free (double-checked
   under a per-instance lock), so concurrent readers of a quiescent graph --
   the session layer's thread backend -- never observe a half-built index,
+* a third lazy index of *shape facts* (:class:`_ShapeIndex`: is the graph
+  acyclic, is it a rooted tree) behind :meth:`DiGraph.is_acyclic` and
+  :meth:`DiGraph.is_rooted_tree`, which algorithm dispatch reads on every
+  request.  Mutations patch it in O(1): the in-degree counters always, the
+  acyclicity flag whenever the answer is forced (a delete keeps a DAG a DAG,
+  an insert keeps a cyclic graph cyclic, deleting an edge off the stored
+  witness cycle keeps it cyclic).  Only an insert that may close a cycle in a
+  DAG, or the deletion of a witness edge, leaves the flag unknown, and the
+  next *reader* settles it with one early-exit DFS; a relabel leaves it alone,
 * a monotonically increasing :attr:`~DiGraph.version` that mutation bumps --
   the session layer uses it to detect stale caches.
 
@@ -26,6 +35,7 @@ label.  :func:`reify_edge_labels` implements that reduction.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -34,6 +44,20 @@ from repro.errors import GraphError
 Node = Hashable
 Label = Hashable
 Edge = Tuple[Node, Node]
+
+
+@dataclass(slots=True)
+class _ShapeIndex:
+    """Maintained shape facts of one :class:`DiGraph` (see the module docstring)."""
+
+    roots: int  #: nodes of in-degree 0
+    multi_parent: int  #: nodes of in-degree > 1
+    #: the graph version these facts describe; a reader rebuilds on mismatch
+    version: int
+    #: ``None`` = unknown: the next reader runs the cycle-finding DFS
+    acyclic: Optional[bool] = None
+    #: one directed cycle as ``node -> next node on it``; set iff cyclic
+    witness: Optional[Dict[Node, Node]] = None
 
 
 class DiGraph:
@@ -67,6 +91,7 @@ class DiGraph:
         "_version",
         "_label_index",
         "_succ_label_counts",
+        "_shape",
         "_index_lock",
     )
 
@@ -85,6 +110,7 @@ class DiGraph:
         #: lazy indexes; ``None`` until first use, dropped on invalidation
         self._label_index: Optional[Dict[Label, List[Node]]] = None
         self._succ_label_counts: Optional[Dict[Node, Dict[Label, int]]] = None
+        self._shape: Optional[_ShapeIndex] = None
         #: guards the first-use builds above against concurrent readers
         self._index_lock = threading.Lock()
         if nodes:
@@ -109,6 +135,9 @@ class DiGraph:
                 self._label_index.setdefault(label, []).append(node)
             if self._succ_label_counts is not None:
                 self._succ_label_counts[node] = {}
+            if self._shape is not None:
+                self._shape.roots += 1
+                self._shape.version = self._version
             return
         if self._labels[node] == label:
             return
@@ -117,6 +146,8 @@ class DiGraph:
         self._label_index = None
         # A relabel changes the successor-label counts of the predecessors.
         self._succ_label_counts = None
+        if self._shape is not None:  # shape ignores labels
+            self._shape.version = self._version
 
     def add_edge(self, u: Node, v: Node) -> None:
         """Add the directed edge ``(u, v)``.  Parallel edges are ignored."""
@@ -135,6 +166,19 @@ class DiGraph:
             per = self._succ_label_counts[u]
             lab = self._labels[v]
             per[lab] = per.get(lab, 0) + 1
+        shape = self._shape
+        if shape is not None:
+            in_degree = len(self._pred[v])
+            if in_degree == 1:
+                shape.roots -= 1
+            elif in_degree == 2:
+                shape.multi_parent += 1
+            if shape.acyclic:
+                if u == v:
+                    shape.acyclic, shape.witness = False, {u: u}
+                elif self._succ[v] and self._pred[u]:
+                    shape.acyclic = None  # may have closed a cycle through u, v
+            shape.version = self._version
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the directed edge ``(u, v)``; raises if absent."""
@@ -154,6 +198,17 @@ class DiGraph:
                 per[lab] = remaining
             else:
                 per.pop(lab, None)
+        shape = self._shape
+        if shape is not None:
+            in_degree = len(self._pred[v])
+            if in_degree == 0:
+                shape.roots += 1
+            elif in_degree == 1:
+                shape.multi_parent -= 1
+            witness = shape.witness
+            if witness is not None and u in witness and witness[u] == v:
+                shape.acyclic = shape.witness = None
+            shape.version = self._version
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and every incident edge; raises if unknown.
@@ -181,6 +236,9 @@ class DiGraph:
                 del self._label_index[label]
         if self._succ_label_counts is not None:
             self._succ_label_counts.pop(node, None)
+        if self._shape is not None:
+            self._shape.roots -= 1  # the edge removals above left it isolated
+            self._shape.version = self._version
 
     # ------------------------------------------------------------------
     # inspection
@@ -300,11 +358,83 @@ class DiGraph:
         except KeyError:
             raise GraphError(f"unknown node {node!r}") from None
 
+    def _shape_index(self) -> _ShapeIndex:
+        """The shape index, built on first use (same double-checked build as
+        the label indexes); its acyclicity flag may still be unknown."""
+        shape = self._shape
+        if shape is None or shape.version != self._version:
+            with self._index_lock:
+                shape = self._shape
+                if shape is None or shape.version != self._version:
+                    in_degrees = [len(preds) for preds in self._pred.values()]
+                    shape = self._shape = _ShapeIndex(
+                        in_degrees.count(0),
+                        sum(1 for d in in_degrees if d > 1),
+                        self._version,
+                    )
+        return shape
+
+    def _find_cycle(self) -> Optional[Dict[Node, Node]]:
+        """One directed cycle as ``node -> next node on it``; ``None`` on a DAG.
+
+        Iterative three-colour DFS that stops at the first back edge.
+        """
+        succ = self._succ
+        done: Set[Node] = set()
+        for root in succ:
+            if root in done:
+                continue
+            path: List[Node] = [root]
+            on_path: Set[Node] = {root}
+            iters = [iter(succ[root])]
+            while path:
+                for child in iters[-1]:
+                    if child in on_path:
+                        cycle = path[path.index(child):]
+                        return dict(zip(cycle, cycle[1:] + cycle[:1]))
+                    if child not in done:
+                        path.append(child)
+                        on_path.add(child)
+                        iters.append(iter(succ[child]))
+                        break
+                else:
+                    iters.pop()
+                    node = path.pop()
+                    on_path.discard(node)
+                    done.add(node)
+        return None
+
+    def is_acyclic(self) -> bool:
+        """True iff the graph has no directed cycle (self-loops count).
+
+        O(1) unless the flag is unknown -- on first use and after one of the
+        two mutations that cannot be decided in place -- where this reader
+        settles it with one :meth:`_find_cycle` and keeps the witness.
+        """
+        shape = self._shape_index()
+        if shape.acyclic is None:
+            with self._index_lock:
+                if shape.acyclic is None:
+                    shape.witness = self._find_cycle()
+                    shape.acyclic = shape.witness is None
+        return bool(shape.acyclic)
+
+    def is_rooted_tree(self) -> bool:
+        """True iff the graph is a rooted directed tree.
+
+        One node of in-degree 0, none of in-degree above 1 and no cycle: every
+        other node then has exactly one parent and its parent chain can only
+        end at the root, so no separate connectivity scan is needed.
+        """
+        shape = self._shape_index()
+        return shape.roots == 1 and shape.multi_parent == 0 and self.is_acyclic()
+
     def warm_indexes(self) -> None:
-        """Force both lazy indexes now (they otherwise build on first use)."""
+        """Force all three lazy indexes now (they otherwise build on first use)."""
         if self._labels:
             self.nodes_with_label(next(iter(self._labels.values())))
             self.successor_label_counts(next(iter(self._labels)))
+        self.is_acyclic()
 
     @property
     def version(self) -> int:

@@ -20,10 +20,10 @@ use it to patch their own state incrementally instead of rebuilding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import FragmentationError, GraphError
-from repro.graph import algorithms
 from repro.graph.digraph import DiGraph, Label, Node
 from repro.partition.fragment import Fragment
 
@@ -72,6 +72,8 @@ class Fragmentation:
         self.graph = graph
         self.fragments = fragments
         self._owner = owner
+        #: memo of :meth:`has_connected_fragments`: ``(version, answer)``
+        self._connected: Optional[Tuple[Tuple[int, ...], bool]] = None
 
     # ------------------------------------------------------------------
     # the paper's notation (Table 2)
@@ -386,13 +388,26 @@ class Fragmentation:
         """True iff every fragment's local subgraph is weakly connected.
 
         This is the precondition of dGPMt (Corollary 4: "each fragment of F
-        is connected").
+        is connected").  Memoized per :attr:`version`: dispatch asks on every
+        request against a tree-shaped graph.
         """
-        for frag in self.fragments:
-            local = self.graph.induced_subgraph(frag.local_nodes)
-            if local.n_nodes and len(algorithms.weakly_connected_components(local)) != 1:
-                return False
-        return True
+        stamp = self.version
+        if self._connected is None or self._connected[0] != stamp:
+            self._connected = (stamp, all(map(self._is_connected, self.fragments)))
+        return self._connected[1]
+
+    def _is_connected(self, frag: Fragment) -> bool:
+        """Undirected walk over the base graph, confined to ``frag``'s ``Vi``."""
+        local = frag.local_nodes
+        stack = [next(iter(local))] if local else []
+        seen = set(stack)
+        while stack:
+            node = stack.pop()
+            for nxt in chain(self.graph.successors(node), self.graph.predecessors(node)):
+                if nxt in local and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return len(seen) == len(local)
 
 
 def fragment_graph(graph: DiGraph, assignment: Mapping[Node, int]) -> Fragmentation:

@@ -20,7 +20,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.costmodel import CostModel
-from repro.runtime.messages import DATA_KINDS, Message, MessageKind
+from repro.runtime.messages import COORDINATOR, DATA_KINDS, Message, MessageKind
 
 
 class Network:
@@ -52,6 +52,15 @@ class Network:
         """Queue several messages."""
         for message in messages:
             self.send(message)
+
+    def broadcast_query(self, fids, query) -> None:
+        """Phase 1 of every protocol: the coordinator posts ``Q`` to every
+        site (metered as QUERY); the broadcast completes before evaluation."""
+        size = self.cost.query_bytes(query.n_nodes, query.n_edges)
+        for fid in fids:
+            self.send(Message(COORDINATOR, fid, MessageKind.QUERY, query, size))
+        while self.has_pending:
+            self.deliver()
 
     @property
     def has_pending(self) -> bool:

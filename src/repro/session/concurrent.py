@@ -69,6 +69,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
+from repro.core.dgpm import assemble_result
 from repro.errors import (
     MutationBatchError,
     ProtocolError,
@@ -89,7 +90,7 @@ from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
-from repro.runtime.messages import COORDINATOR, Message, MessageKind
+from repro.runtime.messages import COORDINATOR, Message
 from repro.runtime.metrics import RunMetrics, RunResult
 from repro.runtime.network import Network
 from repro.runtime.transport import TRANSPORTS, FaultPlan, RetryPolicy
@@ -606,11 +607,7 @@ class ConcurrentSessionServer:
     ) -> RunResult:
         config = config or self._session.config
         self._session._validate_args(algorithm, None)
-        name = algorithm.lower()
-        if name == "dgpmnopt":
-            config = config.without_optimizations()
-            name = "dgpm"
-        driver = self._session._resolve_for_query(name, query)
+        driver, config = self._session._resolve_for_query(algorithm, query, config)
         plan = SHARDED_PLANS.get(driver.name)
         if plan is None:
             # Centralized baselines (match, dISHHK) ship the whole graph to
@@ -649,38 +646,16 @@ class ConcurrentSessionServer:
         cost = config.cost
         start = time.perf_counter()
         if plan.precheck is not None:
-            short = plan.precheck(query, fragmentation, config)
-            if short is not None:
-                relation, extras = short
-                wall = time.perf_counter() - start
-                metrics = RunMetrics(
-                    algorithm=plan.display_name,
-                    pt_seconds=wall,
-                    wall_seconds=wall,
-                    ds_bytes=0,
-                    n_messages=0,
-                    n_rounds=0,
-                    extras=extras,
-                )
-                return RunResult(relation=relation, metrics=metrics)
+            short_circuit = plan.precheck(query, fragmentation, plan.display_name)
+            if short_circuit is not None:
+                return short_circuit
         handles = {h.slot: h for h in self._shards if not h.dead}
         if not handles:
             raise ProtocolError(
                 "every shard worker has died -- rebuild the server"
             )
         network = Network(cost)
-        for frag in fragmentation:
-            network.send(
-                Message(
-                    src=COORDINATOR,
-                    dst=frag.fid,
-                    kind=MessageKind.QUERY,
-                    payload=query,
-                    size_bytes=cost.query_bytes(query.n_nodes, query.n_edges),
-                )
-            )
-        while network.has_pending:  # broadcast completes before evaluation
-            network.deliver()
+        network.broadcast_query((frag.fid for frag in fragmentation), query)
         coordinator = (
             plan.make_coordinator(fragmentation, query, cost)
             if plan.make_coordinator is not None
@@ -747,7 +722,7 @@ class ConcurrentSessionServer:
         except BaseException:
             self._abort_outstanding(outstanding)
             raise
-        relation = plan.assemble(query, results)
+        relation = assemble_result(query, results)
         # The parent session never ran this query, so attribute its traffic
         # here -- the sharded backend is the headline consumer of the
         # per-fragment window (rebalance() migrates by it).

@@ -81,6 +81,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
+from repro.core.dgpmd import dgpmd_applies
+from repro.core.dgpmt import dgpmt_applies
+from repro.core.dispatch import choose_algorithm
 from repro.core.incremental import (
     IncrementalMatchState,
     edge_update_may_change_answer,
@@ -420,14 +423,16 @@ class SimulationSession:
         """Eagerly build every amortizable structure (optional; they are lazy).
 
         Useful before benchmarking or before the first latency-sensitive
-        query: forces the dependency graphs plus the label index and
-        successor-label counters of the base graph *and* of every fragment
-        (the base graph serves dispatch and the centralized baselines).
+        query: forces the dependency graphs plus the lazy indexes of the base
+        graph *and* of every fragment (the base graph serves dispatch and the
+        centralized baselines), and the two shape facts ``algorithm="auto"``
+        reads, so the first request scans nothing.
         """
         _ = self.deps
         self.fragmentation.graph.warm_indexes()
         for frag in self.fragmentation:
             frag.graph.warm_indexes()
+        dgpmt_applies(self.fragmentation)  # fills the connected-fragments memo
         return self
 
     # ------------------------------------------------------------------
@@ -536,10 +541,7 @@ ConcurrentSessionServer` provides.
         self._refresh_if_stale()
         config = config or self.config
         engine = self._validate_args(algorithm, engine)
-        if algorithm.lower() == "dgpmnopt":
-            config = config.without_optimizations()
-            algorithm = "dgpm"
-        driver = self._resolve_for_query(algorithm, query)
+        driver, config = self._resolve_for_query(algorithm, query, config)
         if engine not in driver.engines:
             raise ReproError(
                 f"algorithm {driver.name!r} does not support engine {engine!r} "
@@ -758,6 +760,11 @@ ConcurrentSessionServer` provides.
             self._deps.apply_delta(delta)
         kept = repaired = evicted = falsified = 0
         for key in self._cache.keys():
+            meta = self._meta.get(key)
+            if meta is not None and self._precondition_lapsed(meta):
+                self._cache.pop(key)
+                evicted += 1
+                continue
             warm = self._warm.get(key)
             if warm is not None:
                 changed, n_falsified = self._repair_warm(warm, delta)
@@ -767,7 +774,6 @@ ConcurrentSessionServer` provides.
                 else:
                     kept += 1
                 continue
-            meta = self._meta.get(key)
             if meta is None or self._may_change_answer(meta.query, delta):
                 self._cache.pop(key)
                 evicted += 1
@@ -783,6 +789,14 @@ ConcurrentSessionServer` provides.
             cache_kept=kept, cache_repaired=repaired, cache_evicted=evicted,
             falsified=falsified, delta=delta,
         )
+
+    def _precondition_lapsed(self, meta: _CacheEntryMeta) -> bool:
+        """True iff the mutation just applied took away the graph shape the
+        entry's driver requires: a fresh ``run`` would now raise (or, under
+        ``auto``, pick another driver), so the entry must not be served."""
+        if meta.algorithm == "dgpmd":
+            return not dgpmd_applies(meta.query, self.fragmentation)
+        return meta.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
 
     @staticmethod
     def _may_change_answer(query: Pattern, delta: MutationDelta) -> bool:
@@ -875,13 +889,9 @@ ConcurrentSessionServer` provides.
         return name
 
     def _validate_args(self, algorithm: str, engine: Optional[str]) -> str:
-        """Validate ``run``'s names up front; one error listing every problem.
-
-        Historically a bad algorithm name surfaced as a registry ``KeyError``
-        only after auto resolution, and a bad engine name would have
-        failed deep inside a protocol function; both are now rejected here,
-        together, with the valid names spelled out.  Returns the normalized
-        engine name (the session default when ``engine`` is None).
+        """Validate ``run``'s names up front; one error listing every problem,
+        with the valid names spelled out.  Returns the normalized engine name
+        (the session default when ``engine`` is None).
         """
         from repro.core.arraycompile import ENGINES
 
@@ -899,20 +909,16 @@ ConcurrentSessionServer` provides.
             raise ReproError("; ".join(problems))
         return engine_name
 
-    def _resolve_for_query(self, algorithm: str, query: Pattern) -> AlgorithmDriver:
+    def _resolve_for_query(
+        self, algorithm: str, query: Pattern, config: DgpmConfig
+    ) -> Tuple[AlgorithmDriver, DgpmConfig]:
+        """The driver (and config) a validated algorithm name stands for."""
         name = algorithm.lower()
+        if name == "dgpmnopt":
+            return self.drivers["dgpm"], config.without_optimizations()
         if name == "auto":
-            from repro.core.dispatch import choose_algorithm
-
-            paper_name = choose_algorithm(query, self.fragmentation)
-            name = paper_name.lower()
-        try:
-            return self.drivers[name]
-        except KeyError:
-            known = ", ".join(sorted(self.drivers))
-            raise ReproError(
-                f"unknown algorithm {algorithm!r} (known: auto, {known})"
-            ) from None
+            name = choose_algorithm(query, self.fragmentation).lower()
+        return self.drivers[name], config
 
     def __repr__(self) -> str:
         return (

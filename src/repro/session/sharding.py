@@ -16,9 +16,8 @@ that sharded deployment:
   how to drive a distributed run over shard workers: how each worker builds
   its site programs (from a :class:`~repro.partition.fragmentation.FragmentShard`,
   never the full fragmentation), which coordinator-inbox handler to run
-  centrally, any coordinator-side precheck (dGPMd's DAG short-circuit,
-  dGPMt's tree/connectivity requirements), and how to assemble the final
-  relation from RESULT messages.
+  centrally, and any coordinator-side precheck (dGPMd's DAG short-circuit,
+  dGPMt's tree/connectivity requirements -- the executors' own entry checks).
 
 Everything here is deterministic by construction: hashing uses
 :mod:`hashlib` (stable across processes and ``PYTHONHASHSEED``), and no
@@ -33,18 +32,17 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
-from repro.errors import FragmentationError, GraphError, PatternError
-from repro.graph import algorithms
-from repro.runtime.messages import Message
-from repro.simulation.matchrel import MatchRelation
+from repro.baselines.dmes import DmesSiteProgram, _DmesCoordinator
+from repro.core.dgpm import DgpmSiteProgram
+from repro.core.dgpmd import DgpmdSiteProgram, dgpmd_precheck
+from repro.core.dgpmt import DgpmtSiteProgram, _TreeCoordinator, dgpmt_precheck
+from repro.runtime.metrics import RunResult
 
 Slot = Hashable
 
@@ -238,9 +236,10 @@ class HashRing:
 # per-algorithm sharded execution plans
 # ----------------------------------------------------------------------
 
-#: precheck(query, fragmentation, config) -> None to proceed, or
-#: (relation, extras) to short-circuit without touching the workers.
-Precheck = Callable[..., Optional[Tuple[MatchRelation, Dict[str, float]]]]
+#: precheck(query, fragmentation, display_name) -> None to proceed, or the
+#: finished result to short-circuit without touching the workers; these are
+#: the in-process executors' own entry checks.
+Precheck = Callable[..., Optional[RunResult]]
 
 
 @dataclass(frozen=True)
@@ -250,95 +249,23 @@ class ShardedPlan:
     ``build_program`` runs *worker-side* (looked up from this module-level
     registry, so nothing here is ever pickled): it receives the worker's
     :class:`~repro.partition.fragmentation.FragmentShard` -- site programs
-    only ever index their own fragment out of it.  ``make_coordinator``,
-    ``precheck`` and ``assemble`` run coordinator-side with the full
-    fragmentation.
+    only ever index their own fragment out of it.  ``make_coordinator`` and
+    ``precheck`` run coordinator-side with the full fragmentation.
     """
 
-    algorithm: str
     display_name: str
     #: (fid, shard, query, deps, config) -> SiteProgram
     build_program: Callable[..., object]
-    #: (query, List[Message]) -> MatchRelation
-    assemble: Callable[[object, List[Message]], MatchRelation]
     #: (fragmentation, query, cost) -> coordinator inbox handler, or None
     make_coordinator: Optional[Callable[..., object]] = None
     precheck: Optional[Precheck] = None
 
 
-def _dgpm_program(fid, shard, query, deps, config):
-    from repro.core.dgpm import DgpmSiteProgram
-
-    return DgpmSiteProgram(fid, shard, query, deps, config)
-
-
-def _dgpmd_program(fid, shard, query, deps, config):
-    from repro.core.dgpmd import DgpmdSiteProgram
-
-    return DgpmdSiteProgram(fid, shard, query, deps, config)
-
-
 def _dgpmt_program(fid, shard, query, deps, config):
-    from repro.core.dgpmt import DgpmtSiteProgram
-
     return DgpmtSiteProgram(fid, shard, query, config)
 
 
-def _dmes_program(fid, shard, query, deps, config):
-    from repro.baselines.dmes import DmesSiteProgram
-
-    return DmesSiteProgram(fid, shard, query, deps, config)
-
-
-def _assemble_union(query, results):
-    from repro.core.dgpm import assemble_result
-
-    return assemble_result(query, results)
-
-
-def _assemble_merge(query, results):
-    # dGPMt sites each report their share of the final relation directly.
-    merged: Dict[object, Set[object]] = {u: set() for u in query.nodes()}
-    for message in results:
-        for u, vs in message.payload.items():
-            merged[u] |= vs
-    return MatchRelation(query.nodes(), merged)
-
-
-def _dgpmd_precheck(query, fragmentation, config):
-    # Mirrors execute_dgpmd: a cyclic pattern over a DAG graph has an empty
-    # answer (Theorem 3's possibility case); a cyclic pattern over a cyclic
-    # graph is outside dGPMd's contract.
-    if query.is_dag():
-        return None
-    if algorithms.is_dag(fragmentation.graph):
-        return MatchRelation(query.nodes(), {u: set() for u in query.nodes()}), {
-            "short_circuit": 1.0
-        }
-    raise PatternError(
-        "dGPMd requires a DAG pattern (or a DAG data graph for the "
-        "empty-answer short circuit)"
-    )
-
-
-def _dgpmt_precheck(query, fragmentation, config):
-    # Mirrors execute_dgpmt's entry requirements.
-    if not algorithms.is_tree(fragmentation.graph):
-        raise GraphError("dGPMt requires a tree-shaped data graph")
-    if not fragmentation.has_connected_fragments():
-        raise FragmentationError("dGPMt requires connected fragments")
-    return None
-
-
-def _tree_coordinator(fragmentation, query, cost):
-    from repro.core.dgpmt import _TreeCoordinator
-
-    return _TreeCoordinator(fragmentation, query, cost)
-
-
 def _dmes_coordinator(fragmentation, query, cost):
-    from repro.baselines.dmes import _DmesCoordinator
-
     return _DmesCoordinator(fragmentation.n_fragments, cost)
 
 
@@ -348,31 +275,23 @@ def _dmes_coordinator(fragmentation, query, cost):
 #: faithful to their cost model).
 SHARDED_PLANS: Dict[str, ShardedPlan] = {
     "dgpm": ShardedPlan(
-        algorithm="dgpm",
         display_name="dGPM/sharded",
-        build_program=_dgpm_program,
-        assemble=_assemble_union,
+        build_program=DgpmSiteProgram,
     ),
     "dgpmd": ShardedPlan(
-        algorithm="dgpmd",
         display_name="dGPMd/sharded",
-        build_program=_dgpmd_program,
-        assemble=_assemble_union,
-        precheck=_dgpmd_precheck,
+        build_program=DgpmdSiteProgram,
+        precheck=dgpmd_precheck,
     ),
     "dgpmt": ShardedPlan(
-        algorithm="dgpmt",
         display_name="dGPMt/sharded",
         build_program=_dgpmt_program,
-        assemble=_assemble_merge,
-        make_coordinator=_tree_coordinator,
-        precheck=_dgpmt_precheck,
+        make_coordinator=_TreeCoordinator,
+        precheck=dgpmt_precheck,
     ),
     "dmes": ShardedPlan(
-        algorithm="dmes",
         display_name="dMes/sharded",
-        build_program=_dmes_program,
-        assemble=_assemble_union,
+        build_program=DmesSiteProgram,
         make_coordinator=_dmes_coordinator,
     ),
 }
