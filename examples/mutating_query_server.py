@@ -5,9 +5,9 @@ The highly-dynamic serving scenario: a fragmented social/web graph stays
 resident at its sites while *both* queries and updates stream in.  One
 :class:`~repro.session.SimulationSession` is the read and the write path:
 
-* hot queries are answered from the LRU cache and promoted to warm
-  incremental states (the paper's Section-4.2 incremental lEval, kept alive
-  per query);
+* hot queries are answered from the LRU cache; the first update that may
+  change a hot answer gives it a warm incremental state (the paper's
+  Section-4.2 incremental lEval, kept alive per query) -- reads build none;
 * ``session.delete_edge`` patches the fragmentation in place -- fragment
   subgraphs, ``Fi.O``/``Fi.I`` metadata, watcher tables -- and repairs the
   warm answers through the affected area only (``O(|AFF|)``);
@@ -36,11 +36,10 @@ def main() -> None:
     session = SimulationSession(fragmentation).warm()
     hot = [cyclic_pattern(graph, n_nodes=3, n_edges=4, seed=s) for s in range(3)]
 
-    # Serve the hot set twice: the second pass hits the cache and gives each
-    # query a warm incremental state.
+    # Serve the hot set twice: the second pass hits the cache, which makes
+    # the queries hot -- and builds nothing yet.
     for _ in range(2):
         session.run_many(hot, algorithm="dgpm")
-    print(f"hot queries warmed: {len(session._warm)} incremental states live")
 
     # Interleave live updates with queries: mostly unfollows (deletions),
     # some of them later undone (insertions).
@@ -61,6 +60,9 @@ def main() -> None:
             u, v = edges[rng.randrange(len(edges))]
             outcome = session.delete_edge(u, v)
             deleted.append((u, v))
+            if step == 0:
+                print("hot queries warmed by the first relevant update: "
+                      f"{len(session._warm)} incremental state(s) live")
             if outcome.cache_repaired:
                 print(
                     f"  step {step:>2}: delete ({u}, {v}) changed "
@@ -75,6 +77,7 @@ def main() -> None:
           f"({80 / elapsed:.0f} ops/sec)")
     print(f"cache maintenance: {stats.entries_kept} kept, "
           f"{stats.entries_repaired} repaired, {stats.entries_evicted} evicted, "
+          f"{stats.entries_promoted} promoted to warm, "
           f"{stats.invalidations} full invalidations")
     print(f"hit rate while mutating: {stats.hit_rate:.0%}")
 

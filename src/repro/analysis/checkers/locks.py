@@ -80,7 +80,10 @@ GUARDED: Tuple[GuardSpec, ...] = (
         class_name="SimulationSession",
         attrs=("_meta", "_warm"),
         locks=("self._state_lock",),
-        why="per-entry metadata races cache hits against evictions",
+        why=(
+            "hits bump per-entry metadata while LRU overflow on a concurrent "
+            "miss drops it, together with the warm state a writer built"
+        ),
     ),
     GuardSpec(
         class_name="SimulationSession",

@@ -41,10 +41,12 @@ and the result cache is *maintained*, not dropped:
   mutated edge's label pair; Section 2.1's simulation conditions only
   inspect an edge as a witness for a same-labeled query edge) are kept;
 * hot entries hold a warm :class:`~repro.core.incremental.\
-IncrementalMatchState` (the paper's incremental lEval, Section 4.2 / [13]):
-  an edge deletion repairs their answers through the affected area only
-  (``O(|AFF|)``), and the repaired relation replaces the cached one --
-  entries are only rewritten when the answer actually changed;
+IncrementalMatchState` (the paper's incremental lEval, Section 4.2 / [13]),
+  built by the first mutation that may change their answer, from the
+  post-mutation graph -- reads never build one: an edge deletion repairs
+  their answers through the affected area only (``O(|AFF|)``), and the
+  repaired relation replaces the cached one -- entries are only rewritten
+  when the answer actually changed;
 * insertions, which can revive matches, fall back to a targeted
   re-evaluation of the affected warm entries (counters are merely patched
   when the insert is label-irrelevant);
@@ -75,9 +77,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
@@ -157,6 +158,8 @@ class SessionStats:
     entries_repaired: int = 0
     #: cache entries evicted because a mutation may have changed them
     entries_evicted: int = 0
+    #: hot entries a mutation gave a warm state (also counted kept/repaired)
+    entries_promoted: int = 0
     #: per-fragment query traffic: fid -> queries whose answer touched the
     #: fragment (matched nodes owned by it); feeds traffic-weighted
     #: repartitioning.  Bounded to :data:`MAX_FRAGMENT_KEYS` keys -- spill
@@ -305,10 +308,12 @@ class SimulationSession:
         lifetime); built lazily here when omitted.
     max_warm_states:
         Cap on warm per-query incremental states (each keeps every site's
-        evaluation state alive for one hot query).
+        evaluation state alive for one hot query); the most recently served
+        hot entries get them.  0: never build one, evict affected entries.
     warm_after_hits:
-        A cached query is promoted to a warm state once it has been served
-        from cache this many times (promotion itself costs one fixpoint).
+        A cached query is hot once it has been served from cache this many
+        times; the first mutation that may change a hot entry's answer
+        promotes it to a warm state (one fixpoint, on the write path).
     engine:
         Default execution engine for every query (``"dict"`` or
         ``"array"``); ``run``/``run_many`` accept a per-query override.  The
@@ -336,16 +341,16 @@ class SimulationSession:
             )
         self.fragmentation = fragmentation
         self.config = config or DgpmConfig()
-        self.engine = self._validate_engine_name(engine)
         self.maintenance = maintenance
         self.max_warm_states = max_warm_states
         self.warm_after_hits = warm_after_hits
         self.stats = SessionStats()
         self.drivers: Dict[str, AlgorithmDriver] = dict(DRIVERS)
+        self.engine = self._validate_args("auto", engine)
         self.labels = LabelInterner()
         self._cache = LruResultCache(cache_size, on_evict=self._on_cache_evict)
         self._meta: Dict[Tuple, _CacheEntryMeta] = {}
-        self._warm: "OrderedDict[Tuple, IncrementalMatchState]" = OrderedDict()
+        self._warm: Dict[Tuple, IncrementalMatchState] = {}
         self._deps = deps
         #: compiled-CSR fragment cache for the array engine (lazy; entries
         #: are revalidated per fragment on every access, so mutations only
@@ -478,19 +483,12 @@ class SimulationSession:
                 f"|V|={old.graph.n_nodes} |E|={old.graph.n_edges})"
             )
         self.fragmentation = fragmentation
+        self.invalidate()
         with self._deps_lock:
             self._deps = deps
-        with self._compiled_lock:
-            self._compiled = None
-        self._cache.clear()
-        with self._state_lock:
-            self._meta.clear()
-            self._warm.clear()
-        self._version = fragmentation.version
         self.labels.intern_all(
             sorted(fragmentation.graph.label_alphabet(), key=repr)
         )
-        self.stats.bump("invalidations")
         self.stats.reset_fragment_traffic()
 
     def _refresh_if_stale(self) -> None:
@@ -582,26 +580,11 @@ ConcurrentSessionServer` provides.
             return computed[0]
 
         self.stats.bump("cache_hits")
-        promote = None
         with self._state_lock:
             meta = self._meta.get(key)
             if meta is not None:
-                meta.hits += 1
-                if key in self._warm:
-                    self._warm.move_to_end(key)  # recency for slot rotation
-                elif (
-                    self.maintenance == "incremental"
-                    and meta.hits >= self.warm_after_hits
-                    and not meta.config.boolean_only
-                ):
-                    promote = meta
-            stored_order = meta.order if meta is not None else None
-            touched = meta.fids if meta is not None else ()
-        if touched:
-            self.stats.bump_fragment("fragment_queries", touched)
-        if promote is not None:
-            self._promote(key, promote)
-        if stored_order is None:
+                meta.hits += 1  # hot entries get a warm state on the write side
+        if meta is None:
             # The entry raced an eviction between our hit and the metadata
             # read; without the stored order a renamed pattern cannot be
             # translated -- fall back to evaluating (rare, always correct).
@@ -609,11 +592,13 @@ ConcurrentSessionServer` provides.
             self.stats.bump("cache_hits", -1)
             self.stats.bump("cache_misses")
             return driver.run(self, query, config, engine=engine)
+        if meta.fids:
+            self.stats.bump_fragment("fragment_queries", meta.fids)
         metrics = replace(
             stored.metrics, extras={**stored.metrics.extras, "cache_hit": 1.0}
         )
         return RunResult(
-            relation=_translate(stored.relation, stored_order, form.order),
+            relation=_translate(stored.relation, meta.order, form.order),
             metrics=metrics,
         )
 
@@ -656,13 +641,10 @@ ConcurrentSessionServer` provides.
         """Delete edge ``(u, v)`` from the resident graph, maintaining caches.
 
         Warm entries are repaired through the affected area only
-        (``O(|AFF|)``); label-irrelevant entries are kept; the rest are
-        evicted.
+        (``O(|AFF|)``); label-irrelevant entries are kept; affected hot
+        entries are promoted to warm ones; the rest are evicted.
         """
-        start = time.perf_counter()
-        self._refresh_if_stale()
-        delta = self.fragmentation.delete_edge(u, v)
-        return self._absorb(delta, start)
+        return self._absorb(self.fragmentation.delete_edge, u, v)
 
     def insert_edge(self, u: Node, v: Node) -> MutationOutcome:
         """Insert edge ``(u, v)``; affected warm entries re-evaluate.
@@ -672,17 +654,11 @@ ConcurrentSessionServer` provides.
         fixpoint over the (already patched) structures; label-irrelevant
         inserts only patch one successor counter.
         """
-        start = time.perf_counter()
-        self._refresh_if_stale()
-        delta = self.fragmentation.insert_edge(u, v)
-        return self._absorb(delta, start)
+        return self._absorb(self.fragmentation.insert_edge, u, v)
 
     def add_node(self, node: Node, label: Label, fid: Optional[int] = None) -> MutationOutcome:
         """Add an isolated labeled node to fragment ``fid`` (default: smallest)."""
-        start = time.perf_counter()
-        self._refresh_if_stale()
-        delta = self.fragmentation.add_node(node, label, fid)
-        return self._absorb(delta, start)
+        return self._absorb(self.fragmentation.add_node, node, label, fid)
 
     def remove_node(self, node: Node) -> MutationOutcome:
         """Remove ``node`` with every incident edge, maintaining caches.
@@ -692,10 +668,7 @@ ConcurrentSessionServer` provides.
         followed by scrubbing the then-isolated node from candidate sets and
         counters.
         """
-        start = time.perf_counter()
-        self._refresh_if_stale()
-        delta = self.fragmentation.remove_node(node)
-        return self._absorb(delta, start)
+        return self._absorb(self.fragmentation.remove_node, node)
 
     def apply_op(self, op: OpLike) -> MutationOutcome:
         """Apply one typed :class:`~repro.graph.mutations.MutationOp`.
@@ -732,14 +705,18 @@ ConcurrentSessionServer` provides.
     # ------------------------------------------------------------------
     # maintenance internals
     # ------------------------------------------------------------------
-    def _absorb(self, delta: MutationDelta, start: float) -> MutationOutcome:
-        """Propagate one fragmentation delta into every derived structure.
+    def _absorb(self, patch: Callable[..., MutationDelta], *args) -> MutationOutcome:
+        """Patch the fragmentation with ``patch(*args)`` and propagate the
+        delta into every derived structure.
 
         Mutations are *not* safe against concurrent ``run`` calls on their
         own -- the concurrent front-end applies them at quiescent points
         behind its writer lock; direct multi-threaded use must provide the
         same exclusion.
         """
+        start = time.perf_counter()
+        self._refresh_if_stale()
+        delta = patch(*args)
         self.stats.bump("mutations")
         touched = {delta.source_fid, delta.target_fid}
         for edge_delta in delta.cascade:
@@ -758,31 +735,49 @@ ConcurrentSessionServer` provides.
 
         if self._deps is not None:
             self._deps.apply_delta(delta)
-        kept = repaired = evicted = falsified = 0
-        for key in self._cache.keys():
+        kept = repaired = evicted = promoted = falsified = 0
+        live: List[Tuple[Tuple, _CacheEntryMeta]] = []
+        for key in self._cache.keys():  # least recently served first
             meta = self._meta.get(key)
-            if meta is not None and self._precondition_lapsed(meta):
+            if meta is None or self._precondition_lapsed(meta):
                 self._cache.pop(key)
                 evicted += 1
-                continue
+            else:
+                live.append((key, meta))
+        # Warm slots belong to the most recently served hot entries; one that
+        # has no state yet gets it from the first delta that may change it.
+        hot = [
+            key
+            for key, meta in live
+            if meta.hits >= self.warm_after_hits and not meta.config.boolean_only
+        ]
+        slots = set(hot[-self.max_warm_states:]) if self.max_warm_states > 0 else ()
+        for key, meta in live:
             warm = self._warm.get(key)
             if warm is not None:
                 changed, n_falsified = self._repair_warm(warm, delta)
                 falsified += n_falsified
-                if changed and self._rewrite_entry(key, warm):
-                    repaired += 1
-                else:
-                    kept += 1
-                continue
-            if meta is None or self._may_change_answer(meta.query, delta):
+            elif not self._may_change_answer(meta.query, delta):
+                changed = False
+            elif key in slots:
+                # Built on the patched fragmentation: the bootstrap fixpoint
+                # already is the entry's answer after this delta.
+                warm = self._promote(key, meta)
+                promoted += 1
+                changed = True
+            else:
                 self._cache.pop(key)
                 evicted += 1
+                continue
+            if changed and self._rewrite_entry(key, warm):
+                repaired += 1
             else:
                 kept += 1
         self._version = self.fragmentation.version
         self.stats.bump("entries_kept", kept)
         self.stats.bump("entries_repaired", repaired)
         self.stats.bump("entries_evicted", evicted)
+        self.stats.bump("entries_promoted", promoted)
         return MutationOutcome(
             kind=delta.kind,
             wall_seconds=time.perf_counter() - start,
@@ -853,14 +848,14 @@ ConcurrentSessionServer` provides.
         )
         return True
 
-    def _promote(self, key: Tuple, meta: _CacheEntryMeta) -> None:
-        """Give a hot cached query a warm incremental state.
+    def _promote(self, key: Tuple, meta: _CacheEntryMeta) -> IncrementalMatchState:
+        """Give a hot cached query a warm incremental state (one fixpoint).
 
-        When every slot is taken, the least-recently-hit warm state is
-        retired to make room -- the warm set tracks the *currently* hottest
-        queries, not the first ones that ever got hot.  The state is built
-        (one fixpoint) outside the state lock so other hits keep flowing;
-        concurrent promotions of the same key keep the first one in.
+        Only :meth:`_absorb` calls this, for an affected entry among the
+        ``max_warm_states`` most recently served hot ones, after patching
+        the fragmentation.  With every slot taken, the least recently served
+        warm state is retired: it precedes ``key`` in the cache's order, so
+        this delta already repaired it; its entry stays cached, not warm.
         """
         warm = IncrementalMatchState(
             meta.query,
@@ -869,25 +864,12 @@ ConcurrentSessionServer` provides.
             DgpmConfig(incremental=True, enable_push=False, cost=meta.config.cost),
         )
         with self._state_lock:
-            if key in self._warm:
-                self._warm.move_to_end(key)
-                return
             while len(self._warm) >= self.max_warm_states:
-                self._warm.popitem(last=False)
+                del self._warm[next(k for k in self._cache.keys() if k in self._warm)]
             self._warm[key] = warm
+        return warm
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_engine_name(engine: str) -> str:
-        from repro.core.arraycompile import ENGINES
-
-        name = engine.lower()
-        if name not in ENGINES:
-            raise ReproError(
-                f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
-            )
-        return name
-
     def _validate_args(self, algorithm: str, engine: Optional[str]) -> str:
         """Validate ``run``'s names up front; one error listing every problem,
         with the valid names spelled out.  Returns the normalized engine name

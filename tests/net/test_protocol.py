@@ -105,6 +105,7 @@ def stats(draw) -> SessionStats:
     s.queries_served = draw(st.integers(min_value=0, max_value=10**6))
     s.cache_hits = draw(st.integers(min_value=0, max_value=10**6))
     s.mutations = draw(st.integers(min_value=0, max_value=10**6))
+    s.entries_promoted = draw(st.integers(min_value=0, max_value=10**6))
     return s
 
 

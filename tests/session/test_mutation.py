@@ -30,7 +30,8 @@ def served_session():
     frag = partition(graph, 3, seed=21)
     session = SimulationSession(frag)
     queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(3)]
-    # Serve twice: the second pass hits the cache and promotes warm states.
+    # Serve twice: the second pass hits the cache, so every query is hot
+    # and the first write relevant to it builds its warm state.
     for _ in range(2):
         for q in queries:
             session.run(q, algorithm="dgpm")
@@ -165,10 +166,11 @@ class TestCacheMaintenance:
         session = SimulationSession(frag)
         q = Pattern({"a": "dom0", "b": "dom1"}, [("a", "b")])
         session.run(q, algorithm="dgpm")
-        session.run(q, algorithm="dgpm")  # hit -> warm promotion
-        assert len(session._warm) == 1
+        session.run(q, algorithm="dgpm")  # hit -> hot, but reads build nothing
+        assert len(session._warm) == 0
 
-        # Delete label-relevant edges until the answer actually changes.
+        # Delete label-relevant edges until the answer actually changes; the
+        # first of them builds the warm state, the rest repair through it.
         changed = 0
         for _ in range(200):
             candidates = [
@@ -181,6 +183,8 @@ class TestCacheMaintenance:
             u, v = candidates[rng.randrange(len(candidates))]
             before = session.run(q, algorithm="dgpm").relation
             outcome = session.delete_edge(u, v)
+            assert len(session._warm) == 1
+            assert outcome.cache_evicted == 0
             after = session.run(q, algorithm="dgpm")
             assert after.relation == simulation(q, graph)
             if outcome.cache_repaired:
@@ -190,6 +194,7 @@ class TestCacheMaintenance:
                 assert after.relation != before
         assert changed >= 1, "no delete ever changed the hot answer"
         assert session.stats.entries_repaired == changed
+        assert session.stats.entries_promoted == 1
         assert session.stats.invalidations == 0
 
     def test_insert_reevaluates_affected_warm_entry(self):
@@ -229,22 +234,54 @@ class TestCacheMaintenance:
 
 class TestWarmSlotRotation:
     def test_late_hot_query_rotates_into_warm_set(self):
-        """Warm slots track the currently hottest queries: when all slots
-        are taken, a newly hot query retires the least-recently-hit one."""
-        graph = web_graph(150, 600, n_labels=10, seed=12)
+        """Warm slots track the most recently served hot queries: when all
+        slots are taken, the first mutation relevant to a newly hot query
+        retires the least-recently-served warm state in its favour."""
+        graph = web_graph(150, 600, n_labels=4, seed=12)
         frag = partition(graph, 2, seed=12)
         session = SimulationSession(frag, max_warm_states=2)
-        early = [Pattern({"a": f"dom{i}"}) for i in (0, 1)]
-        late = Pattern({"a": "dom2", "b": "dom3"}, [("a", "b")])
-        for q in early:           # fill both slots
+        shared = [("a", "b")]  # every query carries a (dom0, dom1) edge
+        early = [
+            Pattern({"a": "dom0", "b": "dom1"}, shared),
+            Pattern({"a": "dom0", "b": "dom1", "c": "dom2"}, shared + [("b", "c")]),
+        ]
+        late = Pattern({"a": "dom0", "b": "dom1", "c": "dom3"}, shared + [("b", "c")])
+        u, v = next(
+            (u, v)
+            for u, v in graph.edges()
+            if graph.label(u) == "dom0" and graph.label(v) == "dom1"
+        )
+
+        def warm_queries():
+            return {id(session._meta[key].query) for key in session._warm}
+
+        for q in early:           # hot, but reads build nothing
             session.run(q, algorithm="dgpm")
             session.run(q, algorithm="dgpm")
-        assert len(session._warm) == 2
-        warm_before = set(session._warm)
+        assert len(session._warm) == 0
+        session.delete_edge(u, v)  # relevant to both: fills both slots
+        assert warm_queries() == {id(q) for q in early}
+
         session.run(late, algorithm="dgpm")
-        session.run(late, algorithm="dgpm")  # hot now: must rotate in
-        assert len(session._warm) == 2
-        assert len(set(session._warm) - warm_before) == 1
+        session.run(late, algorithm="dgpm")  # hot now, still no state
+        assert warm_queries() == {id(q) for q in early}
+        outcome = session.insert_edge(u, v)  # relevant to all three
+        assert warm_queries() == {id(early[1]), id(late)}
+        assert outcome.cache_evicted == 0  # the retired entry was repaired first
+        assert session.stats.entries_promoted == 3
+
+        # The early query that lost its slot stays cached and correct ...
+        retired = session.run(early[0], algorithm="dgpm")
+        assert retired.metrics.extras.get("cache_hit") == 1.0
+        assert retired.relation == simulation(early[0], graph)
+        # ... and, served last, it takes the slot back from early[1] ...
+        assert session.delete_edge(u, v).cache_evicted == 0
+        assert warm_queries() == {id(late), id(early[0])}
+        # ... whose entry, outside both slots now, the next relevant
+        # mutation evicts.
+        assert session.insert_edge(u, v).cache_evicted == 1
+        for q in (*early, late):
+            assert session.run(q, algorithm="dgpm").relation == simulation(q, graph)
 
 
 class TestResultImmutability:

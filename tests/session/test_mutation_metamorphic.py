@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    ConcurrentSessionServer,
     SimulationSession,
     balanced_bfs_partition,
     citation_dag,
@@ -29,6 +30,7 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
+from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, RemoveNode
 from repro.graph.pattern import Pattern
 
 PARTITIONERS = {
@@ -158,3 +160,144 @@ def test_auto_dispatch_stream(rng, rng_seed):
         _mutate_once(rng, session, graph, deleted)
         frag.validate()
         assert session.run(q).relation == simulation(q, graph), step
+
+
+# ----------------------------------------------------------------------
+# more hot patterns than warm slots: promotion happens on the write side
+# ----------------------------------------------------------------------
+def _pattern_pool(graph, seed):
+    """Twelve patterns over a four-label alphabet: every label-relevant
+    update touches several of them at once."""
+    labels = sorted(graph.label_alphabet(), key=repr)
+    pool = [cyclic_pattern(graph, 3, 4, seed=seed + s) for s in range(4)]
+    pool += [Pattern({"p": label}) for label in labels[:2]]  # childless
+    for i, a in enumerate(labels[:3]):
+        b = labels[(i + 1) % len(labels)]
+        pool.append(Pattern({"a": a, "b": b}, [("a", "b")]))
+        pool.append(Pattern({"a": a, "b": b, "c": a}, [("a", "b"), ("b", "c")]))
+    assert len(pool) == 12
+    return pool
+
+
+def _random_batch(rng, graph, mirror_deleted, size):
+    """``size`` typed ops valid in sequence against ``graph`` as it stands."""
+    scratch = graph.copy()
+    batch = []
+    while len(batch) < size:
+        r = rng.random()
+        nodes = list(scratch.nodes())
+        if r < 0.4 and scratch.n_edges:
+            edges = list(scratch.edges())
+            u, v = edges[rng.randrange(len(edges))]
+            scratch.remove_edge(u, v)
+            mirror_deleted.append((u, v))
+            batch.append(DeleteEdge(u, v))
+        elif r < 0.75:
+            u, v = (
+                mirror_deleted.pop(rng.randrange(len(mirror_deleted)))
+                if mirror_deleted and rng.random() < 0.6
+                else (rng.choice(nodes), rng.choice(nodes))
+            )
+            if u == v or u not in scratch or v not in scratch or scratch.has_edge(u, v):
+                continue
+            scratch.add_edge(u, v)
+            batch.append(InsertEdge(u, v))
+        elif r < 0.9:
+            node = ("meta", rng.randrange(2**31))
+            label = rng.choice(sorted(scratch.label_alphabet(), key=repr))
+            scratch.add_node(node, label)
+            batch.append(AddNode(node, label))
+        else:
+            node = rng.choice(nodes)
+            scratch.remove_node(node)
+            batch.append(RemoveNode(node))
+    return batch
+
+
+@pytest.mark.parametrize("max_warm_states", [0, 1, 2, 8])
+def test_more_hot_patterns_than_slots(max_warm_states, rng, rng_seed):
+    """Twelve hot patterns compete for 0/1/2/8 slots under random writes:
+    whichever entries a write promotes, retires, repairs or evicts, every
+    answer served afterwards equals from-scratch simulation."""
+    seed = rng_seed % 1000
+    graph = web_graph(60, 260, n_labels=4, seed=seed)
+    frag = random_partition(graph, 3, seed=seed)
+    session = SimulationSession(frag, max_warm_states=max_warm_states)
+    pool = _pattern_pool(graph, seed)
+    for q in pool + pool:  # everything hot before the first write
+        session.run(q)
+    deleted = []
+    for step in range(30):
+        if rng.random() < 0.5:
+            q = rng.choice(pool)
+            assert session.run(q).relation == simulation(q, graph), step
+            continue
+        session.apply(_random_batch(rng, graph, deleted, rng.choice((1, 1, 3))))
+        frag.validate()
+        assert len(session._warm) <= max_warm_states
+        for q in rng.sample(pool, 4):
+            assert session.run(q).relation == simulation(q, graph), step
+    for q in pool:
+        assert session.run(q).relation == simulation(q, graph)
+    assert session.stats.invalidations == 0
+    if max_warm_states != 1:  # one slot can go a whole stream unclaimed
+        assert (session.stats.entries_promoted > 0) == (max_warm_states > 0)
+
+
+def test_subscriber_entry_promoted_by_its_first_relevant_batch(rng, rng_seed):
+    """Through the thread backend with two standing queries among the twelve
+    hot patterns and two slots: a subscriber's cached entry is promoted (not
+    evicted) by the first batch relevant to it, and folding every PUSH over
+    the baseline reproduces the oracle at every stamp."""
+    seed = rng_seed % 1000
+    graph = web_graph(60, 260, n_labels=4, seed=seed)
+    frag = random_partition(graph, 3, seed=seed)
+    pool = _pattern_pool(graph, seed)
+    subscribed = [pool[0], pool[6]]  # a cyclic pattern and a one-edge one
+    pushes = []
+    with ConcurrentSessionServer(frag, backend="thread", max_warm_states=2) as server:
+        for q in pool + pool:
+            server.run(q)
+        views = {}
+        for q in subscribed:  # served last: they own the two slots
+            sub_id, baseline = server.subscribe(
+                q, lambda *push: pushes.append(push)
+            )
+            views[sub_id] = (q, {u: set(vs) for u, vs in baseline.relation.as_dict().items()})
+        stats = server._session.stats
+        misses = stats.cache_misses
+        a, b = next(iter(subscribed[1].edges()))
+        pair = (subscribed[1].label(a), subscribed[1].label(b))
+        first = next(
+            DeleteEdge(u, v)
+            for u, v in graph.edges()
+            if (graph.label(u), graph.label(v)) == pair
+        )
+        deleted = []
+        for step in range(16):
+            batch = [first] if step == 0 else _random_batch(rng, graph, deleted, 2)
+            outcomes = server.apply(batch)
+            stamp = outcomes[-1].stamp
+            if step == 0:  # promoted, not evicted and re-run
+                session = server._session
+                assert id(subscribed[1]) in {
+                    id(session._meta[key].query) for key in session._warm
+                }
+                assert stats.entries_promoted >= 1 and stats.cache_misses == misses
+            for sub_id, _, added, removed in (p for p in pushes if p[1] == stamp):
+                view = views[sub_id][1]
+                for qn, vn in added:
+                    view.setdefault(qn, set()).add(vn)
+                for qn, vn in removed:
+                    view[qn].discard(vn)
+            assert all(p[1] <= stamp for p in pushes)
+            for q, view in views.values():
+                oracle = simulation(q, graph).as_dict()
+                assert {u: vs for u, vs in view.items() if vs} == {
+                    u: set(vs) for u, vs in oracle.items() if vs
+                }, step
+            q = rng.choice(pool)
+            assert server.run(q).relation == simulation(q, graph), step
+        frag.validate()
+        assert stats.invalidations == 0
+    assert pushes, "sixteen batches should change a standing answer at least once"

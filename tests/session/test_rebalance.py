@@ -192,6 +192,13 @@ def test_stats_reply_carries_partition_snapshot_over_the_wire():
     graph, frag, queries = _instance()
     with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
         server.run(queries[0], algorithm="dgpm")
+        server.run(queries[0], algorithm="dgpm")  # hot: the delete promotes it
+        a, b = next(iter(queries[0].edges()))
+        pair = (queries[0].label(a), queries[0].label(b))
+        server.delete_edge(*next(
+            (u, v) for u, v in graph.edges()
+            if (graph.label(u), graph.label(v)) == pair
+        ))
         reply = StatsReply(
             stats=server.stats,
             stamp=server.stamp,
@@ -202,3 +209,4 @@ def test_stats_reply_carries_partition_snapshot_over_the_wire():
         back = codec.decode(codec.encode(reply))
         assert back.partition == server.partition_snapshot()
         assert back.stats.fragment_queries == server.stats.fragment_queries
+        assert back.stats.entries_promoted == server.stats.entries_promoted == 1

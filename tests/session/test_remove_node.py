@@ -47,7 +47,7 @@ class TestSessionRemoveNode:
         frag = partition(graph, 3, seed=31)
         session = SimulationSession(frag)
         queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(3)]
-        for _ in range(2):  # second pass promotes warm states
+        for _ in range(2):  # the second pass makes the queries hot
             for q in queries:
                 session.run(q, algorithm="dgpm")
         return graph, frag, session, queries
@@ -97,6 +97,14 @@ class TestSessionRemoveNode:
         assert session.deps is deps_before
 
 
+def _make_warm(session, u, v) -> None:
+    """Warm states are built by the first relevant write: delete and
+    re-insert the label-relevant edge ``(u, v)`` so the removal under test
+    goes through ``IncrementalMatchState.apply_remove_node``."""
+    session.apply([DeleteEdge(u, v), InsertEdge(u, v)])
+    assert len(session._warm) == 1
+
+
 class TestWarmRemoveNodeRegression:
     def test_warm_entry_rewritten_when_cascade_kills_candidacy(self):
         # A 2-cycle query: every pattern node is parented, so a match dies
@@ -111,6 +119,7 @@ class TestWarmRemoveNodeRegression:
         session = SimulationSession(frag)
         for _ in range(2):
             session.run(query, algorithm="dgpm")
+        _make_warm(session, 3, 4)
         before = session.run(query).relation.as_dict()
         assert 1 in before["a"]
         outcome = session.remove_node(1)
@@ -137,6 +146,7 @@ class TestWarmRemoveNodeRegression:
         session = SimulationSession(frag)
         for _ in range(2):
             session.run(query, algorithm="dgpm")
+        _make_warm(session, 3, 2)
         assert 1 in session.run(query).relation.as_dict()["a"]
         session.remove_node(1)
         after = session.run(query).relation.as_dict()

@@ -118,16 +118,21 @@ def test_facts_cannot_go_stale_out_of_band():
 
 
 @pytest.mark.parametrize(
-    "algorithm, build, error",
+    "algorithm, build, warm_edge, error",
     [
-        ("dgpmd", lambda: (alternating_dag(), TWO_CYCLE, (3, 0)), PatternError),
-        ("dgpmt", small_tree, GraphError),
+        # (0, 3) carries the query's (A, B) label pair and leaves a DAG a DAG
+        ("dgpmd", lambda: (alternating_dag(), TWO_CYCLE, (3, 0)), (0, 3), PatternError),
+        # every single write to a tree lapses dgpmt: the entry stays cold
+        ("dgpmt", small_tree, None, GraphError),
     ],
     ids=["dgpmd", "dgpmt"],
 )
-def test_cached_entries_do_not_outlive_their_drivers_precondition(algorithm, build, error):
+def test_cached_entries_do_not_outlive_their_drivers_precondition(
+    algorithm, build, warm_edge, error
+):
     """Explicit ``dgpmd``/``dgpmt`` before and after a shape flip serve what a
-    fresh session serves: the same answer or the same exception type."""
+    fresh session serves: the same answer or the same exception type -- also
+    when the entry holds a warm state by then (evicted with the entry)."""
     frag, query, (u, v) = build()
     session = SimulationSession(frag)
 
@@ -137,9 +142,15 @@ def test_cached_entries_do_not_outlive_their_drivers_precondition(algorithm, bui
     def fresh():
         return outcome(lambda: SimulationSession(frag).run(query, algorithm=algorithm))
 
-    for _ in range(3):  # miss, hit, and a hit on the promoted (warm) entry
+    for _ in range(3):  # a miss and two hits: the entry is hot
         assert served() == fresh() != error
+    if warm_edge is not None:  # the first relevant write builds the state
+        session.delete_edge(*warm_edge)
+        session.insert_edge(*warm_edge)
+        assert served() == fresh() != error
+    assert len(session._warm) == (warm_edge is not None)
     session.insert_edge(u, v)
+    assert len(session._warm) == 0
     assert served() == fresh() == error
     session.delete_edge(u, v)
     assert served() == fresh() != error
