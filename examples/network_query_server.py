@@ -36,17 +36,23 @@ import time
 
 from repro import partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
-from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
+from repro.net import (
+    AsyncSessionClient,
+    DeleteEdge,
+    InsertEdge,
+    SessionClient,
+    serve_in_thread,
+)
 
 
 def replay(graph, ops, n):
     """The graph after the first ``n`` updates (fresh copy each call)."""
     replayed = graph.copy()
-    for kind, u, v in ops[:n]:
-        if kind == "delete":
-            replayed.remove_edge(u, v)
+    for op in ops[:n]:
+        if isinstance(op, DeleteEdge):
+            replayed.remove_edge(op.u, op.v)
         else:
-            replayed.add_edge(u, v)
+            replayed.add_edge(op.u, op.v)
     return replayed
 
 
@@ -77,15 +83,13 @@ def main() -> None:
             with SessionClient(host, port, timeout=120.0) as client:
                 for step in range(6):
                     if step % 3 == 2 and deleted:
-                        u, v = deleted.pop()
-                        outcome = client.insert_edge(u, v)
-                        ops.append(("insert", u, v))
+                        op = InsertEdge(*deleted.pop())
                     else:
                         edges = list(graph.edges())
-                        u, v = edges[rng.randrange(len(edges))]
-                        outcome = client.delete_edge(u, v)
-                        ops.append(("delete", u, v))
-                        deleted.append((u, v))
+                        op = DeleteEdge(*edges[rng.randrange(len(edges))])
+                        deleted.append((op.u, op.v))
+                    (outcome,) = client.apply([op])
+                    ops.append(op)
                     assert outcome.stamp == len(ops)
                     time.sleep(0.01)  # let queries land between stamps
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Standing queries over protocol v2: a fraud-ring watch, audited live.
+"""Standing queries: a fraud-ring watch, audited live.
 
 A payment graph (accounts, devices, merchants) is served by a
 :class:`~repro.net.NetworkSessionServer`.  A *standing query* watches for
@@ -8,14 +8,12 @@ device -- and the server PUSHes a stamped delta after every committed
 mutation batch that changes the ring set.  Nothing polls: batches that
 leave the answer unchanged push nothing.
 
-Three parties share the server:
+Two parties share the server:
 
 * an analyst opens ``client.subscribe(ring)`` and consumes the delta
-  stream (protocol v2, pickle-free wire, one dedicated connection);
+  stream (pickle-free wire, one dedicated connection);
 * a feed client streams mutations -- new transactions, chargeback edge
-  removals, and full account takedowns (``remove_node``);
-* a legacy v1 client (``versions=(1,)``) keeps issuing plain RUN requests
-  against the same server, oblivious to v2 framing.
+  removals, and full account takedowns (``remove_node``).
 
 Every PUSH is audited against a replay-at-stamp oracle: the update log is
 replayed to the delta's stamp on a pristine copy of the graph and the
@@ -90,11 +88,10 @@ def main() -> None:
 
     with serve_in_thread(fragmentation, backend="thread", n_workers=4) as srv:
         host, port = srv.address
-        print(f"serving on {host}:{port} (protocol v1+v2)")
+        print(f"serving on {host}:{port}")
 
-        # -- the analyst: a standing query over its own v2 connection ------
+        # -- the analyst: a standing query over its own connection ---------
         analyst = connect(srv.address)
-        assert analyst.protocol_version == 2
         watch = analyst.subscribe(ring)
         baseline = as_sets(watch.relation)
         assert baseline == as_sets(simulation(ring, pristine))
@@ -115,10 +112,6 @@ def main() -> None:
 
         threading.Thread(target=consume, daemon=True).start()
 
-        # -- a legacy v1 client shares the server, no v2 anywhere ----------
-        legacy = connect(srv.address, versions=(1,))
-        assert legacy.protocol_version == 1
-
         # -- the feed: transactions, chargebacks, takedowns ----------------
         feed = connect(srv.address)
         takedowns = 0
@@ -128,11 +121,6 @@ def main() -> None:
                 takedowns += 1
         print(f"feed applied {len(ops)} updates "
               f"({takedowns} account takedowns)")
-
-        # The v1 client still reads correct answers post-stream.
-        v1_answer = as_sets(legacy.run(ring).relation)
-        assert v1_answer == as_sets(simulation(ring, replay(pristine, ops, len(ops))))
-        print("legacy v1 client verified against the oracle  [ok]")
 
         # Wait until the delta stream has caught up with the last
         # ring-changing stamp, then close the subscription.
@@ -150,7 +138,6 @@ def main() -> None:
         watch.close()
         done.wait(timeout=30)
         feed.close()
-        legacy.close()
         analyst.close()
 
     # -- the audit: every PUSH against the replay-at-stamp oracle ----------

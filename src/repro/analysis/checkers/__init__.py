@@ -17,6 +17,7 @@ from repro.analysis.checkers.drivers import DriverRegistryChecker
 from repro.analysis.checkers.frozen import FrozenCrossingChecker
 from repro.analysis.checkers.lazynumpy import LazyNumpyChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
+from repro.analysis.checkers.pickles import PickleConfinedChecker
 from repro.analysis.checkers.protocol import (
     ProtocolExhaustivenessChecker,
     ShardCommandChecker,
@@ -28,6 +29,7 @@ ALL_CHECKERS: Tuple[Checker, ...] = (
     LazyNumpyChecker(),
     ProtocolExhaustivenessChecker(),
     ShardCommandChecker(),
+    PickleConfinedChecker(),
     DeterminismChecker(),
     DriverRegistryChecker(),
     BareAssertChecker(),
@@ -42,6 +44,7 @@ __all__ = [
     "FrozenCrossingChecker",
     "LazyNumpyChecker",
     "LockDisciplineChecker",
+    "PickleConfinedChecker",
     "ProtocolExhaustivenessChecker",
     "ShardCommandChecker",
 ]

@@ -1,9 +1,10 @@
 """Rule ``frozen-crossing``: types that cross threads/caches/wires are frozen.
 
-Anything stored in the result cache or pickled across the wire protocol /
-worker transport is shared: a cache hit hands the *same* object to every
-caller, and a mutable reply would let one client poison another's answer
-(the PR-2 ``MatchRelation`` bug).  Two enforcement shapes:
+Anything stored in the result cache, codec-encoded across the wire protocol
+or pickled across the worker transport is shared: a cache hit hands the
+*same* object to every caller, and a mutable reply would let one client
+poison another's answer (the PR-2 ``MatchRelation`` bug).  Two enforcement
+shapes:
 
 * every ``@dataclass`` defined in ``net/protocol.py`` must be
   ``frozen=True`` -- protocol frames exist to cross the wire, no exceptions;
@@ -40,7 +41,7 @@ class CrossingType:
 CROSSING_TYPES: Tuple[CrossingType, ...] = (
     CrossingType(
         "runtime/metrics.py", "RunMetrics",
-        "stored in the result cache and pickled inside RunReply frames",
+        "stored in the result cache and encoded inside RunReply frames",
     ),
     CrossingType(
         "runtime/metrics.py", "RunResult",
@@ -56,11 +57,11 @@ CROSSING_TYPES: Tuple[CrossingType, ...] = (
     ),
     CrossingType(
         "session/concurrent.py", "StampedResult",
-        "returned to arbitrary client threads and pickled by the ingress",
+        "returned to arbitrary client threads and encoded by the ingress",
     ),
     CrossingType(
         "session/concurrent.py", "StampedOutcome",
-        "returned to arbitrary client threads and pickled by the ingress",
+        "returned to arbitrary client threads and encoded by the ingress",
     ),
     CrossingType(
         "simulation/matchrel.py", "MatchRelation",
@@ -73,7 +74,7 @@ CROSSING_TYPES: Tuple[CrossingType, ...] = (
 class FrozenCrossingChecker:
     rule = "frozen-crossing"
     description = (
-        "dataclasses cached or pickled across the protocol/transport "
+        "dataclasses cached or sent across the protocol/transport "
         "boundary must be frozen"
     )
 
@@ -122,7 +123,7 @@ class FrozenCrossingChecker:
                     col=cls.col_offset,
                     message=(
                         f"protocol frame dataclass {cls.name} must be "
-                        "@dataclass(frozen=True): frames are pickled across "
+                        "@dataclass(frozen=True): frames are encoded across "
                         "the wire and shared by reply futures"
                     ),
                     symbol=symbol_of(cls),

@@ -1,33 +1,35 @@
-"""Rule ``protocol-exhaustive``: every frame kind has all four arms.
+"""Rule ``protocol-exhaustive``: every frame kind is wired end to end.
 
-Adding a :class:`FrameKind` member is a four-site change -- the codec table,
-the server dispatch, the client handling -- and nothing ties the sites
-together at runtime: a kind missing its server arm only surfaces as a
-mid-connection ``ErrorReply`` when a client first sends it.  This checker
-derives the kind inventory from the enum itself and demands, for every
-member:
+Adding a :class:`FrameKind` member is a four-site change -- the decode
+table, the codec registry, the server dispatch, the client handling -- and
+nothing ties the sites together at runtime: a kind missing its server arm
+only surfaces as a mid-connection ``ErrorReply`` when a client first sends
+it.  This checker derives the kind inventory from the enum itself and
+demands, for every member:
 
 * a ``FrameKind.<KIND>: <FrameClass>`` entry in ``FRAME_CLASSES`` (the
   decode table), and
-* a ``FrameKind.<KIND>`` reference in the server module (dispatch arm), and
-* a ``FrameKind.<KIND>`` reference in the client module (request/reply arm),
-  and
+* an arm in the server module and one in the client module: a reference to
+  ``FrameKind.<KIND>`` (a receive arm) or to the kind's frame class (a send
+  arm -- the kind travels inferred from the class), and
 * (when the tree has ``net/codec.py``) the frame's class name registered in
-  the safe codec's ``FRAME_STRUCTS`` dict -- the protocol-v2 encode split
-  means a frame class missing there is unencodable for every v2 peer even
-  though the pickle path still carries it at v1.
+  the safe codec's ``FRAME_STRUCTS`` dict: the codec is the only body
+  encoding, so a frame class missing there cannot be sent at all.
 
-``OBJ`` is the deliberate exception: it is the worker transport's opaque
-pickle frame, never decoded via ``FRAME_CLASSES`` nor served by the TCP
-front door (and pickle-exempt at every version, so the codec registry does
-not list it) -- it must instead be referenced by the transport module, so a
-renamed/retired transport surfaces here too.
+Two kinds have their arms elsewhere (:data:`ARM_OWNERS`).  ``RESULT_CHUNK``
+is produced and consumed by the framer itself -- ``Connection`` in the
+protocol module slices and reassembles -- so that module must reference it
+outside the decode table.  ``OBJ`` is the worker transport's: its body is
+opaque bytes (no ``FRAME_CLASSES`` entry, no codec registration) that only
+``runtime/transport.py`` pickles into and out of, so that module must
+reference it -- and the protocol module's ``CLIENT_PORT_KINDS`` accept set
+must leave it out, which is what keeps every pickle off the client port.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis.findings import Finding
 from repro.analysis.project import ParsedModule, Project, symbol_of
@@ -38,111 +40,92 @@ CLIENT_MODULE = "net/client.py"
 TRANSPORT_MODULE = "runtime/transport.py"
 CODEC_MODULE = "net/codec.py"
 
-#: kinds excluded from codec/dispatch arms -> the module that must use them
-EXEMPT_KINDS: Dict[str, str] = {"OBJ": TRANSPORT_MODULE}
+#: kinds whose arms live outside server + client -> the module that owns them
+ARM_OWNERS: Dict[str, str] = {
+    "OBJ": TRANSPORT_MODULE,
+    "RESULT_CHUNK": PROTOCOL_MODULE,
+}
+#: kinds with an opaque body: no frame class, no codec registration, and
+#: never in the client port's accept set
+OPAQUE_KINDS: Tuple[str, ...] = ("OBJ",)
+ACCEPT_SET = "CLIENT_PORT_KINDS"
+RULE = "protocol-exhaustive"
 
 
 class ProtocolExhaustivenessChecker:
-    rule = "protocol-exhaustive"
+    rule = RULE
     description = (
         "every FrameKind member has a FRAME_CLASSES entry, server and "
-        "client arms, and a v2 codec registration (OBJ: used by the worker "
-        "transport, pickle-exempt)"
+        "client arms, and a codec registration (RESULT_CHUNK: the framer's; "
+        "OBJ: the worker transport's, opaque, outside CLIENT_PORT_KINDS)"
     )
 
-    def __init__(
-        self,
-        protocol_module: str = PROTOCOL_MODULE,
-        server_module: str = SERVER_MODULE,
-        client_module: str = CLIENT_MODULE,
-        codec_module: str = CODEC_MODULE,
-        exempt_kinds: Dict[str, str] = EXEMPT_KINDS,
-    ) -> None:
-        self.protocol_module = protocol_module
-        self.server_module = server_module
-        self.client_module = client_module
-        self.codec_module = codec_module
-        self.exempt_kinds = dict(exempt_kinds)
-
     def check(self, project: Project) -> Iterable[Finding]:
-        protocol = project.module(self.protocol_module)
+        protocol = project.module(PROTOCOL_MODULE)
         if protocol is None:
             return  # nothing to check outside the real tree / a full fixture
         kinds = _enum_members(protocol, "FrameKind")
         if not kinds:
-            yield self._finding(
+            yield _finding(
                 protocol, protocol.tree, "FrameKind",
-                f"no FrameKind enum found in {self.protocol_module}",
+                f"no FrameKind enum found in {PROTOCOL_MODULE}",
             )
             return
-        frame_classes = _frame_class_map(protocol)
-        server_refs = _kind_references(project.module(self.server_module))
-        client_refs = _kind_references(project.module(self.client_module))
-        codec = project.module(self.codec_module)
+        frame_classes, table = _frame_class_map(protocol)
+        codec = project.module(CODEC_MODULE)
         codec_structs = (
             None if codec is None else _dict_string_keys(codec, "FRAME_STRUCTS")
         )
+        accepted = _accept_set(protocol, [kind for kind, _ in kinds])
 
         for kind, node in kinds:
-            if kind in self.exempt_kinds:
-                yield from self._check_exempt(project, protocol, kind, node)
-                continue
-            if kind not in frame_classes:
-                yield self._finding(
+            opaque = kind in OPAQUE_KINDS
+            frame_cls = frame_classes.get(kind)
+            if frame_cls is None and not opaque:
+                yield _finding(
                     protocol, node, kind,
                     f"FrameKind.{kind} has no FRAME_CLASSES entry: the codec "
                     "cannot decode it",
                 )
-            if kind not in server_refs:
-                yield self._finding(
-                    protocol, node, kind,
-                    f"FrameKind.{kind} is never referenced in "
-                    f"{self.server_module}: the server has no dispatch arm "
-                    "for it",
-                )
-            if kind not in client_refs:
-                yield self._finding(
-                    protocol, node, kind,
-                    f"FrameKind.{kind} is never referenced in "
-                    f"{self.client_module}: no client sends or handles it",
-                )
-            frame_cls = frame_classes.get(kind)
+            owner = ARM_OWNERS.get(kind)
+            if owner is not None:
+                skip = table if owner == PROTOCOL_MODULE else None
+                if kind not in _arms(project.module(owner), frame_classes, skip):
+                    yield _finding(
+                        protocol, node, kind,
+                        f"FrameKind.{kind} has its arms in {owner} rather than "
+                        f"server + client, but {owner} never references it",
+                    )
+            else:
+                for module, what in (
+                    (SERVER_MODULE, "the server has no dispatch arm for it"),
+                    (CLIENT_MODULE, "no client sends or handles it"),
+                ):
+                    if kind not in _arms(project.module(module), frame_classes):
+                        yield _finding(
+                            protocol, node, kind,
+                            f"neither FrameKind.{kind} nor its frame class is "
+                            f"referenced in {module}: {what}",
+                        )
             if (
                 codec_structs is not None
                 and frame_cls is not None
                 and frame_cls not in codec_structs
             ):
-                yield self._finding(
+                yield _finding(
                     protocol, node, kind,
                     f"frame class {frame_cls} (FrameKind.{kind}) is not "
-                    f"registered in {self.codec_module}'s FRAME_STRUCTS: "
-                    "v2 peers cannot encode it",
+                    f"registered in {CODEC_MODULE}'s FRAME_STRUCTS: "
+                    "no peer can encode it",
                 )
-
-    def _check_exempt(
-        self, project: Project, protocol: ParsedModule, kind: str, node: ast.AST
-    ) -> Iterable[Finding]:
-        home = self.exempt_kinds[kind]
-        refs = _kind_references(project.module(home))
-        if kind not in refs:
-            yield self._finding(
-                protocol, node, kind,
-                f"FrameKind.{kind} is exempt from codec/dispatch arms "
-                f"because {home} owns it, but {home} never references it",
-            )
-
-    def _finding(
-        self, module: ParsedModule, node: ast.AST, kind: str, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule,
-            path=module.relpath,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            symbol=symbol_of(node),
-            detail=kind,
-        )
+            if opaque and (accepted is None or kind in accepted):
+                yield _finding(
+                    protocol, node, kind,
+                    f"FrameKind.{kind} has an opaque (pickled) body but "
+                    f"{ACCEPT_SET} in {PROTOCOL_MODULE} "
+                    + ("is missing or unreadable" if accepted is None else "lets it in")
+                    + ": the client port must refuse it on the header",
+                )
 
 
 MP_MODULE = "runtime/mp.py"
@@ -161,95 +144,86 @@ class ShardCommandChecker:
     but absent from the inventory -- is a finding.
     """
 
-    rule = "protocol-exhaustive"
+    rule = RULE
     description = (
         "every SHARD_COMMANDS entry has a _shard_worker dispatch arm in "
         "runtime/mp.py and a sender in session/concurrent.py"
     )
 
-    def __init__(
-        self,
-        mp_module: str = MP_MODULE,
-        coordinator_module: str = COORDINATOR_MODULE,
-    ) -> None:
-        self.mp_module = mp_module
-        self.coordinator_module = coordinator_module
-
     def check(self, project: Project) -> Iterable[Finding]:
-        mp = project.module(self.mp_module)
+        mp = project.module(MP_MODULE)
         if mp is None:
             return  # outside the real tree / a partial fixture
         inventory = _shard_command_inventory(mp)
         if inventory is None:
-            yield Finding(
-                rule=self.rule,
-                path=mp.relpath,
-                line=1,
-                col=0,
-                message=(
-                    f"no SHARD_COMMANDS inventory found in {self.mp_module}; "
-                    "the shard worker protocol is unchecked"
-                ),
-                symbol=None,
-                detail="SHARD_COMMANDS",
+            yield _finding(
+                mp, mp.tree, "SHARD_COMMANDS",
+                f"no SHARD_COMMANDS inventory found in {MP_MODULE}; "
+                "the shard worker protocol is unchecked",
             )
             return
         commands, node = inventory
         dispatch = _string_literals(mp, skip=node)
-        senders = _string_literals(project.module(self.coordinator_module))
+        senders = _string_literals(project.module(COORDINATOR_MODULE))
         for command in commands:
             if command not in dispatch:
-                yield self._finding(
+                yield _finding(
                     mp, node, command,
                     f"shard command {command!r} has no dispatch arm in "
-                    f"{self.mp_module}: the worker cannot serve it",
+                    f"{MP_MODULE}: the worker cannot serve it",
                 )
             if command not in senders:
-                yield self._finding(
+                yield _finding(
                     mp, node, command,
                     f"shard command {command!r} is never sent from "
-                    f"{self.coordinator_module}: dead protocol surface",
+                    f"{COORDINATOR_MODULE}: dead protocol surface",
                 )
 
-    def _finding(
-        self, module: ParsedModule, node: ast.AST, command: str, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule,
-            path=module.relpath,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            symbol=symbol_of(node),
-            detail=command,
-        )
+
+def _finding(module: ParsedModule, node: ast.AST, detail: str, message: str) -> Finding:
+    return Finding(
+        rule=RULE,
+        path=module.relpath,
+        line=getattr(node, "lineno", 1),
+        col=getattr(node, "col_offset", 0),
+        message=message,
+        symbol=symbol_of(node),
+        detail=detail,
+    )
+
+
+def _assignment(
+    module: ParsedModule, name: str
+) -> Optional[Union[ast.Assign, ast.AnnAssign]]:
+    """The first statement in ``module`` that assigns to the plain name ``name``."""
+    for node in module.walk():
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
+    return None
+
+
+def _string_constants(nodes: Iterable[Optional[ast.AST]]) -> Set[str]:
+    return {
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
 
 
 def _shard_command_inventory(
     module: ParsedModule,
 ) -> Tuple[Set[str], ast.AST] | None:
     """The ``SHARD_COMMANDS`` tuple's string members and its assignment node."""
-    for node in module.walk():
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "SHARD_COMMANDS" for t in targets
-        ):
-            continue
-        value = node.value
-        if isinstance(value, (ast.Tuple, ast.List)):
-            members = {
-                elt.value
-                for elt in value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
-            return members, node
-    return None
+    node = _assignment(module, "SHARD_COMMANDS")
+    if node is None or not isinstance(node.value, (ast.Tuple, ast.List)):
+        return None
+    return _string_constants(node.value.elts), node
 
 
 def _string_literals(
@@ -258,16 +232,8 @@ def _string_literals(
     """Every string constant in ``module``, excluding the ``skip`` subtree."""
     if module is None:
         return set()
-    skipped: Set[int] = set()
-    if skip is not None:
-        skipped = {id(sub) for sub in ast.walk(skip)}
-    out: Set[str] = set()
-    for node in module.walk():
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+    skipped = set() if skip is None else {id(sub) for sub in ast.walk(skip)}
+    return _string_constants(n for n in module.walk() if id(n) not in skipped)
 
 
 def _enum_members(
@@ -286,60 +252,81 @@ def _enum_members(
     return []
 
 
-def _frame_class_map(module: ParsedModule) -> Dict[str, str]:
+def _frame_class_map(module: ParsedModule) -> Tuple[Dict[str, str], Optional[ast.AST]]:
     """``FrameKind member -> frame class name`` from the ``FRAME_CLASSES``
-    dict literal (entries whose value is not a plain name map to ``""``)."""
-    out: Dict[str, str] = {}
-    for node in module.walk():
-        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "FRAME_CLASSES" for t in node.targets
-        ):
-            continue
-        for key, value in zip(node.value.keys, node.value.values):
-            if (
-                isinstance(key, ast.Attribute)
-                and isinstance(key.value, ast.Name)
-                and key.value.id == "FrameKind"
-            ):
-                out[key.attr] = value.id if isinstance(value, ast.Name) else ""
-    return out
+    dict literal (entries whose value is not a plain name map to ``""``),
+    and the assignment node itself."""
+    node = _assignment(module, "FRAME_CLASSES")
+    if node is None or not isinstance(node.value, ast.Dict):
+        return {}, None
+    return {
+        kind: value.id if isinstance(value, ast.Name) else ""
+        for key, value in zip(node.value.keys, node.value.values)
+        if key is not None
+        for kind in _kinds_in(key)
+    }, node
 
 
 def _dict_string_keys(module: ParsedModule, name: str) -> Set[str]:
     """The string-literal keys of the dict literal assigned to ``name``."""
-    keys: Set[str] = set()
-    for node in module.walk():
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            continue
-        value = node.value
-        if isinstance(value, ast.Dict):
-            keys.update(
-                k.value
-                for k in value.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            )
-    return keys
+    node = _assignment(module, name)
+    if node is None or not isinstance(node.value, ast.Dict):
+        return set()
+    return _string_constants(node.value.keys)
 
 
-def _kind_references(module: ParsedModule | None) -> Set[str]:
-    """Every ``FrameKind.<X>`` attribute read in ``module`` ({} if absent)."""
+def _kinds_in(tree: ast.AST) -> Set[str]:
+    """Every ``FrameKind.<X>`` attribute read under ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "FrameKind"
+    }
+
+
+def _arms(
+    module: Optional[ParsedModule],
+    frame_classes: Dict[str, str],
+    skip: Optional[ast.AST] = None,
+) -> Set[str]:
+    """The kinds ``module`` has an arm for: ``FrameKind.<X>`` reads, plus the
+    kinds whose frame class it names (``RunReply`` / ``protocol.RunReply``);
+    nothing under ``skip`` (the decode table, in its own module) counts."""
     if module is None:
         return set()
-    refs: Set[str] = set()
+    skipped = set() if skip is None else {id(sub) for sub in ast.walk(skip)}
+    arms: Set[str] = set()
+    by_class = {cls: kind for kind, cls in frame_classes.items() if cls}
     for node in module.walk():
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "FrameKind"
-        ):
-            refs.add(node.attr)
-    return refs
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+            if isinstance(node.value, ast.Name) and node.value.id == "FrameKind":
+                arms.add(name)
+        else:
+            continue
+        if name in by_class:
+            arms.add(by_class[name])
+    return arms
+
+
+def _accept_set(module: ParsedModule, kinds: List[str]) -> Optional[Set[str]]:
+    """The members of ``CLIENT_PORT_KINDS``, read off the one shape it is
+    written in -- ``frozenset(FrameKind) - {FrameKind.X, ...}``, everything
+    but -- or None when the assignment is absent or shaped otherwise."""
+    everything = ast.dump(ast.parse("frozenset(FrameKind)", mode="eval").body)
+    node = _assignment(module, ACCEPT_SET)
+    value = None if node is None else node.value
+    if (
+        isinstance(value, ast.BinOp)
+        and isinstance(value.op, ast.Sub)
+        and isinstance(value.right, ast.Set)
+        and ast.dump(value.left) == everything
+    ):
+        return set(kinds) - _kinds_in(value.right)
+    return None

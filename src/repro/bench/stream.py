@@ -44,7 +44,7 @@ from repro.core.config import DgpmConfig
 from repro.core.dgpm import run_dgpm
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_graph
-from repro.graph.mutations import DeleteEdge, InsertEdge
+from repro.graph.mutations import DeleteEdge, InsertEdge, MutationOp
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.session import SimulationSession
@@ -217,8 +217,9 @@ def mixed_update_stream(
     seed: int = 0,
     queries: Optional[Sequence[Pattern]] = None,
     rng: Optional[random.Random] = None,
-) -> List[Tuple]:
-    """An interleaved mutation/query op list over ``graph``.
+) -> List[object]:
+    """An interleaved op list over ``graph``: typed mutations and
+    ``("query", hot index)`` entries.
 
     Each round mutates once (mostly deletions; every fourth round re-inserts
     a previously deleted edge, so the stream also exercises the revival
@@ -239,12 +240,12 @@ def mixed_update_stream(
         else set()
     )
     deleted: List[Tuple] = []
-    ops: List[Tuple] = []
+    ops: List[object] = []
     for step in range(n_rounds):
         if step % 4 == 3 and deleted:
             u, v = deleted.pop(rng.randrange(len(deleted)))
             scratch.add_edge(u, v)
-            ops.append(("insert", u, v))
+            ops.append(InsertEdge(u, v))
         else:
             edges = list(scratch.edges())
             if relevant_pairs and step % 2 == 0:
@@ -258,7 +259,7 @@ def mixed_update_stream(
             u, v = edges[rng.randrange(len(edges))]
             scratch.remove_edge(u, v)
             deleted.append((u, v))
-            ops.append(("delete", u, v))
+            ops.append(DeleteEdge(u, v))
         ops.append(("query", step % n_hot))
     return ops
 
@@ -337,14 +338,12 @@ def _replay_ops(session, queries, ops, oracle: bool):
     gc.collect()  # the untimed warm-up's garbage is not the stream's to pay for
     for op in ops:
         t0 = time.perf_counter()
-        if op[0] == "query":
-            relations.append(session.run(queries[op[1]], algorithm="dgpm").relation)
-        elif op[0] == "delete":
-            session.delete_edge(op[1], op[2])
+        if isinstance(op, MutationOp):
+            session.apply_op(op)
         else:
-            session.insert_edge(op[1], op[2])
+            relations.append(session.run(queries[op[1]], algorithm="dgpm").relation)
         elapsed += time.perf_counter() - t0
-        if oracle and op[0] != "query":
+        if oracle and isinstance(op, MutationOp):
             for q in queries:
                 served = session.run(q, algorithm="dgpm").relation
                 if served != simulation(q, graph):
@@ -354,7 +353,7 @@ def _replay_ops(session, queries, ops, oracle: bool):
 
 def measure_update_point(
     make_fragmentation,
-    ops: Sequence[Tuple],
+    ops: Sequence[object],
     queries: Sequence[Pattern],
     n_fragments: int,
     oracle: bool = True,
@@ -403,7 +402,7 @@ def measure_update_point(
     return UpdatePoint(
         n_fragments=n_fragments,
         n_ops=len(ops),
-        n_mutations=sum(1 for op in ops if op[0] != "query"),
+        n_mutations=sum(1 for op in ops if isinstance(op, MutationOp)),
         maintained_seconds=maintained_seconds,
         invalidate_seconds=invalidate_seconds,
         parity=parity,

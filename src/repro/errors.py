@@ -6,7 +6,7 @@ can catch one type to handle anything the library signals.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 
 class ReproError(Exception):
@@ -68,8 +68,3 @@ class MutationBatchError(ReproError):
         super().__init__(message)
         self.applied = applied
         self.failed_op = failed_op
-
-    def __reduce__(self) -> tuple:
-        # The default exception reduce replays only ``args`` (the message);
-        # replay all three so the error survives process boundaries.
-        return (type(self), (self.args[0], self.applied, self.failed_op))

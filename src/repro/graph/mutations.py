@@ -1,27 +1,20 @@
 """Typed mutation operations: the one vocabulary every layer speaks.
 
-Historically the mutation API was a bare-tuple convention --
-``("insert", u, v)``, ``("delete", u, v)``, ``("add_node", n, label[, fid])``
--- threaded through ``SimulationSession.apply``, ``MutateRequest.ops``, both
-network clients, and the shard-worker command stream.  Tuples cannot carry
-defaults, cannot be type-checked, and silently break when a new op (like
-``remove_node``) grows a different arity.
-
-These frozen dataclasses replace the tuples everywhere.  The legacy tuple
-spelling is still accepted for one release via :func:`normalize_op`, which
-emits a :class:`DeprecationWarning` and converts in place, so existing
-callers keep working while they migrate.
+``SimulationSession.apply``, ``MutateRequest.ops``, both network clients and
+the shard-worker command stream all take these frozen dataclasses.  The
+bare-tuple spelling that preceded them (``("insert", u, v)`` ...) could not
+carry defaults or be type-checked and is refused: :func:`normalize_op`
+raises :class:`~repro.errors.ReproError` naming the typed op to use.
 
 Frozen: ops cross thread boundaries (the concurrent write queue), process
-boundaries (resident-worker pickles), and the wire (protocol v2's safe
-codec); an immutable op can never be observed half-built.
+boundaries (resident-worker pickles), and the wire (the safe codec of
+:mod:`repro.net.codec`); an immutable op can never be observed half-built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
@@ -34,9 +27,6 @@ class MutationOp:
     #: wire/dispatch tag; subclasses override with their canonical kind
     kind = ""
 
-    def as_tuple(self) -> Tuple[object, ...]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class InsertEdge(MutationOp):
@@ -46,9 +36,6 @@ class InsertEdge(MutationOp):
     v: Node
     kind = "insert"
 
-    def as_tuple(self) -> Tuple[object, ...]:
-        return ("insert", self.u, self.v)
-
 
 @dataclass(frozen=True)
 class DeleteEdge(MutationOp):
@@ -57,9 +44,6 @@ class DeleteEdge(MutationOp):
     u: Node
     v: Node
     kind = "delete"
-
-    def as_tuple(self) -> Tuple[object, ...]:
-        return ("delete", self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -71,11 +55,6 @@ class AddNode(MutationOp):
     fid: Optional[int] = None
     kind = "add_node"
 
-    def as_tuple(self) -> Tuple[object, ...]:
-        if self.fid is None:
-            return ("add_node", self.node, self.label)
-        return ("add_node", self.node, self.label, self.fid)
-
 
 @dataclass(frozen=True)
 class RemoveNode(MutationOp):
@@ -84,50 +63,17 @@ class RemoveNode(MutationOp):
     node: Node
     kind = "remove_node"
 
-    def as_tuple(self) -> Tuple[object, ...]:
-        return ("remove_node", self.node)
 
-
-#: what callers may hand any ``apply``-style entry point
-OpLike = Union[MutationOp, Sequence[object]]
-
-_TUPLE_DEPRECATION = (
-    "bare-tuple mutation ops are deprecated; pass "
-    "repro.graph.mutations.{InsertEdge,DeleteEdge,AddNode,RemoveNode} "
-    "instances instead (tuple support will be removed next release)"
-)
-
-
-def normalize_op(op: OpLike) -> MutationOp:
-    """Coerce one op to its typed form, warning on the legacy tuple spelling."""
+def normalize_op(op: object) -> MutationOp:
+    """``op`` itself when it is a typed op; anything else is refused."""
     if isinstance(op, MutationOp):
         return op
-    if isinstance(op, (tuple, list)) and op and isinstance(op[0], str):
-        warnings.warn(_TUPLE_DEPRECATION, DeprecationWarning, stacklevel=3)
-        kind = op[0]
-        if kind == "insert" and len(op) == 3:
-            return InsertEdge(op[1], op[2])
-        if kind == "delete" and len(op) == 3:
-            return DeleteEdge(op[1], op[2])
-        if kind == "add_node" and len(op) in (3, 4):
-            fid = op[3] if len(op) == 4 else None
-            if fid is not None and not isinstance(fid, int):
-                raise ReproError(f"add_node fragment id must be an int, got {fid!r}")
-            return AddNode(op[1], op[2], fid)
-        if kind == "remove_node" and len(op) == 2:
-            return RemoveNode(op[1])
-        if kind in ("insert", "delete", "add_node", "remove_node"):
-            raise ReproError(f"malformed mutation tuple: {tuple(op)!r}")
-        raise ReproError(
-            f"unknown update kind {kind!r} "
-            "(known: delete, insert, add_node, remove_node)"
-        )
     raise ReproError(
-        f"unsupported mutation op {op!r}; expected a MutationOp instance "
-        "or a legacy (kind, ...) tuple"
+        f"unsupported mutation op {op!r}; pass an InsertEdge, DeleteEdge, "
+        "AddNode or RemoveNode instance (repro.graph.mutations)"
     )
 
 
-def normalize_ops(ops: Iterable[OpLike]) -> List[MutationOp]:
-    """Coerce a whole batch, preserving order."""
+def normalize_ops(ops: Iterable[object]) -> List[MutationOp]:
+    """Check a whole batch, preserving order."""
     return [normalize_op(op) for op in ops]

@@ -3,21 +3,24 @@
 The paper's algorithms are message-passing protocols, but until this package
 every run lived inside one OS process.  ``repro.net`` is the system boundary:
 
-* :mod:`repro.net.protocol` -- a length-prefixed, versioned wire protocol
-  with typed request/response frames (queries, mutation batches, stats,
-  errors), shared by the ingress below and by the TCP worker transport of
-  :mod:`repro.runtime.transport`;
+* :mod:`repro.net.protocol` -- a length-prefixed wire protocol with typed
+  request/response frames (queries, mutation batches, standing queries,
+  stats, errors) and the one sans-IO framer, ``Connection``, that the
+  ingress, both clients and the TCP worker transport of
+  :mod:`repro.runtime.transport` all parse and build frames through;
+* :mod:`repro.net.codec` -- the one body encoding: a tagged safe codec over
+  a closed value vocabulary.  Nothing under ``repro.net`` imports pickle;
+  the worker transport's ``OBJ`` bodies are opaque bytes here and are
+  unpickled only in ``SocketTransport.recv``, after the token check;
 * :mod:`repro.net.server` -- an asyncio ingress
   (:class:`NetworkSessionServer`) that accepts many client connections and
   feeds :meth:`ConcurrentSessionServer.submit`, preserving the
   snapshot/stamp contract end-to-end, with graceful shutdown that drains
   in-flight work;
-* :mod:`repro.net.codec` -- protocol v2's tagged safe body encoding (no
-  pickle on the client-facing wire);
 * :mod:`repro.net.client` -- a blocking :class:`SessionClient` and a
   pipelining :class:`AsyncSessionClient` sharing one request core; build
-  either through :func:`connect`, which also negotiates the protocol
-  version and unlocks standing queries (:meth:`subscribe`).
+  either through :func:`connect`; standing queries through
+  :meth:`subscribe`.
 
 ``examples/network_query_server.py`` runs the full topology on localhost;
 ``examples/subscription_server.py`` demonstrates standing queries;
@@ -42,8 +45,6 @@ _EXPORTS = {
     "encode": "repro.net.protocol",
     "decode": "repro.net.protocol",
     "PROTOCOL_VERSION": "repro.net.protocol",
-    "PROTOCOL_V1": "repro.net.protocol",
-    "SUPPORTED_VERSIONS": "repro.net.protocol",
     "DEFAULT_MAX_FRAME": "repro.net.protocol",
     "AddNode": "repro.graph.mutations",
     "DeleteEdge": "repro.graph.mutations",
@@ -68,25 +69,4 @@ def __dir__() -> list:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
-__all__ = [
-    "AsyncSessionClient",
-    "AsyncSubscription",
-    "SessionClient",
-    "Subscription",
-    "connect",
-    "NetworkSessionServer",
-    "ThreadedNetworkServer",
-    "serve_in_thread",
-    "FrameKind",
-    "encode",
-    "decode",
-    "PROTOCOL_VERSION",
-    "PROTOCOL_V1",
-    "SUPPORTED_VERSIONS",
-    "DEFAULT_MAX_FRAME",
-    "AddNode",
-    "DeleteEdge",
-    "InsertEdge",
-    "MutationOp",
-    "RemoveNode",
-]
+__all__ = list(_EXPORTS)

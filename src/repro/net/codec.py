@@ -1,11 +1,11 @@
-"""The protocol-v2 safe body codec: tagged values, no pickle, no surprises.
+"""The wire's one body encoding: tagged values, no pickle, no surprises.
 
-Pickle made protocol v1 easy but confined it to trusted links: a pickled
-body can execute arbitrary code on load.  v2 bodies instead use this closed
-tagged encoding -- a small vocabulary of primitives and containers plus an
-explicit registry of the typed dataclasses that legitimately cross the
-client-facing wire.  Decoding never constructs anything outside that
-vocabulary, so the ingress can face untrusted clients.
+A pickled body can execute arbitrary code on load, so nothing on the
+client-facing wire is one.  Frame bodies use this closed tagged encoding --
+a small vocabulary of primitives and containers plus an explicit registry
+of the typed dataclasses that legitimately cross the wire.  Decoding never
+constructs anything outside that vocabulary, so the ingress can face
+untrusted clients (and a client an untrusted server).
 
 Format: every value is one tag byte followed by a tag-specific payload;
 lengths and counts are unsigned LEB128 varints.  Registered structs encode
@@ -13,17 +13,18 @@ as ``STRUCT tag, struct id, field count, field values`` with the fields in
 registration order, and are rebuilt through their registered constructor --
 not ``__reduce__``, not ``__setstate__``.
 
-The registry is the source of truth for *what may cross the v2 wire*:
+The registry is the source of truth for *what may cross the wire*:
 :data:`FRAME_STRUCTS` lists every protocol frame class (the
 ``protocol-exhaustive`` analyzer checker cross-references it against
-``FrameKind``; a frame kind must appear here or carry an explicit
-worker-only pickle exemption), and :data:`VALUE_STRUCTS` the payload types
-those frames carry.  Encoding is deterministic: sets and frozensets are
-serialized in sorted-bytes order, so equal values produce equal bytes.
+``FrameKind``; the one kind absent here is ``OBJ``, whose body is opaque
+bytes the worker transport owns), and :data:`VALUE_STRUCTS` the payload
+types those frames carry.  Encoding is deterministic: sets and frozensets
+are serialized in sorted-bytes order, so equal values produce equal bytes.
 
 Everything raises :class:`~repro.errors.WireFormatError` -- on unknown
 tags, unknown struct ids, truncation, trailing bytes, arity drift, absurd
-nesting, or an attempt to encode an unregistered type.
+nesting, an unhashable dict key or set member, or an attempt to encode an
+unregistered type.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ MAX_DEPTH = 64
 # ----------------------------------------------------------------------
 
 #: protocol frame classes (net/protocol.py) -> struct id.  Every FrameKind's
-#: body class must appear here (or be pickle-exempt for the worker
-#: transport); the protocol-exhaustive checker enforces it.
+#: body class must appear here (OBJ has none: its body is opaque bytes);
+#: the protocol-exhaustive checker enforces it.
 FRAME_STRUCTS: Dict[str, int] = {
     "Hello": 1,
     "RunRequest": 2,
@@ -150,8 +151,8 @@ def _ensure_registered() -> None:
 
     Imports live here, not at module top: the protocol module is imported by
     the worker transport while heavier packages (session, simulation) may
-    still be mid-initialization, and v2 bodies are only ever encoded once
-    the world is fully imported.
+    still be mid-initialization, and bodies are only ever encoded once the
+    world is fully imported.
     """
     if _BY_ID:
         return
@@ -272,7 +273,7 @@ def _encode_value(out: bytearray, obj: Any, depth: int) -> None:
         spec = _BY_CLASS.get(type(obj))
         if spec is None:
             raise WireFormatError(
-                f"{type(obj).__name__} is not encodable on the v2 wire "
+                f"{type(obj).__name__} is not encodable on the wire "
                 "(not a registered struct)"
             )
         fields = spec.extract(obj)
@@ -284,7 +285,7 @@ def _encode_value(out: bytearray, obj: Any, depth: int) -> None:
 
 
 def encode(obj: Any) -> bytes:
-    """Encode one value (typically a protocol frame) to v2 wire bytes."""
+    """Encode one value (typically a protocol frame) to wire bytes."""
     _ensure_registered()
     out = bytearray()
     _encode_value(out, obj, 0)
@@ -386,12 +387,15 @@ def _decode_value(reader: _Reader, depth: int) -> Any:
 
 
 def decode(data: bytes) -> Any:
-    """Decode one value from v2 wire bytes (trailing bytes are rejected)."""
+    """Decode one value from wire bytes (trailing bytes are rejected)."""
     _ensure_registered()
     reader = _Reader(data)
-    value = _decode_value(reader, 0)
+    try:
+        value = _decode_value(reader, 0)
+    except TypeError as exc:  # a list or dict where a dict key / set member goes
+        raise WireFormatError(f"unhashable key in a wire value: {exc}") from exc
     if reader.pos != len(data):
         raise WireFormatError(
-            f"{len(data) - reader.pos} stray bytes after a v2 value"
+            f"{len(data) - reader.pos} stray bytes after a wire value"
         )
     return value

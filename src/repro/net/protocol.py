@@ -1,4 +1,4 @@
-"""The wire protocol: length-prefixed, versioned, typed frames.
+"""The wire protocol: length-prefixed typed frames and the one framer.
 
 Every message on a repro socket -- client/server traffic through the asyncio
 ingress *and* parent/worker traffic through the TCP transport of
@@ -11,66 +11,76 @@ ingress *and* parent/worker traffic through the TCP transport of
     |  4B   |   1B    |  1B  |    2B    | 4B  |   4B   |  | length  B  |
     +-------+---------+------+----------+-----+--------+  +------------+
 
-``magic`` guards against a stray peer, ``version`` against a protocol skew,
-``kind`` names one of the :class:`FrameKind` values, ``reserved`` must be
-zero (room for future flags), ``seq`` correlates a reply with its request
-(the asyncio ingress answers out of order; pipelining clients key pending
-futures by it), and ``length`` bounds the pickled body.  A frame whose
-header fails any of these checks -- or whose body is truncated, oversized,
-undecodable, or of the wrong type for its kind -- is rejected with
-:class:`~repro.errors.WireFormatError` before any payload object is touched.
+``magic`` guards against a stray peer, ``version`` against a protocol skew
+(this build speaks :data:`PROTOCOL_VERSION` and nothing else), ``kind``
+names one of the :class:`FrameKind` values, ``reserved`` must be zero (room
+for future flags), ``seq`` correlates a reply with its request (the asyncio
+ingress answers out of order; pipelining clients key pending futures by
+it), and ``length`` bounds the body.
 
-Two body encodings coexist, keyed by the header's ``version`` byte:
+There is one body encoding: the tagged safe codec of
+:mod:`repro.net.codec`, a closed value vocabulary (primitives, containers,
+and the registered frame dataclasses) that never constructs arbitrary
+objects.  The one exception is :attr:`FrameKind.OBJ`, whose body is opaque
+bytes to this module: the worker transport pickles its command tuples into
+it and unpickles them out of it, and that -- ``SocketTransport.recv`` in
+:mod:`repro.runtime.transport`, reachable only after the listener's token
+check -- is the single ``pickle.loads`` in the wire path (the
+``pickle-confined`` analyzer rule holds the line).
 
-* **v1** bodies are pickled Python objects -- the original encoding, kept
-  verbatim so old peers interoperate.  Pickle implies the usual trust
-  boundary: v1 is for localhost and trusted-cluster links only.
-* **v2** bodies use the tagged safe codec of :mod:`repro.net.codec`: a
-  closed value vocabulary (primitives, containers, and the registered frame
-  dataclasses) that never constructs arbitrary objects, so the ingress can
-  face untrusted clients.  v2 also adds the standing-query frames
-  (``SUBSCRIBE`` / ``SUBSCRIBED`` / ``UNSUBSCRIBE`` / ``PUSH``) and chunked
-  ``RESULT`` bodies (``RESULT_CHUNK``) for large relations.
+:class:`Connection` is the one definition of "a message on a socket".  It is
+sans-IO: bytes in -> complete logical frames out (:meth:`Connection.receive`),
+typed frames in -> bytes out (:meth:`Connection.send`); no sockets, no
+asyncio, no threads.  The blocking client, the asyncio client, the ingress
+and the worker transport are four thin drivers over it.  Its contract:
 
-The one exception is :attr:`FrameKind.OBJ` -- the worker transport's raw
-command tuples -- which stays pickled at every version: that link is
-token-authenticated and parent-spawned (see :mod:`repro.runtime.transport`).
+* :meth:`~Connection.receive` raises only
+  :class:`~repro.errors.WireFormatError` for anything a peer can put in the
+  bytes -- bad magic/version/kind/reserved bits, a kind outside the
+  connection's accept set (checked on the header, *before* the body is
+  touched: the client port accepts everything but ``OBJ``), an oversized
+  declared length, an undecodable or mistyped body, a ``RESULT_CHUNK`` slice
+  out of order -- plus :class:`EOFError` /
+  :class:`~repro.errors.TransportError` when handed ``b""`` (the peer closed
+  between frames / mid-frame).  After it raises, the stream cannot be
+  resynchronized: drop the socket.  A call is all-or-nothing: frames the
+  same read completed *before* the malformed one are not delivered either.
+* it buffers at most one unfinished frame (``HEADER_SIZE + max_frame``
+  bytes) and one unfinished chunked reply (the same bound again), whatever
+  the peer declares.
 
-Versions are negotiated in ``HELLO``: a client opens at v1 announcing
-``Hello.versions`` and upgrades iff the server's reply announces v2; servers
-always reply in the version the request arrived in, so an un-negotiated v1
-peer keeps working unchanged.
-
-The encode -> decode round-trip is the identity for every frame type at
-both versions (property-tested in ``tests/net/test_protocol.py`` and
+The encode -> decode round-trip is the identity for every frame type
+(property-tested in ``tests/net/test_protocol.py`` and
 ``tests/net/test_codec.py``).
 """
 
 from __future__ import annotations
 
 import enum
-import pickle
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Any, List, Optional, Tuple
 
 from repro.core.config import DgpmConfig
-from repro.errors import TransportError, WireFormatError
+from repro import errors
+from repro.errors import MutationBatchError, TransportError, WireFormatError
+from repro.graph.mutations import MutationOp
 from repro.graph.pattern import Pattern
+from repro.net import codec
 from repro.runtime.metrics import RunMetrics
 from repro.simulation.matchrel import MatchRelation
 
 MAGIC = b"RGSP"
-#: highest protocol version this build speaks (and the default for frames
-#: whose version is not chosen by negotiation, e.g. the worker transport)
+#: the one protocol version this build speaks; any other header version is
+#: refused with :class:`WireFormatError`
 PROTOCOL_VERSION = 2
-#: the legacy pickle encoding, still accepted and emitted for old peers
-PROTOCOL_V1 = 1
-SUPPORTED_VERSIONS = frozenset({PROTOCOL_V1, PROTOCOL_VERSION})
 
 #: 64 MiB -- generous for any relation this library produces, small enough
 #: that a garbled length field cannot make a peer allocate the moon
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
+
+#: what one driver read asks the OS for
+READ_SIZE = 64 * 1024
 
 _HEADER = struct.Struct(">4sBBHII")
 HEADER_SIZE = _HEADER.size
@@ -88,26 +98,41 @@ class FrameKind(enum.IntEnum):
     OUTCOMES = 7  # server -> client: stamped outcomes of a MUTATE
     STATS_REPLY = 8  # server -> client: the counters
     ERROR = 9  # server -> client: the request raised
-    OBJ = 10  # raw payload (the worker transport's command tuples)
-    SUBSCRIBE = 11  # client -> server: register a standing query (v2)
-    UNSUBSCRIBE = 12  # client -> server: cancel a standing query (v2)
-    PUSH = 13  # server -> client: stamped match delta for a subscription (v2)
+    OBJ = 10  # opaque bytes (the worker transport's pickled command tuples)
+    SUBSCRIBE = 11  # client -> server: register a standing query
+    UNSUBSCRIBE = 12  # client -> server: cancel a standing query
+    PUSH = 13  # server -> client: stamped match delta for a subscription
     SUBSCRIBED = 14  # server -> client: subscription ack (initial snapshot)
-    RESULT_CHUNK = 15  # server -> client: one slice of a chunked reply (v2)
+    RESULT_CHUNK = 15  # server -> client: one slice of a chunked reply
+
+
+_ALL_KINDS = frozenset(FrameKind)
+#: what the client port (and a client reading its server) lets past the
+#: header: every typed frame, never the worker link's opaque ``OBJ``
+CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}
+
+
+def _require(field: str, value: Any, expected: type) -> None:
+    """Refuse a frame field that is not what the wire contract says."""
+    if type(value) is not expected:
+        raise WireFormatError(
+            f"{field} must be {expected.__name__}, got {type(value).__name__}"
+        )
 
 
 @dataclass(frozen=True)
 class Hello:
     """Connection opener: who is speaking, and (for workers) their token.
 
-    ``versions`` announces every protocol version the sender can speak; the
-    field defaults to ``(1,)`` so a pickled v1 ``Hello`` from an old peer
-    decodes into an honest announcement.
+    On the client port it is an optional identity/liveness probe (the server
+    answers with its own ``Hello``); on a worker link it is the mandatory
+    first frame, carrying the spawn-time token the listener authenticates.
+    ``versions`` announces every protocol version the sender can speak.
     """
 
     role: str
     token: bytes = b""
-    versions: Tuple[int, ...] = (PROTOCOL_V1,)
+    versions: Tuple[int, ...] = (PROTOCOL_VERSION,)
 
 
 @dataclass(frozen=True)
@@ -123,14 +148,19 @@ class RunRequest:
 @dataclass(frozen=True)
 class MutateRequest:
     """Apply ``ops`` as one atomic batch (syntax of
-    :meth:`SimulationSession.apply`).
+    :meth:`SimulationSession.apply`); anything but a tuple of
+    :class:`~repro.graph.mutations.MutationOp` is refused at decode."""
 
-    Ops are :class:`~repro.graph.mutations.MutationOp` instances; the legacy
-    bare-tuple spelling is still accepted by the session layer (with a
-    :class:`DeprecationWarning`) and therefore on the wire too.
-    """
+    ops: Tuple[MutationOp, ...]
 
-    ops: Tuple[Any, ...]
+    def __post_init__(self) -> None:
+        _require("MutateRequest.ops", self.ops, tuple)
+        for op in self.ops:
+            if not isinstance(op, MutationOp):
+                raise WireFormatError(
+                    f"MutateRequest.ops carried a {type(op).__name__} "
+                    "(expected MutationOp instances)"
+                )
 
 
 @dataclass(frozen=True)
@@ -175,37 +205,60 @@ class StatsReply:
     partition: Any = None
 
 
+#: the exceptions an ``ERROR`` frame is rebuilt as, by class name: exactly
+#: the classes of :mod:`repro.errors`.  Any other server-side class reaches
+#: the caller as a :class:`TransportError` that names it.
+_ERROR_CLASSES = {
+    name: cls
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.ReproError)
+}
+
+
 @dataclass(frozen=True)
 class ErrorReply:
-    """A request failed; carries the exception for faithful re-raising.
+    """A request failed: the exception's class name and text, as codec values.
 
-    ``payload`` is the pickled exception (empty when it would not pickle);
-    ``kind`` its class name and ``message`` its text, so a client can always
-    report *something* even when the class is not importable on its side.
+    ``applied`` / ``failed_op`` / ``cause`` are set for a
+    :class:`~repro.errors.MutationBatchError` only: the stamped outcomes of
+    the applied prefix, the op that raised, and the underlying error.
     """
 
     message: str
     kind: str = "ReproError"
-    payload: bytes = field(default=b"", repr=False)
+    applied: Tuple[Any, ...] = ()
+    failed_op: Optional[MutationOp] = None
+    cause: Optional["ErrorReply"] = None
+
+    def __post_init__(self) -> None:
+        _require("ErrorReply.kind", self.kind, str)
+        _require("ErrorReply.applied", self.applied, tuple)
+        if self.cause is not None:
+            _require("ErrorReply.cause", self.cause, ErrorReply)
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorReply":
-        try:
-            payload = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            payload = b""
-        return cls(message=str(exc), kind=type(exc).__name__, payload=payload)
+        if not isinstance(exc, MutationBatchError):
+            return cls(message=str(exc), kind=type(exc).__name__)
+        return cls(
+            message=str(exc),
+            kind="MutationBatchError",
+            applied=tuple(exc.applied),
+            failed_op=exc.failed_op,
+            cause=None if exc.__cause__ is None else cls.from_exception(exc.__cause__),
+        )
 
     def to_exception(self) -> BaseException:
-        """The carried exception, or a :class:`TransportError` stand-in."""
-        if self.payload:
-            try:
-                exc = pickle.loads(self.payload)
-                if isinstance(exc, BaseException):
-                    return exc
-            except Exception:
-                pass
-        return TransportError(f"server error ({self.kind}): {self.message}")
+        """The carried exception, rebuilt by class name from the closed table
+        above (never from bytes the peer chose)."""
+        if self.kind == "MutationBatchError":
+            exc = MutationBatchError(self.message, list(self.applied), self.failed_op)
+            exc.__cause__ = None if self.cause is None else self.cause.to_exception()
+            return exc
+        cls = _ERROR_CLASSES.get(self.kind)
+        if cls is None:
+            return TransportError(f"server error ({self.kind}): {self.message}")
+        return cls(self.message)
 
 
 @dataclass(frozen=True)
@@ -266,19 +319,24 @@ class PushDelta:
 
 @dataclass(frozen=True)
 class ResultChunk:
-    """One slice of a chunked reply (v2 only).
+    """One slice of a chunked reply.
 
-    A reply whose encoded size exceeds the chunk threshold is sent as
+    A reply whose encoded size exceeds the sender's chunk size is sent as
     ``total`` consecutive ``RESULT_CHUNK`` frames sharing the request's
-    ``seq``; concatenating the payloads yields one complete encoded frame
-    (header included), which the client decodes as the real reply.  Chunking
-    keeps every wire frame small, so one huge relation cannot monopolize a
-    pipelined connection.
+    ``seq``, in ``index`` order; concatenating the payloads yields one
+    complete encoded frame (header included), which the receiver decodes as
+    the real reply.  Chunking keeps every wire frame small, so one huge
+    relation cannot monopolize a pipelined connection.
     """
 
     index: int
     total: int
     payload: bytes
+
+    def __post_init__(self) -> None:
+        _require("ResultChunk.index", self.index, int)
+        _require("ResultChunk.total", self.total, int)
+        _require("ResultChunk.payload", self.payload, bytes)
 
 
 FRAME_CLASSES = {
@@ -297,128 +355,75 @@ FRAME_CLASSES = {
     FrameKind.SUBSCRIBED: SubscribeReply,
     FrameKind.RESULT_CHUNK: ResultChunk,
 }
+#: what travels as what; ``bytes`` is an ``OBJ`` frame's opaque body
 _KIND_OF = {cls: kind for kind, cls in FRAME_CLASSES.items()}
+_KIND_OF[bytes] = FrameKind.OBJ
+
+#: one received logical frame: ``(kind, seq, payload)``
+Event = Tuple[FrameKind, int, Any]
 
 
 def kind_of(frame: Any) -> FrameKind:
-    """The :class:`FrameKind` a typed frame travels as."""
+    """The :class:`FrameKind` a typed frame (or an ``OBJ`` body) travels as."""
     kind = _KIND_OF.get(type(frame))
     if kind is None:
         raise WireFormatError(f"{type(frame).__name__} is not a protocol frame type")
     return kind
 
-#: kinds whose bodies stay pickled at *every* version: the worker transport's
-#: raw command tuples never face an untrusted peer (token-authenticated,
-#: parent-spawned links only), and their payloads are arbitrary objects the
-#: closed v2 vocabulary intentionally cannot express.
-PICKLE_KINDS = frozenset({FrameKind.OBJ})
-
 
 # ----------------------------------------------------------------------
-# encoding
+# one frame <-> bytes
 # ----------------------------------------------------------------------
-def _encode_body(kind: FrameKind, payload: Any, version: int) -> bytes:
-    """Encode one body with the codec its version mandates."""
-    if version not in SUPPORTED_VERSIONS:
-        raise WireFormatError(
-            f"cannot encode protocol version {version} "
-            f"(this side speaks {sorted(SUPPORTED_VERSIONS)})"
-        )
-    if version == PROTOCOL_V1 or kind in PICKLE_KINDS:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    from repro.net import codec
-
-    return codec.encode(payload)
-
-
-def encode_payload(
-    kind: FrameKind,
-    payload: Any,
-    seq: int = 0,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
-    """One wire-ready frame around an arbitrary payload object."""
-    body = _encode_body(FrameKind(kind), payload, version)
+def encode(frame: Any, seq: int = 0, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+    """One wire-ready frame (kind inferred from the frame's type)."""
+    kind = kind_of(frame)
+    body = frame if kind is FrameKind.OBJ else codec.encode(frame)
     if len(body) > max_frame:
         raise WireFormatError(
-            f"refusing to send a {len(body)}-byte {FrameKind(kind).name} "
-            f"frame (max {max_frame})"
+            f"refusing to send a {len(body)}-byte {kind.name} frame (max {max_frame})"
         )
-    header = _HEADER.pack(
-        MAGIC, version, int(kind), 0, seq & 0xFFFFFFFF, len(body)
-    )
-    return header + body
-
-
-def encode(
-    frame: Any,
-    seq: int = 0,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
-    """Encode one typed frame (kind inferred from the dataclass type)."""
-    return encode_payload(
-        kind_of(frame), frame, seq=seq, max_frame=max_frame, version=version
+    return (
+        _HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, 0, seq & 0xFFFFFFFF, len(body))
+        + body
     )
 
 
-# ----------------------------------------------------------------------
-# decoding
-# ----------------------------------------------------------------------
-def decode_header_ex(
-    header: bytes, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[int, FrameKind, int, int]:
-    """Validate a 16-byte header; returns ``(version, kind, seq, length)``."""
-    if len(header) != HEADER_SIZE:
-        raise WireFormatError(
-            f"truncated header: {len(header)} bytes (need {HEADER_SIZE})"
-        )
-    magic, version, kind, reserved, seq, length = _HEADER.unpack(header)
+def _header_at(
+    data: Any, pos: int, max_frame: int, accept: AbstractSet[FrameKind]
+) -> Tuple[FrameKind, int, int]:
+    """Validate the 16-byte header at ``data[pos:]``: ``(kind, seq, length)``."""
+    magic, version, kind, reserved, seq, length = _HEADER.unpack_from(data, pos)
     if magic != MAGIC:
         raise WireFormatError(f"bad magic {magic!r} (not a repro peer?)")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise WireFormatError(
-            f"protocol version {version} "
-            f"(this side speaks {sorted(SUPPORTED_VERSIONS)})"
+            f"protocol version {version} (this side speaks {PROTOCOL_VERSION})"
         )
     try:
         kind = FrameKind(kind)
     except ValueError:
         raise WireFormatError(f"unknown frame kind {kind}") from None
+    if kind not in accept:
+        raise WireFormatError(f"{kind.name} frames are not accepted on this connection")
     if reserved != 0:
         raise WireFormatError(f"reserved header bits set ({reserved:#x})")
     if length > max_frame:
         raise WireFormatError(
             f"oversized frame: {length} bytes declared (max {max_frame})"
         )
-    return version, kind, seq, length
-
-
-def decode_header(
-    header: bytes, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[FrameKind, int, int]:
-    """Validate a 16-byte header; returns ``(kind, seq, body_length)``."""
-    _, kind, seq, length = decode_header_ex(header, max_frame)
     return kind, seq, length
 
 
-def decode_body(kind: FrameKind, body: bytes, version: int = PROTOCOL_V1) -> Any:
-    """Decode a frame body (per its version) and type-check it for ``kind``."""
-    if version == PROTOCOL_V1 or kind in PICKLE_KINDS:
-        try:
-            payload = pickle.loads(body)
-        except Exception as exc:
-            raise WireFormatError(f"undecodable {kind.name} body: {exc!r}") from exc
-    else:
-        from repro.net import codec
-
-        try:
-            payload = codec.decode(body)
-        except WireFormatError as exc:
-            raise WireFormatError(f"undecodable {kind.name} body: {exc}") from exc
-    expected = FRAME_CLASSES.get(kind)
-    if expected is not None and not isinstance(payload, expected):
+def _decode_body(kind: FrameKind, body: bytes) -> Any:
+    """Decode a frame body and type-check it for ``kind``."""
+    if kind is FrameKind.OBJ:
+        return body
+    try:
+        payload = codec.decode(body)
+    except WireFormatError as exc:
+        raise WireFormatError(f"undecodable {kind.name} body: {exc}") from exc
+    expected = FRAME_CLASSES[kind]
+    if type(payload) is not expected:
         raise WireFormatError(
             f"{kind.name} frame carried a {type(payload).__name__} "
             f"(expected {expected.__name__})"
@@ -426,119 +431,152 @@ def decode_body(kind: FrameKind, body: bytes, version: int = PROTOCOL_V1) -> Any
     return payload
 
 
-def decode(data: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> Tuple[Any, int]:
+def decode(
+    data: bytes,
+    max_frame: int = DEFAULT_MAX_FRAME,
+    accept: AbstractSet[FrameKind] = _ALL_KINDS,
+) -> Tuple[Any, int]:
     """Decode exactly one whole frame from ``data``; returns ``(frame, seq)``.
 
     Trailing bytes beyond the declared length are rejected (stream framing
     never produces them; their presence means the framing is lost).
     """
-    version, kind, seq, length = decode_header_ex(data[:HEADER_SIZE], max_frame)
-    body = data[HEADER_SIZE:]
-    if len(body) < length:
+    if len(data) < HEADER_SIZE:
         raise WireFormatError(
-            f"truncated frame: {len(body)} of {length} body bytes present"
+            f"truncated header: {len(data)} bytes (need {HEADER_SIZE})"
         )
-    if len(body) > length:
-        raise WireFormatError(
-            f"{len(body) - length} stray bytes after a {kind.name} frame"
-        )
-    return decode_body(kind, body, version), seq
+    kind, seq, length = _header_at(data, 0, max_frame, accept)
+    have = len(data) - HEADER_SIZE
+    if have < length:
+        raise WireFormatError(f"truncated frame: {have} of {length} body bytes present")
+    if have > length:
+        raise WireFormatError(f"{have - length} stray bytes after a {kind.name} frame")
+    return _decode_body(kind, data[HEADER_SIZE:]), seq
 
 
 # ----------------------------------------------------------------------
-# stream adapters (blocking socket / asyncio)
+# the framer
 # ----------------------------------------------------------------------
-def _recv_exactly(sock, n: int) -> bytes:
-    """Read exactly ``n`` bytes from a blocking socket.
+class Connection:
+    """Sans-IO state of one socket: see the module docstring for the contract.
 
-    A clean close before any byte raises :class:`EOFError` (matching
-    ``multiprocessing.Connection``, so dead-peer handling is shared with the
-    pipe transport); a close mid-frame raises :class:`TransportError`.
+    ``accept`` is the set of kinds let past the header; ``chunk_size``, when
+    set, makes :meth:`send` slice any larger frame into ``RESULT_CHUNK``
+    frames (only the ingress sets it).
     """
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            if got == 0:
-                raise EOFError("peer closed the connection")
-            raise TransportError(f"peer closed mid-frame ({got} of {n} bytes read)")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
 
+    def __init__(
+        self,
+        accept: AbstractSet[FrameKind] = CLIENT_PORT_KINDS,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        chunk_size: Optional[int] = None,
+    ) -> None:
+        self._accept = accept
+        self._max_frame = max_frame
+        self._chunk_size = chunk_size
+        self._seq = 0
+        self._buf = bytearray()
+        #: the chunked reply being reassembled and the ``(seq, total, index)``
+        #: its next slice must carry; the sender writes one reply's slices as
+        #: a unit, so there is at most one and its slices are consecutive
+        self._chunks = bytearray()
+        self._due: Optional[Tuple[int, int, int]] = None
 
-def read_frame_ex(
-    sock, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[int, FrameKind, int, Any]:
-    """Read one frame from a blocking socket: ``(version, kind, seq, payload)``."""
-    version, kind, seq, length = decode_header_ex(
-        _recv_exactly(sock, HEADER_SIZE), max_frame
-    )
-    body = _recv_exactly(sock, length) if length else b""
-    return version, kind, seq, decode_body(kind, body, version)
+    @property
+    def buffered(self) -> int:
+        """Bytes held of a frame whose end has not arrived yet."""
+        return len(self._buf)
 
+    def next_seq(self) -> int:
+        """The next request seq: 32 bits, never 0 (the error filler)."""
+        self._seq = self._seq % 0xFFFFFFFF + 1
+        return self._seq
 
-def read_frame(sock, max_frame: int = DEFAULT_MAX_FRAME) -> Tuple[FrameKind, int, Any]:
-    """Read one frame from a blocking socket: ``(kind, seq, payload)``."""
-    _, kind, seq, payload = read_frame_ex(sock, max_frame)
-    return kind, seq, payload
+    def send(self, frame: Any, seq: int = 0) -> bytes:
+        """The bytes that carry ``frame`` (a typed frame, or ``bytes`` for an
+        ``OBJ`` body) under ``seq``."""
+        data = encode(frame, seq, self._max_frame)
+        size = self._chunk_size
+        if size is None or len(data) <= size:
+            return data
+        # The complete encoded frame (header included), sliced; the caller
+        # writes the slices as one unit so nothing interleaves with them.
+        total = -(-len(data) // size)
+        return b"".join(
+            encode(
+                ResultChunk(index, total, data[index * size : (index + 1) * size]),
+                seq,
+                self._max_frame,
+            )
+            for index in range(total)
+        )
 
+    def receive(self, data: bytes) -> List[Event]:
+        """Feed what one read returned; the logical frames it completed.
 
-def write_frame(
-    sock,
-    kind: FrameKind,
-    payload: Any,
-    seq: int = 0,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    version: int = PROTOCOL_VERSION,
-) -> None:
-    """Send one frame on a blocking socket."""
-    sock.sendall(
-        encode_payload(kind, payload, seq=seq, max_frame=max_frame, version=version)
-    )
+        ``b""`` means the peer closed: :class:`EOFError` between frames,
+        :class:`TransportError` mid-frame.
+        """
+        if not data:
+            if self._buf or self._due is not None:
+                raise TransportError(
+                    f"peer closed mid-frame ({len(self._buf)} bytes of an "
+                    "unfinished frame read)"
+                )
+            raise EOFError("peer closed the connection")
+        src: Any = data
+        if self._buf:
+            self._buf += data
+            src = self._buf
+        events: List[Event] = []
+        pos, size = 0, len(src)
+        with memoryview(src) as view:
+            while size - pos >= HEADER_SIZE:
+                kind, seq, length = _header_at(src, pos, self._max_frame, self._accept)
+                end = pos + HEADER_SIZE + length
+                if end > size:
+                    break
+                payload = _decode_body(kind, bytes(view[pos + HEADER_SIZE : end]))
+                pos = end
+                if kind is FrameKind.RESULT_CHUNK or self._due is not None:
+                    event = self._reassemble(kind, seq, payload)
+                    if event is not None:
+                        events.append(event)
+                else:
+                    events.append((kind, seq, payload))
+        if src is self._buf:
+            del self._buf[:pos]
+        elif pos < size:
+            self._buf += data[pos:]
+        return events
 
-
-async def read_frame_async_ex(
-    reader, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[int, FrameKind, int, Any]:
-    """Read one frame from an :class:`asyncio.StreamReader` (with version).
-
-    Raises :class:`EOFError` on a clean close between frames and
-    :class:`TransportError` on a close mid-frame, like :func:`read_frame`.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError("peer closed the connection") from None
-        raise TransportError(
-            f"peer closed mid-header ({len(exc.partial)} of {HEADER_SIZE} "
-            "bytes read)"
-        ) from exc
-    version, kind, seq, length = decode_header_ex(header, max_frame)
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise TransportError(
-                f"peer closed mid-frame ({len(exc.partial)} of {length} "
-                "body bytes read)"
-            ) from exc
-    else:
-        body = b""
-    return version, kind, seq, decode_body(kind, body, version)
-
-
-async def read_frame_async(
-    reader, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[FrameKind, int, Any]:
-    """Read one frame from an :class:`asyncio.StreamReader`.
-
-    Raises :class:`EOFError` on a clean close between frames and
-    :class:`TransportError` on a close mid-frame, like :func:`read_frame`.
-    """
-    _, kind, seq, payload = await read_frame_async_ex(reader, max_frame)
-    return kind, seq, payload
+    def _reassemble(self, kind: FrameKind, seq: int, chunk: Any) -> Optional[Event]:
+        """Fold one frame into the chunked reply in progress."""
+        if kind is not FrameKind.RESULT_CHUNK:
+            raise WireFormatError(
+                f"a {kind.name} frame interleaved inside a chunked reply"
+            )
+        due = self._due or (seq, chunk.total, 0)
+        if (seq, chunk.total, chunk.index) != due or chunk.total < 1:
+            raise WireFormatError(
+                f"chunk {chunk.index}/{chunk.total} (seq {seq}) where "
+                f"{due[2]}/{due[1]} (seq {due[0]}) was due"
+            )
+        if len(self._chunks) + len(chunk.payload) > HEADER_SIZE + self._max_frame:
+            raise WireFormatError(
+                f"chunked reply exceeds {HEADER_SIZE + self._max_frame} bytes"
+            )
+        self._chunks += chunk.payload
+        if chunk.index + 1 < chunk.total:
+            self._due = (seq, chunk.total, chunk.index + 1)
+            return None
+        data, self._chunks, self._due = bytes(self._chunks), bytearray(), None
+        inner, inner_seq = decode(
+            data, self._max_frame, self._accept - {FrameKind.RESULT_CHUNK}
+        )
+        if inner_seq != seq:
+            raise WireFormatError(
+                f"chunked reply reassembled with seq {inner_seq} "
+                f"(its slices carried {seq})"
+            )
+        return kind_of(inner), seq, inner

@@ -19,14 +19,20 @@ Concurrency model
 * Query futures from ``submit()`` are awaited with
   :func:`asyncio.wrap_future`; mutation batches and stats snapshots (which
   block on the writer protocol) run through the loop's default thread-pool
-  executor.  The event loop only ever parses frames and pickles replies.
-* Per-request failures travel back as ``ERROR`` frames carrying the pickled
-  exception; the connection stays usable.  Only a framing violation (bad
-  magic, oversized length...) hangs up, because byte-stream framing cannot
-  be resynchronized.
+  executor.  The event loop only ever parses frames and encodes replies.
+* Per-request failures travel back as ``ERROR`` frames carrying the
+  exception's class name and message as codec values; the connection stays
+  usable.  Only a framing violation (bad magic, a version other than 2, an
+  ``OBJ`` header, oversized length...) earns one ``ERROR`` and a hang-up,
+  because byte-stream framing cannot be resynchronized; requests from
+  earlier reads are still answered before the hang-up, requests that
+  arrived in the same read as the violation are not served.
+* Bytes become frames in one place, the connection's
+  :class:`~repro.net.protocol.Connection`; its accept set excludes ``OBJ``
+  on the header, so nothing arriving on this port is ever unpickled.
 
-Standing queries (protocol v2)
-------------------------------
+Standing queries
+----------------
 
 A ``SUBSCRIBE`` frame registers its query with the serving stack's
 subscription registry (:meth:`ConcurrentSessionServer.subscribe`).  The
@@ -37,8 +43,8 @@ queue drained by a dedicated writer task into ``PUSH`` frames that share
 the ``SUBSCRIBE`` frame's ``seq``.  A subscriber that falls further behind
 than its declared buffer is *lapsed*: dropped from the registry, with one
 final ``PushDelta(lapsed=True)``.  Closing the connection unsubscribes
-everything it registered.  Replies on v2 connections whose encoded size
-exceeds :data:`CHUNK_SIZE` travel as consecutive ``RESULT_CHUNK`` slices.
+everything it registered.  Replies whose encoded size exceeds
+:data:`CHUNK_SIZE` travel as consecutive ``RESULT_CHUNK`` slices.
 
 Graceful shutdown: :meth:`aclose` stops accepting, lets every in-flight
 request finish and flush its reply (bounded by ``drain_timeout``), then
@@ -54,16 +60,24 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ReproError, TransportError, WireFormatError
 from repro.net import protocol
-from repro.net.protocol import DEFAULT_MAX_FRAME, FrameKind
+from repro.net.protocol import (
+    DEFAULT_MAX_FRAME,
+    READ_SIZE,
+    Connection,
+    ErrorReply,
+    FrameKind,
+)
 from repro.session.concurrent import ConcurrentSessionServer
 
-#: replies whose encoded frame exceeds this are sliced into RESULT_CHUNK
-#: frames (v2 connections only; v1 has no chunk kind)
+#: replies whose encoded frame exceeds this are sliced into RESULT_CHUNK frames
 CHUNK_SIZE = 512 * 1024
+
+#: one connection's ``reply(seq, frame)``: frames it and writes it whole
+_Reply = Callable[[int, object], Awaitable[None]]
 
 
 class _SubState:
@@ -160,12 +174,6 @@ class NetworkSessionServer:
         )
         return self.address
 
-    async def serve_forever(self) -> None:
-        """Block serving until cancelled (:meth:`start` first)."""
-        if self._aio_server is None:
-            await self.start()
-        await self._aio_server.serve_forever()
-
     async def aclose(self) -> None:
         """Graceful shutdown: stop accepting, drain in-flight work, hang up."""
         if self._closing:
@@ -209,42 +217,42 @@ class NetworkSessionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
+        conn = Connection(max_frame=self._max_frame, chunk_size=CHUNK_SIZE)
         write_lock = asyncio.Lock()  # replies from parallel tasks interleave
         inflight: Set[asyncio.Task] = set()
         subs: Dict[int, _SubState] = {}
+
+        async def reply(seq: int, frame: object) -> None:
+            # One write per reply: the slices of a chunked reply leave as a
+            # unit, so they never interleave with other replies.
+            data = conn.send(frame, seq)
+            async with write_lock:
+                writer.write(data)
+                await writer.drain()
+
         try:
-            while True:
+            goodbye = False
+            while not goodbye:
                 try:
-                    version, kind, seq, frame = await protocol.read_frame_async_ex(
-                        reader, self._max_frame
-                    )
+                    events = conn.receive(await reader.read(READ_SIZE))
                 except (EOFError, ConnectionError):
                     break
                 except (WireFormatError, TransportError) as exc:
-                    # Framing is lost; report once (seq 0, v1: the safe
-                    # guess when the bad header's version is unreadable)
-                    # and hang up.
+                    # Framing is lost; report once (seq 0) and hang up.
                     with contextlib.suppress(Exception):
-                        await self._reply(
-                            writer,
-                            write_lock,
-                            0,
-                            FrameKind.ERROR,
-                            protocol.ErrorReply.from_exception(exc),
-                            protocol.PROTOCOL_V1,
-                        )
+                        await reply(0, ErrorReply.from_exception(exc))
                     break
-                if kind == FrameKind.BYE:
-                    break
-                task = asyncio.create_task(
-                    self._dispatch(
-                        version, kind, seq, frame, writer, write_lock, subs
+                for kind, seq, frame in events:
+                    if kind == FrameKind.BYE:
+                        goodbye = True
+                        break
+                    task = asyncio.create_task(
+                        self._dispatch(kind, seq, frame, reply, subs)
                     )
-                )
-                inflight.add(task)
-                self._requests.add(task)
-                task.add_done_callback(inflight.discard)
-                task.add_done_callback(self._requests.discard)
+                    inflight.add(task)
+                    self._requests.add(task)
+                    task.add_done_callback(inflight.discard)
+                    task.add_done_callback(self._requests.discard)
             if inflight:
                 # A goodbye (or EOF) after pipelined requests: finish them
                 # and flush their replies before hanging up.
@@ -261,54 +269,16 @@ class NetworkSessionServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        seq: int,
-        kind: FrameKind,
-        frame,
-        version: int,
-    ) -> None:
-        data = protocol.encode_payload(
-            kind, frame, seq=seq, max_frame=self._max_frame, version=version
-        )
-        if version != protocol.PROTOCOL_V1 and len(data) > CHUNK_SIZE:
-            # Slice the complete encoded frame (header included) into
-            # consecutive RESULT_CHUNK frames sharing the request's seq;
-            # the write lock spans the whole set so chunks never interleave
-            # with other replies.
-            slices = [
-                data[i : i + CHUNK_SIZE] for i in range(0, len(data), CHUNK_SIZE)
-            ]
-            async with write_lock:
-                for index, payload in enumerate(slices):
-                    writer.write(
-                        protocol.encode_payload(
-                            FrameKind.RESULT_CHUNK,
-                            protocol.ResultChunk(index, len(slices), payload),
-                            seq=seq,
-                            max_frame=self._max_frame,
-                            version=version,
-                        )
-                    )
-                    await writer.drain()
-            return
-        async with write_lock:
-            writer.write(data)
-            await writer.drain()
-
     async def _dispatch(
         self,
-        version: int,
         kind: FrameKind,
         seq: int,
         frame,
-        writer,
-        write_lock,
+        send: _Reply,
         subs: Dict[int, _SubState],
     ) -> None:
         loop = asyncio.get_running_loop()
+        reply: object
         try:
             if kind == FrameKind.RUN:
                 result = await asyncio.wrap_future(
@@ -316,7 +286,6 @@ class NetworkSessionServer:
                         frame.query, algorithm=frame.algorithm, config=frame.config
                     )
                 )
-                reply_kind = FrameKind.RESULT
                 reply = protocol.RunReply(
                     relation=result.relation,
                     metrics=result.metrics,
@@ -326,7 +295,6 @@ class NetworkSessionServer:
                 outcomes = await loop.run_in_executor(
                     None, self._server.apply, list(frame.ops)
                 )
-                reply_kind = FrameKind.OUTCOMES
                 reply = protocol.MutateReply(outcomes=tuple(outcomes))
             elif kind == FrameKind.STATS:
                 # The cut-quality snapshot takes the server's read lock (it
@@ -335,7 +303,6 @@ class NetworkSessionServer:
                 partition = await loop.run_in_executor(
                     None, self._server.partition_snapshot
                 )
-                reply_kind = FrameKind.STATS_REPLY
                 reply = protocol.StatsReply(
                     stats=self._server.stats,
                     stamp=self._server.stamp,
@@ -344,52 +311,28 @@ class NetworkSessionServer:
                     partition=partition,
                 )
             elif kind == FrameKind.HELLO:
-                reply_kind = FrameKind.HELLO
-                reply = protocol.Hello(
-                    role="server",
-                    versions=tuple(sorted(protocol.SUPPORTED_VERSIONS)),
-                )
+                reply = protocol.Hello(role="server")
             elif kind == FrameKind.SUBSCRIBE:
-                if version == protocol.PROTOCOL_V1:
-                    raise WireFormatError(
-                        "SUBSCRIBE requires protocol v2 (negotiate in HELLO)"
-                    )
-                reply_kind = FrameKind.SUBSCRIBED
-                reply = await self._subscribe(
-                    loop, seq, frame, writer, write_lock, subs, version
-                )
+                reply = await self._subscribe(loop, seq, frame, send, subs)
             elif kind == FrameKind.UNSUBSCRIBE:
-                if version == protocol.PROTOCOL_V1:
-                    raise WireFormatError(
-                        "UNSUBSCRIBE requires protocol v2 (negotiate in HELLO)"
-                    )
                 self._server.unsubscribe(frame.sub_id)
                 state = subs.pop(frame.sub_id, None)
                 if state is not None and state.task is not None:
                     state.task.cancel()
-                reply_kind = FrameKind.SUBSCRIBED
                 reply = protocol.SubscribeReply(
                     sub_id=frame.sub_id, stamp=self._server.stamp, relation=None
                 )
             else:
                 raise WireFormatError(f"clients may not send {kind.name} frames")
         except Exception as exc:
-            reply_kind = FrameKind.ERROR
-            reply = protocol.ErrorReply.from_exception(exc)
+            reply = ErrorReply.from_exception(exc)
         try:
-            await self._reply(writer, write_lock, seq, reply_kind, reply, version)
+            await send(seq, reply)
         except WireFormatError as exc:
             # The reply itself would not frame (e.g. oversized relation):
             # tell the client *why* instead of leaving its future pending.
             with contextlib.suppress(Exception):
-                await self._reply(
-                    writer,
-                    write_lock,
-                    seq,
-                    FrameKind.ERROR,
-                    protocol.ErrorReply.from_exception(exc),
-                    version,
-                )
+                await send(seq, ErrorReply.from_exception(exc))
         except (ConnectionError, OSError):
             pass  # client left before its answer; nothing to tell it
 
@@ -401,10 +344,8 @@ class NetworkSessionServer:
         loop: asyncio.AbstractEventLoop,
         seq: int,
         frame: "protocol.SubscribeRequest",
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        send: _Reply,
         subs: Dict[int, _SubState],
-        version: int,
     ) -> "protocol.SubscribeReply":
         """Register with the serving stack and wire up the push pipeline."""
         state = _SubState(seq, frame.buffer)
@@ -424,9 +365,7 @@ class NetworkSessionServer:
         )
         state.sub_id = sub_id
         subs[sub_id] = state
-        state.task = asyncio.create_task(
-            self._push_writer(state, writer, write_lock, version)
-        )
+        state.task = asyncio.create_task(self._push_writer(state, send))
         self._requests.add(state.task)
         state.task.add_done_callback(self._requests.discard)
         return protocol.SubscribeReply(
@@ -460,20 +399,12 @@ class NetworkSessionServer:
                 protocol.PushDelta(sub_id=sub_id, stamp=stamp, lapsed=True)
             )
 
-    async def _push_writer(
-        self,
-        state: _SubState,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        version: int,
-    ) -> None:
+    async def _push_writer(self, state: _SubState, send: _Reply) -> None:
         """Drain one subscription's delta queue into PUSH frames."""
         try:
             while True:
                 delta = await state.queue.get()
-                await self._reply(
-                    writer, write_lock, state.seq, FrameKind.PUSH, delta, version
-                )
+                await send(state.seq, delta)
                 if delta.lapsed:
                     break
         except asyncio.CancelledError:
@@ -501,8 +432,7 @@ class ThreadedNetworkServer:
         self.ingress: Optional[NetworkSessionServer] = None
         self.address: Optional[Tuple[str, int]] = None
         self._thread = threading.Thread(
-            target=self._run,
-            args=(source, kwargs),
+            target=lambda: asyncio.run(self._main(source, kwargs)),
             daemon=True,
             name="repro-net-server",
         )
@@ -512,9 +442,6 @@ class ThreadedNetworkServer:
             raise self._startup_error
         if self.address is None:
             raise TransportError("network server failed to start within 60s")
-
-    def _run(self, source, kwargs) -> None:
-        asyncio.run(self._main(source, kwargs))
 
     async def _main(self, source, kwargs) -> None:
         try:

@@ -5,7 +5,7 @@ These are the quantities the paper's x-axes sweep (``|F|``, ``|Vf|/|V|``,
 cut-quality figures the cost model (Section 6, Fig 6) is driven by: the
 total boundary size ``Σ |Fi.O| + |Fi.I|`` (message volume and watcher-table
 size scale with it) and the fragment imbalance that bounds the slowest
-site's work.  :class:`PartitionStats` crosses the v2 wire inside the
+site's work.  :class:`PartitionStats` crosses the wire inside the
 ``stats()`` reply, so keep it a flat frozen dataclass of primitives.
 """
 

@@ -17,7 +17,7 @@ from repro.simulation.matchrel import MatchRelation
 class RunMetrics:
     """Metered performance of one distributed run.
 
-    Frozen: instances live in the session's result cache and are pickled
+    Frozen: instances live in the session's result cache and are encoded
     inside RunReply frames, so every cache hit and every reply future hands
     the same object to another caller.  Derive variants with
     ``dataclasses.replace``.

@@ -26,30 +26,67 @@ A worker process is spawned with a picklable *channel spec* and calls
 
 * ``("pipe", connection)`` -- the classic same-host channel;
 * ``("tcp", (host, port, token))`` -- dial the parent's
-  :class:`SocketListener` and authenticate with the per-worker token (sent
-  as the first object on the wire); the parent's
+  :class:`SocketListener` and authenticate with the per-worker token (a
+  codec-encoded ``HELLO``, the first frame on the wire); the parent's
   :meth:`SocketListener.accept_worker` matches tokens to worker slots, so
   arrival order never matters.
+
+Trust boundary
+--------------
+
+Worker commands are arbitrary Python objects, so ``OBJ`` frame bodies are
+pickled -- here and nowhere else in the wire path.  :meth:`SocketTransport.recv`
+holds the only ``pickle.loads``, and the listener hands out a
+:class:`SocketTransport` only after the peer's ``HELLO`` token passed
+``hmac.compare_digest``: nothing a stranger sends is ever unpickled.  The
+``pickle-confined`` analyzer rule pins the load to that method; the
+stranger probes in ``tests/runtime/test_transport.py`` show the ordering.
 """
 
 from __future__ import annotations
 
+import hmac
 import os
+import pickle
 import random
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    AbstractSet,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import TransportError, WireFormatError
-from repro.net.protocol import DEFAULT_MAX_FRAME, FrameKind, read_frame, write_frame
+from repro.net.protocol import (
+    CLIENT_PORT_KINDS,
+    DEFAULT_MAX_FRAME,
+    READ_SIZE,
+    Connection,
+    Event,
+    FrameKind,
+    Hello,
+    encode,
+)
 
 #: the worker channels this module can realize (shared by every spawner)
 TRANSPORTS = ("pipe", "tcp")
 
-#: handshake preamble a TCP worker sends right after connecting
-_HELLO = "repro-worker"
+#: what a worker link's framer lets past the header: the dialer's opening
+#: ``HELLO`` while it is still a stranger, ``OBJ`` only once authenticated
+_HANDSHAKE_KINDS = frozenset({FrameKind.HELLO})
+_LINK_KINDS = frozenset({FrameKind.OBJ})
+#: how long one dialer gets to deliver its whole ``HELLO``: a silent or
+#: byte-dripping stranger costs the accept loop this much, not its deadline
+HANDSHAKE_TIMEOUT_S = 2.0
 
 
 class Transport:
@@ -90,36 +127,72 @@ class PipeTransport(Transport):
         return f"PipeTransport({self.conn!r})"
 
 
-class SocketTransport(Transport):
-    """A TCP stream speaking OBJ frames of the shared wire protocol."""
+class FrameSocket:
+    """The blocking driver of the wire: one socket, the
+    :class:`~repro.net.protocol.Connection` that frames it, and the frames
+    already read but not yet handed out.  The blocking client, its
+    subscriptions and the worker link below are all this, plus policy."""
 
-    def __init__(self, sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME):
+    def __init__(
+        self,
+        sock: socket.socket,
+        accept: AbstractSet[FrameKind] = CLIENT_PORT_KINDS,
+        max_frame: int = DEFAULT_MAX_FRAME,
+    ) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)  # blocking, like a pipe
-        self._sock = sock
-        self._max_frame = max_frame
+        self.sock = sock
+        self.conn = Connection(accept, max_frame)
+        self._events: Deque[Event] = deque()
 
-    def send(self, obj) -> None:
-        write_frame(self._sock, FrameKind.OBJ, obj, max_frame=self._max_frame)
+    def send(self, frame: object, seq: int = 0) -> None:
+        self.sock.sendall(self.conn.send(frame, seq))
 
-    def recv(self):
-        kind, _seq, payload = read_frame(self._sock, self._max_frame)
-        if kind != FrameKind.OBJ:
-            raise WireFormatError(
-                f"worker transport received a {kind.name} frame (OBJ only)"
-            )
-        return payload
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+    def recv(self) -> Event:
+        """The next logical frame; :class:`EOFError` once the peer has closed."""
+        while not self._events:
+            self._events.extend(self.conn.receive(self.sock.recv(READ_SIZE)))
+        return self._events.popleft()
 
     @property
-    def peer(self) -> Tuple[str, int]:
-        return self._sock.getpeername()
+    def drained(self) -> bool:
+        """Nothing has been read past the frames :meth:`recv` handed out."""
+        return not self._events and not self.conn.buffered
+
+    def close(self) -> None:
+        # shutdown() wakes a recv() blocked on another thread; close() alone
+        # interrupts nothing.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
+
+
+class SocketTransport(Transport):
+    """An authenticated TCP stream of ``OBJ`` frames carrying pickles.
+
+    Built by :func:`connect_worker` (the worker dialing its parent) and by
+    :meth:`SocketListener.accept_worker` (the parent, once the token
+    matched) -- never around a socket whose peer is unknown.
+    """
+
+    def __init__(self, sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME):
+        sock.settimeout(None)  # blocking, like a pipe
+        self._sock = sock
+        self._link = FrameSocket(sock, _LINK_KINDS, max_frame)
+
+    def send(self, obj) -> None:
+        self._link.send(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def recv(self):
+        _kind, _seq, body = self._link.recv()
+        try:
+            return pickle.loads(body)
+        except Exception as exc:
+            raise WireFormatError(f"undecodable OBJ body: {exc!r}") from exc
+
+    def close(self) -> None:
+        self._link.close()
 
     def __repr__(self) -> str:
         try:
@@ -137,6 +210,8 @@ class SocketListener:
     one fresh random secret per expected worker -- are the spawn-time secret
     shared with each worker; an unknown or replayed token is refused and the
     connection dropped, so a stray client cannot slip into a worker slot.
+    The handshake reads exactly one codec-encoded ``HELLO`` (the only kind
+    its framer accepts), so a stranger's bytes are parsed, never unpickled.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 16):
@@ -171,20 +246,11 @@ class SocketListener:
                 conn, _addr = self._sock.accept()
             except socket.timeout:
                 continue
-            transport = SocketTransport(conn, max_frame=max_frame)
-            try:
-                hello = transport.recv()
-            except (EOFError, OSError, TransportError, WireFormatError):
-                transport.close()
-                continue
-            if (
-                isinstance(hello, tuple)
-                and len(hello) == 2
-                and hello[0] == _HELLO
-                and hello[1] in expected
-            ):
-                return expected.pop(hello[1]), transport
-            transport.close()  # wrong secret / not a worker: refuse the slot
+            budget = min(deadline - time.monotonic(), HANDSHAKE_TIMEOUT_S)
+            token = _authenticated_token(conn, expected, max_frame, budget)
+            if token is not None:
+                return expected.pop(token), SocketTransport(conn, max_frame)
+            conn.close()  # wrong secret / not a worker: refuse the slot
 
     def accept_workers(
         self,
@@ -215,6 +281,36 @@ class SocketListener:
         self.close()
 
 
+def _authenticated_token(
+    sock: socket.socket, expected: Iterable[bytes], max_frame: int, timeout: float
+) -> Optional[bytes]:
+    """The member of ``expected`` a dialer's opening ``HELLO`` carries, or
+    None for a stranger -- which anyone still short of a whole frame after
+    ``timeout`` seconds is.
+
+    Exactly one frame and not a byte more: the worker says nothing further
+    until the parent has spoken, so trailing bytes mark a stranger too.
+    """
+    conn = Connection(_HANDSHAKE_KINDS, max_frame)
+    deadline = time.monotonic() + timeout
+    events: List[Event] = []
+    try:
+        while not events:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            sock.settimeout(remaining)
+            events = conn.receive(sock.recv(READ_SIZE))
+    except (EOFError, OSError, TransportError, WireFormatError):
+        return None
+    hello = events[0][2]
+    if len(events) > 1 or conn.buffered or hello.role != "worker":
+        return None
+    if type(hello.token) is not bytes:
+        return None
+    return next((t for t in expected if hmac.compare_digest(t, hello.token)), None)
+
+
 def connect_worker(
     address: Tuple[str, int],
     token: bytes,
@@ -224,11 +320,10 @@ def connect_worker(
     """Worker side: dial the parent's listener and authenticate."""
     try:
         sock = socket.create_connection(address, timeout=timeout)
+        sock.sendall(encode(Hello(role="worker", token=token)))
     except OSError as exc:
         raise TransportError(f"cannot reach parent at {address}: {exc}") from exc
-    transport = SocketTransport(sock, max_frame=max_frame)
-    transport.send((_HELLO, token))
-    return transport
+    return SocketTransport(sock, max_frame=max_frame)
 
 
 def open_worker_transport(channel) -> Transport:

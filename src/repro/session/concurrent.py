@@ -82,7 +82,6 @@ from repro.graph.mutations import (
     DeleteEdge,
     InsertEdge,
     MutationOp,
-    OpLike,
     RemoveNode,
     normalize_ops,
 )
@@ -581,7 +580,7 @@ class ConcurrentSessionServer:
         """Cut-quality statistics of the currently served fragmentation.
 
         Taken under the read lock, so the snapshot never interleaves with a
-        mutation batch or a rebalance; the v2 wire ``stats()`` reply carries
+        mutation batch or a rebalance; the wire ``stats()`` reply carries
         this object.
         """
         self._check_open()
@@ -1206,7 +1205,7 @@ class ConcurrentSessionServer:
         """Remove ``node`` with every incident edge; blocks until applied."""
         return self._mutate([RemoveNode(node)])[0]
 
-    def apply(self, updates: Sequence[OpLike]) -> List[StampedOutcome]:
+    def apply(self, updates: Sequence[MutationOp]) -> List[StampedOutcome]:
         """Apply a batch of updates in one quiescent point.
 
         While the batch applies, no query runs -- a successful batch is
@@ -1218,8 +1217,7 @@ class ConcurrentSessionServer:
         the failing update plus the stamped outcomes of the applied prefix;
         readers then observe the prefix state.  Update syntax matches
         :meth:`SimulationSession.apply`: typed
-        :class:`~repro.graph.mutations.MutationOp` values, with legacy
-        tuples accepted under a :class:`DeprecationWarning`.
+        :class:`~repro.graph.mutations.MutationOp` values.
         """
         return self._mutate(normalize_ops(updates))
 

@@ -96,7 +96,7 @@ from repro.graph.mutations import (
     AddNode,
     DeleteEdge,
     InsertEdge,
-    OpLike,
+    MutationOp,
     RemoveNode,
     normalize_op,
 )
@@ -670,12 +670,8 @@ ConcurrentSessionServer` provides.
         """
         return self._absorb(self.fragmentation.remove_node, node)
 
-    def apply_op(self, op: OpLike) -> MutationOutcome:
-        """Apply one typed :class:`~repro.graph.mutations.MutationOp`.
-
-        Legacy tuples (``("delete", u, v)`` and friends) are still accepted,
-        with a :class:`DeprecationWarning`.
-        """
+    def apply_op(self, op: MutationOp) -> MutationOutcome:
+        """Apply one typed :class:`~repro.graph.mutations.MutationOp`."""
         op = normalize_op(op)
         if isinstance(op, DeleteEdge):
             return self.delete_edge(op.u, op.v)
@@ -690,15 +686,14 @@ ConcurrentSessionServer` provides.
             "(known: delete, insert, add_node, remove_node)"
         )
 
-    def apply(self, updates: Sequence[OpLike]) -> List[MutationOutcome]:
+    def apply(self, updates: Sequence[MutationOp]) -> List[MutationOutcome]:
         """Apply a batch of updates in order; one outcome per update.
 
         Each update is a :class:`~repro.graph.mutations.MutationOp`
         (:class:`~repro.graph.mutations.InsertEdge`,
         :class:`~repro.graph.mutations.DeleteEdge`,
         :class:`~repro.graph.mutations.AddNode`, or
-        :class:`~repro.graph.mutations.RemoveNode`); the pre-typed tuple
-        spellings remain accepted under a :class:`DeprecationWarning`.
+        :class:`~repro.graph.mutations.RemoveNode`).
         """
         return [self.apply_op(update) for update in updates]
 

@@ -11,6 +11,7 @@ from repro.analysis.checkers.drivers import DriverRegistryChecker
 from repro.analysis.checkers.frozen import CrossingType, FrozenCrossingChecker
 from repro.analysis.checkers.lazynumpy import LazyNumpyChecker
 from repro.analysis.checkers.locks import GuardSpec, LockDisciplineChecker
+from repro.analysis.checkers.pickles import PickleConfinedChecker
 from repro.analysis.checkers.protocol import (
     ProtocolExhaustivenessChecker,
     ShardCommandChecker,
@@ -229,6 +230,7 @@ class TestProtocolExhaustiveness:
         "    FrameKind.HELLO: Hello,\n"
         "    FrameKind.RUN: RunRequest,\n"
         "}\n"
+        "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}\n"
     )
     SERVER = "def dispatch(kind):\n    return kind in (FrameKind.HELLO, FrameKind.RUN)\n"
     CLIENT = "def send():\n    return (FrameKind.HELLO, FrameKind.RUN)\n"
@@ -294,8 +296,8 @@ class TestProtocolExhaustiveness:
         assert "FRAME_STRUCTS" in findings[0].message
 
     def test_exempt_kind_needs_no_codec_registration(self):
-        # OBJ stays pickled at every version: its absence from the codec
-        # registry is the design, not a finding.
+        # OBJ's body is opaque bytes: its absence from the codec registry
+        # is the design, not a finding.
         tree = self._full_tree()
         tree["net/codec.py"] = self.CODEC
         assert all(
@@ -304,10 +306,96 @@ class TestProtocolExhaustiveness:
         )
 
     def test_tree_without_codec_skips_the_split_check(self):
-        # Fixtures (and old trees) without net/codec.py predate the v2
-        # split; the three original arms are still enforced.
+        # Fixtures without net/codec.py skip the registry check; the
+        # decode-table and arm checks are still enforced.
         findings = check(ProtocolExhaustivenessChecker(), self._full_tree())
         assert findings == []
+
+    def test_frame_class_reference_counts_as_an_arm(self):
+        # A sender never names the kind: it travels inferred from the class.
+        tree = self._full_tree()
+        tree["net/server.py"] = (
+            "def dispatch(kind):\n"
+            "    return protocol.Hello() if kind == FrameKind.RUN else None\n"
+        )
+        assert check(ProtocolExhaustivenessChecker(), tree) == []
+
+    def test_opaque_kind_must_stay_out_of_the_client_port_accept_set(self):
+        tree = self._full_tree()
+        for accept in (
+            "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.RUN}\n",
+            "CLIENT_PORT_KINDS = frozenset(FrameKind)\n",  # unreadable shape
+            "",  # no accept set at all
+        ):
+            tree["net/protocol.py"] = self.PROTOCOL.replace(
+                "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}\n", accept
+            )
+            findings = check(ProtocolExhaustivenessChecker(), tree)
+            assert [f.detail for f in findings] == ["OBJ"], accept
+            assert "CLIENT_PORT_KINDS" in findings[0].message
+
+    def test_framer_owned_kind_needs_a_use_outside_the_decode_table(self):
+        tree = self._full_tree()
+        tree["net/protocol.py"] = (
+            self.PROTOCOL.replace("    OBJ = 3\n", "    OBJ = 3\n    RESULT_CHUNK = 4\n")
+            .replace("class Hello:", "class ResultChunk:\n    pass\nclass Hello:")
+            .replace(
+                "    FrameKind.RUN: RunRequest,\n",
+                "    FrameKind.RUN: RunRequest,\n"
+                "    FrameKind.RESULT_CHUNK: ResultChunk,\n",
+            )
+        )
+        findings = check(ProtocolExhaustivenessChecker(), tree)
+        assert [f.detail for f in findings] == ["RESULT_CHUNK"]
+        tree["net/protocol.py"] += (
+            "def receive(kind):\n    return kind is FrameKind.RESULT_CHUNK\n"
+        )
+        assert check(ProtocolExhaustivenessChecker(), tree) == []
+
+
+class TestPickleConfined:
+    TRANSPORT = (
+        "import pickle\n"
+        "class SocketTransport:\n"
+        "    def send(self, obj):\n"
+        "        return pickle.dumps(obj)\n"
+        "    def recv(self):\n"
+        "        return pickle.loads(self.body)\n"
+    )
+
+    def test_confined_tree_clean(self):
+        tree = {
+            "net/protocol.py": "import struct\n# pickle is only a word here\n",
+            "runtime/transport.py": self.TRANSPORT,
+            "bench/report.py": "import pickle\n",  # not the wire path
+        }
+        assert check(PickleConfinedChecker(), tree) == []
+
+    def test_protocol_reimporting_pickle_is_flagged(self):
+        for src in (
+            "import pickle\n",
+            "import pickle as p\n",
+            "from pickle import loads\n",
+            "def decode(body):\n    import marshal\n    return marshal.loads(body)\n",
+            "import shelve\n",
+        ):
+            findings = check(PickleConfinedChecker(), {"net/protocol.py": src})
+            assert [f.rule for f in findings] == ["pickle-confined"], src
+
+    def test_load_outside_recv_is_flagged(self):
+        tree = {
+            "runtime/transport.py": self.TRANSPORT
+            + "def accept_worker(sock):\n    return pickle.loads(sock.recv(64))\n"
+        }
+        findings = check(PickleConfinedChecker(), tree)
+        assert [(f.symbol, f.detail) for f in findings] == [
+            ("accept_worker", "pickle.loads")
+        ]
+
+    def test_imported_loader_is_flagged(self):
+        tree = {"runtime/transport.py": "from pickle import dumps, loads\n"}
+        findings = check(PickleConfinedChecker(), tree)
+        assert [f.detail for f in findings] == ["pickle"]
 
 
 class TestShardCommands:

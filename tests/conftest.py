@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import zlib
 
@@ -34,6 +35,24 @@ def rng(rng_seed) -> random.Random:
     sharing (and silently depending on) one hard-coded stream.
     """
     return random.Random(rng_seed)
+
+
+class _TouchOnLoad:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.fixture
+def pickle_bomb(tmp_path):
+    """``(pickle bytes, sentinel path)``: whoever ``pickle.loads`` the bytes
+    creates the sentinel, so its absence proves nobody did."""
+    sentinel = tmp_path / "unpickled"
+    return pickle.dumps(_TouchOnLoad(str(sentinel))), sentinel
 
 
 @pytest.fixture

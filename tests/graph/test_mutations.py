@@ -1,10 +1,10 @@
-"""The typed mutation vocabulary and its legacy-tuple compatibility shim.
+"""The typed mutation vocabulary; the bare-tuple spelling is refused.
 
 Every layer (session, concurrent front-end, wire protocol, shard workers)
-now speaks :class:`~repro.graph.mutations.MutationOp` dataclasses; the old
-bare-tuple spelling must keep working for one release -- converted in place
-under a :class:`DeprecationWarning` -- and malformed spellings must fail
-loudly, distinguishing "known kind, wrong shape" from "unknown kind".
+speaks :class:`~repro.graph.mutations.MutationOp` dataclasses.  The tuple
+spelling that preceded them (``("insert", u, v)`` ...) no longer converts:
+whatever its shape, :func:`normalize_op` raises a :class:`ReproError` that
+names the typed ops to use.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from repro.graph.mutations import (
 
 class TestTypedOps:
     def test_kinds_and_tuples(self):
-        assert InsertEdge(1, 2).as_tuple() == ("insert", 1, 2)
-        assert DeleteEdge(1, 2).as_tuple() == ("delete", 1, 2)
-        assert AddNode(7, "lab").as_tuple() == ("add_node", 7, "lab")
-        assert AddNode(7, "lab", 2).as_tuple() == ("add_node", 7, "lab", 2)
-        assert RemoveNode(9).as_tuple() == ("remove_node", 9)
+        """Ops compare by value and never equal the tuple they replaced."""
+        assert InsertEdge(1, 2) != ("insert", 1, 2)
+        assert AddNode(7, "lab") == AddNode(7, "lab", None)
+        assert AddNode(7, "lab", 2).fid == 2
+        assert not hasattr(RemoveNode(9), "as_tuple")
 
     def test_kind_tags(self):
         assert InsertEdge(1, 2).kind == "insert"
@@ -64,6 +64,10 @@ class TestTypedOps:
 
 
 class TestTupleShim:
+    """The shim is gone: these are the spellings it used to take."""
+
+    REFUSED = "unsupported mutation op .* InsertEdge, DeleteEdge, AddNode or RemoveNode"
+
     @pytest.mark.parametrize(
         "legacy, expected",
         [
@@ -75,12 +79,14 @@ class TestTupleShim:
         ],
     )
     def test_tuples_convert_with_deprecation(self, legacy, expected):
-        with pytest.deprecated_call():
-            assert normalize_op(legacy) == expected
+        """Once converted under a warning; now the typed op is the only way."""
+        with pytest.raises(ReproError, match=self.REFUSED):
+            normalize_op(legacy)
+        assert normalize_op(expected) is expected
 
     def test_lists_accepted_too(self):
-        with pytest.deprecated_call():
-            assert normalize_op(["delete", 3, 4]) == DeleteEdge(3, 4)
+        with pytest.raises(ReproError, match=self.REFUSED):
+            normalize_op(["delete", 3, 4])
 
     @pytest.mark.parametrize(
         "bad",
@@ -93,19 +99,16 @@ class TestTupleShim:
         ],
     )
     def test_known_kind_wrong_arity_is_malformed(self, bad):
-        with pytest.deprecated_call():
-            with pytest.raises(ReproError, match="malformed mutation tuple"):
-                normalize_op(bad)
+        with pytest.raises(ReproError, match=self.REFUSED):
+            normalize_op(bad)
 
     def test_unknown_kind_named_in_error(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ReproError, match="unknown update kind 'upsert'"):
-                normalize_op(("upsert", 1, 2))
+        with pytest.raises(ReproError, match="upsert"):
+            normalize_op(("upsert", 1, 2))
 
     def test_add_node_fid_must_be_int(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ReproError, match="fragment id must be an int"):
-                normalize_op(("add_node", 7, "lab", "west"))
+        with pytest.raises(ReproError, match=self.REFUSED):
+            normalize_op(("add_node", 7, "lab", "west"))
 
     @pytest.mark.parametrize("garbage", [42, None, (), object(), (1, 2, 3)])
     def test_non_ops_rejected(self, garbage):
@@ -113,8 +116,16 @@ class TestTupleShim:
             normalize_op(garbage)
 
     def test_batch_preserves_order_and_mixes_spellings(self):
-        with pytest.deprecated_call():
-            ops = normalize_ops(
-                [InsertEdge(1, 2), ("delete", 3, 4), RemoveNode(5)]
-            )
-        assert ops == [InsertEdge(1, 2), DeleteEdge(3, 4), RemoveNode(5)]
+        typed = [InsertEdge(1, 2), DeleteEdge(3, 4), RemoveNode(5)]
+        assert normalize_ops(typed) == typed
+        with pytest.raises(ReproError, match=self.REFUSED):
+            normalize_ops([InsertEdge(1, 2), ("delete", 3, 4), RemoveNode(5)])
+
+    def test_nothing_in_src_warns(self):
+        """The shim was the package's only ``warnings.warn``."""
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        assert not [p for p in root.rglob("*.py") if "warnings.warn" in p.read_text()]

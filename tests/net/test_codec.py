@@ -134,14 +134,11 @@ class TestRoundTrip:
             assert codec.decode(codec.encode(n)) == n
 
     def test_wire_version_dispatch_selects_codec(self):
-        """encode_payload at v2 produces codec bytes, at v1 pickle bytes."""
+        """A frame's body is the codec's bytes: there is no other encoding."""
         frame = protocol.Hello(role="client", versions=(1, 2))
-        v2 = protocol.encode_payload(protocol.FrameKind.HELLO, frame, version=2)
-        v1 = protocol.encode_payload(protocol.FrameKind.HELLO, frame, version=1)
-        assert codec.decode(v2[protocol.HEADER_SIZE:]) == frame
-        assert v1[protocol.HEADER_SIZE:].startswith(b"\x80")  # pickle proto 2+
-        assert protocol.decode(v2)[0] == frame
-        assert protocol.decode(v1)[0] == frame
+        data = protocol.encode(frame)
+        assert data[protocol.HEADER_SIZE:] == codec.encode(frame)
+        assert protocol.decode(data)[0] == frame
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +192,12 @@ class TestRejection:
         # reconstruction gadget.
         with pytest.raises(WireFormatError, match="not encodable"):
             codec.encode(ValueError("boom"))
+
+    def test_unhashable_key_is_a_wire_error(self):
+        """A list as a dict key or set member: TypeError must not escape."""
+        for data in (bytes([0x0A, 1, 0x09, 0, 0x00]), bytes([0x0B, 1, 0x09, 0])):
+            with pytest.raises(WireFormatError, match="unhashable"):
+                codec.decode(data)
 
     def test_bad_utf8_in_string(self):
         raw = b"\xff\xfe"

@@ -4,12 +4,14 @@ The hypothesis block round-trips every frame type with varied payload
 content; the rejection block walks every validation branch of the header
 and body decoders -- a peer speaking the wrong protocol (or a truncated /
 corrupted stream) must fail loudly as :class:`WireFormatError`, never
-produce a half-decoded object.
+produce a half-decoded object.  The framer block holds
+:class:`~repro.net.protocol.Connection` to its contract: however a valid
+stream is cut into reads it yields the same logical frames, and no byte
+string makes ``receive`` raise anything but :class:`WireFormatError`.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 
@@ -20,16 +22,19 @@ from hypothesis import strategies as st
 from repro.errors import (
     GraphError,
     MutationBatchError,
+    PatternError,
     TransportError,
     WireFormatError,
 )
+from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
-from repro.net import protocol
+from repro.net import codec, protocol
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     HEADER_SIZE,
     MAGIC,
     PROTOCOL_VERSION,
+    Connection,
     FrameKind,
     decode,
     encode,
@@ -111,21 +116,21 @@ def stats(draw) -> SessionStats:
 
 OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("delete"), st.integers(), st.integers()),
-        st.tuples(st.just("insert"), st.integers(), st.integers()),
-        st.tuples(st.just("add_node"), st.integers(), LABELS),
+        st.builds(DeleteEdge, st.integers(), st.integers()),
+        st.builds(InsertEdge, st.integers(), st.integers()),
+        st.builds(AddNode, st.integers(), LABELS),
     ),
     max_size=5,
 ).map(tuple)
 
 ERRORS = st.one_of(
     st.builds(GraphError, st.text(max_size=20)),
-    st.builds(ValueError, st.text(max_size=20)),
+    st.builds(PatternError, st.text(max_size=20)),
     st.builds(
         MutationBatchError,
         st.text(min_size=1, max_size=20),
-        st.just([]),
-        st.just(("delete", 1, 2)),
+        st.lists(outcomes(), max_size=2),
+        st.just(DeleteEdge(1, 2)),
     ),
 )
 
@@ -171,13 +176,11 @@ class TestRoundTrip:
         assert decoded_seq == seq
 
     @settings(max_examples=50, deadline=None)
-    @given(payload=st.one_of(st.text(), st.tuples(st.text(), st.integers()),
-                             st.lists(st.integers(), max_size=4)),
-           seq=SEQS)
+    @given(payload=st.binary(max_size=64), seq=SEQS)
     def test_obj_frames_round_trip(self, payload, seq):
-        """The worker transport's raw-object frames (no typed class)."""
-        data = protocol.encode_payload(FrameKind.OBJ, payload, seq=seq)
-        decoded, decoded_seq = decode(data)
+        """The worker transport's OBJ frames: an opaque body, bytes in and
+        bytes out -- this module never looks inside."""
+        decoded, decoded_seq = decode(encode(payload, seq=seq))
         assert decoded == payload
         assert decoded_seq == seq
 
@@ -189,12 +192,48 @@ class TestRoundTrip:
         assert type(revived) is type(error)
         assert str(revived) == str(error)
 
+    def test_mutation_batch_error_round_trips_its_fields(self):
+        applied = [
+            StampedOutcome(
+                outcome=MutationOutcome(
+                    kind="delete",
+                    wall_seconds=0.5,
+                    cache_kept=1,
+                    cache_repaired=2,
+                    cache_evicted=3,
+                    falsified=4,
+                ),
+                stamp=7,
+            )
+        ]
+        error = MutationBatchError("update failed", applied, DeleteEdge(1, 2))
+        error.__cause__ = GraphError("edge (1, 2) is not in the graph")
+        revived = decode(encode(protocol.ErrorReply.from_exception(error)))[
+            0
+        ].to_exception()
+        assert isinstance(revived, MutationBatchError)
+        assert revived.applied == applied
+        assert revived.failed_op == DeleteEdge(1, 2)
+        assert isinstance(revived.__cause__, GraphError)
+        assert str(revived.__cause__) == "edge (1, 2) is not in the graph"
+
 
 # ----------------------------------------------------------------------
 # rejection paths
 # ----------------------------------------------------------------------
 def _valid_frame(seq: int = 7) -> bytes:
     return encode(protocol.Hello(role="client"), seq=seq)
+
+
+def _frame(kind: FrameKind, body: bytes, seq: int = 1, version: int = PROTOCOL_VERSION) -> bytes:
+    """A hand-rolled frame: any header around any body."""
+    return struct.pack(">4sBBHII", MAGIC, version, int(kind), 0, seq, len(body)) + body
+
+
+def _struct(name: str, *fields) -> bytes:
+    """A hand-rolled codec struct: the fields a frame class would refuse."""
+    head = bytes([0x0E, codec.FRAME_STRUCTS[name], len(fields)])
+    return head + b"".join(codec.encode(value) for value in fields)
 
 
 class TestRejection:
@@ -243,58 +282,62 @@ class TestRejection:
 
     def test_encode_refuses_oversized_payload(self):
         with pytest.raises(WireFormatError, match="refusing to send"):
-            protocol.encode_payload(FrameKind.OBJ, b"x" * 1024, max_frame=64)
+            encode(b"x" * 1024, max_frame=64)
 
     def test_garbage_body(self):
-        body = b"\x80notapickleatall"
-        header = struct.pack(
-            ">4sBBHII", MAGIC, PROTOCOL_VERSION, int(FrameKind.OBJ), 0, 1,
-            len(body),
-        )
         with pytest.raises(WireFormatError, match="undecodable"):
-            decode(header + body)
+            decode(_frame(FrameKind.RUN, b"\x80notacodecvalueatall"))
 
     def test_payload_type_must_match_kind(self):
-        data = protocol.encode_payload(FrameKind.RUN, "not a RunRequest")
+        data = _frame(FrameKind.RUN, codec.encode(protocol.Hello(role="client")))
         with pytest.raises(WireFormatError, match="expected RunRequest"):
             decode(data)
+
+    def test_mutate_ops_are_checked_at_decode(self):
+        """A tuple where a MutationOp belongs never reaches the session."""
+        good = codec.encode(protocol.MutateRequest(ops=(DeleteEdge(1, 2),)))
+        legacy = good.replace(
+            codec.encode(DeleteEdge(1, 2)), codec.encode(("delete", 1, 2))
+        )
+        assert legacy != good
+        with pytest.raises(WireFormatError, match="expected MutationOp"):
+            decode(_frame(FrameKind.MUTATE, legacy))
 
     def test_encode_rejects_non_frame_objects(self):
         with pytest.raises(WireFormatError, match="not a protocol frame"):
             encode({"kind": "run"})
 
-    def test_error_reply_with_unpicklable_class_degrades(self):
-        reply = protocol.ErrorReply(message="boom", kind="Exotic", payload=b"")
-        exc = reply.to_exception()
-        assert isinstance(exc, TransportError)
-        assert "boom" in str(exc)
+    def test_unknown_error_kind_becomes_transport_error(self):
+        """Only :mod:`repro.errors` classes are rebuilt; any other server
+        exception reaches the caller as a TransportError naming it."""
+        for exc in (ValueError("boom"), KeyError("boom")):
+            reply = decode(encode(protocol.ErrorReply.from_exception(exc)))[0]
+            revived = reply.to_exception()
+            assert type(revived) is TransportError
+            assert type(exc).__name__ in str(revived) and "boom" in str(revived)
 
-    def test_error_reply_with_corrupt_payload_degrades(self):
-        reply = protocol.ErrorReply(
-            message="boom", kind="GraphError", payload=b"corrupt"
-        )
-        assert isinstance(reply.to_exception(), TransportError)
-
-    def test_error_reply_with_non_exception_payload_degrades(self):
-        reply = protocol.ErrorReply(
-            message="boom", kind="GraphError", payload=pickle.dumps("a string")
-        )
-        assert isinstance(reply.to_exception(), TransportError)
+    def test_pre_change_error_reply_struct_is_refused(self):
+        """The old third field was a pickle; nothing may try to load it."""
+        body = _struct("ErrorReply", "boom", "GraphError", b"\x80\x04pickle")
+        with pytest.raises(WireFormatError, match="ErrorReply.applied"):
+            decode(_frame(FrameKind.ERROR, body))
 
 
 # ----------------------------------------------------------------------
-# stream adapters
+# the framer over a real socket
 # ----------------------------------------------------------------------
 class TestSocketFraming:
     def test_read_frame_round_trip_and_eof(self):
         a, b = socket.socketpair()
         try:
-            protocol.write_frame(a, FrameKind.OBJ, ("ping", 1), seq=3)
-            kind, seq, payload = protocol.read_frame(b)
-            assert (kind, seq, payload) == (FrameKind.OBJ, 3, ("ping", 1))
+            a.sendall(Connection().send(protocol.Hello(role="ping"), 3))
+            conn = Connection()
+            assert conn.receive(b.recv(65536)) == [
+                (FrameKind.HELLO, 3, protocol.Hello(role="ping"))
+            ]
             a.close()
             with pytest.raises(EOFError):
-                protocol.read_frame(b)
+                conn.receive(b.recv(65536))
         finally:
             a.close()
             b.close()
@@ -302,11 +345,142 @@ class TestSocketFraming:
     def test_read_frame_mid_frame_close_is_transport_error(self):
         a, b = socket.socketpair()
         try:
-            data = protocol.encode_payload(FrameKind.OBJ, "partial", seq=1)
+            data = encode(protocol.Hello(role="partial"), seq=1)
             a.sendall(data[: len(data) - 2])
             a.close()
+            conn = Connection()
+            assert conn.receive(b.recv(65536)) == []
             with pytest.raises(TransportError, match="mid-frame"):
-                protocol.read_frame(b)
+                conn.receive(b.recv(65536))
         finally:
             a.close()
             b.close()
+
+
+# ----------------------------------------------------------------------
+# the framer's contract (first step of the wire fuzzing in ROADMAP 5c)
+# ----------------------------------------------------------------------
+REPLIES = st.one_of(
+    st.builds(
+        protocol.RunReply,
+        relation=relations(),
+        metrics=metrics(),
+        stamp=st.integers(min_value=0, max_value=10**9),
+    ),
+    st.builds(protocol.MutateReply, outcomes=st.lists(outcomes(), max_size=3).map(tuple)),
+    st.builds(
+        protocol.PushDelta,
+        sub_id=st.integers(min_value=0, max_value=9),
+        stamp=st.integers(min_value=0, max_value=10**9),
+        added=st.lists(st.tuples(LABELS, st.integers()), max_size=3).map(tuple),
+    ),
+)
+
+
+@st.composite
+def streams(draw):
+    """A valid server->client byte stream (plain, chunked and PUSH frames
+    interleaved between replies) and the logical frames it carries."""
+    chunking = Connection(chunk_size=draw(st.integers(min_value=24, max_value=200)))
+    plain = Connection()
+    data, events = b"", []
+    for frame in draw(st.lists(REPLIES, min_size=1, max_size=5)):
+        seq = draw(SEQS)
+        sender = chunking if draw(st.booleans()) else plain
+        data += sender.send(frame, seq)
+        events.append((protocol.kind_of(frame), seq, frame))
+    return data, events
+
+
+def _feed(data: bytes, cuts) -> list:
+    conn, events, start = Connection(), [], 0
+    for cut in sorted(set(cuts)) + [len(data)]:
+        if cut > start:
+            events += conn.receive(data[start:cut])
+            start = cut
+    assert conn.buffered == 0
+    return events
+
+
+class TestConnection:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), cuts=st.lists(st.integers(min_value=0, max_value=4096)))
+    def test_any_partition_yields_the_same_events(self, stream, cuts):
+        data, events = stream
+        assert _feed(data, []) == events
+        assert _feed(data, [c % (len(data) + 1) for c in cuts]) == events
+        assert _feed(data, range(len(data))) == events  # byte by byte
+
+    @settings(max_examples=200, deadline=None)
+    @given(garbage=st.binary(min_size=1, max_size=256))
+    def test_arbitrary_bytes_raise_only_wire_format_error(self, garbage):
+        try:
+            Connection().receive(garbage)
+        except WireFormatError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=streams(), flip=st.integers(min_value=0), bit=st.integers(0, 7))
+    def test_bit_flipped_streams_raise_only_wire_format_error(self, stream, flip, bit):
+        data = bytearray(stream[0])
+        data[flip % len(data)] ^= 1 << bit
+        try:
+            Connection(max_frame=1 << 16).receive(bytes(data))
+        except WireFormatError:
+            pass
+
+    def test_accept_set_is_checked_before_the_body(self):
+        """An OBJ header is refused on the client port whatever follows it."""
+        conn = Connection()
+        with pytest.raises(WireFormatError, match="OBJ frames are not accepted"):
+            conn.receive(_frame(FrameKind.OBJ, b"")[:HEADER_SIZE])
+
+    def test_version_1_header_is_refused(self):
+        with pytest.raises(WireFormatError, match="protocol version 1"):
+            Connection().receive(_frame(FrameKind.RUN, b"x", version=1))
+
+    def test_frames_sharing_a_read_with_a_malformed_one_are_not_delivered(self):
+        """``receive`` is all-or-nothing per call: the stream is dead from the
+        first bad frame on, and what the same read completed before it is
+        dropped with it (a request pipelined ahead of garbage is not served)."""
+        good = encode(protocol.StatsRequest(), seq=7)
+        conn = Connection()
+        with pytest.raises(WireFormatError, match="bad magic"):
+            conn.receive(good + b"\x00" * HEADER_SIZE)
+        assert Connection().receive(good) == [(FrameKind.STATS, 7, protocol.StatsRequest())]
+
+    @pytest.mark.parametrize(
+        "slices, complaint",
+        [
+            ([(1, 3, 5)], "was due"),  # starts past slice 0
+            ([(0, 3, 5), (2, 3, 5)], "was due"),  # skips one
+            ([(0, 3, 5), (0, 3, 5)], "was due"),  # repeats one
+            ([(0, 3, 5), (1, 4, 5)], "was due"),  # changes its mind on total
+            ([(0, 3, 5), (1, 3, 6)], "was due"),  # another seq's slice
+            ([(3, 3, 5)], "was due"),  # past its own total
+            ([(0, 0, 5)], "was due"),  # a reply of no slices
+            ([("0", 3, 5)], "must be int"),
+        ],
+    )
+    def test_chunk_slices_must_arrive_in_order(self, slices, complaint):
+        conn = Connection()
+        with pytest.raises(WireFormatError, match=complaint):
+            for index, total, seq in slices:
+                body = _struct("ResultChunk", index, total, b"x" * 8)
+                conn.receive(_frame(FrameKind.RESULT_CHUNK, body, seq=seq))
+
+    def test_a_frame_inside_a_chunked_reply_is_refused(self):
+        conn = Connection()
+        conn.receive(encode(protocol.ResultChunk(0, 2, b"x"), seq=5))
+        with pytest.raises(WireFormatError, match="interleaved"):
+            conn.receive(encode(protocol.PushDelta(sub_id=1, stamp=1), seq=9))
+
+    def test_chunk_reassembly_is_bounded_whatever_total_says(self):
+        """A peer declaring 2**40 slices buys no more than one frame's worth."""
+        conn = Connection(max_frame=256)
+        payload = b"x" * 100
+        with pytest.raises(WireFormatError, match="exceeds"):
+            for index in range(4):
+                conn.receive(
+                    encode(protocol.ResultChunk(index, 2**40, payload), seq=5)
+                )

@@ -24,10 +24,21 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern
-from repro.errors import GraphError, ReproError, TransportError
+from repro.errors import (
+    GraphError,
+    MutationBatchError,
+    ReproError,
+    TransportError,
+    WireFormatError,
+)
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import DeleteEdge
+from repro.net import protocol
+from repro.net.protocol import Connection, FrameKind
 from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
 from repro.net.server import NetworkSessionServer
+
+from tests.net.test_protocol import _frame, _struct
 
 JOIN_TIMEOUT = 60.0
 
@@ -40,16 +51,11 @@ def instance():
     return graph, frag, queries
 
 
-def _replay(graph: DiGraph, ops: List[Tuple], n: int) -> DiGraph:
-    """The graph after the first ``n`` updates (fresh copy each call)."""
+def _replay(graph: DiGraph, ops: List[DeleteEdge], n: int) -> DiGraph:
+    """The graph after the first ``n`` deletions (fresh copy each call)."""
     replayed = graph.copy()
     for op in ops[:n]:
-        if op[0] == "delete":
-            replayed.remove_edge(op[1], op[2])
-        elif op[0] == "insert":
-            replayed.add_edge(op[1], op[2])
-        else:
-            replayed.add_node(op[1], op[2])
+        replayed.remove_edge(op.u, op.v)
     return replayed
 
 
@@ -73,19 +79,16 @@ class TestSyncClient:
 
     def test_mutations_advance_stamps_and_answers(self, instance):
         graph, frag, queries = instance
-        ops: List[Tuple] = []
         with serve_in_thread(frag, backend="thread", n_workers=4) as srv:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 edges = list(graph.edges())
                 for i, (u, v) in enumerate(edges[:3]):
                     outcome = client.delete_edge(u, v)
-                    ops.append(("delete", u, v))
                     assert outcome.stamp == i + 1
                     result = client.run(queries[0], algorithm="dgpm")
                     assert result.stamp == i + 1
                     assert result.relation == simulation(queries[0], graph)
-                back = ops[-1]
-                outcome = client.insert_edge(back[1], back[2])
+                outcome = client.insert_edge(*edges[2])
                 assert outcome.stamp == 4
                 assert outcome.outcome.kind == "insert"
 
@@ -95,7 +98,7 @@ class TestSyncClient:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 edges = list(graph.edges())
                 outcomes = client.apply(
-                    [("delete", *edges[0]), ("delete", *edges[1])]
+                    [DeleteEdge(*edges[0]), DeleteEdge(*edges[1])]
                 )
                 assert [o.stamp for o in outcomes] == [1, 2]
                 result = client.run(queries[0], algorithm="dgpm")
@@ -160,6 +163,101 @@ class TestSyncClient:
             client.close()
             with pytest.raises(TransportError, match="closed"):
                 client.run(queries[0])
+
+
+def _drain(sock: socket.socket) -> List[protocol.Event]:
+    """Every frame the peer sends until it hangs up."""
+    conn, events = Connection(), []
+    try:
+        while True:
+            events += conn.receive(sock.recv(65536))
+    except EOFError:
+        return events
+
+
+class TestNoPickleOnTheClientPort:
+    """Nothing arriving on the unauthenticated port is ever unpickled."""
+
+    @pytest.mark.parametrize(
+        "kind, version",
+        [(FrameKind.OBJ, 2), (FrameKind.RUN, 1)],
+        ids=["v2-obj-frame", "v1-run-frame"],
+    )
+    def test_pickle_frame_earns_one_error_and_a_hang_up(
+        self, instance, pickle_bomb, kind, version
+    ):
+        graph, frag, queries = instance
+        bomb, sentinel = pickle_bomb
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+                sock.sendall(_frame(kind, bomb, version=version))
+                events = _drain(sock)  # returns on the server's hang-up
+            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+            assert events[0][2].kind == "WireFormatError"
+            assert not sentinel.exists()
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                assert client.run(queries[0]).relation == simulation(queries[0], graph)
+
+    @pytest.mark.parametrize("answer", ["obj-frame", "pre-change-error-reply"])
+    def test_client_never_unpickles_a_reply(self, instance, pickle_bomb, answer):
+        """A hostile server: whatever it answers RUN with, the client raises
+        WireFormatError, loads nothing, and refuses further use."""
+        _graph, _frag, queries = instance
+        bomb, sentinel = pickle_bomb
+        if answer == "obj-frame":
+            reply = _frame(FrameKind.OBJ, bomb)
+        else:  # ErrorReply as it was: (message, kind, payload=<pickle>)
+            old_struct = _struct("ErrorReply", "boom", "GraphError", bomb)
+            reply = _frame(FrameKind.ERROR, old_struct)
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one() -> None:
+            peer, _ = listener.accept()
+            with peer:
+                peer.recv(65536)
+                peer.sendall(reply)
+                peer.recv(65536)  # hold the socket until the client drops it
+
+        fake = threading.Thread(target=serve_one, daemon=True)
+        fake.start()
+        try:
+            client = SessionClient(*listener.getsockname()[:2], timeout=JOIN_TIMEOUT)
+            with pytest.raises(WireFormatError):
+                client.run(queries[0])
+            assert not sentinel.exists()
+            with pytest.raises(TransportError, match="closed"):
+                client.run(queries[0])
+        finally:
+            listener.close()
+            fake.join(timeout=JOIN_TIMEOUT)
+
+
+class TestErrorsOverTheWire:
+    def test_non_repro_exception_surfaces_as_transport_error(self, instance):
+        """Only repro.errors classes are rebuilt client-side; anything else
+        arrives as a TransportError naming the class and its message."""
+        graph, frag, queries = instance
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                with pytest.raises(TransportError, match=r"server error \(\w+\): ") as info:
+                    client.run(None)  # not a Pattern: the server trips over it
+                assert type(info.value) is TransportError
+                assert client.run(queries[0]).stamp == 0  # connection survives
+
+    def test_mutation_batch_error_keeps_its_fields(self, instance):
+        graph, frag, queries = instance
+        edges = list(graph.edges())
+        batch = [DeleteEdge(*edges[0]), DeleteEdge(*edges[0]), DeleteEdge(*edges[1])]
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                with pytest.raises(MutationBatchError) as info:
+                    client.apply(batch)
+                error = info.value
+                assert [o.stamp for o in error.applied] == [1]
+                assert error.applied[0].outcome.kind == "delete"
+                assert error.failed_op == DeleteEdge(*edges[0])
+                assert isinstance(error.__cause__, GraphError)
+                assert client.stats().stamp == 1
 
 
 class TestReconnectPolicy:
@@ -316,7 +414,7 @@ class TestSnapshotContractOverTheWire:
         graph, frag, queries = instance
         initial = graph.copy()
         audited: List[Tuple[int, object]] = []
-        ops: List[Tuple] = []
+        ops: List[DeleteEdge] = []
         failures: List[BaseException] = []
 
         with serve_in_thread(frag, backend="thread", n_workers=4) as srv:
@@ -339,7 +437,7 @@ class TestSnapshotContractOverTheWire:
                         edges = list(initial.edges())
                         for u, v in edges[:4]:
                             client.delete_edge(u, v)
-                            ops.append(("delete", u, v))
+                            ops.append(DeleteEdge(u, v))
                 except BaseException as exc:
                     failures.append(exc)
 

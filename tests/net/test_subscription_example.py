@@ -33,7 +33,6 @@ def test_subscription_example_runs_clean():
         f"example failed\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     )
     assert "analyst subscribed" in proc.stdout
-    assert "legacy v1 client verified against the oracle" in proc.stdout
     assert "audited all" in proc.stdout
     assert "none spurious" in proc.stdout
     assert "server closed cleanly" in proc.stdout

@@ -7,8 +7,8 @@ exactly what a from-scratch centralized simulation computes on the graph
 replayed to that stamp -- across the thread and sharded backends,
 with ``remove_node`` in the update stream.
 
-Also here: HELLO version negotiation (a v1-pinned client keeps working
-against a v2 server; SUBSCRIBE at v1 is refused), chunked v2 replies, and
+Also here: the optional HELLO probe (clients that never say it can run,
+apply and subscribe; a version-1 header is refused), chunked replies, and
 subscription lapse/teardown behavior.
 """
 
@@ -28,7 +28,7 @@ from repro.errors import TransportError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import DeleteEdge, InsertEdge, MutationOp, RemoveNode
 from repro.net import protocol
-from repro.net.client import SessionClient, connect
+from repro.net.client import AsyncSessionClient, SessionClient, connect
 from repro.net.protocol import FrameKind
 from repro.net.server import serve_in_thread
 
@@ -42,7 +42,7 @@ def _replay(graph: DiGraph, ops: List[MutationOp], n: int) -> DiGraph:
     """The graph after the first ``n`` updates (fresh copy each call)."""
     replayed = graph.copy()
     for op in ops[:n]:
-        kind = op.as_tuple()[0]
+        kind = op.kind
         if kind == "delete":
             replayed.remove_edge(op.u, op.v)
         elif kind == "insert":
@@ -169,71 +169,72 @@ class TestNegotiation:
         graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
-                assert client.protocol_version == protocol.PROTOCOL_VERSION
+                assert client.hello().versions == (protocol.PROTOCOL_VERSION,)
                 assert _as_sets(client.run(query).relation) == _as_sets(
                     simulation(query, graph)
                 )
 
-    def test_v1_pinned_client_stays_v1_and_works(self, instance):
-        graph, frag, query = instance
-        with serve_in_thread(frag, backend="thread") as srv:
-            with connect(
-                srv.address, timeout=JOIN_TIMEOUT, versions=(1,)
-            ) as client:
-                assert client.protocol_version == protocol.PROTOCOL_V1
-                u, v = next(iter(graph.edges()))
-                assert client.delete_edge(u, v).stamp == 1
-                result = client.run(query)
-                assert result.stamp == 1
-                assert _as_sets(result.relation) == _as_sets(
-                    simulation(query, graph)
-                )
-
-    def test_un_negotiated_client_speaks_v1(self, instance):
-        """A client that never says HELLO is indistinguishable from an old
-        v1 peer; every reply mirrors the request's wire version."""
+    def test_un_negotiated_client_runs_applies_and_subscribes(self, instance):
+        """HELLO is optional: a client that never says it gets everything."""
         graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             with SessionClient(*srv.address, timeout=JOIN_TIMEOUT) as client:
-                assert client.protocol_version == protocol.PROTOCOL_V1
                 assert _as_sets(client.run(query).relation) == _as_sets(
                     simulation(query, graph)
                 )
+                u, v = next(iter(graph.edges()))
+                assert client.apply([DeleteEdge(u, v)])[0].stamp == 1
+                with client.subscribe(query) as sub:
+                    assert sub.stamp == 1
+                    assert _as_sets(sub.relation) == _as_sets(
+                        simulation(query, graph)
+                    )
 
-    def test_server_announces_both_versions(self, instance):
+    def test_un_negotiated_async_client_runs_applies_and_subscribes(self, instance):
+        graph, frag, query = instance
+
+        async def main():
+            with serve_in_thread(frag, backend="thread") as srv:
+                client = await AsyncSessionClient.connect(*srv.address)
+                try:
+                    u, v = next(iter(graph.edges()))
+                    assert (await client.apply([DeleteEdge(u, v)]))[0].stamp == 1
+                    assert (await client.run(query)).stamp == 1
+                    sub = await client.subscribe(query)
+                    assert sub.stamp == 1
+                    await sub.aclose()
+                finally:
+                    await client.aclose()
+
+        asyncio.run(main())
+
+    def test_server_announces_v2_only(self, instance):
         _graph, frag, _query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             with SessionClient(*srv.address, timeout=JOIN_TIMEOUT) as client:
-                reply = client.hello()
-                assert set(reply.versions) == protocol.SUPPORTED_VERSIONS
-
-    def test_v1_pinned_client_cannot_subscribe(self, instance):
-        _graph, frag, query = instance
-        with serve_in_thread(frag, backend="thread") as srv:
-            with connect(
-                srv.address, timeout=JOIN_TIMEOUT, versions=(1,)
-            ) as client:
-                with pytest.raises(TransportError, match="protocol v2"):
-                    client.subscribe(query)
+                assert client.hello().versions == (2,)
 
     def test_subscribe_frame_at_v1_is_refused(self, instance):
-        """The server-side guard: a hand-rolled v1 SUBSCRIBE frame earns an
-        ERROR even though the kind is known."""
+        """A hand-rolled version-1 SUBSCRIBE header earns one v2 ERROR
+        (seq 0: the stream is not trusted past the bad header) and a
+        hang-up, even though the kind is known."""
         _graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             sock = socket.create_connection(srv.address, timeout=JOIN_TIMEOUT)
             try:
-                protocol.write_frame(
-                    sock,
-                    FrameKind.SUBSCRIBE,
-                    protocol.SubscribeRequest(query=query),
-                    seq=5,
-                    version=protocol.PROTOCOL_V1,
+                frame = bytearray(
+                    protocol.encode(protocol.SubscribeRequest(query=query), seq=5)
                 )
-                kind, seq, payload = protocol.read_frame(sock)
-                assert kind == FrameKind.ERROR
-                assert seq == 5
-                assert "protocol v2" in payload.message
+                frame[4] = 1  # the header's version byte
+                sock.sendall(bytes(frame))
+                conn = protocol.Connection()
+                (event,) = conn.receive(sock.recv(65536))
+                kind, seq, payload = event
+                assert (kind, seq) == (FrameKind.ERROR, 0)
+                assert payload.kind == "WireFormatError"
+                assert "protocol version 1" in payload.message
+                with pytest.raises(EOFError):
+                    conn.receive(sock.recv(65536))
             finally:
                 sock.close()
 
@@ -244,7 +245,8 @@ class TestNegotiation:
             with serve_in_thread(frag, backend="thread") as srv:
                 client = await connect(srv.address, async_=True)
                 try:
-                    assert client.protocol_version == protocol.PROTOCOL_VERSION
+                    hello = await client.hello()
+                    assert hello.versions == (protocol.PROTOCOL_VERSION,)
                     result = await client.run(query)
                     assert _as_sets(result.relation) == _as_sets(
                         simulation(query, graph)
@@ -396,6 +398,35 @@ class TestSubscriptionOracle:
         _audit(initial, query, base_b, ops, got_b)
 
 
+class TestBlockingSubscription:
+    def test_quiet_subscription_outlives_the_client_timeout(self, instance):
+        """``timeout`` bounds the dial and the SUBSCRIBED ack, never the wait
+        for the next delta: a subscription with nothing to report for three
+        timeouts is still listening when the answer finally changes."""
+        graph, frag, query = instance
+        assert any(_as_sets(simulation(query, graph)).values())
+        got: List[protocol.PushDelta] = []
+        ended = threading.Event()
+
+        def consume(sub) -> None:
+            for delta in sub:
+                got.append(delta)
+                break
+            ended.set()
+
+        with serve_in_thread(frag, backend="thread") as srv:
+            with connect(srv.address, timeout=0.2) as watcher, connect(
+                srv.address, timeout=JOIN_TIMEOUT
+            ) as feed:
+                with watcher.subscribe(query) as sub:
+                    threading.Thread(target=consume, args=(sub,), daemon=True).start()
+                    assert not ended.wait(0.6), "iteration ended by itself"
+                    feed.apply([DeleteEdge(u, v) for u, v in list(graph.edges())])
+                    assert ended.wait(JOIN_TIMEOUT)
+        assert [d.lapsed for d in got] == [False]
+        assert got[0].removed and not got[0].added
+
+
 def _applied(
     baseline: Dict[object, Set[object]], deltas: List[protocol.PushDelta]
 ) -> Dict[object, Set[object]]:
@@ -504,10 +535,8 @@ class TestAsyncSubscription:
             registry = srv.ingress.server
             assert len(registry._subs) == 1
             # Simulate a crash: no UNSUBSCRIBE, no BYE, just the FIN the
-            # kernel sends for a dead process.  shutdown() first -- close()
-            # alone sends nothing while the reader thread sits in recv().
-            sub._sock.shutdown(socket.SHUT_RDWR)
-            sub._sock.close()
+            # kernel sends for a dead process.
+            sub._link.close()
             client.close()
             deadline = time.time() + 5.0  # a real leak fails in seconds
             while time.time() < deadline and registry._subs:
@@ -524,18 +553,6 @@ class TestChunkedReplies:
         monkeypatch.setattr("repro.net.server.CHUNK_SIZE", 512)
         with serve_in_thread(frag, backend="thread") as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
-                result = client.run(query)
-                assert _as_sets(result.relation) == _as_sets(
-                    simulation(query, graph)
-                )
-
-    def test_v1_replies_never_chunk(self, instance, monkeypatch):
-        graph, frag, query = instance
-        monkeypatch.setattr("repro.net.server.CHUNK_SIZE", 512)
-        with serve_in_thread(frag, backend="thread") as srv:
-            with connect(
-                srv.address, timeout=JOIN_TIMEOUT, versions=(1,)
-            ) as client:
                 result = client.run(query)
                 assert _as_sets(result.relation) == _as_sets(
                     simulation(query, graph)

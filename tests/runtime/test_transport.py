@@ -208,6 +208,56 @@ class TestTransportPrimitives:
             accepted.close()
             results["good"].close()
 
+    def test_strangers_are_dropped_without_being_unpickled(
+        self, pickle_bomb, monkeypatch
+    ):
+        """The listener authenticates *before* anything is unpickled: an OBJ
+        pickle bomb as the first frame, one behind a wrong token, and one
+        behind a replayed (already used) token all leave the sentinel absent,
+        and the legitimate worker dialing afterwards still gets its slot --
+        also past a silent stranger and one that stalls mid-header, who each
+        cost the accept loop the handshake timeout, not its whole deadline."""
+        import socket
+
+        from repro.net import protocol
+
+        monkeypatch.setattr("repro.runtime.transport.HANDSHAKE_TIMEOUT_S", 0.2)
+        bomb, sentinel = pickle_bomb
+        obj_frame = protocol.encode(bomb)  # bytes travel as an OBJ frame
+
+        def hello(token: bytes) -> bytes:
+            return protocol.encode(protocol.Hello(role="worker", token=token))
+
+        with SocketListener() as listener:
+            used, good = SocketListener.fresh_token(), SocketListener.fresh_token()
+            first = connect_worker(listener.address, used)
+            assert listener.accept_worker({used: "w0"}, timeout=10.0)[0] == "w0"
+            strangers = []
+            for opening in (
+                obj_frame,  # no token at all
+                hello(SocketListener.fresh_token()) + obj_frame,  # wrong token
+                hello(used) + obj_frame,  # replayed token
+                b"",  # says nothing
+                hello(good)[:7],  # stalls mid-header
+            ):
+                sock = socket.create_connection(listener.address, timeout=10.0)
+                sock.sendall(opening)
+                strangers.append(sock)
+            worker = connect_worker(listener.address, good)
+            slot, parent = listener.accept_worker({good: "w1"}, timeout=5.0)
+            assert slot == "w1"
+            for sock in strangers:
+                try:
+                    assert sock.recv(1) == b""  # hung up on, nothing said
+                except ConnectionResetError:
+                    pass  # dropped with our bytes unread: also a hang-up
+                sock.close()
+            assert not sentinel.exists()
+            parent.send("welcome")
+            assert worker.recv() == "welcome"
+            for link in (first, worker, parent):
+                link.close()
+
     def test_listener_times_out_without_workers(self):
         with SocketListener() as listener:
             with pytest.raises(TransportError, match="no worker connected"):

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.bench.workloads import cyclic_pattern
 from repro.errors import GraphError, MutationBatchError, ReproError
+from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
 
 
@@ -58,7 +59,7 @@ class TestThreadBackend:
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
             edges = list(graph.edges())
-            batch = [("delete", *edges[0]), ("delete", *edges[1]), ("delete", *edges[2])]
+            batch = [DeleteEdge(*edges[0]), DeleteEdge(*edges[1]), DeleteEdge(*edges[2])]
             stop = threading.Event()
             seen = []
             errors = []
@@ -100,15 +101,15 @@ class TestThreadBackend:
         edges = list(graph.edges())
         with ConcurrentSessionServer(frag, backend="thread") as server:
             bad_batch = [
-                ("delete", *edges[0]),
-                ("delete", *edges[0]),  # already gone -> fails here
-                ("delete", *edges[1]),  # never attempted
+                DeleteEdge(*edges[0]),
+                DeleteEdge(*edges[0]),  # already gone -> fails here
+                DeleteEdge(*edges[1]),  # never attempted
             ]
             with pytest.raises(MutationBatchError) as excinfo:
                 server.apply(bad_batch)
             error = excinfo.value
             assert [o.stamp for o in error.applied] == [1]
-            assert error.failed_op.as_tuple() == ("delete", *edges[0])
+            assert error.failed_op == DeleteEdge(*edges[0])
             assert isinstance(error.__cause__, GraphError)
             assert server.stamp == 1
             assert not graph.has_edge(*edges[0])

@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, MutationOp
 from repro.graph.pattern import Pattern
 
 import pytest
@@ -51,12 +52,12 @@ GENERAL_ALGORITHMS = ["dgpm", "dgpmnopt", "dmes", "dishhk", "match"]
 JOIN_TIMEOUT = 120.0
 
 
-def _mutation_ops(graph: DiGraph, n_ops: int, rng: random.Random) -> List[Tuple]:
+def _mutation_ops(graph: DiGraph, n_ops: int, rng: random.Random) -> List[MutationOp]:
     """A valid-in-sequence update list, generated against a scratch copy."""
     scratch = graph.copy()
     labels = sorted(scratch.label_alphabet(), key=repr)
     deleted: List[Tuple] = []
-    ops: List[Tuple] = []
+    ops: List[MutationOp] = []
     for step in range(n_ops):
         r = rng.random()
         if r < 0.5 and scratch.n_edges:
@@ -64,36 +65,36 @@ def _mutation_ops(graph: DiGraph, n_ops: int, rng: random.Random) -> List[Tuple]
             u, v = edges[rng.randrange(len(edges))]
             scratch.remove_edge(u, v)
             deleted.append((u, v))
-            ops.append(("delete", u, v))
+            ops.append(DeleteEdge(u, v))
         elif r < 0.8 and deleted:
             u, v = deleted.pop(rng.randrange(len(deleted)))
             scratch.add_edge(u, v)
-            ops.append(("insert", u, v))
+            ops.append(InsertEdge(u, v))
         else:
             node = ("stress", step)
             label = rng.choice(labels)
             scratch.add_node(node, label)
-            ops.append(("add_node", node, label))
+            ops.append(AddNode(node, label))
     return ops
 
 
-def _replay(graph: DiGraph, ops: List[Tuple], n: int) -> DiGraph:
+def _replay(graph: DiGraph, ops: List[MutationOp], n: int) -> DiGraph:
     """The graph after the first ``n`` updates (fresh copy each call)."""
     replayed = graph.copy()
     for op in ops[:n]:
-        if op[0] == "delete":
-            replayed.remove_edge(op[1], op[2])
-        elif op[0] == "insert":
-            replayed.add_edge(op[1], op[2])
+        if isinstance(op, DeleteEdge):
+            replayed.remove_edge(op.u, op.v)
+        elif isinstance(op, InsertEdge):
+            replayed.add_edge(op.u, op.v)
         else:
-            replayed.add_node(op[1], op[2])
+            replayed.add_node(op.node, op.label)
     return replayed
 
 
 def _stress(
     server: ConcurrentSessionServer,
     queries: List[Pattern],
-    ops: List[Tuple],
+    ops: List[MutationOp],
     algorithm: str,
     seed: int,
     n_readers: int = 3,
@@ -141,7 +142,7 @@ def _stress(
 def _check_snapshots(
     graph: DiGraph,
     queries: List[Pattern],
-    ops: List[Tuple],
+    ops: List[MutationOp],
     results: List[Tuple[int, object]],
 ) -> None:
     """Every result must equal the from-scratch oracle at its stamp."""
@@ -200,18 +201,18 @@ def test_dgpmd_readers_vs_dag_safe_writer(rng, rng_seed):
     queries = [dag_pattern(graph, diameter=2, n_nodes=4, n_edges=4, seed=s) for s in (0, 1)]
     scratch = graph.copy()
     deleted: List[Tuple] = []
-    ops: List[Tuple] = []
+    ops: List[MutationOp] = []
     for step in range(8):
         if step % 3 != 2 or not deleted:
             edges = list(scratch.edges())
             u, v = edges[rng.randrange(len(edges))]
             scratch.remove_edge(u, v)
             deleted.append((u, v))
-            ops.append(("delete", u, v))
+            ops.append(DeleteEdge(u, v))
         else:
             u, v = deleted.pop()
             scratch.add_edge(u, v)
-            ops.append(("insert", u, v))
+            ops.append(InsertEdge(u, v))
     with ConcurrentSessionServer(frag, backend="thread", n_workers=3) as server:
         results = _stress(server, queries, ops, "dgpmd", seed, n_readers=2)
     _check_snapshots(initial, queries, ops, results)
@@ -229,8 +230,8 @@ def test_dgpmt_readers_vs_leaf_growing_writer(rng, rng_seed):
     parents = [rng.choice(list(tree.nodes())) for _ in range(4)]
     batches = [
         [
-            ("add_node", ("leaf", i), rng.choice(labels), frag.owner(parent)),
-            ("insert", parent, ("leaf", i)),
+            AddNode(("leaf", i), rng.choice(labels), frag.owner(parent)),
+            InsertEdge(parent, ("leaf", i)),
         ]
         for i, parent in enumerate(parents)
     ]

@@ -21,6 +21,7 @@ from repro import (
 from repro.bench.workloads import cyclic_pattern
 from repro.core.depgraph import DependencyGraphs
 from repro.errors import GraphError, ReproError
+from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
 
 
@@ -80,15 +81,15 @@ class TestMutationApi:
         (u1, v1), (u2, v2) = edges[0], edges[1]
         outcomes = session.apply(
             [
-                ("delete", u1, v1),
-                ("delete", u2, v2),
-                ("insert", u1, v1),
-                ("add_node", "batch-node", "dom1", 0),
+                DeleteEdge(u1, v1),
+                DeleteEdge(u2, v2),
+                InsertEdge(u1, v1),
+                AddNode("batch-node", "dom1", 0),
             ]
         )
         assert [o.kind for o in outcomes] == ["delete", "delete", "insert", "add_node"]
         frag.validate()
-        with pytest.raises(ReproError, match="unknown update kind"):
+        with pytest.raises(ReproError, match="unsupported mutation op"):
             session.apply([("relabel", 1, "x")])
 
     def test_mutation_errors_are_graph_errors(self, served_session):
