@@ -1,150 +1,40 @@
-"""Rule ``driver-registry``: registered algorithms declare what they support.
+"""Rule ``driver-registry``: the session enforces what algorithms declare.
 
-``SimulationSession.run`` routes by name through the :data:`DRIVERS`
-registry and rejects ``engine`` values the driver does not declare -- but
-only if the driver *declares* them.  A driver registered without an
-``engines`` tuple (or with an engine the compiler does not know) turns that
-validation into a lie: the session would accept ``engine="array"`` and the
-driver would silently run the dict path.  This checker cross-references
-three modules:
-
-* ``session/drivers.py``: every class instantiated inside the ``DRIVERS``
-  dict literal must declare class-level ``name``/``display_name``/``engines``
-  (a non-empty tuple of string literals) and a ``run`` method taking an
-  ``engine`` parameter; names must be unique;
-* ``core/arraycompile.py``: each declared engine must be a member of the
-  ``ENGINES`` tuple there;
-* ``session/session.py``: the session must actually gate on
-  ``... not in driver.engines`` somewhere -- if the validation is deleted,
-  the registry contract is unenforced and this rule fails.
+``SimulationSession.run`` routes by name through the ``DRIVERS`` registry
+and rejects ``engine`` values the driver does not declare.  What a driver
+declares is held by types and checked at import -- an
+:class:`~repro.core.protocol.AlgorithmSpec` cannot be built without
+``name`` / ``display_name`` / ``engines``, nor with an engine
+``arraycompile.ENGINES`` does not list, and the registry refuses a name
+registered twice.  What no type can see is whether the session still
+*reads* the declaration: it must gate on ``... not in driver.engines``
+somewhere -- if that validation is deleted, the session would accept
+``engine="array"`` for a dict-only algorithm, which would silently run the
+dict path, and this rule fails.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import ParsedModule, Project, symbol_of
+from repro.analysis.project import Project
 
-DRIVERS_MODULE = "session/drivers.py"
 SESSION_MODULE = "session/session.py"
-ENGINES_MODULE = "core/arraycompile.py"
 
 
 class DriverRegistryChecker:
     rule = "driver-registry"
     description = (
-        "DRIVERS entries declare name/display_name/engines (subset of "
-        "arraycompile.ENGINES) and the session validates against them"
+        "the session validates engine= against the engines its algorithm "
+        "drivers declare"
     )
 
-    def __init__(
-        self,
-        drivers_module: str = DRIVERS_MODULE,
-        session_module: str = SESSION_MODULE,
-        engines_module: str = ENGINES_MODULE,
-    ) -> None:
-        self.drivers_module = drivers_module
-        self.session_module = session_module
-        self.engines_module = engines_module
-
     def check(self, project: Project) -> Iterable[Finding]:
-        drivers = project.module(self.drivers_module)
-        if drivers is None:
-            return  # not scanning the real tree / a full fixture
-        known_engines = _engines_tuple(project.module(self.engines_module))
-        registered = _registered_classes(drivers)
-        classes = {
-            cls.name: cls
-            for cls in drivers.walk()
-            if isinstance(cls, ast.ClassDef)
-        }
-        seen_names: Dict[str, str] = {}
-        for class_name, site in registered:
-            cls = classes.get(class_name)
-            if cls is None:
-                yield self._finding(
-                    drivers, site, class_name,
-                    f"DRIVERS registers {class_name} but no such class is "
-                    f"defined in {self.drivers_module}",
-                )
-                continue
-            yield from self._check_driver(
-                drivers, cls, known_engines, seen_names
-            )
-        yield from self._check_session_gate(project)
-
-    # ------------------------------------------------------------------
-    def _check_driver(
-        self,
-        module: ParsedModule,
-        cls: ast.ClassDef,
-        known_engines: Optional[Set[str]],
-        seen_names: Dict[str, str],
-    ) -> Iterable[Finding]:
-        attrs = _class_string_attrs(cls)
-        for required in ("name", "display_name"):
-            if required not in attrs:
-                yield self._finding(
-                    module, cls, cls.name,
-                    f"driver {cls.name} does not declare a class-level "
-                    f"`{required}` string",
-                )
-        name = attrs.get("name")
-        if name is not None:
-            other = seen_names.get(name)
-            if other is not None:
-                yield self._finding(
-                    module, cls, cls.name,
-                    f"driver {cls.name} re-registers name {name!r} already "
-                    f"claimed by {other}: the dict entry would be silently "
-                    "overwritten",
-                )
-            seen_names[name] = cls.name
-
-        engines = _class_tuple_attr(cls, "engines")
-        if engines is None:
-            yield self._finding(
-                module, cls, cls.name,
-                f"driver {cls.name} does not declare `engines` as a "
-                "non-empty tuple of string literals; the session cannot "
-                "validate engine= arguments against it",
-            )
-        else:
-            for engine in engines:
-                if known_engines is not None and engine not in known_engines:
-                    yield self._finding(
-                        module, cls, cls.name,
-                        f"driver {cls.name} declares engine {engine!r} which "
-                        f"is not in {self.engines_module}'s ENGINES tuple",
-                    )
-
-        run = next(
-            (
-                n
-                for n in cls.body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and n.name == "run"
-            ),
-            None,
-        )
-        if run is None:
-            yield self._finding(
-                module, cls, cls.name,
-                f"driver {cls.name} has no `run` method",
-            )
-        elif "engine" not in _parameter_names(run):
-            yield self._finding(
-                module, run, cls.name,
-                f"driver {cls.name}.run takes no `engine` parameter, so the "
-                "declared engines cannot reach it",
-            )
-
-    def _check_session_gate(self, project: Project) -> Iterable[Finding]:
-        session = project.module(self.session_module)
+        session = project.module(SESSION_MODULE)
         if session is None:
-            return
+            return  # not scanning the real tree / a full fixture
         for node in session.walk():
             if not isinstance(node, ast.Compare):
                 continue
@@ -155,7 +45,7 @@ class DriverRegistryChecker:
                     return
         yield Finding(
             rule=self.rule,
-            path=self.session_module,
+            path=SESSION_MODULE,
             line=1,
             col=0,
             message=(
@@ -164,109 +54,3 @@ class DriverRegistryChecker:
             ),
             detail="session-gate",
         )
-
-    def _finding(
-        self, module: ParsedModule, node: ast.AST, detail: str, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule,
-            path=module.relpath,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            symbol=symbol_of(node),
-            detail=detail,
-        )
-
-
-def _engines_tuple(module: Optional[ParsedModule]) -> Optional[Set[str]]:
-    """The ``ENGINES = ("dict", "array")`` literal; None when unavailable.
-
-    None (module absent or non-literal) disables the subset check rather
-    than failing every driver on fixture trees without an engines module.
-    """
-    if module is None:
-        return None
-    for node in module.walk():
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        if not any(isinstance(t, ast.Name) and t.id == "ENGINES" for t in targets):
-            continue
-        value = node.value
-        if isinstance(value, (ast.Tuple, ast.List)):
-            names = {
-                elt.value
-                for elt in value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
-            if names:
-                return names
-    return None
-
-
-def _registered_classes(module: ParsedModule) -> List[Tuple[str, ast.AST]]:
-    """Class names instantiated inside the ``DRIVERS`` dict construction."""
-    out: List[Tuple[str, ast.AST]] = []
-    for node in module.walk():
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        if not any(
-            isinstance(t, ast.Name) and t.id == "DRIVERS" for t in targets
-        ):
-            continue
-        value = node.value
-        if value is None:
-            continue
-        for sub in ast.walk(value):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and not sub.args
-                and not sub.keywords
-            ):
-                out.append((sub.func.id, sub))
-    return out
-
-
-def _class_string_attrs(cls: ast.ClassDef) -> Dict[str, str]:
-    """Class-level ``name = "literal"`` string assignments."""
-    out: Dict[str, str] = {}
-    for stmt in cls.body:
-        if not isinstance(stmt, ast.Assign):
-            continue
-        if not (isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)):
-            continue
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                out[target.id] = stmt.value.value
-    return out
-
-
-def _class_tuple_attr(cls: ast.ClassDef, attr: str) -> Optional[Tuple[str, ...]]:
-    """A class-level ``attr = ("a", "b")`` literal, None if absent/malformed."""
-    for stmt in cls.body:
-        if not isinstance(stmt, ast.Assign):
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == attr for t in stmt.targets):
-            continue
-        if not isinstance(stmt.value, (ast.Tuple, ast.List)) or not stmt.value.elts:
-            return None
-        items: List[str] = []
-        for elt in stmt.value.elts:
-            if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-                return None
-            items.append(elt.value)
-        return tuple(items)
-    return None
-
-
-def _parameter_names(func: ast.FunctionDef) -> Set[str]:
-    args = func.args
-    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    return names

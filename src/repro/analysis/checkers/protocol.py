@@ -129,7 +129,9 @@ class ProtocolExhaustivenessChecker:
 
 
 MP_MODULE = "runtime/mp.py"
-COORDINATOR_MODULE = "session/concurrent.py"
+#: where shard commands are sent from: the coordinator, and the superstep
+#: engine whose hosts its worker handles are (the ``q.*`` commands)
+SENDER_MODULES = ("session/concurrent.py", "runtime/engine.py")
 
 
 class ShardCommandChecker:
@@ -138,16 +140,16 @@ class ShardCommandChecker:
     The shard worker protocol is stringly typed on purpose (commands ride
     the pickle transport), so nothing at runtime ties the three sites
     together: the ``SHARD_COMMANDS`` inventory in ``runtime/mp.py``, the
-    ``_shard_worker`` dispatch arm matching each command, and the
-    coordinator in ``session/concurrent.py`` that sends it.  A command
-    present in the inventory but missing either arm -- or dispatched/sent
-    but absent from the inventory -- is a finding.
+    ``_shard_worker`` dispatch arm matching each command, and the module
+    that sends it (:data:`SENDER_MODULES`).  A command present in the
+    inventory but missing either arm -- or dispatched/sent but absent from
+    the inventory -- is a finding.
     """
 
     rule = RULE
     description = (
         "every SHARD_COMMANDS entry has a _shard_worker dispatch arm in "
-        "runtime/mp.py and a sender in session/concurrent.py"
+        "runtime/mp.py and a sender in " + " or ".join(SENDER_MODULES)
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -164,7 +166,9 @@ class ShardCommandChecker:
             return
         commands, node = inventory
         dispatch = _string_literals(mp, skip=node)
-        senders = _string_literals(project.module(COORDINATOR_MODULE))
+        senders = set().union(
+            *(_string_literals(project.module(m)) for m in SENDER_MODULES)
+        )
         for command in commands:
             if command not in dispatch:
                 yield _finding(
@@ -176,7 +180,7 @@ class ShardCommandChecker:
                 yield _finding(
                     mp, node, command,
                     f"shard command {command!r} is never sent from "
-                    f"{COORDINATOR_MODULE}: dead protocol surface",
+                    f"{' or '.join(SENDER_MODULES)}: dead protocol surface",
                 )
 
 

@@ -19,19 +19,18 @@ superstep count and the per-superstep full re-evaluation.
 
 from __future__ import annotations
 
-import time
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.dgpm import assemble_result
+from repro.core.protocol import AlgorithmSpec
 from repro.core.state import LocalEvalState, VarKey
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.engine import SyncEngine, TickResult
+from repro.runtime.engine import TickResult
 from repro.runtime.messages import COORDINATOR, Message, MessageKind
 from repro.runtime.metrics import RunResult
-from repro.runtime.network import Network
 
 
 class DmesSiteProgram:
@@ -168,8 +167,8 @@ class DmesSiteProgram:
 class _DmesCoordinator:
     """Counts votes; broadcasts STOP when a full superstep reports no change."""
 
-    def __init__(self, n_sites: int, cost) -> None:
-        self.n_sites = n_sites
+    def __init__(self, fragmentation: Fragmentation, query: Pattern, cost) -> None:
+        self.n_sites = fragmentation.n_fragments
         self.cost = cost
         self.votes: Dict[int, bool] = {}
         self.stopped = False
@@ -193,44 +192,17 @@ class _DmesCoordinator:
         return []
 
 
-def execute_dmes(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-    deps: Optional[DependencyGraphs] = None,
-) -> RunResult:
-    """One dMes evaluation; ``deps`` may be a session's cached structures."""
-    config = config or DgpmConfig()
-    cost = config.cost
-    start = time.perf_counter()
-    network = Network(cost)
-    if deps is None:
-        deps = DependencyGraphs(fragmentation)
-
-    network.broadcast_query((frag.fid for frag in fragmentation), query)
-
-    programs = {
-        frag.fid: DmesSiteProgram(frag.fid, fragmentation, query, deps, config)
-        for frag in fragmentation
-    }
-    coordinator = _DmesCoordinator(fragmentation.n_fragments, cost)
-    engine = SyncEngine(programs, network, cost, coordinator_inbox_handler=coordinator)
-    engine.run_fixpoint()
-    results = engine.collect_results()
-    network.deliver()
-
-    assemble_start = time.perf_counter()
-    relation = assemble_result(query, results)
-    assemble_time = time.perf_counter() - assemble_start
-
-    wall = time.perf_counter() - start
-    metrics = engine.metrics(
-        "dMes",
-        wall_seconds=wall,
-        extra_compute=assemble_time,
-        supersteps=max(p.supersteps for p in programs.values()),
-    )
-    return RunResult(relation=relation, metrics=metrics)
+#: dMes's entry in the algorithm registry (:mod:`repro.session.drivers`).
+DMES = AlgorithmSpec(
+    name="dmes",
+    display_name="dMes",
+    engines=("dict",),
+    build_program=lambda fid, fragmentation, query, deps, config, compiled: (
+        DmesSiteProgram(fid, fragmentation, query, deps, config)
+    ),
+    make_coordinator=_DmesCoordinator,
+    extras={"supersteps": (attrgetter("supersteps"), max)},
+)
 
 
 def run_dmes(

@@ -10,6 +10,10 @@
   (Section 5.2, Corollary 4).
 * :func:`~repro.core.dispatch.run_auto` -- picks the best applicable
   algorithm from the shapes of ``Q``, ``G`` and ``F``.
+* :mod:`~repro.core.protocol` -- what the three (and the dMes baseline)
+  share: one :class:`~repro.core.protocol.AlgorithmSpec` each, and the one
+  :func:`~repro.core.protocol.run_protocol` skeleton that runs any of them
+  in-process or over shard workers.
 * :mod:`~repro.core.impossibility` -- the Theorem-1 gadget families and an
   auditor that demonstrates the impossibility empirically.
 * :class:`~repro.core.incremental.IncrementalDgpmSession` -- long-lived

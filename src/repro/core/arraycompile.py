@@ -27,11 +27,13 @@ without numpy raises a single clear :class:`RuntimeError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.partition.fragment import Fragment
 from repro.partition.fragmentation import Fragmentation
-from repro.session.cache import LabelInterner
+
+if TYPE_CHECKING:  # pragma: no cover - the session package imports core
+    from repro.session.cache import LabelInterner
 
 _np = None
 
@@ -317,6 +319,8 @@ class CompiledFragmentation:
         fragmentation: Fragmentation,
         interner: Optional[LabelInterner] = None,
     ) -> None:
+        from repro.session.cache import LabelInterner
+
         require_numpy()
         self.fragmentation = fragmentation
         self.interner = interner if interner is not None else LabelInterner()

@@ -24,22 +24,20 @@ Theorem 2.
 
 from __future__ import annotations
 
-import time
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.boolean.expr import BoolExpr, FALSE
 from repro.boolean.system import EquationBlowupError
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
+from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.core.state import LocalEvalState, VarKey
-from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.engine import SyncEngine, TickResult
+from repro.runtime.engine import TickResult
 from repro.runtime.messages import COORDINATOR, Message, MessageKind
 from repro.runtime.metrics import RunResult
-from repro.runtime.network import Network
-from repro.simulation.matchrel import MatchRelation
 
 
 class _PushState:
@@ -87,19 +85,19 @@ class _PushState:
 class DgpmSiteProgram:
     """The per-site half of dGPM (procedures lEval + lMsg).
 
-    ``state_factory(fragment, query, known_false_virtual=())`` builds the
-    local evaluation state; the default is the dict engine's
-    :class:`~repro.core.state.LocalEvalState`, the array engine passes a
-    factory closing over its compiled-CSR cache.
+    ``compiled`` selects the engine: None evaluates over the dict engine's
+    :class:`~repro.core.state.LocalEvalState`; a compiled-CSR cache
+    (:class:`~repro.core.arraycompile.CompiledFragmentation`) over the array
+    engine's :class:`~repro.core.arraystate.ArrayEvalState`.
 
-    ``batch_updates`` ships the falsifications of one tick as **one**
-    VAR_UPDATE per watcher site (the dGPMd Example-10 merge) instead of one
-    message per variable.  The same variables travel in the same round, so
-    the fixpoint and the final relation are identical; only the envelope
-    count differs.  The dict engine keeps the paper-exact per-variable
-    accounting (Example 9 counts individual variables); the array engine
-    batches, which is where its vectorized falsification processing pays --
-    each delivered batch is one set of counter decrements.
+    The array engine also ``batch_updates``: it ships the falsifications of
+    one tick as **one** VAR_UPDATE per watcher site (the dGPMd Example-10
+    merge) instead of one message per variable.  The same variables travel
+    in the same round, so the fixpoint and the final relation are identical;
+    only the envelope count differs.  The dict engine keeps the paper-exact
+    per-variable accounting (Example 9 counts individual variables);
+    batching is where vectorized falsification processing pays -- each
+    delivered batch is one set of counter decrements.
     """
 
     def __init__(
@@ -109,8 +107,7 @@ class DgpmSiteProgram:
         query: Pattern,
         deps: DependencyGraphs,
         config: DgpmConfig,
-        state_factory=None,
-        batch_updates: bool = False,
+        compiled=None,
     ) -> None:
         self.fid = fid
         self.fragment = fragmentation[fid]
@@ -118,29 +115,23 @@ class DgpmSiteProgram:
         self.deps = deps
         self.config = config
         self.cost = config.cost
-        if state_factory is None:
-            def state_factory(fragment, query, known_false_virtual=()):
-                return LocalEvalState(
-                    fragment, query, known_false_virtual=known_false_virtual
-                )
-        self._state_factory = state_factory
-        self.batch_updates = batch_updates
-        self.state = state_factory(self.fragment, query)
-        #: array-engine fast path: the state buffers falsifications as id
-        #: arrays and we drain only the shippable (in-node) pairs, so
-        #: interior falsifications never become Python tuples.
-        self._deferred_drain = batch_updates and hasattr(self.state, "defer_drain")
-        if self._deferred_drain:
+        self._compiled = compiled
+        self.state = self._new_state()
+        #: array-engine fast path: besides batching, the state buffers
+        #: falsifications as id arrays and we drain only the shippable
+        #: (in-node) pairs, so interior falsifications never become Python
+        #: tuples.
+        self.batch_updates = compiled is not None
+        if self.batch_updates:
             self.state.defer_drain = True
         #: full vectorized shipping: falsifications travel between sites as
         #: global-id arrays, routed through precomputed watcher groups.
         #: Requires the incremental protocol without push -- the push paths
         #: (rewires, equation leaves) are keyed by VarKey tuples.
         self._gid_ship = (
-            self._deferred_drain
+            self.batch_updates
             and config.incremental
             and not config.enable_push
-            and getattr(self.state, "compiled", None) is not None
             and self.state.compiled.gids is not None
         )
         #: falsified virtual vars accumulated so far (for from-scratch mode
@@ -156,6 +147,22 @@ class DgpmSiteProgram:
         self.push_done = False
         self.pushes_triggered = 0
         self.push_state = _PushState()
+
+    def _new_state(self, known_false_virtual=()):
+        """A fresh local evaluation state on this site's engine."""
+        if self._compiled is None:
+            return LocalEvalState(
+                self.fragment, self.query, known_false_virtual=known_false_virtual
+            )
+        from repro.core.arraystate import ArrayEvalState  # lazy: dict runs never load it
+
+        return ArrayEvalState(
+            self._compiled.get(self.fid),
+            self.fragment,
+            self.query,
+            self._compiled.interner,
+            known_false_virtual,
+        )
 
     # ------------------------------------------------------------------
     # lMsg: route falsifications along the dependency graph
@@ -257,7 +264,7 @@ class DgpmSiteProgram:
         still sit in the state's buffer; drain only the shippable ones unless
         a rewire added extra watchers (then every pair matters again).
         """
-        if self._deferred_drain:
+        if self.batch_updates:
             if self.extra_watchers:
                 falsified = self.state.drain_newly_false()
             else:
@@ -356,7 +363,7 @@ class DgpmSiteProgram:
                 if self._gid_ship:
                     # payload = ("gids", [(query node, global-id array), ...])
                     gid_chunks.extend(message.payload[1])
-                elif self._deferred_drain:
+                elif self.batch_updates:
                     # The array state drops already-false pairs vectorized, so
                     # skip the per-key dedup; bulk-update the seen set below.
                     incoming.extend(message.payload)
@@ -386,7 +393,7 @@ class DgpmSiteProgram:
                             )
                         )
 
-        if self._deferred_drain and incoming:
+        if self.batch_updates and incoming:
             self.known_false_virtual.update(incoming)
 
         # Pushed equations react to leaf falsifications as well.  (Skip the
@@ -421,9 +428,7 @@ class DgpmSiteProgram:
 
     def _recompute_from_scratch(self, incoming: List[VarKey]) -> List[VarKey]:
         """dGPMNOpt: rebuild the whole local evaluation on every message."""
-        self.state = self._state_factory(
-            self.fragment, self.query, known_false_virtual=self.known_false_virtual
-        )
+        self.state = self._new_state(self.known_false_virtual)
         self.state.run_initial()
         # Newly falsified = current false in-node candidates not yet shipped.
         out: List[VarKey] = []
@@ -453,112 +458,27 @@ class DgpmSiteProgram:
         )
 
 
-def assemble_result(query: Pattern, result_messages: List[Message]) -> MatchRelation:
-    """Coordinator phase 3: union local matches; empty if a query node is bare."""
-    merged: Dict[Node, Set[Node]] = {u: set() for u in query.nodes()}
-    for message in result_messages:
-        for u, vs in message.payload.items():
-            if isinstance(vs, bool):  # boolean_only collection
-                if vs:
-                    merged[u].add(("__some__", message.src, u))
-            else:
-                merged[u] |= vs
-    return MatchRelation(query.nodes(), merged)
-
-
-def _array_state_factory(fragmentation: Fragmentation, compiled=None):
-    """A ``state_factory`` building :class:`ArrayEvalState` per fragment.
-
-    Imported lazily so the dict engine never touches numpy; ``compiled`` may
-    be the session's resident :class:`CompiledFragmentation` cache (a
-    throwaway one is built otherwise).
-    """
-    from repro.core.arraycompile import CompiledFragmentation
-    from repro.core.arraystate import ArrayEvalState
-
-    if compiled is None:
-        compiled = CompiledFragmentation(fragmentation)
-
-    def factory(fragment, query, known_false_virtual=()):
-        return ArrayEvalState(
-            compiled.get(fragment.fid),
-            fragment,
-            query,
-            compiled.interner,
-            known_false_virtual,
-        )
-
-    return factory
-
-
-def _resolve_state_factory(engine: str, fragmentation: Fragmentation, compiled):
-    """Map an engine name to a state factory (None = dict default)."""
-    if engine == "dict":
-        return None
-    from repro.core.arraycompile import validate_engine
-
-    validate_engine(engine)
-    return _array_state_factory(fragmentation, compiled)
+#: dGPM's entry in the algorithm registry (:mod:`repro.session.drivers`).
+DGPM = AlgorithmSpec(
+    name="dgpm",
+    display_name="dGPM",
+    engines=("dict", "array"),
+    build_program=DgpmSiteProgram,
+    extras={"pushes": (attrgetter("pushes_triggered"), sum)},
+    unoptimized_name="dGPMNOpt",
+    schedule_independent=True,
+)
 
 
 def execute_dgpm(
     query: Pattern,
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
-    deps: Optional[DependencyGraphs] = None,
     engine: str = "dict",
-    compiled=None,
 ) -> RunResult:
-    """One dGPM evaluation over (possibly pre-built) shared structures.
-
-    ``deps`` may be the session's cached :class:`DependencyGraphs`; when
-    omitted it is derived here, making this the full one-shot protocol.
-    Drivers (:mod:`repro.session.drivers`) call this with the cached copy so
-    repeated queries never pay the per-graph setup again.  ``engine``
-    selects the local evaluation backend (``"dict"`` or ``"array"``);
-    ``compiled`` may carry the session's compiled-CSR cache for the array
-    engine.
-    """
-    config = config or DgpmConfig()
-    cost = config.cost
-    start = time.perf_counter()
-    state_factory = _resolve_state_factory(engine, fragmentation, compiled)
-    network = Network(cost, scramble=config.scramble)
-    if deps is None:
-        deps = DependencyGraphs(fragmentation)
-
-    network.broadcast_query((frag.fid for frag in fragmentation), query)
-
-    programs = {
-        frag.fid: DgpmSiteProgram(
-            frag.fid,
-            fragmentation,
-            query,
-            deps,
-            config,
-            state_factory=state_factory,
-            batch_updates=engine == "array",
-        )
-        for frag in fragmentation
-    }
-    engine = SyncEngine(programs, network, cost)
-    engine.run_fixpoint()
-    results = engine.collect_results()
-    network.deliver()
-
-    assemble_start = time.perf_counter()
-    relation = assemble_result(query, results)
-    assemble_time = time.perf_counter() - assemble_start
-
-    wall = time.perf_counter() - start
-    name = "dGPM" if (config.incremental or config.enable_push) else "dGPMNOpt"
-    metrics = engine.metrics(
-        name,
-        wall_seconds=wall,
-        extra_compute=assemble_time,
-        pushes=sum(p.pushes_triggered for p in programs.values()),
-    )
-    return RunResult(relation=relation, metrics=metrics)
+    """One dGPM evaluation over throwaway structures (the full one-shot
+    protocol); ``engine`` selects the local evaluation backend."""
+    return run_protocol(DGPM, query, fragmentation, config, engine)
 
 
 def run_dgpm(

@@ -28,27 +28,26 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.dgpm import assemble_result
+from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.core.state import VarKey
 from repro.errors import PatternError
 from repro.graph import algorithms
 from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.engine import SyncEngine, TickResult
+from repro.runtime.engine import TickResult
 from repro.runtime.messages import COORDINATOR, Message, MessageKind
 from repro.runtime.metrics import RunMetrics, RunResult
-from repro.runtime.network import Network
 from repro.simulation.matchrel import MatchRelation
 
 
 class DgpmdSiteProgram:
     """Per-site half of dGPMd: exact per-rank evaluation, batched shipping.
 
-    ``rank_state`` may be an
+    With a ``compiled`` CSR cache the per-rank schedule runs on an
     :class:`~repro.core.arraystate.ArrayRankState` (the array engine's
-    vectorized backend for the same per-rank schedule); when None the exact
-    evaluation runs over dict-of-sets state.
+    vectorized backend); when None the exact evaluation runs over
+    dict-of-sets state.
     """
 
     def __init__(
@@ -58,7 +57,7 @@ class DgpmdSiteProgram:
         query: Pattern,
         deps: DependencyGraphs,
         config: DgpmConfig,
-        rank_state=None,
+        compiled=None,
     ) -> None:
         self.fid = fid
         self.fragment = fragmentation[fid]
@@ -68,7 +67,11 @@ class DgpmdSiteProgram:
         self.config = config
         self.rank_groups = query.nodes_by_rank()
         self.max_rank = len(self.rank_groups) - 1
-        self.rank_state = rank_state
+        self.rank_state = None
+        if compiled is not None:
+            from repro.core.arraystate import ArrayRankState  # lazy, as in dgpm
+
+            self.rank_state = ArrayRankState(compiled.get(fid), query, compiled.interner)
         #: exact matches per query node, filled rank by rank (local nodes)
         self.sim: Dict[Node, Set[Node]] = {}
         #: virtual variables reported false by their owners
@@ -218,66 +221,24 @@ def dgpmd_precheck(
     return RunResult(relation=MatchRelation(query.nodes(), {}), metrics=metrics)
 
 
+#: dGPMd's entry in the algorithm registry (:mod:`repro.session.drivers`).
+DGPMD = AlgorithmSpec(
+    name="dgpmd",
+    display_name="dGPMd",
+    engines=("dict", "array"),
+    build_program=DgpmdSiteProgram,
+    precheck=dgpmd_precheck,
+)
+
+
 def execute_dgpmd(
     query: Pattern,
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
-    deps: Optional[DependencyGraphs] = None,
     engine: str = "dict",
-    compiled=None,
 ) -> RunResult:
-    """One dGPMd evaluation; ``deps`` may be a session's cached structures.
-
-    ``engine``/``compiled`` as in :func:`~repro.core.dgpm.execute_dgpm`.
-    """
-    config = config or DgpmConfig()
-    cost = config.cost
-    start = time.perf_counter()
-
-    rank_states = None
-    if engine != "dict":
-        from repro.core.arraycompile import CompiledFragmentation, validate_engine
-        from repro.core.arraystate import ArrayRankState
-
-        validate_engine(engine)
-        if compiled is None:
-            compiled = CompiledFragmentation(fragmentation)
-
-        def rank_states(fid):
-            return ArrayRankState(compiled.get(fid), query, compiled.interner)
-
-    short_circuit = dgpmd_precheck(query, fragmentation)
-    if short_circuit is not None:
-        return short_circuit
-
-    network = Network(cost)
-    if deps is None:
-        deps = DependencyGraphs(fragmentation)
-    network.broadcast_query((frag.fid for frag in fragmentation), query)
-
-    programs = {
-        frag.fid: DgpmdSiteProgram(
-            frag.fid,
-            fragmentation,
-            query,
-            deps,
-            config,
-            rank_state=rank_states(frag.fid) if rank_states is not None else None,
-        )
-        for frag in fragmentation
-    }
-    engine = SyncEngine(programs, network, cost)
-    engine.run_fixpoint()
-    results = engine.collect_results()
-    network.deliver()
-
-    assemble_start = time.perf_counter()
-    relation = assemble_result(query, results)
-    assemble_time = time.perf_counter() - assemble_start
-
-    wall = time.perf_counter() - start
-    metrics = engine.metrics("dGPMd", wall_seconds=wall, extra_compute=assemble_time)
-    return RunResult(relation=relation, metrics=metrics)
+    """One dGPMd evaluation over throwaway structures."""
+    return run_protocol(DGPMD, query, fragmentation, config, engine)
 
 
 def run_dgpmd(

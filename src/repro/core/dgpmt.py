@@ -19,32 +19,30 @@ response time ``O(|Q||Fm| + |Q||F|)`` is parallel scalable too.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set
 
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.boolean.system import EquationSystem
 from repro.core.config import DgpmConfig
-from repro.core.dgpm import assemble_result
+from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.core.state import VarKey
 from repro.errors import FragmentationError, GraphError
 from repro.graph import algorithms
 from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.engine import SyncEngine, TickResult
+from repro.runtime.engine import TickResult
 from repro.runtime.messages import COORDINATOR, Message, MessageKind
 from repro.runtime.metrics import RunResult
-from repro.runtime.network import Network
 
 
 class DgpmtSiteProgram:
     """Per-site half of dGPMt: bottom-up symbolic evaluation of a subtree.
 
-    ``tree_state`` may be an
+    With a ``compiled`` CSR cache the sweep runs on an
     :class:`~repro.core.arraystate.ArrayTreeState` (the array engine's
-    vectorized bottom-up sweep); when None the sweep builds dict-keyed
-    symbolic expressions directly.
+    vectorized bottom-up sweep); when None it builds dict-keyed symbolic
+    expressions directly.
     """
 
     def __init__(
@@ -53,14 +51,18 @@ class DgpmtSiteProgram:
         fragmentation: Fragmentation,
         query: Pattern,
         config: DgpmConfig,
-        tree_state=None,
+        compiled=None,
     ) -> None:
         self.fid = fid
         self.fragment = fragmentation[fid]
         self.query = query
         self.cost = config.cost
         self.config = config
-        self.tree_state = tree_state
+        self.tree_state = None
+        if compiled is not None:
+            from repro.core.arraystate import ArrayTreeState  # lazy, as in dgpm
+
+            self.tree_state = ArrayTreeState(compiled.get(fid), query, compiled.interner)
         #: symbolic value of every local pair, filled bottom-up (dict path)
         self.exprs: Dict[VarKey, BoolExpr] = {}
         self._finalized: Dict[Node, Set[Node]] = {}
@@ -238,60 +240,29 @@ def dgpmt_precheck(query: Pattern, fragmentation: Fragmentation, algorithm: str 
     raise FragmentationError("dGPMt requires connected fragments")
 
 
+#: dGPMt's entry in the algorithm registry (:mod:`repro.session.drivers`).
+DGPMT = AlgorithmSpec(
+    name="dgpmt",
+    display_name="dGPMt",
+    engines=("dict", "array"),
+    # a subtree's only boundary is its root: no watcher tables needed
+    build_program=lambda fid, fragmentation, query, deps, config, compiled: (
+        DgpmtSiteProgram(fid, fragmentation, query, config, compiled)
+    ),
+    make_coordinator=_TreeCoordinator,
+    precheck=dgpmt_precheck,
+)
+
+
 def execute_dgpmt(
     query: Pattern,
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
     engine: str = "dict",
-    compiled=None,
 ) -> RunResult:
-    """One dGPMt evaluation (two coordinator round-trips).
-
-    ``engine``/``compiled`` as in :func:`~repro.core.dgpm.execute_dgpm`.
-    """
-    config = config or DgpmConfig()
-    cost = config.cost
-    start = time.perf_counter()
-    dgpmt_precheck(query, fragmentation)
-
-    tree_states = None
-    if engine != "dict":
-        from repro.core.arraycompile import CompiledFragmentation, validate_engine
-        from repro.core.arraystate import ArrayTreeState
-
-        validate_engine(engine)
-        if compiled is None:
-            compiled = CompiledFragmentation(fragmentation)
-
-        def tree_states(fid):
-            return ArrayTreeState(compiled.get(fid), query, compiled.interner)
-
-    network = Network(cost)
-    network.broadcast_query((frag.fid for frag in fragmentation), query)
-
-    programs = {
-        frag.fid: DgpmtSiteProgram(
-            frag.fid,
-            fragmentation,
-            query,
-            config,
-            tree_state=tree_states(frag.fid) if tree_states is not None else None,
-        )
-        for frag in fragmentation
-    }
-    coordinator = _TreeCoordinator(fragmentation, query, cost)
-    engine = SyncEngine(programs, network, cost, coordinator_inbox_handler=coordinator)
-    engine.run_fixpoint()
-    results = engine.collect_results()
-    network.deliver()
-
-    assemble_start = time.perf_counter()
-    relation = assemble_result(query, results)  # each site reports its share
-    assemble_time = time.perf_counter() - assemble_start
-
-    wall = time.perf_counter() - start
-    metrics = engine.metrics("dGPMt", wall_seconds=wall, extra_compute=assemble_time)
-    return RunResult(relation=relation, metrics=metrics)
+    """One dGPMt evaluation (two coordinator round-trips) over throwaway
+    structures."""
+    return run_protocol(DGPMT, query, fragmentation, config, engine)
 
 
 def run_dgpmt(

@@ -61,8 +61,8 @@ from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta, fragment_graph
-from repro.runtime.engine import SyncEngine
-from repro.runtime.messages import COORDINATOR
+from repro.runtime.engine import LocalHost, SyncEngine
+from repro.runtime.messages import Message
 from repro.runtime.network import Network
 from repro.simulation.matchrel import MatchRelation
 
@@ -165,21 +165,44 @@ class IncrementalMatchState:
     # ------------------------------------------------------------------
     def bootstrap(self) -> RepairCost:
         """(Re)build every site's state and run the fixpoint from scratch."""
-        network = Network(self.config.cost)
         self.programs: Dict[int, DgpmSiteProgram] = {
             frag.fid: DgpmSiteProgram(
                 frag.fid, self.fragmentation, self.query, self.deps, self.config
             )
             for frag in self.fragmentation
         }
-        engine = SyncEngine(self.programs, network, self.config.cost)
-        engine.run_fixpoint()
+        return self._drain(None, strategy="bootstrap")
+
+    def _drain(
+        self,
+        seeded: Optional[List[Message]],
+        n_falsified: int = 0,
+        strategy: str = "",
+    ) -> RepairCost:
+        """Ship ``seeded`` between the sites and iterate message rounds to
+        quiescence, every site on one host; ``None`` runs every site's first
+        step instead (a fresh evaluation, which has no |AFF| to report)."""
+        if seeded == []:  # the repair stayed inside one site: nothing ships
+            return RepairCost(n_falsified, 0, 0, 0, strategy)
+        cost = self.config.cost
+        mail = Network(cost)
+        engine = SyncEngine(
+            dict.fromkeys(self.programs, LocalHost(self.programs, mail)),
+            Network(cost),
+            cost,
+        )
+        if seeded is None:
+            engine.run_fixpoint()
+        else:
+            engine.drain(seeded)
+            n_falsified += engine.n_falsified
+        mail.absorb(engine.network)
         return RepairCost(
-            n_falsified=0,
-            n_messages=network.data_message_count,
-            ds_bytes=network.data_bytes,
+            n_falsified=n_falsified,
+            n_messages=mail.data_message_count,
+            ds_bytes=mail.data_bytes,
             n_rounds=engine.n_rounds,
-            strategy="bootstrap",
+            strategy=strategy,
         )
 
     def relation(self) -> MatchRelation:
@@ -207,26 +230,8 @@ class IncrementalMatchState:
         owner = self.fragmentation.owner(u) if fid is None else fid
         program = self.programs[owner]
         falsified = self._delete_surgery(program, u, v, v_label)
-        n_falsified = len(falsified)
-
         # Ship the owner's newly falsified in-node variables and iterate.
-        network = Network(self.config.cost)
-        network.send_all(program._messages_for(falsified))
-        rounds = 0
-        while network.has_pending:
-            rounds += 1
-            inboxes = network.deliver()
-            inboxes.pop(COORDINATOR, None)
-            for fid, inbox in inboxes.items():
-                result = self.programs[fid].on_tick(rounds, inbox)
-                n_falsified += result.n_falsified
-                network.send_all(result.messages)
-        return RepairCost(
-            n_falsified=n_falsified,
-            n_messages=network.data_message_count,
-            ds_bytes=network.data_bytes,
-            n_rounds=rounds,
-        )
+        return self._drain(program._messages_for(falsified), len(falsified))
 
     def _delete_surgery(
         self, program: DgpmSiteProgram, u: Node, v: Node, v_label: Label
@@ -406,24 +411,7 @@ class IncrementalMatchState:
             n_falsified += len(falsified)
             seeded.extend(program._messages_for(falsified))
         # Ship across sites and iterate to quiescence, as after a deletion.
-        network = Network(self.config.cost)
-        network.send_all(seeded)
-        rounds = 0
-        while network.has_pending:
-            rounds += 1
-            inboxes = network.deliver()
-            inboxes.pop(COORDINATOR, None)
-            for fid, inbox in inboxes.items():
-                result = self.programs[fid].on_tick(rounds, inbox)
-                n_falsified += result.n_falsified
-                network.send_all(result.messages)
-        return RepairCost(
-            n_falsified=n_falsified,
-            n_messages=network.data_message_count,
-            ds_bytes=network.data_bytes,
-            n_rounds=rounds,
-            strategy="targeted",
-        )
+        return self._drain(seeded, n_falsified, strategy="targeted")
 
     # ------------------------------------------------------------------
     # node removal: scrub after the cascade

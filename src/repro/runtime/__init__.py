@@ -1,11 +1,12 @@
 """Simulated distributed runtime.
 
 The paper runs on an EC2 cluster; this package provides the deterministic
-substitute (DESIGN.md §2): every fragment is held by a
-:class:`~repro.runtime.engine.Site` driven by a synchronous-round
-:class:`~repro.runtime.engine.SyncEngine`; all communication flows through a
-:class:`~repro.runtime.network.Network` that meters every byte against a
-declared :class:`~repro.runtime.costmodel.CostModel`.
+substitute (DESIGN.md §2): every fragment is a site, co-located sites form
+a host (:class:`~repro.runtime.engine.LocalHost`), and the synchronous-round
+:class:`~repro.runtime.engine.SyncEngine` drives the hosts; all
+communication flows through a :class:`~repro.runtime.network.Network` that
+meters every byte against a declared
+:class:`~repro.runtime.costmodel.CostModel`.
 
 Metrics reported per run (:class:`~repro.runtime.metrics.RunMetrics`):
 
@@ -18,18 +19,20 @@ Metrics reported per run (:class:`~repro.runtime.metrics.RunMetrics`):
   broadcast, control flags and final result collection are metered separately
   and excluded from the headline number.
 
-The shard workers of :mod:`~repro.runtime.mp` run the same site programs in
-real OS processes, so the simulator's accounting can be checked against them.
+The shard workers of :mod:`~repro.runtime.mp` run the same host in real OS
+processes under the same engine, so both deployments report these metrics
+through one code path.
 """
 
 from repro.runtime.costmodel import CostModel
 from repro.runtime.messages import Message, MessageKind
 from repro.runtime.network import Network
 from repro.runtime.metrics import RunMetrics, RunResult
-from repro.runtime.engine import SiteProgram, SyncEngine, TickResult
+from repro.runtime.engine import LocalHost, SiteProgram, SyncEngine, TickResult
 
 __all__ = [
     "CostModel",
+    "LocalHost",
     "Message",
     "MessageKind",
     "Network",

@@ -1,26 +1,53 @@
-"""The synchronous-round execution engine.
+"""The superstep engine: the one loop that steps sites in rounds.
 
 Sites run in lockstep supersteps (the deterministic simulation of the
 paper's asynchronous message passing; dGPMd and dMes are genuinely
 superstep-based, and for dGPM the schedule is one admissible asynchronous
 interleaving -- the fixpoint it converges to is schedule-independent, which
-tests verify against the centralized oracle).
+tests verify against the centralized oracle).  Per round every site with
+mail or unfinished work receives its inbox, computes, and emits messages;
+the run ends when every site has voted to halt and no message is in flight.
 
-Per round, every site receives its inbox, computes, and emits messages; the
-engine meters the slowest site's compute plus the round's link time as the
-round's contribution to PT.  The run ends when every site has voted to halt
-and no messages are in flight.
+**Hosts.**  :class:`SyncEngine` does not step sites itself, it drives
+*hosts*: a host is a set of co-located sites stepped together.
+:class:`LocalHost` steps :class:`SiteProgram` objects in this process -- an
+in-process evaluation is one ``LocalHost`` holding every site -- and a shard
+worker (:mod:`repro.runtime.mp`) runs the same class over the fragments it
+owns, with the coordinator's handle to it as the remote host.  The contract
+is two calls, ``post(command, payload)`` then ``collect(command)``: the
+engine posts a round to *every* host before it collects the first reply, so
+remote hosts compute a superstep concurrently.  Commands and replies:
 
-A site that receives an empty inbox and has nothing to do reports zero
-compute, so idle sites never inflate PT -- this is what makes "more
-fragments => lower PT" measurable.
+* ``"q.start"`` (payload: whatever names the run to a remote host; a
+  ``LocalHost`` holds its programs already) and ``"q.tick"`` (payload
+  ``(round_no, inbox)``, the mail arriving from outside the host) reply
+  ``(outbound, idle, compute, n_falsified)`` -- the mail *leaving* the host,
+  whether all its sites have halted with nothing buffered, its slowest
+  site's compute seconds, and its sites' share of |AFF|.  An idle host
+  without mail is not ticked and reports nothing, so idle sites never
+  inflate PT -- this is what makes "more fragments => lower PT" measurable.
+* ``"q.collect"`` replies ``(results, site_extras, network)``: every site's
+  RESULT message, the per-site values of the host's ``readers``, and the
+  host's own network as its meter.
+
+**What is metered where.**  Mail between two sites of one host never leaves
+it: the host buffers it in its own :class:`Network`, so it is metered,
+scramble-able and delivered next round exactly like mail that travels.  Mail
+leaving a host (to a site elsewhere, or to the coordinator) goes through the
+engine's network.  :meth:`SyncEngine.collect_results` folds the hosts'
+meters into the engine's, so rounds, messages, DS and the makespan PT --
+per round the slowest host's compute, plus one link latency per delivery
+round and the transfer time of every data byte -- do not depend on which
+sites share a host; :attr:`SyncEngine.colocated_ds_bytes` keeps the part that
+never left one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.errors import ProtocolError
 from repro.runtime.costmodel import CostModel
@@ -58,18 +85,109 @@ class SiteProgram(Protocol):
         ...
 
 
-class SyncEngine:
-    """Drives a set of :class:`SiteProgram` instances to quiescence."""
+class Host(Protocol):
+    """A set of co-located sites the engine steps as one (module docstring)."""
+
+    def post(self, command: str, payload) -> None:
+        """Start ``command`` on the host without waiting for it."""
+        ...
+
+    def collect(self, command: str):
+        """The reply to the last :meth:`post`."""
+        ...
+
+
+class LocalHost:
+    """Sites stepped in this process, their mutual mail in ``network``.
+
+    ``readers`` maps an extras key to a function of one site program; the
+    ``q.collect`` reply carries each reader's value for every site.
+    """
 
     def __init__(
         self,
         programs: Dict[int, SiteProgram],
         network: Network,
+        readers: Optional[Mapping[str, Callable[[SiteProgram], float]]] = None,
+    ) -> None:
+        self.programs = programs
+        self.network = network
+        self.readers = readers or {}
+        self._halted: Dict[int, bool] = {}
+        self._reply = None
+
+    def _step(self, calls: Iterable[Tuple[int, Callable[[], TickResult]]]) -> tuple:
+        """Run one round's site calls; keep their mutual mail, return the rest."""
+        outbound: List[Message] = []
+        slowest = 0.0
+        n_falsified = 0
+        for fid, call in calls:
+            began = time.perf_counter()
+            result = call()
+            slowest = max(slowest, time.perf_counter() - began)
+            self._halted[fid] = result.halted
+            n_falsified += result.n_falsified
+            for message in result.messages:
+                if message.dst in self.programs:
+                    self.network.send(message)
+                else:
+                    outbound.append(message)
+        idle = not self.network.has_pending and all(self._halted.values())
+        return outbound, idle, slowest, n_falsified
+
+    def start(self, _run=None) -> tuple:
+        """Every site's first step."""
+        return self._step((fid, p.on_start) for fid, p in self.programs.items())
+
+    def tick(self, payload: Tuple[int, List[Message]]) -> tuple:
+        """One superstep: last round's local mail plus ``inbox`` from outside;
+        a halted site without mail is skipped."""
+        round_no, inbox = payload
+        inboxes = self.network.deliver()
+        for message in inbox:
+            inboxes.setdefault(message.dst, []).append(message)
+        return self._step(
+            (fid, partial(program.on_tick, round_no, inboxes.get(fid, [])))
+            for fid, program in self.programs.items()
+            if fid in inboxes or not self._halted.get(fid, True)
+        )
+
+    def results(self, _=None) -> tuple:
+        """Every site's final local answer, reader values, and the meter."""
+        programs = self.programs.values()
+        return (
+            [program.collect() for program in programs],
+            {key: [read(p) for p in programs] for key, read in self.readers.items()},
+            self.network,
+        )
+
+    _COMMANDS = {"q.start": start, "q.tick": tick, "q.collect": results}
+
+    def post(self, command: str, payload) -> None:
+        self._reply = self._COMMANDS[command](self, payload)
+
+    def collect(self, command: str):
+        return self._reply
+
+
+class SyncEngine:
+    """Drives hosts of :class:`SiteProgram` instances to quiescence.
+
+    ``placement`` maps every site id to the :class:`Host` holding it;
+    ``network`` carries (and meters) the mail between hosts and to and from
+    the coordinator.
+    """
+
+    def __init__(
+        self,
+        placement: Mapping[int, Host],
+        network: Network,
         cost: CostModel,
         coordinator_inbox_handler: Optional[Callable[[List[Message]], Iterable[Message]]] = None,
         max_rounds: int = 1_000_000,
     ) -> None:
-        self.programs = programs
+        self.placement = placement
+        self.hosts: List[Host] = list(dict.fromkeys(placement.values()))
         self.network = network
         self.cost = cost
         self.coordinator_inbox_handler = coordinator_inbox_handler
@@ -77,26 +195,49 @@ class SyncEngine:
         self.per_round_compute: List[float] = []
         self.coordinator_compute: float = 0.0
         self.n_rounds = 0
+        #: local variables falsified across all sites (the |AFF| proxy)
+        self.n_falsified = 0
+        #: extras key -> every site's value, filled by collect_results
+        self.site_extras: Dict[str, list] = {}
+        #: data bytes that never left a host, filled by collect_results
+        self.colocated_ds_bytes = 0
+        self._idle: Dict[Host, bool] = {}
 
     # ------------------------------------------------------------------
-    def _timed(self, fn: Callable[[], TickResult]) -> tuple:
-        start = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - start
+    @staticmethod
+    def _exchange(command: str, payloads: Mapping[Host, object]) -> list:
+        """``[(host, reply)]`` for one command: every post precedes the first
+        collect, so remote hosts work concurrently."""
+        for host, payload in payloads.items():
+            host.post(command, payload)
+        return [(host, host.collect(command)) for host in payloads]
 
-    def run_fixpoint(self) -> None:
-        """Run on_start once, then tick until quiescence."""
-        halted: Dict[int, bool] = {}
-        round_compute: List[float] = []
-        for fid, program in self.programs.items():
-            result, elapsed = self._timed(program.on_start)
-            round_compute.append(elapsed)
-            self.network.send_all(result.messages)
-            halted[fid] = result.halted
-        self.per_round_compute.append(max(round_compute) if round_compute else 0.0)
-        self.n_rounds = 1
+    def _round(self, command: str, payloads: Mapping[Host, object]) -> None:
+        """One round over the hosts in ``payloads``; route what they emit."""
+        slowest = 0.0
+        for host, reply in self._exchange(command, payloads):
+            outbound, self._idle[host], compute, n_falsified = reply
+            self.network.send_all(outbound)
+            slowest = max(slowest, compute)
+            self.n_falsified += n_falsified
+        self.per_round_compute.append(slowest)
+        self.n_rounds += 1
 
-        while self.network.has_pending or not all(halted.values()):
+    def run_fixpoint(self, run=None) -> None:
+        """Every site's first step, then tick until quiescence (``run`` is
+        the ``q.start`` payload)."""
+        self._round("q.start", dict.fromkeys(self.hosts, run))
+        self.drain()
+
+    def drain(self, seeded: Iterable[Message] = ()) -> None:
+        """Tick until no mail is in flight and every host is idle.
+
+        ``seeded`` is mail already on its way between sites that did not
+        come out of a site step (a warm state's repair: the falsifications
+        its counter surgery produced).
+        """
+        self.network.send_all(seeded)
+        while self.network.has_pending or not all(self._idle.values()):
             if self.n_rounds >= self.max_rounds:
                 raise ProtocolError(f"no quiescence after {self.max_rounds} rounds")
             inboxes = self.network.deliver()
@@ -106,44 +247,49 @@ class SyncEngine:
                 replies = list(self.coordinator_inbox_handler(coordinator_msgs))
                 self.coordinator_compute += time.perf_counter() - start
                 self.network.send_all(replies)
-            round_compute = []
-            for fid, program in self.programs.items():
-                inbox = inboxes.get(fid, [])
-                if not inbox and halted[fid]:
-                    continue
-                result, elapsed = self._timed(
-                    lambda p=program, i=inbox: p.on_tick(self.n_rounds, i)
-                )
-                round_compute.append(elapsed)
-                self.network.send_all(result.messages)
-                halted[fid] = result.halted
-            self.per_round_compute.append(max(round_compute) if round_compute else 0.0)
-            self.n_rounds += 1
+            per_host: Dict[Host, List[Message]] = {}
+            for fid, inbox in inboxes.items():
+                per_host.setdefault(self.placement[fid], []).extend(inbox)
+            self._round(
+                "q.tick",
+                {
+                    host: (self.n_rounds, per_host.get(host, []))
+                    for host in self.hosts
+                    if host in per_host or not self._idle.get(host, True)
+                },
+            )
 
     def collect_results(self) -> List[Message]:
-        """Gather every site's final local answer (metered as RESULT messages)."""
+        """Gather every site's final local answer (metered as RESULT
+        messages) and fold the hosts' meters into the engine's network."""
+        between_hosts = self.network.data_bytes
         out: List[Message] = []
-        for program in self.programs.values():
-            message = program.collect()
-            if message.dst != COORDINATOR:
-                raise ProtocolError("collect() must address the coordinator")
-            self.network.send(message)
-            out.append(message)
+        for _, reply in self._exchange("q.collect", dict.fromkeys(self.hosts)):
+            results, site_extras, meter = reply
+            for message in results:
+                if message.dst != COORDINATOR:
+                    raise ProtocolError("collect() must address the coordinator")
+                self.network.send(message)
+            out.extend(results)
+            for key, values in site_extras.items():
+                self.site_extras.setdefault(key, []).extend(values)
+            self.network.absorb(meter)
+        self.colocated_ds_bytes = self.network.data_bytes - between_hosts
         return out
 
     # ------------------------------------------------------------------
     def simulated_pt(self, extra_compute: float = 0.0) -> float:
         """The makespan PT: per-round slowest compute + modeled link time.
 
-        ``extra_compute`` adds coordinator-side work (assembly, central
-        evaluation for the ship-to-one-site baselines).
+        ``extra_compute`` adds coordinator-side work (assembly).  Link time
+        is one latency per delivery round plus the transfer time of every
+        data byte -- transfer time is linear in bytes, so it does not
+        matter which round, or which host's network, moved them.
         """
         compute = sum(self.per_round_compute) + self.coordinator_compute + extra_compute
-        link = sum(
-            self.cost.latency_s + self.cost.transfer_seconds(volume)
-            for volume in self.network.round_bytes
-        )
-        return compute + link
+        latency = self.cost.latency_s * len(self.network.round_bytes)
+        transfer = self.cost.transfer_seconds(self.network.data_bytes)
+        return compute + latency + transfer
 
     def metrics(self, algorithm: str, wall_seconds: float, extra_compute: float = 0.0, **extras) -> RunMetrics:
         """Package the engine's accounting into :class:`RunMetrics`."""

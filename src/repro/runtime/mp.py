@@ -1,15 +1,21 @@
 """Shard workers: the paper's sites as genuine OS processes.
 
-The synchronous simulator (:mod:`repro.runtime.engine`) is the metered
-substrate for all benchmarks; this module holds the one worker loop that
-runs the *same* ``SiteProgram`` code in real processes --
-:func:`_shard_worker`, which owns a subset of fragments (never the base
-graph) and takes part in coordinator-driven supersteps -- plus the
-spawn/respawn plumbing around it.  The coordinator lives in
-:mod:`repro.session.concurrent` (``backend="sharded"``); with one fragment
-per worker it reproduces the simulator's relation, message count, DS bytes
-and round count exactly, which is how tests confirm those numbers are not
-artifacts of in-process execution.
+This module holds the one worker loop that runs the *same*
+``SiteProgram`` code in real processes -- :func:`_shard_worker`, which owns
+a subset of fragments (never the base graph) -- plus the spawn/respawn
+plumbing around it.  A worker is a *host* of the superstep engine
+(:mod:`repro.runtime.engine`): its ``q.start`` / ``q.tick`` / ``q.collect``
+arms hand the command to a :class:`~repro.runtime.engine.LocalHost` over
+the fragments it owns and ship that host's reply back verbatim --
+``(outbound, idle, compute, n_falsified)`` for a round, ``(results,
+site_extras, network)`` at collection -- so the mail its sites send each
+other, their compute time and their results are metered by the code that
+meters an in-process run.  The coordinator
+(:mod:`repro.session.concurrent`, ``backend="sharded"``) drives the workers
+through the same loop and the same protocol function as in-process
+evaluation; for any number of workers the run reproduces the simulator's
+relation, message count, DS bytes and round count exactly, which is how
+tests confirm those numbers are not artifacts of in-process execution.
 
 Workers talk to the parent through a pluggable
 :class:`~repro.runtime.transport.Transport`: ``transport="pipe"`` is the
@@ -30,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.depgraph import DependencyGraphs
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.partition.fragmentation import Fragmentation
-from repro.runtime.messages import Message
+from repro.runtime.engine import LocalHost
 from repro.runtime.transport import (
     TRANSPORTS,
     PipeTransport,
@@ -59,7 +65,8 @@ def _worker_init(transport: Transport, init):
 
 #: the sharded worker's full command inventory; the protocol-exhaustive
 #: checker verifies every entry has a dispatch arm in ``_shard_worker`` and
-#: a sender in the coordinator (repro.session.concurrent).
+#: a sender: the superstep engine (repro.runtime.engine) posts the ``q.*``
+#: commands, the coordinator (repro.session.concurrent) the rest.
 SHARD_COMMANDS: Tuple[str, ...] = (
     "q.start",
     "q.tick",
@@ -89,6 +96,12 @@ def _peak_rss_kb() -> int:
         return 0
 
 
+def _active(host: Optional[LocalHost], command: str) -> LocalHost:
+    if host is None:
+        raise ProtocolError(f"{command} without an active q.start")
+    return host
+
+
 def _shard_worker(channel, init=None) -> None:
     """Worker-process loop: own a *subset* of fragments, not a replica.
 
@@ -97,20 +110,18 @@ def _shard_worker(channel, init=None) -> None:
     (its owned fragments only -- no base graph) plus the watcher tables,
     and participates in coordinator-driven rounds.  Commands:
 
-    * ``("q.start", (name, query, config))`` -- build one site program per
-      owned fragment from the module-level sharded plan registry and run
-      ``on_start``; replies ``("ok", (cross_msgs, all_halted, has_local))``
-      where ``cross_msgs`` are messages leaving this shard (intra-shard
-      messages are buffered locally for the next round, preserving the
-      synchronous-round semantics of the in-process engine).  Always resets
-      any previous query state, so an aborted run cannot leak into the
-      next.
-    * ``("q.tick", (round_no, inbox))`` -- one superstep over the owned
-      sites: deliver buffered intra-shard messages plus the coordinator's
-      ``inbox``, tick every site that has mail or is not halted; same reply
-      shape.
-    * ``("q.collect", None)`` -> ``("ok", [result messages])``; clears the
-      query state.
+    * ``("q.start", (name, query, config))`` -- build a
+      :class:`~repro.runtime.engine.LocalHost` with one site program per
+      owned fragment from the algorithm registry and run its first step;
+      replies ``("ok", (outbound, idle, compute, n_falsified))`` where
+      ``outbound`` is the mail leaving this shard (the host buffers and
+      meters intra-shard mail for the next round, like any host of the
+      engine).  Always replaces any previous query state, so an aborted run
+      cannot leak into the next.
+    * ``("q.tick", (round_no, inbox))`` -- one superstep of that host over
+      its buffered mail plus the coordinator's ``inbox``; same reply shape.
+    * ``("q.collect", None)`` -> ``("ok", (results, site_extras,
+      network))``, the host's meter included; clears the query state.
     * ``("mutate", [MutationDelta, ...])`` -- replay deltas into the shard
       and watcher tables -> ``("ok", n_applied)``.
     * ``("install", (adds, drops))`` -- adopt/release fragment ownership on
@@ -123,20 +134,12 @@ def _shard_worker(channel, init=None) -> None:
     * ``("stats", None)`` -> ``("ok", {...})`` incl. peak RSS.
     * ``("stop", None)`` -- close and exit.
     """
-    from repro.session.sharding import SHARDED_PLANS  # import cycle guard
+    from repro.core.protocol import local_host  # import cycle guard
+    from repro.session.drivers import DRIVERS
 
     transport = open_worker_transport(channel)
     shard, deps = _worker_init(transport, init)
-    programs = None
-    halted: Dict[int, bool] = {}
-    local_pending: List[Message] = []
-
-    def route(messages: List[Message], cross: List[Message]) -> None:
-        for message in messages:
-            if programs is not None and message.dst in programs:
-                local_pending.append(message)
-            else:
-                cross.append(message)
+    host: Optional[LocalHost] = None
 
     while True:
         try:
@@ -145,54 +148,26 @@ def _shard_worker(channel, init=None) -> None:
             return
         if command == "q.start":
             name, query, config = payload
+            host = None
             try:
-                plan = SHARDED_PLANS[name]
-                halted = {}
-                local_pending = []
-                programs = {
-                    fid: plan.build_program(fid, shard, query, deps, config)
-                    for fid in shard.fids
-                }
-                cross: List[Message] = []
-                for fid in sorted(programs):
-                    result = programs[fid].on_start()
-                    halted[fid] = result.halted
-                    route(result.messages, cross)
-                reply = ("ok", (cross, all(halted.values()), bool(local_pending)))
+                host = local_host(
+                    DRIVERS[name].spec, shard.fids, shard, query, deps, config
+                )
+                reply = ("ok", host.start())
             except Exception as exc:
-                programs = None
+                host = None
                 reply = ("err", exc)
         elif command == "q.tick":
-            round_no, inbox = payload
             try:
-                if programs is None:
-                    raise ProtocolError("q.tick without an active q.start")
-                inboxes: Dict[int, List[Message]] = {}
-                for message in local_pending + list(inbox):
-                    inboxes.setdefault(message.dst, []).append(message)
-                local_pending = []
-                cross = []
-                for fid in sorted(programs):
-                    site_inbox = inboxes.get(fid, [])
-                    if not site_inbox and halted[fid]:
-                        continue
-                    result = programs[fid].on_tick(round_no, site_inbox)
-                    halted[fid] = result.halted
-                    route(result.messages, cross)
-                reply = ("ok", (cross, all(halted.values()), bool(local_pending)))
+                reply = ("ok", _active(host, command).tick(payload))
             except Exception as exc:
                 reply = ("err", exc)
         elif command == "q.collect":
             try:
-                if programs is None:
-                    raise ProtocolError("q.collect without an active q.start")
-                results = [programs[fid].collect() for fid in sorted(programs)]
-                reply = ("ok", results)
+                reply = ("ok", _active(host, command).results())
             except Exception as exc:
                 reply = ("err", exc)
-            programs = None
-            halted = {}
-            local_pending = []
+            host = None
         elif command == "mutate":
             try:
                 for delta in payload:
@@ -214,9 +189,7 @@ def _shard_worker(channel, init=None) -> None:
         elif command == "rebalance":
             try:
                 shard, deps = payload
-                programs = None
-                halted = {}
-                local_pending = []
+                host = None
                 reply = ("ok", shard.fids)
             except Exception as exc:
                 reply = ("err", exc)

@@ -4,6 +4,9 @@ The network is a per-round mailbox: messages sent during round ``r`` are
 delivered at the start of round ``r + 1``.  Every byte is accounted by
 :class:`MessageKind`, giving both the paper's headline DS (data kinds only,
 see :data:`~repro.runtime.messages.DATA_KINDS`) and the full breakdown.
+Mail a site addresses to itself is delivered like any other but never
+counted: it is a local event (dGPM's push uses it to hand itself a
+falsification next round), not data shipment.
 
 **Asynchrony testing.**  The paper's dGPM runs asynchronously; its fixpoint
 is schedule-independent (Section 4.1's correctness argument).  Construct the
@@ -45,8 +48,9 @@ class Network:
     def send(self, message: Message) -> None:
         """Queue ``message`` for delivery at the next round."""
         self._in_flight.append(message)
-        self.bytes_by_kind[message.kind] += message.size_bytes
-        self.count_by_kind[message.kind] += 1
+        if message.src != message.dst:
+            self.bytes_by_kind[message.kind] += message.size_bytes
+            self.count_by_kind[message.kind] += 1
 
     def send_all(self, messages) -> None:
         """Queue several messages."""
@@ -89,7 +93,7 @@ class Network:
         volume = 0
         for message in releasing:
             inboxes[message.dst].append(message)
-            if message.kind in DATA_KINDS:
+            if message.kind in DATA_KINDS and message.src != message.dst:
                 volume += message.size_bytes
         self.round_bytes.append(volume)
         self._in_flight = held
@@ -98,6 +102,13 @@ class Network:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
+    def absorb(self, other: "Network") -> None:
+        """Add the mail ``other`` carried to this network's accounting (the
+        engine folds every host's own network into the run's this way)."""
+        for kind, n_bytes in other.bytes_by_kind.items():
+            self.bytes_by_kind[kind] += n_bytes
+            self.count_by_kind[kind] += other.count_by_kind[kind]
+
     @property
     def data_bytes(self) -> int:
         """Headline DS: bytes of protocol data messages."""

@@ -41,9 +41,13 @@ Two execution backends behind one API
 * ``backend="sharded"`` -- the paper's site model as a deployment: each of
   a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
   the fragments a :class:`~repro.session.sharding.HashRing` assigns it
-  (never the base graph), and this class plays coordinator, driving the
-  same supersteps as the in-process engine and routing only boundary
-  messages.  Mutation batches ship, inside the same write-lock hold that
+  (never the base graph), and this class plays coordinator.  A query is
+  the same :func:`~repro.core.protocol.run_protocol` call as in-process
+  evaluation, with the worker handles as the engine's hosts: one superstep
+  loop, one metering path, so rounds, messages, DS and PT mean the same on
+  both backends and do not depend on ``n_workers``
+  (``extras["colocated_ds_bytes"]`` is the part of DS that stayed inside a
+  worker).  Mutation batches ship, inside the same write-lock hold that
   patches the parent session, only to the workers owning the touched
   fragments; a dead worker is respawned (or evicted) from the parent's
   authoritative fragmentation, so no batch is ever lost.
@@ -69,7 +73,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.dgpm import assemble_result
+from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.errors import (
     MutationBatchError,
     ProtocolError,
@@ -89,12 +93,10 @@ from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
-from repro.runtime.messages import COORDINATOR, Message
 from repro.runtime.metrics import RunMetrics, RunResult
-from repro.runtime.network import Network
 from repro.runtime.transport import TRANSPORTS, FaultPlan, RetryPolicy
 from repro.session.session import MutationOutcome, SimulationSession
-from repro.session.sharding import SHARDED_PLANS, HashRing
+from repro.session.sharding import HashRing
 from repro.simulation.matchrel import MatchRelation
 
 
@@ -234,9 +236,13 @@ class _Subscription:
 
 
 class _ShardHandle:
-    """One shard worker: its process, transport, dispatch lock and ring slot."""
+    """One shard worker: its process, transport, dispatch lock and ring slot.
 
-    __slots__ = ("process", "link", "lock", "slot", "dead")
+    To the superstep engine (:mod:`repro.runtime.engine`) this is the remote
+    host: :meth:`post` and :meth:`collect` carry its ``q.*`` commands.
+    """
+
+    __slots__ = ("process", "link", "lock", "slot", "dead", "owed")
 
     def __init__(self, process, link, slot) -> None:
         self.process = process
@@ -244,6 +250,7 @@ class _ShardHandle:
         self.lock = threading.Lock()
         self.slot = slot
         self.dead = False  # set on link failure; the heal pass respawns it
+        self.owed = False  # posted to, reply not collected yet
 
     def _link_error(self, command: str, exc: BaseException) -> ProtocolError:
         """The uniform dead-worker error for every transport operation.
@@ -279,21 +286,29 @@ class _ShardHandle:
 
         Only valid under the pool lock, when nothing else can interleave
         on this link -- supersteps and broadcasts use it to overlap all
-        workers' work instead of round-tripping one worker at a time.
+        workers' work instead of round-tripping one worker at a time.  A
+        broken link marks the worker dead.
         """
         try:
             with self.lock:
                 self.link.send((command, payload))
         except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
+            self.dead = True
             raise self._link_error(command, exc) from exc
+        self.owed = True
 
     def collect(self, command: str):
-        """Receive the reply to an earlier :meth:`post`."""
+        """Receive the reply to an earlier :meth:`post`; a broken link or a
+        worker that lost track of the protocol marks the worker dead."""
+        self.owed = False
         try:
             with self.lock:
                 status, reply = self.link.recv()
         except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
+            self.dead = True
             raise self._link_error(command, exc) from exc
+        if status == "err" and isinstance(reply, ProtocolError):
+            self.dead = True
         return self._unwrap(status, reply)
 
 
@@ -607,8 +622,8 @@ class ConcurrentSessionServer:
         config = config or self._session.config
         self._session._validate_args(algorithm, None)
         driver, config = self._session._resolve_for_query(algorithm, query, config)
-        plan = SHARDED_PLANS.get(driver.name)
-        if plan is None:
+        spec: Optional[AlgorithmSpec] = getattr(driver, "spec", None)
+        if spec is None:
             # Centralized baselines (match, dISHHK) ship the whole graph to
             # one site by design; evaluating them at the coordinator is
             # faithful to their cost model.
@@ -621,7 +636,7 @@ class ConcurrentSessionServer:
             for _ in range(self.n_workers + 2):
                 self._heal_pool_locked()
                 try:
-                    return self._run_plan_locked(plan, driver.name, query, config)
+                    return self._run_plan_locked(spec, query, config)
                 except ProtocolError as exc:
                     last = exc
             raise ProtocolError(
@@ -629,146 +644,47 @@ class ConcurrentSessionServer:
             ) from last
 
     def _run_plan_locked(
-        self, plan, name: str, query: Pattern, config: DgpmConfig
+        self, spec: AlgorithmSpec, query: Pattern, config: DgpmConfig
     ) -> RunResult:
-        """One distributed run: Phase-1 broadcast, rounds, collect, assemble.
+        """One distributed run: the protocol in-process evaluation runs,
+        with every site placed on the worker that owns its fragment.
 
-        Mirrors :class:`~repro.runtime.engine.SyncEngine` exactly -- same
-        round numbering, same delivery barriers, same coordinator-handler
-        timing -- but sites live in shard workers: each round's cross-shard
-        messages route through the metered :class:`Network` and are batched
-        to owning workers by ring lookup, while intra-shard messages stay
-        worker-local (buffered one round, preserving superstep semantics).
+        The superstep loop, the metering and the metrics are
+        :func:`~repro.core.protocol.run_protocol`'s; what is this backend's
+        own is the placement, draining the replies an aborted run left
+        owed, and the traffic attribution.
         """
         session = self._session
-        fragmentation = session.fragmentation
-        cost = config.cost
-        start = time.perf_counter()
-        if plan.precheck is not None:
-            short_circuit = plan.precheck(query, fragmentation, plan.display_name)
-            if short_circuit is not None:
-                return short_circuit
         handles = {h.slot: h for h in self._shards if not h.dead}
         if not handles:
             raise ProtocolError(
                 "every shard worker has died -- rebuild the server"
             )
-        network = Network(cost)
-        network.broadcast_query((frag.fid for frag in fragmentation), query)
-        coordinator = (
-            plan.make_coordinator(fragmentation, query, cost)
-            if plan.make_coordinator is not None
-            else None
-        )
-        outstanding: List[_ShardHandle] = []
-        all_halted: dict = {}
-        has_local: dict = {}
+        if len(handles) < len(self._shards):
+            # Marked dead by the heal pass itself (a failed install): its
+            # fragments have no live host until the next heal respawns it.
+            raise ProtocolError("a shard worker died while the pool healed")
+        placement = {
+            frag.fid: handles[self._ring.owner_of(frag.fid)]
+            for frag in session.fragmentation
+        }
         try:
-            for handle in handles.values():
-                self._shard_post(
-                    handle, "q.start", (name, query, config), outstanding
-                )
-            for handle in list(outstanding):
-                cross, halted, local = self._shard_collect(
-                    handle, "q.start", outstanding
-                )
-                all_halted[handle.slot] = halted
-                has_local[handle.slot] = local
-                network.send_all(cross)
-            rounds = 1
-            while (
-                network.has_pending
-                or not all(all_halted.values())
-                or any(has_local.values())
-            ):
-                if rounds >= 1_000_000:
-                    raise ProtocolError("no quiescence after 1000000 rounds")
-                inboxes = network.deliver()
-                coordinator_msgs = inboxes.pop(COORDINATOR, [])
-                if coordinator_msgs and coordinator is not None:
-                    network.send_all(coordinator(coordinator_msgs))
-                per_slot: dict = {}
-                for fid, inbox in inboxes.items():
-                    per_slot.setdefault(self._ring.owner_of(fid), []).extend(inbox)
-                targets = [
-                    slot
-                    for slot in handles
-                    if per_slot.get(slot) or has_local[slot] or not all_halted[slot]
-                ]
-                for slot in targets:
-                    self._shard_post(
-                        handles[slot],
-                        "q.tick",
-                        (rounds, per_slot.get(slot, [])),
-                        outstanding,
-                    )
-                for slot in targets:
-                    cross, halted, local = self._shard_collect(
-                        handles[slot], "q.tick", outstanding
-                    )
-                    all_halted[slot] = halted
-                    has_local[slot] = local
-                    network.send_all(cross)
-                rounds += 1
-            results: List[Message] = []
-            for handle in handles.values():
-                self._shard_post(handle, "q.collect", None, outstanding)
-            for handle in handles.values():
-                messages = self._shard_collect(handle, "q.collect", outstanding)
-                network.send_all(messages)
-                results.extend(messages)
-            network.deliver()
+            result = run_protocol(
+                spec, query, session.fragmentation, config, placement=placement
+            )
         except BaseException:
-            self._abort_outstanding(outstanding)
+            self._abort_outstanding(handles.values())
             raise
-        relation = assemble_result(query, results)
         # The parent session never ran this query, so attribute its traffic
         # here -- the sharded backend is the headline consumer of the
         # per-fragment window (rebalance() migrates by it).
         session.stats.bump_fragment(
-            "fragment_queries", session._touched_fids(relation)
+            "fragment_queries", session._touched_fids(result.relation)
         )
-        wall = time.perf_counter() - start
-        metrics = RunMetrics(
-            algorithm=plan.display_name,
-            pt_seconds=wall,
-            wall_seconds=wall,
-            ds_bytes=network.data_bytes,
-            n_messages=network.data_message_count,
-            n_rounds=rounds,
-            ds_breakdown=network.breakdown(),
-            extras={"sharded_workers": float(len(handles))},
-        )
-        return RunResult(relation=relation, metrics=metrics)
+        return result
 
     @staticmethod
-    def _shard_post(
-        handle: _ShardHandle, command: str, payload, outstanding: List[_ShardHandle]
-    ) -> None:
-        """Post to one shard worker, tracking the reply it now owes."""
-        try:
-            handle.post(command, payload)
-        except ProtocolError:
-            handle.dead = True
-            raise
-        outstanding.append(handle)
-
-    @staticmethod
-    def _shard_collect(
-        handle: _ShardHandle, command: str, outstanding: List[_ShardHandle]
-    ):
-        """Collect one owed reply; a broken link marks the worker dead."""
-        try:
-            value = handle.collect(command)
-        except ProtocolError:
-            handle.dead = True
-            raise
-        finally:
-            outstanding.remove(handle)
-        return value
-
-    @staticmethod
-    def _abort_outstanding(outstanding: List[_ShardHandle]) -> None:
+    def _abort_outstanding(handles: Iterable[_ShardHandle]) -> None:
         """Drain replies still owed after an aborted run.
 
         Unread replies would mispair with the next command on the link;
@@ -776,9 +692,8 @@ class ConcurrentSessionServer:
         unconditionally resets worker query state, so no abort command is
         needed).  Workers that fail here are marked dead for the heal pass.
         """
-        for handle in list(outstanding):
-            if handle.dead:
-                outstanding.remove(handle)
+        for handle in handles:
+            if handle.dead or not handle.owed:
                 continue
             try:
                 handle.collect("abort-drain")
@@ -786,7 +701,6 @@ class ConcurrentSessionServer:
                 handle.dead = True
             except Exception:  # worker-side error reply: link is clean
                 pass
-            outstanding.remove(handle)
 
     def _heal_pool_locked(self) -> None:
         """Respawn every dead shard worker; shrink the ring on give-up.

@@ -1,34 +1,45 @@
-"""Algorithm drivers: the uniform per-query entry points of a session.
+"""The algorithm registry: the uniform per-query entry points of a session.
 
 An :class:`AlgorithmDriver` is the thin adapter between a resident
-:class:`~repro.session.SimulationSession` and one algorithm's ``execute_*``
-protocol function.  Drivers hold no per-query state; they pull the session's
-cached immutable structures (the boundary/watcher tables of
+:class:`~repro.session.SimulationSession` and one algorithm.  Drivers hold
+no per-query state; they hand the protocol the session's cached structures
+(the boundary/watcher tables of
 :class:`~repro.core.depgraph.DependencyGraphs`, and for ``engine="array"``
-the compiled-CSR fragment cache) and hand them to the protocol, so serving a
-query costs only the query, never the graph.
+the compiled-CSR fragment cache), so serving a query costs only the query,
+never the graph.
+
+The four superstep algorithms share one driver class,
+:class:`SuperstepDriver`, over their
+:class:`~repro.core.protocol.AlgorithmSpec`; the spec is also what the
+sharded backend runs -- the coordinator over its worker handles, each
+worker to build the site programs of the fragments it owns -- so both
+backends read this one registry.  The centralized baselines (Match, disHHK)
+ship the graph to one site by design and keep their own small drivers.
 
 Each driver declares the execution ``engines`` it supports; the session
 validates the requested engine against this up front, so asking e.g. the
 centralized Match baseline for the array engine fails with one clear error
-instead of deep in a protocol function.
+instead of deep in a protocol function.  A spec with no engines, or one
+:mod:`~repro.core.arraycompile` does not know, cannot be constructed, and
+:data:`DRIVERS` cannot be built with a name registered twice.
 
-The registry :data:`DRIVERS` maps the session's algorithm names to driver
-instances; ``"auto"`` is resolved by the session itself via
+``"auto"`` is resolved by the session itself via
 :func:`repro.core.dispatch.choose_algorithm`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Protocol, Tuple
 
 from repro.baselines.dishhk import execute_dishhk
-from repro.baselines.dmes import execute_dmes
+from repro.baselines.dmes import DMES
 from repro.baselines.match_central import execute_match
 from repro.core.config import DgpmConfig
-from repro.core.dgpm import execute_dgpm
-from repro.core.dgpmd import execute_dgpmd
-from repro.core.dgpmt import execute_dgpmt
+from repro.core.dgpm import DGPM
+from repro.core.dgpmd import DGPMD
+from repro.core.dgpmt import DGPMT
+from repro.core.protocol import AlgorithmSpec, run_protocol
+from repro.errors import ReproError
 from repro.graph.pattern import Pattern
 from repro.runtime.metrics import RunResult
 
@@ -57,68 +68,27 @@ class AlgorithmDriver(Protocol):
         ...
 
 
-def _compiled_for(session: "SimulationSession", engine: str):
-    """The session's compiled-CSR cache when the array engine is in play."""
-    return session.compiled_fragments() if engine == "array" else None
+class SuperstepDriver:
+    """Serves any superstep algorithm from its :class:`AlgorithmSpec`."""
 
-
-class DgpmDriver:
-    name = "dgpm"
-    display_name = "dGPM"
-    engines = ("dict", "array")
+    def __init__(self, spec: AlgorithmSpec) -> None:
+        self.spec = spec
+        self.name = spec.name
+        self.display_name = spec.display_name
+        self.engines = spec.engines
 
     def run(self, session, query, config, engine="dict"):
-        return execute_dgpm(
+        # Providers, not values: a query the precheck refuses must not
+        # build the watcher tables, nor a dict-engine one the CSR cache.
+        return run_protocol(
+            self.spec,
             query,
             session.fragmentation,
             config,
-            deps=session.deps,
-            engine=engine,
-            compiled=_compiled_for(session, engine),
+            engine,
+            deps=lambda: session.deps,
+            compiled=session.compiled_fragments,
         )
-
-
-class DgpmdDriver:
-    name = "dgpmd"
-    display_name = "dGPMd"
-    engines = ("dict", "array")
-
-    def run(self, session, query, config, engine="dict"):
-        # A non-DAG query either short-circuits (DAG data graph) or raises
-        # inside execute_dgpmd before deps are needed -- don't build them.
-        deps = session.deps if query.is_dag() else None
-        return execute_dgpmd(
-            query,
-            session.fragmentation,
-            config,
-            deps=deps,
-            engine=engine,
-            compiled=_compiled_for(session, engine),
-        )
-
-
-class DgpmtDriver:
-    name = "dgpmt"
-    display_name = "dGPMt"
-    engines = ("dict", "array")
-
-    def run(self, session, query, config, engine="dict"):
-        return execute_dgpmt(
-            query,
-            session.fragmentation,
-            config,
-            engine=engine,
-            compiled=_compiled_for(session, engine),
-        )
-
-
-class DmesDriver:
-    name = "dmes"
-    display_name = "dMes"
-    engines = ("dict",)
-
-    def run(self, session, query, config, engine="dict"):
-        return execute_dmes(query, session.fragmentation, config, deps=session.deps)
 
 
 class DishhkDriver:
@@ -139,16 +109,24 @@ class MatchDriver:
         return execute_match(query, session.fragmentation, config)
 
 
-#: name -> driver instance; the session copies this at construction so callers
-#: can register custom drivers per session without global effects.
-DRIVERS: Dict[str, AlgorithmDriver] = {
-    driver.name: driver
-    for driver in (
-        DgpmDriver(),
-        DgpmdDriver(),
-        DgpmtDriver(),
-        DmesDriver(),
+def build_registry(drivers: Iterable[AlgorithmDriver]) -> Dict[str, AlgorithmDriver]:
+    """``name -> driver``; a name claimed twice is an error, not an overwrite."""
+    registry: Dict[str, AlgorithmDriver] = {}
+    for driver in drivers:
+        if driver.name in registry:
+            raise ReproError(f"algorithm name {driver.name!r} is registered twice")
+        registry[driver.name] = driver
+    return registry
+
+
+#: every algorithm a session serves, by name
+DRIVERS: Dict[str, AlgorithmDriver] = build_registry(
+    [
+        SuperstepDriver(DGPM),
+        SuperstepDriver(DGPMD),
+        SuperstepDriver(DGPMT),
+        SuperstepDriver(DMES),
         DishhkDriver(),
         MatchDriver(),
-    )
-}
+    ]
+)

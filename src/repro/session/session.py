@@ -345,7 +345,6 @@ class SimulationSession:
         self.max_warm_states = max_warm_states
         self.warm_after_hits = warm_after_hits
         self.stats = SessionStats()
-        self.drivers: Dict[str, AlgorithmDriver] = dict(DRIVERS)
         self.engine = self._validate_args("auto", engine)
         self.labels = LabelInterner()
         self._cache = LruResultCache(cache_size, on_evict=self._on_cache_evict)
@@ -873,7 +872,7 @@ ConcurrentSessionServer` provides.
         from repro.core.arraycompile import ENGINES
 
         problems: List[str] = []
-        valid = {"auto", "dgpmnopt", *self.drivers}
+        valid = {"auto", "dgpmnopt", *DRIVERS}
         if algorithm.lower() not in valid:
             known = ", ".join(sorted(valid))
             problems.append(f"unknown algorithm {algorithm!r} (known: {known})")
@@ -892,10 +891,10 @@ ConcurrentSessionServer` provides.
         """The driver (and config) a validated algorithm name stands for."""
         name = algorithm.lower()
         if name == "dgpmnopt":
-            return self.drivers["dgpm"], config.without_optimizations()
+            return DRIVERS["dgpm"], config.without_optimizations()
         if name == "auto":
             name = choose_algorithm(query, self.fragmentation).lower()
-        return self.drivers[name], config
+        return DRIVERS[name], config
 
     def __repr__(self) -> str:
         return (

@@ -1,23 +1,18 @@
 """Fragment->worker ownership for the sharded serving backend.
 
 The paper's site model (Section 2.2) has every site hold a *subset* of the
-fragments.  This module supplies the two coordinator-side ingredients of
-that sharded deployment:
+fragments.  :class:`HashRing` is the coordinator's record of which: a
+deterministic, bounded-load consistent-hash assignment of fragment ids to
+worker slots.  Ownership is a pure function of the (worker set, fragment
+set) pair -- independent of graph content, engine, or partitioner -- so
+every replica of the coordinator agrees.  ``join``/``leave`` produce a new
+ring that moves at most ``ceil(|F|/n) + 1`` fragments (``n`` the *new*
+worker count), so a ring change re-ships only the migrated fragments.
 
-* :class:`HashRing` -- a deterministic, bounded-load consistent-hash
-  assignment of fragment ids to worker slots.  Ownership is a pure function
-  of the (worker set, fragment set) pair -- independent of graph content,
-  engine, or partitioner -- so every replica of the coordinator agrees.
-  ``join``/``leave`` produce a new ring that moves at most
-  ``ceil(|F|/n) + 1`` fragments (``n`` the *new* worker count), so a ring
-  change re-ships only the migrated fragments.
-
-* :data:`SHARDED_PLANS` -- per-algorithm recipes telling the coordinator
-  how to drive a distributed run over shard workers: how each worker builds
-  its site programs (from a :class:`~repro.partition.fragmentation.FragmentShard`,
-  never the full fragmentation), which coordinator-inbox handler to run
-  centrally, and any coordinator-side precheck (dGPMd's DAG short-circuit,
-  dGPMt's tree/connectivity requirements -- the executors' own entry checks).
+How a run is driven over the workers is not decided here: the sharded
+backend runs the same :func:`~repro.core.protocol.run_protocol` over the
+same algorithm registry (:mod:`repro.session.drivers`) as in-process
+evaluation, with the ring only saying which worker hosts which site.
 
 Everything here is deterministic by construction: hashing uses
 :mod:`hashlib` (stable across processes and ``PYTHONHASHSEED``), and no
@@ -27,22 +22,7 @@ wall-clock or global RNG is touched.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-from repro.baselines.dmes import DmesSiteProgram, _DmesCoordinator
-from repro.core.dgpm import DgpmSiteProgram
-from repro.core.dgpmd import DgpmdSiteProgram, dgpmd_precheck
-from repro.core.dgpmt import DgpmtSiteProgram, _TreeCoordinator, dgpmt_precheck
-from repro.runtime.metrics import RunResult
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 Slot = Hashable
 
@@ -230,68 +210,3 @@ class HashRing:
             f"HashRing(workers={len(self.workers)}, "
             f"fragments={len(self.fragments)}, loads={self.loads()})"
         )
-
-
-# ----------------------------------------------------------------------
-# per-algorithm sharded execution plans
-# ----------------------------------------------------------------------
-
-#: precheck(query, fragmentation, display_name) -> None to proceed, or the
-#: finished result to short-circuit without touching the workers; these are
-#: the in-process executors' own entry checks.
-Precheck = Callable[..., Optional[RunResult]]
-
-
-@dataclass(frozen=True)
-class ShardedPlan:
-    """How the coordinator drives one algorithm over shard workers.
-
-    ``build_program`` runs *worker-side* (looked up from this module-level
-    registry, so nothing here is ever pickled): it receives the worker's
-    :class:`~repro.partition.fragmentation.FragmentShard` -- site programs
-    only ever index their own fragment out of it.  ``make_coordinator`` and
-    ``precheck`` run coordinator-side with the full fragmentation.
-    """
-
-    display_name: str
-    #: (fid, shard, query, deps, config) -> SiteProgram
-    build_program: Callable[..., object]
-    #: (fragmentation, query, cost) -> coordinator inbox handler, or None
-    make_coordinator: Optional[Callable[..., object]] = None
-    precheck: Optional[Precheck] = None
-
-
-def _dgpmt_program(fid, shard, query, deps, config):
-    return DgpmtSiteProgram(fid, shard, query, config)
-
-
-def _dmes_coordinator(fragmentation, query, cost):
-    return _DmesCoordinator(fragmentation.n_fragments, cost)
-
-
-#: algorithms the sharded backend can run distributed; anything else a
-#: session serves is evaluated coordinator-locally (the centralized
-#: baselines ship the whole graph to one site by design, so a local run is
-#: faithful to their cost model).
-SHARDED_PLANS: Dict[str, ShardedPlan] = {
-    "dgpm": ShardedPlan(
-        display_name="dGPM/sharded",
-        build_program=DgpmSiteProgram,
-    ),
-    "dgpmd": ShardedPlan(
-        display_name="dGPMd/sharded",
-        build_program=DgpmdSiteProgram,
-        precheck=dgpmd_precheck,
-    ),
-    "dgpmt": ShardedPlan(
-        display_name="dGPMt/sharded",
-        build_program=_dgpmt_program,
-        make_coordinator=_TreeCoordinator,
-        precheck=dgpmt_precheck,
-    ),
-    "dmes": ShardedPlan(
-        display_name="dMes/sharded",
-        build_program=DmesSiteProgram,
-        make_coordinator=_dmes_coordinator,
-    ),
-}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.analysis.checkers.asserts import BareAssertChecker
@@ -18,6 +21,11 @@ from repro.analysis.checkers.protocol import (
 )
 from repro.analysis.project import Project
 from repro.analysis.runner import run_analysis
+from repro.core.arraycompile import ENGINES
+from repro.core.dgpm import DGPM
+from repro.core.protocol import AlgorithmSpec
+from repro.errors import ReproError
+from repro.session.drivers import DRIVERS, SuperstepDriver, build_registry
 
 
 def check(checker, sources):
@@ -448,6 +456,15 @@ class TestShardCommands:
             "never sent" in f.message and f.detail == "stop" for f in findings
         )
 
+    def test_superstep_engine_counts_as_a_sender(self):
+        """The ``q.*`` commands are posted by the engine, not the coordinator."""
+        tree = self._full_tree()
+        tree["session/concurrent.py"] = (
+            'def drive(handle):\n    handle.request("ping", None)\n'
+        )
+        tree["runtime/engine.py"] = 'def run(host):\n    host.post("stop", None)\n'
+        assert check(ShardCommandChecker(), tree) == []
+
     def test_inventory_literals_do_not_count_as_dispatch(self):
         """The inventory tuple itself must not satisfy the dispatch arm."""
         tree = self._full_tree()
@@ -510,73 +527,67 @@ class TestDeterminism:
 
 
 class TestDriverRegistry:
-    GOOD_DRIVER = (
-        "class GoodDriver:\n"
-        "    name = 'good'\n"
-        "    display_name = 'Good'\n"
-        "    engines = ('dict',)\n"
-        "    def run(self, session, query, config, engine='dict'):\n"
-        "        return None\n"
-        "DRIVERS = {d.name: d for d in (GoodDriver(),)}\n"
-    )
-    ENGINES = "ENGINES = ('dict', 'array')\n"
+    """The registry contract: what a type can hold is enforced by
+    ``AlgorithmSpec`` / ``build_registry`` when the registry is built (each
+    bad spec raises); what it cannot -- that the session still reads the
+    declaration -- stays an AST rule."""
+
     SESSION = (
         "def validate(driver, engine):\n"
         "    if engine not in driver.engines:\n"
         "        raise ValueError(engine)\n"
     )
 
-    def _tree(self, driver_src=None, session_src=None):
-        return {
-            "session/drivers.py": driver_src or self.GOOD_DRIVER,
-            "core/arraycompile.py": self.ENGINES,
-            "session/session.py": session_src or self.SESSION,
-        }
-
     def test_well_formed_registry_clean(self):
-        assert check(DriverRegistryChecker(), self._tree()) == []
+        assert check(DriverRegistryChecker(), {"session/session.py": self.SESSION}) == []
+        for name, driver in DRIVERS.items():
+            assert driver.name == name and driver.display_name
+            assert driver.engines and set(driver.engines) <= set(ENGINES)
 
     def test_missing_engines_flagged(self):
-        bad = self.GOOD_DRIVER.replace("    engines = ('dict',)\n", "")
-        findings = check(DriverRegistryChecker(), self._tree(driver_src=bad))
-        assert any("engines" in f.message for f in findings)
+        with pytest.raises(TypeError, match="engines"):
+            AlgorithmSpec(name="x", display_name="X", build_program=DGPM.build_program)
+        with pytest.raises(ReproError, match="engines"):
+            dataclasses.replace(DGPM, engines=())
+
+    def test_missing_name_flagged(self):
+        with pytest.raises(TypeError, match="display_name"):
+            AlgorithmSpec(name="x", engines=("dict",), build_program=DGPM.build_program)
 
     def test_unknown_engine_flagged(self):
-        bad = self.GOOD_DRIVER.replace("('dict',)", "('dict', 'gpu')")
-        findings = check(DriverRegistryChecker(), self._tree(driver_src=bad))
-        assert any("'gpu'" in f.message for f in findings)
-
-    def test_run_without_engine_param_flagged(self):
-        bad = self.GOOD_DRIVER.replace(
-            "def run(self, session, query, config, engine='dict'):",
-            "def run(self, session, query, config):",
-        )
-        findings = check(DriverRegistryChecker(), self._tree(driver_src=bad))
-        assert any("engine" in f.message for f in findings)
+        with pytest.raises(ReproError, match="'gpu'"):
+            dataclasses.replace(DGPM, engines=("dict", "gpu"))
 
     def test_duplicate_name_flagged(self):
-        dup = (
-            "class A:\n"
-            "    name = 'x'\n"
-            "    display_name = 'A'\n"
-            "    engines = ('dict',)\n"
-            "    def run(self, session, query, config, engine='dict'):\n"
-            "        return None\n"
-            "class B:\n"
-            "    name = 'x'\n"
-            "    display_name = 'B'\n"
-            "    engines = ('dict',)\n"
-            "    def run(self, session, query, config, engine='dict'):\n"
-            "        return None\n"
-            "DRIVERS = {d.name: d for d in (A(), B())}\n"
-        )
-        findings = check(DriverRegistryChecker(), self._tree(driver_src=dup))
-        assert any("re-registers" in f.message for f in findings)
+        again = dataclasses.replace(DGPM, display_name="dGPM again")
+        with pytest.raises(ReproError, match="registered twice"):
+            build_registry([SuperstepDriver(DGPM), SuperstepDriver(again)])
+
+    def test_requested_engine_reaches_build_program(self):
+        """One generic ``run`` hands the engine on: ``build_program`` sees the
+        session's compiled-CSR cache under ``array`` and None under ``dict``."""
+        from repro import SimulationSession, hash_partition, web_graph
+        from repro.bench.workloads import cyclic_pattern
+
+        graph = web_graph(40, 120, n_labels=3, seed=2)
+        session = SimulationSession(hash_partition(graph, 3))
+        seen = []
+
+        def recording(fid, fragmentation, query, deps, config, compiled):
+            seen.append(compiled)
+            return DGPM.build_program(fid, fragmentation, query, deps, config, compiled)
+
+        driver = SuperstepDriver(dataclasses.replace(DGPM, build_program=recording))
+        query = cyclic_pattern(graph, 3, 3, seed=2)
+        driver.run(session, query, session.config, engine="dict")
+        assert seen == [None] * 3 and session._compiled is None
+        driver.run(session, query, session.config, engine="array")
+        assert seen[3:] == [session.compiled_fragments()] * 3
 
     def test_missing_session_gate_flagged(self):
         findings = check(
             DriverRegistryChecker(),
-            self._tree(session_src="def validate(driver, engine):\n    pass\n"),
+            {"session/session.py": "def validate(driver, engine):\n    pass\n"},
         )
         assert [f.detail for f in findings] == ["session-gate"]
 

@@ -35,7 +35,7 @@ class TestShipmentDiscipline:
         # Inspect raw messages on a dense instance: each (var, dst) at most once.
         from repro.core.depgraph import DependencyGraphs
         from repro.core.dgpm import DgpmSiteProgram
-        from repro.runtime.engine import SyncEngine
+        from repro.runtime.engine import LocalHost, SyncEngine
         from repro.runtime.network import Network
 
         g = DiGraph({i: "AB"[i % 2] for i in range(12)})
@@ -59,8 +59,11 @@ class TestShipmentDiscipline:
                 sent.append((tuple(message.payload), message.dst))
             original_send(message)
 
-        network.send = spy
-        engine = SyncEngine(programs, network, config.cost)
+        network.send = spy  # the host's network: all mail between its sites
+        host = LocalHost(programs, network)
+        engine = SyncEngine(
+            dict.fromkeys(programs, host), Network(config.cost), config.cost
+        )
         engine.run_fixpoint()
         assert len(sent) == len(set(sent)), "duplicate (variable, watcher) shipment"
 

@@ -1,18 +1,24 @@
-"""Sites as real OS processes: one shard worker per fragment vs the simulator.
+"""Sites as real OS processes: shard workers vs the simulator.
 
 ``backend="sharded"`` with ``n_workers == |F|`` is the paper's deployment
-literally -- fragment ``Fi`` at site ``Si`` -- so its relation, message
-count, DS bytes and round count must equal the in-process engine's.
+literally -- fragment ``Fi`` at site ``Si`` -- and with fewer workers some
+sites share a process; either way the workers run the engine's own
+``LocalHost``, so relation, message count, DS bytes (and breakdown) and
+round count must equal the in-process engine's for *any* ``n_workers``.
 """
 
 import pytest
 
-from repro import ConcurrentSessionServer
+from repro import ConcurrentSessionServer, partition, web_graph
+from repro.bench.workloads import cyclic_pattern
 from repro.core import DgpmConfig, run_dgpm
 from repro.graph.examples import example8_graph, figure1, figure1_fragmentation
 from repro.graph.generators import random_labeled_graph
 from repro.graph.pattern import Pattern
 from repro.partition import random_partition
+from repro.runtime.costmodel import CostModel
+from repro.runtime.messages import DATA_KINDS
+from repro.runtime.network import Network
 from repro.simulation import simulation
 
 
@@ -32,6 +38,7 @@ def run_dgpm_one_site_per_worker(query, frag, config, transport="pipe"):
 def assert_same_accounting(mp_metrics, sim_metrics):
     assert mp_metrics.n_messages == sim_metrics.n_messages
     assert mp_metrics.ds_bytes == sim_metrics.ds_bytes
+    assert mp_metrics.ds_breakdown == sim_metrics.ds_breakdown
     assert mp_metrics.n_rounds == sim_metrics.n_rounds
 
 
@@ -80,3 +87,84 @@ class TestMpExecutor:
         assert mp_run.metrics.extras["sharded_workers"] == frag.n_fragments
         assert mp_run.metrics.pt_seconds > 0
         assert mp_run.metrics.n_rounds >= 1
+
+
+@pytest.fixture(scope="module")
+def reproduced():
+    """ISSUE 17's instance: 16 fragments, push on (the default config), and
+    a site that rewires a falsification to itself."""
+    graph = web_graph(1000, 5000, seed=3)
+    return graph, cyclic_pattern(graph, 4, 6, seed=1)
+
+
+class TestPlacementIndependentAccounting:
+    """ROADMAP item 4: at the parent this instance read 489 messages /
+    19,320 B in-process and 0, 254 and 483 messages sharded at ``n_workers``
+    1, 2 and 16 -- mail between two fragments of one worker was never
+    metered, and in-process counted a site's notes to itself."""
+
+    @pytest.mark.parametrize(
+        "n_workers, transport", [(1, "pipe"), (2, "pipe"), (16, "pipe"), (2, "tcp")]
+    )
+    def test_any_worker_count_reports_the_inprocess_metrics(
+        self, reproduced, n_workers, transport
+    ):
+        graph, query = reproduced
+        sim_run = run_dgpm(query, partition(graph, 16))
+        assert sim_run.metrics.extras["pushes"] > 0
+        with ConcurrentSessionServer(
+            partition(graph, 16),
+            backend="sharded",
+            n_workers=n_workers,
+            transport=transport,
+        ) as server:
+            mp_run = server.run(query, algorithm="dgpm")
+        assert mp_run.relation == sim_run.relation == simulation(query, graph)
+        assert_same_accounting(mp_run.metrics, sim_run.metrics)
+        m = mp_run.metrics
+        assert (m.n_messages, m.ds_bytes, m.n_rounds) == (483, 19_104, 3)
+        assert m.extras["pushes"] == sim_run.metrics.extras["pushes"]
+        assert m.extras["sharded_workers"] == n_workers
+        # what stayed inside a worker: everything with one, nothing with |F|
+        wire_bytes = {1: 0, 2: 10_164, 16: 19_104}[n_workers]
+        assert m.ds_bytes - m.extras["colocated_ds_bytes"] == wire_bytes
+
+    def test_no_metered_message_is_self_addressed(self, reproduced, monkeypatch):
+        graph, query = reproduced
+        metered, notes_to_self = [], []
+        send = Network.send
+
+        def spy(network, message):
+            before = network.count_by_kind.get(message.kind, 0)
+            send(network, message)
+            counted = network.count_by_kind.get(message.kind, 0) > before
+            (metered if counted else notes_to_self).append(message)
+
+        monkeypatch.setattr(Network, "send", spy)
+        metrics = run_dgpm(query, partition(graph, 16)).metrics
+        assert all(m.src != m.dst for m in metered)
+        # push's REWIRE to a leaf's owner that is also the new watcher: the
+        # falsification it then hands itself is a local event, not DS
+        assert len(notes_to_self) == 6
+        assert all(m.src == m.dst for m in notes_to_self)
+        assert sum(m.kind in DATA_KINDS for m in metered) == metrics.n_messages == 483
+        run_dgpm(query, partition(graph, 16), DgpmConfig(enable_push=False))
+        assert len(notes_to_self) == 6  # and none without push
+
+    def test_sharded_pt_is_the_simulated_makespan(self):
+        """PT means the same on both backends: per-round slowest compute
+        plus modeled link time, not the coordinator's wall clock."""
+        q, _, _ = figure1()
+        frag = figure1_fragmentation(example8_graph())  # falsifications cascade
+        config = DgpmConfig(
+            enable_push=False,
+            cost=CostModel(latency_s=0.5, bandwidth_bytes_per_s=1e12),
+        )
+        with ConcurrentSessionServer(
+            frag, backend="sharded", n_workers=2, config=config
+        ) as server:
+            metrics = server.run(q, algorithm="dgpm").metrics
+        assert metrics.n_rounds >= 2
+        assert len(metrics.per_round_compute) == metrics.n_rounds
+        assert metrics.pt_seconds >= 0.5 * (metrics.n_rounds - 1)
+        assert metrics.wall_seconds < metrics.pt_seconds

@@ -28,8 +28,9 @@ from repro import (
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.errors import ReproError
+from repro.session.drivers import DRIVERS
 from repro.session.session import SimulationSession
-from repro.session.sharding import SHARDED_PLANS, HashRing
+from repro.session.sharding import HashRing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,19 +211,33 @@ def test_sharded_dgpmt_on_tree(rng_seed):
 
 
 def test_sharded_rounds_match_the_inprocess_engine(rng_seed):
-    """The coordinator mirrors SyncEngine's superstep count exactly."""
+    """Every superstep algorithm of the registry reports the in-process
+    run's whole accounting -- rounds, messages, DS and its breakdown -- with
+    its sites spread over 3 workers: one loop and one meter, wherever the
+    sites live."""
     seed = rng_seed % 1000
-    graph = web_graph(90, 300, n_labels=4, seed=seed)
-    frag = hash_partition(graph, 4, seed=seed)
-    query = cyclic_pattern(graph, 3, 4, seed=seed)
-    base = SimulationSession(hash_partition(graph, 4, seed=seed))
-    with ConcurrentSessionServer(frag, backend="sharded", n_workers=3) as server:
-        for algorithm in SHARDED_PLANS:
-            if algorithm in ("dgpmd", "dgpmt"):
-                continue  # shape-restricted; covered by dedicated tests
-            sharded = server.run(query, algorithm=algorithm).metrics
-            local = base.run(query, algorithm=algorithm).metrics
-            assert sharded.n_rounds == local.n_rounds, algorithm
+    web = web_graph(90, 300, n_labels=4, seed=seed)
+    dag = citation_dag(100, 320, seed=seed)
+    tree = random_tree(90, seed=seed)
+    instances = {
+        "dgpm": (web, hash_partition, cyclic_pattern(web, 3, 4, seed=seed)),
+        "dmes": (web, hash_partition, cyclic_pattern(web, 3, 4, seed=seed)),
+        "dgpmd": (dag, hash_partition, dag_pattern(dag, 3, seed=seed)),
+        "dgpmt": (tree, tree_partition, tree_pattern(tree, seed=seed)),
+    }
+    assert set(instances) == {n for n, d in DRIVERS.items() if hasattr(d, "spec")}
+    for algorithm, (graph, cut, query) in instances.items():
+        local = SimulationSession(cut(graph, 4)).run(query, algorithm=algorithm)
+        with ConcurrentSessionServer(cut(graph, 4), backend="sharded", n_workers=3) as server:
+            sharded = server.run(query, algorithm=algorithm)
+        assert sharded.relation == local.relation == simulation(query, graph)
+        for field in ("n_rounds", "n_messages", "ds_bytes", "ds_breakdown"):
+            assert getattr(sharded.metrics, field) == getattr(local.metrics, field), (
+                algorithm, field, seed
+            )
+        assert len(sharded.metrics.per_round_compute) == sharded.metrics.n_rounds
+        colocated = sharded.metrics.extras["colocated_ds_bytes"]
+        assert 0 <= colocated <= sharded.metrics.ds_bytes
 
 
 def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
