@@ -106,6 +106,16 @@ GUARDED: Tuple[GuardSpec, ...] = (
         ),
     ),
     GuardSpec(
+        class_name="CompiledFragmentation",
+        attrs=("_compiled", "_hosts", "compilations", "host_builds"),
+        locks=("self._lock",),
+        why=(
+            "reader threads share one compiled-CSR cache: a fragment "
+            "snapshot, and the host snapshot over them, is built once "
+            "(double-checked), and global ids are assigned under the same lock"
+        ),
+    ),
+    GuardSpec(
         class_name="ConcurrentSessionServer",
         attrs=("_write_queue", "_applying", "_closed"),
         locks=("self._write_cond",),

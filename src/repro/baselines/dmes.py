@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec
+from repro.core.protocol import AlgorithmSpec, per_site
 from repro.core.state import LocalEvalState, VarKey
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
@@ -197,8 +197,10 @@ DMES = AlgorithmSpec(
     name="dmes",
     display_name="dMes",
     engines=("dict",),
-    build_program=lambda fid, fragmentation, query, deps, config, compiled: (
-        DmesSiteProgram(fid, fragmentation, query, deps, config)
+    build_programs=per_site(
+        lambda fid, fragmentation, query, deps, config, compiled: (
+            DmesSiteProgram(fid, fragmentation, query, deps, config)
+        )
     ),
     make_coordinator=_DmesCoordinator,
     extras={"supersteps": (attrgetter("supersteps"), max)},

@@ -20,6 +20,16 @@ fragment).  A :class:`~repro.session.SimulationSession` holds one such cache
 for its resident fragmentation; mutations invalidate exactly the fragments
 they touched, and the next array-engine query recompiles only those.
 
+dGPM does not evaluate those snapshots one by one: the fragments of one
+host (:class:`~repro.runtime.engine.LocalHost`) are concatenated into a
+:class:`HostSnapshot`, one block per fragment, and a single evaluation state
+runs over it.  A virtual node is a per-fragment copy without out-edges, so
+no counter wave crosses a block and one fixpoint over the host is exactly
+the union of its sites' local fixpoints.  What does cross blocks is the
+protocol's mail, and the host snapshot carries its routing (the *delivery
+table*).  It is rebuilt, by concatenation only, whenever a member snapshot
+is replaced.
+
 numpy is imported lazily: the dict engine (and everything else in the
 package) stays importable without it, and requesting ``engine="array"``
 without numpy raises a single clear :class:`RuntimeError`.
@@ -27,7 +37,8 @@ without numpy raises a single clear :class:`RuntimeError`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import threading
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.partition.fragment import Fragment
 from repro.partition.fragmentation import Fragmentation
@@ -114,21 +125,63 @@ def segment_sum_full(values, indptr):
 # compiled fragments
 # ----------------------------------------------------------------------
 
-class CompiledFragment:
-    """One fragment's columnar snapshot (see the module docstring).
+class _Columnar:
+    """What every snapshot holds, and the per-label caches derived from it.
 
-    All arrays are indexed by the fragment graph's dense node ids
-    (``nodes[i]`` is the node object behind id ``i``); ``local_mask`` /
-    ``virtual_mask`` / ``in_mask`` encode the Section-2.2 boundary sets.
+    All arrays are indexed by dense row ids (``nodes[i]`` is the node object
+    behind row ``i``); ``local_mask`` / ``virtual_mask`` / ``in_mask`` encode
+    the Section-2.2 boundary sets; ``gids`` are the cross-fragment node ids
+    (None for a fragment compiled outside a :class:`CompiledFragmentation`).
     """
 
     __slots__ = (
-        "fid", "nodes", "index", "labels",
-        "local_mask", "virtual_mask", "in_mask", "virtual_idx",
-        "fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices",
-        "graph_version", "_local_ref", "_virtual_ref", "_in_ref",
-        "_tree_levels", "gids", "_gid_map", "_g2l", "_routes",
+        "nodes", "labels", "local_mask", "virtual_mask", "in_mask",
+        "fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices", "gids",
         "_label_rows", "_count_cols",
+    )
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    def label_row(self, lab: int):
+        """Cached bool row: which nodes carry interned label ``lab``.
+
+        Query-independent (labels are a property of the snapshot), so one
+        row per distinct label serves every query.  Treat as read-only.
+        """
+        row = self._label_rows.get(lab)
+        if row is None:
+            row = self.labels == lab
+            self._label_rows[lab] = row
+        return row
+
+    def count_col(self, lab: int):
+        """Cached int column: per node, how many successors carry ``lab``.
+
+        This is the HHK counter seed for any query node labelled ``lab``
+        (before falsifications), again query-independent.  Treat as
+        read-only -- evaluation states copy it into their counter matrix.
+        """
+        col = self._count_cols.get(lab)
+        if col is None:
+            col = segment_sum_full(
+                self.label_row(lab)[self.fwd_indices], self.fwd_indptr
+            )
+            self._count_cols[lab] = col
+        return col
+
+
+class CompiledFragment(_Columnar):
+    """One fragment's columnar snapshot (see the module docstring).
+
+    Rows are the fragment graph's dense node ids; ``index`` inverts
+    ``nodes``.
+    """
+
+    __slots__ = (
+        "fid", "index", "graph_version", "_local_ref", "_virtual_ref", "_in_ref",
+        "_tree_levels",
     )
 
     def __init__(
@@ -158,7 +211,6 @@ class CompiledFragment:
             self.virtual_mask[self.index[v]] = True
         for v in fragment.in_nodes:
             self.in_mask[self.index[v]] = True
-        self.virtual_idx = np.nonzero(self.virtual_mask)[0]
         self.graph_version = graph.version
         # Identity-stable references for the freshness check: the maintenance
         # layer replaces these frozensets wholesale on any boundary change.
@@ -167,27 +219,17 @@ class CompiledFragment:
         self._in_ref = fragment.in_nodes
         self._tree_levels: Optional[List] = None
         # Cross-fragment dense ids: when built under a CompiledFragmentation,
-        # every node gets one id shared by all fragments, so falsifications
-        # travel between sites as flat int arrays (no per-pair tuples).
-        self._gid_map = gid_map
+        # every node gets one id shared by all fragments, which is what a
+        # host snapshot joins an in-node with its virtual copies on.
         self.gids = None
         if gid_map is not None:
-            ids = []
-            for v in self.nodes:
-                gi = gid_map.get(v)
-                if gi is None:
-                    gi = len(gid_map)
-                    gid_map[v] = gi
-                ids.append(gi)
-            self.gids = np.asarray(ids, dtype=np.int64)
-        self._g2l = None
-        self._routes = None
+            self.gids = np.fromiter(
+                (gid_map.setdefault(v, len(gid_map)) for v in self.nodes),
+                dtype=np.int64,
+                count=n,
+            )
         self._label_rows: Dict[int, object] = {}
         self._count_cols: Dict[int, object] = {}
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
     def is_fresh(self, fragment: Fragment) -> bool:
         """True iff this snapshot still describes ``fragment`` exactly."""
@@ -197,75 +239,6 @@ class CompiledFragment:
             and fragment.virtual_nodes is self._virtual_ref
             and fragment.in_nodes is self._in_ref
         )
-
-    def label_row(self, lab: int):
-        """Cached bool row: which nodes carry interned label ``lab``.
-
-        Query-independent (labels are a property of the snapshot), so one
-        row per distinct label serves every query.  Treat as read-only.
-        """
-        row = self._label_rows.get(lab)
-        if row is None:
-            row = self.labels == lab
-            self._label_rows[lab] = row
-        return row
-
-    def count_col(self, lab: int):
-        """Cached int column: per node, how many successors carry ``lab``.
-
-        This is the HHK counter seed for any query node labelled ``lab``
-        (before falsifications), again query-independent.  Treat as
-        read-only -- evaluation states copy it into their counter matrix.
-        """
-        col = self._count_cols.get(lab)
-        if col is None:
-            col = segment_sum_full(
-                self.label_row(lab)[self.fwd_indices], self.fwd_indptr
-            )
-            self._count_cols[lab] = col
-        return col
-
-    def g2l(self):
-        """Global-id -> local dense id (or -1), for vectorized receives.
-
-        Built lazily on first receive, so the table covers every global id
-        assigned up to that point; ids a site must resolve are its own
-        virtual nodes, all registered no later than its own compilation.
-        """
-        if self._g2l is None:
-            np = require_numpy()
-            arr = np.full(len(self._gid_map), -1, dtype=np.int64)
-            arr[self.gids] = np.arange(self.n_nodes, dtype=np.int64)
-            self._g2l = arr
-        return self._g2l
-
-    def shipping_routes(self, deps):
-        """``(group_of, groups)``: per-in-node watcher routing, vectorizable.
-
-        ``group_of[dense_id]`` is an index into ``groups`` (distinct watcher
-        site tuples) for in-nodes, -1 elsewhere.  Cached per
-        ``deps.version`` -- fragmentation patches that change watcher sets
-        without touching this fragment's snapshot still invalidate it.
-        """
-        if self._routes is not None:
-            cached_deps, cached_version, table = self._routes
-            if cached_deps is deps and cached_version == deps.version:
-                return table
-        np = require_numpy()
-        group_of = np.full(self.n_nodes, -1, dtype=np.int64)
-        groups: List[Tuple[int, ...]] = []
-        sig: Dict[Tuple[int, ...], int] = {}
-        for vid in np.nonzero(self.in_mask)[0].tolist():
-            peers = tuple(sorted(deps.watcher_sites(self.fid, self.nodes[vid])))
-            gi = sig.get(peers)
-            if gi is None:
-                gi = len(groups)
-                sig[peers] = gi
-                groups.append(peers)
-            group_of[vid] = gi
-        table = (group_of, groups)
-        self._routes = (deps, deps.version, table)
-        return table
 
     def tree_levels(self) -> List:
         """Local nodes grouped by height in the local subtree, leaves first.
@@ -305,13 +278,91 @@ class CompiledFragment:
         )
 
 
+class HostSnapshot(_Columnar):
+    """The snapshots of one host's fragments as one block-diagonal snapshot.
+
+    Block ``k`` (rows ``starts[k]`` up to ``starts[k + 1]``) is member ``k``
+    with its row ids shifted; ``site_of[row]`` is the block of a row.
+
+    **Delivery table.**  ``deliver_indptr`` / ``deliver_rows`` is a CSR over
+    rows: for an in-node row, the rows of the same node's virtual copies in
+    the host's other blocks -- where its falsification lands in co-located
+    watcher sites.  ``external[row]`` names an in-node row's watcher sites
+    on other hosts (empty when the host holds every fragment).  Immutable
+    once built, apart from the per-label caches.
+    """
+
+    __slots__ = (
+        "members", "fids", "starts", "site_of",
+        "deliver_indptr", "deliver_rows", "external", "_position", "stamp",
+    )
+
+    def __init__(self, members: Tuple[CompiledFragment, ...], deps) -> None:
+        np = require_numpy()
+        self.members = members
+        self.fids = tuple(m.fid for m in members)
+        self._position = {fid: k for k, fid in enumerate(self.fids)}
+        sizes = np.asarray([m.n_nodes for m in members], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        self.starts: List[int] = [*offsets.tolist(), int(sizes.sum())]
+        self.site_of = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
+        self.nodes = [v for m in members for v in m.nodes]
+        for name in ("labels", "local_mask", "virtual_mask", "in_mask", "gids"):
+            setattr(self, name, np.concatenate([getattr(m, name) for m in members]))
+        for side in ("fwd", "rev"):
+            indptrs = [getattr(m, side + "_indptr") for m in members]
+            edges = np.cumsum([0] + [int(indptr[-1]) for indptr in indptrs])
+            setattr(self, side + "_indptr", np.concatenate(
+                [indptr[:-1] + e for indptr, e in zip(indptrs, edges)] + [edges[-1:]]
+            ))
+            setattr(self, side + "_indices", np.concatenate(
+                [getattr(m, side + "_indices") + o for m, o in zip(members, offsets)]
+            ))
+        self._label_rows: Dict[int, object] = {}
+        self._count_cols: Dict[int, object] = {}
+
+        # Join in-node rows with virtual rows on the global id: the virtual
+        # rows sorted by gid are a CSR over gid space.
+        n = self.n_nodes
+        virtual = np.nonzero(self.virtual_mask)[0]
+        virtual = virtual[np.argsort(self.gids[virtual], kind="stable")]
+        by_gid = np.searchsorted(
+            self.gids[virtual], np.arange(int(self.gids.max()) + 2 if n else 1)
+        )
+        in_rows = np.nonzero(self.in_mask)[0]
+        self.deliver_rows, copies = gather_csr(by_gid, virtual, self.gids[in_rows])
+        per_row = np.zeros(n, dtype=np.int64)
+        per_row[in_rows] = copies
+        self.deliver_indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(per_row))
+        )
+        self.external: Dict[int, Set[int]] = {}
+        here = set(self.fids)
+        if len(here) < len(deps.watchers):
+            for row, k in zip(in_rows.tolist(), self.site_of[in_rows].tolist()):
+                away = deps.watcher_sites(self.fids[k], self.nodes[row]) - here
+                if away:
+                    self.external[row] = away
+        #: what it was built from; compares by identity (and deps' version)
+        self.stamp = (deps, deps.version, self.members)
+
+    def row_of(self, fid: int, node) -> Optional[int]:
+        """The row of ``node``'s copy in member ``fid`` (None: it holds none)."""
+        k = self._position[fid]
+        local = self.members[k].index.get(node)
+        return None if local is None else self.starts[k] + local
+
+
 class CompiledFragmentation:
     """Per-graph compiled-CSR cache over one resident fragmentation.
 
     ``get(fid)`` returns a fresh :class:`CompiledFragment`, recompiling only
     when the fragment's mutation stamp moved (graph version or replaced
     boundary sets) -- a query stream over a mutating graph recompiles
-    exactly the fragments each update touched.
+    exactly the fragments each update touched.  ``host(fids, deps)`` returns
+    the :class:`HostSnapshot` over those fragments, rebuilt when a member was
+    recompiled or the watcher tables were patched.  Reader threads share the
+    cache: both builds (and the global-id assignment) happen under ``_lock``.
     """
 
     def __init__(
@@ -328,27 +379,50 @@ class CompiledFragmentation:
         #: monotonically; recompiles reuse existing ids)
         self.gid_map: Dict = {}
         self._compiled: Dict[int, CompiledFragment] = {}
+        self._hosts: Dict[Tuple[int, ...], HostSnapshot] = {}
+        self._lock = threading.Lock()
         #: compilations performed (observability: tests assert the cache
         #: recompiles exactly the mutated fragments, benchmarks report it)
         self.compilations = 0
+        #: host snapshots built (a rebuild concatenates, it never compiles)
+        self.host_builds = 0
 
     def get(self, fid: int) -> CompiledFragment:
         fragment = self.fragmentation[fid]
         entry = self._compiled.get(fid)
         if entry is None or not entry.is_fresh(fragment):
-            entry = CompiledFragment(fragment, self.interner, gid_map=self.gid_map)
-            self._compiled[fid] = entry
-            self.compilations += 1
+            with self._lock:
+                entry = self._compiled.get(fid)
+                if entry is None or not entry.is_fresh(fragment):
+                    entry = CompiledFragment(fragment, self.interner, gid_map=self.gid_map)
+                    self._compiled[fid] = entry
+                    self.compilations += 1
         return entry
 
-    def warm(self) -> "CompiledFragmentation":
-        """Compile every fragment now (otherwise each compiles on first use)."""
-        for frag in self.fragmentation:
-            self.get(frag.fid)
-        return self
+    def host(self, fids: Sequence[int], deps) -> HostSnapshot:
+        """The block-diagonal snapshot of ``fids`` (in that order), routed by
+        ``deps``' watcher tables."""
+        key = tuple(fids)
+        members = tuple(self.get(fid) for fid in key)
+        stamp = (deps, deps.version, members)
+        entry = self._hosts.get(key)
+        if entry is None or entry.stamp != stamp:
+            with self._lock:
+                entry = self._hosts.get(key)
+                if entry is None or entry.stamp != stamp:
+                    entry = self._hosts[key] = HostSnapshot(members, deps)
+                    self.host_builds += 1
+        return entry
 
-    def __len__(self) -> int:
-        return len(self._compiled)
+    def warm(self, deps=None) -> "CompiledFragmentation":
+        """Compile every fragment now (otherwise on first use) and, given the
+        watcher tables, the host snapshot an in-process dGPM run uses."""
+        fids = [frag.fid for frag in self.fragmentation]
+        for fid in fids:
+            self.get(fid)
+        if deps is not None:
+            self.host(fids, deps)
+        return self
 
 
 #: engines the execution layer understands; session and execute_* validate

@@ -1,27 +1,29 @@
-"""Array-native per-site evaluation state (``engine="array"``).
+"""Array-native evaluation states (``engine="array"``).
 
-:class:`ArrayEvalState` is a drop-in replacement for
-:class:`~repro.core.state.LocalEvalState` over a
-:class:`~repro.core.arraycompile.CompiledFragment`: candidate sets ``sim(u)``
-are one bool row per query node over the fragment's dense node ids, and the
-HHK successor counters are a ``|V_local| x |Q|`` int matrix.  Processing a
-falsification batch is vectorized counter decrements plus
+:class:`ArrayEvalState` is dGPM's counterpart of
+:class:`~repro.core.state.LocalEvalState`, over a
+:class:`~repro.core.arraycompile.HostSnapshot` -- all fragments of a host as
+one block-diagonal snapshot, so one state evaluates every co-located site:
+candidate sets ``sim(u)`` are one bool row per query node over the host's
+rows, and the HHK successor counters are a ``|V| x |Q|`` int matrix.
+Processing a falsification batch is vectorized counter decrements plus
 ``nonzero(count == 0)`` worklist extraction -- one numpy wave per
-(query-node, removal-batch) pair instead of a Python loop per (node, node)
-pair -- with exactly the dict engine's semantics (same fixpoint, same
-newly-falsified local variables).
+(query-node, removal-batch) pair, whatever the number of sites, instead of
+a Python loop per (node, node) pair -- with exactly the dict engine's
+semantics per block (same fixpoint, same newly-falsified local variables):
+no edge leaves a block, so no wave does.
 
 The symbolic side (:meth:`ArrayEvalState.in_node_equations`) exploits
 monotonicity instead of brute-force reduction: every expression in play is a
 conj/disj of variables, so evaluating the *pessimistic* fixpoint (all
-virtual variables false -- one extra vectorized propagation) brackets every
-pair between ``sim`` (the optimistic fixpoint) and ``pess``.  Pairs true in
-``pess`` are definitively TRUE; pairs outside ``sim`` are already falsified;
-only the (typically thin) boundary slice in between genuinely depends on
-virtual variables and enters the symbolic reduction.  The reduced equations
-are logically equal to the dict engine's (same greatest fixpoint projected
-onto the same virtual variables), just built from a system that is orders of
-magnitude smaller.
+virtual variables false -- one extra vectorized propagation for the whole
+host) brackets every pair between ``sim`` (the optimistic fixpoint) and
+``pess``.  Pairs true in ``pess`` are definitively TRUE; pairs outside
+``sim`` are already falsified; only the (typically thin) boundary slice in
+between genuinely depends on virtual variables and enters the symbolic
+reduction, site by site.  The reduced equations are logically equal to the
+dict engine's (same greatest fixpoint projected onto the same virtual
+variables), just built from a system that is orders of magnitude smaller.
 
 :class:`ArrayRankState` vectorizes dGPMd's per-rank exact evaluation, and
 :class:`ArrayTreeState` vectorizes dGPMt's bottom-up subtree sweep with the
@@ -31,11 +33,12 @@ whose value actually depends on child-fragment roots).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.core.arraycompile import (
     CompiledFragment,
+    HostSnapshot,
     gather_csr,
     require_numpy,
     segment_any,
@@ -44,17 +47,18 @@ from repro.core.arraycompile import (
 from repro.core.state import VarKey
 from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
-from repro.partition.fragment import Fragment
 
 
 class _QueryView:
-    """The query compiled against a fragment snapshot's dense ids."""
+    """The query compiled against a snapshot's rows."""
 
     __slots__ = (
         "qnodes", "qindex", "qlab", "label_match", "children", "parents", "relevant",
     )
 
-    def __init__(self, compiled: CompiledFragment, query: Pattern, interner) -> None:
+    def __init__(
+        self, compiled: Union[CompiledFragment, HostSnapshot], query: Pattern, interner
+    ) -> None:
         np = require_numpy()
         self.qnodes: Tuple[Node, ...] = tuple(query.nodes())
         self.qindex: Dict[Node, int] = {u: i for i, u in enumerate(self.qnodes)}
@@ -77,39 +81,32 @@ class _QueryView:
 
 
 class ArrayEvalState:
-    """Counter-based partial evaluation over a compiled fragment.
+    """Counter-based partial evaluation over a host snapshot.
 
-    Mirrors :class:`~repro.core.state.LocalEvalState`'s public protocol
-    (``run_initial`` / ``falsify_virtual`` / ``drain_newly_false`` /
-    ``local_matches`` / ``virtual_candidates`` / ``is_candidate`` /
-    ``in_node_equations``) so :class:`~repro.core.dgpm.DgpmSiteProgram`
-    runs unchanged on either engine.
+    The array counterpart of :class:`~repro.core.state.LocalEvalState` for
+    *every* site of a host at once (:class:`~repro.core.dgpm.DgpmHostProgram`
+    drives it): ``run_initial`` / ``falsify`` move all blocks to their local
+    fixpoints, ``take_newly_false`` hands out what they falsified, and
+    ``pessimistic`` / ``in_node_equations`` are the symbolic side.  A variable
+    crosses this interface as a *pair code*, ``query index * N + row``; the
+    program translates to ``(u, v)`` keys at the host's edge.
+
+    ``known_false`` is a ``(Q, N)`` bool mask of virtual variables already
+    known false (dGPMNOpt rebuilds its state from it on every message).
+    ``row_work`` accumulates counter decrements per row, from which the
+    program apportions a step's time to the sites.
     """
 
     def __init__(
-        self,
-        compiled: CompiledFragment,
-        fragment: Fragment,
-        query: Pattern,
-        interner,
-        known_false_virtual: Iterable[VarKey] = (),
+        self, compiled: HostSnapshot, query: Pattern, interner, known_false=None
     ) -> None:
         np = require_numpy()
         self.compiled = compiled
-        self.fragment = fragment
-        self.query = query
         self.view = _QueryView(compiled, query, interner)
         #: (Q, N) bool -- not-yet-falsified candidates (local and virtual)
         self.sim = self.view.label_match.copy()
-
-        # Pre-apply falsifications already known (dGPMNOpt from-scratch path).
-        pre_removed = False
-        for u, v in known_false_virtual:
-            qi = self.view.qindex.get(u)
-            vi = compiled.index.get(v)
-            if qi is not None and vi is not None:
-                self.sim[qi, vi] = False
-                pre_removed = True
+        if known_false is not None:
+            self.sim &= ~known_false
 
         # count[v, j] = |succ(v) ∩ sim(q_j)| -- with a pristine sim this is
         # the snapshot's cached per-label column; pre-removals (dGPMNOpt)
@@ -117,25 +114,22 @@ class ArrayEvalState:
         n = compiled.n_nodes
         self.count = np.zeros((n, len(self.view.qnodes)), dtype=np.int64)
         for j in self.view.relevant:
-            if pre_removed:
+            if known_false is not None:
                 self.count[:, j] = segment_sum_full(
                     self.sim[j, compiled.fwd_indices], compiled.fwd_indptr
                 )
             else:
                 self.count[:, j] = compiled.count_col(self.view.qlab[j])
 
-        self._newly_false: List[Tuple[int, object]] = []  # (query idx, id array)
+        self._newly_false: List = []  # pair-code arrays
+        self.row_work = np.zeros(n, dtype=np.int64)
         self._initialized = False
-        #: when True, run_initial/falsify_virtual buffer falsifications
-        #: instead of materializing VarKey tuples; the caller drains via
-        #: drain_for_shipping() (or drain_newly_false() after a rewire).
-        self.defer_drain = False
 
     # ------------------------------------------------------------------
     # fixpoint machinery
     # ------------------------------------------------------------------
-    def run_initial(self) -> List[VarKey]:
-        """Seed with all local violations; propagate to the local fixpoint."""
+    def run_initial(self) -> None:
+        """Seed with all local violations; propagate to the local fixpoints."""
         np = require_numpy()
         if self._initialized:
             raise RuntimeError("run_initial may only be called once")
@@ -150,65 +144,20 @@ class ArrayEvalState:
             idx = np.nonzero(bad)[0]
             if idx.size:
                 self.sim[i, idx] = False
-                self._newly_false.append((i, idx))
+                self._newly_false.append(i * c.n_nodes + idx)
                 frontier.append((i, idx))
         self._propagate(self.sim, self.count, frontier, record=True)
-        if self.defer_drain:
-            return []
-        return self.drain_newly_false()
 
-    def falsify_virtual(self, pairs: Iterable[VarKey]) -> List[VarKey]:
-        """Apply received falsifications; returns newly falsified local vars."""
+    def falsify(self, codes) -> None:
+        """Apply received falsifications, given as pair codes; duplicates and
+        already-false pairs drop out."""
         np = require_numpy()
-        c, view = self.compiled, self.view
-        qindex_get, index_get = view.qindex.get, c.index.get
-        per_q: Dict[int, List[int]] = {}
-        for u, v in pairs:
-            qi = qindex_get(u)
-            vi = index_get(v)
-            if qi is None or vi is None:
-                continue
-            per_q.setdefault(qi, []).append(vi)
-        frontier = []
-        for qi, vis in per_q.items():
-            idx = np.unique(np.asarray(vis, dtype=np.int64))
-            row = self.sim[qi]
-            idx = idx[row[idx]]  # drop pairs that are already false
-            if idx.size:
-                row[idx] = False
-                frontier.append((qi, idx))
-        self._propagate(self.sim, self.count, frontier, record=True)
-        if self.defer_drain:
-            return []
-        return self.drain_newly_false()
-
-    def falsify_virtual_gids(self, chunks) -> None:
-        """Apply falsifications shipped as ``(query node, global-id array)``.
-
-        The fully vectorized receive: global ids map to local dense ids
-        through the compiled fragment's table, unknown ids (pairs this site
-        never watched) drop out as ``-1``.  Falsifications land in the
-        deferred-drain buffer; the caller drains shippable pairs.
-        """
-        np = require_numpy()
-        c, view = self.compiled, self.view
-        g2l = c.g2l()
-        per_q: Dict[int, List] = {}
-        for u, gids in chunks:
-            qi = view.qindex.get(u)
-            if qi is not None:
-                per_q.setdefault(qi, []).append(gids)
-        frontier = []
-        for qi, parts in per_q.items():
-            gids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            gids = gids[gids < g2l.size]
-            idx = g2l[gids]
-            idx = np.unique(idx[idx >= 0])
-            row = self.sim[qi]
-            idx = idx[row[idx]]  # drop pairs that are already false
-            if idx.size:
-                row[idx] = False
-                frontier.append((qi, idx))
+        flat = self.sim.ravel()  # a view: sim is C-contiguous
+        codes = np.unique(codes)
+        codes = codes[flat[codes]]
+        flat[codes] = False
+        qis, rows = np.divmod(codes, self.compiled.n_nodes)
+        frontier = [(qi, rows[qis == qi]) for qi in np.unique(qis).tolist()]
         self._propagate(self.sim, self.count, frontier, record=True)
 
     def _propagate(self, sim, count, frontier, record: bool) -> None:
@@ -218,9 +167,9 @@ class ArrayEvalState:
         wave (decrements are additive, and a pair is removed at most once,
         so batching order never changes the fixpoint) -- big batches are
         exactly where one ``bincount`` beats per-pair loops.  Predecessors
-        are always local (fragments never store out-edges of virtual nodes),
-        so every newly-zero counter row is a local node and every removal it
-        causes is a local falsification.
+        are always local and in the same block (fragments never store
+        out-edges of virtual nodes), so every newly-zero counter row is a
+        local node and every removal it causes is a local falsification.
         """
         np = require_numpy()
         c, view = self.compiled, self.view
@@ -236,9 +185,11 @@ class ArrayEvalState:
                 continue
             dec = np.bincount(preds, minlength=n)
             aff = np.nonzero(dec)[0]
+            dec = dec[aff]
+            self.row_work[aff] += dec
             col = count[:, i]
             before = col[aff]
-            after = before - dec[aff]
+            after = before - dec
             col[aff] = after
             newly_zero = aff[(before > 0) & (after == 0)]
             if newly_zero.size == 0:
@@ -248,101 +199,20 @@ class ArrayEvalState:
                 if rm.size:
                     sim[p, rm] = False
                     if record:
-                        self._newly_false.append((p, rm))
+                        self._newly_false.append(p * n + rm)
                     pending.setdefault(p, []).append(rm)
 
-    def drain_newly_false(self) -> List[VarKey]:
-        """Take (and clear) the buffer of newly falsified local variables."""
-        qnodes, nodes = self.view.qnodes, self.compiled.nodes
-        out: List[VarKey] = [
-            (qnodes[i], nodes[v])
-            for i, arr in self._newly_false
-            for v in arr.tolist()
-        ]
-        self._newly_false = []
-        return out
-
-    def drain_for_shipping(self) -> Tuple[List[VarKey], int]:
-        """``(shippable falsifications, total newly-false count)``.
-
-        Shippable = in-node pairs whose query node has a parent -- exactly
-        the pairs ``DgpmSiteProgram._messages_for`` would keep; interior
-        falsifications are counted (for the metrics) without ever
-        materializing as Python tuples.  Only valid while no rewire has
-        added extra watchers (the site program falls back to the full drain
-        then).
-        """
-        c, view = self.compiled, self.view
-        total = 0
-        out: List[VarKey] = []
-        for i, arr in self._newly_false:
-            total += int(arr.size)
-            if view.parents[i]:
-                ship = arr[c.in_mask[arr]]
-                if ship.size:
-                    u = view.qnodes[i]
-                    out.extend((u, c.nodes[v]) for v in ship.tolist())
-        self._newly_false = []
-        return out, total
-
-    def drain_shippable_ids(self) -> Tuple[List[Tuple[Node, object]], int]:
-        """Like :meth:`drain_for_shipping` but as ``(query node, id array)``
-        chunks of local dense ids -- no VarKey tuples at all; the site
-        program routes and ships them as global-id arrays.  The buffer's
-        per-wave fragments are coalesced to one chunk per query node.
-        """
+    def take_newly_false(self):
+        """Take (and clear) the buffer of newly falsified local variables, as
+        one array of pair codes."""
         np = require_numpy()
-        c, view = self.compiled, self.view
-        total = 0
-        per_i: Dict[int, List] = {}
-        for i, arr in self._newly_false:
-            total += int(arr.size)
-            if view.parents[i]:
-                per_i.setdefault(i, []).append(arr)
-        self._newly_false = []
-        out: List[Tuple[Node, object]] = []
-        for i, parts in per_i.items():
-            arr = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            ship = arr[c.in_mask[arr]]
-            if ship.size:
-                out.append((view.qnodes[i], ship))
-        return out, total
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-    def local_matches(self) -> Dict[Node, Set[Node]]:
-        """Current candidates restricted to local nodes (the site's answer)."""
-        np = require_numpy()
-        c = self.compiled
-        out: Dict[Node, Set[Node]] = {}
-        for i, u in enumerate(self.view.qnodes):
-            idx = np.nonzero(self.sim[i] & c.local_mask)[0]
-            out[u] = set(map(c.nodes.__getitem__, idx.tolist()))
-        return out
-
-    def virtual_candidates(self) -> List[VarKey]:
-        """Virtual variables still assumed true (the paper's ``Fi.O'``)."""
-        np = require_numpy()
-        c = self.compiled
-        out: List[VarKey] = []
-        for i, u in enumerate(self.view.qnodes):
-            idx = np.nonzero(self.sim[i] & c.virtual_mask)[0]
-            out.extend((u, c.nodes[v]) for v in idx.tolist())
-        return out
-
-    def is_candidate(self, u: Node, v: Node) -> bool:
-        """True iff ``X(u, v)`` has not been falsified."""
-        qi = self.view.qindex.get(u)
-        vi = self.compiled.index.get(v)
-        if qi is None or vi is None:
-            return False
-        return bool(self.sim[qi, vi])
+        buffered, self._newly_false = self._newly_false, []
+        return np.concatenate(buffered) if buffered else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # symbolic equations (Example 6, push)
     # ------------------------------------------------------------------
-    def _pessimistic(self):
+    def pessimistic(self):
         """The fixpoint with every virtual variable false (one extra sweep).
 
         Monotonicity makes this an exact lower bracket: a pair true here is
@@ -361,12 +231,17 @@ class ArrayEvalState:
         self._propagate(pess, pess_count, frontier, record=False)
         return pess
 
-    def in_node_equations(self, max_terms: int = 4096) -> Dict[VarKey, BoolExpr]:
-        """Each unresolved in-node variable, reduced to virtual variables only.
+    def in_node_equations(
+        self, pess, lo: int, hi: int, max_terms: int = 4096
+    ) -> Dict[VarKey, BoolExpr]:
+        """The unresolved in-node variables of block rows ``lo`` to ``hi``,
+        reduced to virtual variables only.
 
-        Same contract as the dict engine's: definitively-true in-node pairs
-        map to TRUE, falsified pairs are absent, the rest reduce to
-        expressions over virtual-variable leaves.  Raises
+        ``pess`` is :meth:`pessimistic`'s bracket.  In-node pairs true in it
+        are definitively TRUE and pairs outside ``sim`` already falsified;
+        neither is returned.  The rest reduce to the same expressions over
+        virtual-variable leaves as the dict engine's, built from the
+        dependent subsystem only.  Raises
         :class:`~repro.boolean.system.EquationBlowupError` past
         ``max_terms``, exactly like the dict path.
         """
@@ -376,23 +251,13 @@ class ArrayEvalState:
         from repro.boolean.system import EquationSystem
 
         c, view = self.compiled, self.view
-        pess = self._pessimistic()
-
-        out: Dict[VarKey, BoolExpr] = {}
-        queue: deque = deque()
-        seen: Set[Tuple[int, int]] = set()
-        for i, u in enumerate(view.qnodes):
-            idx = np.nonzero(self.sim[i] & c.in_mask)[0]
-            for vi in idx.tolist():
-                if pess[i, vi]:
-                    out[(u, c.nodes[vi])] = TRUE
-                else:
-                    queue.append((i, vi))
-                    seen.add((i, vi))
-
+        open_pairs = self.sim[:, lo:hi] & c.in_mask[lo:hi] & ~pess[:, lo:hi]
+        qis, offsets = np.nonzero(open_pairs)
+        queue: deque = deque(zip(qis.tolist(), (offsets + lo).tolist()))
+        seen: Set[Tuple[int, int]] = set(queue)
         keep = [(view.qnodes[i], c.nodes[vi]) for i, vi in queue]
         if not keep:
-            return out
+            return {}
 
         # Build the dependent subsystem only: pairs in sim \ pess, reached
         # from the unresolved in-node variables.  Constants fold on sight.
@@ -420,8 +285,7 @@ class ArrayEvalState:
                 terms.append(disj(alts) if alts else FALSE)
             equations[(view.qnodes[i], c.nodes[vi])] = conj(terms)
         system = EquationSystem(equations)
-        out.update(system.reduced_system(keep=keep, max_terms=max_terms).as_dict())
-        return out
+        return system.reduced_system(keep=keep, max_terms=max_terms).as_dict()
 
 
 # ----------------------------------------------------------------------

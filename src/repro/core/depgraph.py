@@ -36,7 +36,7 @@ class DependencyGraphs:
         #: owners[i][v'] = owning site of virtual node v' of Fi
         self.owners: List[Dict[Node, int]] = [dict() for _ in range(n)]
         #: bumped on every patch -- caches derived from the watcher tables
-        #: (e.g. the array engine's shipping routes) key on this
+        #: (e.g. the array engine's host snapshots) key on this
         self.version = 0
         for frag in fragmentation:
             for v in frag.virtual_nodes:

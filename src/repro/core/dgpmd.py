@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec, run_protocol
+from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
 from repro.core.state import VarKey
 from repro.errors import PatternError
 from repro.graph import algorithms
@@ -226,7 +226,7 @@ DGPMD = AlgorithmSpec(
     name="dgpmd",
     display_name="dGPMd",
     engines=("dict", "array"),
-    build_program=DgpmdSiteProgram,
+    build_programs=per_site(DgpmdSiteProgram),
     precheck=dgpmd_precheck,
 )
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.boolean.system import EquationSystem
 from repro.core.config import DgpmConfig
-from repro.core.protocol import AlgorithmSpec, run_protocol
+from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
 from repro.core.state import VarKey
 from repro.errors import FragmentationError, GraphError
 from repro.graph import algorithms
@@ -246,8 +246,10 @@ DGPMT = AlgorithmSpec(
     display_name="dGPMt",
     engines=("dict", "array"),
     # a subtree's only boundary is its root: no watcher tables needed
-    build_program=lambda fid, fragmentation, query, deps, config, compiled: (
-        DgpmtSiteProgram(fid, fragmentation, query, config, compiled)
+    build_programs=per_site(
+        lambda fid, fragmentation, query, deps, config, compiled: (
+            DgpmtSiteProgram(fid, fragmentation, query, config, compiled)
+        )
     ),
     make_coordinator=_TreeCoordinator,
     precheck=dgpmt_precheck,

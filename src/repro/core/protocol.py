@@ -41,13 +41,15 @@ class AlgorithmSpec:
     name: str
     #: ``RunMetrics.algorithm`` of an in-process run
     display_name: str
-    #: execution engines ``build_program`` understands
+    #: execution engines ``build_programs`` understands
     engines: Tuple[str, ...]
-    #: ``(fid, fragmentation, query, deps, config, compiled) -> SiteProgram``;
+    #: ``(fids, fragmentation, query, deps, config, compiled) -> {fid:
+    #: SiteProgram}``, the programs of one host's sites (:func:`per_site`
+    #: wraps a one-site constructor; a program may stand for several sites).
     #: ``fragmentation`` may be a worker's ``FragmentShard``, ``compiled`` is
     #: the compiled-CSR cache under ``engine="array"`` and None under
     #: ``"dict"`` -- which evaluation state a site gets is decided here
-    build_program: Callable[..., SiteProgram]
+    build_programs: Callable[..., Dict[int, SiteProgram]]
     #: ``(fragmentation, query, cost) -> coordinator inbox handler``
     make_coordinator: Optional[Callable] = None
     #: ``(query, fragmentation, display name)``: raises if the algorithm does
@@ -68,6 +70,12 @@ class AlgorithmSpec:
                 f"algorithm {self.name!r} declares engines {self.engines!r}; "
                 f"expected a non-empty subset of {ENGINES!r}"
             )
+
+
+def per_site(build: Callable[..., SiteProgram]) -> Callable[..., Dict[int, SiteProgram]]:
+    """``build_programs`` of an algorithm with one program per site, from
+    ``build(fid, fragmentation, query, deps, config, compiled)``."""
+    return lambda fids, *run: {fid: build(fid, *run) for fid in fids}
 
 
 def assemble_result(query: Pattern, result_messages: List[Message]) -> MatchRelation:
@@ -99,10 +107,7 @@ def local_host(
 ) -> LocalHost:
     """The sites ``fids`` of one run as a host in this process."""
     return LocalHost(
-        {
-            fid: spec.build_program(fid, fragmentation, query, deps, config, compiled)
-            for fid in fids
-        },
+        spec.build_programs(list(fids), fragmentation, query, deps, config, compiled),
         _network(spec, config),
         {key: read for key, (read, _) in spec.extras.items()},
     )

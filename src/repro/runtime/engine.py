@@ -13,7 +13,12 @@ the run ends when every site has voted to halt and no message is in flight.
 :class:`LocalHost` steps :class:`SiteProgram` objects in this process -- an
 in-process evaluation is one ``LocalHost`` holding every site -- and a shard
 worker (:mod:`repro.runtime.mp`) runs the same class over the fragments it
-owns, with the coordinator's handle to it as the remote host.  The contract
+owns, with the coordinator's handle to it as the remote host.  A program may
+stand for several sites of its host (``programs`` holds it under each of
+their ids; it is stepped once a round, with the mail of all of them): how a
+machine computes the local fixpoints of the fragments it holds is its own
+business -- dGPM's array engine does it in one array program -- as long as
+every message between two sites is still a message.  The contract
 is two calls, ``post(command, payload)`` then ``collect(command)``: the
 engine posts a round to *every* host before it collects the first reply, so
 remote hosts compute a superstep concurrently.  Commands and replies:
@@ -26,6 +31,9 @@ remote hosts compute a superstep concurrently.  Commands and replies:
   site's compute seconds, and its sites' share of |AFF|.  An idle host
   without mail is not ticked and reports nothing, so idle sites never
   inflate PT -- this is what makes "more fragments => lower PT" measurable.
+  The clock is the host's; a program standing for several sites reports the
+  fraction of its step its busiest site accounts for, apportioned by work done
+  (:attr:`TickResult.slowest_share`), so PT is then an *estimate*.
 * ``"q.collect"`` replies ``(results, site_extras, network)``: every site's
   RESULT message, the per-site values of the host's ``readers``, and the
   host's own network as its meter.
@@ -47,7 +55,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.runtime.costmodel import CostModel
@@ -67,21 +75,27 @@ class TickResult:
     #: local variables this tick falsified (the site's share of |AFF|);
     #: programs that do not track it leave the default 0
     n_falsified: int = 0
+    #: the fraction of this step's time its busiest site accounts for: 1 for
+    #: a program of one site, apportioned by work done for one of several
+    slowest_share: float = 1.0
 
 
 class SiteProgram(Protocol):
-    """The per-site half of a distributed algorithm."""
+    """The per-site half of a distributed algorithm, for one site or for
+    several sites of one host (module docstring)."""
 
     def on_start(self) -> TickResult:
         """First tick, before any message is delivered."""
         ...
 
     def on_tick(self, round_no: int, inbox: List[Message]) -> TickResult:
-        """One superstep: process ``inbox``, return outgoing messages."""
+        """One superstep: process ``inbox`` (the mail of every site the
+        program stands for), return outgoing messages."""
         ...
 
-    def collect(self) -> Message:
-        """Final local result, addressed to the coordinator."""
+    def collect(self) -> Union[Message, List[Message]]:
+        """Final local result, addressed to the coordinator: one message per
+        site (a list when the program stands for several)."""
         ...
 
 
@@ -100,8 +114,9 @@ class Host(Protocol):
 class LocalHost:
     """Sites stepped in this process, their mutual mail in ``network``.
 
-    ``readers`` maps an extras key to a function of one site program; the
-    ``q.collect`` reply carries each reader's value for every site.
+    One program may appear under several site ids of ``programs`` and is
+    then stepped once, for all of them.  ``readers`` maps an extras key to a
+    function of one program; ``q.collect`` carries its value for every program.
     """
 
     def __init__(
@@ -113,19 +128,20 @@ class LocalHost:
         self.programs = programs
         self.network = network
         self.readers = readers or {}
-        self._halted: Dict[int, bool] = {}
+        self._distinct: List[SiteProgram] = list(dict.fromkeys(programs.values()))
+        self._halted: Dict[SiteProgram, bool] = {}
         self._reply = None
 
-    def _step(self, calls: Iterable[Tuple[int, Callable[[], TickResult]]]) -> tuple:
-        """Run one round's site calls; keep their mutual mail, return the rest."""
+    def _step(self, calls: Iterable[Tuple[SiteProgram, Callable[[], TickResult]]]) -> tuple:
+        """Run one round's program calls; keep their mutual mail, return the rest."""
         outbound: List[Message] = []
         slowest = 0.0
         n_falsified = 0
-        for fid, call in calls:
+        for program, call in calls:
             began = time.perf_counter()
             result = call()
-            slowest = max(slowest, time.perf_counter() - began)
-            self._halted[fid] = result.halted
+            slowest = max(slowest, (time.perf_counter() - began) * result.slowest_share)
+            self._halted[program] = result.halted
             n_falsified += result.n_falsified
             for message in result.messages:
                 if message.dst in self.programs:
@@ -136,28 +152,33 @@ class LocalHost:
         return outbound, idle, slowest, n_falsified
 
     def start(self, _run=None) -> tuple:
-        """Every site's first step."""
-        return self._step((fid, p.on_start) for fid, p in self.programs.items())
+        """Every program's first step."""
+        return self._step((p, p.on_start) for p in self._distinct)
 
     def tick(self, payload: Tuple[int, List[Message]]) -> tuple:
         """One superstep: last round's local mail plus ``inbox`` from outside;
-        a halted site without mail is skipped."""
+        a halted program without mail is skipped."""
         round_no, inbox = payload
-        inboxes = self.network.deliver()
+        mail: Dict[SiteProgram, List[Message]] = {}
+        for fid, messages in self.network.deliver().items():
+            mail.setdefault(self.programs[fid], []).extend(messages)
         for message in inbox:
-            inboxes.setdefault(message.dst, []).append(message)
+            mail.setdefault(self.programs[message.dst], []).append(message)
         return self._step(
-            (fid, partial(program.on_tick, round_no, inboxes.get(fid, [])))
-            for fid, program in self.programs.items()
-            if fid in inboxes or not self._halted.get(fid, True)
+            (program, partial(program.on_tick, round_no, mail.get(program, [])))
+            for program in self._distinct
+            if program in mail or not self._halted.get(program, True)
         )
 
     def results(self, _=None) -> tuple:
         """Every site's final local answer, reader values, and the meter."""
-        programs = self.programs.values()
+        results: List[Message] = []
+        for program in self._distinct:
+            collected = program.collect()
+            results.extend(collected if isinstance(collected, list) else [collected])
         return (
-            [program.collect() for program in programs],
-            {key: [read(p) for p in programs] for key, read in self.readers.items()},
+            results,
+            {key: [read(p) for p in self._distinct] for key, read in self.readers.items()},
             self.network,
         )
 

@@ -36,7 +36,11 @@ class RunMetrics:
     n_rounds: int
     #: bytes per message kind (full breakdown, incl. control/query/result)
     ds_breakdown: Dict[str, int] = field(default_factory=dict)
-    #: slowest-site compute per round, seconds
+    #: slowest-site compute per round, seconds.  Measured where every site
+    #: has a program of its own; an *estimate* where one program evaluates
+    #: several co-located sites at once (dGPM on the array engine): the
+    #: program's step time apportioned by each site's share of the counter
+    #: decrements, largest share reported.  ``pt_seconds`` inherits that.
     per_round_compute: List[float] = field(default_factory=list)
     #: algorithm-specific extras (e.g. supersteps, push count)
     extras: Dict[str, float] = field(default_factory=dict)

@@ -398,7 +398,9 @@ class SimulationSession:
         never import numpy).  Fragment snapshots self-invalidate: every
         access revalidates against the fragment's mutation stamp, so this
         cache survives mutations and recompiles exactly the touched
-        fragments.
+        fragments, then rebuilds the host snapshot over them -- under the
+        cache's own lock; a built snapshot is never written again, so the
+        compute threads share it under the read lock.
         """
         if self._compiled is None:
             from repro.core.arraycompile import CompiledFragmentation
@@ -430,13 +432,17 @@ class SimulationSession:
         query: forces the dependency graphs plus the lazy indexes of the base
         graph *and* of every fragment (the base graph serves dispatch and the
         centralized baselines), and the two shape facts ``algorithm="auto"``
-        reads, so the first request scans nothing.
+        reads, so the first request scans nothing.  An ``array`` session
+        also compiles every fragment snapshot and dGPM's host snapshot, so
+        the first query compiles nothing (a ``dict`` one never imports numpy).
         """
-        _ = self.deps
+        deps = self.deps
         self.fragmentation.graph.warm_indexes()
         for frag in self.fragmentation:
             frag.graph.warm_indexes()
         dgpmt_applies(self.fragmentation)  # fills the connected-fragments memo
+        if self.engine == "array":
+            self.compiled_fragments().warm(deps)
         return self
 
     # ------------------------------------------------------------------

@@ -546,13 +546,13 @@ class TestDriverRegistry:
 
     def test_missing_engines_flagged(self):
         with pytest.raises(TypeError, match="engines"):
-            AlgorithmSpec(name="x", display_name="X", build_program=DGPM.build_program)
+            AlgorithmSpec(name="x", display_name="X", build_programs=DGPM.build_programs)
         with pytest.raises(ReproError, match="engines"):
             dataclasses.replace(DGPM, engines=())
 
     def test_missing_name_flagged(self):
         with pytest.raises(TypeError, match="display_name"):
-            AlgorithmSpec(name="x", engines=("dict",), build_program=DGPM.build_program)
+            AlgorithmSpec(name="x", engines=("dict",), build_programs=DGPM.build_programs)
 
     def test_unknown_engine_flagged(self):
         with pytest.raises(ReproError, match="'gpu'"):
@@ -564,8 +564,9 @@ class TestDriverRegistry:
             build_registry([SuperstepDriver(DGPM), SuperstepDriver(again)])
 
     def test_requested_engine_reaches_build_program(self):
-        """One generic ``run`` hands the engine on: ``build_program`` sees the
-        session's compiled-CSR cache under ``array`` and None under ``dict``."""
+        """One generic ``run`` hands the engine on: ``build_programs`` sees
+        the session's compiled-CSR cache under ``array`` and None under
+        ``dict`` -- once per host, with every site of the host."""
         from repro import SimulationSession, hash_partition, web_graph
         from repro.bench.workloads import cyclic_pattern
 
@@ -573,16 +574,16 @@ class TestDriverRegistry:
         session = SimulationSession(hash_partition(graph, 3))
         seen = []
 
-        def recording(fid, fragmentation, query, deps, config, compiled):
-            seen.append(compiled)
-            return DGPM.build_program(fid, fragmentation, query, deps, config, compiled)
+        def recording(fids, fragmentation, query, deps, config, compiled):
+            seen.append((fids, compiled))
+            return DGPM.build_programs(fids, fragmentation, query, deps, config, compiled)
 
-        driver = SuperstepDriver(dataclasses.replace(DGPM, build_program=recording))
+        driver = SuperstepDriver(dataclasses.replace(DGPM, build_programs=recording))
         query = cyclic_pattern(graph, 3, 3, seed=2)
         driver.run(session, query, session.config, engine="dict")
-        assert seen == [None] * 3 and session._compiled is None
+        assert seen == [([0, 1, 2], None)] and session._compiled is None
         driver.run(session, query, session.config, engine="array")
-        assert seen[3:] == [session.compiled_fragments()] * 3
+        assert seen[1:] == [([0, 1, 2], session.compiled_fragments())]
 
     def test_missing_session_gate_flagged(self):
         findings = check(

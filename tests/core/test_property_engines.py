@@ -68,14 +68,32 @@ def engine_instances(draw):
     return graph, fragmentation, _pattern(draw)
 
 
+def shipped_protocol(result, config):
+    """What a run shipped, envelopes aside: rounds, pushes, payload bytes.
+
+    The array engine batches one tick's falsifications into one VAR_UPDATE
+    per watcher site where the dict engine sends one per variable, so the
+    message count -- and with it the header share of DS -- may differ; the
+    variables, equations and rewires that travel, and the round each travels
+    in, may not.
+    """
+    m = result.metrics
+    payload = m.ds_bytes - config.cost.message_header_bytes * m.n_messages
+    return m.n_rounds, m.extras["pushes"], payload
+
+
 @settings(max_examples=50, deadline=None)
-@given(engine_instances(), st.booleans(), st.booleans())
-def test_dgpm_cross_engine_parity(instance, push, incremental):
+@given(engine_instances(), st.booleans(), st.booleans(), st.sampled_from((0.0, 0.2)))
+def test_dgpm_cross_engine_parity(instance, push, incremental, theta):
     graph, fragmentation, pattern = instance
-    config = DgpmConfig(enable_push=push, incremental=incremental)
+    config = DgpmConfig(enable_push=push, incremental=incremental, push_threshold=theta)
     oracle = simulation(pattern, graph)
-    assert execute_dgpm(pattern, fragmentation, config, engine="dict").relation == oracle
-    assert execute_dgpm(pattern, fragmentation, config, engine="array").relation == oracle
+    by_dict = execute_dgpm(pattern, fragmentation, config, engine="dict")
+    by_array = execute_dgpm(pattern, fragmentation, config, engine="array")
+    assert by_dict.relation == oracle
+    assert by_array.relation == oracle
+    assert shipped_protocol(by_array, config) == shipped_protocol(by_dict, config)
+    assert by_array.metrics.n_messages <= by_dict.metrics.n_messages
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,7 +144,7 @@ def mutation_instances(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(("delete", "insert")),
+                st.sampled_from(("delete", "insert", "remove", "unwatch")),
                 st.integers(min_value=0, max_value=n - 1),
                 st.integers(min_value=0, max_value=n - 1),
             ),
@@ -136,29 +154,65 @@ def mutation_instances(draw):
     return fragmentation, _pattern(draw), ops
 
 
+def _apply(session, kind, u, v) -> bool:
+    """Apply one drawn op if the current graph allows it."""
+    fragmentation = session.fragmentation
+    graph = fragmentation.graph
+    if kind == "delete" and graph.has_edge(u, v):
+        session.delete_edge(u, v)
+    elif kind == "insert" and u in graph and v in graph and u != v and not graph.has_edge(u, v):
+        session.insert_edge(u, v)
+    elif kind == "remove" and u in graph and graph.n_nodes > 1:
+        session.remove_node(u)
+    elif kind == "unwatch" and v in graph:
+        # a crossing-edge delete that leaves the target fragment's graph
+        # alone and only drops a watcher (or the in-node marker with it)
+        sources = [
+            w for w in graph.predecessors(v)
+            if fragmentation.owner(w) != fragmentation.owner(v)
+        ]
+        if not sources:
+            return False
+        session.delete_edge(sources[u % len(sources)], v)
+    else:
+        return False
+    return True
+
+
 @settings(max_examples=25, deadline=None)
 @given(mutation_instances())
 def test_array_session_stays_exact_across_mutation_stream(instance):
     """A resident array-engine session, mutated through the session API.
 
-    The compiled-CSR cache is *kept* across mutations and must recompile the
-    touched fragments on the next query -- every answer is re-checked against
-    the centralized oracle on the current graph.
+    ``warm()`` compiles everything the first query needs.  The compiled-CSR
+    cache is *kept* across mutations: the next query recompiles exactly the
+    fragments the mutation touched and rebuilds the host snapshot over them
+    -- every answer is re-checked against the centralized oracle on the
+    current graph.
     """
     fragmentation, pattern, ops = instance
-    session = SimulationSession(fragmentation, cache_size=0, engine="array")
+    session = SimulationSession(fragmentation, cache_size=0, engine="array").warm()
     graph = session.fragmentation.graph
-    assert session.run(pattern, algorithm="dgpm").relation == simulation(pattern, graph)
     compiled = session.compiled_fragments()
+    fids = [frag.fid for frag in fragmentation]
+    assert (compiled.compilations, compiled.host_builds) == (len(fids), 1)
+    assert session.run(pattern, algorithm="dgpm").relation == simulation(pattern, graph)
+    assert (compiled.compilations, compiled.host_builds) == (len(fids), 1)
     for kind, u, v in ops:
-        if kind == "delete" and graph.has_edge(u, v):
-            session.delete_edge(u, v)
-        elif kind == "insert" and u != v and not graph.has_edge(u, v):
-            session.insert_edge(u, v)
-        else:
+        before = {fid: compiled.get(fid) for fid in fids}
+        counts = (compiled.compilations, compiled.host_builds)
+        if not _apply(session, kind, u, v):
             continue
+        stale = [
+            fid for fid in fids if not before[fid].is_fresh(session.fragmentation[fid])
+        ]
+        assert stale
         assert session.run(pattern, algorithm="dgpm").relation == simulation(
             pattern, graph
         )
+        assert compiled.compilations == counts[0] + len(stale)
+        assert compiled.host_builds == counts[1] + 1
+        for fid in fids:
+            assert (compiled.get(fid) is before[fid]) == (fid not in stale)
     # mutations must never blow the compiled cache away wholesale
     assert session.compiled_fragments() is compiled

@@ -9,8 +9,16 @@ oracle's relation and the *same* message count, DS bytes and round count as
 one host holding every site and as one host per site.  The real-process
 cases (``test_mp.py``, ``tests/session/test_sharding.py``) can stay few
 because of this.
+
+On the array engine the same property says more: there a host's dGPM sites
+are *one program* over a block-diagonal snapshot, so "one host per site" is
+one program per site, "one host" is one program for all of them, and the
+drawn grouping is anything in between -- none of which may show in the
+relation, the message count, DS (total or by kind), the round count or the
+number of pushes.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.dmes import DMES
@@ -34,15 +42,20 @@ from repro.simulation import simulation
 LABELS = "ABC"
 
 
-def run_grouped(spec, query, fragmentation, config, labels):
+def run_grouped(spec, query, fragmentation, config, labels, engine="dict"):
     """One run with fragment ``i`` on the host named ``labels[i]``."""
     deps = DependencyGraphs(fragmentation)
+    compiled = None
+    if engine == "array":
+        from repro.core.arraycompile import CompiledFragmentation
+
+        compiled = CompiledFragmentation(fragmentation)
     groups = {}
     for frag, label in zip(fragmentation, labels):
         groups.setdefault(label, []).append(frag.fid)
     placement = {}
     for fids in groups.values():
-        host = local_host(spec, fids, fragmentation, query, deps, config)
+        host = local_host(spec, fids, fragmentation, query, deps, config, compiled)
         placement.update(dict.fromkeys(fids, host))
     result = run_protocol(spec, query, fragmentation, config, placement=placement)
     assert result.metrics.extras["sharded_workers"] == len(groups)
@@ -51,16 +64,18 @@ def run_grouped(spec, query, fragmentation, config, labels):
 
 def accounting(result):
     m = result.metrics
-    return m.n_messages, m.ds_bytes, m.n_rounds, m.ds_breakdown
+    return m.n_messages, m.ds_bytes, m.n_rounds, m.ds_breakdown, m.extras.get("pushes")
 
 
-def check_every_grouping_agrees(spec, query, graph, fragmentation, config, labels):
+def check_every_grouping_agrees(
+    spec, query, graph, fragmentation, config, labels, engine="dict"
+):
     k = fragmentation.n_fragments
-    together = run_protocol(spec, query, fragmentation, config)
+    together = run_protocol(spec, query, fragmentation, config, engine)
     oracle = simulation(query, graph)
     assert together.relation == oracle
     for grouping in (labels[:k], list(range(k)), [0] * k):
-        grouped = run_grouped(spec, query, fragmentation, config, grouping)
+        grouped = run_grouped(spec, query, fragmentation, config, grouping, engine)
         assert grouped.relation == oracle
         assert accounting(grouped) == accounting(together), grouping
         m = grouped.metrics
@@ -135,6 +150,51 @@ def test_dgpm_answer_ignores_placement_under_any_schedule(
     grouping = labels[: fragmentation.n_fragments]
     grouped = run_grouped(DGPM, query, fragmentation, config, grouping)
     assert grouped.relation == simulation(query, graph)
+
+
+#: push at any benefit, push never, and dGPMNOpt (no push, from-scratch lEval)
+ARRAY_CONFIGS = {
+    "push": DgpmConfig(push_threshold=0.0),
+    "no-push": DgpmConfig(enable_push=False),
+    "nopt": DgpmConfig().without_optimizations(),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ARRAY_CONFIGS))
+@settings(max_examples=40, deadline=None)
+@given(instances(), groupings)
+def test_dgpm_array_accounting_ignores_how_sites_are_fused(mode, instance, labels):
+    pytest.importorskip("numpy")
+    graph, fragmentation, query = instance
+    check_every_grouping_agrees(
+        DGPM, query, graph, fragmentation, ARRAY_CONFIGS[mode], labels, engine="array"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instances(),
+    groupings,
+    st.booleans(),
+    st.integers(min_value=0, max_value=50),
+    st.sampled_from((0.3, 0.6, 1.0)),
+)
+def test_dgpm_array_answer_ignores_fusing_under_any_schedule(
+    instance, labels, push, seed, fraction
+):
+    """Mail between the sites of one array program goes through the host's
+    network, so a scrambled schedule holds it back like any other."""
+    pytest.importorskip("numpy")
+    graph, fragmentation, query = instance
+    config = DgpmConfig(
+        enable_push=push, push_threshold=0.0, scramble=(seed, fraction)
+    )
+    oracle = simulation(query, graph)
+    k = fragmentation.n_fragments
+    for grouping in (labels[:k], [0] * k):
+        grouped = run_grouped(DGPM, query, fragmentation, config, grouping, "array")
+        assert grouped.relation == oracle
+    assert run_protocol(DGPM, query, fragmentation, config, "array").relation == oracle
 
 
 @settings(max_examples=40, deadline=None)
