@@ -62,7 +62,7 @@ def main() -> None:
             deleted.append((u, v))
             if step == 0:
                 print("hot queries warmed by the first relevant update: "
-                      f"{len(session._warm)} incremental state(s) live")
+                      f"{session.stats.entries_promoted} incremental state(s) live")
             if outcome.cache_repaired:
                 print(
                     f"  step {step:>2}: delete ({u}, {v}) changed "

@@ -51,7 +51,10 @@ GUARDED: Tuple[GuardSpec, ...] = (
         class_name="LruResultCache",
         attrs=("_entries", "_inflight", "stats"),
         locks=("self._lock",),
-        why="concurrent get/put/evict; stats counters mirror entry changes",
+        why=(
+            "concurrent get/put/evict; the stats counters and a found "
+            "entry's hit count change with the table"
+        ),
     ),
     GuardSpec(
         class_name="LabelInterner",
@@ -75,15 +78,6 @@ GUARDED: Tuple[GuardSpec, ...] = (
         attrs=("*",),
         locks=("self._lock",),
         why="counters are read-modify-write bumped from concurrent readers",
-    ),
-    GuardSpec(
-        class_name="SimulationSession",
-        attrs=("_meta", "_warm"),
-        locks=("self._state_lock",),
-        why=(
-            "hits bump per-entry metadata while LRU overflow on a concurrent "
-            "miss drops it, together with the warm state a writer built"
-        ),
     ),
     GuardSpec(
         class_name="SimulationSession",

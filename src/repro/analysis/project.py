@@ -167,8 +167,8 @@ def dotted(node: ast.AST) -> Optional[str]:
 def base_chain(node: ast.AST) -> Tuple[Optional[str], Optional[str]]:
     """The root object and first attribute of a write target.
 
-    For ``self._entries[k]``, ``self.stats.hits``, ``self._warm.pop`` alike
-    this returns ``("self", "_entries"/"stats"/"_warm")``: unwraps
+    For ``self._entries[k]``, ``self.stats.hits``, ``self._inflight.pop`` alike
+    this returns ``("self", "_entries"/"stats"/"_inflight")``: unwraps
     subscripts and trailing attributes down to the innermost
     ``<name>.<attr>`` pair.  Returns ``(None, None)`` when the target is not
     rooted in a plain name.

@@ -19,12 +19,8 @@ from repro.bench.harness import ExperimentSeries, SweepPoint, run_sweep
 from repro.bench.stream import (
     StreamPoint,
     StreamSeries,
-    UpdatePoint,
-    UpdateSeries,
     mixed_query_stream,
-    mixed_update_stream,
     query_stream_series,
-    update_stream_series,
 )
 
 __all__ = [
@@ -38,8 +34,4 @@ __all__ = [
     "StreamSeries",
     "mixed_query_stream",
     "query_stream_series",
-    "UpdatePoint",
-    "UpdateSeries",
-    "mixed_update_stream",
-    "update_stream_series",
 ]

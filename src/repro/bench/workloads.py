@@ -185,18 +185,13 @@ def cyclic_pattern(
     n_nodes: int = 5,
     n_edges: int = 10,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
 ) -> Pattern:
     """A cyclic pattern of ~``(n_nodes, n_edges)`` guaranteed to match ``graph``.
 
     Mirrors the paper's Exp-1/Exp-3 cyclic query workloads.  Raises
     :class:`~repro.errors.WorkloadError` when the graph has no short cycle.
-
-    Pass ``rng`` to draw from a caller-owned generator (one stream shared
-    across many calls); otherwise a fresh ``random.Random(seed)`` makes the
-    call a pure function of its arguments.
     """
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     cycle = _find_cycle(graph, rng, max_len=max(2, n_nodes))
     if cycle is None:
         raise WorkloadError("data graph appears to have no short directed cycle")
@@ -242,16 +237,15 @@ def dag_pattern(
     n_edges: int = 13,
     seed: int = 0,
     tries: int = 400,
-    rng: Optional[random.Random] = None,
 ) -> Pattern:
     """A DAG pattern with exact ``diameter`` that matches the DAG ``graph``.
 
     Mirrors the paper's Exp-2 query sets ``Q1..Q8`` (``d = 2..8``,
     ``|Q| = (9, 13)``): a sampled directed path of length ``diameter`` is the
     spine; duplication/sibling growth fills out the shape without changing
-    the diameter.  ``rng`` overrides ``seed`` as in :func:`cyclic_pattern`.
+    the diameter.
     """
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     nodes = sorted(graph.nodes(), key=repr)
     spine: Optional[List[Node]] = None
     for _ in range(tries):
@@ -289,13 +283,9 @@ def tree_pattern(
     n_nodes: int = 4,
     seed: int = 0,
     tries: int = 200,
-    rng: Optional[random.Random] = None,
 ) -> Pattern:
-    """A small path/branch pattern sampled from a tree (for dGPMt benches).
-
-    ``rng`` overrides ``seed`` as in :func:`cyclic_pattern`.
-    """
-    rng = rng if rng is not None else random.Random(seed)
+    """A small path/branch pattern sampled from a tree (for dGPMt benches)."""
+    rng = random.Random(seed)
     nodes = sorted(tree.nodes(), key=repr)
     for _ in range(tries):
         root = nodes[rng.randrange(len(nodes))]

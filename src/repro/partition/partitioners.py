@@ -23,9 +23,7 @@ and then *swaps nodes between fragments* to drive ``|Vf|/|V|`` (or
 * :func:`tree_partition` -- splits a rooted tree into connected subtrees,
   the precondition of dGPMt (Section 5.2).
 
-All functions are deterministic given the ``seed``; every randomized one
-alternatively accepts a caller-owned seeded ``rng`` (one stream shared
-across many calls, like the workload generators).
+All functions are deterministic given the ``seed``.
 """
 
 from __future__ import annotations
@@ -185,7 +183,6 @@ def refine_to_vf_ratio(
     seed: int = 0,
     max_passes: int = 8,
     tolerance: float = 0.02,
-    rng: Optional[random.Random] = None,
 ) -> Fragmentation:
     """Move nodes between fragments until ``|Vf|/|V|`` is near ``target_ratio``.
 
@@ -196,15 +193,11 @@ def refine_to_vf_ratio(
     balance stays within a factor of two of the average.  Lowering a cut is
     only effective on locality-structured graphs (the realistic case; the
     paper relies on Ja-be-Ja [27] for the same reason).
-
-    Pass ``rng`` to draw from a caller-owned generator (one stream shared
-    across many calls, like the workload generators); otherwise a fresh
-    ``random.Random(seed)`` makes the call a pure function of its arguments.
     """
     graph = fragmentation.graph
     n = fragmentation.n_fragments
     assignment = {node: fragmentation.owner(node) for node in graph.nodes()}
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     avg = graph.n_nodes / n
     counts = [0] * n
     for fid in assignment.values():
@@ -292,7 +285,6 @@ def min_cut_partition(
     graph: DiGraph,
     n_fragments: int,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
     balance: float = 1.25,
     max_passes: int = 8,
     node_weights: Optional[Mapping[Node, float]] = None,
@@ -313,12 +305,10 @@ def min_cut_partition(
     pass :func:`traffic_node_weights` of a live ``SessionStats`` snapshot
     to make observed query/mutation traffic repel the cut -- hot fragments
     spread out and their internal edges stop being severed.
-
-    ``rng`` overrides ``seed`` as in :func:`refine_to_vf_ratio`.
     """
     if balance <= 1.0:
         raise FragmentationError("balance must be > 1.0 (1.0 leaves no slack to move)")
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     seed_frag = balanced_bfs_partition(graph, n_fragments, seed=rng.randrange(2**31))
     assignment = {node: seed_frag.owner(node) for node in graph.nodes()}
 

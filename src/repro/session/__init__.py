@@ -26,6 +26,7 @@ each is now a thin wrapper that builds a throwaway session.
 """
 
 from repro.session.cache import (
+    CacheEntry,
     CanonicalQuery,
     LabelInterner,
     LruResultCache,
@@ -53,6 +54,7 @@ __all__ = [
     "DRIVERS",
     "LabelInterner",
     "LruResultCache",
+    "CacheEntry",
     "CanonicalQuery",
     "canonical_form",
     "canonical_query_key",

@@ -13,22 +13,25 @@ Three pieces:
   the session's interning table, which keeps the serialized form compact and
   insulates the key from expensive label ``repr``\\ s.
 * :class:`LruResultCache` -- a small LRU keyed by
-  ``(algorithm, config, query)`` with hit/miss/eviction counters.  Graph
-  simulation is a pure function of (query, fragmentation), so cached results
-  stay valid until the fragmentation mutates.  The session keeps them fresh
-  across mutations: entries whose answers cannot have changed are kept,
-  warm-maintained entries are repaired in place (:meth:`LruResultCache.\
-replace`), and the rest are evicted one at a time (:meth:`LruResultCache.\
-pop`); an ``on_evict`` hook lets the session drop its per-entry metadata
-  whenever the LRU ages something out.
+  ``(algorithm, engine, config, query digest)`` whose values are
+  :class:`CacheEntry` objects: the result *and* everything else the session
+  remembers about that query (pattern, canonical order, hit count, warm
+  repair state).  One object per key in one table, so an entry's
+  bookkeeping can neither outlive nor precede its result -- LRU overflow,
+  :meth:`LruResultCache.pop` and :meth:`LruResultCache.clear` drop all of it
+  together.  Graph simulation is a pure function of (query, fragmentation),
+  so cached results stay valid until the fragmentation mutates; the session
+  keeps them fresh across mutations (see :mod:`repro.session.session`).
 
-  The cache is **thread-safe**: every operation holds an internal re-entrant
-  lock (``on_evict`` fires while it is held, which is what the session's
-  bookkeeping wants -- the metadata drop is atomic with the eviction), and
+  The cache is **thread-safe**: every operation holds one internal lock
+  (nothing re-enters it and no other lock is taken while it is held), and
   :meth:`LruResultCache.get_or_compute` gives concurrent readers an atomic
   get-or-compute: when several threads miss on the same key at once, exactly
   one runs the expensive compute while the rest wait for its result instead
-  of duplicating the protocol run.
+  of duplicating the protocol run.  Who writes which :class:`CacheEntry`
+  field: the cache, under its lock, ``hits``; the session, under the write
+  exclusion mutations already require, ``result`` and ``warm``; the rest
+  never change after construction.
 * :class:`LabelInterner` -- dense integer ids for the label alphabet; interns
   under a lock so concurrent queries mentioning a brand-new label can never
   allocate the same id for two different labels.
@@ -42,10 +45,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.graph.pattern import Pattern
 from repro.runtime.metrics import RunResult
+
+if TYPE_CHECKING:  # annotations only: the cache never imports ``repro.core``
+    from repro.core.config import DgpmConfig
+    from repro.core.incremental import IncrementalMatchState
 
 
 class LabelInterner:
@@ -223,32 +230,44 @@ class CacheStats:
     evictions: int = 0
 
 
-class LruResultCache:
-    """Least-recently-used cache of :class:`RunResult` objects.
+@dataclass(eq=False)
+class CacheEntry:
+    """Everything the session remembers about one cached query."""
 
-    ``on_evict`` (optional) is called with the key of every entry that
-    leaves the cache through LRU overflow or :meth:`pop` -- not through
-    :meth:`clear`, which callers use when they are resetting their own
-    bookkeeping anyway.  The callback runs while the cache's (re-entrant)
-    lock is held, making the caller's metadata drop atomic with the
-    eviction.
+    #: the stored answer; a warm repair swaps in a new one, never edits it
+    result: RunResult
+    query: Pattern
+    algorithm: str
+    config: DgpmConfig
+    #: the stored pattern's canonical node order -- a hit whose (isomorphic)
+    #: pattern uses different node names translates the cached relation
+    #: through position-wise correspondence of the two orders
+    order: Tuple = ()
+    #: fragments owning the entry's matched nodes, computed once on the
+    #: miss -- hits attribute per-fragment traffic from this tuple instead
+    #: of re-walking the (possibly huge) relation
+    fids: Tuple[int, ...] = ()
+    #: times served from cache; a hot (``hits > 0``) entry may turn warm
+    hits: int = 0
+    #: the incremental repair state of a warm entry (built and retired by
+    #: the session's write path only)
+    warm: Optional[IncrementalMatchState] = None
+
+
+class LruResultCache:
+    """Least-recently-used table of :class:`CacheEntry` objects.
 
     All operations are thread-safe; :meth:`get_or_compute` additionally
     coalesces concurrent misses on one key into a single compute.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        on_evict: Optional[Callable[[Tuple], None]] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 0:
             raise ValueError("max_entries must be >= 0")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, RunResult]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
         self.stats = CacheStats()
-        self._on_evict = on_evict
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         #: key -> Event for in-flight computes (get_or_compute coalescing)
         self._inflight: Dict[Tuple, threading.Event] = {}
 
@@ -260,30 +279,31 @@ class LruResultCache:
         with self._lock:
             return key in self._entries
 
-    def keys(self) -> List[Tuple]:
-        """Snapshot of the cached keys, LRU-first."""
+    def items(self) -> List[Tuple[Tuple, CacheEntry]]:
+        """Snapshot of the ``(key, entry)`` pairs, least recently served first."""
         with self._lock:
-            return list(self._entries)
+            return list(self._entries.items())
 
-    def get(self, key: Tuple) -> Optional[RunResult]:
+    def get(self, key: Tuple) -> Optional[CacheEntry]:
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return result
+            entry.hits += 1
+            return entry
 
     def get_or_compute(
-        self, key: Tuple, compute: Callable[[], RunResult]
-    ) -> Tuple[RunResult, bool]:
-        """Atomic get-or-compute; returns ``(result, was_hit)``.
+        self, key: Tuple, compute: Callable[[], CacheEntry]
+    ) -> Tuple[CacheEntry, bool]:
+        """Atomic get-or-compute; returns ``(entry, was_hit)``.
 
-        A hit (present entry, or the result of another thread's in-flight
+        A hit (present entry, or the entry of another thread's in-flight
         compute for the same key) returns ``was_hit=True`` without running
         ``compute``.  On a miss the calling thread computes *outside* the
-        lock (other keys keep serving), stores the result, and wakes any
+        lock (other keys keep serving), stores the entry, and wakes any
         coalesced waiters.  If the compute raises, waiters retry -- one of
         them becomes the next computer -- so an error never wedges a key.
 
@@ -298,11 +318,12 @@ class LruResultCache:
             return compute(), False
         while True:
             with self._lock:
-                result = self._entries.get(key)
-                if result is not None:
+                entry = self._entries.get(key)
+                if entry is not None:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
-                    return result, True
+                    entry.hits += 1
+                    return entry, True
                 gate = self._inflight.get(key)
                 if gate is None:
                     gate = self._inflight[key] = threading.Event()
@@ -310,53 +331,33 @@ class LruResultCache:
                     break
             # Another thread is computing this key: wait for it, then go
             # back through the fast path (the entry appears on success; on
-            # failure, or with caching disabled, one waiter re-registers and
-            # computes itself).
+            # failure one waiter re-registers and computes itself).
             gate.wait()
         try:
-            result = compute()
-            self.put(key, result)
+            entry = compute()
+            self.put(key, entry)
         finally:
             # Store before waking waiters, so they find the entry; pop our
             # own gate only (a failed compute lets the next waiter take over).
             with self._lock:
                 self._inflight.pop(key, None)
             gate.set()
-        return result, False
+        return entry, False
 
-    def peek(self, key: Tuple) -> Optional[RunResult]:
-        """Read an entry without touching recency or hit/miss counters."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key: Tuple, result: RunResult) -> None:
+    def put(self, key: Tuple, entry: CacheEntry) -> None:
         if self.max_entries == 0:
             return
         with self._lock:
-            self._entries[key] = result
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                if self._on_evict is not None:
-                    self._on_evict(evicted)
 
-    def replace(self, key: Tuple, result: RunResult) -> None:
-        """Swap the stored result of an existing entry, preserving recency.
-
-        Used by maintenance: a repaired answer replaces a stale one without
-        counting as a hit or promoting the entry.
-        """
+    def pop(self, key: Tuple) -> Optional[CacheEntry]:
+        """Drop one entry and return it (None if absent)."""
         with self._lock:
-            if key in self._entries:
-                self._entries[key] = result
-
-    def pop(self, key: Tuple) -> None:
-        """Drop one entry (no-op if absent); fires ``on_evict``."""
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
-                if self._on_evict is not None:
-                    self._on_evict(key)
+            return self._entries.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:

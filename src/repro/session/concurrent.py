@@ -340,7 +340,7 @@ class ConcurrentSessionServer:
         protocol and share dead-peer semantics.
     session_kwargs:
         Extra :class:`SimulationSession` keyword arguments for a session
-        built from a fragmentation (``cache_size``, ``maintenance``, ...).
+        built from a fragmentation (``cache_size``, ``max_warm_states``, ...).
     """
 
     def __init__(
@@ -423,9 +423,9 @@ class ConcurrentSessionServer:
         self._ring: Optional[HashRing] = None
         self._respawns = 0
         self._rebalances = 0
-        #: standing queries; guarded by its own lock so registration never
-        #: holds the reader-writer lock (notify runs write-locked and takes
-        #: this lock second -- the one sanctioned ordering)
+        #: standing queries; their lock is only ever taken second, inside
+        #: the reader-writer lock (registration read-locked, notify
+        #: write-locked) or on its own
         self._sub_lock = threading.Lock()
         self._subs: Dict[int, _Subscription] = {}
         self._next_sub_id = 1
@@ -1016,49 +1016,26 @@ class ConcurrentSessionServer:
         back into this server (the write lock is held).  Batches that leave
         the answer unchanged push nothing.
 
-        The baseline is raced against concurrent writers: registration only
-        commits when no batch intervened between evaluating the query and
-        inserting the subscription, so the first push can never describe a
-        change the baseline already contained (nor skip one it did not).
+        The subscription is registered inside the read-lock hold that
+        evaluated the baseline, and the stamp only moves under the write
+        lock: no batch can commit in between, so the first push can never
+        describe a change the baseline already contained (nor skip one it
+        did not).
         """
         self._check_open()
-        result = None
-        for _ in range(16):
-            with self._rw.read_locked():
-                stamp = self._stamp
-                result = self._session.run(
-                    query, algorithm=algorithm, config=config
-                )
+        with self._rw.read_locked():
+            stamp = self._stamp
+            result = self._session.run(query, algorithm=algorithm, config=config)
             with self._sub_lock:
-                if self._stamp == stamp:
-                    sub_id = self._register_locked(
-                        query, algorithm, config, callback,
-                        result.relation.as_dict(),
-                    )
-                    return sub_id, StampedResult(
-                        relation=result.relation,
-                        metrics=result.metrics,
-                        stamp=stamp,
-                    )
-        # A sustained write stream kept committing between evaluation and
-        # registration.  Register with the last baseline anyway: the stream
-        # that caused the races is still flowing, and its next batch diffs
-        # against this baseline, closing the gap.
-        with self._sub_lock:
-            sub_id = self._register_locked(
-                query, algorithm, config, callback, result.relation.as_dict()
-            )
+                sub_id = self._next_sub_id
+                self._next_sub_id += 1
+                self._subs[sub_id] = _Subscription(
+                    sub_id, query, algorithm, config, callback,
+                    result.relation.as_dict(),
+                )
         return sub_id, StampedResult(
             relation=result.relation, metrics=result.metrics, stamp=stamp
         )
-
-    def _register_locked(self, query, algorithm, config, callback, last) -> int:
-        sub_id = self._next_sub_id
-        self._next_sub_id += 1
-        self._subs[sub_id] = _Subscription(
-            sub_id, query, algorithm, config, callback, last
-        )
-        return sub_id
 
     def unsubscribe(self, sub_id: int) -> bool:
         """Drop a standing query; False if it was already gone."""

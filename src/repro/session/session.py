@@ -27,8 +27,7 @@ Mutation API and its invariant contract
 The session is the write path for a graph that changes while being served:
 :meth:`delete_edge`, :meth:`insert_edge`, :meth:`add_node`,
 :meth:`remove_node`, and the batched :meth:`apply` (typed
-:class:`~repro.graph.mutations.MutationOp` values; legacy tuples keep
-working under a :class:`DeprecationWarning`) patch the resident
+:class:`~repro.graph.mutations.MutationOp` values) patch the resident
 fragmentation **in place** through
 :meth:`Fragmentation.delete_edge` and friends, which maintain the
 Section-2.2 invariants (``Fi.O``/``Fi.I`` membership, induced fragment
@@ -40,20 +39,23 @@ and the result cache is *maintained*, not dropped:
 * entries whose answers provably cannot change (no query edge carries the
   mutated edge's label pair; Section 2.1's simulation conditions only
   inspect an edge as a witness for a same-labeled query edge) are kept;
-* hot entries hold a warm :class:`~repro.core.incremental.\
-IncrementalMatchState` (the paper's incremental lEval, Section 4.2 / [13]),
-  built by the first mutation that may change their answer, from the
-  post-mutation graph -- reads never build one: an edge deletion repairs
-  their answers through the affected area only (``O(|AFF|)``), and the
-  repaired relation replaces the cached one -- entries are only rewritten
-  when the answer actually changed;
+* hot entries (served from cache at least once) hold a warm
+  :class:`~repro.core.incremental.IncrementalMatchState` (the paper's
+  incremental lEval, Section 4.2 / [13]), built by the first mutation that
+  may change their answer, from the post-mutation graph -- reads never
+  build one: an edge deletion repairs their answers through the affected
+  area only (``O(|AFF|)``), and the repaired relation replaces the cached
+  one -- entries are only rewritten when the answer actually changed;
 * insertions, which can revive matches, fall back to a targeted
   re-evaluation of the affected warm entries (counters are merely patched
   when the insert is label-irrelevant);
 * remaining affected entries are evicted individually.
 
-``maintenance="invalidate"`` keeps the old drop-everything behavior (the
-baseline that ``benchmarks/bench_updates.py`` gates against).
+All of it is bookkeeping about *one cached query*, so it lives in one
+:class:`~repro.session.cache.CacheEntry` per key in the cache's one table:
+a hit bumps ``entry.hits`` under the cache's lock; this module, under the
+write exclusion mutations require, swaps ``entry.result`` on a repair and
+sets / retires ``entry.warm``; eviction drops the whole entry.
 
 Mutations applied *around* the session (directly to the stored graphs) are
 still detected: the session snapshots the fragmentation's mutation stamp
@@ -103,7 +105,12 @@ from repro.graph.mutations import (
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.runtime.metrics import RunResult
-from repro.session.cache import LabelInterner, LruResultCache, canonical_form
+from repro.session.cache import (
+    CacheEntry,
+    LabelInterner,
+    LruResultCache,
+    canonical_form,
+)
 from repro.session.drivers import DRIVERS, AlgorithmDriver
 from repro.simulation.matchrel import MatchRelation
 
@@ -148,7 +155,7 @@ class SessionStats:
     #: results dropped because the LRU overflowed
     cache_evictions: int = 0
     #: times every derived structure was dropped at once (external mutation
-    #: detected, explicit ``invalidate()``, or ``maintenance="invalidate"``)
+    #: detected, or an explicit ``invalidate()``)
     invalidations: int = 0
     #: mutations applied through the session's mutation API
     mutations: int = 0
@@ -262,26 +269,8 @@ class MutationOutcome:
     #: deletions only)
     falsified: int
     #: the fragmentation delta this mutation produced -- the sharded
-    #: backend routes it to owning/watching workers (None on legacy paths)
+    #: backend routes it to owning/watching workers
     delta: Optional[MutationDelta] = None
-
-
-@dataclass
-class _CacheEntryMeta:
-    """Per-entry bookkeeping the digest key cannot recover."""
-
-    query: Pattern
-    algorithm: str
-    config: DgpmConfig
-    #: the stored pattern's canonical node order -- a hit whose (isomorphic)
-    #: pattern uses different node names translates the cached relation
-    #: through position-wise correspondence of the two orders
-    order: Tuple = ()
-    hits: int = 0
-    #: fragments owning the entry's matched nodes, computed once on the
-    #: miss -- hits attribute per-fragment traffic from this tuple instead
-    #: of re-walking the (possibly huge) relation
-    fids: Tuple[int, ...] = ()
 
 
 class SimulationSession:
@@ -297,11 +286,6 @@ class SimulationSession:
     cache_size:
         Maximum number of cached results (0 disables result caching; the
         structural caches are unaffected).
-    maintenance:
-        ``"incremental"`` (default) patches caches across session-applied
-        mutations as described in the module docstring;
-        ``"invalidate"`` drops every derived structure on any mutation
-        (the pre-maintenance behavior, kept as the benchmark baseline).
     deps:
         Pre-built :class:`DependencyGraphs` for ``fragmentation`` (e.g.
         shipped to a worker process once and reused across its whole
@@ -309,11 +293,10 @@ class SimulationSession:
     max_warm_states:
         Cap on warm per-query incremental states (each keeps every site's
         evaluation state alive for one hot query); the most recently served
-        hot entries get them.  0: never build one, evict affected entries.
-    warm_after_hits:
-        A cached query is hot once it has been served from cache this many
-        times; the first mutation that may change a hot entry's answer
+        hot entries get them.  A cached query is hot once it has been served
+        from cache; the first mutation that may change a hot entry's answer
         promotes it to a warm state (one fixpoint, on the write path).
+        0: never build one, evict affected entries.
     engine:
         Default execution engine for every query (``"dict"`` or
         ``"array"``); ``run``/``run_many`` accept a per-query override.  The
@@ -328,28 +311,17 @@ class SimulationSession:
         fragmentation: Fragmentation,
         config: Optional[DgpmConfig] = None,
         cache_size: int = 128,
-        maintenance: str = "incremental",
         max_warm_states: int = 8,
-        warm_after_hits: int = 1,
         deps: Optional[DependencyGraphs] = None,
         engine: str = "dict",
     ) -> None:
-        if maintenance not in ("incremental", "invalidate"):
-            raise ReproError(
-                f"unknown maintenance mode {maintenance!r} "
-                "(known: incremental, invalidate)"
-            )
         self.fragmentation = fragmentation
         self.config = config or DgpmConfig()
-        self.maintenance = maintenance
         self.max_warm_states = max_warm_states
-        self.warm_after_hits = warm_after_hits
         self.stats = SessionStats()
         self.engine = self._validate_args("auto", engine)
         self.labels = LabelInterner()
-        self._cache = LruResultCache(cache_size, on_evict=self._on_cache_evict)
-        self._meta: Dict[Tuple, _CacheEntryMeta] = {}
-        self._warm: Dict[Tuple, IncrementalMatchState] = {}
+        self._cache = LruResultCache(cache_size)
         self._deps = deps
         #: compiled-CSR fragment cache for the array engine (lazy; entries
         #: are revalidated per fragment on every access, so mutations only
@@ -360,10 +332,6 @@ class SimulationSession:
         #: guards the lazy compiled-CSR build the same way: concurrent first
         #: array-engine queries must share one CompiledFragmentation
         self._compiled_lock = threading.Lock()
-        #: guards ``_meta``/``_warm`` against concurrent readers; acquired
-        #: *after* the cache's lock when both are needed (the cache's
-        #: ``on_evict`` fires under its lock), never the other way around
-        self._state_lock = threading.RLock()
         #: canonical forms memoized per live Pattern object (weak keys: the
         #: memo never pins a pattern) -- repeat submissions of the same
         #: object skip the WL-refinement/permutation work on the hit path
@@ -453,9 +421,6 @@ class SimulationSession:
         self._deps = None
         self._compiled = None
         self._cache.clear()
-        with self._state_lock:
-            self._meta.clear()
-            self._warm.clear()
         self._version = self.fragmentation.version
         self.stats.bump("invalidations")
 
@@ -504,13 +469,6 @@ class SimulationSession:
             self.fragmentation.validate()
             self.invalidate()
 
-    def _on_cache_evict(self, key: Tuple) -> None:
-        # Fires under the cache's lock; take the state lock inside it (the
-        # one sanctioned ordering) so metadata drops atomically with the entry.
-        with self._state_lock:
-            self._meta.pop(key, None)
-            self._warm.pop(key, None)
-
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
@@ -554,57 +512,28 @@ ConcurrentSessionServer` provides.
         key = (driver.name, engine, repr(config), form.digest)
         self.stats.bump("queries_served")
 
-        computed: List[RunResult] = []
-
-        def compute() -> RunResult:
+        def compute() -> CacheEntry:
             result = driver.run(self, query, config, engine=engine)
-            computed.append(result)
-            touched = self._touched_fids(result.relation)
-            self.stats.bump_fragment("fragment_queries", touched)
-            # Record the entry's pattern/order *before* the result becomes
-            # visible to coalesced waiters, so a renamed hit can always
-            # translate; store a defensive snapshot -- the caller owns the
-            # returned metrics object, and mutating its extras must not leak
-            # into later hits.
-            if self._cache.max_entries:
-                with self._state_lock:
-                    self._meta[key] = _CacheEntryMeta(
-                        query=query, algorithm=driver.name, config=config,
-                        order=form.order, fids=touched,
-                    )
-            return RunResult(
-                relation=result.relation,
-                metrics=replace(result.metrics, extras=dict(result.metrics.extras)),
+            return CacheEntry(
+                result=result, query=query, algorithm=driver.name, config=config,
+                order=form.order, fids=self._touched_fids(result.relation),
             )
 
-        stored, _ = self._cache.get_or_compute(key, compute)
-        if computed:
-            # This thread ran the protocol; hand back the original result.
+        entry, hit = self._cache.get_or_compute(key, compute)
+        stored = entry.result
+        extras = dict(stored.metrics.extras)
+        if hit:
+            self.stats.bump("cache_hits")
+            extras["cache_hit"] = 1.0
+        else:
             self.stats.bump("cache_misses")
             self.stats.sync_evictions(self._cache.stats.evictions)
-            return computed[0]
-
-        self.stats.bump("cache_hits")
-        with self._state_lock:
-            meta = self._meta.get(key)
-            if meta is not None:
-                meta.hits += 1  # hot entries get a warm state on the write side
-        if meta is None:
-            # The entry raced an eviction between our hit and the metadata
-            # read; without the stored order a renamed pattern cannot be
-            # translated -- fall back to evaluating (rare, always correct).
-            # This query ran the protocol after all: correct the counters.
-            self.stats.bump("cache_hits", -1)
-            self.stats.bump("cache_misses")
-            return driver.run(self, query, config, engine=engine)
-        if meta.fids:
-            self.stats.bump_fragment("fragment_queries", meta.fids)
-        metrics = replace(
-            stored.metrics, extras={**stored.metrics.extras, "cache_hit": 1.0}
-        )
+        self.stats.bump_fragment("fragment_queries", entry.fids)
+        # The metrics are copied either way: the caller owns what it gets,
+        # and mutating its extras must not leak into later hits.
         return RunResult(
-            relation=_translate(stored.relation, meta.order, form.order),
-            metrics=metrics,
+            relation=_translate(stored.relation, entry.order, form.order),
+            metrics=replace(stored.metrics, extras=extras),
         )
 
     def run_many(
@@ -723,53 +652,37 @@ ConcurrentSessionServer` provides.
             touched.add(edge_delta.source_fid)
             touched.add(edge_delta.target_fid)
         self.stats.bump_fragment("fragment_mutations", sorted(touched))
-        if self.maintenance == "invalidate":
-            evicted = len(self._cache)
-            self.invalidate()
-            return MutationOutcome(
-                kind=delta.kind,
-                wall_seconds=time.perf_counter() - start,
-                cache_kept=0, cache_repaired=0, cache_evicted=evicted,
-                falsified=0, delta=delta,
-            )
-
         if self._deps is not None:
             self._deps.apply_delta(delta)
         kept = repaired = evicted = promoted = falsified = 0
-        live: List[Tuple[Tuple, _CacheEntryMeta]] = []
-        for key in self._cache.keys():  # least recently served first
-            meta = self._meta.get(key)
-            if meta is None or self._precondition_lapsed(meta):
+        live: List[Tuple[Tuple, CacheEntry]] = []
+        for key, entry in self._cache.items():  # least recently served first
+            if self._precondition_lapsed(entry):
                 self._cache.pop(key)
                 evicted += 1
             else:
-                live.append((key, meta))
+                live.append((key, entry))
         # Warm slots belong to the most recently served hot entries; one that
         # has no state yet gets it from the first delta that may change it.
-        hot = [
-            key
-            for key, meta in live
-            if meta.hits >= self.warm_after_hits and not meta.config.boolean_only
-        ]
+        hot = [e for _, e in live if e.hits and not e.config.boolean_only]
         slots = set(hot[-self.max_warm_states:]) if self.max_warm_states > 0 else ()
-        for key, meta in live:
-            warm = self._warm.get(key)
-            if warm is not None:
-                changed, n_falsified = self._repair_warm(warm, delta)
+        for key, entry in live:
+            if entry.warm is not None:
+                changed, n_falsified = self._repair(entry.warm, delta)
                 falsified += n_falsified
-            elif not self._may_change_answer(meta.query, delta):
+            elif not self._may_change_answer(entry.query, delta):
                 changed = False
-            elif key in slots:
+            elif entry in slots:
                 # Built on the patched fragmentation: the bootstrap fixpoint
                 # already is the entry's answer after this delta.
-                warm = self._promote(key, meta)
+                self._promote(entry, [e for _, e in live if e.warm is not None])
                 promoted += 1
                 changed = True
             else:
                 self._cache.pop(key)
                 evicted += 1
                 continue
-            if changed and self._rewrite_entry(key, warm):
+            if changed and self._rewrite_entry(entry):
                 repaired += 1
             else:
                 kept += 1
@@ -785,13 +698,13 @@ ConcurrentSessionServer` provides.
             falsified=falsified, delta=delta,
         )
 
-    def _precondition_lapsed(self, meta: _CacheEntryMeta) -> bool:
+    def _precondition_lapsed(self, entry: CacheEntry) -> bool:
         """True iff the mutation just applied took away the graph shape the
         entry's driver requires: a fresh ``run`` would now raise (or, under
         ``auto``, pick another driver), so the entry must not be served."""
-        if meta.algorithm == "dgpmd":
-            return not dgpmd_applies(meta.query, self.fragmentation)
-        return meta.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
+        if entry.algorithm == "dgpmd":
+            return not dgpmd_applies(entry.query, self.fragmentation)
+        return entry.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
 
     @staticmethod
     def _may_change_answer(query: Pattern, delta: MutationDelta) -> bool:
@@ -808,7 +721,7 @@ ConcurrentSessionServer` provides.
             )
         return edge_update_may_change_answer(query, delta.u_label, delta.v_label)
 
-    def _repair_warm(
+    def _repair(
         self, warm: IncrementalMatchState, delta: MutationDelta
     ) -> Tuple[bool, int]:
         """Absorb one delta into a warm state; (answer may differ, |AFF|)."""
@@ -826,48 +739,42 @@ ConcurrentSessionServer` provides.
             return changed, cost.n_falsified
         return warm.absorb_add_node(delta.u, delta.u_label, delta.source_fid), 0
 
-    def _rewrite_entry(self, key: Tuple, warm: IncrementalMatchState) -> bool:
-        """Replace a cached relation with the repaired one; False if equal
-        (the "answer actually changed" check -- unchanged entries are kept
-        verbatim, repaired ones keep their metrics with a ``maintained``
+    @staticmethod
+    def _rewrite_entry(entry: CacheEntry) -> bool:
+        """Replace a warm entry's relation with the repaired one; False if
+        equal (the "answer actually changed" check -- unchanged entries are
+        kept verbatim, repaired ones keep their metrics with a ``maintained``
         marker)."""
-        cached = self._cache.peek(key)
-        if cached is None:
-            return False
-        new_relation = warm.relation()
+        cached = entry.result
+        new_relation = entry.warm.relation()
         if cached.relation == new_relation:
             return False
         extras = dict(cached.metrics.extras)
         extras["maintained"] = extras.get("maintained", 0.0) + 1.0
-        self._cache.replace(
-            key,
-            RunResult(
-                relation=new_relation,
-                metrics=replace(cached.metrics, extras=extras),
-            ),
+        entry.result = RunResult(
+            relation=new_relation, metrics=replace(cached.metrics, extras=extras)
         )
         return True
 
-    def _promote(self, key: Tuple, meta: _CacheEntryMeta) -> IncrementalMatchState:
+    def _promote(self, entry: CacheEntry, warm: List[CacheEntry]) -> None:
         """Give a hot cached query a warm incremental state (one fixpoint).
 
         Only :meth:`_absorb` calls this, for an affected entry among the
         ``max_warm_states`` most recently served hot ones, after patching
-        the fragmentation.  With every slot taken, the least recently served
-        warm state is retired: it precedes ``key`` in the cache's order, so
-        this delta already repaired it; its entry stays cached, not warm.
+        the fragmentation; ``warm`` are the entries holding a state now,
+        least recently served first.  With every slot taken, the first of
+        them is retired: it precedes ``entry`` in the cache's order, so this
+        delta already repaired it; it stays cached, not warm.
         """
-        warm = IncrementalMatchState(
-            meta.query,
+        state = IncrementalMatchState(
+            entry.query,
             self.fragmentation,
             self.deps,
-            DgpmConfig(incremental=True, enable_push=False, cost=meta.config.cost),
+            DgpmConfig(incremental=True, enable_push=False, cost=entry.config.cost),
         )
-        with self._state_lock:
-            while len(self._warm) >= self.max_warm_states:
-                del self._warm[next(k for k in self._cache.keys() if k in self._warm)]
-            self._warm[key] = warm
-        return warm
+        while len(warm) >= self.max_warm_states:
+            warm.pop(0).warm = None
+        entry.warm = state
 
     # ------------------------------------------------------------------
     def _validate_args(self, algorithm: str, engine: Optional[str]) -> str:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
+from repro.session.cache import CacheEntry
 
 
 @pytest.fixture
@@ -93,3 +94,14 @@ def random_instance(seed: int, max_nodes: int = 25, labels: str = "ABC"):
         [(rng.randrange(qn), rng.randrange(qn)) for _ in range(rng.randint(0, 2 * qn))],
     )
     return graph, pattern
+
+
+def cache_entry(result) -> CacheEntry:
+    """A table entry around an opaque ``result`` (for cache unit tests)."""
+    return CacheEntry(result=result, query=None, algorithm="", config=None)
+
+
+def warm_entries(session) -> list:
+    """The session's cached entries holding a warm incremental state, least
+    recently served first."""
+    return [entry for _, entry in session._cache.items() if entry.warm is not None]

@@ -20,7 +20,6 @@ from repro.partition.metrics import partition_stats
 from repro.partition.partitioners import (
     balanced_bfs_partition,
     min_cut_partition,
-    refine_to_vf_ratio,
     traffic_node_weights,
 )
 
@@ -159,27 +158,6 @@ def test_weighted_cut_avoids_hot_region():
     weighted = min_cut_partition(g, 6, seed=3, node_weights=weights)
     weighted.validate()
     assert _cut_weight(weighted, weights) <= _cut_weight(seed_frag, weights)
-
-
-def test_refine_to_vf_ratio_rng_overrides_seed():
-    g = web_graph(200, 900, seed=4)
-    frag_a = balanced_bfs_partition(g, 4, seed=4)
-    frag_b = balanced_bfs_partition(g, 4, seed=4)
-    # A caller-owned rng drives the refinement; seed= is ignored when given.
-    via_rng = refine_to_vf_ratio(frag_a, 0.5, seed=999, rng=random.Random(11))
-    via_seed = refine_to_vf_ratio(frag_b, 0.5, seed=11)
-    assert {v: via_rng.owner(v) for v in g.nodes()} == {
-        v: via_seed.owner(v) for v in g.nodes()
-    }
-
-
-def test_min_cut_rng_overrides_seed():
-    g = web_graph(150, 600, seed=5)
-    via_rng = min_cut_partition(g, 4, seed=999, rng=random.Random(21))
-    via_seed = min_cut_partition(g, 4, seed=21)
-    assert {v: via_rng.owner(v) for v in g.nodes()} == {
-        v: via_seed.owner(v) for v in g.nodes()
-    }
 
 
 def test_partition_stats_cut_quality_fields():

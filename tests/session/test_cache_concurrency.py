@@ -8,8 +8,8 @@ Two halves of one satellite:
   brute-force isomorphism oracle, feasible at pattern sizes), and equal
   digests always come with a label/edge-preserving order correspondence.
 * Concurrent hammering of :class:`LruResultCache` and :class:`LabelInterner`:
-  parallel get/put/evict never loses an ``on_evict`` callback, never corrupts
-  stats, and get-or-compute is single-flight.
+  parallel get/put/evict never loses an entry untracked, never corrupts
+  stats or hit counts, and get-or-compute is single-flight.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from repro.session.cache import (
     canonical_form,
     canonical_query_key,
 )
+from tests.conftest import cache_entry
 
 LABELS = "AB"
 
@@ -139,20 +141,15 @@ OPS_PER_THREAD = 300
 
 
 class TestLruCacheHammer:
-    def test_parallel_put_get_evict_preserves_callbacks_and_stats(self):
+    def test_parallel_put_get_evict_loses_no_entry(self):
         """Unique keys from N threads: afterwards every key is accounted for
-        exactly once (still cached xor evicted-with-callback), the callback
-        never fired twice for a key, and the eviction counter matches."""
-        evicted: list = []
-        evict_lock = threading.Lock()
-
-        def on_evict(key):
-            with evict_lock:
-                evicted.append(key)
-
-        cache = LruResultCache(max_entries=32, on_evict=on_evict)
-        inserted: set = set()
-        inserted_lock = threading.Lock()
+        exactly once (still cached, aged out by the LRU, or popped), every
+        entry's hit count equals the lookups that found it, and the hit and
+        miss counters add up to the lookups made."""
+        cache = LruResultCache(max_entries=32)
+        entries: dict = {}
+        found: list = []
+        popped: list = []
         corrupt: list = []
         barrier = threading.Barrier(N_THREADS)
 
@@ -161,15 +158,20 @@ class TestLruCacheHammer:
             barrier.wait(timeout=60)
             for i in range(OPS_PER_THREAD):
                 key = (tid, i)
-                cache.put(key, key)  # value == key: corruption is detectable
-                with inserted_lock:
-                    inserted.add(key)
+                entries[key] = cache_entry(key)  # result == key: corruption shows
+                cache.put(key, entries[key])
                 probe = (rng.randrange(N_THREADS), rng.randrange(OPS_PER_THREAD))
                 got = cache.get(probe)
-                if got is not None and got != probe:
-                    corrupt.append((probe, got))
+                if got is not None:
+                    found.append(probe)  # list.append is atomic
+                    if got.result != probe:
+                        corrupt.append((probe, got.result))
                 if rng.random() < 0.1:
-                    cache.pop((rng.randrange(N_THREADS), rng.randrange(OPS_PER_THREAD)))
+                    gone = cache.pop(
+                        (rng.randrange(N_THREADS), rng.randrange(OPS_PER_THREAD))
+                    )
+                    if gone is not None:
+                        popped.append(gone.result)
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(N_THREADS)]
         for t in threads:
@@ -180,14 +182,18 @@ class TestLruCacheHammer:
 
         assert not corrupt, f"cross-key corruption: {corrupt[:3]}"
         assert len(cache) <= 32
-        remaining = set(cache.keys())
-        assert len(evicted) == len(set(evicted)), "on_evict fired twice for a key"
-        assert remaining | set(evicted) == inserted, "a key vanished untracked"
-        assert remaining.isdisjoint(set(evicted))
-        # Overflow evictions (not pops) are the counted ones; every counted
-        # eviction fired its callback.
-        assert cache.stats.evictions <= len(evicted)
+        remaining = {key for key, _ in cache.items()}
+        assert len(popped) == len(set(popped)), "one entry popped twice"
+        assert remaining.isdisjoint(popped)
+        # Overflow evictions (not pops) are the counted ones.
+        assert len(remaining) + len(popped) + cache.stats.evictions == len(entries), (
+            "a key vanished untracked"
+        )
         assert cache.stats.hits + cache.stats.misses == N_THREADS * OPS_PER_THREAD
+        # The hit bump happens under the lock that found the entry: none lost.
+        assert cache.stats.hits == len(found)
+        lookups = Counter(found)
+        assert all(entry.hits == lookups[key] for key, entry in entries.items())
 
     def test_get_or_compute_is_single_flight(self):
         cache = LruResultCache(max_entries=8)
@@ -201,7 +207,7 @@ class TestLruCacheHammer:
             calls.append(1)  # list.append is atomic
             started.set()
             gate.wait(timeout=60)  # hold everyone in the coalescing window
-            return "value"
+            return cache_entry("value")
 
         outcomes: list = []
 
@@ -219,10 +225,11 @@ class TestLruCacheHammer:
             t.join(timeout=120)
             assert not t.is_alive(), "get_or_compute deadlocked"
         assert len(calls) == 1, "compute ran more than once"
-        assert all(value == "value" for value, _ in outcomes)
+        assert len({id(entry) for entry, _ in outcomes}) == 1
+        assert outcomes[0][0].result == "value"
         assert sum(1 for _, was_hit in outcomes if not was_hit) == 1
         assert cache.stats.misses == 1
-        assert cache.stats.hits == N_THREADS - 1
+        assert cache.stats.hits == outcomes[0][0].hits == N_THREADS - 1
 
     def test_disabled_cache_computes_in_parallel(self):
         """max_entries=0 must not serialize identical queries: both computes
@@ -234,7 +241,7 @@ class TestLruCacheHammer:
 
         def compute():
             inside.wait(timeout=30)  # both threads must be in compute at once
-            return "v"
+            return cache_entry("v")
 
         def worker():
             results.append(cache.get_or_compute(("k",), compute))
@@ -245,7 +252,7 @@ class TestLruCacheHammer:
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive(), "disabled cache serialized the computes"
-        assert [value for value, _ in results] == ["v", "v"]
+        assert [entry.result for entry, _ in results] == ["v", "v"]
         assert all(not was_hit for _, was_hit in results)
 
     def test_get_or_compute_failure_lets_next_caller_take_over(self):
@@ -259,7 +266,7 @@ class TestLruCacheHammer:
                 first = len(attempts) == 1
             if first:
                 raise ValueError("flaky backend")
-            return "value"
+            return cache_entry("value")
 
         errors: list = []
         values: list = []
@@ -268,7 +275,7 @@ class TestLruCacheHammer:
         def worker():
             barrier.wait(timeout=60)
             try:
-                values.append(cache.get_or_compute(("k",), compute)[0])
+                values.append(cache.get_or_compute(("k",), compute)[0].result)
             except ValueError as exc:
                 errors.append(exc)
 
@@ -280,7 +287,7 @@ class TestLruCacheHammer:
             assert not t.is_alive()
         assert len(errors) == 1, "exactly the failing computer sees the error"
         assert values == ["value"] * 3
-        assert cache.get(("k",)) == "value"
+        assert cache.get(("k",)).result == "value"
 
 
 class TestLabelInternerHammer:

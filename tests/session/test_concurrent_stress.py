@@ -37,6 +37,7 @@ from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, MutationOp
 from repro.graph.pattern import Pattern
+from tests.session.test_cache_concurrency import _renamed
 
 import pytest
 
@@ -190,6 +191,37 @@ def test_readers_vs_batching_writer(rng, rng_seed):
     boundary = {0, 3, 6, 9}
     assert {r.stamp for _, r in results} <= boundary
     _check_snapshots(initial, queries, ops, results)
+
+
+def test_renamed_hits_race_lru_overflow(rng, rng_seed):
+    """``cache_size=2`` under ten patterns, every request an isomorphic
+    renaming with its own node names: a hit is translated through the found
+    entry's canonical order while concurrent misses push that entry out of
+    the LRU, beside the usual writer.  Each result must still equal the
+    oracle at its stamp *on the caller's names*, and every query must have
+    been counted as a hit or as a miss."""
+    seed = rng_seed % 1000
+    graph = web_graph(40, 170, n_labels=4, seed=seed)
+    initial = graph.copy()
+    frag = random_partition(graph, 3, seed=seed)
+    labels = sorted(graph.label_alphabet(), key=repr)
+    pool = [cyclic_pattern(graph, 3, 4, seed=seed + s) for s in range(2)]
+    for i, a in enumerate(labels):
+        b = labels[(i + 1) % len(labels)]
+        pool.append(Pattern({"a": a, "b": b}, [("a", "b")]))
+        pool.append(Pattern({"a": a, "b": b, "c": a}, [("a", "b"), ("b", "c")]))
+    queries = [_renamed(pool[i % len(pool)], rng) for i in range(4 * len(pool))]
+    ops = _mutation_ops(graph, 8, rng)
+    with ConcurrentSessionServer(
+        frag, backend="thread", n_workers=4, cache_size=2
+    ) as server:
+        results = _stress(
+            server, queries, ops, "dgpm", seed, n_readers=4, reads_per_reader=16
+        )
+        stats = server.stats
+    _check_snapshots(initial, queries, ops, results)
+    assert stats.queries_served == 64 == stats.cache_hits + stats.cache_misses
+    assert stats.cache_hits and stats.cache_evictions  # the race was on
 
 
 def test_dgpmd_readers_vs_dag_safe_writer(rng, rng_seed):

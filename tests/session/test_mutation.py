@@ -23,6 +23,7 @@ from repro.core.depgraph import DependencyGraphs
 from repro.errors import GraphError, ReproError
 from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
+from tests.conftest import warm_entries
 
 
 @pytest.fixture()
@@ -100,27 +101,6 @@ class TestMutationApi:
         with pytest.raises(GraphError):
             session.insert_edge(u, v)  # already present
 
-    def test_invalidate_mode_drops_everything(self):
-        graph = web_graph(200, 800, n_labels=5, seed=4)
-        frag = partition(graph, 2, seed=4)
-        session = SimulationSession(frag, maintenance="invalidate")
-        q = cyclic_pattern(graph, 3, 4, seed=0)
-        session.run(q, algorithm="dgpm")
-        session.run(q, algorithm="dgpm")
-        u, v = next(iter(graph.edges()))
-        outcome = session.delete_edge(u, v)
-        assert outcome.cache_evicted == 1
-        assert session.stats.invalidations == 1
-        after = session.run(q, algorithm="dgpm")
-        assert "cache_hit" not in after.metrics.extras
-        assert after.relation == simulation(q, graph)
-
-    def test_unknown_maintenance_mode_rejected(self):
-        graph = web_graph(50, 200, n_labels=3, seed=0)
-        frag = partition(graph, 2, seed=0)
-        with pytest.raises(ReproError, match="maintenance"):
-            SimulationSession(frag, maintenance="yolo")
-
 
 class TestCacheMaintenance:
     def test_irrelevant_delete_keeps_entries(self):
@@ -168,7 +148,7 @@ class TestCacheMaintenance:
         q = Pattern({"a": "dom0", "b": "dom1"}, [("a", "b")])
         session.run(q, algorithm="dgpm")
         session.run(q, algorithm="dgpm")  # hit -> hot, but reads build nothing
-        assert len(session._warm) == 0
+        assert len(warm_entries(session)) == 0
 
         # Delete label-relevant edges until the answer actually changes; the
         # first of them builds the warm state, the rest repair through it.
@@ -184,7 +164,7 @@ class TestCacheMaintenance:
             u, v = candidates[rng.randrange(len(candidates))]
             before = session.run(q, algorithm="dgpm").relation
             outcome = session.delete_edge(u, v)
-            assert len(session._warm) == 1
+            assert len(warm_entries(session)) == 1
             assert outcome.cache_evicted == 0
             after = session.run(q, algorithm="dgpm")
             assert after.relation == simulation(q, graph)
@@ -254,12 +234,12 @@ class TestWarmSlotRotation:
         )
 
         def warm_queries():
-            return {id(session._meta[key].query) for key in session._warm}
+            return {id(entry.query) for entry in warm_entries(session)}
 
         for q in early:           # hot, but reads build nothing
             session.run(q, algorithm="dgpm")
             session.run(q, algorithm="dgpm")
-        assert len(session._warm) == 0
+        assert len(warm_entries(session)) == 0
         session.delete_edge(u, v)  # relevant to both: fills both slots
         assert warm_queries() == {id(q) for q in early}
 

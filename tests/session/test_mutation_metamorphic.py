@@ -32,6 +32,7 @@ from repro import (
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, RemoveNode
 from repro.graph.pattern import Pattern
+from tests.conftest import warm_entries
 
 PARTITIONERS = {
     "random": lambda g, seed: random_partition(g, 3, seed=seed),
@@ -234,7 +235,7 @@ def test_more_hot_patterns_than_slots(max_warm_states, rng, rng_seed):
             continue
         session.apply(_random_batch(rng, graph, deleted, rng.choice((1, 1, 3))))
         frag.validate()
-        assert len(session._warm) <= max_warm_states
+        assert len(warm_entries(session)) <= max_warm_states
         for q in rng.sample(pool, 4):
             assert session.run(q).relation == simulation(q, graph), step
     for q in pool:
@@ -281,7 +282,7 @@ def test_subscriber_entry_promoted_by_its_first_relevant_batch(rng, rng_seed):
             if step == 0:  # promoted, not evicted and re-run
                 session = server._session
                 assert id(subscribed[1]) in {
-                    id(session._meta[key].query) for key in session._warm
+                    id(entry.query) for entry in warm_entries(session)
                 }
                 assert stats.entries_promoted >= 1 and stats.cache_misses == misses
             for sub_id, _, added, removed in (p for p in pushes if p[1] == stamp):

@@ -31,6 +31,7 @@ from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import DeleteEdge, InsertEdge, RemoveNode
 from repro.graph.pattern import Pattern
+from tests.conftest import warm_entries
 
 
 def _replay_remove(graph: DiGraph, removed) -> DiGraph:
@@ -102,7 +103,7 @@ def _make_warm(session, u, v) -> None:
     re-insert the label-relevant edge ``(u, v)`` so the removal under test
     goes through ``IncrementalMatchState.apply_remove_node``."""
     session.apply([DeleteEdge(u, v), InsertEdge(u, v)])
-    assert len(session._warm) == 1
+    assert len(warm_entries(session)) == 1
 
 
 class TestWarmRemoveNodeRegression:

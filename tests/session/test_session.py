@@ -29,6 +29,7 @@ from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.core.dgpm import execute_dgpm
 from repro.graph.pattern import Pattern
 from repro.session import LruResultCache, canonical_query_key
+from tests.conftest import cache_entry
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +168,13 @@ class TestCaching:
 
     def test_lru_eviction(self):
         cache = LruResultCache(max_entries=2)
-        cache.put(("a",), "ra")
-        cache.put(("b",), "rb")
-        assert cache.get(("a",)) == "ra"  # refreshes 'a'
-        cache.put(("c",), "rc")  # evicts 'b'
+        cache.put(("a",), cache_entry("ra"))
+        cache.put(("b",), cache_entry("rb"))
+        assert cache.get(("a",)).result == "ra"  # refreshes 'a'
+        cache.put(("c",), cache_entry("rc"))  # evicts 'b'
         assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == "ra"
+        assert cache.get(("a",)).result == "ra"
+        assert cache.get(("a",)).hits == 3  # bumped by the lookup that found it
         assert cache.stats.evictions == 1
 
     def test_cache_disabled(self, web_instance):

@@ -33,6 +33,7 @@ from repro.graph import algorithms
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import fragment_graph
+from tests.conftest import warm_entries
 
 #: A <-> B: matches exactly the data nodes lying on an alternating A/B cycle.
 TWO_CYCLE = Pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
@@ -148,9 +149,9 @@ def test_cached_entries_do_not_outlive_their_drivers_precondition(
         session.delete_edge(*warm_edge)
         session.insert_edge(*warm_edge)
         assert served() == fresh() != error
-    assert len(session._warm) == (warm_edge is not None)
+    assert len(warm_entries(session)) == (warm_edge is not None)
     session.insert_edge(u, v)
-    assert len(session._warm) == 0
+    assert len(warm_entries(session)) == 0
     assert served() == fresh() == error
     session.delete_edge(u, v)
     assert served() == fresh() != error

@@ -18,6 +18,7 @@ from repro.core.incremental import (
     edge_update_may_change_answer,
 )
 from repro.graph.pattern import Pattern
+from tests.conftest import warm_entries
 
 N_PATTERNS = 32
 
@@ -67,7 +68,7 @@ def test_reads_build_nothing_and_the_first_relevant_write_promotes(built):
         for q in patterns:
             assert session.run(q).relation == simulation(q, graph)
     assert session.stats.cache_misses == N_PATTERNS
-    assert built == [] and len(session._warm) == 0
+    assert built == [] and len(warm_entries(session)) == 0
     assert session.stats.entries_promoted == 0
 
     # (b) one relevant delete: exactly the affected entries among the 8 most
@@ -89,7 +90,7 @@ def test_reads_build_nothing_and_the_first_relevant_write_promotes(built):
     before = {id(q): session.run(q).relation for q in slots}
     outcome = session.delete_edge(u, v)
     assert [id(q) for q in built] == [id(q) for q in promoted]
-    assert session.stats.entries_promoted == len(promoted) == len(session._warm)
+    assert session.stats.entries_promoted == len(promoted) == len(warm_entries(session))
     assert outcome.cache_evicted == len(evicted)
     assert outcome.cache_kept + outcome.cache_repaired == N_PATTERNS - len(evicted)
     for q in slots:
@@ -135,7 +136,7 @@ def test_few_or_no_slots_serve_hits_and_relevant_writes(max_warm_states, built):
     session.run(q)
     assert session.run(q).metrics.extras.get("cache_hit") == 1.0
     outcome = session.delete_edge(*_edge_with_labels(graph, ("dom0", "dom1")))
-    assert len(built) == len(session._warm) == max_warm_states
+    assert len(built) == len(warm_entries(session)) == max_warm_states
     assert outcome.cache_evicted == 1 - max_warm_states
     assert session.run(q).relation == simulation(q, graph)
     assert session.run(q).metrics.extras.get("cache_hit") == 1.0
