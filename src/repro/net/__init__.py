@@ -23,9 +23,7 @@ every run lived inside one OS process.  ``repro.net`` is the system boundary:
   :meth:`subscribe`.
 
 ``examples/network_query_server.py`` runs the full topology on localhost;
-``examples/subscription_server.py`` demonstrates standing queries;
-``benchmarks/bench_net.py`` gates the TCP ingress's throughput against the
-in-process thread backend.
+``examples/subscription_server.py`` demonstrates standing queries.
 """
 
 # Exports resolve lazily (PEP 562): the worker transport imports

@@ -19,7 +19,24 @@ The registry is the source of truth for *what may cross the wire*:
 ``FrameKind``; the one kind absent here is ``OBJ``, whose body is opaque
 bytes the worker transport owns), and :data:`VALUE_STRUCTS` the payload
 types those frames carry.  Encoding is deterministic: sets and frozensets
-are serialized in sorted-bytes order, so equal values produce equal bytes.
+are serialized in sorted-bytes order, so equal sets produce equal bytes
+(a ``dict`` is written in its insertion order: equal dicts built in
+different orders do not).
+
+The per-item paths of ``_encode_value`` / ``_decode_value`` *are* the
+format.  Two shortcuts write and read the same bytes and nothing else:
+
+* the **int-run kernels** -- a ``set`` / ``frozenset`` of ``_RUN_MIN`` or
+  more plain int64s (exactly ``int``: no ``bool``, subclass or bigint) is
+  packed by one ``struct.pack`` and strided copies, and the members of any
+  container that are a run of ``INT`` values are recognised by their tag
+  bytes and unpacked the same way; anything else falls through to the
+  per-item path (as does encoding a ``tuple`` / ``list``: no frame carries
+  a long one of ints);
+* **spliced match sets** -- a ``MatchRelation``'s sets are encoded the
+  first time it (or a renamed view) is sent and copied from the relation's
+  own cells afterwards: the bytes live and die with the immutable relation
+  they encode, so there is nothing to invalidate.
 
 Everything raises :class:`~repro.errors.WireFormatError` -- on unknown
 tags, unknown struct ids, truncation, trailing bytes, arity drift, absurd
@@ -30,7 +47,8 @@ unregistered type.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import WireFormatError
 
@@ -52,6 +70,11 @@ _T_STRUCT = 0x0E  # varint struct id + varint field count + field values
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: shortest run the int-run kernels take: the measured break-even of set
+#: encode (decode's is lower); below it their fixed cost (nine strided
+#: copies) exceeds the per-item calls they save
+_RUN_MIN = 9
 
 #: nesting bound: no legitimate frame is anywhere near this deep, and a
 #: crafted deep body must not be able to exhaust the decoder's stack
@@ -118,32 +141,25 @@ _BY_ID: Dict[int, _StructSpec] = {}
 _BY_CLASS: Dict[type, _StructSpec] = {}
 
 
-def _register(sid: int, cls: type, fields: Tuple[str, ...]) -> None:
-    def extract(obj: Any, _fields: Tuple[str, ...] = fields) -> Tuple[Any, ...]:
-        return tuple(getattr(obj, name) for name in _fields)
-
-    _register_custom(sid, cls, extract, cls)
-
-
-def _register_custom(sid: int, cls: type, extract: _Extract, build: _Build) -> None:
-    spec = _StructSpec(sid, cls, extract, build)
-    _BY_ID[sid] = spec
-    _BY_CLASS[cls] = spec
-
-
 def _extract_pattern(obj: Any) -> Tuple[Any, ...]:
     return ({u: obj.label(u) for u in obj.nodes()}, tuple(obj.edges()))
 
 
+class _Memo(NamedTuple):
+    """A value that is encoded at most once.
+
+    ``cell`` is a one-slot list kept by the immutable object ``value``
+    belongs to; the encoder leaves the value's bytes there and splices them
+    into every later encode, for as long as that object lives.
+    """
+
+    value: Any
+    cell: List[Any]
+
+
 def _extract_relation(obj: Any) -> Tuple[Any, ...]:
     nodes = tuple(obj.query_nodes())
-    return (nodes, {u: obj.raw_matches_of(u) for u in nodes})
-
-
-def _build_stats(*counters: int) -> Any:
-    from repro.session.session import SessionStats
-
-    return SessionStats(*counters)
+    return (nodes, {u: _Memo(obj.raw_matches_of(u), obj._cells[u]) for u in nodes})
 
 
 def _ensure_registered() -> None:
@@ -154,6 +170,7 @@ def _ensure_registered() -> None:
     still be mid-initialization, and bodies are only ever encoded once the
     world is fully imported.
     """
+    global _BY_ID, _BY_CLASS
     if _BY_ID:
         return
     from dataclasses import fields as dc_fields
@@ -168,40 +185,48 @@ def _ensure_registered() -> None:
     from repro.runtime.metrics import RunMetrics
     from repro.session.concurrent import StampedOutcome
     from repro.session.session import MutationOutcome, SessionStats
+    from repro.simulation.matchrel import MatchRelation
+
+    specs = [
+        _StructSpec(VALUE_STRUCTS["Pattern"], Pattern, _extract_pattern, Pattern),
+        _StructSpec(
+            VALUE_STRUCTS["MatchRelation"],
+            MatchRelation,
+            _extract_relation,
+            MatchRelation,
+        ),
+    ]
 
     def auto(sid: int, cls: type) -> None:
-        _register(sid, cls, tuple(f.name for f in dc_fields(cls)))
+        names = tuple(f.name for f in dc_fields(cls))
+
+        def extract(obj: Any) -> Tuple[Any, ...]:
+            return tuple(getattr(obj, name) for name in names)
+
+        specs.append(_StructSpec(sid, cls, extract, cls))
 
     for name, sid in FRAME_STRUCTS.items():
         auto(sid, getattr(protocol, name))
-    auto(VALUE_STRUCTS["RunMetrics"], RunMetrics)
-    auto(VALUE_STRUCTS["DgpmConfig"], DgpmConfig)
-    auto(VALUE_STRUCTS["CostModel"], CostModel)
-    auto(VALUE_STRUCTS["MutationOutcome"], MutationOutcome)
-    auto(VALUE_STRUCTS["MutationDelta"], MutationDelta)
-    auto(VALUE_STRUCTS["StampedOutcome"], StampedOutcome)
-    auto(VALUE_STRUCTS["InsertEdge"], InsertEdge)
-    auto(VALUE_STRUCTS["DeleteEdge"], DeleteEdge)
-    auto(VALUE_STRUCTS["AddNode"], AddNode)
-    auto(VALUE_STRUCTS["RemoveNode"], RemoveNode)
-    auto(VALUE_STRUCTS["PartitionStats"], PartitionStats)
-    _register_custom(
-        VALUE_STRUCTS["Pattern"], Pattern, _extract_pattern, Pattern
-    )
-    from repro.simulation.matchrel import MatchRelation
-
-    _register_custom(
-        VALUE_STRUCTS["MatchRelation"],
-        MatchRelation,
-        _extract_relation,
-        MatchRelation,
-    )
-    _register_custom(
-        VALUE_STRUCTS["SessionStats"],
+    for cls in (
+        RunMetrics,
+        DgpmConfig,
+        CostModel,
         SessionStats,
-        lambda s: tuple(getattr(s, f.name) for f in dc_fields(SessionStats)),
-        _build_stats,
-    )
+        MutationOutcome,
+        MutationDelta,
+        StampedOutcome,
+        InsertEdge,
+        DeleteEdge,
+        AddNode,
+        RemoveNode,
+        PartitionStats,
+    ):
+        auto(VALUE_STRUCTS[cls.__name__], cls)
+    # Published whole, and the table tested above last: a thread that arrives
+    # mid-build builds equal tables of its own instead of finding half of one
+    # (which read as "RunRequest is not a registered struct").
+    _BY_CLASS = {spec.cls: spec for spec in specs}
+    _BY_ID = {spec.sid: spec for spec in specs}
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +241,34 @@ def _write_varint(out: bytearray, n: int) -> None:
         else:
             out.append(byte)
             return
+
+
+def _encode_int_set(out: bytearray, items: Any, depth: int) -> bool:
+    """The run kernel: append the members of the set ``items`` if they are
+    all plain int64s -- the bytes the per-item path writes, without one call
+    and one ``bytearray`` a member.
+
+    False (nothing written) sends the caller down the per-item path, which
+    keeps ``bool``, int subclasses, bigints, every other type, short sets
+    and the nesting error.
+    """
+    count = len(items)
+    if count < _RUN_MIN or depth >= MAX_DEPTH or set(map(type, items)) != {int}:
+        return False
+    # Sorted-bytes order of equal-tagged two's-complement ints:
+    # non-negatives ascending, then negatives ascending.
+    items = sorted(items)
+    split = bisect_left(items, 0)
+    try:
+        packed = struct.pack(">%dq" % count, *items[split:], *items[:split])
+    except struct.error:  # a member outside int64 encodes as a BIGINT
+        return False
+    run = bytearray(9 * count)
+    run[0::9] = bytes((_T_INT,)) * count
+    for k in range(8):
+        run[k + 1 :: 9] = packed[k::8]
+    out += run
+    return True
 
 
 def _encode_value(out: bytearray, obj: Any, depth: int) -> None:
@@ -262,13 +315,26 @@ def _encode_value(out: bytearray, obj: Any, depth: int) -> None:
     elif type(obj) is set or type(obj) is frozenset:
         out.append(_T_SET if type(obj) is set else _T_FROZENSET)
         _write_varint(out, len(obj))
-        encoded: List[bytes] = []
-        for item in obj:
+        if not _encode_int_set(out, obj, depth):
+            encoded: List[bytes] = []
+            for item in obj:
+                buf = bytearray()
+                _encode_value(buf, item, depth + 1)
+                encoded.append(bytes(buf))
+            for raw in sorted(encoded):
+                out += raw
+    elif type(obj) is _Memo:
+        raw = obj.cell[0]
+        if raw is None:
             buf = bytearray()
-            _encode_value(buf, item, depth + 1)
-            encoded.append(bytes(buf))
-        for raw in sorted(encoded):
-            out += raw
+            _encode_value(buf, obj.value, depth)
+            # Threads racing to fill one cell store equal bytes (the value is
+            # immutable, the encoding deterministic): last writer wins, benignly.
+            # Every frame puts a relation's sets at one depth (RunReply and
+            # SubscribeReply both hold it as a field), so the nesting check
+            # taken here holds for every later splice.
+            obj.cell[0] = raw = bytes(buf)
+        out += raw
     else:
         spec = _BY_CLASS.get(type(obj))
         if spec is None:
@@ -328,6 +394,24 @@ class _Reader:
                 raise WireFormatError("varint too long")
 
 
+def _decode_items(reader: _Reader, depth: int) -> Sequence[Any]:
+    """A varint count and that many values, the members of a container at
+    ``depth``: by the run kernel when they are all ``INT``, else one by one."""
+    count = reader.varint()
+    end = reader.pos + 9 * count
+    # The bound comes first: nothing sized by ``count`` is allocated for a
+    # body that does not hold ``count`` values.
+    if count >= _RUN_MIN and depth < MAX_DEPTH and end <= len(reader.data):
+        chunk = reader.data[reader.pos : end]
+        if chunk[0::9].count(_T_INT) == count:
+            raw = bytearray(8 * count)
+            for k in range(8):
+                raw[k::8] = chunk[k + 1 :: 9]
+            reader.pos = end
+            return struct.unpack(">%dq" % count, raw)
+    return [_decode_value(reader, depth + 1) for _ in range(count)]
+
+
 def _decode_value(reader: _Reader, depth: int) -> Any:
     if depth > MAX_DEPTH:
         raise WireFormatError(f"value nesting exceeds {MAX_DEPTH} levels")
@@ -354,9 +438,8 @@ def _decode_value(reader: _Reader, depth: int) -> Any:
     if tag == _T_BYTES:
         return reader.take(reader.varint())
     if tag in (_T_TUPLE, _T_LIST):
-        count = reader.varint()
-        items = [_decode_value(reader, depth + 1) for _ in range(count)]
-        return tuple(items) if tag == _T_TUPLE else items
+        items = _decode_items(reader, depth)
+        return tuple(items) if tag == _T_TUPLE else list(items)
     if tag == _T_DICT:
         count = reader.varint()
         out: Dict[Any, Any] = {}
@@ -365,16 +448,14 @@ def _decode_value(reader: _Reader, depth: int) -> Any:
             out[key] = _decode_value(reader, depth + 1)
         return out
     if tag in (_T_SET, _T_FROZENSET):
-        count = reader.varint()
-        items = [_decode_value(reader, depth + 1) for _ in range(count)]
+        items = _decode_items(reader, depth)
         return set(items) if tag == _T_SET else frozenset(items)
     if tag == _T_STRUCT:
         sid = reader.varint()
         spec = _BY_ID.get(sid)
         if spec is None:
             raise WireFormatError(f"unknown struct id {sid}")
-        count = reader.varint()
-        fields = [_decode_value(reader, depth + 1) for _ in range(count)]
+        fields = _decode_items(reader, depth)
         try:
             return spec.build(*fields)
         except WireFormatError:

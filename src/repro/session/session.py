@@ -126,13 +126,7 @@ def _translate(
     """
     if stored_order == hit_order:
         return relation
-    return MatchRelation(
-        hit_order,
-        {
-            hit_u: relation.raw_matches_of(stored_u)
-            for stored_u, hit_u in zip(stored_order, hit_order)
-        },
-    )
+    return relation.renamed(stored_order, hit_order)
 
 
 @dataclass

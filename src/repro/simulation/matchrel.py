@@ -11,7 +11,7 @@ the maximality/validity checks the tests rely on.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph, Node
 from repro.graph.pattern import Pattern
@@ -31,9 +31,19 @@ class MatchRelation:
     construction raises ``AttributeError``.  The session layer relies on
     this -- cache hits share the relation object, so a mutable relation
     would let one caller poison every later hit.
+
+    The one mutable thing is ``_cells``: a one-slot list per query node where
+    a consumer may leave *a form derived from that node's match set* (the wire
+    codec leaves the set's encoded bytes, so a cached answer is encoded once
+    however often it is sent).  That is safe because the set a cell belongs
+    to never changes: whatever is derived from it stays true for as long as
+    the relation exists, a repaired answer is a new relation with empty
+    cells, and the contents go when the relation does.  Cells take no part
+    in equality, hash, ``repr`` or pickling, and :meth:`renamed` views share
+    them together with the sets.
     """
 
-    __slots__ = ("_matches", "_query_nodes", "_is_match", "_frozen")
+    __slots__ = ("_matches", "_query_nodes", "_is_match", "_cells", "_frozen")
 
     def __init__(self, query_nodes: Iterable[Node], matches: Mapping[Node, Iterable[Node]]) -> None:
         self._query_nodes: Tuple[Node, ...] = tuple(query_nodes)
@@ -41,12 +51,32 @@ class MatchRelation:
             u: frozenset(matches.get(u, ())) for u in self._query_nodes
         }
         self._is_match = all(self._matches[u] for u in self._query_nodes)
+        self._cells: Dict[Node, list] = {u: [None] for u in self._query_nodes}
         self._frozen = True
+
+    def renamed(self, old_order: Sequence[Node], new_order: Sequence[Node]) -> "MatchRelation":
+        """This relation over other node names: ``old_order[i]`` becomes
+        ``new_order[i]`` (``old_order`` lists every query node once).
+
+        The match sets and their cells are shared with ``self``, not copied.
+        """
+        view = object.__new__(MatchRelation)
+        view._query_nodes = tuple(new_order)
+        view._matches = {new: self._matches[old] for old, new in zip(old_order, new_order)}
+        view._is_match = self._is_match
+        view._cells = {new: self._cells[old] for old, new in zip(old_order, new_order)}
+        view._frozen = True
+        return view
 
     def __setattr__(self, name: str, value) -> None:
         if getattr(self, "_frozen", False):
             raise AttributeError("MatchRelation is immutable")
         super().__setattr__(name, value)
+
+    def __reduce__(self):
+        # Through __init__, so an unpickled relation is frozen with empty
+        # cells and its pickle never carries the sender's derived forms.
+        return (MatchRelation, (self._query_nodes, self._matches))
 
     # ------------------------------------------------------------------
     # the two query semantics

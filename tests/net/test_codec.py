@@ -8,9 +8,23 @@ unknown struct ids, truncation, trailing bytes, depth bombs, and
 unregistered types must all fail loudly as :class:`WireFormatError` --
 never construct a surprise object, which is the entire point of dropping
 pickle from the client-facing wire.
+
+The codec's int-run kernels are an *implementation* of the format, so they
+are held to a per-item reference kept here (``ref_encode`` / ``ref_decode``):
+equal bytes for every value, equal value and element types for every decode,
+collection sizes drawn on both sides of the kernels' threshold.
 """
 
 from __future__ import annotations
+
+import enum
+import os
+import struct
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,8 +54,39 @@ HASHABLE = st.one_of(
     st.binary(max_size=10),
 )
 
+RUN_MIN = codec._RUN_MIN
+
+#: ints the kernels pack: the int64 edges, small negatives, node-id-sized
+INT64S = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=0, max_value=5000),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+)
+
+#: what turns an int run back into a per-item collection
+INTRUDERS = st.one_of(
+    st.booleans(),
+    st.sampled_from([2**63, -(2**63) - 1, 2**70]),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@st.composite
+def int_runs(draw):
+    """A list / tuple / set / frozenset of int64s, sized on both sides of the
+    kernels' threshold (0..64 and a few hundred), sometimes with an intruder
+    that must send the whole collection down the per-item path."""
+    size = draw(st.one_of(st.integers(0, 64), st.integers(65, 400)))
+    items = draw(st.lists(INT64S, min_size=size, max_size=size))
+    if items and draw(st.integers(0, 3)) == 0:
+        items[draw(st.integers(0, size - 1))] = draw(INTRUDERS)
+    return draw(st.sampled_from([list, tuple, set, frozenset]))(items)
+
+
 VALUES = st.recursive(
-    PRIMITIVES,
+    st.one_of(PRIMITIVES, int_runs()),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -105,6 +150,139 @@ V2_FRAMES = st.one_of(
 
 
 # ----------------------------------------------------------------------
+# the per-item reference: the format, one value at a time
+# ----------------------------------------------------------------------
+def _ref_varint(n: int) -> bytes:
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    return bytes(out + bytes([n]))
+
+
+def ref_encode(obj, depth: int = 0) -> bytes:
+    """What the wire carries for ``obj``: no kernel, no memo, no shortcuts."""
+    if depth > codec.MAX_DEPTH:
+        raise WireFormatError("value nesting exceeds the limit")
+    kind = type(obj)
+    if obj is None or kind is bool:
+        return bytes([{None: 0x00, True: 0x01, False: 0x02}[obj]])
+    if kind is int and -(2**63) <= obj < 2**63:
+        return b"\x03" + struct.pack(">q", obj)
+    if kind is int:
+        raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+        return b"\x04" + _ref_varint(len(raw)) + raw
+    if kind is float:
+        return b"\x05" + struct.pack(">d", obj)
+    if kind is str or kind is bytes:
+        raw = obj.encode("utf-8") if kind is str else obj
+        return (b"\x06" if kind is str else b"\x07") + _ref_varint(len(raw)) + raw
+    if kind is codec._Memo:  # a relation's match set: the set, whatever its cell holds
+        return ref_encode(obj.value, depth)
+    if kind in (tuple, list, dict, set, frozenset):
+        flat = [x for pair in obj.items() for x in pair] if kind is dict else list(obj)
+        parts = [ref_encode(item, depth + 1) for item in flat]
+        if kind in (set, frozenset):
+            parts.sort()
+        tag = {tuple: 0x08, list: 0x09, dict: 0x0A, set: 0x0B, frozenset: 0x0C}[kind]
+        return bytes([tag]) + _ref_varint(len(obj)) + b"".join(parts)
+    codec._ensure_registered()
+    spec = codec._BY_CLASS.get(kind)
+    if spec is None:
+        raise WireFormatError(f"{kind.__name__} is not encodable")
+    fields = spec.extract(obj)
+    head = b"\x0e" + _ref_varint(spec.sid) + _ref_varint(len(fields))
+    return head + b"".join(ref_encode(item, depth + 1) for item in fields)
+
+
+def ref_decode(data: bytes):
+    """``data`` read one tag at a time; raises only ``WireFormatError``."""
+    codec._ensure_registered()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise WireFormatError("truncated")
+        pos += n
+        return data[pos - n : pos]
+
+    def varint() -> int:
+        value = shift = 0
+        while True:
+            byte = take(1)[0]
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+            if shift > 63:
+                raise WireFormatError("varint too long")
+
+    def value(depth: int):
+        if depth > codec.MAX_DEPTH:
+            raise WireFormatError("value nesting exceeds the limit")
+        tag = take(1)[0]
+        if tag <= 0x02:
+            return (None, True, False)[tag]
+        if tag == 0x03:
+            return struct.unpack(">q", take(8))[0]
+        if tag == 0x04:
+            return int.from_bytes(take(varint()), "big", signed=True)
+        if tag == 0x05:
+            return struct.unpack(">d", take(8))[0]
+        if tag == 0x06:
+            try:
+                return take(varint()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise WireFormatError("invalid utf-8") from exc
+        if tag == 0x07:
+            return take(varint())
+        if tag in (0x08, 0x09, 0x0B, 0x0C):
+            items = [value(depth + 1) for _ in range(varint())]
+            return {0x08: tuple, 0x09: list, 0x0B: set, 0x0C: frozenset}[tag](items)
+        if tag == 0x0A:
+            return {value(depth + 1): value(depth + 1) for _ in range(varint())}
+        if tag == 0x0E:
+            spec = codec._BY_ID.get(varint())
+            if spec is None:
+                raise WireFormatError("unknown struct id")
+            fields = [value(depth + 1) for _ in range(varint())]
+            try:
+                return spec.build(*fields)
+            except Exception as exc:
+                raise WireFormatError("cannot rebuild") from exc
+        raise WireFormatError("unknown value tag")
+
+    try:
+        out = value(0)
+    except TypeError as exc:
+        raise WireFormatError("unhashable key") from exc
+    if pos != len(data):
+        raise WireFormatError("stray bytes")
+    return out
+
+
+def typed(value):
+    """``value`` with every element's type spelled out, so that ``True`` is
+    not ``1`` and a tuple is not a list when two decodes are compared."""
+    if type(value) in (list, tuple):
+        return (type(value).__name__, [typed(item) for item in value])
+    if type(value) in (set, frozenset):
+        return (type(value).__name__, sorted(map(repr, map(typed, value))))
+    if type(value) is dict:
+        return ("dict", [(typed(k), typed(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+def _outcome(fn, *args):
+    """What a codec call gives: its value, or the fact that it refused."""
+    try:
+        return fn(*args)
+    except WireFormatError:
+        return WireFormatError
+
+
+# ----------------------------------------------------------------------
 # identity + determinism
 # ----------------------------------------------------------------------
 class TestRoundTrip:
@@ -139,6 +317,187 @@ class TestRoundTrip:
         data = protocol.encode(frame)
         assert data[protocol.HEADER_SIZE:] == codec.encode(frame)
         assert protocol.decode(data)[0] == frame
+
+
+# ----------------------------------------------------------------------
+# the int-run kernels against the per-item reference
+# ----------------------------------------------------------------------
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+def _agree(data: bytes) -> None:
+    """The codec and the reference make the same thing of ``data``: the same
+    refusal, or the same value down to element types."""
+    ours, theirs = _outcome(codec.decode, data), _outcome(ref_decode, data)
+    assert (ours is WireFormatError) == (theirs is WireFormatError), data
+    if ours is not WireFormatError:
+        assert repr(typed(ours)) == repr(typed(theirs)), data  # repr: nan == nan
+
+
+class TestIntRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(value=VALUES)
+    def test_bytes_and_decodes_equal_the_reference(self, value):
+        data = codec.encode(value)
+        assert data == ref_encode(value)
+        assert typed(codec.decode(data)) == typed(ref_decode(data)) == typed(value)
+
+    @pytest.mark.parametrize("size", [RUN_MIN - 1, RUN_MIN, RUN_MIN + 1])
+    @pytest.mark.parametrize("kind", [list, tuple, set, frozenset])
+    def test_either_side_of_the_threshold(self, kind, size):
+        value = kind(range(-2, size - 2))
+        data = codec.encode(value)
+        assert data == ref_encode(value)
+        assert typed(codec.decode(data)) == typed(value)
+
+    @pytest.mark.parametrize("intruder", [True, 2**63, -(2**63) - 1, "7", None, 7.0])
+    @pytest.mark.parametrize("kind", [list, tuple, set, frozenset])
+    def test_an_intruder_keeps_its_type(self, kind, intruder):
+        """``True`` is an int to ``struct.pack``; it must not come back as 1."""
+        value = kind([*range(100, 100 + 2 * RUN_MIN), intruder])
+        data = codec.encode(value)
+        assert data == ref_encode(value)
+        assert typed(codec.decode(data)) == typed(value)
+
+    @pytest.mark.parametrize("kind", [list, frozenset])
+    def test_an_int_subclass_is_still_refused(self, kind):
+        value = kind([*range(2, 2 * RUN_MIN), Colour.RED])
+        assert len(value) == 2 * RUN_MIN - 1
+        for encode in (codec.encode, ref_encode):
+            with pytest.raises(WireFormatError, match="not encodable"):
+                encode(value)
+
+    def test_negatives_sort_after_non_negatives(self):
+        """Sorted-*bytes* order of two's complement, not numeric order."""
+        wire_order = [*range(0, 20), 2**63 - 1, -(2**63), *range(-20, 0)]
+        body = b"".join(b"\x03" + struct.pack(">q", n) for n in wire_order)
+        assert codec.encode(frozenset(wire_order)) == b"\x0c" + bytes([42]) + body
+        assert codec.encode(set(wire_order)) == b"\x0b" + bytes([42]) + body
+
+    @pytest.mark.parametrize("kind", [list, frozenset])
+    def test_a_run_at_the_nesting_limit_is_still_refused(self, kind):
+        def nested(value, levels):
+            for _ in range(levels):
+                value = [value]
+            return value
+
+        run = kind(range(2 * RUN_MIN))
+        fits = nested(run, codec.MAX_DEPTH - 1)  # members at MAX_DEPTH exactly
+        assert codec.decode(codec.encode(fits)) == fits
+        with pytest.raises(WireFormatError, match="nesting exceeds"):
+            codec.encode(nested(run, codec.MAX_DEPTH))
+        too_deep = bytes([0x09, 0x01]) * codec.MAX_DEPTH + codec.encode(run)
+        with pytest.raises(WireFormatError, match="nesting exceeds"):
+            codec.decode(too_deep)
+        with pytest.raises(WireFormatError):
+            ref_decode(too_deep)
+
+    def test_truncations_and_bit_flips_of_a_kernel_body(self):
+        value = [frozenset(range(-3, 20)), tuple(range(RUN_MIN + 1)), [5] * RUN_MIN]
+        data = codec.encode(value)
+        for cut in range(len(data)):
+            with pytest.raises(WireFormatError):
+                codec.decode(data[:cut])
+        for at in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << bit
+                _agree(bytes(flipped))
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=64), count=st.integers(0, 40), tag=st.sampled_from([8, 9, 11, 12]))
+    def test_arbitrary_bodies_behind_a_count(self, body, count, tag):
+        """Whatever follows a container header, kernel and reference agree."""
+        _agree(bytes([tag, count]) + body)
+        _agree(bytes([tag, count]) + b"\x03" + body * 9)
+
+    def test_the_wire_path_imports_no_numpy(self):
+        """The kernels are stdlib: a client that only decodes pays no numpy."""
+        script = (
+            "import sys\n"
+            "from repro.net import codec\n"
+            "assert codec.decode(codec.encode(frozenset(range(500)))) == frozenset(range(500))\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        path = src + (os.pathsep + inherited if inherited else "")
+        subprocess.run(
+            [sys.executable, "-c", script],
+            check=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+
+# ----------------------------------------------------------------------
+# allocation: a count is a claim, not a reservation (ROADMAP 5c)
+# ----------------------------------------------------------------------
+def peak_traced(make_fn, *args) -> int:
+    """Peak bytes allocated while ``make_fn()(*args)`` ran (refusals
+    included) -- the lower of two runs: ``tracemalloc`` counts every thread
+    and the collector too, and what is not this input's (a server thread
+    left by an earlier test, a one-off table resize) does not repeat."""
+    peaks = []
+    for _ in range(2):
+        fn = make_fn()
+        tracemalloc.start()
+        try:
+            _outcome(fn, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("tag", [0x08, 0x09, 0x0A, 0x0B, 0x0C])
+    @pytest.mark.parametrize("tail", [b"", b"\x03" * 9, b"\x00" * 9])
+    def test_a_declared_count_allocates_nothing(self, tag, tail):
+        body = bytes([tag]) + _ref_varint(2**40) + tail
+        assert len(body) <= 16
+        with pytest.raises(WireFormatError):
+            codec.decode(body)
+        assert peak_traced(lambda: codec.decode, body) < 64 * 1024
+
+    def test_a_struct_field_count_allocates_nothing(self):
+        body = bytes([0x0E, codec.FRAME_STRUCTS["Hello"]]) + _ref_varint(2**40) + b"\x03" * 8
+        with pytest.raises(WireFormatError):
+            codec.decode(body)
+        assert peak_traced(lambda: codec.decode, body) < 64 * 1024
+
+
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+class TestRegistry:
+    def test_first_use_from_two_threads_at_once(self, monkeypatch):
+        """A second thread making its first request while the first is still
+        registering structs must find all of them or none -- not the first
+        few, which read as "PushDelta is not a registered struct"."""
+        monkeypatch.setattr(codec, "_BY_ID", {})
+        monkeypatch.setattr(codec, "_BY_CLASS", {})
+        real, built, raced = codec._StructSpec, [], []
+        late = protocol.PushDelta(sub_id=1, stamp=1)  # registered near the end
+
+        def second_thread():
+            raced.append(_outcome(codec.encode, late))
+
+        def spec_then_interleave(*args):
+            built.append(args)
+            if len(built) == 5:  # mid-build: a few structs exist, most do not
+                thread = threading.Thread(target=second_thread)
+                thread.start()
+                thread.join(30)
+                assert not thread.is_alive()
+            return real(*args)
+
+        monkeypatch.setattr(codec, "_StructSpec", spec_then_interleave)
+        first = codec.encode(protocol.Hello(role="client"))
+        assert raced == [ref_encode(late)]
+        assert first == ref_encode(protocol.Hello(role="client"))
+        assert set(codec._BY_ID) == {*codec.FRAME_STRUCTS.values(), *codec.VALUE_STRUCTS.values()}
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ string makes ``receive`` raise anything but :class:`WireFormatError`.
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import struct
 
@@ -44,6 +45,8 @@ from repro.session.concurrent import StampedOutcome
 from repro.session.session import MutationOutcome, SessionStats
 from repro.simulation.matchrel import MatchRelation
 
+from tests.net.test_codec import peak_traced, ref_decode, ref_encode
+
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -66,13 +69,20 @@ def patterns(draw) -> Pattern:
     return Pattern(labels, edges)
 
 
+#: match-set sizes on both sides of the codec's int-run threshold, and node
+#: ids that reach the int64 edges: small sets stay on the per-item path,
+#: the rest go through the kernels
+MATCH_SETS = st.one_of(
+    st.sets(st.integers(min_value=0, max_value=50), max_size=5),
+    st.sets(st.integers(min_value=-8, max_value=5000), max_size=64),
+    st.sets(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=65, max_size=300),
+)
+
+
 @st.composite
 def relations(draw) -> MatchRelation:
     pattern = draw(patterns())
-    matches = {
-        u: draw(st.sets(st.integers(min_value=0, max_value=50), max_size=5))
-        for u in pattern.nodes()
-    }
+    matches = {u: draw(MATCH_SETS) for u in pattern.nodes()}
     return MatchRelation(list(pattern.nodes()), matches)
 
 
@@ -175,6 +185,18 @@ class TestRoundTrip:
         assert decoded == frame
         assert decoded_seq == seq
 
+    @settings(max_examples=200, deadline=None)
+    @given(frame=FRAMES)
+    def test_either_peer_may_be_the_per_item_codec(self, frame):
+        """A peer from before the int-run kernels and the spliced match sets
+        (the reference is that codec, one value at a time) and a peer from
+        after them exchange every frame both ways."""
+        body = codec.encode(frame)  # new server ...
+        assert body == ref_encode(frame)
+        assert ref_decode(body) == frame  # ... old client
+        assert codec.decode(ref_encode(frame)) == frame  # old client, new server
+        assert codec.encode(frame) == body  # and again, from the relation's cells
+
     @settings(max_examples=50, deadline=None)
     @given(payload=st.binary(max_size=64), seq=SEQS)
     def test_obj_frames_round_trip(self, payload, seq):
@@ -216,6 +238,78 @@ class TestRoundTrip:
         assert revived.failed_op == DeleteEdge(1, 2)
         assert isinstance(revived.__cause__, GraphError)
         assert str(revived.__cause__) == "edge (1, 2) is not in the graph"
+
+
+# ----------------------------------------------------------------------
+# golden wire bytes: the format is pinned, not re-derived from the encoder
+# ----------------------------------------------------------------------
+def _golden_relation(names=("u0", "u1", "u2")) -> MatchRelation:
+    """Three match sets of 1 / 23 / 965 ints: one below the int-run
+    threshold, one just above it with negatives, one the size of the
+    largest ``hot_reads`` reply."""
+    sets = (frozenset({7}), frozenset(range(-5, 18)), frozenset(range(0, 965 * 7, 7)))
+    return MatchRelation(names, dict(zip(names, sets)))
+
+
+_GOLDEN_METRICS = RunMetrics(
+    algorithm="dgpm",
+    pt_seconds=0.25,
+    wall_seconds=0.5,
+    ds_bytes=20064,
+    n_messages=260,
+    n_rounds=3,
+    ds_breakdown={"result": 12420, "falsify": 7644},
+    per_round_compute=[0.125, 0.0625, 0.03125],
+    extras={"maintained": 1.0},
+)
+
+
+def _sha256(frame, seq: int = 9) -> str:
+    return hashlib.sha256(encode(frame, seq=seq)).hexdigest()
+
+
+class TestGoldenBytes:
+    """Digests generated on the commit before the codec grew its int-run
+    kernels and the relation its cells: whatever this tree does to produce a
+    frame, these are the bytes."""
+
+    RUN_REPLY = "84ba839fc10566651ad8c030dab195138ea3116104cca4fa4c20f0d408981aa5"
+    SUBSCRIBE_REPLY = "ef2afe15b3909260996e6febb186eabc63b9b7065165299bbf3df62d791a0b40"
+    PUSH_DELTA = "08f49a7e344980fae0efba2c41626ac77945229b93fdd6b87f04e4f860b40468"
+
+    def test_run_reply(self):
+        frame = protocol.RunReply(_golden_relation(), _GOLDEN_METRICS, stamp=41)
+        assert len(encode(frame)) == 9110
+        assert _sha256(frame) == self.RUN_REPLY
+
+    def test_subscribe_reply(self):
+        frame = protocol.SubscribeReply(sub_id=3, stamp=41, relation=_golden_relation())
+        assert _sha256(frame) == self.SUBSCRIBE_REPLY
+
+    def test_push_delta(self):
+        frame = protocol.PushDelta(
+            sub_id=3,
+            stamp=42,
+            added=tuple(("u1", v) for v in range(20)),
+            removed=(("u2", -1), ("u0", 2**63 - 1)),
+        )
+        assert _sha256(frame) == self.PUSH_DELTA
+
+    def test_cold_spliced_and_renamed_encodes_are_the_same_bytes(self):
+        relation = _golden_relation()
+        cold = protocol.RunReply(relation, _GOLDEN_METRICS, stamp=41)
+        assert _sha256(cold) == self.RUN_REPLY  # fills the cells
+        assert _sha256(cold) == self.RUN_REPLY  # spliced from them
+        order = ("u0", "u1", "u2")
+        for names in (("x", "yy", "zzz"), ("u2", "u0", "u1")):
+            view = relation.renamed(order, names)  # shares the filled cells
+            fresh = _golden_relation(names)  # never encoded
+            assert encode(protocol.RunReply(view, _GOLDEN_METRICS, 41)) == encode(
+                protocol.RunReply(fresh, _GOLDEN_METRICS, 41)
+            )
+        # modulo the names: renaming back is the golden frame again
+        back = relation.renamed(order, ("x", "yy", "zzz")).renamed(("x", "yy", "zzz"), order)
+        assert _sha256(protocol.RunReply(back, _GOLDEN_METRICS, stamp=41)) == self.RUN_REPLY
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +522,22 @@ class TestConnection:
             Connection(max_frame=1 << 16).receive(bytes(data))
         except WireFormatError:
             pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(stream=streams(), flip=st.integers(min_value=0), bit=st.integers(0, 7))
+    def test_allocation_is_bounded_by_the_bytes_received(self, stream, flip, bit):
+        """What a frame *declares* (lengths, counts, slice totals) reserves
+        nothing: over valid and bit-flipped streams the peak is a fixed floor
+        (a refusal's message, cause and traceback: up to 7 KiB measured)
+        plus a small multiple of the bytes that actually arrived (measured
+        worst: 14.4 x, an int64 set member -- 9 bytes on the wire, an int
+        object and a hash slot in memory)."""
+        codec.encode(None)  # first use builds the struct registry: not this input's
+        flipped = bytearray(stream[0])
+        flipped[flip % len(flipped)] ^= 1 << bit
+        for data in (stream[0], bytes(flipped)):
+            peak = peak_traced(lambda: Connection(max_frame=1 << 16).receive, data)
+            assert peak <= 16 * 1024 + 32 * len(data)
 
     def test_accept_set_is_checked_before_the_body(self):
         """An OBJ header is refused on the client port whatever follows it."""
