@@ -45,8 +45,10 @@ def main() -> None:
 
     print("\n--- update 3: the trust edge comes back ---")
     update = session.insert_edge("f2", "sp1")
-    print(f"  {update.kind}: insertions revive matches, so the session"
-          f" re-evaluates ({update.n_rounds} rounds)")
+    print(f"  {update.kind}: insertions revive matches -- here the whole cycle,"
+          f" most of this small graph, so the session rebuilds the state"
+          f" ({update.n_rounds} rounds); a revival of a few pairs re-opens"
+          f" only those")
     graph.add_edge("f2", "sp1")
     assert session.relation() == simulation(query, graph)
     print("  audience restored:", sorted(session.relation().matches_of("YB")))

@@ -12,16 +12,16 @@ updates:
   messages the affected boundary variables require -- deleting an edge no
   match depends on costs nothing and ships nothing.
 * **edge insertion** can revive matches, which the falsification-only
-  protocol cannot express; affected queries are repaired with a *targeted
-  re-seed*: only the reverse-reachable region of the insertion source can
-  change truth value (witness chains run forward, so a node that cannot
-  reach the new edge keeps its value), so those nodes -- and only those --
-  are reset to label-optimistic candidates, their counters recomputed
-  against the surrounding fixed values, and the falsification fixpoint
-  rerun inside the region (:meth:`IncrementalMatchState.apply_insert`).
-  Insertions that *cannot* change the answer -- no query edge carries the
-  inserted edge's label pair -- are absorbed by patching the one successor
-  counter they feed.
+  protocol cannot express; the repair re-opens a set of *pairs*.  Every pair
+  the new edge ``(u, v)`` makes true reaches, forward through other newly
+  true pairs, a false ``X(a, u)`` that can use the edge as a witness
+  (otherwise the old match plus those pairs would have been a larger
+  simulation of the old graph).  So the false pairs backward-reachable from
+  those seeds in the query x data product -- through false pairs only, true
+  ones are never touched -- are set optimistically true in every copy, and
+  the falsification fixpoint reruns from them
+  (:meth:`IncrementalMatchState.apply_insert`): ``O(|AFF|)`` again.  An
+  insert with no seed only bumps the counter the edge feeds.
 * **node removal** is a cascade of edge deletions (each repaired natively)
   followed by scrubbing the now-isolated node from the candidate sets and
   counter tables (:meth:`IncrementalMatchState.absorb_remove_node`).
@@ -75,14 +75,16 @@ class UpdateMetrics:
     layer, and an immutable snapshot can never be observed half-updated.
     """
 
-    kind: str                 # "delete", "insert(targeted)", "insert(recompute)",
-                              # "insert(absorbed)", or "remove_node"
+    kind: str                 # "delete", "remove_node", or "insert(...)":
+                              # "absorbed" (nothing to revive), "targeted"
+                              # (pairs re-opened) or "recompute" (bootstrap)
     n_messages: int           # protocol data messages shipped
     ds_bytes: int             # protocol data bytes shipped
     n_rounds: int             # message rounds to re-quiescence
     wall_seconds: float
     falsified_local: int      # falsified local variables across all sites
                               # (the |AFF| proxy)
+    n_reopened: int = 0       # pairs an insert set optimistically true again
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ class RepairCost:
     n_rounds: int
     #: which repair path ran: "" (surgery), "bootstrap", or "targeted"
     strategy: str = ""
+    #: pairs an insert re-opened (each is re-falsified or newly true)
+    n_reopened: int = 0
 
 
 def edge_update_may_change_answer(query: Pattern, u_label: Label, v_label: Label) -> bool:
@@ -178,12 +182,13 @@ class IncrementalMatchState:
         seeded: Optional[List[Message]],
         n_falsified: int = 0,
         strategy: str = "",
+        n_reopened: int = 0,
     ) -> RepairCost:
         """Ship ``seeded`` between the sites and iterate message rounds to
         quiescence, every site on one host; ``None`` runs every site's first
         step instead (a fresh evaluation, which has no |AFF| to report)."""
         if seeded == []:  # the repair stayed inside one site: nothing ships
-            return RepairCost(n_falsified, 0, 0, 0, strategy)
+            return RepairCost(n_falsified, 0, 0, 0, strategy, n_reopened)
         cost = self.config.cost
         mail = Network(cost)
         engine = SyncEngine(
@@ -203,6 +208,7 @@ class IncrementalMatchState:
             ds_bytes=mail.data_bytes,
             n_rounds=engine.n_rounds,
             strategy=strategy,
+            n_reopened=n_reopened,
         )
 
     def relation(self) -> MatchRelation:
@@ -243,12 +249,17 @@ class IncrementalMatchState:
         """
         state = program.state
         query = self.query
-        for u_child in query.nodes():
-            if query.label(u_child) != v_label or not query.parents(u_child):
-                continue
+        # Who counted the edge is settled before anything is falsified: on a
+        # self-loop the discards below would hide it from a later counter.
+        fed = [
+            u_child
+            for u_child in self._parented
+            if query.label(u_child) == v_label
+            and (u, u_child) in state.count
+            and state.is_candidate(u_child, v)
+        ]
+        for u_child in fed:
             key = (u, u_child)
-            if key not in state.count or not state.is_candidate(u_child, v):
-                continue
             state.count[key] -= 1
             if state.count[key] == 0:
                 for u_parent in query.parents(u_child):
@@ -261,26 +272,8 @@ class IncrementalMatchState:
         return state.drain_newly_false()
 
     # ------------------------------------------------------------------
-    # insertion / node addition: targeted absorption
+    # node addition
     # ------------------------------------------------------------------
-    def absorb_irrelevant_insert(self, u: Node, v: Node, v_label: Label) -> None:
-        """Patch counters for an insert that cannot change the answer.
-
-        Precondition: :func:`edge_update_may_change_answer` returned False
-        for the edge's label pair.  The one successor counter the edge feeds
-        is incremented (iff ``v`` is still a candidate) so later deletions
-        keep decrementing against truthful counts; no falsification or
-        revival is possible.
-        """
-        owner = self.fragmentation.owner(u)
-        state = self.programs[owner].state
-        for u_child in self._parented:
-            if self.query.label(u_child) != v_label:
-                continue
-            key = (u, u_child)
-            if key in state.count and state.is_candidate(u_child, v):
-                state.count[key] += 1
-
     def absorb_add_node(self, node: Node, label: Label, fid: int) -> bool:
         """Register a freshly added isolated node; returns True iff the
         answer changed (the node matches a childless query node)."""
@@ -299,119 +292,124 @@ class IncrementalMatchState:
         return changed
 
     # ------------------------------------------------------------------
-    # insertion: targeted region repair
+    # insertion: re-open the pairs the edge can revive
     # ------------------------------------------------------------------
     def apply_insert(self, delta: MutationDelta) -> RepairCost:
-        """Repair after a *relevant* edge insertion, re-seeding only the
-        affected region.
+        """Repair after edge ``(delta.u, delta.v)`` was added to the graphs.
 
-        An insertion can only revive nodes that reach its source: a witness
-        chain for ``X(u, v)`` runs forward from ``v``, so the truth value of
-        any node that cannot reach ``delta.u`` is untouched by the new edge.
-        The reverse-reachable closure of ``delta.u`` is therefore reset to
-        label-optimistic candidates (clearing the shipped/known-false
-        bookkeeping so re-falsifications travel again), its counters are
-        recomputed against the surrounding fixed values, and the
-        falsification fixpoint reruns -- it cannot escape the region because
-        every predecessor of a region node is itself in the region.  Regions
-        a quarter of the graph or larger fall back to :meth:`bootstrap`
-        (the re-seed would approach a full re-evaluation anyway).
+        The edge itself first: a brand-new virtual copy of ``v`` is *set to*
+        its owner's current truth (a stale entry from an earlier watch may be
+        there), then the counters the edge feeds are bumped.  With nothing
+        to revive that is the whole repair (``strategy == ""``).  Otherwise
+        the revivable pairs (:meth:`_revivable`) are re-opened in every copy
+        and checked again at their owners, exactly as ``run_initial`` checks
+        every candidate, and the falsifications ship as after a deletion.
+        True pairs stay true under an insertion and are never looked at.
         """
-        graph = self.fragmentation.graph
-        region: Set[Node] = {delta.u}
-        stack = [delta.u]
-        while stack:
-            w = stack.pop()
-            for p in graph.predecessors(w):
-                if p not in region:
-                    region.add(p)
-                    stack.append(p)
-        if 4 * len(region) >= graph.n_nodes:
-            return self.bootstrap()
-
         query = self.query
-        # A brand-new virtual copy of the target starts optimistically true,
-        # exactly as a bootstrap would have seeded it.
-        if delta.virtual_added:
-            state = self.programs[delta.source_fid].state
-            for q in query.nodes():
-                if query.label(q) == delta.v_label:
-                    state.sim[q].add(delta.v)
-        # Reset every copy (owner and watchers) of every region node to a
-        # label-optimistic candidate.  Shipped falsifications are un-marked
-        # on the sender and forgotten on the receivers, so a re-derived
-        # falsification ships -- and is accepted -- again.
-        for program in self.programs.values():
-            state = program.state
-            frag_graph = state.fragment.graph
-            for q in query.nodes():
-                label = query.label(q)
-                bucket = state.sim[q]
-                for w in region:
-                    if w in frag_graph and frag_graph.label(w) == label:
-                        bucket.add(w)
-                        program.shipped.discard((q, w))
-                        program.known_false_virtual.discard((q, w))
-        # Recompute the counters of region-local nodes against the current
-        # candidate sets (predecessors of region nodes are region nodes, so
-        # no counter outside this sweep references a reset candidate).
-        for program in self.programs.values():
-            state = program.state
-            frag_graph = state.fragment.graph
-            local = state.fragment.local_nodes
-            for w in region:
-                if w not in local:
-                    continue
-                succs = list(frag_graph.successors(w))
-                for u_child in self._parented:
-                    targets = state.sim[u_child]
-                    state.count[(w, u_child)] = sum(
-                        1 for x in succs if x in targets
-                    )
-
-        seeded: List = []
-        n_falsified = 0
-        # Reconcile a brand-new virtual copy with its owner's current truth:
-        # the target may lie outside the region, so the region fixpoint
-        # would never correct the copy's optimism on its own.
+        u, v = delta.u, delta.v
+        source = self.programs[delta.source_fid]
+        state = source.state
         if delta.virtual_added:
             owner_state = self.programs[delta.target_fid].state
-            source = self.programs[delta.source_fid]
-            dead = [
-                (q, delta.v)
-                for q in query.nodes()
-                if query.label(q) == delta.v_label
-                and not owner_state.is_candidate(q, delta.v)
-            ]
-            if dead:
-                falsified = source.state.falsify_virtual(dead)
-                n_falsified += len(falsified)
-                seeded.extend(source._messages_for(falsified))
-        # Restricted run_initial: falsify region-local violations and let the
-        # worklist run to the local fixpoint.
-        for program in self.programs.values():
-            state = program.state
-            local = state.fragment.local_nodes
-            for q in query.nodes():
-                children = query.children(q)
-                if not children:
+            for b in query.nodes():
+                if query.label(b) != delta.v_label:
                     continue
-                bucket = state.sim[q]
-                for w in region:
-                    if (
-                        w in local
-                        and w in bucket
-                        and any(state.count[(w, qc)] == 0 for qc in children)
-                    ):
-                        bucket.discard(w)
-                        state._worklist.append((q, w))
-                        state._newly_false.append((q, w))
-            state._propagate()
-            falsified = state.drain_newly_false()
+                if owner_state.is_candidate(b, v):
+                    state.sim[b].add(v)
+                    source.known_false_virtual.discard((b, v))
+                else:
+                    state.sim[b].discard(v)
+                    source.known_false_virtual.add((b, v))
+        for b in self._parented:
+            if query.label(b) == delta.v_label and v in state.sim[b]:
+                state.count[(u, b)] += 1
+
+        region = self._revivable(delta)
+        if region is None:
+            return self.bootstrap()
+        for pair in region:
+            self._reopen(*pair)
+        touched: Dict[int, DgpmSiteProgram] = {}
+        for q, x in region:
+            program = self.programs[self.fragmentation.owner(x)]
+            state = program.state
+            if any(state.count[(x, child)] == 0 for child in query.children(q)):
+                state.sim[q].discard(x)
+                state._worklist.append((q, x))
+                state._newly_false.append((q, x))
+                touched[program.fid] = program
+        seeded: List[Message] = []
+        n_falsified = 0
+        for program in touched.values():
+            program.state._propagate()
+            falsified = program.state.drain_newly_false()
             n_falsified += len(falsified)
             seeded.extend(program._messages_for(falsified))
-        # Ship across sites and iterate to quiescence, as after a deletion.
-        return self._drain(seeded, n_falsified, strategy="targeted")
+        return self._drain(
+            seeded, n_falsified, "targeted" if region else "", len(region)
+        )
+
+    def _revivable(self, delta: MutationDelta) -> Optional[List[VarKey]]:
+        """The false pairs the new edge might make true, seeds first.
+
+        Seeds are the false ``X(a, u)`` with a query edge ``(a, b)`` the new
+        data edge can witness; the rest is their backward closure over
+        ``(p, x)``, ``p`` a query parent and ``x`` a same-labeled data
+        predecessor, through *false* pairs only.  ``None`` once the closure
+        passes a quarter of the label-compatible pairs: re-opening most of
+        the product costs more than :meth:`bootstrap`.
+        """
+        query = self.query
+        graph = self.fragmentation.graph
+        owner = self.fragmentation.owner
+        programs = self.programs
+
+        def is_false(q: Node, x: Node) -> bool:
+            return x not in programs[owner(x)].state.sim[q]
+
+        region: Dict[VarKey, None] = {
+            (a, delta.u): None
+            for b in self._parented
+            if query.label(b) == delta.v_label
+            for a in query.parents(b)
+            if query.label(a) == delta.u_label and is_false(a, delta.u)
+        }
+        if not region:
+            return []
+        limit = sum(
+            len(graph.nodes_with_label(query.label(q))) for q in query.nodes()
+        )
+        stack = list(region)
+        while stack:
+            a, w = stack.pop()
+            for p in query.parents(a):
+                label = query.label(p)
+                for x in graph.predecessors(w):
+                    pair = (p, x)
+                    if pair not in region and graph.label(x) == label and is_false(p, x):
+                        region[pair] = None
+                        stack.append(pair)
+            if 4 * len(region) > limit:
+                return None
+        return list(region)
+
+    def _reopen(self, q: Node, x: Node) -> None:
+        """Set ``X(q, x)`` optimistically true in its owner's state and in
+        every watcher's copy, and forget that it was ever shipped, so a
+        re-derived falsification travels -- and is accepted -- again."""
+        fid = self.fragmentation.owner(x)
+        self.programs[fid].shipped.discard((q, x))
+        counted = bool(self.query.parents(q))
+        for site in (fid, *self.deps.watcher_sites(fid, x)):
+            program = self.programs[site]
+            program.known_false_virtual.discard((q, x))
+            state = program.state
+            if x not in state.sim[q]:
+                state.sim[q].add(x)
+                if counted:
+                    for y in state.fragment.graph.predecessors(x):
+                        state.count[(y, q)] += 1
 
     # ------------------------------------------------------------------
     # node removal: scrub after the cascade
@@ -534,46 +532,27 @@ class IncrementalDgpmSession:
         start = time.perf_counter()
         delta = self.fragmentation.delete_edge(u, v)
         self._deps.apply_delta(delta)
-        repair = self._state.apply_delete(u, v, delta.v_label)
-        return UpdateMetrics(
-            kind="delete",
-            n_messages=repair.n_messages,
-            ds_bytes=repair.ds_bytes,
-            n_rounds=repair.n_rounds,
-            wall_seconds=time.perf_counter() - start,
-            falsified_local=repair.n_falsified,
-        )
+        cost = self._state.apply_delete(u, v, delta.v_label)
+        return self._metrics("delete", cost, start)
 
     def insert_edge(self, u: Node, v: Node) -> UpdateMetrics:
         """Add edge ``(u, v)`` and repair the match in place.
 
         Insertions can revive previously falsified matches, which the
         monotone falsification protocol cannot undo on its own; the session
-        re-seeds the reverse-reachable region of ``u`` and reruns the
-        fixpoint inside it (:meth:`IncrementalMatchState.apply_insert`),
-        falling back to a full re-evaluation when the region covers most of
-        the graph.  Label-irrelevant insertions are absorbed by patching the
-        one counter they feed.
+        re-opens the false pairs the edge can reach backwards and reruns the
+        fixpoint from them (:meth:`IncrementalMatchState.apply_insert`),
+        falling back to a full re-evaluation when they are most of the
+        query x data product.  ``kind`` says which: ``insert(absorbed)`` --
+        nothing to revive, one counter bumped -- ``insert(targeted)`` or
+        ``insert(recompute)``.
         """
         start = time.perf_counter()
         delta = self.fragmentation.insert_edge(u, v)
         self._deps.apply_delta(delta)
-        if edge_update_may_change_answer(self.query, delta.u_label, delta.v_label):
-            cost = self._state.apply_insert(delta)
-            targeted = cost.strategy == "targeted"
-            kind = "insert(targeted)" if targeted else "insert(recompute)"
-        else:
-            self._state.absorb_irrelevant_insert(u, v, delta.v_label)
-            cost = RepairCost(0, 0, 0, 0)
-            kind = "insert(absorbed)"
-        return UpdateMetrics(
-            kind=kind,
-            n_messages=cost.n_messages,
-            ds_bytes=cost.ds_bytes,
-            n_rounds=cost.n_rounds,
-            wall_seconds=time.perf_counter() - start,
-            falsified_local=cost.n_falsified,
-        )
+        cost = self._state.apply_insert(delta)
+        kind = {"": "absorbed", "targeted": "targeted", "bootstrap": "recompute"}
+        return self._metrics(f"insert({kind[cost.strategy]})", cost, start)
 
     def remove_node(self, node: Node) -> UpdateMetrics:
         """Remove ``node`` with all incident edges; repair incrementally.
@@ -587,11 +566,16 @@ class IncrementalDgpmSession:
         delta = self.fragmentation.remove_node(node)
         self._deps.apply_delta(delta)
         _changed, cost = self._state.apply_remove_node(delta)
+        return self._metrics("remove_node", cost, start)
+
+    @staticmethod
+    def _metrics(kind: str, cost: RepairCost, start: float) -> UpdateMetrics:
         return UpdateMetrics(
-            kind="remove_node",
+            kind=kind,
             n_messages=cost.n_messages,
             ds_bytes=cost.ds_bytes,
             n_rounds=cost.n_rounds,
             wall_seconds=time.perf_counter() - start,
             falsified_local=cost.n_falsified,
+            n_reopened=cost.n_reopened,
         )

@@ -46,9 +46,10 @@ and the result cache is *maintained*, not dropped:
   build one: an edge deletion repairs their answers through the affected
   area only (``O(|AFF|)``), and the repaired relation replaces the cached
   one -- entries are only rewritten when the answer actually changed;
-* insertions, which can revive matches, fall back to a targeted
-  re-evaluation of the affected warm entries (counters are merely patched
-  when the insert is label-irrelevant);
+* insertions, which can revive matches, re-open in the affected warm
+  entries only the false pairs that can reach the new edge (again
+  ``O(|AFF|)``; an insert nothing can use bumps one counter, and a revival
+  of over a quarter of the label-compatible pairs rebuilds the state);
 * remaining affected entries are evicted individually.
 
 All of it is bookkeeping about *one cached query*, so it lives in one
@@ -259,8 +260,8 @@ class MutationOutcome:
     cache_repaired: int
     #: cached results dropped (answer may have changed, no warm state)
     cache_evicted: int
-    #: falsified variables across warm-state repairs (the |AFF| proxy;
-    #: deletions only)
+    #: falsified variables across warm-state repairs (the |AFF| proxy; for
+    #: an insert, the re-opened pairs that did not revive)
     falsified: int
     #: the fragmentation delta this mutation produced -- the sharded
     #: backend routes it to owning/watching workers
@@ -575,12 +576,13 @@ ConcurrentSessionServer` provides.
         return self._absorb(self.fragmentation.delete_edge, u, v)
 
     def insert_edge(self, u: Node, v: Node) -> MutationOutcome:
-        """Insert edge ``(u, v)``; affected warm entries re-evaluate.
+        """Insert edge ``(u, v)``; warm entries revive what it can revive.
 
         Insertions can revive matches, which falsification-only repair
-        cannot express -- warm entries whose answers may change run a fresh
-        fixpoint over the (already patched) structures; label-irrelevant
-        inserts only patch one successor counter.
+        cannot express -- every warm entry re-opens the false pairs that
+        reach the new edge and reruns the fixpoint from those
+        (:meth:`IncrementalMatchState.apply_insert`); with none, the insert
+        only bumps the successor counter it feeds.
         """
         return self._absorb(self.fragmentation.insert_edge, u, v)
 
@@ -723,11 +725,10 @@ ConcurrentSessionServer` provides.
             cost = warm.apply_delete(delta.u, delta.v, delta.v_label)
             return cost.n_falsified > 0, cost.n_falsified
         if delta.kind == "insert":
-            if edge_update_may_change_answer(warm.query, delta.u_label, delta.v_label):
-                cost = warm.apply_insert(delta)
-                return True, cost.n_falsified
-            warm.absorb_irrelevant_insert(delta.u, delta.v, delta.v_label)
-            return False, 0
+            cost = warm.apply_insert(delta)
+            # Every re-opened pair is re-falsified or newly true.
+            revived = cost.n_reopened > cost.n_falsified
+            return revived or cost.strategy == "bootstrap", cost.n_falsified
         if delta.kind == "remove_node":
             changed, cost = warm.apply_remove_node(delta)
             return changed, cost.n_falsified

@@ -160,9 +160,25 @@ class TestInsertion:
         session.delete_edge("f2", "sp1")
         assert not session.relation().is_match
         update = session.insert_edge("f2", "sp1")
-        assert update.kind == "insert(recompute)"
+        # All 11 pairs the deletion falsified can revive: far over a quarter
+        # of the graph's 13 label-compatible pairs, so the state is rebuilt.
+        assert (update.kind, update.n_reopened) == ("insert(recompute)", 0)
         assert session.relation() == simulation(q, g)
         assert session.relation().is_match
+
+    def test_closing_a_long_path_into_a_cycle_revives_by_bootstrap(self):
+        n = 40
+        graph = DiGraph({i: "A" for i in range(n)}, [(i, i + 1) for i in range(n - 1)])
+        frag = random_partition(graph, 3, seed=1)
+        q = Pattern({"x": "A", "y": "A"}, [("x", "y"), ("y", "x")])
+        session = IncrementalDgpmSession(q, frag)
+        assert not session.relation().is_match
+        # Every one of the 2 * 40 label-compatible pairs is false and reaches
+        # the new edge backwards: nothing to gain over a fresh fixpoint.
+        assert session.insert_edge(n - 1, 0).kind == "insert(recompute)"
+        graph.add_edge(n - 1, 0)
+        assert session.relation() == simulation(q, graph)
+        assert len(session.relation().as_dict()["x"]) == n
 
     def test_insert_new_edge_matches_oracle(self):
         graph = random_labeled_graph(25, 60, n_labels=3, seed=4)

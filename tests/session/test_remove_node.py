@@ -201,8 +201,8 @@ class TestIncrementalRemoveNode:
 
 class TestTargetedInsertRepair:
     def _chain_into_cluster(self):
-        """A small tail chain feeding a big strongly-connected cluster: an
-        insertion at the chain's head has a tiny reverse-reachable region."""
+        """A small tail chain beside a big strongly-connected cluster: an
+        insertion at the chain's end can revive one pair."""
         nodes = {f"t{i}": "A" for i in range(3)}
         nodes.update({f"c{i}": "A" for i in range(30)})
         edges = [("t0", "t1"), ("t1", "t2")]
@@ -215,9 +215,9 @@ class TestTargetedInsertRepair:
         query = Pattern({"x": "A", "y": "A"}, [("x", "y")])
         frag = partition(graph, 2, seed=7)
         session = IncrementalDgpmSession(query, frag)
-        # Reverse-reachable closure of t2 is {t0, t1, t2}: 3 of 33 nodes.
+        # Only X(x, t2) is false; x has no query parent to close over.
         update = session.insert_edge("t2", "c0")
-        assert update.kind == "insert(targeted)"
+        assert (update.kind, update.n_reopened) == ("insert(targeted)", 1)
         mirror = graph.copy()
         mirror.add_edge("t2", "c0")
         assert session.relation() == simulation(query, mirror)
@@ -227,13 +227,23 @@ class TestTargetedInsertRepair:
         query = Pattern({"x": "A", "y": "A"}, [("x", "y")])
         frag = partition(graph, 2, seed=7)
         session = IncrementalDgpmSession(query, frag)
-        # Everything in the 30-cycle reaches c0: the region is most of the
-        # graph, so the targeted re-seed would approach a full run anyway.
+        # Everything in the 30-cycle reaches c0, but the region is counted in
+        # pairs the edge can revive: X(x, c0) is already true, so there are
+        # none, however much of the graph reaches the source.
         update = session.insert_edge("c0", "t0")
-        assert update.kind == "insert(recompute)"
+        assert (update.kind, update.n_reopened) == ("insert(absorbed)", 0)
         mirror = graph.copy()
         mirror.add_edge("c0", "t0")
         assert session.relation() == simulation(query, mirror)
+        # Cut the cycle: under a cyclic query nothing matches any more, and
+        # closing it again revives 60 of the 66 label-compatible pairs.
+        cyclic = Pattern({"x": "A", "y": "A"}, [("x", "y"), ("y", "x")])
+        session = IncrementalDgpmSession(cyclic, frag)
+        session.delete_edge("c29", "c0")
+        assert not session.relation().is_match
+        update = session.insert_edge("c29", "c0")
+        assert update.kind == "insert(recompute)"
+        assert session.relation() == simulation(cyclic, graph)
 
     def test_irrelevant_insert_absorbed(self):
         graph = DiGraph(
