@@ -21,26 +21,17 @@ server.  Two gates:
   simulation after the stream (deletes are paired with re-inserts, so the
   graph ends unchanged).
 
-Runs two ways:
-
-* ``pytest benchmarks/ -o python_files='bench_*.py'`` -- recorded sweep;
-* ``python benchmarks/bench_partition.py [--smoke]`` -- standalone CI gate.
+Run ``python benchmarks/bench_partition.py [--smoke]``; CI runs ``--smoke``.
 """
 
 import time
-from pathlib import Path
 from typing import Dict, List
 
-import pytest
-
 from repro import ConcurrentSessionServer, hash_partition, simulation, web_graph
-from repro.bench.report import record_report
 from repro.bench.smoke import record_smoke
 from repro.bench.workloads import cyclic_pattern
 from repro.partition.metrics import partition_stats
 from repro.partition.partitioners import min_cut_partition
-
-RESULTS = Path(__file__).parent / "results"
 
 CUT_RATIO_GATE = 0.6
 REBALANCE_SPEEDUP_GATE = 1.2
@@ -134,35 +125,8 @@ def render(run: Dict[str, object]) -> str:
             f"{run['ops_after']:.1f} ops/s "
             f"(speedup {run['speedup']:.2f}x, gate >= "
             f"{REBALANCE_SPEEDUP_GATE})",
-            f"  parity:       {'ok' if run['parity'] else 'VIOLATED'}",
+            f"  parity:       {'ok' if run['parity'] else 'FAIL'}",
         ]
-    )
-
-
-@pytest.fixture(scope="module")
-def bench_run():
-    run = partition_run()
-    record_report("partition", render(run), RESULTS)
-    return run
-
-
-def test_partition_parity(bench_run):
-    assert bench_run["parity"], "answers diverged from the oracle"
-
-
-def test_min_cut_ratio_gate(bench_run):
-    assert bench_run["cut_ratio"] <= CUT_RATIO_GATE, (
-        f"min_cut must cut crossing edges to <= {CUT_RATIO_GATE}x hash: "
-        f"got {bench_run['cut_ratio']:.3f} "
-        f"({bench_run['cut_min']} vs {bench_run['cut_hash']})"
-    )
-
-
-def test_rebalance_speedup_gate(bench_run):
-    assert bench_run["speedup"] >= REBALANCE_SPEEDUP_GATE, (
-        f"traffic-weighted rebalance() must speed the skewed stream up "
-        f">= {REBALANCE_SPEEDUP_GATE}x: got {bench_run['speedup']:.2f}x "
-        f"({bench_run['ops_before']:.1f} -> {bench_run['ops_after']:.1f} ops/s)"
     )
 
 

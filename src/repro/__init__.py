@@ -49,7 +49,9 @@ Public surface
   speaking a length-prefixed, versioned frame protocol; the same protocol
   backs the TCP worker transport of :mod:`repro.runtime.transport`, so
   shard workers can be remote processes;
-* benchmarks: the experiment definitions of Figure 6 in :mod:`repro.bench`.
+* benchmarks: the paper's experiments (Figure 6, Table 1, Theorem 1) in
+  :mod:`repro.bench`, run by ``python -m repro.bench`` and committed as
+  ``BENCH_PAPER.json``.
 """
 
 from repro.baselines import run_dishhk, run_dmes, run_match

@@ -1,26 +1,34 @@
-"""Command-line entry point: ``python -m repro.bench`` / ``repro-bench``.
+"""``python -m repro.bench``: the one way the paper's experiments run.
 
-Runs one experiment (or all of them) and prints the paper-style series.
+Runs the named experiments (or ``--all``) and emits one JSON record -- per
+experiment, x-value and algorithm the instance shape and, per query, the
+exact rounds / messages / DS counters, with PT and wall time beside them.
+``BENCH_PAPER.json`` at the repository root is the committed ``--all``
+output; ``--check`` re-derives and fails on any counter that moved.
 
 Examples
 --------
 ::
 
-    repro-bench --list
-    repro-bench --figure 6ab
-    REPRO_SCALE=0.5 repro-bench --all
+    python -m repro.bench 6ab table1
+    python -m repro.bench --all --out BENCH_PAPER.json
+    python -m repro.bench --all --check BENCH_PAPER.json
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures
+from repro.bench.harness import ExperimentSeries, drift
+from repro.bench.smoke import write_record
 
-#: experiment id -> callable returning a printable report
-EXPERIMENTS: Dict[str, Callable[[], object]] = {
+#: experiment id -> callable(scale) returning its series
+EXPERIMENTS: Dict[str, Callable[[float], ExperimentSeries]] = {
     "6ab": figures.fig6_ab_vary_fragments,
     "6cd": figures.fig6_cd_vary_query,
     "6ef": figures.fig6_ef_vary_vf,
@@ -32,64 +40,77 @@ EXPERIMENTS: Dict[str, Callable[[], object]] = {
     "ablation": figures.ablation_optimizations,
     "trees": figures.trees_series,
     "table1": figures.table1_bounds,
-    "impossibility": figures.impossibility_report,
+    # the gadget families come in one size per n: nothing to scale
+    "thm1-rounds": lambda scale: figures.theorem1_rounds(),
+    "thm1-shipment": lambda scale: figures.theorem1_shipment(),
 }
 
 
-def _render(value: object) -> str:
-    render = getattr(value, "render", None)
-    return render() if callable(render) else str(value)
+def run_experiments(ids: List[str], scale: float = 1.0) -> dict:
+    """The record's payload for ``ids``: JSON-shaped, counters exact."""
+    return {
+        "scale": scale,
+        "experiments": {
+            key: dataclasses.asdict(EXPERIMENTS[key](scale)) for key in ids
+        },
+    }
 
 
-def main(argv: list | None = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
+        prog="python -m repro.bench",
         description="Reproduce the experiments of 'Distributed Graph Simulation: "
-        "Impossibility and Possibility' (VLDB 2014).",
+        "Impossibility and Possibility' (VLDB 2014) as one JSON record.",
+        epilog="experiment ids: " + ", ".join(EXPERIMENTS),
     )
-    parser.add_argument("--figure", metavar="ID", help="experiment id (see --list)")
+    parser.add_argument("ids", nargs="*", metavar="ID", help="experiments to run")
     parser.add_argument("--all", action="store_true", help="run every experiment")
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
-        "--scale", type=float, metavar="X",
-        help="graph-size multiplier (sets REPRO_SCALE for this run)",
+        "--scale", type=float, default=1.0, metavar="X", help="graph-size multiplier"
+    )
+    parser.add_argument(
+        "--out", metavar="FILE", help="write the record here instead of stdout"
+    )
+    parser.add_argument(
+        "--check", metavar="FILE",
+        help="compare every counter with this record; exit 1 on any difference",
     )
     args = parser.parse_args(argv)
 
-    if args.scale is not None:
-        import os
-
-        os.environ["REPRO_SCALE"] = str(args.scale)
-        from repro.bench import figures as _figures
-
-        _figures.yahoo_graph.cache_clear()
-        _figures.citation_graph.cache_clear()
-        _figures.synthetic_graph.cache_clear()
-        _figures.scalefree_boundary_graph.cache_clear()
-        _figures.partitioned.cache_clear()
-
-    if args.list:
-        for key, fn in EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{key:>14}  {doc}")
+    # the paper's spelling is accepted too: ``fig6ab`` is ``6ab``
+    ids = list(EXPERIMENTS) if args.all else [
+        key.lower().removeprefix("fig") for key in args.ids
+    ]
+    unknown = [key for key in ids if key not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment(s) {unknown}; ids: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    if not ids:
+        parser.print_help()
         return 0
-    if args.all:
-        for key, fn in EXPERIMENTS.items():
-            print(f"\n######## {key} ########")
-            print(_render(fn()))
-        return 0
-    if args.figure:
-        key = args.figure.lower()
-        if key.startswith("fig"):
-            key = key[3:]
-        fn = EXPERIMENTS.get(key)
-        if fn is None:
-            print(f"unknown experiment {args.figure!r}; try --list", file=sys.stderr)
-            return 2
-        print(_render(fn()))
-        return 0
-    parser.print_help()
+
+    payload = run_experiments(ids, args.scale)
+    if args.out:
+        write_record(args.out, "paper", payload)
+    elif not args.check:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
+    if args.check:
+        with open(args.check) as fh:
+            committed = json.load(fh)
+        held = committed["experiments"]
+        expected = {
+            "scale": committed.get("scale"),
+            "experiments": {key: held[key] for key in ids if key in held},
+        }
+        lines = drift(expected, payload)
+        for line in lines:
+            print(line)
+        if lines:
+            print(f"FAIL: {len(lines)} counter(s) differ from {args.check}")
+            return 1
+        print(f"ok: {len(ids)} experiment(s) reproduce {args.check} exactly")
     return 0
 
 

@@ -46,9 +46,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.stream import mixed_query_stream
+from repro.bench.workloads import cyclic_pattern
 from repro.core.config import DgpmConfig
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_graph
+from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.session import SimulationSession
 
@@ -65,6 +67,29 @@ DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = (
 GATE_NODES = 96000
 GATE_EDGES = 480000
 GATE_SPEEDUP = 5.0
+
+
+def mixed_query_stream(
+    graph: DiGraph,
+    n_distinct: int = 6,
+    repeat: int = 4,
+    n_nodes: int = 4,
+    n_edges: int = 6,
+    seed: int = 0,
+) -> List[Pattern]:
+    """``n_distinct`` patterns sampled from ``graph``, cycled ``repeat`` times.
+
+    Patterns are re-instantiated per repetition (fresh ``Pattern`` objects),
+    so cache hits must come from canonical hashing, not object identity;
+    pattern ``s`` gets the deterministic seed ``seed + s``.
+    """
+    stream: List[Pattern] = []
+    for rep in range(repeat):
+        for s in range(n_distinct):
+            stream.append(
+                cyclic_pattern(graph, n_nodes=n_nodes, n_edges=n_edges, seed=seed + s)
+            )
+    return stream
 
 
 @dataclass

@@ -1,32 +1,33 @@
 """Experiment definitions for every table and figure of the paper.
 
 Each ``fig6_*`` function reproduces one pair of Figure-6 panels (PT + DS) as
-an :class:`~repro.bench.harness.ExperimentSeries`; ``table1_*`` and
-``impossibility_*`` cover Table 1 and Theorem 1.  Sizes default to
-laptop-scale stand-ins (DESIGN.md §2) and scale with ``REPRO_SCALE``
-(e.g. ``REPRO_SCALE=2`` doubles every graph).
+an :class:`~repro.bench.harness.ExperimentSeries`; :func:`table1_bounds` and
+the two ``theorem1_*`` families cover Table 1, Figure 5 and Theorem 1 in the
+same shape.  Sizes are laptop-scale stand-ins for the paper's datasets (a
+power-law web graph for Yahoo, a layered DAG for Citation) and multiply by
+the ``scale`` argument (``scale=2`` doubles every generated graph).
 
-One deliberate deviation, recorded in EXPERIMENTS.md: the paper's Exp-3
-claims dGPM's DS "is not a function of |G|" while sweeping |G| with
-``|Vf|/|V|`` fixed at 20%.  Theorem 2's bound is ``O(|Ef||Vq|)``, a function
-of the *partition*, so our Exp-3 holds ``|Vf|`` fixed in absolute terms
-(the quantity the theorem names) -- that is the setting in which the claimed
-independence from ``|G|`` is actually implied, and our workload's constant
-per-candidate falsification rate makes the distinction visible.
+One deliberate deviation: the paper's Exp-3 claims dGPM's DS "is not a
+function of |G|" while sweeping |G| with ``|Vf|/|V|`` fixed at 20%.
+Theorem 2's bound is ``O(|Ef||Vq|)``, a function of the *partition*, so our
+Exp-3 size sweep (:func:`fig6_op_synthetic_size`) holds ``|Vf|`` fixed in
+absolute terms (the quantity the theorem names) -- that is the setting in
+which the claimed independence from ``|G|`` is actually implied, and our
+workload's constant per-candidate falsification rate makes the distinction
+visible.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import Dict, List, Tuple
 
 from repro.baselines import run_dishhk, run_dmes, run_match
 from repro.bench.harness import ExperimentSeries, Runner, run_sweep
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.core import DgpmConfig, run_dgpm, run_dgpmd, run_dgpmt
-from repro.core.impossibility import audit_data_shipment, audit_parallel_time
 from repro.graph.digraph import DiGraph
+from repro.graph.examples import figure2, figure2_two_site, figure5
 from repro.graph.generators import (
     citation_dag,
     contiguous_block_assignment,
@@ -39,32 +40,27 @@ from repro.partition import fragment_graph, refine_to_vf_ratio, tree_partition
 from repro.partition.fragmentation import Fragmentation
 
 
-def scale() -> float:
-    """Global size multiplier, from the ``REPRO_SCALE`` environment variable."""
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+def _n(base: int, scale: float) -> int:
+    return max(64, int(base * scale))
 
 
-def _n(base: int) -> int:
-    return max(64, int(base * scale()))
-
-
-#: queries averaged per sweep point (the paper uses 20; laptop default 2)
-N_QUERY_SEEDS = int(os.environ.get("REPRO_QUERY_SEEDS", "2"))
+#: queries per sweep point (the paper uses 20)
+N_QUERY_SEEDS = 2
 
 
 # ----------------------------------------------------------------------
 # shared datasets (cached: sweeps reuse them across panels)
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
-def yahoo_graph() -> DiGraph:
-    """The Yahoo web-graph stand-in (DESIGN.md §2), default (8k, 40k)."""
-    return web_graph(_n(8000), _n(40000), n_labels=24, seed=7)
+def yahoo_graph(scale: float) -> DiGraph:
+    """The Yahoo web-graph stand-in, (8k, 40k) at ``scale=1``."""
+    return web_graph(_n(8000, scale), _n(40000, scale), n_labels=24, seed=7)
 
 
 @functools.lru_cache(maxsize=None)
-def citation_graph() -> DiGraph:
-    """The Citation DAG stand-in, default (6k, 13k)."""
-    return citation_dag(_n(6000), _n(13000), n_labels=24, seed=7)
+def citation_graph(scale: float) -> DiGraph:
+    """The Citation DAG stand-in, (6k, 13k) at ``scale=1``."""
+    return citation_dag(_n(6000, scale), _n(13000, scale), n_labels=24, seed=7)
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,8 +84,10 @@ def scalefree_boundary_graph(n_nodes: int, n_edges: int) -> DiGraph:
 
 
 @functools.lru_cache(maxsize=None)
-def partitioned(graph_key: str, n_fragments: int, vf_ratio: float) -> Fragmentation:
-    graph = {"yahoo": yahoo_graph, "citation": citation_graph}[graph_key]()
+def partitioned(
+    graph_key: str, n_fragments: int, vf_ratio: float, scale: float
+) -> Fragmentation:
+    graph = {"yahoo": yahoo_graph, "citation": citation_graph}[graph_key](scale)
     frag = fragment_graph(graph, contiguous_block_assignment(graph, n_fragments))
     return refine_to_vf_ratio(frag, vf_ratio, seed=3)
 
@@ -107,56 +105,59 @@ def _dag_queries(graph: DiGraph, d: int, shape: Tuple[int, int] = (9, 13), seeds
 # ----------------------------------------------------------------------
 def _general_algorithms(include_match: bool = True) -> Dict[str, Runner]:
     algs: Dict[str, Runner] = {
-        "dGPM": lambda q, f: run_dgpm(q, f),
-        "disHHK": lambda q, f: run_dishhk(q, f),
+        "dGPM": run_dgpm,
+        "disHHK": run_dishhk,
         "dGPMNOpt": lambda q, f: run_dgpm(q, f, DgpmConfig().without_optimizations()),
-        "dMes": lambda q, f: run_dmes(q, f),
+        "dMes": run_dmes,
     }
     if include_match:
-        algs["Match"] = lambda q, f: run_match(q, f)
+        algs["Match"] = run_match
     return algs
 
 
 def _dag_algorithms() -> Dict[str, Runner]:
     return {
-        "dGPMd": lambda q, f: run_dgpmd(q, f),
-        "disHHK": lambda q, f: run_dishhk(q, f),
-        "dMes": lambda q, f: run_dmes(q, f),
-        "Match": lambda q, f: run_match(q, f),
+        "dGPMd": run_dgpmd,
+        "disHHK": run_dishhk,
+        "dMes": run_dmes,
+        "Match": run_match,
     }
 
 
 # ----------------------------------------------------------------------
 # Exp-1: dGPM on the web graph (Figure 6 a-f)
 # ----------------------------------------------------------------------
-def fig6_ab_vary_fragments(fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)) -> ExperimentSeries:
+def fig6_ab_vary_fragments(
+    scale: float = 1.0, fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)
+) -> ExperimentSeries:
     """Fig 6(a)(b): PT/DS of dGPM & rivals vs |F|; |Q|=(5,10), |Vf|=25%."""
-    graph = yahoo_graph()
-    queries = _queries(graph, (5, 10))
+    queries = _queries(yahoo_graph(scale), (5, 10))
     instances = [
-        (nf, queries, partitioned("yahoo", nf, 0.25)) for nf in fragments
+        (nf, queries, partitioned("yahoo", nf, 0.25, scale)) for nf in fragments
     ]
     return run_sweep("Fig 6(a)(b) dGPM", "|F|", instances, _general_algorithms())
 
 
 def fig6_cd_vary_query(
+    scale: float = 1.0,
     shapes: Tuple[Tuple[int, int], ...] = ((4, 8), (5, 10), (6, 12), (7, 14), (8, 16)),
 ) -> ExperimentSeries:
     """Fig 6(c)(d): PT/DS vs |Q| from (4,8) to (8,16); |F|=8, |Vf|=25%."""
-    graph = yahoo_graph()
-    frag = partitioned("yahoo", 8, 0.25)
+    graph = yahoo_graph(scale)
+    frag = partitioned("yahoo", 8, 0.25, scale)
     instances = [
         (f"({vq},{eq})", _queries(graph, (vq, eq)), frag) for vq, eq in shapes
     ]
     return run_sweep("Fig 6(c)(d) dGPM", "|Q|", instances, _general_algorithms())
 
 
-def fig6_ef_vary_vf(ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.45, 0.50)) -> ExperimentSeries:
+def fig6_ef_vary_vf(
+    scale: float = 1.0, ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
+) -> ExperimentSeries:
     """Fig 6(e)(f): PT/DS vs |Vf| from 25% to 50%; |F|=8, |Q|=(5,10)."""
-    graph = yahoo_graph()
-    queries = _queries(graph, (5, 10))
+    queries = _queries(yahoo_graph(scale), (5, 10))
     instances = [
-        (f"{ratio:.2f}", queries, partitioned("yahoo", 8, ratio)) for ratio in ratios
+        (f"{ratio:.2f}", queries, partitioned("yahoo", 8, ratio, scale)) for ratio in ratios
     ]
     return run_sweep("Fig 6(e)(f) dGPM", "|Vf|/|V|", instances, _general_algorithms())
 
@@ -164,30 +165,35 @@ def fig6_ef_vary_vf(ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.45, 0
 # ----------------------------------------------------------------------
 # Exp-2: dGPMd on the citation DAG (Figure 6 g-l)
 # ----------------------------------------------------------------------
-def fig6_gh_vary_diameter(diameters: Tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)) -> ExperimentSeries:
+def fig6_gh_vary_diameter(
+    scale: float = 1.0, diameters: Tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
+) -> ExperimentSeries:
     """Fig 6(g)(h): PT/DS of dGPMd vs query diameter d; |F|=8, |Q|~(9,13)."""
-    graph = citation_graph()
-    frag = partitioned("citation", 8, 0.25)
+    graph = citation_graph(scale)
+    frag = partitioned("citation", 8, 0.25, scale)
     instances = [(d, _dag_queries(graph, d), frag) for d in diameters]
     return run_sweep("Fig 6(g)(h) dGPMd", "d", instances, _dag_algorithms())
 
 
-def fig6_ij_vary_fragments_dag(fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)) -> ExperimentSeries:
+def fig6_ij_vary_fragments_dag(
+    scale: float = 1.0, fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)
+) -> ExperimentSeries:
     """Fig 6(i)(j): PT/DS of dGPMd vs |F|; d=4."""
-    graph = citation_graph()
-    queries = _dag_queries(graph, 4)
+    queries = _dag_queries(citation_graph(scale), 4)
     instances = [
-        (nf, queries, partitioned("citation", nf, 0.25)) for nf in fragments
+        (nf, queries, partitioned("citation", nf, 0.25, scale)) for nf in fragments
     ]
     return run_sweep("Fig 6(i)(j) dGPMd", "|F|", instances, _dag_algorithms())
 
 
-def fig6_kl_vary_vf_dag(ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.45, 0.50)) -> ExperimentSeries:
+def fig6_kl_vary_vf_dag(
+    scale: float = 1.0, ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
+) -> ExperimentSeries:
     """Fig 6(k)(l): PT/DS of dGPMd vs |Vf|; d=4, |F|=8."""
-    graph = citation_graph()
-    queries = _dag_queries(graph, 4)
+    queries = _dag_queries(citation_graph(scale), 4)
     instances = [
-        (f"{ratio:.2f}", queries, partitioned("citation", 8, ratio)) for ratio in ratios
+        (f"{ratio:.2f}", queries, partitioned("citation", 8, ratio, scale))
+        for ratio in ratios
     ]
     return run_sweep("Fig 6(k)(l) dGPMd", "|Vf|/|V|", instances, _dag_algorithms())
 
@@ -195,9 +201,11 @@ def fig6_kl_vary_vf_dag(ratios: Tuple[float, ...] = (0.25, 0.30, 0.35, 0.40, 0.4
 # ----------------------------------------------------------------------
 # Exp-3: synthetic scalability (Figure 6 m-p)
 # ----------------------------------------------------------------------
-def fig6_mn_synthetic_fragments(fragments: Tuple[int, ...] = (8, 12, 16, 20)) -> ExperimentSeries:
+def fig6_mn_synthetic_fragments(
+    scale: float = 1.0, fragments: Tuple[int, ...] = (8, 12, 16, 20)
+) -> ExperimentSeries:
     """Fig 6(m)(n): PT/DS vs |F| on the synthetic graph (no Match: too big)."""
-    graph = synthetic_graph(_n(8000), _n(32000))
+    graph = synthetic_graph(_n(8000, scale), _n(32000, scale))
     queries = _queries(graph, (5, 10))
     instances = []
     for nf in fragments:
@@ -210,6 +218,7 @@ def fig6_mn_synthetic_fragments(fragments: Tuple[int, ...] = (8, 12, 16, 20)) ->
 
 
 def fig6_op_synthetic_size(
+    scale: float = 1.0,
     sizes: Tuple[Tuple[int, int], ...] = ((2000, 8000), (4000, 16000), (6000, 24000), (8000, 32000)),
 ) -> ExperimentSeries:
     """Fig 6(o)(p): PT/DS vs |G| at |F|=20 with the boundary |Vf| held fixed.
@@ -221,7 +230,7 @@ def fig6_op_synthetic_size(
     """
     instances = []
     for n_nodes, n_edges in sizes:
-        graph = scalefree_boundary_graph(_n(n_nodes), _n(n_edges))
+        graph = scalefree_boundary_graph(_n(n_nodes, scale), _n(n_edges, scale))
         frag = fragment_graph(graph, contiguous_block_assignment(graph, 20))
         queries = _queries(graph, (5, 10))
         instances.append((f"({graph.n_nodes},{graph.n_edges})", queries, frag))
@@ -233,13 +242,14 @@ def fig6_op_synthetic_size(
 # ----------------------------------------------------------------------
 # Section 4.2 ablation and Section 5.2 trees
 # ----------------------------------------------------------------------
-def ablation_optimizations(thetas: Tuple[float, ...] = (0.05, 0.2, 1.0)) -> ExperimentSeries:
+def ablation_optimizations(
+    scale: float = 1.0, thetas: Tuple[float, ...] = (0.05, 0.2, 1.0)
+) -> ExperimentSeries:
     """dGPM vs its ablations: no-increment, no-push, and the θ sweep."""
-    graph = yahoo_graph()
-    queries = _queries(graph, (5, 10))
-    frag = partitioned("yahoo", 8, 0.25)
+    queries = _queries(yahoo_graph(scale), (5, 10))
+    frag = partitioned("yahoo", 8, 0.25, scale)
     algorithms: Dict[str, Runner] = {
-        "dGPM": lambda q, f: run_dgpm(q, f),
+        "dGPM": run_dgpm,
         "no-incr": lambda q, f: run_dgpm(q, f, DgpmConfig(incremental=False)),
         "no-push": lambda q, f: run_dgpm(q, f, DgpmConfig(enable_push=False)),
         "dGPMNOpt": lambda q, f: run_dgpm(q, f, DgpmConfig().without_optimizations()),
@@ -252,15 +262,13 @@ def ablation_optimizations(thetas: Tuple[float, ...] = (0.05, 0.2, 1.0)) -> Expe
     return run_sweep("§4.2 ablation", "dataset", instances, algorithms)
 
 
-def trees_series(fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)) -> ExperimentSeries:
+def trees_series(
+    scale: float = 1.0, fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)
+) -> ExperimentSeries:
     """Corollary 4: dGPMt vs dGPM on a distributed tree, sweeping |F|."""
-    tree = random_tree(_n(20000), n_labels=8, seed=7)
+    tree = random_tree(_n(20000, scale), n_labels=8, seed=7)
     queries = [tree_pattern(tree, 4, seed=41 + i) for i in range(N_QUERY_SEEDS)]
-    algorithms: Dict[str, Runner] = {
-        "dGPMt": lambda q, f: run_dgpmt(q, f),
-        "dGPM": lambda q, f: run_dgpm(q, f),
-        "dMes": lambda q, f: run_dmes(q, f),
-    }
+    algorithms: Dict[str, Runner] = {"dGPMt": run_dgpmt, "dGPM": run_dgpm, "dMes": run_dmes}
     instances = [
         (nf, queries, tree_partition(tree, nf, seed=3)) for nf in fragments
     ]
@@ -268,72 +276,66 @@ def trees_series(fragments: Tuple[int, ...] = (4, 8, 12, 16, 20)) -> ExperimentS
 
 
 # ----------------------------------------------------------------------
-# Table 1 and Theorem 1
+# Table 1, Figure 5 and Theorem 1
 # ----------------------------------------------------------------------
-def table1_bounds() -> str:
-    """Empirical restatement of Table 1's bound *shapes* for this work's rows.
+def table1_bounds(scale: float = 1.0) -> ExperimentSeries:
+    """Table 1 (this work's rows), one instance per row, plus Figure 5.
 
-    Demonstrates on one instance: dGPM DS <= the O(|Ef||Vq|) budget; dGPMd
-    rounds <= d+1; dGPMt DS ~ O(|Q||F|); and the Figure-5 message counts.
+    The rows carry what each stated bound is measured against: dGPM's data
+    messages against ``|Ef||Vq|``, dGPMd's rounds against ``d + 1``, dGPMt's
+    DS against ``O(|Q||F|)`` in at most three rounds, and the Figure-5
+    message counts (12 for dGPM without push, 6 for dGPMd).
     """
-    from repro.graph.examples import figure5
-
-    lines = ["Table 1 (this work's rows): measured against the stated bounds", ""]
-
-    graph = yahoo_graph()
-    frag = partitioned("yahoo", 8, 0.25)
-    query = _queries(graph, (5, 10), seeds=1)[0]
-    result = run_dgpm(query, frag)
-    budget = frag.n_crossing_edges * query.n_nodes
-    lines.append(
-        f"dGPM    DS bound O(|Ef||Vq|): shipped {result.metrics.n_messages} var-messages"
-        f" <= budget |Ef|*|Vq| = {budget}  [{'OK' if result.metrics.n_messages <= budget else 'VIOLATED'}]"
-    )
-
-    dag = citation_graph()
-    dfrag = partitioned("citation", 8, 0.25)
-    dquery = _dag_queries(dag, 4, seeds=1)[0]
-    dresult = run_dgpmd(dquery, dfrag)
-    lines.append(
-        f"dGPMd   rounds bound d+1: used {dresult.metrics.n_rounds} rounds,"
-        f" d = {dquery.diameter()}  [{'OK' if dresult.metrics.n_rounds <= dquery.diameter() + 2 else 'VIOLATED'}]"
-    )
-
-    tree = random_tree(_n(5000), n_labels=8, seed=7)
-    tfrag = tree_partition(tree, 8, seed=3)
-    tquery = tree_pattern(tree, 4, seed=41)
-    tresult = run_dgpmt(tquery, tfrag)
-    lines.append(
-        f"dGPMt   DS ~ O(|Q||F|): shipped {tresult.metrics.ds_kb:.2f}KB over"
-        f" |F| = {tfrag.n_fragments} fragments in {tresult.metrics.n_rounds} rounds"
-    )
-
-    q5, g5, f5 = figure5()
-    m_dgpm = run_dgpm(q5, f5, DgpmConfig(enable_push=False)).metrics.n_messages
-    m_dgpmd = run_dgpmd(q5, f5).metrics.n_messages
-    lines.append(
-        f"Fig 5   messages: dGPM = {m_dgpm} (paper: 12), dGPMd = {m_dgpmd} (paper: 6)"
-    )
-    return "\n".join(lines)
-
-
-def impossibility_report(sizes: Tuple[int, ...] = (4, 8, 16, 32, 64)) -> str:
-    """Theorem 1's two families, audited on dGPM (see core.impossibility)."""
-    pt = audit_parallel_time(sizes)
-    ds = audit_data_shipment(sizes)
-    lines = [
-        "Theorem 1 audit: any correct algorithm must scale with n on these families",
-        "",
-        "family (1): |Q|, |Fm| constant; |F| = n  (response-time impossibility)",
-        f"{'n':>5} {'|Fm|':>6} {'rounds':>7} {'correct':>8}",
+    tree = random_tree(_n(5000, scale), n_labels=8, seed=7)
+    q5, _, f5 = figure5()
+    rows: List[Tuple[str, List[Pattern], Fragmentation, Dict[str, Runner]]] = [
+        (
+            "dGPM",
+            _queries(yahoo_graph(scale), (5, 10), seeds=1),
+            partitioned("yahoo", 8, 0.25, scale),
+            {"dGPM": run_dgpm},
+        ),
+        (
+            "dGPMd",
+            _dag_queries(citation_graph(scale), 4, seeds=1),
+            partitioned("citation", 8, 0.25, scale),
+            {"dGPMd": run_dgpmd},
+        ),
+        (
+            "dGPMt",
+            [tree_pattern(tree, 4, seed=41)],
+            tree_partition(tree, 8, seed=3),
+            {"dGPMt": run_dgpmt},
+        ),
+        (
+            "Figure 5",
+            [q5],
+            f5,
+            {
+                "no-push": lambda q, f: run_dgpm(q, f, DgpmConfig(enable_push=False)),
+                "dGPMd": run_dgpmd,
+            },
+        ),
     ]
-    for p in pt:
-        lines.append(f"{p.n:>5} {p.fm_size:>6} {p.rounds:>7} {str(p.correct):>8}")
-    lines += [
-        "",
-        "family (2): |Q| constant; |F| = 2  (data-shipment impossibility)",
-        f"{'n':>5} {'|F|':>5} {'DS bytes':>9} {'correct':>8}",
+    series = ExperimentSeries("Table 1 and Figure 5", "row")
+    for row, queries, frag, algorithms in rows:
+        series.points += run_sweep(series.name, "row", [(row, queries, frag)], algorithms).points
+    return series
+
+
+def theorem1_rounds(sizes: Tuple[int, ...] = (4, 8, 16, 32, 64)) -> ExperimentSeries:
+    """Theorem 1, family (1): |Q| and |Fm| constant, |F| = n; rounds grow with n."""
+    instances = [
+        (n, [query], frag)
+        for n in sizes
+        for query, _, frag in [figure2(n, close_cycle=False)]
     ]
-    for p in ds:
-        lines.append(f"{p.n:>5} {p.n_fragments:>5} {p.ds_bytes:>9} {str(p.correct):>8}")
-    return "\n".join(lines)
+    return run_sweep("Theorem 1 family (1)", "n", instances, {"dGPM": run_dgpm})
+
+
+def theorem1_shipment(sizes: Tuple[int, ...] = (4, 8, 16, 32, 64)) -> ExperimentSeries:
+    """Theorem 1, family (2): |Q| constant, |F| = 2; data shipment grows with n."""
+    instances = [
+        (n, [query], frag) for n in sizes for query, _, frag in [figure2_two_site(n)]
+    ]
+    return run_sweep("Theorem 1 family (2)", "n", instances, {"dGPM": run_dgpm})

@@ -1,18 +1,21 @@
-"""Sweep runner producing the paper's plot series.
+"""Sweep runner producing the data behind the paper's plots.
 
 Each Figure-6 panel is a sweep: one x-axis (``|F|``, ``|Q|``, ``|Vf|``,
 ``d``, ``|G|``), several algorithms, two y-axes (PT seconds, DS KB).
 :func:`run_sweep` executes the cross product, verifies every distributed
 answer against the centralized oracle (a reproduction that silently returns
-wrong matches is worthless), and returns an :class:`ExperimentSeries` that
-renders the same rows the paper plots.
+wrong matches is worthless), and returns an :class:`ExperimentSeries` whose
+``dataclasses.asdict`` is the entry ``BENCH_PAPER.json`` holds for it.
+
+Rounds, messages and DS (total and by message kind) are exact integers of
+the protocol, recorded per query so two runs can be compared for equality
+(:func:`drift`); PT and wall time sit beside them as informational floats.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass, field
+from reprlib import repr as repr_
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -24,17 +27,22 @@ from repro.simulation import simulation
 #: An algorithm entry: display name -> runner(query, fragmentation) -> RunResult.
 Runner = Callable[[Pattern, Fragmentation], RunResult]
 
+#: per-run keys that depend on the clock; :func:`drift` skips them
+INFORMATIONAL = frozenset({"pt_seconds", "wall_seconds"})
+
 
 @dataclass
 class SweepPoint:
-    """Metrics of every algorithm at one x-value."""
+    """Every algorithm's per-query counters at one x-value."""
 
     x: object
-    pt_seconds: Dict[str, float] = field(default_factory=dict)
-    ds_kb: Dict[str, float] = field(default_factory=dict)
-    n_messages: Dict[str, int] = field(default_factory=dict)
-    n_rounds: Dict[str, int] = field(default_factory=dict)
-    meta: Dict[str, object] = field(default_factory=dict)
+    #: ``|V|``, ``|E|``, ``|F|``, ``|Ef|``, ``|Vf|`` and ``|Fm|`` of the instance
+    instance: Dict[str, int] = field(default_factory=dict)
+    #: ``|Vq|``, ``|Eq|`` and ``d`` of each query
+    queries: List[Dict[str, int]] = field(default_factory=list)
+    #: algorithm -> one entry per query: ``rounds``, ``messages``,
+    #: ``ds_bytes``, ``ds_breakdown`` by kind, and the INFORMATIONAL floats
+    algorithms: Dict[str, List[Dict[str, object]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -45,71 +53,6 @@ class ExperimentSeries:
     x_label: str
     points: List[SweepPoint] = field(default_factory=list)
 
-    def algorithms(self) -> List[str]:
-        names: List[str] = []
-        for point in self.points:
-            for alg in point.pt_seconds:
-                if alg not in names:
-                    names.append(alg)
-        return names
-
-    # ------------------------------------------------------------------
-    def _table(self, metric: str, fmt: str) -> str:
-        algs = self.algorithms()
-        header = [self.x_label] + algs
-        rows = [header]
-        for point in self.points:
-            values = getattr(point, metric)
-            rows.append(
-                [str(point.x)] + [fmt.format(values[a]) if a in values else "-" for a in algs]
-            )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-        return "\n".join(lines)
-
-    def pt_table(self) -> str:
-        """Paper-style PT series (seconds)."""
-        return self._table("pt_seconds", "{:.4f}")
-
-    def ds_table(self) -> str:
-        """Paper-style DS series (KB)."""
-        return self._table("ds_kb", "{:.2f}")
-
-    def render(self) -> str:
-        """Both panels, titled like the paper's subfigures."""
-        return (
-            f"== {self.name} : PT (seconds) vs {self.x_label} ==\n{self.pt_table()}\n\n"
-            f"== {self.name} : DS (KB) vs {self.x_label} ==\n{self.ds_table()}\n"
-        )
-
-    def median(self, metric: str, algorithm: str) -> float:
-        """Median of one algorithm's metric across the sweep.
-
-        Shape assertions compare medians rather than individual points: a
-        single wall-clock glitch (scheduler hiccup on a shared machine) must
-        not invalidate an ordering that holds with a 3-10x margin.
-        """
-        values = [
-            getattr(point, metric)[algorithm]
-            for point in self.points
-            if algorithm in getattr(point, metric)
-        ]
-        if not values:
-            raise ReproError(f"no data for {algorithm}")
-        return statistics.median(values)
-
-    def ratio(self, metric: str, numerator: str, denominator: str) -> float:
-        """Average ratio between two algorithms over the sweep (paper-style
-        claims like "dGPM ships 3 orders of magnitude less than disHHK")."""
-        ratios = []
-        for point in self.points:
-            values = getattr(point, metric)
-            if numerator in values and denominator in values and values[denominator]:
-                ratios.append(values[numerator] / values[denominator])
-        if not ratios:
-            raise ReproError(f"no overlapping points for {numerator}/{denominator}")
-        return statistics.mean(ratios)
-
 
 def run_sweep(
     name: str,
@@ -117,45 +60,79 @@ def run_sweep(
     instances: Sequence[Tuple[object, List[Pattern], Fragmentation]],
     algorithms: Dict[str, Runner],
     verify: bool = True,
-    repeats: int = 2,
 ) -> ExperimentSeries:
     """Execute a sweep.
 
     ``instances`` yields ``(x_value, queries, fragmentation)`` triples; each
-    algorithm runs every query at every x-value and metrics are averaged over
-    the queries (the paper averages over 20 patterns; benches use fewer for
-    laptop runtimes).  Each run is repeated ``repeats`` times and the
-    *minimum* PT kept -- simulated makespans are built from wall-clock
-    samples, and min-of-k is the standard defence against scheduler noise.
-    DS and message counts are deterministic, so the first run's values are
-    used.  With ``verify=True`` every answer is checked against the
-    centralized oracle.
+    algorithm runs every query at every x-value once (the paper averages over
+    20 patterns; the figures use fewer for laptop runtimes).  With
+    ``verify=True`` every answer is checked against the centralized oracle.
     """
     series = ExperimentSeries(name=name, x_label=x_label)
     for x, queries, fragmentation in instances:
-        point = SweepPoint(x=x)
-        oracles = (
-            [simulation(q, fragmentation.graph) for q in queries] if verify else None
+        graph = fragmentation.graph
+        point = SweepPoint(
+            x=x,
+            instance={
+                "n_nodes": graph.n_nodes,
+                "n_edges": graph.n_edges,
+                "n_fragments": fragmentation.n_fragments,
+                "crossing_edges": fragmentation.n_crossing_edges,
+                "boundary_nodes": fragmentation.n_virtual_nodes,
+                "largest_fragment": fragmentation.largest_fragment.size,
+            },
+            queries=[
+                {"n_nodes": q.n_nodes, "n_edges": q.n_edges, "diameter": q.diameter()}
+                for q in queries
+            ],
         )
+        oracles = [simulation(q, graph) for q in queries] if verify else None
         for alg_name, runner in algorithms.items():
-            pts: List[float] = []
-            dss: List[float] = []
-            msgs: List[int] = []
-            rounds: List[int] = []
+            runs = point.algorithms[alg_name] = []
             for qi, query in enumerate(queries):
-                results = [runner(query, fragmentation) for _ in range(max(1, repeats))]
-                result = results[0]
+                result = runner(query, fragmentation)
                 if verify and result.relation != oracles[qi]:
                     raise ReproError(
                         f"{alg_name} returned a wrong answer at {x_label}={x!r} (query {qi})"
                     )
-                pts.append(min(r.metrics.pt_seconds for r in results))
-                dss.append(result.metrics.ds_kb)
-                msgs.append(result.metrics.n_messages)
-                rounds.append(result.metrics.n_rounds)
-            point.pt_seconds[alg_name] = statistics.mean(pts)
-            point.ds_kb[alg_name] = statistics.mean(dss)
-            point.n_messages[alg_name] = round(statistics.mean(msgs))
-            point.n_rounds[alg_name] = round(statistics.mean(rounds))
+                m = result.metrics
+                runs.append(
+                    {
+                        "rounds": m.n_rounds,
+                        "messages": m.n_messages,
+                        "ds_bytes": m.ds_bytes,
+                        "ds_breakdown": dict(m.ds_breakdown),
+                        "pt_seconds": m.pt_seconds,
+                        "wall_seconds": m.wall_seconds,
+                    }
+                )
         series.points.append(point)
     return series
+
+
+def drift(committed: object, measured: object, path: str = "") -> List[str]:
+    """Where two JSON-shaped records disagree, INFORMATIONAL keys aside.
+
+    One line per differing leaf (or missing key / length mismatch), so an
+    empty list is equality on everything that is exactly reproducible.
+    """
+    if isinstance(committed, dict) and isinstance(measured, dict):
+        keys = sorted((committed.keys() | measured.keys()) - INFORMATIONAL, key=str)
+        return [
+            line
+            for key in keys
+            for line in drift(
+                committed.get(key, "<absent>"), measured.get(key, "<absent>"), f"{path}/{key}"
+            )
+        ]
+    if isinstance(committed, list) and isinstance(measured, list):
+        if len(committed) != len(measured):
+            return [f"{path}: committed {len(committed)} entries, measured {len(measured)}"]
+        return [
+            line
+            for i, pair in enumerate(zip(committed, measured))
+            for line in drift(*pair, f"{path}[{i}]")
+        ]
+    if committed != measured:
+        return [f"{path}: committed {repr_(committed)}, measured {repr_(measured)}"]
+    return []

@@ -128,7 +128,9 @@ def _grow_to_shape(
     # Trim surplus edges (removal only relaxes the query), protecting the
     # base cycle/spine and weak connectivity.
     protect = protect or set()
-    removable = [e for e in builder.edges if e not in protect]
+    # sorted first: ``builder.edges`` is a set whose order follows the string
+    # hash of the ``"dup"`` tag, and the shuffle must not
+    removable = sorted((e for e in builder.edges if e not in protect), key=repr)
     rng.shuffle(removable)
     for edge in removable:
         if builder.n_edges <= n_edges:

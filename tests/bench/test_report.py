@@ -1,75 +1,25 @@
-"""Tests for the report registry and remaining CLI paths."""
+"""How ``python -m repro.bench`` reads its arguments: ``--scale`` and ids."""
 
-import pytest
+import json
 
-from repro.bench.report import all_reports, clear_reports, record_report
-
-
-@pytest.fixture(autouse=True)
-def clean_registry():
-    clear_reports()
-    yield
-    clear_reports()
-
-
-class TestRegistry:
-    def test_record_and_snapshot(self):
-        record_report("demo", "line1\nline2")
-        assert all_reports() == {"demo": "line1\nline2"}
-
-    def test_snapshot_is_a_copy(self):
-        record_report("demo", "x")
-        snap = all_reports()
-        snap["demo"] = "mutated"
-        assert all_reports()["demo"] == "x"
-
-    def test_overwrite(self):
-        record_report("demo", "v1")
-        record_report("demo", "v2")
-        assert all_reports()["demo"] == "v2"
-
-    def test_persist_to_directory(self, tmp_path):
-        record_report("demo", "persisted", results_dir=tmp_path)
-        assert (tmp_path / "demo.txt").read_text() == "persisted\n"
-
-    def test_clear(self):
-        record_report("demo", "x")
-        clear_reports()
-        assert all_reports() == {}
+from repro.bench.cli import main
 
 
 class TestCliScale:
-    def test_scale_flag_applies(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        monkeypatch.setenv("REPRO_QUERY_SEEDS", "1")
-        from repro.bench import figures
-        from repro.bench.cli import main
+    def test_scale_flag_applies(self, capsys, tmp_path):
+        out = tmp_path / "record.json"
+        assert main(["--scale", "0.08", "table1", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["scale"] == 0.08
+        dgpm_row = record["experiments"]["table1"]["points"][0]
+        assert dgpm_row["instance"]["n_nodes"] == 640  # 8000 x 0.08: it reached the graphs
+        # a record is only reproduced at the scale it was made at
+        assert main(["--scale", "0.08", "table1", "--check", str(out)]) == 0
+        assert main(["--scale", "0.09", "table1", "--check", str(out)]) == 1
+        assert "/scale: committed 0.08, measured 0.09" in capsys.readouterr().out
 
-        try:
-            assert main(["--scale", "0.08", "--figure", "impossibility"]) == 0
-            import os
-
-            assert os.environ["REPRO_SCALE"] == "0.08"
-            out = capsys.readouterr().out
-            assert "family (1)" in out
-        finally:
-            figures.yahoo_graph.cache_clear()
-            figures.citation_graph.cache_clear()
-            figures.partitioned.cache_clear()
-
-    def test_figure_prefix_normalization(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.08")
-        monkeypatch.setenv("REPRO_QUERY_SEEDS", "1")
-        from repro.bench import figures
-        from repro.bench.cli import main
-
-        figures.yahoo_graph.cache_clear()
-        figures.citation_graph.cache_clear()
-        figures.partitioned.cache_clear()
-        try:
-            assert main(["--figure", "figtable1"]) == 0
-            assert "Table 1" in capsys.readouterr().out
-        finally:
-            figures.yahoo_graph.cache_clear()
-            figures.citation_graph.cache_clear()
-            figures.partitioned.cache_clear()
+    def test_figure_prefix_normalization(self, capsys):
+        assert main(["Fig6AB", "fignope"]) == 2  # ids are checked before anything runs
+        assert "['nope']" in capsys.readouterr().err
+        assert main(["figthm1-rounds"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["experiments"]) == ["thm1-rounds"]

@@ -1,5 +1,9 @@
 """Tests for the benchmark workload generators."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
@@ -81,3 +85,42 @@ class TestTreePattern:
         tree = random_tree(5, seed=3)
         with pytest.raises(WorkloadError):
             tree_pattern(tree, 50, seed=3, tries=10)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
+from repro.graph.generators import citation_dag, random_tree, web_graph
+
+web, citation = web_graph(1200, 6000, seed=2), citation_dag(1200, 3000, seed=2)
+patterns = [
+    cyclic_pattern(web, 8, 16, seed=1),          # duplicates and trims
+    cyclic_pattern(web, 5, 10, seed=4),
+    dag_pattern(citation, 2, 9, 13, seed=41),    # short spine: mostly duplicates
+    dag_pattern(citation, 6, 9, 13, seed=6),
+    tree_pattern(random_tree(300, seed=3), 4, seed=3),
+]
+shapes = [
+    ([(u, q.label(u)) for u in q.nodes()], list(q.edges())) for q in patterns
+]
+print(hashlib.sha256(repr(shapes).encode()).hexdigest())
+"""
+
+
+def test_patterns_do_not_depend_on_the_string_hash_seed():
+    """Duplicated query nodes are ``("dup", k)`` tuples, so any set of them
+    iterates in an order salted per process; the generated pattern -- node
+    order and edge order included -- must not follow it."""
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -96,6 +96,18 @@ def random_instance(seed: int, max_nodes: int = 25, labels: str = "ABC"):
     return graph, pattern
 
 
+def web_1k_query() -> Pattern:
+    """The 4-node cyclic pattern behind every protocol literal recorded on
+    ``web_graph(1000, 5000, seed=3)`` (``GOLDEN["web_1k", *]`` and 483 /
+    19,104 / 3).  It is what ``cyclic_pattern(graph, 4, 6, seed=1)`` returned
+    when those literals were recorded; spelled out so that a change to the
+    workload generator cannot move the instance under them."""
+    return Pattern(
+        {"q0": "dom2", "q1": "dom13", "q2": "dom1", "q3": "dom1"},
+        [("q0", "q1"), ("q0", "q2"), ("q1", "q2"), ("q2", "q0"), ("q2", "q3"), ("q3", "q2")],
+    )
+
+
 def cache_entry(result) -> CacheEntry:
     """A table entry around an opaque ``result`` (for cache unit tests)."""
     return CacheEntry(result=result, query=None, algorithm="", config=None)

@@ -34,6 +34,7 @@ from repro.runtime.messages import MessageKind
 from repro.runtime.network import Network
 from repro.session.cache import LabelInterner
 from repro.simulation import simulation
+from tests.conftest import web_1k_query
 
 np = pytest.importorskip("numpy")
 
@@ -424,7 +425,7 @@ def _golden_instance(name):
     if name == "figure2_8_open":
         return figure2(8, close_cycle=False)
     graph = web_graph(1000, 5000, seed=3)
-    return cyclic_pattern(graph, 4, 6, seed=1), graph, partition(graph, 16)
+    return web_1k_query(), graph, partition(graph, 16)
 
 
 @pytest.mark.parametrize("name, push", sorted(GOLDEN))

@@ -10,7 +10,6 @@ round count must equal the in-process engine's for *any* ``n_workers``.
 import pytest
 
 from repro import ConcurrentSessionServer, partition, web_graph
-from repro.bench.workloads import cyclic_pattern
 from repro.core import DgpmConfig, run_dgpm
 from repro.graph.examples import example8_graph, figure1, figure1_fragmentation
 from repro.graph.generators import random_labeled_graph
@@ -20,6 +19,7 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.messages import DATA_KINDS
 from repro.runtime.network import Network
 from repro.simulation import simulation
+from tests.conftest import web_1k_query
 
 
 def run_dgpm_one_site_per_worker(query, frag, config, transport="pipe"):
@@ -94,7 +94,7 @@ def reproduced():
     """ISSUE 17's instance: 16 fragments, push on (the default config), and
     a site that rewires a falsification to itself."""
     graph = web_graph(1000, 5000, seed=3)
-    return graph, cyclic_pattern(graph, 4, 6, seed=1)
+    return graph, web_1k_query()
 
 
 class TestPlacementIndependentAccounting:
