@@ -23,8 +23,8 @@ Two backends behind the same API:
   one shared result cache; compute stays GIL-bound.
 * ``backend="sharded"``: the paper's site model -- a pool of OS worker
   processes each owning only its ring-assigned fragments, this server as
-  coordinator; see ``benchmarks/bench_sharded.py`` for the per-worker
-  memory gate.
+  coordinator; ``server.shard_stats()`` reports what each worker holds
+  (``tests/session/test_sharding.py`` pins it per worker).
 
 Run:  python examples/concurrent_query_server.py
 """

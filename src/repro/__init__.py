@@ -46,9 +46,7 @@ Public surface
 * network serving: :mod:`repro.net` puts the concurrent server behind a
   TCP socket -- an asyncio ingress (:class:`~repro.net.server.
   NetworkSessionServer`) plus blocking and pipelining-asyncio clients
-  speaking a length-prefixed, versioned frame protocol; the same protocol
-  backs the TCP worker transport of :mod:`repro.runtime.transport`, so
-  shard workers can be remote processes;
+  speaking a length-prefixed, versioned frame protocol;
 * benchmarks: the paper's experiments (Figure 6, Table 1, Theorem 1) in
   :mod:`repro.bench`, run by ``python -m repro.bench`` and committed as
   ``BENCH_PAPER.json``.

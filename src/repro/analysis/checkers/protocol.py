@@ -16,14 +16,10 @@ demands, for every member:
   the safe codec's ``FRAME_STRUCTS`` dict: the codec is the only body
   encoding, so a frame class missing there cannot be sent at all.
 
-Two kinds have their arms elsewhere (:data:`ARM_OWNERS`).  ``RESULT_CHUNK``
-is produced and consumed by the framer itself -- ``Connection`` in the
-protocol module slices and reassembles -- so that module must reference it
-outside the decode table.  ``OBJ`` is the worker transport's: its body is
-opaque bytes (no ``FRAME_CLASSES`` entry, no codec registration) that only
-``runtime/transport.py`` pickles into and out of, so that module must
-reference it -- and the protocol module's ``CLIENT_PORT_KINDS`` accept set
-must leave it out, which is what keeps every pickle off the client port.
+One kind has its arms elsewhere (:data:`FRAMER_KINDS`): ``RESULT_CHUNK`` is
+produced and consumed by the framer itself -- ``Connection`` in the protocol
+module slices and reassembles -- so that module must reference it outside
+the decode table.
 """
 
 from __future__ import annotations
@@ -37,18 +33,11 @@ from repro.analysis.project import ParsedModule, Project, symbol_of
 PROTOCOL_MODULE = "net/protocol.py"
 SERVER_MODULE = "net/server.py"
 CLIENT_MODULE = "net/client.py"
-TRANSPORT_MODULE = "runtime/transport.py"
 CODEC_MODULE = "net/codec.py"
 
-#: kinds whose arms live outside server + client -> the module that owns them
-ARM_OWNERS: Dict[str, str] = {
-    "OBJ": TRANSPORT_MODULE,
-    "RESULT_CHUNK": PROTOCOL_MODULE,
-}
-#: kinds with an opaque body: no frame class, no codec registration, and
-#: never in the client port's accept set
-OPAQUE_KINDS: Tuple[str, ...] = ("OBJ",)
-ACCEPT_SET = "CLIENT_PORT_KINDS"
+#: kinds whose arms live in the protocol module (the framer) rather than in
+#: server + client
+FRAMER_KINDS: Tuple[str, ...] = ("RESULT_CHUNK",)
 RULE = "protocol-exhaustive"
 
 
@@ -56,8 +45,7 @@ class ProtocolExhaustivenessChecker:
     rule = RULE
     description = (
         "every FrameKind member has a FRAME_CLASSES entry, server and "
-        "client arms, and a codec registration (RESULT_CHUNK: the framer's; "
-        "OBJ: the worker transport's, opaque, outside CLIENT_PORT_KINDS)"
+        "client arms, and a codec registration (RESULT_CHUNK: the framer's)"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -76,25 +64,22 @@ class ProtocolExhaustivenessChecker:
         codec_structs = (
             None if codec is None else _dict_string_keys(codec, "FRAME_STRUCTS")
         )
-        accepted = _accept_set(protocol, [kind for kind, _ in kinds])
 
         for kind, node in kinds:
-            opaque = kind in OPAQUE_KINDS
             frame_cls = frame_classes.get(kind)
-            if frame_cls is None and not opaque:
+            if frame_cls is None:
                 yield _finding(
                     protocol, node, kind,
                     f"FrameKind.{kind} has no FRAME_CLASSES entry: the codec "
                     "cannot decode it",
                 )
-            owner = ARM_OWNERS.get(kind)
-            if owner is not None:
-                skip = table if owner == PROTOCOL_MODULE else None
-                if kind not in _arms(project.module(owner), frame_classes, skip):
+            if kind in FRAMER_KINDS:
+                if kind not in _arms(protocol, frame_classes, table):
                     yield _finding(
                         protocol, node, kind,
-                        f"FrameKind.{kind} has its arms in {owner} rather than "
-                        f"server + client, but {owner} never references it",
+                        f"FrameKind.{kind} has its arms in {PROTOCOL_MODULE} "
+                        "rather than server + client, but that module never "
+                        "references it outside FRAME_CLASSES",
                     )
             else:
                 for module, what in (
@@ -118,14 +103,6 @@ class ProtocolExhaustivenessChecker:
                     f"registered in {CODEC_MODULE}'s FRAME_STRUCTS: "
                     "no peer can encode it",
                 )
-            if opaque and (accepted is None or kind in accepted):
-                yield _finding(
-                    protocol, node, kind,
-                    f"FrameKind.{kind} has an opaque (pickled) body but "
-                    f"{ACCEPT_SET} in {PROTOCOL_MODULE} "
-                    + ("is missing or unreadable" if accepted is None else "lets it in")
-                    + ": the client port must refuse it on the header",
-                )
 
 
 MP_MODULE = "runtime/mp.py"
@@ -138,7 +115,7 @@ class ShardCommandChecker:
     """The sharded arm: every ``SHARD_COMMANDS`` entry is wired end to end.
 
     The shard worker protocol is stringly typed on purpose (commands ride
-    the pickle transport), so nothing at runtime ties the three sites
+    the worker's pipe as tuples), so nothing at runtime ties the three sites
     together: the ``SHARD_COMMANDS`` inventory in ``runtime/mp.py``, the
     ``_shard_worker`` dispatch arm matching each command, and the module
     that sends it (:data:`SENDER_MODULES`).  A command present in the
@@ -317,20 +294,3 @@ def _arms(
         if name in by_class:
             arms.add(by_class[name])
     return arms
-
-
-def _accept_set(module: ParsedModule, kinds: List[str]) -> Optional[Set[str]]:
-    """The members of ``CLIENT_PORT_KINDS``, read off the one shape it is
-    written in -- ``frozenset(FrameKind) - {FrameKind.X, ...}``, everything
-    but -- or None when the assignment is absent or shaped otherwise."""
-    everything = ast.dump(ast.parse("frozenset(FrameKind)", mode="eval").body)
-    node = _assignment(module, ACCEPT_SET)
-    value = None if node is None else node.value
-    if (
-        isinstance(value, ast.BinOp)
-        and isinstance(value.op, ast.Sub)
-        and isinstance(value.right, ast.Set)
-        and ast.dump(value.left) == everything
-    ):
-        return set(kinds) - _kinds_in(value.right)
-    return None

@@ -36,8 +36,8 @@ class WorkloadError(ReproError):
 class TransportError(ProtocolError):
     """A network transport failed (peer gone, connection closed mid-exchange).
 
-    Raised by the :mod:`repro.net` clients and the socket worker transport
-    when the byte stream ends or breaks; distinct from
+    Raised by the :mod:`repro.net` clients when the byte stream ends or
+    breaks (and by injected worker-link faults); distinct from
     :class:`WireFormatError`, which means the peer is alive but speaking
     garbage.
     """

@@ -11,7 +11,7 @@ one of :mod:`repro.errors`; any other server-side exception surfaces as a
 :class:`~repro.errors.TransportError` naming the original class and
 carrying its message.  Nothing a server sends is ever unpickled: both
 clients parse frames only through :class:`repro.net.protocol.Connection`,
-whose accept set excludes the worker link's ``OBJ`` kind.
+whose bodies are the safe codec's.
 
 The request-building surface lives once, in :class:`_ClientCore`; the two
 clients differ only in transport style:
@@ -46,9 +46,11 @@ import contextlib
 import socket
 import threading
 import time
+from collections import deque
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -71,11 +73,8 @@ from repro.graph.mutations import (
 )
 from repro.graph.pattern import Pattern
 from repro.net import protocol
-from repro.net.protocol import DEFAULT_MAX_FRAME, READ_SIZE, FrameKind
-from repro.runtime.transport import FrameSocket, RetryPolicy
-
-# Import from the concrete module (not the repro.session package): this
-# module loads while the package may still be mid-initialization.
+from repro.net.protocol import DEFAULT_MAX_FRAME, READ_SIZE, Event, FrameKind
+from repro.runtime.transport import RetryPolicy
 from repro.session.concurrent import StampedOutcome, StampedResult
 
 
@@ -94,6 +93,42 @@ def _stamped(reply: protocol.RunReply) -> StampedResult:
     return StampedResult(
         relation=reply.relation, metrics=reply.metrics, stamp=reply.stamp
     )
+
+
+class FrameSocket:
+    """The blocking driver of the wire: one socket, the
+    :class:`~repro.net.protocol.Connection` that frames it, and the frames
+    already read but not yet handed out.  The blocking client and its
+    subscriptions are this, plus policy."""
+
+    def __init__(self, sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.conn = protocol.Connection(max_frame)
+        self._events: Deque[Event] = deque()
+
+    def send(self, frame: object, seq: int = 0) -> None:
+        self.sock.sendall(self.conn.send(frame, seq))
+
+    def recv(self) -> Event:
+        """The next logical frame; :class:`EOFError` once the peer has closed."""
+        while not self._events:
+            self._events.extend(self.conn.receive(self.sock.recv(READ_SIZE)))
+        return self._events.popleft()
+
+    @property
+    def drained(self) -> bool:
+        """Nothing has been read past the frames :meth:`recv` handed out."""
+        return not self._events and not self.conn.buffered
+
+    def close(self) -> None:
+        # shutdown() wakes a recv() blocked on another thread; close() alone
+        # interrupts nothing.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
 
 
 def _dial(

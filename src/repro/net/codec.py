@@ -16,8 +16,7 @@ not ``__reduce__``, not ``__setstate__``.
 The registry is the source of truth for *what may cross the wire*:
 :data:`FRAME_STRUCTS` lists every protocol frame class (the
 ``protocol-exhaustive`` analyzer checker cross-references it against
-``FrameKind``; the one kind absent here is ``OBJ``, whose body is opaque
-bytes the worker transport owns), and :data:`VALUE_STRUCTS` the payload
+``FrameKind``), and :data:`VALUE_STRUCTS` the payload
 types those frames carry.  Encoding is deterministic: sets and frozensets
 are serialized in sorted-bytes order, so equal sets produce equal bytes
 (a ``dict`` is written in its insertion order: equal dicts built in
@@ -85,8 +84,7 @@ MAX_DEPTH = 64
 # ----------------------------------------------------------------------
 
 #: protocol frame classes (net/protocol.py) -> struct id.  Every FrameKind's
-#: body class must appear here (OBJ has none: its body is opaque bytes);
-#: the protocol-exhaustive checker enforces it.
+#: body class must appear here; the protocol-exhaustive checker enforces it.
 FRAME_STRUCTS: Dict[str, int] = {
     "Hello": 1,
     "RunRequest": 2,
@@ -165,10 +163,9 @@ def _extract_relation(obj: Any) -> Tuple[Any, ...]:
 def _ensure_registered() -> None:
     """Populate the registry on first use.
 
-    Imports live here, not at module top: the protocol module is imported by
-    the worker transport while heavier packages (session, simulation) may
-    still be mid-initialization, and bodies are only ever encoded once the
-    world is fully imported.
+    Imports live here, not at module top: :mod:`repro.net.protocol` imports
+    this module and this registry names its frame classes, and bodies are
+    only ever encoded once both are fully imported.
     """
     global _BY_ID, _BY_CLASS
     if _BY_ID:

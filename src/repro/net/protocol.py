@@ -1,8 +1,7 @@
 """The wire protocol: length-prefixed typed frames and the one framer.
 
 Every message on a repro socket -- client/server traffic through the asyncio
-ingress *and* parent/worker traffic through the TCP transport of
-:mod:`repro.runtime.transport` -- is one *frame*:
+ingress -- is one *frame*:
 
 .. code-block:: text
 
@@ -21,26 +20,21 @@ it), and ``length`` bounds the body.
 There is one body encoding: the tagged safe codec of
 :mod:`repro.net.codec`, a closed value vocabulary (primitives, containers,
 and the registered frame dataclasses) that never constructs arbitrary
-objects.  The one exception is :attr:`FrameKind.OBJ`, whose body is opaque
-bytes to this module: the worker transport pickles its command tuples into
-it and unpickles them out of it, and that -- ``SocketTransport.recv`` in
-:mod:`repro.runtime.transport`, reachable only after the listener's token
-check -- is the single ``pickle.loads`` in the wire path (the
-``pickle-confined`` analyzer rule holds the line).
+objects; nothing on the wire path pickles (the ``pickle-confined`` analyzer
+rule holds the line).
 
 :class:`Connection` is the one definition of "a message on a socket".  It is
 sans-IO: bytes in -> complete logical frames out (:meth:`Connection.receive`),
 typed frames in -> bytes out (:meth:`Connection.send`); no sockets, no
-asyncio, no threads.  The blocking client, the asyncio client, the ingress
-and the worker transport are four thin drivers over it.  Its contract:
+asyncio, no threads.  The blocking client, the asyncio client and the
+ingress are three thin drivers over it.  Its contract:
 
 * :meth:`~Connection.receive` raises only
   :class:`~repro.errors.WireFormatError` for anything a peer can put in the
-  bytes -- bad magic/version/kind/reserved bits, a kind outside the
-  connection's accept set (checked on the header, *before* the body is
-  touched: the client port accepts everything but ``OBJ``), an oversized
-  declared length, an undecodable or mistyped body, a ``RESULT_CHUNK`` slice
-  out of order -- plus :class:`EOFError` /
+  bytes -- bad magic/version/reserved bits, an unknown kind or an oversized
+  declared length (both checked on the header, *before* the body is
+  touched), an undecodable or mistyped body, a ``RESULT_CHUNK`` slice out of
+  order or nested in another -- plus :class:`EOFError` /
   :class:`~repro.errors.TransportError` when handed ``b""`` (the peer closed
   between frames / mid-frame).  After it raises, the stream cannot be
   resynchronized: drop the socket.  A call is all-or-nothing: frames the
@@ -59,7 +53,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import AbstractSet, Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.config import DgpmConfig
 from repro import errors
@@ -98,18 +92,11 @@ class FrameKind(enum.IntEnum):
     OUTCOMES = 7  # server -> client: stamped outcomes of a MUTATE
     STATS_REPLY = 8  # server -> client: the counters
     ERROR = 9  # server -> client: the request raised
-    OBJ = 10  # opaque bytes (the worker transport's pickled command tuples)
     SUBSCRIBE = 11  # client -> server: register a standing query
     UNSUBSCRIBE = 12  # client -> server: cancel a standing query
     PUSH = 13  # server -> client: stamped match delta for a subscription
     SUBSCRIBED = 14  # server -> client: subscription ack (initial snapshot)
     RESULT_CHUNK = 15  # server -> client: one slice of a chunked reply
-
-
-_ALL_KINDS = frozenset(FrameKind)
-#: what the client port (and a client reading its server) lets past the
-#: header: every typed frame, never the worker link's opaque ``OBJ``
-CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}
 
 
 def _require(field: str, value: Any, expected: type) -> None:
@@ -122,12 +109,12 @@ def _require(field: str, value: Any, expected: type) -> None:
 
 @dataclass(frozen=True)
 class Hello:
-    """Connection opener: who is speaking, and (for workers) their token.
+    """Connection opener: who is speaking.
 
-    On the client port it is an optional identity/liveness probe (the server
-    answers with its own ``Hello``); on a worker link it is the mandatory
-    first frame, carrying the spawn-time token the listener authenticates.
-    ``versions`` announces every protocol version the sender can speak.
+    An optional identity/liveness probe: the server answers with its own
+    ``Hello``.  ``versions`` announces every protocol version the sender can
+    speak; ``token`` is opaque bytes a peer may attach (the server does not
+    read it).
     """
 
     role: str
@@ -355,16 +342,15 @@ FRAME_CLASSES = {
     FrameKind.SUBSCRIBED: SubscribeReply,
     FrameKind.RESULT_CHUNK: ResultChunk,
 }
-#: what travels as what; ``bytes`` is an ``OBJ`` frame's opaque body
+#: what travels as what
 _KIND_OF = {cls: kind for kind, cls in FRAME_CLASSES.items()}
-_KIND_OF[bytes] = FrameKind.OBJ
 
 #: one received logical frame: ``(kind, seq, payload)``
 Event = Tuple[FrameKind, int, Any]
 
 
 def kind_of(frame: Any) -> FrameKind:
-    """The :class:`FrameKind` a typed frame (or an ``OBJ`` body) travels as."""
+    """The :class:`FrameKind` a typed frame travels as."""
     kind = _KIND_OF.get(type(frame))
     if kind is None:
         raise WireFormatError(f"{type(frame).__name__} is not a protocol frame type")
@@ -377,7 +363,7 @@ def kind_of(frame: Any) -> FrameKind:
 def encode(frame: Any, seq: int = 0, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """One wire-ready frame (kind inferred from the frame's type)."""
     kind = kind_of(frame)
-    body = frame if kind is FrameKind.OBJ else codec.encode(frame)
+    body = codec.encode(frame)
     if len(body) > max_frame:
         raise WireFormatError(
             f"refusing to send a {len(body)}-byte {kind.name} frame (max {max_frame})"
@@ -388,9 +374,7 @@ def encode(frame: Any, seq: int = 0, max_frame: int = DEFAULT_MAX_FRAME) -> byte
     )
 
 
-def _header_at(
-    data: Any, pos: int, max_frame: int, accept: AbstractSet[FrameKind]
-) -> Tuple[FrameKind, int, int]:
+def _header_at(data: Any, pos: int, max_frame: int) -> Tuple[FrameKind, int, int]:
     """Validate the 16-byte header at ``data[pos:]``: ``(kind, seq, length)``."""
     magic, version, kind, reserved, seq, length = _HEADER.unpack_from(data, pos)
     if magic != MAGIC:
@@ -403,8 +387,6 @@ def _header_at(
         kind = FrameKind(kind)
     except ValueError:
         raise WireFormatError(f"unknown frame kind {kind}") from None
-    if kind not in accept:
-        raise WireFormatError(f"{kind.name} frames are not accepted on this connection")
     if reserved != 0:
         raise WireFormatError(f"reserved header bits set ({reserved:#x})")
     if length > max_frame:
@@ -416,8 +398,6 @@ def _header_at(
 
 def _decode_body(kind: FrameKind, body: bytes) -> Any:
     """Decode a frame body and type-check it for ``kind``."""
-    if kind is FrameKind.OBJ:
-        return body
     try:
         payload = codec.decode(body)
     except WireFormatError as exc:
@@ -431,11 +411,7 @@ def _decode_body(kind: FrameKind, body: bytes) -> Any:
     return payload
 
 
-def decode(
-    data: bytes,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    accept: AbstractSet[FrameKind] = _ALL_KINDS,
-) -> Tuple[Any, int]:
+def decode(data: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> Tuple[Any, int]:
     """Decode exactly one whole frame from ``data``; returns ``(frame, seq)``.
 
     Trailing bytes beyond the declared length are rejected (stream framing
@@ -445,7 +421,7 @@ def decode(
         raise WireFormatError(
             f"truncated header: {len(data)} bytes (need {HEADER_SIZE})"
         )
-    kind, seq, length = _header_at(data, 0, max_frame, accept)
+    kind, seq, length = _header_at(data, 0, max_frame)
     have = len(data) - HEADER_SIZE
     if have < length:
         raise WireFormatError(f"truncated frame: {have} of {length} body bytes present")
@@ -460,18 +436,13 @@ def decode(
 class Connection:
     """Sans-IO state of one socket: see the module docstring for the contract.
 
-    ``accept`` is the set of kinds let past the header; ``chunk_size``, when
-    set, makes :meth:`send` slice any larger frame into ``RESULT_CHUNK``
-    frames (only the ingress sets it).
+    ``chunk_size``, when set, makes :meth:`send` slice any larger frame into
+    ``RESULT_CHUNK`` frames (only the ingress sets it).
     """
 
     def __init__(
-        self,
-        accept: AbstractSet[FrameKind] = CLIENT_PORT_KINDS,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        chunk_size: Optional[int] = None,
+        self, max_frame: int = DEFAULT_MAX_FRAME, chunk_size: Optional[int] = None
     ) -> None:
-        self._accept = accept
         self._max_frame = max_frame
         self._chunk_size = chunk_size
         self._seq = 0
@@ -493,8 +464,7 @@ class Connection:
         return self._seq
 
     def send(self, frame: Any, seq: int = 0) -> bytes:
-        """The bytes that carry ``frame`` (a typed frame, or ``bytes`` for an
-        ``OBJ`` body) under ``seq``."""
+        """The bytes that carry ``frame`` under ``seq``."""
         data = encode(frame, seq, self._max_frame)
         size = self._chunk_size
         if size is None or len(data) <= size:
@@ -532,7 +502,7 @@ class Connection:
         pos, size = 0, len(src)
         with memoryview(src) as view:
             while size - pos >= HEADER_SIZE:
-                kind, seq, length = _header_at(src, pos, self._max_frame, self._accept)
+                kind, seq, length = _header_at(src, pos, self._max_frame)
                 end = pos + HEADER_SIZE + length
                 if end > size:
                     break
@@ -571,9 +541,12 @@ class Connection:
             self._due = (seq, chunk.total, chunk.index + 1)
             return None
         data, self._chunks, self._due = bytes(self._chunks), bytearray(), None
-        inner, inner_seq = decode(
-            data, self._max_frame, self._accept - {FrameKind.RESULT_CHUNK}
-        )
+        if (
+            len(data) >= HEADER_SIZE
+            and _header_at(data, 0, self._max_frame)[0] is FrameKind.RESULT_CHUNK
+        ):
+            raise WireFormatError("a RESULT_CHUNK frame nested inside a chunked reply")
+        inner, inner_seq = decode(data, self._max_frame)
         if inner_seq != seq:
             raise WireFormatError(
                 f"chunked reply reassembled with seq {inner_seq} "

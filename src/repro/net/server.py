@@ -23,13 +23,13 @@ Concurrency model
 * Per-request failures travel back as ``ERROR`` frames carrying the
   exception's class name and message as codec values; the connection stays
   usable.  Only a framing violation (bad magic, a version other than 2, an
-  ``OBJ`` header, oversized length...) earns one ``ERROR`` and a hang-up,
+  unknown kind, oversized length...) earns one ``ERROR`` and a hang-up,
   because byte-stream framing cannot be resynchronized; requests from
   earlier reads are still answered before the hang-up, requests that
   arrived in the same read as the violation are not served.
 * Bytes become frames in one place, the connection's
-  :class:`~repro.net.protocol.Connection`; its accept set excludes ``OBJ``
-  on the header, so nothing arriving on this port is ever unpickled.
+  :class:`~repro.net.protocol.Connection`; every body is the safe codec's,
+  so nothing arriving on this port is ever unpickled.
 
 Standing queries
 ----------------

@@ -17,51 +17,25 @@ evaluation; for any number of workers the run reproduces the simulator's
 relation, message count, DS bytes and round count exactly, which is how
 tests confirm those numbers are not artifacts of in-process execution.
 
-Workers talk to the parent through a pluggable
-:class:`~repro.runtime.transport.Transport`: ``transport="pipe"`` is the
-same-host ``multiprocessing.Pipe`` channel, ``transport="tcp"`` has each
-worker dial the parent's socket listener and receive its whole initial
-state (its shard and the pre-built dependency graphs -- shipped once,
-exactly like the pipe path) over the wire, so workers can in principle run
-on other machines.  Both transports share dead-peer semantics: a vanished
-worker surfaces as :class:`~repro.errors.ProtocolError` instead of a hang.
+A worker talks to the parent over the ``multiprocessing.Pipe`` it was
+spawned with and receives its whole initial state (its shard and the
+pre-built dependency graphs) through the spawn arguments.  The link is
+reliable and ordered, and the parent closes its copy of the child end at
+spawn time, so a vanished worker surfaces as ``EOFError`` / ``OSError`` --
+:class:`~repro.errors.ProtocolError` to callers -- instead of a hang.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from typing import Dict, List, Optional, Tuple
+from multiprocessing.connection import Connection
+from typing import List, Optional, Tuple
 
 from repro.core.depgraph import DependencyGraphs
-from repro.errors import ProtocolError, ReproError, TransportError
+from repro.errors import ProtocolError
 from repro.partition.fragmentation import Fragmentation
 from repro.runtime.engine import LocalHost
-from repro.runtime.transport import (
-    TRANSPORTS,
-    PipeTransport,
-    SocketListener,
-    Transport,
-    open_worker_transport,
-)
-
-
-def _worker_init(transport: Transport, init):
-    """The worker's startup payload: from spawn args, or over the wire.
-
-    Pipe workers get their state through the spawn arguments (free under
-    ``fork``); TCP workers are spawned with ``init=None`` and receive an
-    ``("init", payload)`` message as the first object on their socket --
-    the same state, shipped once, but over a channel that could cross
-    machines.
-    """
-    if init is not None:
-        return init
-    command, payload = transport.recv()
-    if command != "init":
-        raise ProtocolError(f"worker expected init, got {command!r}")
-    return payload
-
 
 #: the sharded worker's full command inventory; the protocol-exhaustive
 #: checker verifies every entry has a dispatch arm in ``_shard_worker`` and
@@ -102,7 +76,7 @@ def _active(host: Optional[LocalHost], command: str) -> LocalHost:
     return host
 
 
-def _shard_worker(channel, init=None) -> None:
+def _shard_worker(transport: Connection, init: tuple) -> None:
     """Worker-process loop: own a *subset* of fragments, not a replica.
 
     This is the site model of the paper's Section 2.2 made literal: the
@@ -137,8 +111,7 @@ def _shard_worker(channel, init=None) -> None:
     from repro.core.protocol import local_host  # import cycle guard
     from repro.session.drivers import DRIVERS
 
-    transport = open_worker_transport(channel)
-    shard, deps = _worker_init(transport, init)
+    shard, deps = init
     host: Optional[LocalHost] = None
 
     while True:
@@ -214,78 +187,29 @@ def _shard_worker(channel, init=None) -> None:
             transport.send(("err", ProtocolError(f"shard reply failed to pickle: {exc}")))
 
 
-def _check_transport(transport: str) -> None:
-    if transport not in TRANSPORTS:
-        raise ReproError(
-            f"unknown transport {transport!r} (known: {', '.join(TRANSPORTS)})"
-        )
+def _spawn(target, inits: List[tuple]) -> List[Tuple[mp.Process, Connection]]:
+    """Spawn one ``target(child_end, init)`` worker per init payload; returns
+    ``[(process, parent_end), ...]`` in init order.
 
-
-def _spawn_over_transport(
-    target,
-    inits: List[tuple],
-    transport: str,
-    ctx=None,
-    handshake_timeout: float = 30.0,
-) -> List[Tuple[mp.Process, Transport]]:
-    """Spawn one ``target`` worker per init payload; returns their links,
-    in init order.
-
-    Pipe workers receive their init through spawn args; TCP workers dial a
-    short-lived listener (token-authenticated, so slots cannot be confused
-    or hijacked) and receive ``("init", init)`` over the socket.  On any
-    spawn/handshake failure every already-started worker is terminated
+    On any failure mid-batch every already-started worker is terminated
     (and its link closed) before the error propagates -- no orphan
     processes blocked on ``recv()`` forever.
     """
-    ctx = ctx or mp.get_context()
-    pairs: List[Tuple[mp.Process, Transport]] = []
-    procs: List[mp.Process] = []
-    links: Dict[int, Transport] = {}
+    pairs: List[Tuple[mp.Process, Connection]] = []
     try:
-        if transport == "pipe":
-            for init in inits:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=target, args=(("pipe", child_conn), init), daemon=True
-                )
-                proc.start()
-                procs.append(proc)
-                link = PipeTransport(parent_conn)
-                links[len(links)] = link
-                # Close the parent's copy of the child end: if the worker
-                # dies, the pipe hits EOF and recv raises instead of
-                # blocking forever.
-                child_conn.close()
-                pairs.append((proc, link))
-            return pairs
-
-        with SocketListener() as listener:
-            host, port = listener.address
-            tokens: List[Tuple[bytes, int]] = []
-            for i, _ in enumerate(inits):
-                token = SocketListener.fresh_token()
-                proc = ctx.Process(
-                    target=target, args=(("tcp", (host, port, token)), None), daemon=True
-                )
-                proc.start()
-                procs.append(proc)
-                tokens.append((token, i))
-            links = listener.accept_workers(tokens, timeout=handshake_timeout)
-        for i, init in enumerate(inits):
-            links[i].send(("init", init))
-            pairs.append((procs[i], links[i]))
+        for init in inits:
+            parent_conn, child_conn = mp.Pipe()
+            proc = mp.Process(target=target, args=(child_conn, init), daemon=True)
+            proc.start()
+            pairs.append((proc, parent_conn))
+            # Close the parent's copy of the child end: if the worker
+            # dies, the pipe hits EOF and recv raises instead of
+            # blocking forever.
+            child_conn.close()
         return pairs
     except BaseException:
-        # Any spawn/handshake/init failure (a failed Pipe()/fork mid-batch,
-        # accept timeout, a dead dial, an init payload that will not
-        # frame...) tears down everything already started, then re-raises.
-        for link in links.values():
-            try:
-                link.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-        for proc in procs:
+        for proc, link in pairs:
+            link.close()
             if proc.is_alive():
                 proc.terminate()
         raise
@@ -295,9 +219,7 @@ def spawn_shard_workers(
     fragmentation: Fragmentation,
     deps: DependencyGraphs,
     shard_fids: List[Tuple[int, ...]],
-    transport: str = "pipe",
-    mp_context: Optional[str] = None,
-) -> List[Tuple[mp.Process, Transport]]:
+) -> List[Tuple[mp.Process, Connection]]:
     """Spawn one shard worker per entry of ``shard_fids``.
 
     Worker ``i`` receives ``fragmentation.extract_shard(shard_fids[i])``
@@ -306,51 +228,39 @@ def spawn_shard_workers(
     ``[(process, link), ...]`` in ``shard_fids`` order; the caller owns
     shutdown.
     """
-    _check_transport(transport)
-    ctx = mp.get_context(mp_context) if mp_context else None
-    inits = [
-        (fragmentation.extract_shard(fids), deps) for fids in shard_fids
-    ]
-    return _spawn_over_transport(_shard_worker, inits, transport, ctx=ctx)
+    return _spawn(
+        _shard_worker,
+        [(fragmentation.extract_shard(fids), deps) for fids in shard_fids],
+    )
 
 
 def respawn_worker(
     target,
     init: tuple,
-    transport: str,
     policy,
     probe: Optional[tuple] = ("stats", None),
-    mp_context: Optional[str] = None,
-    handshake_timeout: float = 30.0,
-) -> Tuple[mp.Process, Transport]:
+) -> Tuple[mp.Process, Connection]:
     """Spawn one worker with bounded retry + backoff (a ``RetryPolicy``).
 
-    The reconnect semantics are transport-independent: each attempt is a
-    full fresh spawn -- the TCP path mints a *new* token per attempt (the
-    respawned worker re-authenticates; the dead worker's token is gone with
-    its listener), the pipe path a new pipe pair -- followed by an optional
-    ``probe`` round-trip that proves the worker is actually serving (a
-    dead-on-arrival pipe worker only surfaces at first ``recv``).  On
-    failure the partial spawn is torn down, the policy's backoff is slept,
-    and the next attempt starts clean; exhaustion raises
+    Each attempt is a full fresh spawn over a new pipe pair, followed by an
+    optional ``probe`` round-trip that proves the worker is actually serving
+    (a dead-on-arrival worker only surfaces at first ``recv``).  On failure
+    the partial spawn is torn down, the policy's backoff is slept, and the
+    next attempt starts clean; exhaustion raises
     :class:`~repro.errors.ProtocolError` chaining the last cause.
     """
-    _check_transport(transport)
-    ctx = mp.get_context(mp_context) if mp_context else None
     last: Optional[BaseException] = None
     for delay in policy.delays():
         proc = link = None
         try:
-            [(proc, link)] = _spawn_over_transport(
-                target, [init], transport, ctx=ctx, handshake_timeout=handshake_timeout
-            )
+            [(proc, link)] = _spawn(target, [init])
             if probe is not None:
                 link.send(probe)
                 status, value = link.recv()
                 if status != "ok":
                     raise ProtocolError(f"respawn probe failed: {value!r}")
             return proc, link
-        except (EOFError, OSError, TransportError, ProtocolError) as exc:
+        except (EOFError, OSError, ProtocolError) as exc:
             last = exc
             if link is not None:
                 try:

@@ -94,7 +94,7 @@ from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
 from repro.runtime.metrics import RunMetrics, RunResult
-from repro.runtime.transport import TRANSPORTS, FaultPlan, RetryPolicy
+from repro.runtime.transport import FaultPlan, RetryPolicy
 from repro.session.session import MutationOutcome, SimulationSession
 from repro.session.sharding import HashRing
 from repro.simulation.matchrel import MatchRelation
@@ -236,7 +236,7 @@ class _Subscription:
 
 
 class _ShardHandle:
-    """One shard worker: its process, transport, dispatch lock and ring slot.
+    """One shard worker: its process, link, dispatch lock and ring slot.
 
     To the superstep engine (:mod:`repro.runtime.engine`) this is the remote
     host: :meth:`post` and :meth:`collect` carry its ``q.*`` commands.
@@ -246,19 +246,19 @@ class _ShardHandle:
 
     def __init__(self, process, link, slot) -> None:
         self.process = process
-        self.link = link  # a repro.runtime.transport.Transport
+        self.link = link  # the parent end of the worker's pipe (or a FaultyTransport)
         self.lock = threading.Lock()
         self.slot = slot
         self.dead = False  # set on link failure; the heal pass respawns it
         self.owed = False  # posted to, reply not collected yet
 
     def _link_error(self, command: str, exc: BaseException) -> ProtocolError:
-        """The uniform dead-worker error for every transport operation.
+        """The uniform dead-worker error for every link operation.
 
-        Both transports surface a worker that died (OOM-kill, segfault,
-        remote host gone) as ``EOFError`` / ``OSError`` / ``TransportError``
-        here instead of blocking forever: the pipe's child end is closed in
-        the parent at spawn time, and the socket hits EOF.
+        A worker that died (OOM-kill, segfault) surfaces as ``EOFError`` /
+        ``OSError`` here (``TransportError`` from an injected fault) instead
+        of blocking forever: the pipe's child end is closed in the parent at
+        spawn time, so the pipe hits EOF.
         """
         return ProtocolError(
             f"worker process (pid {self.process.pid}) died mid-"
@@ -331,13 +331,6 @@ class ConcurrentSessionServer:
     config:
         Default config for a session built from a fragmentation (rejected
         together with an existing session -- that session already has one).
-    transport:
-        Channel between this front-end and its shard workers (sharded
-        backend only): ``"pipe"`` (same-host ``multiprocessing.Pipe``, the
-        default) or ``"tcp"`` (workers dial back over a token-authenticated
-        localhost socket and are initialized over the wire -- the topology
-        that generalizes to remote workers).  Both speak the same command
-        protocol and share dead-peer semantics.
     session_kwargs:
         Extra :class:`SimulationSession` keyword arguments for a session
         built from a fragmentation (``cache_size``, ``max_warm_states``, ...).
@@ -349,35 +342,18 @@ class ConcurrentSessionServer:
         backend: str = "thread",
         n_workers: int = 4,
         config: Optional[DgpmConfig] = None,
-        transport: str = "pipe",
         fault_plan: Optional[FaultPlan] = None,
         respawn: Optional[RetryPolicy] = None,
-        mp_context: Optional[str] = None,
         **session_kwargs,
     ) -> None:
         if backend not in ("thread", "sharded"):
             raise ReproError(
                 f"unknown backend {backend!r} (known: thread, sharded)"
             )
-        if transport not in TRANSPORTS:
-            raise ReproError(
-                f"unknown transport {transport!r} "
-                f"(known: {', '.join(TRANSPORTS)})"
-            )
-        if transport != "pipe" and backend == "thread":
-            raise ReproError(
-                "transport= selects the worker channel; it requires "
-                "backend='sharded'"
-            )
         if fault_plan is not None and backend != "sharded":
             raise ReproError(
                 "fault_plan= injects faults on shard worker links; it "
                 "requires backend='sharded'"
-            )
-        if mp_context is not None and backend == "thread":
-            raise ReproError(
-                "mp_context= picks the worker start method; it requires "
-                "backend='sharded'"
             )
         if n_workers < 1:
             raise ReproError("n_workers must be >= 1")
@@ -402,9 +378,7 @@ class ConcurrentSessionServer:
                 "compiled cache is built per full fragmentation"
             )
         self.backend = backend
-        self.transport = transport
         self.n_workers = n_workers
-        self.mp_context = mp_context
         self._rw = _ReadWriteLock()
         self._stamp = 0
         self._closed = False
@@ -440,8 +414,9 @@ class ConcurrentSessionServer:
 
         Each worker ships out with only its owned fragments (plus the
         shared watcher tables) -- never the base graph -- so per-worker
-        memory scales with ``|F|/n``; ``benchmarks/bench_sharded.py`` gates
-        this against one worker owning every fragment.
+        memory scales with ``|F|/n`` (held as exact ``resident_size`` counts
+        by ``tests/session/test_sharding.py``; measured as
+        ``runtime.worker_rss_mb_max`` by the serving benchmark).
         """
         from repro.runtime.mp import spawn_shard_workers
 
@@ -456,8 +431,6 @@ class ConcurrentSessionServer:
             fragmentation,
             self._session.deps,
             [ring.fragments_of(slot) for slot in slots],
-            transport=self.transport,
-            mp_context=self.mp_context,
         )
         handles: List[_ShardHandle] = []
         for slot, (proc, link) in zip(slots, pairs):
@@ -675,9 +648,12 @@ class ConcurrentSessionServer:
         except BaseException:
             self._abort_outstanding(handles.values())
             raise
-        # The parent session never ran this query, so attribute its traffic
-        # here -- the sharded backend is the headline consumer of the
+        # The parent session never ran this query, so count it and attribute
+        # its traffic here: every run on this path executes the protocol (a
+        # miss), and the sharded backend is the headline consumer of the
         # per-fragment window (rebalance() migrates by it).
+        session.stats.bump("queries_served")
+        session.stats.bump("cache_misses")
         session.stats.bump_fragment(
             "fragment_queries", session._touched_fids(result.relation)
         )
@@ -726,11 +702,7 @@ class ConcurrentSessionServer:
                 )
                 try:
                     proc, link = respawn_worker(
-                        _shard_worker,
-                        init,
-                        self.transport,
-                        self._respawn_policy,
-                        mp_context=self.mp_context,
+                        _shard_worker, init, self._respawn_policy
                     )
                 except ProtocolError:
                     self._evict_slot_locked(handle)
@@ -1234,8 +1206,7 @@ class ConcurrentSessionServer:
             raise ReproError("the server is closed")
 
     def __repr__(self) -> str:
-        via = f", transport={self.transport!r}" if self.backend != "thread" else ""
         return (
-            f"ConcurrentSessionServer(backend={self.backend!r}{via}, "
+            f"ConcurrentSessionServer(backend={self.backend!r}, "
             f"n_workers={self.n_workers}, stamp={self._stamp})"
         )

@@ -231,25 +231,21 @@ class TestProtocolExhaustiveness:
         "class FrameKind(enum.IntEnum):\n"
         "    HELLO = 1\n"
         "    RUN = 2\n"
-        "    OBJ = 3\n"
         "class Hello:\n    pass\n"
         "class RunRequest:\n    pass\n"
         "FRAME_CLASSES = {\n"
         "    FrameKind.HELLO: Hello,\n"
         "    FrameKind.RUN: RunRequest,\n"
         "}\n"
-        "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}\n"
     )
     SERVER = "def dispatch(kind):\n    return kind in (FrameKind.HELLO, FrameKind.RUN)\n"
     CLIENT = "def send():\n    return (FrameKind.HELLO, FrameKind.RUN)\n"
-    TRANSPORT = "def ship():\n    return FrameKind.OBJ\n"
 
     def _full_tree(self):
         return {
             "net/protocol.py": self.PROTOCOL,
             "net/server.py": self.SERVER,
             "net/client.py": self.CLIENT,
-            "runtime/transport.py": self.TRANSPORT,
         }
 
     def test_complete_protocol_clean(self):
@@ -275,12 +271,6 @@ class TestProtocolExhaustiveness:
         findings = check(ProtocolExhaustivenessChecker(), tree)
         assert any("client" in f.message and f.detail == "RUN" for f in findings)
 
-    def test_exempt_kind_must_be_used_by_its_owner(self):
-        tree = self._full_tree()
-        tree["runtime/transport.py"] = "def ship():\n    return None\n"
-        findings = check(ProtocolExhaustivenessChecker(), tree)
-        assert [f.detail for f in findings] == ["OBJ"]
-
     def test_absent_protocol_module_is_not_checked(self):
         assert check(ProtocolExhaustivenessChecker(), {"other.py": "x = 1\n"}) == []
 
@@ -303,16 +293,6 @@ class TestProtocolExhaustiveness:
         assert [f.detail for f in findings] == ["RUN"]
         assert "FRAME_STRUCTS" in findings[0].message
 
-    def test_exempt_kind_needs_no_codec_registration(self):
-        # OBJ's body is opaque bytes: its absence from the codec registry
-        # is the design, not a finding.
-        tree = self._full_tree()
-        tree["net/codec.py"] = self.CODEC
-        assert all(
-            f.detail != "OBJ"
-            for f in check(ProtocolExhaustivenessChecker(), tree)
-        )
-
     def test_tree_without_codec_skips_the_split_check(self):
         # Fixtures without net/codec.py skip the registry check; the
         # decode-table and arm checks are still enforced.
@@ -328,24 +308,10 @@ class TestProtocolExhaustiveness:
         )
         assert check(ProtocolExhaustivenessChecker(), tree) == []
 
-    def test_opaque_kind_must_stay_out_of_the_client_port_accept_set(self):
-        tree = self._full_tree()
-        for accept in (
-            "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.RUN}\n",
-            "CLIENT_PORT_KINDS = frozenset(FrameKind)\n",  # unreadable shape
-            "",  # no accept set at all
-        ):
-            tree["net/protocol.py"] = self.PROTOCOL.replace(
-                "CLIENT_PORT_KINDS = frozenset(FrameKind) - {FrameKind.OBJ}\n", accept
-            )
-            findings = check(ProtocolExhaustivenessChecker(), tree)
-            assert [f.detail for f in findings] == ["OBJ"], accept
-            assert "CLIENT_PORT_KINDS" in findings[0].message
-
     def test_framer_owned_kind_needs_a_use_outside_the_decode_table(self):
         tree = self._full_tree()
         tree["net/protocol.py"] = (
-            self.PROTOCOL.replace("    OBJ = 3\n", "    OBJ = 3\n    RESULT_CHUNK = 4\n")
+            self.PROTOCOL.replace("    RUN = 2\n", "    RUN = 2\n    RESULT_CHUNK = 4\n")
             .replace("class Hello:", "class ResultChunk:\n    pass\nclass Hello:")
             .replace(
                 "    FrameKind.RUN: RunRequest,\n",
@@ -362,43 +328,32 @@ class TestProtocolExhaustiveness:
 
 
 class TestPickleConfined:
-    TRANSPORT = (
-        "import pickle\n"
-        "class SocketTransport:\n"
-        "    def send(self, obj):\n"
-        "        return pickle.dumps(obj)\n"
-        "    def recv(self):\n"
-        "        return pickle.loads(self.body)\n"
-    )
-
     def test_confined_tree_clean(self):
         tree = {
             "net/protocol.py": "import struct\n# pickle is only a word here\n",
-            "runtime/transport.py": self.TRANSPORT,
-            "bench/report.py": "import pickle\n",  # not the wire path
+            "runtime/mp.py": 'import multiprocessing\nNOTE = "fails to pickle"\n',
         }
         assert check(PickleConfinedChecker(), tree) == []
 
+    FORMS = (
+        "import pickle\n",
+        "import pickle as p\n",
+        "from pickle import loads\n",
+        "def decode(body):\n    import marshal\n    return marshal.loads(body)\n",
+        "import shelve\n",
+    )
+
     def test_protocol_reimporting_pickle_is_flagged(self):
-        for src in (
-            "import pickle\n",
-            "import pickle as p\n",
-            "from pickle import loads\n",
-            "def decode(body):\n    import marshal\n    return marshal.loads(body)\n",
-            "import shelve\n",
-        ):
+        for src in self.FORMS:
             findings = check(PickleConfinedChecker(), {"net/protocol.py": src})
             assert [f.rule for f in findings] == ["pickle-confined"], src
 
-    def test_load_outside_recv_is_flagged(self):
-        tree = {
-            "runtime/transport.py": self.TRANSPORT
-            + "def accept_worker(sock):\n    return pickle.loads(sock.recv(64))\n"
-        }
-        findings = check(PickleConfinedChecker(), tree)
-        assert [(f.symbol, f.detail) for f in findings] == [
-            ("accept_worker", "pickle.loads")
-        ]
+    def test_worker_link_importing_pickle_is_flagged(self):
+        """No allow-listed module, no allow-listed load site: the worker
+        link's own module is held to the rule the client port is."""
+        for src in self.FORMS:
+            findings = check(PickleConfinedChecker(), {"runtime/transport.py": src})
+            assert [f.rule for f in findings] == ["pickle-confined"], src
 
     def test_imported_loader_is_flagged(self):
         tree = {"runtime/transport.py": "from pickle import dumps, loads\n"}

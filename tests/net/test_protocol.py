@@ -198,15 +198,6 @@ class TestRoundTrip:
         assert codec.encode(frame) == body  # and again, from the relation's cells
 
     @settings(max_examples=50, deadline=None)
-    @given(payload=st.binary(max_size=64), seq=SEQS)
-    def test_obj_frames_round_trip(self, payload, seq):
-        """The worker transport's OBJ frames: an opaque body, bytes in and
-        bytes out -- this module never looks inside."""
-        decoded, decoded_seq = decode(encode(payload, seq=seq))
-        assert decoded == payload
-        assert decoded_seq == seq
-
-    @settings(max_examples=50, deadline=None)
     @given(error=ERRORS)
     def test_error_reply_reraises_original_type(self, error):
         reply = protocol.ErrorReply.from_exception(error)
@@ -319,7 +310,7 @@ def _valid_frame(seq: int = 7) -> bytes:
     return encode(protocol.Hello(role="client"), seq=seq)
 
 
-def _frame(kind: FrameKind, body: bytes, seq: int = 1, version: int = PROTOCOL_VERSION) -> bytes:
+def _frame(kind: int, body: bytes, seq: int = 1, version: int = PROTOCOL_VERSION) -> bytes:
     """A hand-rolled frame: any header around any body."""
     return struct.pack(">4sBBHII", MAGIC, version, int(kind), 0, seq, len(body)) + body
 
@@ -376,7 +367,7 @@ class TestRejection:
 
     def test_encode_refuses_oversized_payload(self):
         with pytest.raises(WireFormatError, match="refusing to send"):
-            encode(b"x" * 1024, max_frame=64)
+            encode(protocol.ResultChunk(0, 1, b"x" * 1024), max_frame=64)
 
     def test_garbage_body(self):
         with pytest.raises(WireFormatError, match="undecodable"):
@@ -539,11 +530,22 @@ class TestConnection:
             peak = peak_traced(lambda: Connection(max_frame=1 << 16).receive, data)
             assert peak <= 16 * 1024 + 32 * len(data)
 
-    def test_accept_set_is_checked_before_the_body(self):
-        """An OBJ header is refused on the client port whatever follows it."""
-        conn = Connection()
-        with pytest.raises(WireFormatError, match="OBJ frames are not accepted"):
-            conn.receive(_frame(FrameKind.OBJ, b"")[:HEADER_SIZE])
+    @pytest.mark.parametrize(
+        "header, complaint",
+        [
+            (_frame(10, b"")[:HEADER_SIZE], "unknown frame kind 10"),  # the retired OBJ
+            (_frame(200, b"")[:HEADER_SIZE], "unknown frame kind 200"),
+            (
+                struct.pack(">4sBBHII", MAGIC, PROTOCOL_VERSION, FrameKind.RUN, 0, 1, 1 << 30),
+                "oversized frame",
+            ),
+        ],
+        ids=["kind-10", "unknown-kind", "oversized-length"],
+    )
+    def test_header_is_refused_before_the_body(self, header, complaint):
+        """Sixteen bytes are enough: nothing of the body has arrived yet."""
+        with pytest.raises(WireFormatError, match=complaint):
+            Connection().receive(header)
 
     def test_version_1_header_is_refused(self):
         with pytest.raises(WireFormatError, match="protocol version 1"):
@@ -584,6 +586,14 @@ class TestConnection:
         conn.receive(encode(protocol.ResultChunk(0, 2, b"x"), seq=5))
         with pytest.raises(WireFormatError, match="interleaved"):
             conn.receive(encode(protocol.PushDelta(sub_id=1, stamp=1), seq=9))
+
+    def test_a_chunk_nested_in_a_chunked_reply_is_refused_on_its_header(self):
+        """The reassembled frame's kind is checked before its body: the inner
+        body here is not even codec bytes."""
+        inner = _frame(FrameKind.RESULT_CHUNK, b"\xff not a codec value", seq=5)
+        conn = Connection()
+        with pytest.raises(WireFormatError, match="nested inside a chunked reply"):
+            conn.receive(encode(protocol.ResultChunk(0, 1, inner), seq=5))
 
     def test_chunk_reassembly_is_bounded_whatever_total_says(self):
         """A peer declaring 2**40 slices buys no more than one frame's worth."""

@@ -41,6 +41,8 @@ from repro.net.server import NetworkSessionServer
 from tests.net.test_protocol import _frame, _struct
 
 JOIN_TIMEOUT = 60.0
+#: the retired ``OBJ`` kind (opaque pickled bodies): now simply unknown
+RETIRED_OBJ_KIND = 10
 
 
 @pytest.fixture()
@@ -180,7 +182,7 @@ class TestNoPickleOnTheClientPort:
 
     @pytest.mark.parametrize(
         "kind, version",
-        [(FrameKind.OBJ, 2), (FrameKind.RUN, 1)],
+        [(RETIRED_OBJ_KIND, 2), (FrameKind.RUN, 1)],
         ids=["v2-obj-frame", "v1-run-frame"],
     )
     def test_pickle_frame_earns_one_error_and_a_hang_up(
@@ -205,7 +207,7 @@ class TestNoPickleOnTheClientPort:
         _graph, _frag, queries = instance
         bomb, sentinel = pickle_bomb
         if answer == "obj-frame":
-            reply = _frame(FrameKind.OBJ, bomb)
+            reply = _frame(RETIRED_OBJ_KIND, bomb)
         else:  # ErrorReply as it was: (message, kind, payload=<pickle>)
             old_struct = _struct("ErrorReply", "boom", "GraphError", bomb)
             reply = _frame(FrameKind.ERROR, old_struct)
@@ -536,14 +538,12 @@ class TestIngressLifecycle:
                 NetworkSessionServer(server, n_workers=8)
 
 
-class TestFullStackOverTcpWorkers:
-    def test_network_ingress_over_tcp_sharded_backend(self, instance):
+class TestFullStackOverShardWorkers:
+    def test_network_ingress_over_sharded_backend(self, instance):
         """The whole story at once: TCP clients -> asyncio ingress ->
-        sharded backend whose shard workers are themselves TCP."""
+        sharded backend -> shard worker processes."""
         graph, frag, queries = instance
-        with serve_in_thread(
-            frag, backend="sharded", n_workers=2, transport="tcp"
-        ) as srv:
+        with serve_in_thread(frag, backend="sharded", n_workers=2) as srv:
             with SessionClient(*srv.address, timeout=120.0) as client:
                 for q in queries:
                     result = client.run(q, algorithm="dgpm")

@@ -22,14 +22,10 @@ from repro.simulation import simulation
 from tests.conftest import web_1k_query
 
 
-def run_dgpm_one_site_per_worker(query, frag, config, transport="pipe"):
+def run_dgpm_one_site_per_worker(query, frag, config):
     """dGPM over ``|F|`` shard workers, each owning exactly one fragment."""
     with ConcurrentSessionServer(
-        frag,
-        backend="sharded",
-        n_workers=frag.n_fragments,
-        config=config,
-        transport=transport,
+        frag, backend="sharded", n_workers=frag.n_fragments, config=config
     ) as server:
         assert set(server.ring.loads().values()) == {1}
         return server.run(query, algorithm="dgpm")
@@ -104,19 +100,16 @@ class TestPlacementIndependentAccounting:
     metered, and in-process counted a site's notes to itself."""
 
     @pytest.mark.parametrize(
-        "n_workers, transport", [(1, "pipe"), (2, "pipe"), (16, "pipe"), (2, "tcp")]
+        "n_workers", [1, 2, 16], ids=["1-pipe", "2-pipe", "16-pipe"]
     )
     def test_any_worker_count_reports_the_inprocess_metrics(
-        self, reproduced, n_workers, transport
+        self, reproduced, n_workers
     ):
         graph, query = reproduced
         sim_run = run_dgpm(query, partition(graph, 16))
         assert sim_run.metrics.extras["pushes"] > 0
         with ConcurrentSessionServer(
-            partition(graph, 16),
-            backend="sharded",
-            n_workers=n_workers,
-            transport=transport,
+            partition(graph, 16), backend="sharded", n_workers=n_workers
         ) as server:
             mp_run = server.run(query, algorithm="dgpm")
         assert mp_run.relation == sim_run.relation == simulation(query, graph)

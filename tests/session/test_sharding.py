@@ -340,3 +340,39 @@ def test_shard_stats_and_repr(rng_seed):
         assert "sharded" in repr(server)
     with pytest.raises(ReproError):
         ConcurrentSessionServer(frag, backend="thread").shard_stats()
+
+
+def test_workers_hold_their_owned_fragments_and_not_the_graph():
+    """Per-worker residency scales with ``|F|/n``, as exact counts: at
+    ``|F| = 16`` four workers' ``resident_size`` (sum of ``|Vi| + |Ei|``)
+    adds up to the one-worker pool's, none holds more than 0.6x of it, and
+    each owns exactly the fragments the ring assigns its slot."""
+    graph = web_graph(800, 3200, n_labels=5, seed=17)
+    frag = hash_partition(graph, 16, seed=17)
+    with ConcurrentSessionServer(frag, backend="sharded", n_workers=1) as server:
+        [single] = server.shard_stats()
+    assert single["fids"] == tuple(range(16))
+    with ConcurrentSessionServer(frag, backend="sharded", n_workers=4) as server:
+        stats = server.shard_stats()
+        for slot, worker in zip(server.ring.workers, stats):
+            assert worker["fids"] == server.ring.fragments_of(slot)
+    sizes = [worker["resident_size"] for worker in stats]
+    assert len(sizes) == 4
+    assert sum(sizes) == single["resident_size"]
+    assert max(sizes) <= 0.6 * single["resident_size"]
+
+
+def test_sharded_server_counts_the_queries_it_serves(rng_seed):
+    """Every superstep run on the sharded path executes the protocol: it is
+    a served query and a miss.  A centralized baseline goes through the
+    parent session, which counts it itself -- once."""
+    graph = web_graph(150, 600, n_labels=5, seed=rng_seed % 1000)
+    frag = hash_partition(graph, 4)
+    queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(3)]
+    with ConcurrentSessionServer(frag, backend="sharded", n_workers=2) as server:
+        for query in queries * 2:
+            server.run(query, algorithm="dgpm")
+        stats = server.stats
+        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (6, 0, 6)
+        server.run(queries[0], algorithm="match")
+        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (7, 0, 7)

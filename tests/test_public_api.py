@@ -1,5 +1,9 @@
 """Integration tests through the public package surface only."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -9,6 +13,20 @@ class TestExports:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ lists missing attribute {name}"
+
+    def test_import_repro_does_not_load_the_network_layer(self):
+        """``repro.runtime`` and ``repro.session`` sit below ``repro.net``:
+        importing the library opens no door to sockets or handshakes."""
+        script = (
+            "import repro, sys; "
+            "print([m for m in sys.modules if m.startswith('repro.net') or m == 'hmac'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
