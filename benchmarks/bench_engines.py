@@ -8,10 +8,11 @@ the gate here runs at web-graph scale: at 96k nodes / 480k edges / |F|=16
 the array engine must serve the mixed query stream at >= 5x the dict
 engine's q/s, with every answer identical.
 
-Run ``python benchmarks/bench_engines.py [--smoke]``; CI runs ``--smoke``,
-which keeps the gate-scale graph but trims repeats so the step stays in tens
+Run ``python benchmarks/bench_engines.py [--smoke] [--out FILE]``; CI runs
+``--smoke``, which keeps the gate-scale graph but trims repeats so the step stays in tens
 of seconds.  Without it the whole size sweep (small to large) is measured:
-parity and the compile-cost check everywhere, the gate at the large end.
+parity and the compile-cost check everywhere, the gate at the large end;
+``--out BENCH_ENGINES.json`` is how the committed record is written.
 """
 
 from repro.bench.engines import (
@@ -21,7 +22,7 @@ from repro.bench.engines import (
     GATE_SPEEDUP,
     engine_series,
 )
-from repro.bench.smoke import record_smoke
+from repro.bench.smoke import write_record
 
 
 def main(argv=None) -> int:
@@ -32,6 +33,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="gate point only, fewer repeats"
     )
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument(
+        "--out", metavar="FILE", help="write the record (BENCH_ENGINES.json) here"
+    )
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -63,29 +67,31 @@ def main(argv=None) -> int:
             f"array speedup at {gate.n_nodes} nodes is {gate.speedup:.2f}x "
             f"(< {GATE_SPEEDUP}x)"
         )
-    record_smoke(
-        "engines",
-        {
-            "smoke": args.smoke,
-            "ok": not failures,
-            "threshold": GATE_SPEEDUP,
-            "points": [
-                {
-                    "n_nodes": p.n_nodes,
-                    "n_edges": p.n_edges,
-                    "n_fragments": p.n_fragments,
-                    "n_queries": p.n_queries,
-                    "dict_qps": p.dict_qps,
-                    "array_qps": p.array_qps,
-                    "speedup": p.speedup,
-                    "compile_seconds": p.compile_seconds,
-                    "compilations": p.compilations,
-                    "parity": p.parity,
-                }
-                for p in series.points
-            ],
-        },
-    )
+    if args.out:
+        write_record(
+            args.out,
+            "engines",
+            {
+                "smoke": args.smoke,
+                "ok": not failures,
+                "threshold": GATE_SPEEDUP,
+                "points": [
+                    {
+                        "n_nodes": p.n_nodes,
+                        "n_edges": p.n_edges,
+                        "n_fragments": p.n_fragments,
+                        "n_queries": p.n_queries,
+                        "dict_qps": p.dict_qps,
+                        "array_qps": p.array_qps,
+                        "speedup": p.speedup,
+                        "compile_seconds": p.compile_seconds,
+                        "compilations": p.compilations,
+                        "parity": p.parity,
+                    }
+                    for p in series.points
+                ],
+            },
+        )
     if failures:
         print("FAIL:", "; ".join(failures))
         return 1

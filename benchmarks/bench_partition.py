@@ -21,14 +21,15 @@ server.  Two gates:
   simulation after the stream (deletes are paired with re-inserts, so the
   graph ends unchanged).
 
-Run ``python benchmarks/bench_partition.py [--smoke]``; CI runs ``--smoke``.
+Run ``python benchmarks/bench_partition.py [--smoke] [--out FILE]``; CI runs
+``--smoke``.
 """
 
 import time
 from typing import Dict, List
 
 from repro import ConcurrentSessionServer, hash_partition, simulation, web_graph
-from repro.bench.smoke import record_smoke
+from repro.bench.smoke import write_record
 from repro.bench.workloads import cyclic_pattern
 from repro.partition.metrics import partition_stats
 from repro.partition.partitioners import min_cut_partition
@@ -140,6 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fragments", type=int, default=16)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--rounds", type=int, default=40)
+    parser.add_argument("--out", metavar="FILE", help="write the record here")
     args = parser.parse_args(argv)
     if args.smoke:
         args.nodes, args.edges, args.rounds = 4000, 20000, 30
@@ -163,16 +165,18 @@ def main(argv=None) -> int:
         failures.append(
             f"rebalance speedup {run['speedup']:.2f}x < {REBALANCE_SPEEDUP_GATE}"
         )
-    record_smoke(
-        "partition",
-        {
-            "smoke": args.smoke,
-            "ok": not failures,
-            "cut_gate": CUT_RATIO_GATE,
-            "speedup_gate": REBALANCE_SPEEDUP_GATE,
-            **run,
-        },
-    )
+    if args.out:
+        write_record(
+            args.out,
+            "partition",
+            {
+                "smoke": args.smoke,
+                "ok": not failures,
+                "cut_gate": CUT_RATIO_GATE,
+                "speedup_gate": REBALANCE_SPEEDUP_GATE,
+                **run,
+            },
+        )
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -16,11 +16,10 @@
   in-process or over shard workers.
 * :mod:`~repro.core.impossibility` -- the Theorem-1 gadget families and an
   auditor that demonstrates the impossibility empirically.
-* :class:`~repro.core.incremental.IncrementalDgpmSession` -- long-lived
-  evaluation maintaining ``Q(G)`` under edge updates (Section 4.2 / [13]);
-  :class:`~repro.core.incremental.IncrementalMatchState` is the same
-  machinery over shared session-owned structures (one per hot query of a
-  :class:`~repro.session.SimulationSession`).
+* :class:`~repro.core.incremental.IncrementalMatchState` -- a warm
+  evaluation maintaining ``Q(G)`` under graph updates (Section 4.2 / [13])
+  over caller-owned structures; a :class:`~repro.session.SimulationSession`
+  keeps one per hot query.
 """
 
 from repro.core.config import DgpmConfig
@@ -28,11 +27,7 @@ from repro.core.dgpm import run_dgpm
 from repro.core.dgpmd import run_dgpmd
 from repro.core.dgpmt import run_dgpmt
 from repro.core.dispatch import run_auto
-from repro.core.incremental import (
-    IncrementalDgpmSession,
-    IncrementalMatchState,
-    UpdateMetrics,
-)
+from repro.core.incremental import IncrementalMatchState, RepairCost
 
 __all__ = [
     "DgpmConfig",
@@ -40,7 +35,6 @@ __all__ = [
     "run_dgpmd",
     "run_dgpmt",
     "run_auto",
-    "IncrementalDgpmSession",
     "IncrementalMatchState",
-    "UpdateMetrics",
+    "RepairCost",
 ]

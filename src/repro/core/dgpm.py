@@ -40,7 +40,7 @@ from repro.boolean.system import EquationBlowupError
 from repro.core.arraycompile import gather_csr, require_numpy
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
+from repro.core.protocol import AlgorithmSpec, per_site
 from repro.core.state import LocalEvalState, VarKey
 from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
@@ -619,17 +619,6 @@ DGPM = AlgorithmSpec(
     unoptimized_name="dGPMNOpt",
     schedule_independent=True,
 )
-
-
-def execute_dgpm(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-    engine: str = "dict",
-) -> RunResult:
-    """One dGPM evaluation over throwaway structures (the full one-shot
-    protocol); ``engine`` selects the local evaluation backend."""
-    return run_protocol(DGPM, query, fragmentation, config, engine)
 
 
 def run_dgpm(

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
+from repro.core.protocol import AlgorithmSpec, per_site
 from repro.core.state import VarKey
 from repro.errors import PatternError
 from repro.graph import algorithms
@@ -229,16 +229,6 @@ DGPMD = AlgorithmSpec(
     build_programs=per_site(DgpmdSiteProgram),
     precheck=dgpmd_precheck,
 )
-
-
-def execute_dgpmd(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-    engine: str = "dict",
-) -> RunResult:
-    """One dGPMd evaluation over throwaway structures."""
-    return run_protocol(DGPMD, query, fragmentation, config, engine)
 
 
 def run_dgpmd(

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.boolean.system import EquationSystem
 from repro.core.config import DgpmConfig
-from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
+from repro.core.protocol import AlgorithmSpec, per_site
 from repro.core.state import VarKey
 from repro.errors import FragmentationError, GraphError
 from repro.graph import algorithms
@@ -254,17 +254,6 @@ DGPMT = AlgorithmSpec(
     make_coordinator=_TreeCoordinator,
     precheck=dgpmt_precheck,
 )
-
-
-def execute_dgpmt(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-    engine: str = "dict",
-) -> RunResult:
-    """One dGPMt evaluation (two coordinator round-trips) over throwaway
-    structures."""
-    return run_protocol(DGPMT, query, fragmentation, config, engine)
 
 
 def run_dgpmt(

@@ -20,38 +20,38 @@ updates:
   those seeds in the query x data product -- through false pairs only, true
   ones are never touched -- are set optimistically true in every copy, and
   the falsification fixpoint reruns from them
-  (:meth:`IncrementalMatchState.apply_insert`): ``O(|AFF|)`` again.  An
+  (:meth:`IncrementalMatchState._insert`): ``O(|AFF|)`` again.  An
   insert with no seed only bumps the counter the edge feeds.
 * **node removal** is a cascade of edge deletions (each repaired natively)
   followed by scrubbing the now-isolated node from the candidate sets and
-  counter tables (:meth:`IncrementalMatchState.absorb_remove_node`).
+  counter tables.
 
-Two layers:
-
-* :class:`IncrementalMatchState` is the warm per-query state over *shared*
-  structures -- the fragmentation and
-  :class:`~repro.core.depgraph.DependencyGraphs` belong to the caller
-  (typically a :class:`~repro.session.SimulationSession`), which patches
-  them via the fragmentation's in-place mutation API before asking the
-  state to repair itself.  One session keeps one of these per hot query.
-* :class:`IncrementalDgpmSession` is the standalone single-query front end:
-  it owns a private copy of the graph and fragmentation and drives the
-  mutation pipeline itself.
+:class:`IncrementalMatchState` is the warm per-query state over *shared*
+structures -- the fragmentation and
+:class:`~repro.core.depgraph.DependencyGraphs` belong to the caller
+(typically a :class:`~repro.session.SimulationSession`, which keeps one state
+per hot query).  The caller patches both through the fragmentation's in-place
+mutation API, then hands the resulting
+:class:`~repro.partition.fragmentation.MutationDelta` to
+:meth:`IncrementalMatchState.apply`, the one repair entry; the
+:class:`RepairCost` it returns is the cost of maintaining the answer.
 
 Usage::
 
-    session = IncrementalDgpmSession(query, fragmentation)
-    session.relation()                  # == simulation(query, G)
-    update = session.delete_edge("f2", "sp1")
-    update.ds_bytes, update.n_messages  # cost of maintaining the answer
-    session.relation()                  # == simulation(query, G')
+    deps = DependencyGraphs(fragmentation)
+    state = IncrementalMatchState(query, fragmentation, deps)
+    state.relation()                    # == simulation(query, G)
+    delta = fragmentation.delete_edge("f2", "sp1")
+    deps.apply_delta(delta)
+    cost = state.apply(delta)
+    cost.ds_bytes, cost.n_messages      # cost of maintaining the answer
+    state.relation()                    # == simulation(query, G')
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
@@ -60,7 +60,7 @@ from repro.core.state import VarKey
 from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
 from repro.graph.pattern import Pattern
-from repro.partition.fragmentation import Fragmentation, MutationDelta, fragment_graph
+from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.runtime.engine import LocalHost, SyncEngine
 from repro.runtime.messages import Message
 from repro.runtime.network import Network
@@ -68,41 +68,24 @@ from repro.simulation.matchrel import MatchRelation
 
 
 @dataclass(frozen=True)
-class UpdateMetrics:
-    """Cost of one incremental update.
-
-    Frozen: update reports cross thread boundaries in the concurrent serving
-    layer, and an immutable snapshot can never be observed half-updated.
-    """
-
-    kind: str                 # "delete", "remove_node", or "insert(...)":
-                              # "absorbed" (nothing to revive), "targeted"
-                              # (pairs re-opened) or "recompute" (bootstrap)
-    n_messages: int           # protocol data messages shipped
-    ds_bytes: int             # protocol data bytes shipped
-    n_rounds: int             # message rounds to re-quiescence
-    wall_seconds: float
-    falsified_local: int      # falsified local variables across all sites
-                              # (the |AFF| proxy)
-    n_reopened: int = 0       # pairs an insert set optimistically true again
-
-
-@dataclass(frozen=True)
 class RepairCost:
     """What one in-place repair (or re-evaluation) of a warm state cost.
 
-    Frozen for the same reason as :class:`UpdateMetrics`: repair reports are
-    read across threads and must be immutable snapshots.
+    Frozen: repair reports are read across threads in the concurrent serving
+    layer, and an immutable snapshot can never be observed half-updated.
     """
 
+    #: falsified local variables across all sites (the |AFF| proxy)
     n_falsified: int
-    n_messages: int
-    ds_bytes: int
-    n_rounds: int
+    n_messages: int           # protocol data messages shipped
+    ds_bytes: int             # protocol data bytes shipped
+    n_rounds: int             # message rounds to re-quiescence
     #: which repair path ran: "" (surgery), "bootstrap", or "targeted"
     strategy: str = ""
     #: pairs an insert re-opened (each is re-falsified or newly true)
     n_reopened: int = 0
+    #: False: the answer is provably what it was before the delta
+    changed: bool = False
 
 
 def edge_update_may_change_answer(query: Pattern, u_label: Label, v_label: Label) -> bool:
@@ -119,23 +102,31 @@ def edge_update_may_change_answer(query: Pattern, u_label: Label, v_label: Label
     )
 
 
-def node_update_may_change_answer(query: Pattern, label: Label) -> bool:
-    """Can adding an isolated node with ``label`` change ``Q(G)``?
-
-    An edge-less node can only match a *childless* query node of the same
-    label (any query child would need a witnessing successor).
-    """
-    return any(
-        query.label(q) == label and not query.children(q) for q in query.nodes()
-    )
+def delta_may_change_answer(query: Pattern, delta: MutationDelta) -> bool:
+    """Can ``delta`` change ``Q(G)``?  False keeps a cached answer as it is."""
+    if delta.kind == "add_node":
+        # An edge-less node can only match a *childless* query node of the
+        # same label (any query child would need a witnessing successor).
+        return any(
+            query.label(q) == delta.u_label and not query.children(q)
+            for q in query.nodes()
+        )
+    if delta.kind == "remove_node":
+        # The node itself was a potential match iff its label appears in the
+        # query; otherwise only its (cascaded) edges could matter.
+        return any(query.label(q) == delta.u_label for q in query.nodes()) or any(
+            edge_update_may_change_answer(query, d.u_label, d.v_label)
+            for d in delta.cascade
+        )
+    return edge_update_may_change_answer(query, delta.u_label, delta.v_label)
 
 
 class IncrementalMatchState:
     """Warm evaluation of one query over caller-owned shared structures.
 
     The caller mutates the fragmentation (and patches ``deps``) through the
-    in-place mutation API *first*, then calls the matching ``apply_*`` /
-    ``absorb_*`` repair below.  Every site's
+    in-place mutation API *first*, then hands the delta to :meth:`apply`.
+    Every site's
     :class:`~repro.core.state.LocalEvalState` stays alive between updates, so
     a deletion's repair work is ``O(|AFF|)`` plus the messages the affected
     boundary variables require.
@@ -187,28 +178,28 @@ class IncrementalMatchState:
         """Ship ``seeded`` between the sites and iterate message rounds to
         quiescence, every site on one host; ``None`` runs every site's first
         step instead (a fresh evaluation, which has no |AFF| to report)."""
-        if seeded == []:  # the repair stayed inside one site: nothing ships
-            return RepairCost(n_falsified, 0, 0, 0, strategy, n_reopened)
-        cost = self.config.cost
-        mail = Network(cost)
-        engine = SyncEngine(
-            dict.fromkeys(self.programs, LocalHost(self.programs, mail)),
-            Network(cost),
-            cost,
-        )
-        if seeded is None:
-            engine.run_fixpoint()
-        else:
-            engine.drain(seeded)
-            n_falsified += engine.n_falsified
-        mail.absorb(engine.network)
+        n_messages = ds_bytes = n_rounds = 0
+        if seeded != []:  # else the repair stayed inside one site: nothing ships
+            cost = self.config.cost
+            mail = Network(cost)
+            engine = SyncEngine(
+                dict.fromkeys(self.programs, LocalHost(self.programs, mail)),
+                Network(cost),
+                cost,
+            )
+            if seeded is None:
+                engine.run_fixpoint()
+            else:
+                engine.drain(seeded)
+                n_falsified += engine.n_falsified
+            mail.absorb(engine.network)
+            n_messages, ds_bytes = mail.data_message_count, mail.data_bytes
+            n_rounds = engine.n_rounds
         return RepairCost(
-            n_falsified=n_falsified,
-            n_messages=mail.data_message_count,
-            ds_bytes=mail.data_bytes,
-            n_rounds=engine.n_rounds,
-            strategy=strategy,
-            n_reopened=n_reopened,
+            n_falsified, n_messages, ds_bytes, n_rounds, strategy, n_reopened,
+            # A deletion re-opens nothing, so any falsification is a change;
+            # an insert's re-opened pairs are each re-falsified or newly true.
+            changed=strategy == "bootstrap" or n_falsified != n_reopened,
         )
 
     def relation(self) -> MatchRelation:
@@ -219,10 +210,24 @@ class IncrementalMatchState:
                 merged[u] |= vs
         return MatchRelation(self.query.nodes(), merged)
 
+    def apply(self, delta: MutationDelta) -> RepairCost:
+        """Repair after ``delta`` was applied to the shared fragmentation and
+        ``deps``: the one entry, whatever the delta's kind.  ``changed`` is
+        False only when the answer provably is what it was."""
+        if delta.kind == "delete":
+            return self._delete(delta.u, delta.v, delta.v_label)
+        if delta.kind == "insert":
+            return self._insert(delta)
+        if delta.kind == "remove_node":
+            return self._remove_node(delta)
+        if delta.kind == "add_node":
+            return self._add_node(delta.u, delta.u_label, delta.source_fid)
+        raise ReproError(f"unknown mutation kind {delta.kind!r}")
+
     # ------------------------------------------------------------------
     # deletion: native O(|AFF|) repair
     # ------------------------------------------------------------------
-    def apply_delete(
+    def _delete(
         self, u: Node, v: Node, v_label: Label, fid: Optional[int] = None
     ) -> RepairCost:
         """Repair after edge ``(u, v)`` was removed from the (shared) graphs.
@@ -274,9 +279,9 @@ class IncrementalMatchState:
     # ------------------------------------------------------------------
     # node addition
     # ------------------------------------------------------------------
-    def absorb_add_node(self, node: Node, label: Label, fid: int) -> bool:
-        """Register a freshly added isolated node; returns True iff the
-        answer changed (the node matches a childless query node)."""
+    def _add_node(self, node: Node, label: Label, fid: int) -> RepairCost:
+        """Register a freshly added isolated node; the answer changed iff it
+        matches a childless query node."""
         state = self.programs[fid].state
         changed = False
         for q in self.query.nodes():
@@ -289,12 +294,12 @@ class IncrementalMatchState:
             # have falsified it immediately, so it is simply never added.
         for u_child in self._parented:
             state.count[(node, u_child)] = 0
-        return changed
+        return RepairCost(0, 0, 0, 0, changed=changed)
 
     # ------------------------------------------------------------------
     # insertion: re-open the pairs the edge can revive
     # ------------------------------------------------------------------
-    def apply_insert(self, delta: MutationDelta) -> RepairCost:
+    def _insert(self, delta: MutationDelta) -> RepairCost:
         """Repair after edge ``(delta.u, delta.v)`` was added to the graphs.
 
         The edge itself first: a brand-new virtual copy of ``v`` is *set to*
@@ -414,16 +419,16 @@ class IncrementalMatchState:
     # ------------------------------------------------------------------
     # node removal: scrub after the cascade
     # ------------------------------------------------------------------
-    def apply_remove_node(self, delta) -> Tuple[bool, RepairCost]:
+    def _remove_node(self, delta: MutationDelta) -> RepairCost:
         """Full repair for a node removal: the cascade, then the scrub.
 
-        Returns ``(answer may have changed, aggregated cost)``.  The flag
-        cannot be derived from the cascade's falsification counts alone: the
-        fragmentation has already dropped the node from its owner's local
-        set, so a candidacy the cascade kills is no longer counted as a
-        *local* falsification -- the node's pre-cascade candidacy is the
-        truth.  (Conservative: a candidacy held only by virtual copies was
-        never answer-visible, but callers diff relations before rewriting.)
+        ``changed`` cannot be derived from the cascade's falsification counts
+        alone: the fragmentation has already dropped the node from its
+        owner's local set, so a candidacy the cascade kills is no longer
+        counted as a *local* falsification -- the node's pre-cascade
+        candidacy is the truth.  (Conservative: a candidacy held only by
+        virtual copies was never answer-visible, but callers diff relations
+        before rewriting.)
         """
         was_candidate = any(
             delta.u in program.state.sim.get(q, ())
@@ -432,7 +437,7 @@ class IncrementalMatchState:
         )
         n_messages = ds_bytes = n_rounds = n_falsified = 0
         for edge_delta in delta.cascade:
-            cost = self.apply_delete(
+            cost = self._delete(
                 edge_delta.u,
                 edge_delta.v,
                 edge_delta.v_label,
@@ -442,140 +447,33 @@ class IncrementalMatchState:
             ds_bytes += cost.ds_bytes
             n_rounds += cost.n_rounds
             n_falsified += cost.n_falsified
-        scrubbed = self.absorb_remove_node(
-            delta.u, delta.u_label, delta.source_fid
-        )
-        changed = was_candidate or scrubbed or n_falsified > 0
-        return changed, RepairCost(
+        self._scrub_node(delta.u)
+        return RepairCost(
             n_falsified=n_falsified,
             n_messages=n_messages,
             ds_bytes=ds_bytes,
             n_rounds=n_rounds,
+            changed=was_candidate or n_falsified > 0,
         )
 
-    def absorb_remove_node(self, node: Node, label: Label, fid: int) -> bool:
+    def _scrub_node(self, node: Node) -> None:
         """Scrub a removed (already isolated) node from the warm state.
 
         The cascade of edge deletions has been repaired via
-        :meth:`apply_delete`; what remains is the node's own candidacy.  It
+        :meth:`_delete`; what remains is the node's own candidacy.  It
         is dropped from every candidate set still holding it (the owner's,
         plus any stale virtual copies -- those were already invisible to
         :meth:`relation`, which filters by local nodes) and from the counter
         table.  No propagation is needed: the cascade removed every incident
-        edge, so no counter counts the node as a successor anymore.  Returns
-        True iff the node was still a candidate somewhere, i.e. the answer
-        may have changed.
+        edge, so no counter counts the node as a successor anymore.  (A
+        candidacy found here was one before the cascade too -- deletions only
+        shrink candidate sets -- so the caller's ``was_candidate`` covers it.)
         """
-        changed = False
         for program in self.programs.values():
             state = program.state
-            for q in self.query.nodes():
-                bucket = state.sim.get(q)
-                if bucket is not None and node in bucket:
-                    bucket.discard(node)
-                    changed = True
             for u_child in self._parented:
                 state.count.pop((node, u_child), None)
             for q in self.query.nodes():
+                state.sim.get(q, set()).discard(node)
                 program.shipped.discard((q, node))
                 program.known_false_virtual.discard((q, node))
-        return changed
-
-
-class IncrementalDgpmSession:
-    """A long-lived single-query dGPM evaluation that absorbs graph updates.
-
-    The session owns a private copy of the graph and fragmentation (callers'
-    objects are never mutated) and keeps every site's
-    :class:`~repro.core.state.LocalEvalState` alive between updates.  Each
-    update is applied through the fragmentation's in-place mutation API, so
-    fragment metadata (``Fi.O``/``Fi.I``) and the dependency graphs stay
-    consistent -- ``session.fragmentation.validate()`` holds after any
-    update sequence.
-    """
-
-    def __init__(
-        self,
-        query: Pattern,
-        fragmentation: Fragmentation,
-        config: Optional[DgpmConfig] = None,
-    ) -> None:
-        config = config or DgpmConfig(enable_push=False)
-        if not config.incremental:
-            raise ReproError("the incremental session requires config.incremental")
-        self.query = query
-        self._graph = fragmentation.graph.copy()
-        assignment = {v: fragmentation.owner(v) for v in self._graph.nodes()}
-        self.fragmentation = fragment_graph(self._graph, assignment)
-        self._deps = DependencyGraphs(self.fragmentation)
-        self._state = IncrementalMatchState(query, self.fragmentation, self._deps, config)
-        self.config = self._state.config
-
-    # ------------------------------------------------------------------
-    @property
-    def programs(self) -> Dict[int, DgpmSiteProgram]:
-        """The live per-site programs (owned by the warm match state)."""
-        return self._state.programs
-
-    def relation(self) -> MatchRelation:
-        """The current maximum match ``Q(G)``."""
-        return self._state.relation()
-
-    @property
-    def graph(self):
-        """The session's current graph (do not mutate directly)."""
-        return self._graph
-
-    # ------------------------------------------------------------------
-    def delete_edge(self, u: Node, v: Node) -> UpdateMetrics:
-        """Remove edge ``(u, v)`` and incrementally repair the match."""
-        start = time.perf_counter()
-        delta = self.fragmentation.delete_edge(u, v)
-        self._deps.apply_delta(delta)
-        cost = self._state.apply_delete(u, v, delta.v_label)
-        return self._metrics("delete", cost, start)
-
-    def insert_edge(self, u: Node, v: Node) -> UpdateMetrics:
-        """Add edge ``(u, v)`` and repair the match in place.
-
-        Insertions can revive previously falsified matches, which the
-        monotone falsification protocol cannot undo on its own; the session
-        re-opens the false pairs the edge can reach backwards and reruns the
-        fixpoint from them (:meth:`IncrementalMatchState.apply_insert`),
-        falling back to a full re-evaluation when they are most of the
-        query x data product.  ``kind`` says which: ``insert(absorbed)`` --
-        nothing to revive, one counter bumped -- ``insert(targeted)`` or
-        ``insert(recompute)``.
-        """
-        start = time.perf_counter()
-        delta = self.fragmentation.insert_edge(u, v)
-        self._deps.apply_delta(delta)
-        cost = self._state.apply_insert(delta)
-        kind = {"": "absorbed", "targeted": "targeted", "bootstrap": "recompute"}
-        return self._metrics(f"insert({kind[cost.strategy]})", cost, start)
-
-    def remove_node(self, node: Node) -> UpdateMetrics:
-        """Remove ``node`` with all incident edges; repair incrementally.
-
-        The fragmentation turns the removal into a cascade of edge
-        deletions (each repaired natively, in cascade order) followed by
-        dropping the then-isolated node, which only needs its candidate and
-        counter entries scrubbed.
-        """
-        start = time.perf_counter()
-        delta = self.fragmentation.remove_node(node)
-        self._deps.apply_delta(delta)
-        _changed, cost = self._state.apply_remove_node(delta)
-        return self._metrics("remove_node", cost, start)
-
-    @staticmethod
-    def _metrics(kind: str, cost: RepairCost, start: float) -> UpdateMetrics:
-        return UpdateMetrics(
-            kind=kind,
-            n_messages=cost.n_messages,
-            ds_bytes=cost.ds_bytes,
-            n_rounds=cost.n_rounds,
-            wall_seconds=time.perf_counter() - start,
-            falsified_local=cost.n_falsified,
-            n_reopened=cost.n_reopened,
-        )

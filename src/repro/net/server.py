@@ -47,7 +47,7 @@ everything it registered.  Replies whose encoded size exceeds
 :data:`CHUNK_SIZE` travel as consecutive ``RESULT_CHUNK`` slices.
 
 Graceful shutdown: :meth:`aclose` stops accepting, lets every in-flight
-request finish and flush its reply (bounded by ``drain_timeout``), then
+request finish and flush its reply (bounded by :data:`DRAIN_TIMEOUT`), then
 closes connections -- a client that got its request in gets its answer.
 
 For sync callers (tests, benchmarks, examples) :func:`serve_in_thread` runs
@@ -75,6 +75,10 @@ from repro.session.concurrent import ConcurrentSessionServer
 
 #: replies whose encoded frame exceeds this are sliced into RESULT_CHUNK frames
 CHUNK_SIZE = 512 * 1024
+
+#: seconds :meth:`NetworkSessionServer.aclose` waits for in-flight requests
+#: to finish before tearing connections down
+DRAIN_TIMEOUT = 30.0
 
 #: one connection's ``reply(seq, frame)``: frames it and writes it whole
 _Reply = Callable[[int, object], Awaitable[None]]
@@ -116,9 +120,6 @@ class NetworkSessionServer:
         :attr:`address` after :meth:`start`).
     max_frame:
         Per-frame byte ceiling, both directions.
-    drain_timeout:
-        Upper bound on how long :meth:`aclose` waits for in-flight
-        requests to finish before tearing connections down.
     """
 
     def __init__(
@@ -127,7 +128,6 @@ class NetworkSessionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
-        drain_timeout: float = 30.0,
         **server_kwargs,
     ) -> None:
         if isinstance(source, ConcurrentSessionServer):
@@ -144,7 +144,6 @@ class NetworkSessionServer:
         self._host = host
         self._port = port
         self._max_frame = max_frame
-        self._drain_timeout = drain_timeout
         self._aio_server: Optional[asyncio.AbstractServer] = None
         self._requests: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -184,9 +183,9 @@ class NetworkSessionServer:
             await self._aio_server.wait_closed()
         pending = {t for t in self._requests if not t.done()}
         if pending:
-            # Every request that made it past the reader gets drain_timeout
+            # Every request that made it past the reader gets DRAIN_TIMEOUT
             # to produce and flush its reply.
-            await asyncio.wait(pending, timeout=self._drain_timeout)
+            await asyncio.wait(pending, timeout=DRAIN_TIMEOUT)
         for writer in list(self._writers):
             writer.close()
         for writer in list(self._writers):

@@ -238,13 +238,12 @@ def respawn_worker(
     target,
     init: tuple,
     policy,
-    probe: Optional[tuple] = ("stats", None),
 ) -> Tuple[mp.Process, Connection]:
     """Spawn one worker with bounded retry + backoff (a ``RetryPolicy``).
 
-    Each attempt is a full fresh spawn over a new pipe pair, followed by an
-    optional ``probe`` round-trip that proves the worker is actually serving
-    (a dead-on-arrival worker only surfaces at first ``recv``).  On failure
+    Each attempt is a full fresh spawn over a new pipe pair, followed by a
+    ``stats`` round-trip that proves the worker is actually serving (a
+    dead-on-arrival worker only surfaces at first ``recv``).  On failure
     the partial spawn is torn down, the policy's backoff is slept, and the
     next attempt starts clean; exhaustion raises
     :class:`~repro.errors.ProtocolError` chaining the last cause.
@@ -254,11 +253,10 @@ def respawn_worker(
         proc = link = None
         try:
             [(proc, link)] = _spawn(target, [init])
-            if probe is not None:
-                link.send(probe)
-                status, value = link.recv()
-                if status != "ok":
-                    raise ProtocolError(f"respawn probe failed: {value!r}")
+            link.send(("stats", None))
+            status, value = link.recv()
+            if status != "ok":
+                raise ProtocolError(f"respawn probe failed: {value!r}")
             return proc, link
         except (EOFError, OSError, ProtocolError) as exc:
             last = exc

@@ -36,8 +36,10 @@ Two execution backends behind one API
   session.  Latency and fairness: a slow query never blocks an unrelated
   one, concurrent identical queries coalesce into a single protocol run
   (:meth:`LruResultCache.get_or_compute`), and every thread shares one
-  result cache.  Pure-Python compute stays GIL-bound, so this backend is
-  about overlap, not speedup.
+  result cache.  The pool's width buys no throughput (measured: misses run
+  at the same ops/s at width 1, 2 and 4); it keeps a cache hit from queueing
+  behind a running miss (at 12k nodes a hit beside a looping miss: p50
+  0.17 ms at width 4, 22 ms at width 1 -- the README has the table).
 * ``backend="sharded"`` -- the paper's site model as a deployment: each of
   a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
   the fragments a :class:`~repro.session.sharding.HashRing` assigns it
@@ -322,12 +324,15 @@ class ConcurrentSessionServer:
         ``config`` and ``session_kwargs``) or an existing
         :class:`SimulationSession` to front.
     backend:
-        ``"thread"`` (shared session, overlap + shared cache) or
-        ``"sharded"`` (fragment-owning OS workers, the paper's site model);
-        see the module docstring.
+        ``"thread"`` (shared session, shared cache) or ``"sharded"``
+        (fragment-owning OS workers: the paper's site model, bounded
+        per-worker memory and fault isolation -- not speed); see the module
+        docstring.
     n_workers:
-        Thread-pool width; for the sharded backend also the number of
-        shard worker processes.
+        Thread-pool width: not a throughput knob (misses run at the same
+        ops/s at any width) but what lets a cache hit overtake a running
+        miss instead of queueing behind it.  For the sharded backend also
+        the number of shard worker processes.
     config:
         Default config for a session built from a fragmentation (rejected
         together with an existing session -- that session already has one).
@@ -810,9 +815,7 @@ class ConcurrentSessionServer:
         self,
         mode: str = "repartition",
         traffic: Optional[Dict[int, int]] = None,
-        balance: float = 1.25,
         seed: int = 0,
-        max_passes: int = 8,
     ) -> RebalanceOutcome:
         """Re-place the served graph by observed traffic, at a quiescent point.
 
@@ -865,9 +868,7 @@ class ConcurrentSessionServer:
                 moved = self._rebalance_placement_locked(traffic)
                 after = before
             else:
-                moved = self._rebalance_repartition_locked(
-                    traffic, balance, seed, max_passes
-                )
+                moved = self._rebalance_repartition_locked(traffic, seed)
                 after = partition_stats(self._session.fragmentation)
             with self._pool_lock:
                 self._rebalances += 1
@@ -882,17 +883,13 @@ class ConcurrentSessionServer:
             wall_seconds=time.perf_counter() - start,
         )
 
-    def _rebalance_repartition_locked(
-        self, traffic: Dict[int, int], balance: float, seed: int, max_passes: int
-    ) -> int:
+    def _rebalance_repartition_locked(self, traffic: Dict[int, int], seed: int) -> int:
         session = self._session
         old = session.fragmentation
         new_frag = min_cut_partition(
             old.graph,
             old.n_fragments,
             seed=seed,
-            balance=balance,
-            max_passes=max_passes,
             node_weights=traffic_node_weights(old, traffic),
         )
         moved = sum(
@@ -998,6 +995,15 @@ class ConcurrentSessionServer:
         with self._rw.read_locked():
             stamp = self._stamp
             result = self._session.run(query, algorithm=algorithm, config=config)
+            if (
+                "cache_hit" not in result.metrics.extras
+                and self._session._cache.max_entries
+            ):
+                # Read the entry just stored once more, so it is hot: the
+                # per-batch diff is a reader it is certain to have, and a hot
+                # entry is repaired by the batches that change its answer
+                # where a cold one is evicted and re-run under the write lock.
+                self._session.run(query, algorithm=algorithm, config=config)
             with self._sub_lock:
                 sub_id = self._next_sub_id
                 self._next_sub_id += 1

@@ -88,11 +88,7 @@ from repro.core.depgraph import DependencyGraphs
 from repro.core.dgpmd import dgpmd_applies
 from repro.core.dgpmt import dgpmt_applies
 from repro.core.dispatch import choose_algorithm
-from repro.core.incremental import (
-    IncrementalMatchState,
-    edge_update_may_change_answer,
-    node_update_may_change_answer,
-)
+from repro.core.incremental import IncrementalMatchState, delta_may_change_answer
 from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
 from repro.graph.mutations import (
@@ -177,15 +173,6 @@ class SessionStats:
     MAX_FRAGMENT_KEYS = 4096
 
     def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]  # stats cross process pipes; locks cannot
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def bump(self, counter: str, n: int = 1) -> None:
@@ -281,10 +268,6 @@ class SimulationSession:
     cache_size:
         Maximum number of cached results (0 disables result caching; the
         structural caches are unaffected).
-    deps:
-        Pre-built :class:`DependencyGraphs` for ``fragmentation`` (e.g.
-        shipped to a worker process once and reused across its whole
-        lifetime); built lazily here when omitted.
     max_warm_states:
         Cap on warm per-query incremental states (each keeps every site's
         evaluation state alive for one hot query); the most recently served
@@ -307,7 +290,6 @@ class SimulationSession:
         config: Optional[DgpmConfig] = None,
         cache_size: int = 128,
         max_warm_states: int = 8,
-        deps: Optional[DependencyGraphs] = None,
         engine: str = "dict",
     ) -> None:
         self.fragmentation = fragmentation
@@ -317,7 +299,7 @@ class SimulationSession:
         self.engine = self._validate_args("auto", engine)
         self.labels = LabelInterner()
         self._cache = LruResultCache(cache_size)
-        self._deps = deps
+        self._deps: Optional[DependencyGraphs] = None
         #: compiled-CSR fragment cache for the array engine (lazy; entries
         #: are revalidated per fragment on every access, so mutations only
         #: force recompilation of the fragments they touched)
@@ -581,7 +563,7 @@ ConcurrentSessionServer` provides.
         Insertions can revive matches, which falsification-only repair
         cannot express -- every warm entry re-opens the false pairs that
         reach the new edge and reruns the fixpoint from those
-        (:meth:`IncrementalMatchState.apply_insert`); with none, the insert
+        (:meth:`IncrementalMatchState.apply`); with none, the insert
         only bumps the successor counter it feeds.
         """
         return self._absorb(self.fragmentation.insert_edge, u, v)
@@ -664,9 +646,10 @@ ConcurrentSessionServer` provides.
         slots = set(hot[-self.max_warm_states:]) if self.max_warm_states > 0 else ()
         for key, entry in live:
             if entry.warm is not None:
-                changed, n_falsified = self._repair(entry.warm, delta)
-                falsified += n_falsified
-            elif not self._may_change_answer(entry.query, delta):
+                cost = entry.warm.apply(delta)
+                changed = cost.changed
+                falsified += cost.n_falsified
+            elif not delta_may_change_answer(entry.query, delta):
                 changed = False
             elif entry in slots:
                 # Built on the patched fragmentation: the bootstrap fixpoint
@@ -701,38 +684,6 @@ ConcurrentSessionServer` provides.
         if entry.algorithm == "dgpmd":
             return not dgpmd_applies(entry.query, self.fragmentation)
         return entry.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
-
-    @staticmethod
-    def _may_change_answer(query: Pattern, delta: MutationDelta) -> bool:
-        if delta.kind == "add_node":
-            return node_update_may_change_answer(query, delta.u_label)
-        if delta.kind == "remove_node":
-            # The node itself was a potential match iff its label appears in
-            # the query; otherwise only its (cascaded) edges could matter.
-            return any(
-                query.label(q) == delta.u_label for q in query.nodes()
-            ) or any(
-                edge_update_may_change_answer(query, d.u_label, d.v_label)
-                for d in delta.cascade
-            )
-        return edge_update_may_change_answer(query, delta.u_label, delta.v_label)
-
-    def _repair(
-        self, warm: IncrementalMatchState, delta: MutationDelta
-    ) -> Tuple[bool, int]:
-        """Absorb one delta into a warm state; (answer may differ, |AFF|)."""
-        if delta.kind == "delete":
-            cost = warm.apply_delete(delta.u, delta.v, delta.v_label)
-            return cost.n_falsified > 0, cost.n_falsified
-        if delta.kind == "insert":
-            cost = warm.apply_insert(delta)
-            # Every re-opened pair is re-falsified or newly true.
-            revived = cost.n_reopened > cost.n_falsified
-            return revived or cost.strategy == "bootstrap", cost.n_falsified
-        if delta.kind == "remove_node":
-            changed, cost = warm.apply_remove_node(delta)
-            return changed, cost.n_falsified
-        return warm.absorb_add_node(delta.u, delta.u_label, delta.source_fid), 0
 
     @staticmethod
     def _rewrite_entry(entry: CacheEntry) -> bool:

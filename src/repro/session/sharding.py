@@ -5,9 +5,9 @@ fragments.  :class:`HashRing` is the coordinator's record of which: a
 deterministic, bounded-load consistent-hash assignment of fragment ids to
 worker slots.  Ownership is a pure function of the (worker set, fragment
 set) pair -- independent of graph content, engine, or partitioner -- so
-every replica of the coordinator agrees.  ``join``/``leave`` produce a new
-ring that moves at most ``ceil(|F|/n) + 1`` fragments (``n`` the *new*
-worker count), so a ring change re-ships only the migrated fragments.
+every replica of the coordinator agrees.  ``leave`` produces a new ring that
+moves at most ``ceil(|F|/n) + 1`` fragments (``n`` the *new* worker count),
+so a ring change re-ships only the migrated fragments.
 
 How a run is driven over the workers is not decided here: the sharded
 backend runs the same :func:`~repro.core.protocol.run_protocol` over the
@@ -45,9 +45,9 @@ class HashRing:
     A fresh ring assigns every fragment to its highest-scoring slot whose
     load is below ``ceil(|F|/n)`` (highest-random-weight hashing with a
     capacity bound), processing fragments in sorted order -- total,
-    deterministic, and balanced.  ``join``/``leave`` keep the existing
-    assignment and move only the fragments that must move, so migration
-    cost is bounded by the capacity of the *new* ring plus one.
+    deterministic, and balanced.  ``leave`` keeps the existing assignment
+    and moves only the fragments that must move, so migration cost is
+    bounded by the capacity of the *new* ring plus one.
     """
 
     __slots__ = ("workers", "fragments", "_owner")
@@ -103,25 +103,6 @@ class HashRing:
         return out
 
     # ------------------------------------------------------------------
-    def join(self, slot: Slot) -> "HashRing":
-        """A new ring with ``slot`` added; moves at most ``floor(|F|/n')``.
-
-        The joiner steals exactly its fair share -- the ``floor(|F|/n')``
-        fragments that score it highest -- so movement stays within the
-        ``ceil(|F|/n') + 1`` contract and every move lands on the joiner.
-        """
-        if slot in self.workers:
-            raise ValueError(f"slot {slot!r} is already on the ring")
-        workers = self.workers + (slot,)
-        share = len(self.fragments) // len(workers)
-        by_preference = sorted(
-            self.fragments, key=lambda f: (-_score(slot, f), f)
-        )
-        owner = dict(self._owner)
-        for fid in by_preference[:share]:
-            owner[fid] = slot
-        return HashRing(workers, self.fragments, _assignment=owner)
-
     def leave(self, slot: Slot) -> "HashRing":
         """A new ring without ``slot``; only the leaver's fragments move.
 
@@ -150,9 +131,7 @@ class HashRing:
             load[chosen] += 1
         return HashRing(survivors, self.fragments, _assignment=owner)
 
-    def rebalanced(
-        self, weights: Mapping[int, float], tolerance: float = 1.05
-    ) -> "HashRing":
+    def rebalanced(self, weights: Mapping[int, float]) -> "HashRing":
         """A new ring balancing *weighted* fragment load, moving minimally.
 
         ``weights`` maps fid -> observed traffic (missing fids count 0; every
@@ -160,7 +139,7 @@ class HashRing:
         greedy pass repeatedly moves, from the most loaded slot to the least
         loaded one, the heaviest fragment whose move strictly shrinks their
         gap -- the classic longest-processing-time exchange -- stopping once
-        the most loaded slot is within ``tolerance`` of the mean.  Only
+        the most loaded slot is within 5 % of the mean.  Only
         fragments that must move do, so re-shipping cost tracks the actual
         imbalance, not ``|F|``.  Deterministic: ties break on sorted fids and
         slot reprs, and no hashing of graph content is involved.
@@ -178,7 +157,7 @@ class HashRing:
             donor = max(self.workers, key=lambda s: (load[s], repr(s)))
             recipient = min(self.workers, key=lambda s: (load[s], repr(s)))
             gap = load[donor] - load[recipient]
-            if load[donor] <= target * tolerance or gap <= 0.0:
+            if load[donor] <= target * 1.05 or gap <= 0.0:
                 break
             movable = sorted(f for f in self.fragments if owner[f] == donor)
             if len(movable) <= 1:

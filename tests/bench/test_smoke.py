@@ -1,49 +1,46 @@
-"""The machine-readable smoke recorder behind CI's BENCH_SMOKE.json."""
+"""The one writer behind every ``BENCH_*.json``, and ``bench_engines --out``."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.bench import smoke
+from repro.bench.engines import GATE_EDGES, GATE_NODES, EnginePoint, EngineSeries
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_record_is_noop_without_env(tmp_path, monkeypatch):
-    monkeypatch.delenv(smoke.ENV_VAR, raising=False)
-    assert smoke.record_smoke("query_stream", {"ok": True}) is None
-
-
-def test_record_and_collect_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(smoke.ENV_VAR, str(tmp_path / "smoke"))
-    a = smoke.record_smoke("query_stream", {"ok": True, "speedup": 2.4})
-    b = smoke.record_smoke("net", {"ok": False, "tcp_ratio": 0.3})
-    assert a is not None and a.exists()
-    assert json.loads(a.read_text())["speedup"] == 2.4
-
-    out = tmp_path / "BENCH_SMOKE.json"
-    merged = smoke.collect(tmp_path / "smoke", out)
-    assert merged["n_benches"] == 2
-    assert set(merged["benches"]) == {"query_stream", "net"}
-    assert merged["benches"]["net"]["tcp_ratio"] == 0.3
-    assert b is not None
-
+def test_write_record_stamps_bench_time_and_fingerprint(tmp_path):
+    out = smoke.write_record(tmp_path / "deep" / "r.json", "net", {"ok": True, "x": 2.5})
     document = json.loads(out.read_text())
-    assert document["benches"]["query_stream"]["ok"] is True
-    assert document["python"]
+    assert document["bench"] == "net" and document["x"] == 2.5
+    assert document["recorded_at"] > 0
+    assert document.items() >= smoke.fingerprint().items()
 
 
-def test_rerecording_overwrites_same_bench(tmp_path, monkeypatch):
-    monkeypatch.setenv(smoke.ENV_VAR, str(tmp_path))
-    smoke.record_smoke("net", {"ok": False})
-    smoke.record_smoke("net", {"ok": True})
-    merged = smoke.collect(tmp_path, tmp_path / "out.json")
-    assert merged["n_benches"] == 1
-    assert merged["benches"]["net"]["ok"] is True
-
-
-def test_collect_cli(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(smoke.ENV_VAR, str(tmp_path))
-    smoke.record_smoke("updates", {"ok": True})
-    out = tmp_path / "merged.json"
-    assert smoke.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
-    assert "collected 1 bench result(s)" in capsys.readouterr().out
-    assert json.loads(out.read_text())["n_benches"] == 1
+@pytest.mark.parametrize("array_qps, code", [(60.0, 0), (20.0, 1)])
+def test_bench_engines_out_writes_the_committed_records_fields(
+    array_qps, code, tmp_path, monkeypatch, capsys
+):
+    spec = importlib.util.spec_from_file_location(
+        "bench_engines", ROOT / "benchmarks" / "bench_engines.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    point = EnginePoint(
+        GATE_NODES, GATE_EDGES, 16, 6, dict_qps=10.0, array_qps=array_qps,
+        parity=True, compile_seconds=0.1, compilations=16,
+    )
+    monkeypatch.setattr(script, "engine_series", lambda **_: EngineSeries([point]))
+    out = tmp_path / "engines.json"
+    assert script.main(["--smoke", "--out", str(out)]) == code  # the gate's exit code
+    assert script.main(["--smoke"]) == code and list(tmp_path.iterdir()) == [out]
+    record = json.loads(out.read_text())
+    committed = json.loads((ROOT / "BENCH_ENGINES.json").read_text())
+    assert record.keys() >= committed.keys()  # + the fingerprint, added since
+    assert record["points"][0].keys() == committed["points"][0].keys()
+    assert record["ok"] is (code == 0) and record["smoke"] is True

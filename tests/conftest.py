@@ -8,8 +8,11 @@ import zlib
 
 import pytest
 
+from repro.core.depgraph import DependencyGraphs
+from repro.core.incremental import IncrementalMatchState, RepairCost
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
+from repro.partition.fragmentation import fragment_graph
 from repro.session.cache import CacheEntry
 
 
@@ -117,3 +120,23 @@ def warm_entries(session) -> list:
     """The session's cached entries holding a warm incremental state, least
     recently served first."""
     return [entry for _, entry in session._cache.items() if entry.warm is not None]
+
+
+class PatchedState:
+    """Drives ``IncrementalMatchState.apply`` by its contract -- patch the
+    fragmentation, patch ``deps``, hand over the delta -- on a private copy
+    of ``fragmentation`` (the caller's graph stays the oracle's to mutate)."""
+
+    def __init__(self, query, fragmentation, config=None) -> None:
+        graph = fragmentation.graph.copy()
+        owners = {v: fragmentation.owner(v) for v in graph.nodes()}
+        self.fragmentation = fragment_graph(graph, owners)
+        self.deps = DependencyGraphs(self.fragmentation)
+        self.state = IncrementalMatchState(query, self.fragmentation, self.deps, config)
+        self.query, self.relation = query, self.state.relation
+
+    def mutate(self, op: str, *args) -> RepairCost:
+        """``op`` names the fragmentation's mutator: ``"delete_edge"``, ..."""
+        delta = getattr(self.fragmentation, op)(*args)
+        self.deps.apply_delta(delta)
+        return self.state.apply(delta)

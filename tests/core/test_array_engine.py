@@ -18,8 +18,8 @@ from repro import partition, web_graph
 from repro.bench.workloads import cyclic_pattern
 from repro.core import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.dgpm import DGPM, execute_dgpm
-from repro.core.protocol import local_host
+from repro.core.dgpm import DGPM
+from repro.core.protocol import local_host, run_protocol
 from repro.graph.digraph import DiGraph
 from repro.graph.examples import (
     example8_graph,
@@ -431,7 +431,7 @@ def _golden_instance(name):
 @pytest.mark.parametrize("name, push", sorted(GOLDEN))
 def test_array_engine_accounting_matches_the_recorded_protocol(name, push):
     query, graph, fragmentation = _golden_instance(name)
-    result = execute_dgpm(query, fragmentation, DgpmConfig(enable_push=push), engine="array")
+    result = run_protocol(DGPM, query, fragmentation, DgpmConfig(enable_push=push), "array")
     assert result.relation == simulation(query, graph)
     m = result.metrics
     assert (

@@ -1,8 +1,8 @@
 """Warm-state insertion: re-open the pairs an edge can revive, nothing else.
 
-Drives :class:`IncrementalDgpmSession` directly (always warm, so every
-insert runs :meth:`IncrementalMatchState.apply_insert`) and checks, after
-*every* step, the answer against the oracle and the state invariants later
+Drives :meth:`IncrementalMatchState.apply` directly (``PatchedState``: always
+warm, so every insert runs the insertion repair) and checks, after *every*
+step, the answer against the oracle and the state invariants later
 repairs rely on: exact successor counters, and virtual copies that agree
 with their owners.  Small graphs take the bootstrap fallback often; the
 padded ones stay on the targeted path.
@@ -18,11 +18,11 @@ import pytest
 from repro import SimulationSession, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
 from repro.core.depgraph import DependencyGraphs
-from repro.core.incremental import IncrementalDgpmSession, IncrementalMatchState
+from repro.core.incremental import IncrementalMatchState
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import fragment_graph
-from tests.conftest import warm_entries
+from tests.conftest import PatchedState, warm_entries
 
 N_CORE, N_FRAGMENTS, N_STEPS, N_PADDING = 14, 3, 60, 60
 
@@ -41,11 +41,13 @@ def _instance(rng: random.Random, padding: int):
     return graph, fragment_graph(graph, assignment), query
 
 
-def _check(session: IncrementalDgpmSession, graph: DiGraph, context) -> None:
+def _check(session: PatchedState, graph: DiGraph, context):
+    """Oracle + counter + copy invariants; returns the (checked) relation."""
     query = session.query
-    assert session.relation() == simulation(query, graph), context
+    relation = session.relation()
+    assert relation == simulation(query, graph), context
     parented = [q for q in query.nodes() if query.parents(q)]
-    programs = session.programs
+    programs = session.state.programs
     for fid, program in programs.items():
         state, fragment = program.state, program.fragment
         for b in parented:
@@ -57,39 +59,42 @@ def _check(session: IncrementalDgpmSession, graph: DiGraph, context) -> None:
                 if graph.label(v) == query.label(b):
                     owner = programs[fragment.owner_of_virtual(v)].state
                     assert (v in state.sim[b]) == (v in owner.sim[b]), (context, fid, v, b)
+    return relation
 
 
 def _churn(rng: random.Random, padding: int) -> set:
-    """One 60-step delete/insert sequence; returns the update kinds seen."""
+    """One 60-step delete/insert sequence; returns the insert strategies seen."""
     graph, frag, query = _instance(rng, padding)
-    session = IncrementalDgpmSession(query, frag)
-    _check(session, graph, "initial")
-    kinds = set()
+    session = PatchedState(query, frag)
+    relation = _check(session, graph, "initial")
+    strategies = set()
     for step in range(N_STEPS):
         u, v = rng.randrange(N_CORE), rng.randrange(N_CORE)
+        before = relation
         if graph.has_edge(u, v):
-            kinds.add(session.delete_edge(u, v).kind)
+            cost = session.mutate("delete_edge", u, v)
             graph.remove_edge(u, v)
         else:
-            kinds.add(session.insert_edge(u, v).kind)
+            cost = session.mutate("insert_edge", u, v)
+            strategies.add(cost.strategy)
             graph.add_edge(u, v)
-        _check(session, graph, (step, u, v))
-    return kinds
+        relation = _check(session, graph, (step, u, v))
+        assert cost.changed or relation == before, (step, u, v)
+    return strategies
 
 
 def _run_suite(seed: int, n_sequences: int = 6) -> set:
-    kinds = set()
+    strategies = set()
     for i in range(n_sequences):
         for padding in (0, N_PADDING):
-            kinds |= _churn(random.Random(f"{seed}/{i}/{padding}"), padding)
-    return kinds
+            strategies |= _churn(random.Random(f"{seed}/{i}/{padding}"), padding)
+    return strategies
 
 
 @pytest.mark.parametrize("case", range(8))
 def test_every_step_matches_the_oracle_and_keeps_the_state_exact(case, rng_seed):
-    kinds = _run_suite(rng_seed)
-    # Both sides of the fallback, and the no-seed case, were exercised.
-    assert {"insert(absorbed)", "insert(targeted)", "insert(recompute)"} <= kinds
+    # Both sides of the fallback, and the no-seed case (""), were exercised.
+    assert _run_suite(rng_seed) == {"", "targeted", "bootstrap"}
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +161,10 @@ def _first_copy_instance():
 
 def test_first_virtual_copy_from_an_irrelevant_insert_is_a_candidate():
     graph, frag, query = _first_copy_instance()
-    session = IncrementalDgpmSession(query, frag)
-    assert session.insert_edge("u1", "v").kind == "insert(absorbed)"
-    update = session.insert_edge("u2", "v")
-    assert (update.kind, update.n_reopened) == ("insert(targeted)", 1)
+    session = PatchedState(query, frag)
+    assert session.mutate("insert_edge", "u1", "v").strategy == ""
+    update = session.mutate("insert_edge", "u2", "v")
+    assert (update.strategy, update.n_reopened) == ("targeted", 1)
     graph.add_edge("u1", "v")
     graph.add_edge("u2", "v")
     assert session.relation() == simulation(query, graph)
@@ -209,14 +214,14 @@ def test_benchmark_shaped_reinsert_is_targeted_and_small(monkeypatch):
 
     bootstraps, costs = [], []
     real_bootstrap = IncrementalMatchState.bootstrap
-    real_insert = IncrementalMatchState.apply_insert
+    real_apply = IncrementalMatchState.apply
     monkeypatch.setattr(
         IncrementalMatchState, "bootstrap",
         lambda self: bootstraps.append(self) or real_bootstrap(self),
     )
     monkeypatch.setattr(
-        IncrementalMatchState, "apply_insert",
-        lambda self, delta: costs.append(real_insert(self, delta)) or costs[-1],
+        IncrementalMatchState, "apply",
+        lambda self, delta: costs.append(real_apply(self, delta)) or costs[-1],
     )
     for _ in range(3):
         assert session.insert_edge(*witness).cache_repaired == 1
@@ -224,6 +229,8 @@ def test_benchmark_shaped_reinsert_is_targeted_and_small(monkeypatch):
         assert session.delete_edge(*witness).cache_repaired == 1
         assert session.run(query).relation == simulation(query, graph) == without
     assert bootstraps == []
-    assert [cost.strategy for cost in costs] == ["targeted"] * 3
-    assert all(0 < cost.n_reopened <= 32 for cost in costs)
+    inserts, deletes = costs[0::2], costs[1::2]
+    assert [cost.strategy for cost in inserts] == ["targeted"] * 3
+    assert all(0 < cost.n_reopened <= 32 for cost in inserts)
+    assert all(cost.changed and cost.n_reopened == 0 for cost in deletes)
     assert session.stats.entries_promoted == 1 and session.stats.entries_evicted == 0

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DgpmConfig
-from repro.core.dgpm import execute_dgpm
-from repro.core.dgpmd import execute_dgpmd
-from repro.core.dgpmt import execute_dgpmt
+from repro.core.dgpm import DGPM
+from repro.core.dgpmd import DGPMD
+from repro.core.dgpmt import DGPMT
+from repro.core.protocol import run_protocol
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_tree
 from repro.graph.pattern import Pattern
@@ -88,8 +89,8 @@ def test_dgpm_cross_engine_parity(instance, push, incremental, theta):
     graph, fragmentation, pattern = instance
     config = DgpmConfig(enable_push=push, incremental=incremental, push_threshold=theta)
     oracle = simulation(pattern, graph)
-    by_dict = execute_dgpm(pattern, fragmentation, config, engine="dict")
-    by_array = execute_dgpm(pattern, fragmentation, config, engine="array")
+    by_dict = run_protocol(DGPM, pattern, fragmentation, config, "dict")
+    by_array = run_protocol(DGPM, pattern, fragmentation, config, "array")
     assert by_dict.relation == oracle
     assert by_array.relation == oracle
     assert shipped_protocol(by_array, config) == shipped_protocol(by_dict, config)
@@ -103,8 +104,8 @@ def test_dgpmd_cross_engine_parity_on_dag_queries(instance):
     if not pattern.is_dag():
         return
     oracle = simulation(pattern, graph)
-    assert execute_dgpmd(pattern, fragmentation, engine="dict").relation == oracle
-    assert execute_dgpmd(pattern, fragmentation, engine="array").relation == oracle
+    assert run_protocol(DGPMD, pattern, fragmentation, engine="dict").relation == oracle
+    assert run_protocol(DGPMD, pattern, fragmentation, engine="array").relation == oracle
 
 
 @st.composite
@@ -128,8 +129,8 @@ def tree_instances(draw):
 def test_dgpmt_cross_engine_parity(instance):
     tree, fragmentation, pattern = instance
     oracle = simulation(pattern, tree)
-    assert execute_dgpmt(pattern, fragmentation, engine="dict").relation == oracle
-    assert execute_dgpmt(pattern, fragmentation, engine="array").relation == oracle
+    assert run_protocol(DGPMT, pattern, fragmentation, engine="dict").relation == oracle
+    assert run_protocol(DGPMT, pattern, fragmentation, engine="array").relation == oracle
 
 
 @st.composite

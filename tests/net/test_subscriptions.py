@@ -358,6 +358,40 @@ class TestSubscriptionOracle:
         _audit(initial, query, baseline, ops, deltas)
         assert deltas, "a 24-op mixed script should change the answer at least once"
 
+    @pytest.mark.parametrize("backend", ["thread", "sharded"])
+    def test_subscribed_only_query_is_repaired_not_rerun(self, backend):
+        """A standing query nobody else reads is hot from its baseline on:
+        the first answer-changing batch gives it a warm state and every batch
+        repairs it -- one protocol run in all, none under the write lock."""
+        graph = web_graph(1000, 5000, seed=7)
+        initial = graph.copy()
+        query = cyclic_pattern(graph, 4, 6, seed=3)
+        matched = _as_sets(simulation(query, graph))
+        # u's only witness for a query edge: deleting it changes the answer,
+        # re-inserting it changes it back.
+        witness = next(
+            (u, targets[0])
+            for a, b in query.edges()
+            for u in sorted(matched[a])
+            for targets in [[v for v in graph.successors(u) if v in matched[b]]]
+            if len(targets) == 1
+        )
+        n = 8
+        ops = [(InsertEdge if i % 2 else DeleteEdge)(*witness) for i in range(n)]
+        deltas: List[protocol.PushDelta] = []
+        frag = partition(graph, 16, 7, vf_ratio=0.25)
+        with ConcurrentSessionServer(frag, backend=backend, n_workers=2) as server:
+            _, baseline = server.subscribe(
+                query, lambda *delta: deltas.append(protocol.PushDelta(*delta))
+            )
+            for op in ops:
+                server.apply([op])
+            stats = server.stats
+        assert [d.stamp for d in deltas] == list(range(1, n + 1))
+        _audit(initial, query, _as_sets(baseline.relation), ops, deltas)
+        assert (stats.cache_misses, stats.entries_evicted) == (1, 0)
+        assert (stats.entries_promoted, stats.entries_repaired) == (1, n)
+
     def test_two_subscribers_one_mutating_client(self, instance):
         """Independent subscriptions see independent, equally-correct
         streams (PR-3 parity, now over PUSH)."""

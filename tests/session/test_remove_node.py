@@ -2,8 +2,9 @@
 
 The removal contract: the fragmentation stays valid (``validate()`` holds),
 dependency graphs are patched rather than rebuilt, and every maintained
-answer -- cold cache entries, warm repaired entries, long-lived incremental
-sessions -- equals a from-scratch simulation of the mutated graph.
+answer -- cold cache entries, warm repaired entries, a standalone
+``IncrementalMatchState`` -- equals a from-scratch simulation of the mutated
+graph.
 
 The regression pinned by :class:`TestWarmRemoveNodeRegression`: a removed
 node's own candidacy can be killed *during* the edge cascade, after the
@@ -26,12 +27,11 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern
-from repro.core.incremental import IncrementalDgpmSession
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import DeleteEdge, InsertEdge, RemoveNode
 from repro.graph.pattern import Pattern
-from tests.conftest import warm_entries
+from tests.conftest import PatchedState, warm_entries
 
 
 def _replay_remove(graph: DiGraph, removed) -> DiGraph:
@@ -101,7 +101,7 @@ class TestSessionRemoveNode:
 def _make_warm(session, u, v) -> None:
     """Warm states are built by the first relevant write: delete and
     re-insert the label-relevant edge ``(u, v)`` so the removal under test
-    goes through ``IncrementalMatchState.apply_remove_node``."""
+    goes through the warm state's ``remove_node`` repair."""
     session.apply([DeleteEdge(u, v), InsertEdge(u, v)])
     assert len(warm_entries(session)) == 1
 
@@ -164,9 +164,8 @@ class TestWarmRemoveNodeRegression:
             [(1, 2), (2, 1), (3, 4), (4, 3)],
         )
         frag = partition(graph, 2, seed=3)
-        session = IncrementalDgpmSession(query, frag)
-        update = session.remove_node(1)
-        assert update.kind == "remove_node"
+        session = PatchedState(query, frag)
+        assert session.mutate("remove_node", 1).changed
         oracle_graph = _replay_remove(graph, [1])
         assert session.relation() == simulation(query, oracle_graph)
         session.fragmentation.validate()
@@ -179,11 +178,11 @@ class TestIncrementalRemoveNode:
         graph = web_graph(40, 150, n_labels=3, seed=seed)
         frag = partition(graph, 3, seed=seed)
         query = cyclic_pattern(graph, 3, 3, seed=seed)
-        session = IncrementalDgpmSession(query, frag)
+        session = PatchedState(query, frag)
         mirror = graph.copy()
         for _ in range(6):
             node = rng.choice(list(mirror.nodes()))
-            session.remove_node(node)
+            session.mutate("remove_node", node)
             mirror.remove_node(node)
             assert session.relation() == simulation(query, mirror)
             session.fragmentation.validate()
@@ -192,9 +191,9 @@ class TestIncrementalRemoveNode:
         query = Pattern({"a": "A"}, [("a", "a")])
         graph = DiGraph({1: "A", 2: "A", 3: "B"}, [(1, 1), (1, 2), (3, 1)])
         frag = partition(graph, 2, seed=1)
-        session = IncrementalDgpmSession(query, frag)
+        session = PatchedState(query, frag)
         assert session.relation().as_dict()["a"] == {1}
-        session.remove_node(1)
+        session.mutate("remove_node", 1)
         assert not session.relation().is_match
         session.fragmentation.validate()
 
@@ -214,10 +213,10 @@ class TestTargetedInsertRepair:
         graph = self._chain_into_cluster()
         query = Pattern({"x": "A", "y": "A"}, [("x", "y")])
         frag = partition(graph, 2, seed=7)
-        session = IncrementalDgpmSession(query, frag)
+        session = PatchedState(query, frag)
         # Only X(x, t2) is false; x has no query parent to close over.
-        update = session.insert_edge("t2", "c0")
-        assert (update.kind, update.n_reopened) == ("insert(targeted)", 1)
+        update = session.mutate("insert_edge", "t2", "c0")
+        assert (update.strategy, update.n_reopened) == ("targeted", 1)
         mirror = graph.copy()
         mirror.add_edge("t2", "c0")
         assert session.relation() == simulation(query, mirror)
@@ -226,23 +225,23 @@ class TestTargetedInsertRepair:
         graph = self._chain_into_cluster()
         query = Pattern({"x": "A", "y": "A"}, [("x", "y")])
         frag = partition(graph, 2, seed=7)
-        session = IncrementalDgpmSession(query, frag)
+        session = PatchedState(query, frag)
         # Everything in the 30-cycle reaches c0, but the region is counted in
         # pairs the edge can revive: X(x, c0) is already true, so there are
         # none, however much of the graph reaches the source.
-        update = session.insert_edge("c0", "t0")
-        assert (update.kind, update.n_reopened) == ("insert(absorbed)", 0)
+        update = session.mutate("insert_edge", "c0", "t0")
+        assert (update.strategy, update.n_reopened, update.changed) == ("", 0, False)
         mirror = graph.copy()
         mirror.add_edge("c0", "t0")
         assert session.relation() == simulation(query, mirror)
         # Cut the cycle: under a cyclic query nothing matches any more, and
         # closing it again revives 60 of the 66 label-compatible pairs.
         cyclic = Pattern({"x": "A", "y": "A"}, [("x", "y"), ("y", "x")])
-        session = IncrementalDgpmSession(cyclic, frag)
-        session.delete_edge("c29", "c0")
+        session = PatchedState(cyclic, frag)
+        session.mutate("delete_edge", "c29", "c0")
         assert not session.relation().is_match
-        update = session.insert_edge("c29", "c0")
-        assert update.kind == "insert(recompute)"
+        update = session.mutate("insert_edge", "c29", "c0")
+        assert update.strategy == "bootstrap"
         assert session.relation() == simulation(cyclic, graph)
 
     def test_irrelevant_insert_absorbed(self):
@@ -251,9 +250,9 @@ class TestTargetedInsertRepair:
         )
         query = Pattern({"x": "A", "y": "B"}, [("x", "y")])
         frag = partition(graph, 2, seed=1)
-        session = IncrementalDgpmSession(query, frag)
-        update = session.insert_edge(4, 3)
-        assert update.kind == "insert(absorbed)"
+        session = PatchedState(query, frag)
+        update = session.mutate("insert_edge", 4, 3)
+        assert (update.strategy, update.changed) == ("", False)
         assert update.n_messages == 0
         mirror = graph.copy()
         mirror.add_edge(4, 3)
@@ -264,11 +263,11 @@ class TestTargetedInsertRepair:
         graph = self._chain_into_cluster()
         query = Pattern({"x": "A", "y": "A"}, [("x", "y")])
         frag = partition(graph, 3, seed=9)
-        session = IncrementalDgpmSession(query, frag)
+        session = PatchedState(query, frag)
         mirror = graph.copy()
-        session.insert_edge("t2", "c5")
+        session.mutate("insert_edge", "t2", "c5")
         mirror.add_edge("t2", "c5")
-        session.remove_node("c5")
+        session.mutate("remove_node", "c5")
         mirror.remove_node("c5")
         assert session.relation() == simulation(query, mirror)
         session.fragmentation.validate()

@@ -26,7 +26,8 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
-from repro.core.dgpm import execute_dgpm
+from repro.core.dgpm import DGPM
+from repro.core.protocol import run_protocol
 from repro.graph.pattern import Pattern
 from repro.session import LruResultCache, canonical_query_key
 from tests.conftest import cache_entry
@@ -214,7 +215,7 @@ class TestInvalidation:
         assert session.stats.invalidations == 1
         assert "cache_hit" not in after.metrics.extras  # cache was cleared
         assert after.relation == simulation(query, graph)
-        fresh = execute_dgpm(query, frag)
+        fresh = run_protocol(DGPM, query, frag)
         assert after.relation == fresh.relation
 
     def test_inconsistent_mutation_fails_loudly(self):

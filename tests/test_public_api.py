@@ -1,6 +1,9 @@
 """Integration tests through the public package surface only."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,10 +12,56 @@ import pytest
 import repro
 
 
+#: everything public these define -- a name not listed is a second way in
+SURFACES = {
+    "repro.core.incremental": {
+        "IncrementalMatchState", "RepairCost",
+        "delta_may_change_answer", "edge_update_may_change_answer",
+    },
+    "repro.core.incremental.IncrementalMatchState": {"apply", "bootstrap", "relation"},
+    "repro.bench.smoke": {"fingerprint", "write_record"},
+}
+
+#: parameters no call site ever set, now the constants they were
+REMOVED_PARAMETERS = [
+    ("repro.session.SimulationSession", "deps"),
+    ("repro.session.ConcurrentSessionServer.rebalance", "balance"),
+    ("repro.session.ConcurrentSessionServer.rebalance", "max_passes"),
+    ("repro.session.sharding.HashRing.rebalanced", "tolerance"),
+    ("repro.runtime.mp.respawn_worker", "probe"),
+    ("repro.net.NetworkSessionServer", "drain_timeout"),
+]
+
+
 class TestExports:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"__all__ lists missing attribute {name}"
+        for package in ("repro", "repro.core", "repro.session", "repro.net", "repro.bench"):
+            module = importlib.import_module(package)
+            assert len(set(module.__all__)) == len(module.__all__), package
+            for name in module.__all__:
+                assert hasattr(module, name), f"{package}.__all__ lists missing {name}"
+
+    @pytest.mark.parametrize("owner", sorted(SURFACES))
+    def test_narrowed_surfaces_define_nothing_else(self, owner):
+        obj = pkgutil.resolve_name(owner)
+        home = getattr(obj, "__module__", obj.__name__)  # a class's, or the module
+        public = {
+            name
+            for name, value in vars(obj).items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == home
+        }
+        assert public == SURFACES[owner]
+
+    def test_removed_entry_points_are_gone(self):
+        for driver in ("dgpm", "dgpmd", "dgpmt"):  # run_protocol(SPEC, ...) is the call
+            module = importlib.import_module(f"repro.core.{driver}")
+            assert not [name for name in vars(module) if name.startswith("execute")]
+        assert "join" not in vars(repro.session.sharding.HashRing)
+        assert "__getstate__" not in vars(repro.session.SessionStats)
+
+    @pytest.mark.parametrize("function, name", REMOVED_PARAMETERS)
+    def test_removed_parameters_are_gone(self, function, name):
+        assert name not in inspect.signature(pkgutil.resolve_name(function)).parameters
 
     def test_import_repro_does_not_load_the_network_layer(self):
         """``repro.runtime`` and ``repro.session`` sit below ``repro.net``:
