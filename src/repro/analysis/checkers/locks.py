@@ -110,6 +110,16 @@ GUARDED: Tuple[GuardSpec, ...] = (
         ),
     ),
     GuardSpec(
+        class_name="_ReadWriteLock",
+        attrs=("_readers", "_writer_active", "_writers_waiting"),
+        locks=("self._cond",),
+        why=(
+            "every acquire and release, the non-blocking read acquire "
+            "included, decides on and updates the reader / writer counts "
+            "under the one condition variable"
+        ),
+    ),
+    GuardSpec(
         class_name="ConcurrentSessionServer",
         attrs=("_write_queue", "_applying", "_closed"),
         locks=("self._write_cond",),

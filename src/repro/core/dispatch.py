@@ -32,6 +32,32 @@ def choose_algorithm(query: Pattern, fragmentation: Fragmentation) -> str:
     return "dGPM"
 
 
+def choose_algorithm_if_decided(query: Pattern, fragmentation: Fragmentation) -> Optional[str]:
+    """:func:`choose_algorithm`'s answer when every fact it would read is
+    already decided, else None; never scans the data graph.
+
+    A maintained fact can be left undecided by a mutation (acyclicity after
+    an insert into a DAG or a delete on the remembered cycle, the
+    connected-fragments memo after any mutation); :func:`choose_algorithm`
+    settles exactly the ones this returns None for, with an ``O(|G|)`` scan.
+    Mirrors its short-circuits: a fact it would not read is not required.
+    """
+    tree, acyclic = fragmentation.graph.shape_if_known()
+    if tree is None:
+        return None
+    if tree:
+        connected = fragmentation.connected_fragments_if_known()
+        if connected is None:
+            return None
+        if connected:
+            return "dGPMt"
+    if query.is_dag():
+        return "dGPMd"
+    if acyclic is None:
+        return None
+    return "dGPMd" if acyclic else "dGPM"
+
+
 def run_auto(
     query: Pattern,
     fragmentation: Fragmentation,

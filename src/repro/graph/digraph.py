@@ -429,6 +429,21 @@ class DiGraph:
         shape = self._shape_index()
         return shape.roots == 1 and shape.multi_parent == 0 and self.is_acyclic()
 
+    def shape_if_known(self) -> Tuple[Optional[bool], Optional[bool]]:
+        """``(is_rooted_tree(), is_acyclic())`` as far as the shape index
+        already decides them, ``None`` for each fact it does not.
+
+        Never scans and never takes :attr:`_index_lock`: the probe for a
+        caller that must not do ``O(|G|)`` work (the serving layer's inline
+        cache hits).
+        """
+        shape = self._shape
+        if shape is None or shape.version != self._version:
+            return None, None
+        if shape.roots != 1 or shape.multi_parent != 0:
+            return False, shape.acyclic
+        return shape.acyclic, shape.acyclic
+
     def warm_indexes(self) -> None:
         """Force all three lazy indexes now (they otherwise build on first use)."""
         if self._labels:

@@ -2,12 +2,20 @@
 
 :class:`NetworkSessionServer` listens on a TCP socket, speaks the frame
 protocol of :mod:`repro.net.protocol`, and feeds every query into
-:meth:`ConcurrentSessionServer.submit` -- the asyncio loop never computes a
-relation itself.  Queries therefore keep the whole PR-3 contract: they run
-concurrently under the read lock, mutation batches apply at quiescent
-points, and every reply carries the mutation stamp its answer observed, so
-a network client gets exactly the snapshot semantics an in-process caller
-gets.
+:meth:`ConcurrentSessionServer.submit`.  The asyncio loop answers the cache
+hits that need no wait and hands everything else to the serving stack's
+thread pool; it never computes a relation and never scans the graph.  A
+hit needs no wait when (thread backend only) the reader-writer lock has no
+writer active or waiting, the fragmentation is not stale (a stale one is
+re-validated, which is ``O(|G|)``), an ``algorithm="auto"`` dispatch reads
+only shape facts that are already decided (a mutation can leave acyclicity
+or fragment connectivity to be settled by an ``O(|G|)`` scan), and the key
+is cached (a key whose compute is still in flight is a miss).  Queries
+therefore keep the whole snapshot/stamp
+contract of :mod:`repro.session.concurrent`: they run concurrently under
+the read lock, mutation batches apply at quiescent points, and every reply
+carries the mutation stamp its answer observed, so a network client gets
+exactly the snapshot semantics an in-process caller gets.
 
 Concurrency model
 -----------------
@@ -16,10 +24,11 @@ Concurrency model
   task, so a connection can pipeline (the asyncio client keys replies by
   the frame ``seq``) and a slow query never blocks a cheap one -- on the
   same connection or across connections.
-* Query futures from ``submit()`` are awaited with
-  :func:`asyncio.wrap_future`; mutation batches and stats snapshots (which
-  block on the writer protocol) run through the loop's default thread-pool
-  executor.  The event loop only ever parses frames and encodes replies.
+* A query future that ``submit()`` returns already resolved (a hit) is
+  read at once; any other is awaited as an asyncio future.  Mutation
+  batches and stats snapshots (which block on the writer protocol) run
+  through the loop's default thread-pool executor.  Besides those hits,
+  the event loop only parses frames and encodes replies.
 * Per-request failures travel back as ``ERROR`` frames carrying the
   exception's class name and message as codec values; the connection stays
   usable.  Only a framing violation (bad magic, a version other than 2, an
@@ -280,10 +289,15 @@ class NetworkSessionServer:
         reply: object
         try:
             if kind == FrameKind.RUN:
-                result = await asyncio.wrap_future(
-                    self._server.submit(
-                        frame.query, algorithm=frame.algorithm, config=frame.config
-                    )
+                future = self._server.submit(
+                    frame.query, algorithm=frame.algorithm, config=frame.config
+                )
+                # A hit answered inside submit() is already resolved: encode
+                # it now instead of taking a trip through the loop.
+                result = (
+                    future.result()
+                    if future.done()
+                    else await asyncio.wrap_future(future)
                 )
                 reply = protocol.RunReply(
                     relation=result.relation,
@@ -302,8 +316,10 @@ class NetworkSessionServer:
                 partition = await loop.run_in_executor(
                     None, self._server.partition_snapshot
                 )
+                # A copy: pool threads keep counting into the live object
+                # while this reply is encoded.
                 reply = protocol.StatsReply(
-                    stats=self._server.stats,
+                    stats=self._server.stats.snapshot(),
                     stamp=self._server.stamp,
                     backend=self._server.backend,
                     n_workers=self._server.n_workers,

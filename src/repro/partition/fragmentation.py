@@ -396,6 +396,12 @@ class Fragmentation:
             self._connected = (stamp, all(map(self._is_connected, self.fragments)))
         return self._connected[1]
 
+    def connected_fragments_if_known(self) -> Optional[bool]:
+        """:meth:`has_connected_fragments` if memoized at this version, else
+        None; never walks a fragment."""
+        memo = self._connected
+        return memo[1] if memo is not None and memo[0] == self.version else None
+
     def _is_connected(self, frag: Fragment) -> bool:
         """Undirected walk over the base graph, confined to ``frag``'s ``Vi``."""
         local = frag.local_nodes

@@ -24,7 +24,8 @@ Three pieces:
   keeps them fresh across mutations (see :mod:`repro.session.session`).
 
   The cache is **thread-safe**: every operation holds one internal lock
-  (nothing re-enters it and no other lock is taken while it is held), and
+  (nothing re-enters it and no other lock is taken while it is held),
+  :meth:`LruResultCache.get` is the non-blocking lookup, and
   :meth:`LruResultCache.get_or_compute` gives concurrent readers an atomic
   get-or-compute: when several threads miss on the same key at once, exactly
   one runs the expensive compute while the rest wait for its result instead
@@ -285,10 +286,16 @@ class LruResultCache:
             return list(self._entries.items())
 
     def get(self, key: Tuple) -> Optional[CacheEntry]:
+        """The entry under ``key`` or None; never computes, never waits.
+
+        A found entry counts as a hit.  A miss counts nothing here because it
+        is not final: the :meth:`get_or_compute` that serves it counts it
+        once -- as a miss, or as a hit when another caller's compute stored
+        the entry in between.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

@@ -32,14 +32,18 @@ The snapshot/stamp contract
 Two execution backends behind one API
 -------------------------------------
 
-* ``backend="thread"`` -- queries run on a thread pool against the shared
-  session.  Latency and fairness: a slow query never blocks an unrelated
-  one, concurrent identical queries coalesce into a single protocol run
-  (:meth:`LruResultCache.get_or_compute`), and every thread shares one
-  result cache.  The pool's width buys no throughput (measured: misses run
-  at the same ops/s at width 1, 2 and 4); it keeps a cache hit from queueing
-  behind a running miss (at 12k nodes a hit beside a looping miss: p50
-  0.17 ms at width 4, 22 ms at width 1 -- the README has the table).
+* ``backend="thread"`` -- every caller shares one session and one result
+  cache.  A cache hit that needs no wait is answered on the calling thread
+  (:meth:`submit` says when); the rest -- misses, and hits that meet a
+  writer, a stale fragmentation or an undecided shape fact -- run on a
+  thread pool.  A slow query
+  never blocks an unrelated one, and concurrent identical queries coalesce
+  into a single protocol run (:meth:`LruResultCache.get_or_compute`).  The
+  pool's width buys no throughput (measured: misses run at the same ops/s
+  at width 1, 2 and 4), and since hits skip the pool it no longer decides
+  whether a hit waits behind a running miss either; what it still sets is
+  how many misses, and hits that fell through to the pool, run at once
+  (the README has the numbers).
 * ``backend="sharded"`` -- the paper's site model as a deployment: each of
   a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
   the fragments a :class:`~repro.session.sharding.HashRing` assigns it
@@ -97,7 +101,7 @@ from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
 from repro.runtime.metrics import RunMetrics, RunResult
 from repro.runtime.transport import FaultPlan, RetryPolicy
-from repro.session.session import MutationOutcome, SimulationSession
+from repro.session.session import MutationOutcome, QueryKey, SimulationSession
 from repro.session.sharding import HashRing
 from repro.simulation.matchrel import MatchRelation
 
@@ -183,10 +187,28 @@ class _ReadWriteLock:
         try:
             yield
         finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+            self._release_read()
+
+    @contextmanager
+    def read_locked_if_free(self):
+        """Like :meth:`read_locked` but never waits: yields False, holding
+        nothing, while a writer is active or waiting.  (The condition's own
+        mutex is only ever held for O(1) bookkeeping, never across a wait.)"""
+        with self._cond:
+            held = not (self._writer_active or self._writers_waiting)
+            if held:
+                self._readers += 1
+        try:
+            yield held
+        finally:
+            if held:
+                self._release_read()
+
+    def _release_read(self) -> None:
+        with self._cond:
+            self._readers -= 1
+            if self._readers == 0:
+                self._cond.notify_all()
 
     @contextmanager
     def write_locked(self):
@@ -329,10 +351,12 @@ class ConcurrentSessionServer:
         per-worker memory and fault isolation -- not speed); see the module
         docstring.
     n_workers:
-        Thread-pool width: not a throughput knob (misses run at the same
-        ops/s at any width) but what lets a cache hit overtake a running
-        miss instead of queueing behind it.  For the sharded backend also
-        the number of shard worker processes.
+        Thread-pool width: how many pool requests (misses, and hits that
+        fell through to the pool) run at once.  Not a throughput knob
+        (misses run at the same ops/s at any width), and a hit that needs
+        no wait never enters the pool, so it does not queue behind a running
+        miss at any width.  For the sharded backend also the number of shard
+        worker processes.
     config:
         Default config for a session built from a fragmentation (rejected
         together with an existing session -- that session already has one).
@@ -507,10 +531,36 @@ class ConcurrentSessionServer:
         algorithm: str = "auto",
         config: Optional[DgpmConfig] = None,
     ) -> "Future[StampedResult]":
-        """Enqueue one query; the future resolves to a :class:`StampedResult`."""
+        """Enqueue one query; the future resolves to a :class:`StampedResult`.
+
+        Thread backend: a cache hit that needs no wait is answered on the
+        calling thread and comes back as an already-resolved future.  It
+        needs none when the read lock is free of writers (active or
+        waiting) and :meth:`SimulationSession.lookup` finds the key without
+        ``O(|G|)`` work -- the fragmentation is not stale, an ``"auto"``
+        dispatch reads only decided shape facts -- and cached, not in
+        flight.  Everything else runs on the pool, a miss reusing the key
+        the failed lookup derived.  Errors, the lookup's included, always
+        arrive through the future.
+        """
         self._check_open()
+        key = None
+        if self._shards is None:
+            future: "Future[StampedResult]" = Future()
+            try:
+                with self._rw.read_locked_if_free() as held:
+                    if held:
+                        hit, key = self._session.lookup(query, algorithm, config)
+                        if hit is not None:
+                            future.set_result(
+                                StampedResult(hit.relation, hit.metrics, self._stamp)
+                            )
+                            return future
+            except Exception as exc:
+                future.set_exception(exc)
+                return future
         try:
-            return self._executor.submit(self._serve, query, algorithm, config)
+            return self._executor.submit(self._serve, query, algorithm, config, key)
         except RuntimeError as exc:
             # close() raced us between _check_open and the executor submit;
             # keep the documented error contract.
@@ -539,12 +589,18 @@ class ConcurrentSessionServer:
         return [future.result() for future in futures]
 
     def _serve(
-        self, query: Pattern, algorithm: str, config: Optional[DgpmConfig]
+        self,
+        query: Pattern,
+        algorithm: str,
+        config: Optional[DgpmConfig],
+        key: Optional[QueryKey],
     ) -> StampedResult:
         with self._rw.read_locked():
             stamp = self._stamp
             if self._shards is not None:
                 result = self._serve_via_shards(query, algorithm, config)
+            elif key is not None and self._session.is_current(key):
+                result = self._session.run_key(key)
             else:
                 result = self._session.run(query, algorithm=algorithm, config=config)
         return StampedResult(
@@ -657,11 +713,7 @@ class ConcurrentSessionServer:
         # its traffic here: every run on this path executes the protocol (a
         # miss), and the sharded backend is the headline consumer of the
         # per-fragment window (rebalance() migrates by it).
-        session.stats.bump("queries_served")
-        session.stats.bump("cache_misses")
-        session.stats.bump_fragment(
-            "fragment_queries", session._touched_fids(result.relation)
-        )
+        session.stats.count_query(False, session._touched_fids(result.relation))
         return result
 
     @staticmethod

@@ -87,7 +87,7 @@ from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
 from repro.core.dgpmd import dgpmd_applies
 from repro.core.dgpmt import dgpmt_applies
-from repro.core.dispatch import choose_algorithm
+from repro.core.dispatch import choose_algorithm, choose_algorithm_if_decided
 from repro.core.incremental import IncrementalMatchState, delta_may_change_answer
 from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
@@ -104,6 +104,7 @@ from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.runtime.metrics import RunResult
 from repro.session.cache import (
     CacheEntry,
+    CanonicalQuery,
     LabelInterner,
     LruResultCache,
     canonical_form,
@@ -130,11 +131,12 @@ def _translate(
 class SessionStats:
     """Serving counters of one session (cumulative since construction).
 
-    Increments go through :meth:`bump`, which holds an internal lock --
-    concurrent readers (the thread backend of
+    Increments go through :meth:`bump` and friends, which hold an internal
+    lock -- concurrent readers (the thread backend of
     :class:`~repro.session.concurrent.ConcurrentSessionServer`) never lose
     an update to an interleaved read-modify-write.  Plain attribute reads
-    stay lock-free (single loads are atomic under the GIL).
+    stay lock-free (single loads are atomic under the GIL); several
+    counters read together come from :meth:`snapshot`.
     """
 
     #: queries answered (cache hits included)
@@ -200,11 +202,40 @@ class SessionStats:
         growing without bound under node-churn workloads.
         """
         with self._lock:
-            table: Dict[int, int] = getattr(self, counter)
-            for fid in fids:
-                if fid not in table and len(table) >= self.MAX_FRAGMENT_KEYS:
-                    fid = -1
-                table[fid] = table.get(fid, 0) + n
+            self._add_traffic(getattr(self, counter), fids, n)
+
+    def _add_traffic(self, table: Dict[int, int], fids: Iterable[int], n: int) -> None:
+        for fid in fids:
+            if fid not in table and len(table) >= self.MAX_FRAGMENT_KEYS:
+                fid = -1
+            table[fid] = table.get(fid, 0) + n
+
+    def count_query(self, hit: bool, fids: Iterable[int]) -> None:
+        """Count one answered query -- served, hit or miss, and the traffic
+        of the fragments it touched -- in one lock hold, so no
+        :meth:`snapshot` sees it half counted."""
+        with self._lock:
+            self.queries_served += 1
+            if hit:
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
+            self._add_traffic(self.fragment_queries, fids, 1)
+
+    def snapshot(self) -> "SessionStats":
+        """A consistent copy of every counter, traffic dicts included.
+
+        What a reader that outlives one call must hold (the wire ``stats()``
+        reply encodes it): the live object keeps changing under concurrent
+        queries, so iterating its dicts can fail mid-way and two counters
+        read apart can disagree.
+        """
+        with self._lock:
+            return replace(
+                self,
+                fragment_queries=dict(self.fragment_queries),
+                fragment_mutations=dict(self.fragment_mutations),
+            )
 
     def traffic_snapshot(self) -> Dict[int, int]:
         """One consistent ``fid -> load`` copy merging queries + mutations.
@@ -230,6 +261,29 @@ traffic_node_weights` consumes when the rebalancer re-partitions by
     def hit_rate(self) -> float:
         """Fraction of served queries answered from cache."""
         return self.cache_hits / self.queries_served if self.queries_served else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class QueryKey:
+    """One request resolved to its cache identity, derived once.
+
+    :meth:`SimulationSession.lookup` derives it; on a miss the same key
+    feeds :meth:`SimulationSession.run_key`, so the compute repeats no
+    validation, dispatch, canonical form or ``repr(config)``.  It is valid
+    while ``fragmentation`` is still served at ``version``
+    (:meth:`SimulationSession.is_current`): ``algorithm="auto"`` dispatch
+    reads the graph's shape, which a mutation can change.
+    """
+
+    query: Pattern
+    driver: AlgorithmDriver
+    config: DgpmConfig
+    engine: str
+    form: CanonicalQuery
+    #: the result cache's key: ``(driver, engine, repr(config), digest)``
+    key: Tuple
+    fragmentation: Fragmentation
+    version: int
 
 
 @dataclass(frozen=True)
@@ -477,6 +531,79 @@ class SimulationSession:
 ConcurrentSessionServer` provides.
         """
         self._refresh_if_stale()
+        return self.run_key(self._query_key(query, algorithm, config, engine))
+
+    def lookup(
+        self,
+        query: Pattern,
+        algorithm: str = "auto",
+        config: Optional[DgpmConfig] = None,
+    ) -> Tuple[Optional[RunResult], Optional[QueryKey]]:
+        """The cached answer to a request, or None; plus the request's key.
+
+        Never computes, never scans the graph and never waits on another
+        caller's compute: a hit is served and counted exactly as :meth:`run`
+        serves it, a miss counts nothing and hands back the
+        :class:`QueryKey` for :meth:`run_key`.  ``(None, None)`` when even
+        the key would cost ``O(|G|)``: a stale fragmentation (:meth:`run`
+        re-validates it) or an ``"auto"`` dispatch that must first settle a
+        shape fact (:func:`~repro.core.dispatch.choose_algorithm_if_decided`)
+        -- :meth:`run` does that work.  The caller holds the exclusion reads
+        need against mutations.  Invalid arguments raise here, as they would
+        from :meth:`run`.
+        """
+        if self.fragmentation.version != self._version:
+            return None, None
+        if algorithm.lower() == "auto":
+            # The key names the driver, so the decided name keys it the same.
+            algorithm = choose_algorithm_if_decided(query, self.fragmentation)
+            if algorithm is None:
+                return None, None
+        key = self._query_key(query, algorithm, config, None)
+        entry = self._cache.get(key.key)
+        return (None if entry is None else self._served(key, entry, True)), key
+
+    def is_current(self, key: QueryKey) -> bool:
+        """True while ``key`` still describes the served graph (same
+        fragmentation, no mutation since it was derived, not stale)."""
+        return (
+            key.fragmentation is self.fragmentation
+            and key.version == self.fragmentation.version == self._version
+        )
+
+    def run_key(self, key: QueryKey) -> RunResult:
+        """Serve a derived request through the cache; ``key`` must be current.
+
+        Concurrent identical misses coalesce into one protocol run
+        (:meth:`LruResultCache.get_or_compute`).
+        """
+
+        def compute() -> CacheEntry:
+            result = key.driver.run(self, key.query, key.config, engine=key.engine)
+            return CacheEntry(
+                result=result, query=key.query, algorithm=key.driver.name,
+                config=key.config, order=key.form.order,
+                fids=self._touched_fids(result.relation),
+            )
+
+        try:
+            entry, hit = self._cache.get_or_compute(key.key, compute)
+        except BaseException:
+            # A query whose compute raised was still served (and is neither
+            # a hit nor a miss).
+            self.stats.bump("queries_served")
+            raise
+        if not hit:
+            self.stats.sync_evictions(self._cache.stats.evictions)
+        return self._served(key, entry, hit)
+
+    def _query_key(
+        self,
+        query: Pattern,
+        algorithm: str,
+        config: Optional[DgpmConfig],
+        engine: Optional[str],
+    ) -> QueryKey:
         config = config or self.config
         engine = self._validate_args(algorithm, engine)
         driver, config = self._resolve_for_query(algorithm, query, config)
@@ -486,30 +613,23 @@ ConcurrentSessionServer` provides.
                 f"(supported: {', '.join(driver.engines)})"
             )
         form = self.canonical_form_of(query)
-        key = (driver.name, engine, repr(config), form.digest)
-        self.stats.bump("queries_served")
+        return QueryKey(
+            query, driver, config, engine, form,
+            (driver.name, engine, repr(config), form.digest),
+            self.fragmentation, self.fragmentation.version,
+        )
 
-        def compute() -> CacheEntry:
-            result = driver.run(self, query, config, engine=engine)
-            return CacheEntry(
-                result=result, query=query, algorithm=driver.name, config=config,
-                order=form.order, fids=self._touched_fids(result.relation),
-            )
-
-        entry, hit = self._cache.get_or_compute(key, compute)
+    def _served(self, key: QueryKey, entry: CacheEntry, hit: bool) -> RunResult:
+        """Count one answered request and hand back the caller's copy."""
         stored = entry.result
         extras = dict(stored.metrics.extras)
         if hit:
-            self.stats.bump("cache_hits")
             extras["cache_hit"] = 1.0
-        else:
-            self.stats.bump("cache_misses")
-            self.stats.sync_evictions(self._cache.stats.evictions)
-        self.stats.bump_fragment("fragment_queries", entry.fids)
+        self.stats.count_query(hit, entry.fids)
         # The metrics are copied either way: the caller owns what it gets,
         # and mutating its extras must not leak into later hits.
         return RunResult(
-            relation=_translate(stored.relation, entry.order, form.order),
+            relation=_translate(stored.relation, entry.order, key.form.order),
             metrics=replace(stored.metrics, extras=extras),
         )
 

@@ -146,6 +146,35 @@ class TestLockDiscipline:
         )
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
+    def test_production_registry_guards_the_reader_writer_counts(self):
+        """A read acquire that skips the condition variable is flagged; the
+        non-blocking acquire written under it is clean."""
+        seeded = (
+            "class _ReadWriteLock:\n"
+            "    def try_read(self):\n"
+            "        if self._writer_active or self._writers_waiting:\n"
+            "            return False\n"
+            "        self._readers += 1\n"
+            "        return True\n"
+            "    def writer_arrives(self):\n"
+            "        self._writers_waiting += 1\n"
+            "        self._writer_active = True\n"
+        )
+        findings = check(LockDisciplineChecker(), {"m.py": seeded})
+        assert sorted(f.detail for f in findings) == [
+            "_readers", "_writer_active", "_writers_waiting"
+        ]
+        clean = (
+            "class _ReadWriteLock:\n"
+            "    def try_read(self):\n"
+            "        with self._cond:\n"
+            "            held = not (self._writer_active or self._writers_waiting)\n"
+            "            if held:\n"
+            "                self._readers += 1\n"
+            "        return held\n"
+        )
+        assert check(LockDisciplineChecker(), {"m.py": clean}) == []
+
 
 class TestFrozenCrossing:
     def test_unfrozen_dataclass_in_frozen_module_flagged(self):

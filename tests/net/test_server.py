@@ -12,7 +12,6 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
 from typing import List, Tuple
 
 import pytest
@@ -33,10 +32,12 @@ from repro.errors import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import DeleteEdge
+from repro.graph.pattern import Pattern
 from repro.net import protocol
 from repro.net.protocol import Connection, FrameKind
 from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
 from repro.net.server import NetworkSessionServer
+from repro.partition.fragmentation import fragment_graph
 
 from tests.net.test_protocol import _frame, _struct
 
@@ -118,6 +119,26 @@ class TestSyncClient:
                 assert reply.stamp == 1
                 assert reply.stats.queries_served >= 1
                 assert reply.stats.mutations == 1
+
+    def test_stats_reply_carries_a_snapshot_not_the_live_counters(self, instance):
+        """The STATS arm encodes a copy: pool threads keep counting into the
+        live object (and adding traffic fids to its dicts) meanwhile."""
+        graph, frag, queries = instance
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            server.run(queries[0], algorithm="dgpm")
+            sent: List[object] = []
+
+            async def capture(seq: int, frame: object) -> None:
+                sent.append(frame)
+
+            ingress = NetworkSessionServer(server)
+            asyncio.run(ingress._dispatch(FrameKind.STATS, 1, None, capture, {}))
+            (reply,) = sent
+            assert reply.stats == server.stats
+            server.run(queries[1], algorithm="dgpm")
+            server.stats.bump_fragment("fragment_queries", [10_000])
+            assert reply.stats.queries_served == 1
+            assert 10_000 not in reply.stats.fragment_queries
 
     def test_hello_handshake(self, instance):
         graph, frag, queries = instance
@@ -483,6 +504,74 @@ class TestSnapshotContractOverTheWire:
             )
 
 
+class TestHitsOnTheLoop:
+    def test_repeated_hits_submit_nothing_to_the_pool(self, instance, monkeypatch):
+        """Over TCP on the thread backend a repeated query is answered on
+        the ingress loop: no executor hand-off per hit."""
+        graph, frag, queries = instance
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            server.run(queries[0], algorithm="dgpm")
+            pooled: List[tuple] = []
+            pool_submit = server._executor.submit
+
+            def counting(*args, **kwargs):
+                pooled.append(args)
+                return pool_submit(*args, **kwargs)
+
+            monkeypatch.setattr(server._executor, "submit", counting)
+            expected = simulation(queries[0], graph)
+            with serve_in_thread(server) as srv:
+                with SessionClient(*srv.address, timeout=60.0) as client:
+                    for _ in range(8):
+                        result = client.run(queries[0], algorithm="dgpm")
+                        assert result.relation == expected
+                        assert result.metrics.extras["cache_hit"] == 1.0
+            assert pooled == []
+            assert server.stats.cache_hits == 8
+
+    def test_auto_hit_never_settles_a_shape_fact_on_the_loop(self, monkeypatch):
+        """Deleting the edge on the remembered cycle leaves acyclicity
+        undecided; the next ``auto`` request must settle it on the pool (one
+        cycle search), not on the ingress loop, and the one after is a hit
+        on the loop again."""
+        graph = DiGraph(
+            {0: "A", 1: "B", 2: "A", 3: "B", 4: "X", 5: "X"},
+            [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 4)],
+        )
+        frag = fragment_graph(graph, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1})
+        two_cycle = Pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            assert server.run(two_cycle).metrics.algorithm.split("/")[0] == "dGPM"
+            server.delete_edge(5, 4)  # the graph's only cycle
+            assert graph._shape.acyclic is None
+            scanned_on: List[str] = []
+            find_cycle = DiGraph._find_cycle
+
+            def recording(g):
+                if g is graph:
+                    scanned_on.append(threading.current_thread().name)
+                return find_cycle(g)
+
+            monkeypatch.setattr(DiGraph, "_find_cycle", recording)
+            pooled: List[tuple] = []
+            pool_submit = server._executor.submit
+
+            def counting(*args, **kwargs):
+                pooled.append(args)
+                return pool_submit(*args, **kwargs)
+
+            monkeypatch.setattr(server._executor, "submit", counting)
+            with serve_in_thread(server) as srv:
+                with SessionClient(*srv.address, timeout=60.0) as client:
+                    first, second = client.run(two_cycle), client.run(two_cycle)
+            assert len(scanned_on) == 1 and scanned_on[0].startswith("repro-serve")
+            assert len(pooled) == 1
+            for result in (first, second):
+                assert result.metrics.algorithm.startswith("dGPMd")
+                assert result.relation == simulation(two_cycle, graph)
+            assert second.metrics.extras["cache_hit"] == 1.0
+
+
 class TestIngressLifecycle:
     def test_fronting_an_existing_server_does_not_own_it(self, instance):
         graph, frag, queries = instance
@@ -508,21 +597,24 @@ class TestIngressLifecycle:
         host, port = srv.address
         results: List[object] = []
         failures: List[BaseException] = []
+        served = threading.Event()  # one answer arrived, or the reader ended
 
         def reader() -> None:
             try:
                 with SessionClient(host, port, timeout=60.0) as client:
                     for q in queries * 2:
                         results.append(client.run(q, algorithm="dgpm"))
+                        served.set()
             except TransportError:
                 pass  # the goodbye raced shutdown; fine after >= 1 answer
             except BaseException as exc:
                 failures.append(exc)
+            finally:
+                served.set()
 
         t = threading.Thread(target=reader)
         t.start()
-        while not results and t.is_alive():
-            time.sleep(0.001)  # wait until at least one request was served
+        assert served.wait(JOIN_TIMEOUT)
         srv.close()
         t.join(timeout=JOIN_TIMEOUT)
         assert not t.is_alive(), "reader deadlocked across ingress shutdown"

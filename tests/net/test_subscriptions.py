@@ -150,6 +150,44 @@ def _collect_until(sub, target_stamp: int, out: List) -> None:
             return
 
 
+class _DeltaLog(list):
+    """A list of deltas whose appends wake :meth:`wait_for_stamp`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._cond = threading.Condition()
+
+    def append(self, delta) -> None:
+        with self._cond:
+            super().append(delta)
+            self._cond.notify_all()
+
+    def wait_for_stamp(self, stamp: int) -> bool:
+        """Block until a delta at ``stamp`` or later arrived (0: at once)."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not stamp or (self and self[-1].stamp >= stamp),
+                timeout=JOIN_TIMEOUT,
+            )
+
+
+def _registry_emptied(registry, monkeypatch) -> threading.Event:
+    """An event set by the ``unsubscribe`` call that leaves ``registry``
+    with no subscription (install it while one is still registered)."""
+    emptied = threading.Event()
+    unsubscribe = registry.unsubscribe
+
+    def watched(sub_id: int) -> bool:
+        try:
+            return unsubscribe(sub_id)
+        finally:
+            if not registry._subs:
+                emptied.set()
+
+    monkeypatch.setattr(registry, "unsubscribe", watched)
+    return emptied
+
+
 # ----------------------------------------------------------------------
 # fixtures
 # ----------------------------------------------------------------------
@@ -326,7 +364,7 @@ class TestSubscriptionOracle:
         frag = partition(graph, 3, seed=23)
         query = cyclic_pattern(graph, 3, 3, seed=5)
         ops = _mutation_script(initial, 24, seed=41)
-        deltas: List[protocol.PushDelta] = []
+        deltas = _DeltaLog()
         with serve_in_thread(frag, backend=backend, n_workers=3) as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
                 sub = client.subscribe(query)
@@ -344,15 +382,9 @@ class TestSubscriptionOracle:
                 last_change_stamp = _last_change_stamp(
                     initial, query, baseline, ops
                 )
-                # Wait for the tail push (if any); the collector exits on
-                # reaching len(ops), so nudge it with a final no-op check.
-                deadline = time.time() + JOIN_TIMEOUT
-                while time.time() < deadline:
-                    if deltas and deltas[-1].stamp >= last_change_stamp:
-                        break
-                    if last_change_stamp == 0:
-                        break
-                    time.sleep(0.02)
+                # Wait for the tail push (if any); closing the subscription
+                # ends the collector however far it got.
+                deltas.wait_for_stamp(last_change_stamp)
                 sub.close()
                 collector.join(timeout=JOIN_TIMEOUT)
         _audit(initial, query, baseline, ops, deltas)
@@ -405,8 +437,7 @@ class TestSubscriptionOracle:
                 base_a = _as_sets(sub_a.relation)
                 base_b = _as_sets(sub_b.relation)
                 assert base_a == base_b
-                got_a: List[protocol.PushDelta] = []
-                got_b: List[protocol.PushDelta] = []
+                got_a, got_b = _DeltaLog(), _DeltaLog()
                 ta = threading.Thread(
                     target=_collect_until, args=(sub_a, len(ops), got_a), daemon=True
                 )
@@ -418,14 +449,8 @@ class TestSubscriptionOracle:
                 for op in ops:
                     client.apply([op])
                 last_change = _last_change_stamp(initial, query, base_a, ops)
-                deadline = time.time() + JOIN_TIMEOUT
-                while time.time() < deadline and last_change and not (
-                    got_a
-                    and got_b
-                    and got_a[-1].stamp >= last_change
-                    and got_b[-1].stamp >= last_change
-                ):
-                    time.sleep(0.02)
+                got_a.wait_for_stamp(last_change)
+                got_b.wait_for_stamp(last_change)
                 sub_a.close()
                 sub_b.close()
         _audit(initial, query, base_a, ops, got_a)
@@ -547,20 +572,19 @@ class TestAsyncSubscription:
 
         asyncio.run(main())
 
-    def test_close_unsubscribes_server_side(self, instance):
+    def test_close_unsubscribes_server_side(self, instance, monkeypatch):
         graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
                 sub = client.subscribe(query)
                 registry = srv.ingress.server
                 assert len(registry._subs) == 1
+                emptied = _registry_emptied(registry, monkeypatch)
                 sub.close()
-                deadline = time.time() + JOIN_TIMEOUT
-                while time.time() < deadline and registry._subs:
-                    time.sleep(0.02)
+                assert emptied.wait(JOIN_TIMEOUT)
                 assert not registry._subs
 
-    def test_disconnect_unsubscribes_server_side(self, instance):
+    def test_disconnect_unsubscribes_server_side(self, instance, monkeypatch):
         """A vanished subscriber must not leak registry entries."""
         graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
@@ -568,13 +592,12 @@ class TestAsyncSubscription:
             sub = client.subscribe(query)
             registry = srv.ingress.server
             assert len(registry._subs) == 1
+            emptied = _registry_emptied(registry, monkeypatch)
             # Simulate a crash: no UNSUBSCRIBE, no BYE, just the FIN the
             # kernel sends for a dead process.
             sub._link.close()
             client.close()
-            deadline = time.time() + 5.0  # a real leak fails in seconds
-            while time.time() < deadline and registry._subs:
-                time.sleep(0.02)
+            assert emptied.wait(5.0)  # a real leak fails in seconds
             assert not registry._subs
 
 

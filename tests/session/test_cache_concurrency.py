@@ -144,8 +144,8 @@ class TestLruCacheHammer:
     def test_parallel_put_get_evict_loses_no_entry(self):
         """Unique keys from N threads: afterwards every key is accounted for
         exactly once (still cached, aged out by the LRU, or popped), every
-        entry's hit count equals the lookups that found it, and the hit and
-        miss counters add up to the lookups made."""
+        entry's hit count equals the lookups that found it, and so does the
+        hit counter."""
         cache = LruResultCache(max_entries=32)
         entries: dict = {}
         found: list = []
@@ -189,8 +189,10 @@ class TestLruCacheHammer:
         assert len(remaining) + len(popped) + cache.stats.evictions == len(entries), (
             "a key vanished untracked"
         )
-        assert cache.stats.hits + cache.stats.misses == N_THREADS * OPS_PER_THREAD
-        # The hit bump happens under the lock that found the entry: none lost.
+        # A failed get() counts nothing (the get_or_compute serving the
+        # miss would); the hit bump happens under the lock that found the
+        # entry, so none is lost.
+        assert cache.stats.misses == 0
         assert cache.stats.hits == len(found)
         lookups = Counter(found)
         assert all(entry.hits == lookups[key] for key, entry in entries.items())

@@ -8,7 +8,9 @@ error propagation, and lifecycle.
 
 from __future__ import annotations
 
+import sys
 import threading
+from typing import List, Tuple
 
 import pytest
 
@@ -176,6 +178,209 @@ class TestThreadBackend:
             for u, v in edges:
                 assert not graph.has_edge(u, v)
             frag.validate()
+
+
+JOIN_TIMEOUT = 60.0
+
+
+def _hold(obj, name: str, monkeypatch) -> Tuple[threading.Event, threading.Event]:
+    """Make ``obj.name(...)`` signal ``entered`` and then wait for
+    ``release`` before running; returns ``(entered, release)``."""
+    entered, release = threading.Event(), threading.Event()
+    original = getattr(obj, name)
+
+    def held(*args, **kwargs):
+        entered.set()
+        release.wait(JOIN_TIMEOUT)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, held)
+    return entered, release
+
+
+class _SignallingCondition(threading.Condition):
+    """A condition variable that reports the first caller to wait on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.waited = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waited.set()
+        return super().wait(timeout)
+
+
+class TestHitsOnTheCallingThread:
+    """A cache hit that needs no wait is answered inside submit(); every
+    other request keeps the pool path and the snapshot contract."""
+
+    def test_hit_overtakes_a_running_miss_at_width_one(
+        self, small_instance, monkeypatch
+    ):
+        graph, frag, queries = small_instance
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=1) as server:
+            server.run(queries[0], algorithm="dgpm")
+            # The only pool thread parks inside a miss's compute.
+            entered, release = _hold(server.session, "_touched_fids", monkeypatch)
+            try:
+                miss = server.submit(queries[1], algorithm="dgpm")
+                assert entered.wait(JOIN_TIMEOUT)
+                hit = server.submit(queries[0], algorithm="dgpm")
+                assert hit.done(), "the hit queued behind the running miss"
+                assert hit.result().relation == simulation(queries[0], graph)
+                assert not miss.done()
+            finally:
+                release.set()
+            assert miss.result(timeout=JOIN_TIMEOUT).relation == simulation(
+                queries[1], graph
+            )
+
+    @pytest.mark.parametrize("writer", ["active", "waiting"])
+    def test_hit_beside_a_writer_takes_the_pool_and_the_post_batch_stamp(
+        self, small_instance, monkeypatch, writer
+    ):
+        graph, frag, queries = small_instance
+        edge = next(iter(graph.edges()))
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            cond = server._rw._cond = _SignallingCondition()
+            server.run(queries[0], algorithm="dgpm")
+            write = threading.Thread(target=server.delete_edge, args=edge)
+            if writer == "active":
+                entered, release = _hold(server.session, "apply", monkeypatch)
+                write.start()
+                assert entered.wait(JOIN_TIMEOUT)  # the batch holds the lock
+            else:
+                # A reader parked in a miss makes the arriving writer wait.
+                entered, release = _hold(
+                    server.session, "_touched_fids", monkeypatch
+                )
+                server.submit(queries[1], algorithm="dgpm")
+                assert entered.wait(JOIN_TIMEOUT)
+                write.start()
+                assert cond.waited.wait(JOIN_TIMEOUT)
+            try:
+                hit = server.submit(queries[0], algorithm="dgpm")
+                assert not hit.done(), "a hit was served past a writer"
+            finally:
+                release.set()
+            write.join(timeout=JOIN_TIMEOUT)
+            assert not write.is_alive(), "writer deadlocked"
+            result = hit.result(timeout=JOIN_TIMEOUT)
+            assert result.stamp == 1
+            assert result.relation == simulation(queries[0], graph)
+
+    def test_each_request_is_counted_once_on_either_path(
+        self, small_instance, monkeypatch
+    ):
+        _, frag, queries = small_instance
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            server.run(queries[0], algorithm="dgpm")  # miss, on the pool
+            server.run(queries[0], algorithm="dgpm")  # hit, inline
+            # Two identical misses at once: the second's lookup fails while
+            # the first computes, then it coalesces onto that compute on the
+            # pool -- one miss and one hit, each counted once.
+            entered, release = _hold(server.session, "_touched_fids", monkeypatch)
+            try:
+                first = server.submit(queries[1], algorithm="dgpm")
+                assert entered.wait(JOIN_TIMEOUT)
+                second = server.submit(queries[1], algorithm="dgpm")
+            finally:
+                release.set()
+            first.result(timeout=JOIN_TIMEOUT)
+            assert second.result(timeout=JOIN_TIMEOUT).metrics.extras["cache_hit"]
+            stats = server.stats.snapshot()
+            cache = server.session._cache.stats
+        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (4, 2, 2)
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_a_failed_compute_is_served_but_neither_hit_nor_miss(
+        self, small_instance, monkeypatch
+    ):
+        _, frag, queries = small_instance
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+
+            def failing(relation):
+                raise RuntimeError("compute failed")
+
+            monkeypatch.setattr(server.session, "_touched_fids", failing)
+            with pytest.raises(RuntimeError, match="compute failed"):
+                server.run(queries[0], algorithm="dgpm")
+            stats = server.stats.snapshot()
+        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (1, 0, 0)
+
+    def test_lookup_errors_arrive_through_the_future(self, small_instance):
+        _, frag, queries = small_instance
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            server.run(queries[0], algorithm="dgpm")
+            future = server.submit(queries[0], algorithm="no-such-algorithm")
+            with pytest.raises(ReproError, match="unknown algorithm"):
+                future.result(timeout=JOIN_TIMEOUT)
+
+    def test_stale_fragmentation_is_revalidated_on_the_pool(
+        self, small_instance, monkeypatch
+    ):
+        graph, frag, queries = small_instance
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=1) as server:
+            server.run(queries[0], algorithm="dgpm")
+            frag.delete_edge(*next(iter(graph.edges())))  # around the server
+            validated_on: List[str] = []
+            validate = frag.validate
+
+            def recording() -> None:
+                validated_on.append(threading.current_thread().name)
+                validate()
+
+            monkeypatch.setattr(frag, "validate", recording)
+            result = server.run(queries[0], algorithm="dgpm")
+            assert result.relation == simulation(queries[0], graph)
+            assert len(validated_on) == 1
+            assert validated_on[0].startswith("repro-serve")
+            assert server.stats.invalidations == 1
+
+    def test_snapshots_never_see_a_request_half_counted(self, small_instance):
+        """Hits and misses from more threads than cores, traffic windows
+        reset under them: every snapshot adds up and encodes."""
+        from repro.net import codec, protocol
+
+        _, frag, queries = small_instance
+        stop = threading.Event()
+        errors: List[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
+
+                def read(offset: int) -> None:
+                    try:
+                        while not stop.is_set():
+                            for q in queries[offset:] + queries[:offset]:
+                                server.run(q, algorithm="dgpm")
+                            server.stats.reset_fragment_traffic()
+                    except BaseException as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                readers = [
+                    threading.Thread(target=read, args=(i % len(queries),))
+                    for i in range(6)
+                ]
+                for t in readers:
+                    t.start()
+                try:
+                    for _ in range(300):
+                        stats = server.stats.snapshot()
+                        assert stats.cache_hits + stats.cache_misses == (
+                            stats.queries_served
+                        )
+                        reply = protocol.StatsReply(stats, 0, "thread", 4)
+                        assert codec.decode(codec.encode(reply)) == reply
+                finally:
+                    stop.set()
+                    for t in readers:
+                        t.join(timeout=JOIN_TIMEOUT)
+                        assert not t.is_alive(), "reader deadlocked"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, f"reader failed: {errors[0]!r}"
 
 
 class TestStampedResultSurface:

@@ -11,7 +11,9 @@ surfaces:
 * cached entries never outlive the precondition of the driver they were
   computed under;
 * after ``warm()`` serving never traverses the resident base graph to decide
-  an algorithm (counted, not timed).
+  an algorithm (counted, not timed);
+* the no-scan probe the inline cache hits dispatch through agrees with the
+  full dispatch or defers to it, and never traverses anything itself.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern, tree_pattern
+from repro.core.dispatch import choose_algorithm, choose_algorithm_if_decided
 from repro.errors import GraphError, PatternError, ReproError
 from repro.graph import algorithms
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
-from repro.partition.fragmentation import fragment_graph
+from repro.partition.fragmentation import Fragmentation, fragment_graph
 from tests.conftest import warm_entries
 
 #: A <-> B: matches exactly the data nodes lying on an alternating A/B cycle.
@@ -220,6 +223,57 @@ def test_serving_after_warm_never_traverses_the_base_graph(monkeypatch):
         server.insert_edge(u, v)
         server.run(queries[0])
         assert 1 <= len(traversals.versions) == len(set(traversals.versions)) <= 2
+
+
+def _forbid_base_graph_scans(m, base: DiGraph) -> None:
+    """Fail on any shape build / cycle search of ``base`` (a pattern's own
+    small graph may still settle its facts) and on any fragment walk."""
+
+    def guard(real):
+        def guarded(graph):
+            assert graph is not base, "the probe scanned the base graph"
+            return real(graph)
+
+        return guarded
+
+    def walked(*args):
+        raise AssertionError("the probe walked a fragment")
+
+    for name in ("_shape_index", "_find_cycle"):
+        m.setattr(DiGraph, name, guard(getattr(DiGraph, name)))
+    m.setattr(Fragmentation, "_is_connected", walked)
+
+
+def test_decided_dispatch_never_scans_and_defers_only_until_settled(monkeypatch):
+    """``choose_algorithm_if_decided`` reads no more than the maintained
+    facts: it answers as ``choose_algorithm`` does, or defers -- and one
+    ``choose_algorithm`` settles everything it deferred on."""
+    dag_query = Pattern({"a": "A", "b": "B"}, [("a", "b")])
+    tree_frag, tree_query, graft = small_tree()
+    dag_frag = alternating_dag()
+    steps = [
+        (tree_frag, [tree_query], None),
+        (tree_frag, [tree_query], ("insert", graft)),
+        (tree_frag, [tree_query], ("delete", graft)),
+        (dag_frag, [TWO_CYCLE, dag_query], None),
+        (dag_frag, [TWO_CYCLE, dag_query], ("insert", (3, 0))),  # closes a cycle
+        (dag_frag, [TWO_CYCLE, dag_query], ("delete", (3, 0))),  # on the witness
+    ]
+    deferred = answered = 0
+    for frag, queries, mutation in steps:
+        if mutation is not None:
+            kind, (u, v) = mutation
+            (frag.insert_edge if kind == "insert" else frag.delete_edge)(u, v)
+        for query in queries:
+            with monkeypatch.context() as m:
+                _forbid_base_graph_scans(m, frag.graph)
+                probe = choose_algorithm_if_decided(query, frag)
+            chosen = choose_algorithm(query, frag)
+            assert probe in (None, chosen)
+            deferred += probe is None
+            answered += probe is not None
+            assert choose_algorithm_if_decided(query, frag) == chosen
+    assert deferred >= 4 and answered >= 4
 
 
 def test_warm_leaves_no_lazy_dispatch_work(monkeypatch):
