@@ -51,16 +51,6 @@ def symbol_of(node: ast.AST) -> str:
     return getattr(node, "_repro_symbol", "")
 
 
-def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
-    """The nearest ClassDef lexically containing ``node``."""
-    cur = parent_of(node)
-    while cur is not None:
-        if isinstance(cur, ast.ClassDef):
-            return cur
-        cur = parent_of(cur)
-    return None
-
-
 def enclosing_method(node: ast.AST) -> Optional[ast.FunctionDef]:
     """The class-level method containing ``node``.
 

@@ -33,7 +33,6 @@ def execute_match(
     network = Network(cost)
 
     # Every site serializes its whole fragment to the coordinator.
-    ship_compute = 0.0
     for frag in fragmentation:
         network.send(
             Message(
@@ -54,7 +53,7 @@ def execute_match(
     link_time = cost.latency_s + cost.transfer_seconds(network.data_bytes)
     metrics = RunMetrics(
         algorithm="Match",
-        pt_seconds=ship_compute + link_time + central_time,
+        pt_seconds=link_time + central_time,
         wall_seconds=wall,
         ds_bytes=network.data_bytes,
         n_messages=network.data_message_count,

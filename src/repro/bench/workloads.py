@@ -37,8 +37,7 @@ from repro.graph.pattern import Pattern
 class _PatternBuilder:
     """Mutable pattern under construction, with the two safe growth ops."""
 
-    def __init__(self, rng: random.Random) -> None:
-        self.rng = rng
+    def __init__(self) -> None:
         self.labels: Dict[Node, object] = {}
         self.edges: Set[Tuple[Node, Node]] = set()
         #: duplicate classes: representative -> members
@@ -198,7 +197,7 @@ def cyclic_pattern(
     if cycle is None:
         raise WorkloadError("data graph appears to have no short directed cycle")
 
-    builder = _PatternBuilder(rng)
+    builder = _PatternBuilder()
     for node in cycle:
         builder.add_base_node(node, graph.label(node))
     protect: Set[Tuple[Node, Node]] = set()
@@ -267,7 +266,7 @@ def dag_pattern(
     if spine is None:
         raise WorkloadError(f"no directed path of length {diameter} found")
 
-    builder = _PatternBuilder(rng)
+    builder = _PatternBuilder()
     for node in spine:
         builder.add_base_node(node, graph.label(node))
     protect: Set[Tuple[Node, Node]] = set()

@@ -51,7 +51,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
@@ -75,7 +75,7 @@ class RepairCost:
     layer, and an immutable snapshot can never be observed half-updated.
     """
 
-    #: falsified local variables across all sites (the |AFF| proxy)
+    #: local variables the repair falsified across all sites (the |AFF| proxy)
     n_falsified: int
     n_messages: int           # protocol data messages shipped
     ds_bytes: int             # protocol data bytes shipped
@@ -84,8 +84,16 @@ class RepairCost:
     strategy: str = ""
     #: pairs an insert re-opened (each is re-falsified or newly true)
     n_reopened: int = 0
-    #: False: the answer is provably what it was before the delta
-    changed: bool = False
+    #: the net answer-visible change: local ``(query node, data node)``
+    #: pairs that turned true / false.  A re-opened pair falsified again is
+    #: in neither, and a virtual copy never is (it is not in the answer).
+    added: Tuple[VarKey, ...] = ()
+    removed: Tuple[VarKey, ...] = ()
+
+    @property
+    def changed(self) -> bool:
+        """False: the answer is exactly what it was before the delta."""
+        return bool(self.added or self.removed)
 
 
 def edge_update_may_change_answer(query: Pattern, u_label: Label, v_label: Label) -> bool:
@@ -155,6 +163,9 @@ class IncrementalMatchState:
         self.config = config
         #: query nodes that have parents (the only ones counters track)
         self._parented = [u for u in query.nodes() if query.parents(u)]
+        #: one repair's local pairs gone false (journaled by every site) / true
+        self._journal: List[VarKey] = []
+        self._revived: List[VarKey] = []
         self.bootstrap()
 
     # ------------------------------------------------------------------
@@ -166,12 +177,18 @@ class IncrementalMatchState:
             )
             for frag in self.fragmentation
         }
-        return self._drain(None, strategy="bootstrap")
+        cost = self._drain(None, strategy="bootstrap")
+        merged: Dict[Node, Set[Node]] = {u: set() for u in self.query.nodes()}
+        for program in self.programs.values():
+            program.state.journal = self._journal
+            for u, vs in program.state.local_matches().items():
+                merged[u] |= vs
+        self._answer = MatchRelation(self.query.nodes(), merged)
+        return cost
 
     def _drain(
         self,
         seeded: Optional[List[Message]],
-        n_falsified: int = 0,
         strategy: str = "",
         n_reopened: int = 0,
     ) -> RepairCost:
@@ -191,38 +208,42 @@ class IncrementalMatchState:
                 engine.run_fixpoint()
             else:
                 engine.drain(seeded)
-                n_falsified += engine.n_falsified
             mail.absorb(engine.network)
             n_messages, ds_bytes = mail.data_message_count, mail.data_bytes
             n_rounds = engine.n_rounds
-        return RepairCost(
-            n_falsified, n_messages, ds_bytes, n_rounds, strategy, n_reopened,
-            # A deletion re-opens nothing, so any falsification is a change;
-            # an insert's re-opened pairs are each re-falsified or newly true.
-            changed=strategy == "bootstrap" or n_falsified != n_reopened,
-        )
+        return RepairCost(0, n_messages, ds_bytes, n_rounds, strategy, n_reopened)
 
     def relation(self) -> MatchRelation:
-        """The current maximum match ``Q(G)``."""
-        merged: Dict[Node, Set[Node]] = {u: set() for u in self.query.nodes()}
-        for program in self.programs.values():
-            for u, vs in program.state.local_matches().items():
-                merged[u] |= vs
-        return MatchRelation(self.query.nodes(), merged)
+        """The current maximum match ``Q(G)``: merged from the sites once per
+        :meth:`bootstrap`, then patched by every repair's change set."""
+        return self._answer
 
     def apply(self, delta: MutationDelta) -> RepairCost:
         """Repair after ``delta`` was applied to the shared fragmentation and
-        ``deps``: the one entry, whatever the delta's kind.  ``changed`` is
-        False only when the answer provably is what it was."""
+        ``deps``: the one entry, whatever the delta's kind.  The cost carries
+        the net change of the answer (``added`` / ``removed``), the set that
+        patches :meth:`relation` -- no site is re-merged."""
         if delta.kind == "delete":
-            return self._delete(delta.u, delta.v, delta.v_label)
-        if delta.kind == "insert":
-            return self._insert(delta)
-        if delta.kind == "remove_node":
-            return self._remove_node(delta)
-        if delta.kind == "add_node":
-            return self._add_node(delta.u, delta.u_label, delta.source_fid)
-        raise ReproError(f"unknown mutation kind {delta.kind!r}")
+            cost = self._delete(delta.u, delta.v, delta.v_label)
+        elif delta.kind == "insert":
+            cost = self._insert(delta)
+        elif delta.kind == "remove_node":
+            cost = self._remove_node(delta)
+        elif delta.kind == "add_node":
+            cost = self._add_node(delta.u, delta.u_label, delta.source_fid)
+        else:
+            raise ReproError(f"unknown mutation kind {delta.kind!r}")
+        falsified, gone, back = len(self._journal), set(self._journal), set(self._revived)
+        self._journal.clear()
+        self._revived = []
+        # A re-opened pair that was falsified again is no change at all.
+        added, removed = tuple(back - gone), tuple(gone - back)
+        if added or removed:
+            self._answer = self._answer.patched(added, removed)
+        return RepairCost(
+            falsified, cost.n_messages, cost.ds_bytes, cost.n_rounds,
+            cost.strategy, cost.n_reopened, added, removed,
+        )
 
     # ------------------------------------------------------------------
     # deletion: native O(|AFF|) repair
@@ -233,16 +254,14 @@ class IncrementalMatchState:
         """Repair after edge ``(u, v)`` was removed from the (shared) graphs.
 
         Counter surgery at the owner site, then message rounds to
-        quiescence.  ``n_falsified`` sums the locally falsified variables of
-        *every* site touched by the cascade -- zero means the answer is
-        untouched.  ``fid`` overrides the owner lookup for cascade edges of
+        quiescence.  ``fid`` overrides the owner lookup for cascade edges of
         a ``remove_node`` (the node has already left the owner map).
         """
         owner = self.fragmentation.owner(u) if fid is None else fid
         program = self.programs[owner]
         falsified = self._delete_surgery(program, u, v, v_label)
         # Ship the owner's newly falsified in-node variables and iterate.
-        return self._drain(program._messages_for(falsified), len(falsified))
+        return self._drain(program._messages_for(falsified))
 
     def _delete_surgery(
         self, program: DgpmSiteProgram, u: Node, v: Node, v_label: Label
@@ -283,18 +302,15 @@ class IncrementalMatchState:
         """Register a freshly added isolated node; the answer changed iff it
         matches a childless query node."""
         state = self.programs[fid].state
-        changed = False
         for q in self.query.nodes():
-            if self.query.label(q) != label:
-                continue
-            if not self.query.children(q):
+            if self.query.label(q) == label and not self.query.children(q):
                 state.sim[q].add(node)
-                changed = True
+                self._revived.append((q, node))
             # A parented q cannot match an edge-less node; run_initial would
             # have falsified it immediately, so it is simply never added.
         for u_child in self._parented:
             state.count[(node, u_child)] = 0
-        return RepairCost(0, 0, 0, 0, changed=changed)
+        return RepairCost(0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # insertion: re-open the pairs the edge can revive
@@ -332,9 +348,15 @@ class IncrementalMatchState:
 
         region = self._revivable(delta)
         if region is None:
-            return self.bootstrap()
+            before, cost = self._answer, self.bootstrap()
+            self._revived = [  # an insert only adds
+                (q, x) for q in before.query_nodes()
+                for x in self._answer.raw_matches_of(q) - before.raw_matches_of(q)
+            ]
+            return cost
         for pair in region:
             self._reopen(*pair)
+        self._revived = region  # the ones falsified again net out in apply()
         touched: Dict[int, DgpmSiteProgram] = {}
         for q, x in region:
             program = self.programs[self.fragmentation.owner(x)]
@@ -345,15 +367,10 @@ class IncrementalMatchState:
                 state._newly_false.append((q, x))
                 touched[program.fid] = program
         seeded: List[Message] = []
-        n_falsified = 0
         for program in touched.values():
             program.state._propagate()
-            falsified = program.state.drain_newly_false()
-            n_falsified += len(falsified)
-            seeded.extend(program._messages_for(falsified))
-        return self._drain(
-            seeded, n_falsified, "targeted" if region else "", len(region)
-        )
+            seeded.extend(program._messages_for(program.state.drain_newly_false()))
+        return self._drain(seeded, "targeted" if region else "", len(region))
 
     def _revivable(self, delta: MutationDelta) -> Optional[List[VarKey]]:
         """The false pairs the new edge might make true, seeds first.
@@ -422,38 +439,23 @@ class IncrementalMatchState:
     def _remove_node(self, delta: MutationDelta) -> RepairCost:
         """Full repair for a node removal: the cascade, then the scrub.
 
-        ``changed`` cannot be derived from the cascade's falsification counts
-        alone: the fragmentation has already dropped the node from its
-        owner's local set, so a candidacy the cascade kills is no longer
-        counted as a *local* falsification -- the node's pre-cascade
-        candidacy is the truth.  (Conservative: a candidacy held only by
-        virtual copies was never answer-visible, but callers diff relations
-        before rewriting.)
+        The cascade does not journal the node's own pairs (it has already
+        left its owner's local set), so its owner's pre-cascade candidacy is
+        reported: what the answer held (a virtual copy never was in it).
         """
-        was_candidate = any(
-            delta.u in program.state.sim.get(q, ())
-            for program in self.programs.values()
-            for q in self.query.nodes()
+        owner_sim = self.programs[delta.source_fid].state.sim
+        self._journal.extend(
+            (q, delta.u) for q in self.query.nodes() if delta.u in owner_sim[q]
         )
-        n_messages = ds_bytes = n_rounds = n_falsified = 0
-        for edge_delta in delta.cascade:
-            cost = self._delete(
-                edge_delta.u,
-                edge_delta.v,
-                edge_delta.v_label,
-                fid=edge_delta.source_fid,
-            )
-            n_messages += cost.n_messages
-            ds_bytes += cost.ds_bytes
-            n_rounds += cost.n_rounds
-            n_falsified += cost.n_falsified
+        costs = [
+            self._delete(d.u, d.v, d.v_label, fid=d.source_fid) for d in delta.cascade
+        ]
         self._scrub_node(delta.u)
         return RepairCost(
-            n_falsified=n_falsified,
-            n_messages=n_messages,
-            ds_bytes=ds_bytes,
-            n_rounds=n_rounds,
-            changed=was_candidate or n_falsified > 0,
+            0,
+            sum(cost.n_messages for cost in costs),
+            sum(cost.ds_bytes for cost in costs),
+            sum(cost.n_rounds for cost in costs),
         )
 
     def _scrub_node(self, node: Node) -> None:
@@ -467,7 +469,7 @@ class IncrementalMatchState:
         table.  No propagation is needed: the cascade removed every incident
         edge, so no counter counts the node as a successor anymore.  (A
         candidacy found here was one before the cascade too -- deletions only
-        shrink candidate sets -- so the caller's ``was_candidate`` covers it.)
+        shrink candidate sets -- so :meth:`_remove_node` already reported it.)
         """
         for program in self.programs.values():
             state = program.state

@@ -25,7 +25,7 @@ equations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.boolean.expr import BoolExpr, FALSE, TRUE, Var, conj, disj
 from repro.boolean.system import EquationSystem
@@ -85,6 +85,8 @@ class LocalEvalState:
         self._worklist: Deque[VarKey] = deque()
         self._newly_false: List[VarKey] = []
         self._initialized = False
+        #: a warm repair's record: every drained falsification is appended
+        self.journal: Optional[List[VarKey]] = None
 
     # ------------------------------------------------------------------
     # fixpoint machinery
@@ -154,6 +156,8 @@ class LocalEvalState:
         """Take (and clear) the buffer of newly falsified local variables."""
         out = self._newly_false
         self._newly_false = []
+        if self.journal is not None:
+            self.journal.extend(out)
         return out
 
     # ------------------------------------------------------------------

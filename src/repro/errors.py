@@ -52,6 +52,11 @@ class WireFormatError(ProtocolError):
     """
 
 
+class Overloaded(ReproError):
+    """A bounded serving resource is full (e.g. the server's subscription
+    cap); the request was refused, and may be retried once load drops."""
+
+
 class MutationBatchError(ReproError):
     """A mutation batch failed partway; the applied prefix stays applied.
 

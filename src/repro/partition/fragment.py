@@ -64,14 +64,6 @@ class Fragment:
         """``|Fi| = |Vi| + |Ei|`` -- the paper's fragment size measure."""
         return self.n_local_nodes + self.n_edges
 
-    def is_local(self, node: Node) -> bool:
-        """True iff ``node`` belongs to ``Vi``."""
-        return node in self.local_nodes
-
-    def is_virtual(self, node: Node) -> bool:
-        """True iff ``node`` belongs to ``Fi.O``."""
-        return node in self.virtual_nodes
-
     def owner_of_virtual(self, node: Node) -> int:
         """Fragment id that stores virtual node ``node`` locally."""
         return self._virtual_owner[node]

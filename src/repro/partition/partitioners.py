@@ -396,7 +396,6 @@ def tree_partition(tree: DiGraph, n_fragments: int, seed: int = 0) -> Fragmentat
         subtree_size[node] = 1 + sum(subtree_size[c] for c in tree.successors(node))
 
     detached_roots: Set[Node] = {root}
-    block_of: Dict[Node, Node] = {}
 
     def block_root(node: Node) -> Node:
         cur = node

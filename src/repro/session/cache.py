@@ -19,7 +19,8 @@ Three pieces:
   repair state).  One object per key in one table, so an entry's
   bookkeeping can neither outlive nor precede its result -- LRU overflow,
   :meth:`LruResultCache.pop` and :meth:`LruResultCache.clear` drop all of it
-  together.  Graph simulation is a pure function of (query, fragmentation),
+  together (a *pinned* entry, a standing query's, is never the overflow's
+  victim).  Graph simulation is a pure function of (query, fragmentation),
   so cached results stay valid until the fragmentation mutates; the session
   keeps them fresh across mutations (see :mod:`repro.session.session`).
 
@@ -31,8 +32,9 @@ Three pieces:
   one runs the expensive compute while the rest wait for its result instead
   of duplicating the protocol run.  Who writes which :class:`CacheEntry`
   field: the cache, under its lock, ``hits``; the session, under the write
-  exclusion mutations already require, ``result`` and ``warm``; the rest
-  never change after construction.
+  exclusion mutations already require, ``result`` and ``warm``; the
+  session's pin lock ``pins`` (a pin also builds ``warm`` under the read
+  exclusion); the rest never change after construction.
 * :class:`LabelInterner` -- dense integer ids for the label alphabet; interns
   under a lock so concurrent queries mentioning a brand-new label can never
   allocate the same id for two different labels.
@@ -54,6 +56,7 @@ from repro.runtime.metrics import RunResult
 if TYPE_CHECKING:  # annotations only: the cache never imports ``repro.core``
     from repro.core.config import DgpmConfig
     from repro.core.incremental import IncrementalMatchState
+    from repro.session.session import Pin
 
 
 class LabelInterner:
@@ -251,8 +254,10 @@ class CacheEntry:
     #: times served from cache; a hot (``hits > 0``) entry may turn warm
     hits: int = 0
     #: the incremental repair state of a warm entry (built and retired by
-    #: the session's write path only)
+    #: the session's write path only, or by a pin)
     warm: Optional[IncrementalMatchState] = None
+    #: the standing queries holding the entry warm (outside the warm budget)
+    pins: Tuple[Pin, ...] = ()
 
 
 class LruResultCache:
@@ -275,10 +280,6 @@ class LruResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def items(self) -> List[Tuple[Tuple, CacheEntry]]:
         """Snapshot of the ``(key, entry)`` pairs, least recently served first."""
@@ -357,9 +358,17 @@ class LruResultCache:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            excess = len(self._entries) - self.max_entries
+            if excess > 0:
+                unpinned = [k for k, e in self._entries.items() if not e.pins]
+                for victim in unpinned[:excess]:
+                    del self._entries[victim]
+                    self.stats.evictions += 1
+
+    def holds(self, key: Tuple, entry: CacheEntry) -> bool:
+        """True iff ``entry`` is (still) the one cached under ``key``."""
+        with self._lock:
+            return self._entries.get(key) is entry
 
     def pop(self, key: Tuple) -> Optional[CacheEntry]:
         """Drop one entry and return it (None if absent)."""

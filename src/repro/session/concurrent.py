@@ -82,6 +82,7 @@ from repro.core.depgraph import DependencyGraphs
 from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.errors import (
     MutationBatchError,
+    Overloaded,
     ProtocolError,
     ReproError,
     TransportError,
@@ -101,9 +102,13 @@ from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
 from repro.runtime.metrics import RunMetrics, RunResult
 from repro.runtime.transport import FaultPlan, RetryPolicy
-from repro.session.session import MutationOutcome, QueryKey, SimulationSession
+from repro.session.session import MutationOutcome, Pin, QueryKey, SimulationSession
 from repro.session.sharding import HashRing
 from repro.simulation.matchrel import MatchRelation
+
+#: standing queries one server holds at most; each pins a warm cache entry
+#: outside the session's ``max_warm_states``, so this bounds those states
+MAX_SUBSCRIPTIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -228,35 +233,14 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
+@dataclass(eq=False)
 class _WriteTicket:
     """One caller's mutation batch, waiting to be applied by some drainer."""
 
-    __slots__ = ("ops", "results", "error", "done")
-
-    def __init__(self, ops: List[MutationOp]) -> None:
-        self.ops = ops
-        self.results: Optional[List[StampedOutcome]] = None
-        self.error: Optional[BaseException] = None
-        self.done = False
-
-
-class _Subscription:
-    """One standing query: its baseline answer plus the delta callback.
-
-    ``last`` is the flat ``{query node: matches}`` snapshot the subscriber
-    has seen; each committed batch diffs the repaired answer against it
-    under the server's write lock, so deltas are exact per stamp.
-    """
-
-    __slots__ = ("sub_id", "query", "algorithm", "config", "callback", "last")
-
-    def __init__(self, sub_id, query, algorithm, config, callback, last) -> None:
-        self.sub_id = sub_id
-        self.query = query
-        self.algorithm = algorithm
-        self.config = config
-        self.callback = callback
-        self.last = last
+    ops: List[MutationOp]
+    results: Optional[List[StampedOutcome]] = None
+    error: Optional[BaseException] = None
+    done: bool = False
 
 
 class _ShardHandle:
@@ -289,21 +273,10 @@ class _ShardHandle:
             f"{command}: {exc!r}"
         )
 
-    @staticmethod
-    def _unwrap(status: str, reply):
-        if status == "err":
-            raise reply if isinstance(reply, BaseException) else ProtocolError(str(reply))
-        return reply
-
     def request(self, command: str, payload):
-        """One command/reply round-trip (serialized per worker)."""
-        try:
-            with self.lock:
-                self.link.send((command, payload))
-                status, reply = self.link.recv()
-        except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
-            raise self._link_error(command, exc) from exc
-        return self._unwrap(status, reply)
+        """One command/reply round-trip (under the pool lock, as :meth:`post`)."""
+        self.post(command, payload)
+        return self.collect(command)
 
     def post(self, command: str, payload) -> None:
         """Send without waiting for the reply (pair with :meth:`collect`).
@@ -331,9 +304,10 @@ class _ShardHandle:
         except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
             self.dead = True
             raise self._link_error(command, exc) from exc
-        if status == "err" and isinstance(reply, ProtocolError):
-            self.dead = True
-        return self._unwrap(status, reply)
+        if status == "err":
+            self.dead = isinstance(reply, ProtocolError) or self.dead
+            raise reply if isinstance(reply, BaseException) else ProtocolError(str(reply))
+        return reply
 
 
 class ConcurrentSessionServer:
@@ -426,11 +400,12 @@ class ConcurrentSessionServer:
         self._ring: Optional[HashRing] = None
         self._respawns = 0
         self._rebalances = 0
-        #: standing queries; their lock is only ever taken second, inside
-        #: the reader-writer lock (registration read-locked, notify
-        #: write-locked) or on its own
+        #: standing queries: sub_id -> (delta callback, pin on the cache
+        #: entry).  Their lock is only ever taken second, inside the
+        #: reader-writer lock (registration read-locked, notify write-locked)
+        #: or on its own
         self._sub_lock = threading.Lock()
-        self._subs: Dict[int, _Subscription] = {}
+        self._subs: Dict[int, Tuple[Callable[[int, int, Tuple, Tuple], None], Pin]] = {}
         self._next_sub_id = 1
         if backend == "sharded":
             self._ring, self._shards = self._spawn_shards()
@@ -723,17 +698,16 @@ class ConcurrentSessionServer:
         Unread replies would mispair with the next command on the link;
         collect-and-discard from every still-live worker (``q.start``
         unconditionally resets worker query state, so no abort command is
-        needed).  Workers that fail here are marked dead for the heal pass.
+        needed).  A worker whose link fails here is marked dead by
+        :meth:`_ShardHandle.collect`; a worker-side error reply leaves the
+        link clean.
         """
         for handle in handles:
-            if handle.dead or not handle.owed:
-                continue
-            try:
-                handle.collect("abort-drain")
-            except ProtocolError:
-                handle.dead = True
-            except Exception:  # worker-side error reply: link is clean
-                pass
+            if not handle.dead and handle.owed:
+                try:
+                    handle.collect("abort-drain")
+                except Exception:
+                    pass
 
     def _heal_pool_locked(self) -> None:
         """Respawn every dead shard worker; shrink the ring on give-up.
@@ -768,10 +742,7 @@ class ConcurrentSessionServer:
                     link = self._fault_plan.wrap(
                         handle.slot, link, on_kill=proc.terminate
                     )
-                try:
-                    handle.link.close()
-                except (OSError, TransportError):  # pragma: no cover
-                    pass
+                self._close_link(handle)
                 self._shards[self._shards.index(handle)] = _ShardHandle(
                     proc, link, handle.slot
                 )
@@ -787,34 +758,16 @@ class ConcurrentSessionServer:
             if len(self._ring.workers) == 1:
                 self._shards.remove(handle)
                 return  # _heal_pool_locked raises "every shard worker died"
-            new_ring = self._ring.leave(handle.slot)
-            moved = self._ring.moved(new_ring)
-            live = {
-                h.slot: h
-                for h in self._shards
-                if h is not handle and not h.dead
-            }
-            adds_per_slot: dict = {}
-            for fid, (_, gaining) in moved.items():
-                adds_per_slot.setdefault(gaining, {})[fid] = (
-                    self._session.fragmentation[fid]
-                )
-            for slot, adds in adds_per_slot.items():
-                gainer = live.get(slot)
-                if gainer is None:
-                    # The gaining worker is itself dead; its own respawn
-                    # extracts from the new ring and picks these up.
-                    continue
-                try:
-                    gainer.request("install", (adds, []))
-                except ProtocolError:
-                    gainer.dead = True
-            self._ring = new_ring
+            self._install_moves_locked(self._ring.leave(handle.slot), gone=handle)
             self._shards.remove(handle)
-            try:
-                handle.link.close()
-            except (OSError, TransportError):  # pragma: no cover
-                pass
+            self._close_link(handle)
+
+    @staticmethod
+    def _close_link(handle: _ShardHandle) -> None:
+        try:
+            handle.link.close()
+        except (OSError, TransportError):  # pragma: no cover
+            pass
 
     def _broadcast_deltas_locked(self, deltas: List[MutationDelta]) -> None:
         """Route applied deltas to owning workers (+ watchers on boundary moves).
@@ -843,22 +796,52 @@ class ConcurrentSessionServer:
                                 slots.add(slot)
                 for slot in slots:
                     per_slot.setdefault(slot, []).append(delta)
-            outstanding: List[_ShardHandle] = []
-            for slot, batch in per_slot.items():
-                try:
-                    live[slot].post("mutate", batch)
-                except ProtocolError:
-                    continue  # post marked it dead; heal re-ships fresh state
-                outstanding.append(live[slot])
-            for handle in list(outstanding):
-                try:
-                    handle.collect("mutate")
-                except ProtocolError:
-                    pass  # collect marked it dead; heal re-ships fresh state
-                except Exception:
-                    # In-worker apply failure: its shard may have diverged.
-                    # Retire it; the respawn re-extracts the current state.
-                    handle.dead = True
+            self._fan_out("mutate", {live[s]: batch for s, batch in per_slot.items()})
+
+    @staticmethod
+    def _fan_out(command: str, payloads: Dict[_ShardHandle, object]) -> None:
+        """Post ``command`` to every worker at once, then collect the replies.
+
+        A worker that fails either way -- a dead link, or an in-worker
+        failure that may have diverged its shard -- is retired: its respawn
+        re-extracts the parent's (already updated) state, so nothing is lost.
+        """
+        posted: List[_ShardHandle] = []
+        for handle, payload in payloads.items():
+            try:
+                handle.post(command, payload)
+                posted.append(handle)
+            except ProtocolError:
+                pass  # post marked it dead
+        for handle in posted:
+            try:
+                handle.collect(command)
+            except Exception:
+                handle.dead = True
+
+    def _install_moves_locked(
+        self, new_ring: HashRing, gone: Optional[_ShardHandle] = None
+    ) -> int:
+        """Adopt ``new_ring``: ship each moved fragment to its gaining worker
+        and drop it from its losing one; returns how many moved.  A slot
+        without a live worker (``gone`` is leaving) picks its share up when
+        its respawn extracts from the new ring; a worker that fails the
+        install is retired the same way."""
+        moved = self._ring.moved(new_ring)
+        live = {h.slot: h for h in self._shards if h is not gone and not h.dead}
+        installs: Dict = {}
+        for fid, (losing, gaining) in moved.items():
+            frag = self._session.fragmentation[fid]
+            installs.setdefault(gaining, ({}, []))[0][fid] = frag
+            installs.setdefault(losing, ({}, []))[1].append(fid)
+        self._fan_out("install", {
+            live[slot]: (adds, sorted(drops))
+            for slot, (adds, drops) in sorted(installs.items(), key=lambda i: repr(i[0]))
+            if slot in live
+        })
+        with self._pool_lock:  # reentrant: every caller already holds it
+            self._ring = new_ring
+        return len(moved)
 
     # ------------------------------------------------------------------
     # online repartitioning
@@ -955,66 +938,19 @@ class ConcurrentSessionServer:
         if self._shards is not None:
             with self._pool_lock:
                 self._heal_pool_locked()
-                outstanding: List[_ShardHandle] = []
-                for handle in self._shards:
-                    if handle.dead:
-                        continue
-                    payload = (
-                        new_frag.extract_shard(
-                            self._ring.fragments_of(handle.slot)
-                        ),
-                        deps,
-                    )
-                    try:
-                        handle.post("rebalance", payload)
-                    except ProtocolError:
-                        handle.dead = True  # heal re-extracts the new state
-                        continue
-                    outstanding.append(handle)
-                for handle in list(outstanding):
-                    try:
-                        handle.collect("rebalance")
-                    except ProtocolError:
-                        handle.dead = True  # heal re-extracts the new state
-                    except Exception:
-                        # In-worker swap failure: its shard may have
-                        # diverged; retire it the same way.
-                        handle.dead = True
+                self._fan_out("rebalance", {
+                    h: (new_frag.extract_shard(self._ring.fragments_of(h.slot)), deps)
+                    for h in self._shards
+                    if not h.dead
+                })
         return moved
 
     def _rebalance_placement_locked(self, traffic: Dict[int, int]) -> int:
-        session = self._session
         with self._pool_lock:
             self._heal_pool_locked()
-            new_ring = self._ring.rebalanced(traffic)
-            moved = self._ring.moved(new_ring)
-            live = {h.slot: h for h in self._shards if not h.dead}
-            adds_per_slot: Dict = {}
-            drops_per_slot: Dict = {}
-            for fid, (losing, gaining) in moved.items():
-                adds_per_slot.setdefault(gaining, {})[fid] = (
-                    session.fragmentation[fid]
-                )
-                drops_per_slot.setdefault(losing, []).append(fid)
-            for slot in sorted(set(adds_per_slot) | set(drops_per_slot), key=repr):
-                handle = live.get(slot)
-                if handle is None:
-                    continue  # its respawn extracts from the new ring
-                try:
-                    handle.request(
-                        "install",
-                        (
-                            adds_per_slot.get(slot, {}),
-                            sorted(drops_per_slot.get(slot, [])),
-                        ),
-                    )
-                except ProtocolError:
-                    # Dead or diverged either way: retire it; its respawn
-                    # re-extracts from the parent under the new ring.
-                    handle.dead = True
-            self._ring = new_ring
-        session.stats.reset_fragment_traffic()
-        return len(moved)
+            moved = self._install_moves_locked(self._ring.rebalanced(traffic))
+        self._session.stats.reset_fragment_traffic()
+        return moved
 
     # ------------------------------------------------------------------
     # standing queries (subscriptions)
@@ -1037,73 +973,65 @@ class ConcurrentSessionServer:
         back into this server (the write lock is held).  Batches that leave
         the answer unchanged push nothing.
 
-        The subscription is registered inside the read-lock hold that
-        evaluated the baseline, and the stamp only moves under the write
-        lock: no batch can commit in between, so the first push can never
-        describe a change the baseline already contained (nor skip one it
-        did not).
+        The baseline evaluation pins the query's cache entry warm, outside
+        the session's ``max_warm_states`` (:meth:`SimulationSession.pin`):
+        every batch repairs it in ``O(|AFF|)``, and the repair's change set
+        is the push.  Entry and subscription are tied inside the read-lock
+        hold that evaluated the baseline, and the stamp only moves under the
+        write lock, so the first push can never describe a change the
+        baseline already contained (nor skip one it did not).  Past
+        :data:`MAX_SUBSCRIPTIONS` a new one raises :class:`Overloaded`.
         """
         self._check_open()
         with self._rw.read_locked():
             stamp = self._stamp
-            result = self._session.run(query, algorithm=algorithm, config=config)
-            if (
-                "cache_hit" not in result.metrics.extras
-                and self._session._cache.max_entries
-            ):
-                # Read the entry just stored once more, so it is hot: the
-                # per-batch diff is a reader it is certain to have, and a hot
-                # entry is repaired by the batches that change its answer
-                # where a cold one is evicted and re-run under the write lock.
-                self._session.run(query, algorithm=algorithm, config=config)
+            result, pin = self._session.pin(query, algorithm, config)
             with self._sub_lock:
+                if len(self._subs) >= MAX_SUBSCRIPTIONS:
+                    self._session.unpin(pin)
+                    raise Overloaded(f"the server holds {MAX_SUBSCRIPTIONS} subscriptions")
                 sub_id = self._next_sub_id
                 self._next_sub_id += 1
-                self._subs[sub_id] = _Subscription(
-                    sub_id, query, algorithm, config, callback,
-                    result.relation.as_dict(),
-                )
+                self._subs[sub_id] = (callback, pin)
         return sub_id, StampedResult(
             relation=result.relation, metrics=result.metrics, stamp=stamp
         )
 
     def unsubscribe(self, sub_id: int) -> bool:
-        """Drop a standing query; False if it was already gone."""
+        """Drop a standing query and its pin; False if it was already gone."""
         with self._sub_lock:
-            return self._subs.pop(sub_id, None) is not None
+            sub = self._subs.pop(sub_id, None)
+            if sub is not None:
+                self._session.unpin(sub[1])
+        return sub is not None
 
     def _notify_subscribers_locked(self) -> None:
-        """Diff every standing query against the just-committed graph.
+        """Push every standing query's change over the just-committed batch.
 
-        Runs under the write lock (readers are drained), so the parent
-        session can be queried directly; answers come from its maintained
-        cache, so an unchanged hot query costs a cache hit, not a protocol
-        run.  A callback that raises retires its subscription -- the
-        serving layer's callbacks never raise, so this only catches broken
-        direct registrations.
+        Runs under the write lock.  The delta is the batch's repairs as
+        folded into the pin (:meth:`SimulationSession.take_push`): one pass,
+        no query run, no relation materialized, no diff.  Only a pin whose
+        entry left the cache (a lapsed precondition, a rebalance) is
+        evaluated afresh, re-pinned and diffed once.  A subscription whose
+        callback or fresh evaluation raises is retired (the serving layer's
+        callbacks never raise; this catches broken direct registrations).
         """
         with self._sub_lock:
-            subs = list(self._subs.values())
+            subs = list(self._subs.items())
         stamp = self._stamp
-        for sub in subs:
-            result = self._session.run(
-                sub.query, algorithm=sub.algorithm, config=sub.config
-            )
-            new = result.relation.as_dict()
-            added: List[Tuple] = []
-            removed: List[Tuple] = []
-            for q in sorted(set(sub.last) | set(new), key=repr):
-                before = sub.last.get(q, set())
-                after = new.get(q, set())
-                added.extend((q, v) for v in sorted(after - before, key=repr))
-                removed.extend((q, v) for v in sorted(before - after, key=repr))
-            if not added and not removed:
-                continue
-            sub.last = new
+        for sub_id, (callback, pin) in subs:
             try:
-                sub.callback(sub.sub_id, stamp, tuple(added), tuple(removed))
+                fresh, added, removed = self._session.take_push(pin)
+                if fresh is not pin:
+                    with self._sub_lock:  # else unsubscribed meanwhile
+                        if sub_id in self._subs:
+                            self._subs[sub_id] = (callback, fresh)
+                        else:
+                            self._session.unpin(fresh)
+                if added or removed:
+                    callback(sub_id, stamp, added, removed)
             except Exception:
-                self.unsubscribe(sub.sub_id)
+                self.unsubscribe(sub_id)
 
     # ------------------------------------------------------------------
     # writes (serialized, coalesced, applied at quiescent points)
@@ -1161,8 +1089,8 @@ class ConcurrentSessionServer:
             try:
                 self._drain_writes()
             except BaseException:
-                # An infrastructure failure (e.g. a standing query's
-                # re-evaluation raising) in a *coalesced* batch must not
+                # An infrastructure failure (e.g. an interrupt while the
+                # subscribers are notified) in a *coalesced* batch must not
                 # masquerade as ours: if our own ticket was decided (results
                 # or error recorded), fall through and report that decision;
                 # re-raise only when the failure struck before our ticket
@@ -1253,8 +1181,8 @@ class ConcurrentSessionServer:
                 # batch), so nothing here can fail the batch.
                 self._broadcast_deltas_locked(applied_deltas)
             if self._stamp != stamp_before and self._subs:
-                # Still inside the quiescent point: the diffs below observe
-                # exactly the post-batch graph, so every pushed delta is
+                # Still inside the quiescent point: the deltas below are
+                # exactly the post-batch graph's, so every pushed delta is
                 # stamped with the state it describes.
                 self._notify_subscribers_locked()
 

@@ -44,13 +44,18 @@ and the result cache is *maintained*, not dropped:
   incremental lEval, Section 4.2 / [13]), built by the first mutation that
   may change their answer, from the post-mutation graph -- reads never
   build one: an edge deletion repairs their answers through the affected
-  area only (``O(|AFF|)``), and the repaired relation replaces the cached
-  one -- entries are only rewritten when the answer actually changed;
+  area only (``O(|AFF|)``), and the repair's change set (the local pairs
+  that turned false or true) patches the cached relation -- no site is
+  re-merged, and an entry is only rewritten when that set is non-empty;
 * insertions, which can revive matches, re-open in the affected warm
   entries only the false pairs that can reach the new edge (again
   ``O(|AFF|)``; an insert nothing can use bumps one counter, and a revival
   of over a quarter of the label-compatible pairs rebuilds the state);
-* remaining affected entries are evicted individually.
+* remaining affected entries are evicted individually;
+* a standing query *pins* its entry (:meth:`SimulationSession.pin`): warm
+  outside the ``max_warm_states`` budget and never the LRU's victim, its
+  repairs' net change set *is* the subscriber's next delta -- no re-run, no
+  relation diff and no site re-merge (:meth:`SimulationSession.take_push`).
 
 All of it is bookkeeping about *one cached query*, so it lives in one
 :class:`~repro.session.cache.CacheEntry` per key in the cache's one table:
@@ -111,20 +116,6 @@ from repro.session.cache import (
 )
 from repro.session.drivers import DRIVERS, AlgorithmDriver
 from repro.simulation.matchrel import MatchRelation
-
-def _translate(
-    relation: MatchRelation, stored_order: Tuple, hit_order: Tuple
-) -> MatchRelation:
-    """Rename a cached relation onto an isomorphic pattern's node names.
-
-    Equal canonical digests guarantee that position ``i`` of both orders
-    carries the same label and the same incident edges, so
-    ``stored_order[i] -> hit_order[i]`` is an isomorphism; per-node candidate
-    sets transfer verbatim (simulation only inspects labels and shape).
-    """
-    if stored_order == hit_order:
-        return relation
-    return relation.renamed(stored_order, hit_order)
 
 
 @dataclass
@@ -286,6 +277,23 @@ class QueryKey:
     version: int
 
 
+def _ordered(pairs: Iterable[Tuple]) -> Tuple:
+    """Pairs in PUSH order: by query node, then by data node, each by repr."""
+    return tuple(sorted(pairs, key=lambda pair: (repr(pair[0]), repr(pair[1]))))
+
+
+@dataclass(eq=False)
+class Pin:
+    """A standing query's hold on its cache entry: the answer ``seen`` last
+    (in the query's node names) and the entry's pairs every repair since
+    flipped to True (in) or False (out); a pair flipped back cancels out."""
+
+    key: QueryKey
+    entry: CacheEntry
+    seen: MatchRelation
+    changes: Dict[Tuple, bool] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class MutationOutcome:
     """What one session-applied mutation did to the serving state.
@@ -328,7 +336,8 @@ class SimulationSession:
         hot entries get them.  A cached query is hot once it has been served
         from cache; the first mutation that may change a hot entry's answer
         promotes it to a warm state (one fixpoint, on the write path).
-        0: never build one, evict affected entries.
+        0: never build one, evict affected entries.  Pinned entries
+        (:meth:`pin`) are warm outside this budget.
     engine:
         Default execution engine for every query (``"dict"`` or
         ``"array"``); ``run``/``run_many`` accept a per-query override.  The
@@ -363,6 +372,8 @@ class SimulationSession:
         #: guards the lazy compiled-CSR build the same way: concurrent first
         #: array-engine queries must share one CompiledFragmentation
         self._compiled_lock = threading.Lock()
+        #: guards every cache entry's ``pins``
+        self._pin_lock = threading.Lock()
         #: canonical forms memoized per live Pattern object (weak keys: the
         #: memo never pins a pattern) -- repeat submissions of the same
         #: object skip the WL-refinement/permutation work on the hit path
@@ -577,6 +588,9 @@ ConcurrentSessionServer` provides.
         Concurrent identical misses coalesce into one protocol run
         (:meth:`LruResultCache.get_or_compute`).
         """
+        return self._run_entry(key)[0]
+
+    def _run_entry(self, key: QueryKey) -> Tuple[RunResult, CacheEntry]:
 
         def compute() -> CacheEntry:
             result = key.driver.run(self, key.query, key.config, engine=key.engine)
@@ -595,7 +609,53 @@ ConcurrentSessionServer` provides.
             raise
         if not hit:
             self.stats.sync_evictions(self._cache.stats.evictions)
-        return self._served(key, entry, hit)
+        return self._served(key, entry, hit), entry
+
+    # ------------------------------------------------------------------
+    # standing queries
+    # ------------------------------------------------------------------
+    def pin(
+        self, query: Pattern, algorithm: str = "auto", config: Optional[DgpmConfig] = None
+    ) -> Tuple[RunResult, Pin]:
+        """Serve ``query`` as :meth:`run` does and pin the entry that served
+        it: warm (unless boolean-only) outside ``max_warm_states``, never the
+        LRU's victim.  The caller holds the read exclusion."""
+        self._refresh_if_stale()
+        key = self._query_key(query, algorithm, config, None)
+        result, entry = self._run_entry(key)
+        pin = Pin(key, entry, result.relation)
+        with self._pin_lock:
+            entry.pins += (pin,)
+        warmable = entry.warm is None and not entry.config.boolean_only
+        if warmable and self._cache.holds(key.key, entry):
+            entry.warm = self._warm_state(entry)  # racing pins: either is exact
+        return result, pin
+
+    def unpin(self, pin: Pin) -> None:
+        """Release a pin; its entry, once unpinned, rejoins the warm budget."""
+        with self._pin_lock:
+            pin.entry.pins = tuple(p for p in pin.entry.pins if p is not pin)
+
+    def take_push(self, pin: Pin) -> Tuple[Pin, Tuple, Tuple]:
+        """``(pin, added, removed)`` since the last call, in PUSH order: the
+        folded repairs, or a diff of ``seen`` when the whole match appeared
+        or vanished -- or when the entry left the cache (a lapsed
+        precondition, a rebalance) and the query is pinned afresh through
+        ``auto``, so the pin is new.  The caller holds the write exclusion."""
+        before, key, entry = pin.seen, pin.key, pin.entry
+        if self._cache.holds(key.key, entry):
+            changes, pin.changes = pin.changes, {}
+            pin.seen = after = entry.result.relation.renamed(entry.order, key.form.order)
+            if before.is_match and after.is_match:
+                rename = dict(zip(entry.order, key.form.order))
+                flips = [((rename[q], v), now) for (q, v), now in changes.items()]
+                added = _ordered(pair for pair, now in flips if now)
+                return pin, added, _ordered(pair for pair, now in flips if not now)
+        else:
+            result, pin = self.pin(key.query, "auto", key.config)
+            after = result.relation
+        old, new = before.as_relation(), after.as_relation()
+        return pin, _ordered(new - old), _ordered(old - new)
 
     def _query_key(
         self,
@@ -629,7 +689,7 @@ ConcurrentSessionServer` provides.
         # The metrics are copied either way: the caller owns what it gets,
         # and mutating its extras must not leak into later hits.
         return RunResult(
-            relation=_translate(stored.relation, entry.order, key.form.order),
+            relation=stored.relation.renamed(entry.order, key.form.order),
             metrics=replace(stored.metrics, extras=extras),
         )
 
@@ -762,26 +822,40 @@ ConcurrentSessionServer` provides.
                 live.append((key, entry))
         # Warm slots belong to the most recently served hot entries; one that
         # has no state yet gets it from the first delta that may change it.
-        hot = [e for _, e in live if e.hits and not e.config.boolean_only]
+        # Pinned entries are warm outside the budget.
+        unpinned = [e for _, e in live if not e.pins]
+        hot = [e for e in unpinned if e.hits and not e.config.boolean_only]
         slots = set(hot[-self.max_warm_states:]) if self.max_warm_states > 0 else ()
         for key, entry in live:
+            changed = False
             if entry.warm is not None:
                 cost = entry.warm.apply(delta)
-                changed = cost.changed
                 falsified += cost.n_falsified
-            elif not delta_may_change_answer(entry.query, delta):
-                changed = False
-            elif entry in slots:
-                # Built on the patched fragmentation: the bootstrap fixpoint
-                # already is the entry's answer after this delta.
-                self._promote(entry, [e for _, e in live if e.warm is not None])
+                changed = cost.changed
+                for pin in entry.pins:  # fold: a pair seen flipping back cancels
+                    for now, pairs in ((False, cost.removed), (True, cost.added)):
+                        for pair in pairs:
+                            if pin.changes.pop(pair, now) is now:
+                                pin.changes[pair] = now
+            elif entry in slots and delta_may_change_answer(entry.query, delta):
+                # Promotion (one fixpoint), built on the patched fragmentation:
+                # the bootstrap already is the entry's answer after this delta.
+                # With every slot taken, the least recently served warm entry
+                # retires -- it precedes this one in the cache's order, so this
+                # delta already repaired it; it stays cached, not warm.
+                state = self._warm_state(entry)
+                warm = [e for e in unpinned if e.warm is not None]
+                while len(warm) >= self.max_warm_states:
+                    warm.pop(0).warm = None
+                entry.warm = state
                 promoted += 1
-                changed = True
-            else:
+                changed = state.relation() != entry.result.relation
+            elif delta_may_change_answer(entry.query, delta):
                 self._cache.pop(key)
                 evicted += 1
                 continue
-            if changed and self._rewrite_entry(entry):
+            if changed:
+                self._store(entry, entry.warm.relation())
                 repaired += 1
             else:
                 kept += 1
@@ -806,41 +880,24 @@ ConcurrentSessionServer` provides.
         return entry.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
 
     @staticmethod
-    def _rewrite_entry(entry: CacheEntry) -> bool:
-        """Replace a warm entry's relation with the repaired one; False if
-        equal (the "answer actually changed" check -- unchanged entries are
-        kept verbatim, repaired ones keep their metrics with a ``maintained``
-        marker)."""
+    def _store(entry: CacheEntry, relation: MatchRelation) -> None:
+        """Swap a repaired answer into ``entry``; its metrics stay those of
+        the original run, with a ``maintained`` marker counting repairs."""
         cached = entry.result
-        new_relation = entry.warm.relation()
-        if cached.relation == new_relation:
-            return False
         extras = dict(cached.metrics.extras)
         extras["maintained"] = extras.get("maintained", 0.0) + 1.0
         entry.result = RunResult(
-            relation=new_relation, metrics=replace(cached.metrics, extras=extras)
+            relation=relation, metrics=replace(cached.metrics, extras=extras)
         )
-        return True
 
-    def _promote(self, entry: CacheEntry, warm: List[CacheEntry]) -> None:
-        """Give a hot cached query a warm incremental state (one fixpoint).
-
-        Only :meth:`_absorb` calls this, for an affected entry among the
-        ``max_warm_states`` most recently served hot ones, after patching
-        the fragmentation; ``warm`` are the entries holding a state now,
-        least recently served first.  With every slot taken, the first of
-        them is retired: it precedes ``entry`` in the cache's order, so this
-        delta already repaired it; it stays cached, not warm.
-        """
-        state = IncrementalMatchState(
+    def _warm_state(self, entry: CacheEntry) -> IncrementalMatchState:
+        """A fresh incremental state for ``entry``'s query (one fixpoint)."""
+        return IncrementalMatchState(
             entry.query,
             self.fragmentation,
             self.deps,
             DgpmConfig(incremental=True, enable_push=False, cost=entry.config.cost),
         )
-        while len(warm) >= self.max_warm_states:
-            warm.pop(0).warm = None
-        entry.warm = state
 
     # ------------------------------------------------------------------
     def _validate_args(self, algorithm: str, engine: Optional[str]) -> str:

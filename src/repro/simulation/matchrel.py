@@ -58,8 +58,13 @@ class MatchRelation:
         """This relation over other node names: ``old_order[i]`` becomes
         ``new_order[i]`` (``old_order`` lists every query node once).
 
-        The match sets and their cells are shared with ``self``, not copied.
+        The match sets and their cells are shared with ``self``, not copied
+        (equal orders return ``self``): the session renames a cached answer
+        onto an isomorphic hit's names, whose position-``i`` node has the same
+        label and incident edges, so the candidate sets transfer verbatim.
         """
+        if old_order == new_order:
+            return self
         view = object.__new__(MatchRelation)
         view._query_nodes = tuple(new_order)
         view._matches = {new: self._matches[old] for old, new in zip(old_order, new_order)}
@@ -67,6 +72,17 @@ class MatchRelation:
         view._cells = {new: self._cells[old] for old, new in zip(old_order, new_order)}
         view._frozen = True
         return view
+
+    def patched(self, added: Sequence[Tuple], removed: Sequence[Tuple]) -> "MatchRelation":
+        """This relation with ``removed`` pairs taken out of its per-node sets
+        and ``added`` ones put in (before the emptiness collapse); a set no
+        pair touches is shared, and every cell starts empty."""
+        touched = {u: set(self._matches[u]) for u in {u for u, _ in (*added, *removed)}}
+        for u, v in removed:
+            touched[u].discard(v)
+        for u, v in added:
+            touched[u].add(v)
+        return MatchRelation(self._query_nodes, {**self._matches, **touched})
 
     def __setattr__(self, name: str, value) -> None:
         if getattr(self, "_frozen", False):

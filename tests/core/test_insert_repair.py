@@ -62,6 +62,19 @@ def _check(session: PatchedState, graph: DiGraph, context):
     return relation
 
 
+def _pairs(relation) -> set:
+    """The relation's pairs before the emptiness collapse."""
+    return {(q, v) for q in relation.query_nodes() for v in relation.raw_matches_of(q)}
+
+
+def _audit_changes(cost, before, after, context) -> None:
+    """The repair's change set is exactly the answer's net change: every
+    pair once, none a virtual copy's, none re-opened and falsified again."""
+    old, new = _pairs(before), _pairs(after)
+    assert sorted(cost.added, key=repr) == sorted(new - old, key=repr), context
+    assert sorted(cost.removed, key=repr) == sorted(old - new, key=repr), context
+
+
 def _churn(rng: random.Random, padding: int) -> set:
     """One 60-step delete/insert sequence; returns the insert strategies seen."""
     graph, frag, query = _instance(rng, padding)
@@ -79,7 +92,7 @@ def _churn(rng: random.Random, padding: int) -> set:
             strategies.add(cost.strategy)
             graph.add_edge(u, v)
         relation = _check(session, graph, (step, u, v))
-        assert cost.changed or relation == before, (step, u, v)
+        _audit_changes(cost, before, relation, (step, u, v))
     return strategies
 
 
@@ -144,6 +157,26 @@ def test_seeded_mutants_fail_the_suite(method, mutant, monkeypatch):
     with pytest.raises(AssertionError):
         for seed in range(8):
             _run_suite(seed)
+
+
+def test_a_stale_virtual_candidacy_is_not_in_the_change_set():
+    """Falsifications of a parentless query node never ship, so a virtual
+    copy of such a pair can stay true after its owner falsified it.  Removing
+    the node must not report the pair: it was never in the answer."""
+    graph = DiGraph({"x": "A", "y": "B", "u": "A", "w": "A"})
+    graph.add_edge("x", "y")
+    graph.add_edge("w", "u")  # u: a virtual copy at fragment 1
+    frag = fragment_graph(graph, {"x": 0, "y": 0, "u": 0, "w": 1})
+    query = Pattern({"a": "A", "b": "B"}, [("a", "b")])
+    session = PatchedState(query, frag)
+    copy = session.state.programs[1].state
+    assert "u" in copy.sim["a"] and not session.state.programs[0].state.is_candidate("a", "u")
+    before = session.relation()
+    cost = session.mutate("remove_node", "u")
+    graph.remove_node("u")
+    after = _check(session, graph, "remove u")
+    _audit_changes(cost, before, after, "remove u")
+    assert (cost.added, cost.removed) == ((), ())
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ from repro.bench.workloads import cyclic_pattern
 from repro.errors import TransportError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import DeleteEdge, InsertEdge, MutationOp, RemoveNode
+from repro.graph.pattern import Pattern
 from repro.net import protocol
 from repro.net.client import AsyncSessionClient, SessionClient, connect
 from repro.net.protocol import FrameKind
 from repro.net.server import serve_in_thread
+from repro.partition.fragmentation import fragment_graph
 
 JOIN_TIMEOUT = 60.0
 
@@ -117,9 +119,15 @@ def _audit(
             )
             assert not delta.lapsed
             assert delta.added or delta.removed
+            # An exact diff of the view: nothing held is added again, nothing
+            # absent is removed, and no pair is listed twice.
+            assert len(set(delta.added)) == len(delta.added), stamp
+            assert len(set(delta.removed)) == len(delta.removed), stamp
             for qn, vn in delta.added:
+                assert vn not in view.get(qn, ()), (stamp, qn, vn)
                 view.setdefault(qn, set()).add(vn)
             for qn, vn in delta.removed:
+                assert vn in view[qn], (stamp, qn, vn)
                 view[qn].discard(vn)
             assert view == oracle, f"stamp {stamp}: view diverged from oracle"
         previous = oracle
@@ -350,6 +358,22 @@ class TestRegistry:
             # registry must have dropped it rather than poison the writer.
             assert sub_id not in server._subs
 
+    def test_a_stale_virtual_candidacy_pushes_nothing(self):
+        """A virtual copy of an answer pair the owner falsified can stay
+        true (a parentless query node's falsifications never ship): removing
+        that node leaves the answer as it was, so nothing is pushed."""
+        graph = DiGraph({"x": "A", "y": "B", "u": "A", "w": "A"})
+        graph.add_edge("x", "y")
+        graph.add_edge("w", "u")  # u: a virtual copy at fragment 1
+        frag = fragment_graph(graph, {"x": 0, "y": 0, "u": 0, "w": 1})
+        query = Pattern({"a": "A", "b": "B"}, [("a", "b")])
+        fired: List[Tuple[int, int, Tuple, Tuple]] = []
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            server.subscribe(query, lambda *delta: fired.append(delta))
+            server.apply([RemoveNode("u")])
+            assert server.run(query).relation == simulation(query, graph)
+        assert fired == []
+
 
 # ----------------------------------------------------------------------
 # end-to-end oracle, all backends
@@ -385,6 +409,11 @@ class TestSubscriptionOracle:
                 # Wait for the tail push (if any); closing the subscription
                 # ends the collector however far it got.
                 deltas.wait_for_stamp(last_change_stamp)
+                # A read is served from the pinned entry the pushes came
+                # from: the relation those change sets patched is exact too.
+                assert _as_sets(client.run(query).relation) == _as_sets(
+                    simulation(query, _replay(initial, ops, len(ops)))
+                )
                 sub.close()
                 collector.join(timeout=JOIN_TIMEOUT)
         _audit(initial, query, baseline, ops, deltas)
@@ -392,9 +421,9 @@ class TestSubscriptionOracle:
 
     @pytest.mark.parametrize("backend", ["thread", "sharded"])
     def test_subscribed_only_query_is_repaired_not_rerun(self, backend):
-        """A standing query nobody else reads is hot from its baseline on:
-        the first answer-changing batch gives it a warm state and every batch
-        repairs it -- one protocol run in all, none under the write lock."""
+        """A standing query nobody else reads is pinned warm by its baseline:
+        every batch repairs it -- one protocol run in all, none under the
+        write lock, and no batch has to promote it."""
         graph = web_graph(1000, 5000, seed=7)
         initial = graph.copy()
         query = cyclic_pattern(graph, 4, 6, seed=3)
@@ -422,7 +451,7 @@ class TestSubscriptionOracle:
         assert [d.stamp for d in deltas] == list(range(1, n + 1))
         _audit(initial, query, _as_sets(baseline.relation), ops, deltas)
         assert (stats.cache_misses, stats.entries_evicted) == (1, 0)
-        assert (stats.entries_promoted, stats.entries_repaired) == (1, n)
+        assert (stats.entries_promoted, stats.entries_repaired) == (0, n)
 
     def test_two_subscribers_one_mutating_client(self, instance):
         """Independent subscriptions see independent, equally-correct
@@ -514,22 +543,22 @@ class TestAsyncSubscription:
                     sub = await client.subscribe(query)
                     baseline = _as_sets(sub.relation)
                     deltas: List[protocol.PushDelta] = []
+                    last_change = _last_change_stamp(
+                        initial, query, baseline, ops
+                    )
+                    reached = asyncio.Event()
 
                     async def consume():
                         async for d in sub:
                             deltas.append(d)
+                            if d.stamp >= last_change:
+                                reached.set()
 
                     task = asyncio.create_task(consume())
                     for op in ops:
                         await client.apply([op])
-                    last_change = _last_change_stamp(
-                        initial, query, baseline, ops
-                    )
-                    deadline = time.time() + JOIN_TIMEOUT
-                    while time.time() < deadline and last_change:
-                        if deltas and deltas[-1].stamp >= last_change:
-                            break
-                        await asyncio.sleep(0.02)
+                    if last_change:
+                        await asyncio.wait_for(reached.wait(), timeout=JOIN_TIMEOUT)
                     await sub.aclose()
                     await asyncio.wait_for(task, timeout=JOIN_TIMEOUT)
                     return baseline, deltas
@@ -539,7 +568,7 @@ class TestAsyncSubscription:
         baseline, deltas = asyncio.run(main())
         _audit(initial, query, baseline, ops, deltas)
 
-    def test_slow_consumer_lapses_locally(self, instance):
+    def test_slow_consumer_lapses_locally(self, instance, monkeypatch):
         """A consumer that never drains past ``buffer`` deltas receives one
         final lapsed marker and the server forgets the subscription."""
         graph, frag, query = instance
@@ -549,6 +578,8 @@ class TestAsyncSubscription:
                 client = await connect(srv.address, async_=True)
                 try:
                     sub = await client.subscribe(query, buffer=1)
+                    registry = srv.ingress.server
+                    emptied = _registry_emptied(registry, monkeypatch)
                     # Not consuming: each edge deletion that changes the
                     # answer lands in the size-1 queue; the second overflows.
                     for u, v in list(graph.edges()):
@@ -563,9 +594,7 @@ class TestAsyncSubscription:
                             pytest.fail("no lapse within the deadline")
                     assert got[-1].lapsed
                     # The fire-and-forget UNSUBSCRIBE reaches the registry.
-                    registry = srv.ingress.server
-                    while time.time() < deadline and registry._subs:
-                        await asyncio.sleep(0.02)
+                    assert await asyncio.to_thread(emptied.wait, JOIN_TIMEOUT)
                     assert not registry._subs
                 finally:
                     await client.aclose()

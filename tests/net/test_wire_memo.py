@@ -23,7 +23,6 @@ from repro.bench.workloads import cyclic_pattern
 from repro.graph.pattern import Pattern
 from repro.net import SessionClient, codec, protocol, serve_in_thread
 from repro.runtime.metrics import RunMetrics
-from repro.session.session import _translate
 from repro.simulation.matchrel import MatchRelation
 
 from tests.net.test_codec import ref_encode
@@ -72,16 +71,15 @@ class TestCoherence:
         buys."""
         graph, frag, query, edge = instance
         if mutant:
-            real = SimulationSession._rewrite_entry
+            real = SimulationSession._store
 
-            def carrying_the_cells(entry):
+            def carrying_the_cells(entry, relation):
                 old = entry.result.relation
-                changed = real(entry)
+                real(entry, relation)
                 object.__setattr__(entry.result.relation, "_cells", old._cells)
-                return changed
 
             monkeypatch.setattr(
-                SimulationSession, "_rewrite_entry", staticmethod(carrying_the_cells)
+                SimulationSession, "_store", staticmethod(carrying_the_cells)
             )
         with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
             with SessionClient(*srv.address, timeout=60.0) as client:
@@ -127,14 +125,14 @@ class TestSharing:
 
     def test_translate_shares_the_sets_by_identity(self):
         relation = MatchRelation("uvw", {"u": {1, 2}, "v": {3}, "w": set()})
-        view = _translate(relation, ("w", "u", "v"), ("c", "a", "b"))
+        view = relation.renamed(("w", "u", "v"), ("c", "a", "b"))
         assert list(view.query_nodes()) == ["c", "a", "b"]
         for old, new in zip("wuv", "cab"):
             assert view.raw_matches_of(new) is relation.raw_matches_of(old)
             assert view._cells[new] is relation._cells[old]
         assert view == MatchRelation("cab", {"a": {1, 2}, "b": {3}})
         assert not view and not relation
-        assert _translate(relation, ("u", "v", "w"), ("u", "v", "w")) is relation
+        assert relation.renamed(("u", "v", "w"), ("u", "v", "w")) is relation
         with pytest.raises(AttributeError, match="immutable"):
             view._matches = {}
 

@@ -247,9 +247,10 @@ def test_more_hot_patterns_than_slots(max_warm_states, rng, rng_seed):
 
 def test_subscriber_entry_promoted_by_its_first_relevant_batch(rng, rng_seed):
     """Through the thread backend with two standing queries among the twelve
-    hot patterns and two slots: a subscriber's cached entry is promoted (not
-    evicted) by the first batch relevant to it, and folding every PUSH over
-    the baseline reproduces the oracle at every stamp."""
+    hot patterns and two slots: a subscriber's cached entry is warm -- its
+    pin promoted it outside the two slots -- so the first batch relevant to
+    it repairs it (no eviction, no re-run), and folding every PUSH over the
+    baseline reproduces the oracle at every stamp."""
     seed = rng_seed % 1000
     graph = web_graph(60, 260, n_labels=4, seed=seed)
     frag = random_partition(graph, 3, seed=seed)
@@ -279,12 +280,14 @@ def test_subscriber_entry_promoted_by_its_first_relevant_batch(rng, rng_seed):
             batch = [first] if step == 0 else _random_batch(rng, graph, deleted, 2)
             outcomes = server.apply(batch)
             stamp = outcomes[-1].stamp
-            if step == 0:  # promoted, not evicted and re-run
-                session = server._session
-                assert id(subscribed[1]) in {
-                    id(entry.query) for entry in warm_entries(session)
+            if step == 0:  # repaired, not evicted and re-run
+                pinned = {
+                    id(entry.query)
+                    for entry in warm_entries(server._session)
+                    if entry.pins
                 }
-                assert stats.entries_promoted >= 1 and stats.cache_misses == misses
+                assert {id(q) for q in subscribed} <= pinned
+                assert stats.cache_misses == misses
             for sub_id, _, added, removed in (p for p in pushes if p[1] == stamp):
                 view = views[sub_id][1]
                 for qn, vn in added:
