@@ -13,7 +13,6 @@ from typing import Tuple
 from repro.analysis.checkers.asserts import BareAssertChecker
 from repro.analysis.checkers.base import Checker
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.drivers import DriverRegistryChecker
 from repro.analysis.checkers.frozen import FrozenCrossingChecker
 from repro.analysis.checkers.lazynumpy import LazyNumpyChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
@@ -31,7 +30,6 @@ ALL_CHECKERS: Tuple[Checker, ...] = (
     ShardCommandChecker(),
     PickleConfinedChecker(),
     DeterminismChecker(),
-    DriverRegistryChecker(),
     BareAssertChecker(),
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "BareAssertChecker",
     "Checker",
     "DeterminismChecker",
-    "DriverRegistryChecker",
     "FrozenCrossingChecker",
     "LazyNumpyChecker",
     "LockDisciplineChecker",

@@ -34,12 +34,12 @@ from repro.runtime.network import Network
 from repro.simulation import simulation
 
 
-def execute_dishhk(
+def run_dishhk(
     query: Pattern,
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
 ) -> RunResult:
-    """One disHHK evaluation: per-site pruning, then ship-and-assemble."""
+    """Candidate pruning per site, then ship-and-assemble at the coordinator."""
     config = config or DgpmConfig()
     cost = config.cost
     start = time.perf_counter()
@@ -100,17 +100,3 @@ def execute_dishhk(
         extras={"central_seconds": central_time, "slowest_local": slowest_local},
     )
     return RunResult(relation=relation, metrics=metrics)
-
-
-def run_dishhk(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-) -> RunResult:
-    """Candidate pruning per site, then ship-and-assemble at the coordinator.
-
-    One-shot convenience over :class:`~repro.session.SimulationSession`.
-    """
-    from repro.session import SimulationSession
-
-    return SimulationSession(fragmentation, config=config).run(query, algorithm="dishhk")

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec, per_site
+from repro.core.protocol import AlgorithmSpec, per_site, run_protocol
 from repro.core.state import LocalEvalState, VarKey
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
@@ -192,11 +192,10 @@ class _DmesCoordinator:
         return []
 
 
-#: dMes's entry in the algorithm registry (:mod:`repro.session.drivers`).
+#: dMes's spec: :func:`run_dmes` runs it one-shot; no session serves it.
 DMES = AlgorithmSpec(
     name="dmes",
     display_name="dMes",
-    engines=("dict",),
     build_programs=per_site(
         lambda fid, fragmentation, query, deps, config, compiled: (
             DmesSiteProgram(fid, fragmentation, query, deps, config)
@@ -212,10 +211,5 @@ def run_dmes(
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
 ) -> RunResult:
-    """Evaluate ``query`` with the vertex-centric dMes baseline.
-
-    One-shot convenience over :class:`~repro.session.SimulationSession`.
-    """
-    from repro.session import SimulationSession
-
-    return SimulationSession(fragmentation, config=config).run(query, algorithm="dmes")
+    """Evaluate ``query`` with the vertex-centric dMes baseline."""
+    return run_protocol(DMES, query, fragmentation, config)

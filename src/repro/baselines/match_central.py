@@ -21,12 +21,12 @@ from repro.runtime.network import Network
 from repro.simulation import simulation
 
 
-def execute_match(
+def run_match(
     query: Pattern,
     fragmentation: Fragmentation,
     config: Optional[DgpmConfig] = None,
 ) -> RunResult:
-    """One Match evaluation: ship everything, evaluate centrally."""
+    """Ship all fragments to the coordinator; run centralized simulation."""
     config = config or DgpmConfig()
     cost = config.cost
     start = time.perf_counter()
@@ -62,17 +62,3 @@ def execute_match(
         extras={"central_seconds": central_time},
     )
     return RunResult(relation=relation, metrics=metrics)
-
-
-def run_match(
-    query: Pattern,
-    fragmentation: Fragmentation,
-    config: Optional[DgpmConfig] = None,
-) -> RunResult:
-    """Ship all fragments to the coordinator; run centralized simulation.
-
-    One-shot convenience over :class:`~repro.session.SimulationSession`.
-    """
-    from repro.session import SimulationSession
-
-    return SimulationSession(fragmentation, config=config).run(query, algorithm="match")

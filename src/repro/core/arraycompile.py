@@ -425,8 +425,8 @@ class CompiledFragmentation:
         return self
 
 
-#: engines the execution layer understands; session and execute_* validate
-#: against this so the error message has one source of truth
+#: engines the execution layer understands; the session and run_protocol
+#: validate against this so the error message has one source of truth
 ENGINES: Tuple[str, ...] = ("dict", "array")
 
 

@@ -609,11 +609,10 @@ def _build_programs(fids, fragmentation, query, deps, config, compiled):
     return dict.fromkeys(fids, DgpmHostProgram(fids, query, deps, config, compiled))
 
 
-#: dGPM's entry in the algorithm registry (:mod:`repro.session.drivers`).
+#: dGPM's entry in the served registry, :data:`repro.core.dispatch.ALGORITHMS`.
 DGPM = AlgorithmSpec(
     name="dgpm",
     display_name="dGPM",
-    engines=("dict", "array"),
     build_programs=_build_programs,
     extras={"pushes": (attrgetter("pushes_triggered"), sum)},
     unoptimized_name="dGPMNOpt",

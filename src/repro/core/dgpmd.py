@@ -221,11 +221,10 @@ def dgpmd_precheck(
     return RunResult(relation=MatchRelation(query.nodes(), {}), metrics=metrics)
 
 
-#: dGPMd's entry in the algorithm registry (:mod:`repro.session.drivers`).
+#: dGPMd's entry in the served registry, :data:`repro.core.dispatch.ALGORITHMS`.
 DGPMD = AlgorithmSpec(
     name="dgpmd",
     display_name="dGPMd",
-    engines=("dict", "array"),
     build_programs=per_site(DgpmdSiteProgram),
     precheck=dgpmd_precheck,
 )

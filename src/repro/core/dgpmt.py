@@ -240,11 +240,10 @@ def dgpmt_precheck(query: Pattern, fragmentation: Fragmentation, algorithm: str 
     raise FragmentationError("dGPMt requires connected fragments")
 
 
-#: dGPMt's entry in the algorithm registry (:mod:`repro.session.drivers`).
+#: dGPMt's entry in the served registry, :data:`repro.core.dispatch.ALGORITHMS`.
 DGPMT = AlgorithmSpec(
     name="dgpmt",
     display_name="dGPMt",
-    engines=("dict", "array"),
     # a subtree's only boundary is its root: no watcher tables needed
     build_programs=per_site(
         lambda fid, fragmentation, query, deps, config, compiled: (

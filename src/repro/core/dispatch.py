@@ -3,7 +3,8 @@
 The paper's hierarchy (Sections 4-5): trees admit parallel-scalable data
 shipment (dGPMt); DAG queries/graphs admit rank scheduling (dGPMd); general
 graphs get the partition-bounded dGPM.  :func:`run_auto` applies the first
-algorithm whose precondition holds.
+algorithm whose precondition holds.  :data:`ALGORITHMS` is those three specs
+by name -- exactly what a session serves.
 
 The preconditions are the predicates the executors' own entry checks use
 (``dgpmt_applies``, ``dgpmd_applies``) and read maintained facts -- the shape
@@ -13,14 +14,19 @@ connected-fragments memo -- so choosing is O(1) per request, whatever ``|G|``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.config import DgpmConfig
-from repro.core.dgpmd import dgpmd_applies
-from repro.core.dgpmt import dgpmt_applies
+from repro.core.dgpm import DGPM
+from repro.core.dgpmd import DGPMD, dgpmd_applies
+from repro.core.dgpmt import DGPMT, dgpmt_applies
+from repro.core.protocol import AlgorithmSpec
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.runtime.metrics import RunResult
+
+#: every algorithm a session serves, by name: the paper's three
+ALGORITHMS: Dict[str, AlgorithmSpec] = {s.name: s for s in (DGPM, DGPMD, DGPMT)}
 
 
 def choose_algorithm(query: Pattern, fragmentation: Fragmentation) -> str:

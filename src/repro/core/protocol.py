@@ -7,10 +7,12 @@ collects and unions the local matches.  An :class:`AlgorithmSpec` names the
 differences (how to build one site's program, an optional coordinator inbox
 handler and entry check, what to report beside DS and PT) and
 :func:`run_protocol` is the skeleton, the only place those phases are spelled.
-Both deployments call it: in-process evaluation with every site on one
+Both deployments of a served algorithm (dGPM, dGPMd, dGPMt) call it:
+in-process evaluation with every site on one
 :class:`~repro.runtime.engine.LocalHost`, the sharded backend with its
 worker handles as the hosts -- so a run is metered by the same code wherever
-its sites live.
+its sites live.  The dMes baseline is never served: its one-shot
+:func:`~repro.baselines.dmes.run_dmes` calls it in-process.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.arraycompile import ENGINES, CompiledFragmentation, validate_engine
+from repro.core.arraycompile import CompiledFragmentation, validate_engine
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.errors import ReproError
 from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
@@ -37,12 +38,10 @@ from repro.simulation.matchrel import MatchRelation
 class AlgorithmSpec:
     """What distinguishes one superstep algorithm from the others."""
 
-    #: registry name (lowercase; what ``SimulationSession.run`` accepts)
+    #: lowercase name (a served spec's is what ``SimulationSession.run`` accepts)
     name: str
     #: ``RunMetrics.algorithm`` of an in-process run
     display_name: str
-    #: execution engines ``build_programs`` understands
-    engines: Tuple[str, ...]
     #: ``(fids, fragmentation, query, deps, config, compiled) -> {fid:
     #: SiteProgram}``, the programs of one host's sites (:func:`per_site`
     #: wraps a one-site constructor; a program may stand for several sites).
@@ -63,13 +62,6 @@ class AlgorithmSpec:
     #: the fixpoint does not depend on delivery order (Section 4.1), so
     #: ``config.scramble`` may reorder it; the others need lockstep rounds
     schedule_independent: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.engines or set(self.engines) - set(ENGINES):
-            raise ReproError(
-                f"algorithm {self.name!r} declares engines {self.engines!r}; "
-                f"expected a non-empty subset of {ENGINES!r}"
-            )
 
 
 def per_site(build: Callable[..., SiteProgram]) -> Callable[..., Dict[int, SiteProgram]]:

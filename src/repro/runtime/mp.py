@@ -108,8 +108,8 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
     * ``("stats", None)`` -> ``("ok", {...})`` incl. peak RSS.
     * ``("stop", None)`` -- close and exit.
     """
-    from repro.core.protocol import local_host  # import cycle guard
-    from repro.session.drivers import DRIVERS
+    from repro.core.dispatch import ALGORITHMS  # import cycle guard
+    from repro.core.protocol import local_host
 
     shard, deps = init
     host: Optional[LocalHost] = None
@@ -124,7 +124,7 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
             host = None
             try:
                 host = local_host(
-                    DRIVERS[name].spec, shard.fids, shard, query, deps, config
+                    ALGORITHMS[name], shard.fids, shard, query, deps, config
                 )
                 reply = ("ok", host.start())
             except Exception as exc:

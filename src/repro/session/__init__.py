@@ -4,10 +4,12 @@ The paper's algorithms answer *one* query over a distributed graph; this
 package turns the collection of one-shot runners into a servable engine.  A
 :class:`SimulationSession` loads a fragmentation once, precomputes the
 structures every query shares (dependency/watcher tables, per-fragment label
-indexes, interned label ids), and serves a stream of queries through the
-:class:`~repro.session.drivers.AlgorithmDriver` registry with an LRU result
-cache -- so per-query cost excludes per-graph cost, the property that matters
-once the same resident graph sees heavy query traffic.
+indexes, interned label ids), and serves a stream of queries by the paper's
+three algorithms (:data:`repro.core.dispatch.ALGORITHMS`: dGPM, dGPMd,
+dGPMt) with an LRU result cache -- so per-query cost excludes per-graph cost,
+the property that matters once the same resident graph sees heavy query
+traffic.  The baselines are never served: they are the one-shot
+:mod:`repro.baselines` ``run_*`` functions.
 
 The session is also the graph's write path: ``session.delete_edge`` /
 ``insert_edge`` / ``add_node`` / ``apply`` patch the resident fragmentation
@@ -21,8 +23,8 @@ session from many threads -- or, with its sharded backend, from a pool of
 fragment-owning worker processes -- under a reader-writer protocol with
 snapshot stamps; see :mod:`repro.session.concurrent` for the contract.
 
-The one-shot entry points (``run_dgpm`` and friends) remain the public API;
-each is now a thin wrapper that builds a throwaway session.
+The one-shot entry points ``run_dgpm`` / ``run_dgpmd`` / ``run_dgpmt``
+remain the public API; each is a thin wrapper that builds a throwaway session.
 """
 
 from repro.session.cache import (
@@ -39,7 +41,6 @@ from repro.session.concurrent import (
     StampedOutcome,
     StampedResult,
 )
-from repro.session.drivers import DRIVERS, AlgorithmDriver
 from repro.session.session import MutationOutcome, SessionStats, SimulationSession
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "StampedResult",
     "StampedOutcome",
     "RebalanceOutcome",
-    "AlgorithmDriver",
-    "DRIVERS",
     "LabelInterner",
     "LruResultCache",
     "CacheEntry",

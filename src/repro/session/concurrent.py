@@ -630,13 +630,7 @@ class ConcurrentSessionServer:
     ) -> RunResult:
         config = config or self._session.config
         self._session._validate_args(algorithm, None)
-        driver, config = self._session._resolve_for_query(algorithm, query, config)
-        spec: Optional[AlgorithmSpec] = getattr(driver, "spec", None)
-        if spec is None:
-            # Centralized baselines (match, dISHHK) ship the whole graph to
-            # one site by design; evaluating them at the coordinator is
-            # faithful to their cost model.
-            return self._session.run(query, algorithm=driver.name, config=config)
+        spec = self._session._resolve_for_query(algorithm, query)
         # Queries are pure reads, so a worker death mid-run is retried from
         # scratch after the pool heals (bounded: each retry removes or
         # respawns at least one dead worker).

@@ -5,9 +5,10 @@ sites hold their fragments, the boundary tables are known, and queries
 arrive as a stream.  :class:`SimulationSession` is that architecture in one
 object: it loads a :class:`~repro.partition.fragmentation.Fragmentation`
 once, precomputes every structure that depends only on the graph, and then
-serves queries through the uniform driver registry of
-:mod:`repro.session.drivers`, so the per-query cost excludes the per-graph
-cost.
+serves queries by the paper's three algorithms
+(:data:`repro.core.dispatch.ALGORITHMS`), so the per-query cost excludes the
+per-graph cost.  The baselines are never served: they are the one-shot
+:mod:`repro.baselines` ``run_*`` functions.
 
 Amortized across queries:
 
@@ -92,8 +93,13 @@ from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
 from repro.core.dgpmd import dgpmd_applies
 from repro.core.dgpmt import dgpmt_applies
-from repro.core.dispatch import choose_algorithm, choose_algorithm_if_decided
+from repro.core.dispatch import (
+    ALGORITHMS,
+    choose_algorithm,
+    choose_algorithm_if_decided,
+)
 from repro.core.incremental import IncrementalMatchState, delta_may_change_answer
+from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.errors import ReproError
 from repro.graph.digraph import Label, Node
 from repro.graph.mutations import (
@@ -114,7 +120,6 @@ from repro.session.cache import (
     LruResultCache,
     canonical_form,
 )
-from repro.session.drivers import DRIVERS, AlgorithmDriver
 from repro.simulation.matchrel import MatchRelation
 
 
@@ -267,11 +272,11 @@ class QueryKey:
     """
 
     query: Pattern
-    driver: AlgorithmDriver
+    spec: AlgorithmSpec
     config: DgpmConfig
     engine: str
     form: CanonicalQuery
-    #: the result cache's key: ``(driver, engine, repr(config), digest)``
+    #: the result cache's key: ``(spec name, engine, repr(config), digest)``
     key: Tuple
     fragmentation: Fragmentation
     version: int
@@ -390,7 +395,7 @@ class SimulationSession:
     # ------------------------------------------------------------------
     @property
     def deps(self) -> DependencyGraphs:
-        """The boundary/watcher tables, built once and shared by all drivers.
+        """The boundary/watcher tables, built once and shared by all queries.
 
         The lazy build is double-checked under a lock so concurrent first
         queries build the tables exactly once.
@@ -440,11 +445,11 @@ class SimulationSession:
 
         Useful before benchmarking or before the first latency-sensitive
         query: forces the dependency graphs plus the lazy indexes of the base
-        graph *and* of every fragment (the base graph serves dispatch and the
-        centralized baselines), and the two shape facts ``algorithm="auto"``
-        reads, so the first request scans nothing.  An ``array`` session
-        also compiles every fragment snapshot and dGPM's host snapshot, so
-        the first query compiles nothing (a ``dict`` one never imports numpy).
+        graph *and* of every fragment (the base graph serves dispatch), and
+        the two shape facts ``algorithm="auto"`` reads, so the first request
+        scans nothing.  An ``array`` session also compiles every fragment
+        snapshot and dGPM's host snapshot, so the first query compiles
+        nothing (a ``dict`` one never imports numpy).
         """
         deps = self.deps
         self.fragmentation.graph.warm_indexes()
@@ -524,6 +529,9 @@ class SimulationSession:
         """Serve one query; identical in answer and metrics to the one-shot
         ``run_*`` function of the same algorithm.
 
+        ``algorithm`` is ``"auto"``, ``"dgpm"``, ``"dgpmd"`` or ``"dgpmt"``
+        (dGPMNOpt: ``"dgpm"`` under ``DgpmConfig().without_optimizations()``).
+
         Cache hits return a result whose ``metrics.extras`` carries
         ``cache_hit: 1.0``; the relation object is shared (safe:
         :class:`~repro.simulation.matchrel.MatchRelation` is frozen) and the
@@ -566,7 +574,7 @@ ConcurrentSessionServer` provides.
         if self.fragmentation.version != self._version:
             return None, None
         if algorithm.lower() == "auto":
-            # The key names the driver, so the decided name keys it the same.
+            # The key names the spec, so the decided name keys it the same.
             algorithm = choose_algorithm_if_decided(query, self.fragmentation)
             if algorithm is None:
                 return None, None
@@ -593,9 +601,14 @@ ConcurrentSessionServer` provides.
     def _run_entry(self, key: QueryKey) -> Tuple[RunResult, CacheEntry]:
 
         def compute() -> CacheEntry:
-            result = key.driver.run(self, key.query, key.config, engine=key.engine)
+            # Providers, not values: a query the precheck refuses must not
+            # build the watcher tables, nor a dict-engine one the CSR cache.
+            result = run_protocol(
+                key.spec, key.query, self.fragmentation, key.config, key.engine,
+                deps=lambda: self.deps, compiled=self.compiled_fragments,
+            )
             return CacheEntry(
-                result=result, query=key.query, algorithm=key.driver.name,
+                result=result, query=key.query, algorithm=key.spec.name,
                 config=key.config, order=key.form.order,
                 fids=self._touched_fids(result.relation),
             )
@@ -666,16 +679,11 @@ ConcurrentSessionServer` provides.
     ) -> QueryKey:
         config = config or self.config
         engine = self._validate_args(algorithm, engine)
-        driver, config = self._resolve_for_query(algorithm, query, config)
-        if engine not in driver.engines:
-            raise ReproError(
-                f"algorithm {driver.name!r} does not support engine {engine!r} "
-                f"(supported: {', '.join(driver.engines)})"
-            )
+        spec = self._resolve_for_query(algorithm, query)
         form = self.canonical_form_of(query)
         return QueryKey(
-            query, driver, config, engine, form,
-            (driver.name, engine, repr(config), form.digest),
+            query, spec, config, engine, form,
+            (spec.name, engine, repr(config), form.digest),
             self.fragmentation, self.fragmentation.version,
         )
 
@@ -873,8 +881,8 @@ ConcurrentSessionServer` provides.
 
     def _precondition_lapsed(self, entry: CacheEntry) -> bool:
         """True iff the mutation just applied took away the graph shape the
-        entry's driver requires: a fresh ``run`` would now raise (or, under
-        ``auto``, pick another driver), so the entry must not be served."""
+        entry's algorithm requires: a fresh ``run`` would now raise (or, under
+        ``auto``, pick another algorithm), so the entry must not be served."""
         if entry.algorithm == "dgpmd":
             return not dgpmd_applies(entry.query, self.fragmentation)
         return entry.algorithm == "dgpmt" and not dgpmt_applies(self.fragmentation)
@@ -908,7 +916,7 @@ ConcurrentSessionServer` provides.
         from repro.core.arraycompile import ENGINES
 
         problems: List[str] = []
-        valid = {"auto", "dgpmnopt", *DRIVERS}
+        valid = {"auto", *ALGORITHMS}
         if algorithm.lower() not in valid:
             known = ", ".join(sorted(valid))
             problems.append(f"unknown algorithm {algorithm!r} (known: {known})")
@@ -921,16 +929,12 @@ ConcurrentSessionServer` provides.
             raise ReproError("; ".join(problems))
         return engine_name
 
-    def _resolve_for_query(
-        self, algorithm: str, query: Pattern, config: DgpmConfig
-    ) -> Tuple[AlgorithmDriver, DgpmConfig]:
-        """The driver (and config) a validated algorithm name stands for."""
+    def _resolve_for_query(self, algorithm: str, query: Pattern) -> AlgorithmSpec:
+        """The spec a validated algorithm name stands for."""
         name = algorithm.lower()
-        if name == "dgpmnopt":
-            return DRIVERS["dgpm"], config.without_optimizations()
         if name == "auto":
             name = choose_algorithm(query, self.fragmentation).lower()
-        return DRIVERS[name], config
+        return ALGORITHMS[name]
 
     def __repr__(self) -> str:
         return (

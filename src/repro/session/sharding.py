@@ -11,7 +11,7 @@ so a ring change re-ships only the migrated fragments.
 
 How a run is driven over the workers is not decided here: the sharded
 backend runs the same :func:`~repro.core.protocol.run_protocol` over the
-same algorithm registry (:mod:`repro.session.drivers`) as in-process
+same served specs (:data:`repro.core.dispatch.ALGORITHMS`) as in-process
 evaluation, with the ring only saying which worker hosts which site.
 
 Everything here is deterministic by construction: hashing uses

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,6 @@ import pytest
 import repro
 from repro.analysis.checkers.asserts import BareAssertChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.drivers import DriverRegistryChecker
 from repro.analysis.checkers.frozen import CrossingType, FrozenCrossingChecker
 from repro.analysis.checkers.lazynumpy import LazyNumpyChecker
 from repro.analysis.checkers.locks import GuardSpec, LockDisciplineChecker
@@ -21,11 +19,6 @@ from repro.analysis.checkers.protocol import (
 )
 from repro.analysis.project import Project
 from repro.analysis.runner import run_analysis
-from repro.core.arraycompile import ENGINES
-from repro.core.dgpm import DGPM
-from repro.core.protocol import AlgorithmSpec
-from repro.errors import ReproError
-from repro.session.drivers import DRIVERS, SuperstepDriver, build_registry
 
 
 def check(checker, sources):
@@ -508,73 +501,6 @@ class TestDeterminism:
         finding = check(DeterminismChecker(), {"partition/a.py": src})
         assert len(finding) == 1 and finding[0].detail == "from-time-strict"
         assert check(DeterminismChecker(), {"core/a.py": src}) == []
-
-
-class TestDriverRegistry:
-    """The registry contract: what a type can hold is enforced by
-    ``AlgorithmSpec`` / ``build_registry`` when the registry is built (each
-    bad spec raises); what it cannot -- that the session still reads the
-    declaration -- stays an AST rule."""
-
-    SESSION = (
-        "def validate(driver, engine):\n"
-        "    if engine not in driver.engines:\n"
-        "        raise ValueError(engine)\n"
-    )
-
-    def test_well_formed_registry_clean(self):
-        assert check(DriverRegistryChecker(), {"session/session.py": self.SESSION}) == []
-        for name, driver in DRIVERS.items():
-            assert driver.name == name and driver.display_name
-            assert driver.engines and set(driver.engines) <= set(ENGINES)
-
-    def test_missing_engines_flagged(self):
-        with pytest.raises(TypeError, match="engines"):
-            AlgorithmSpec(name="x", display_name="X", build_programs=DGPM.build_programs)
-        with pytest.raises(ReproError, match="engines"):
-            dataclasses.replace(DGPM, engines=())
-
-    def test_missing_name_flagged(self):
-        with pytest.raises(TypeError, match="display_name"):
-            AlgorithmSpec(name="x", engines=("dict",), build_programs=DGPM.build_programs)
-
-    def test_unknown_engine_flagged(self):
-        with pytest.raises(ReproError, match="'gpu'"):
-            dataclasses.replace(DGPM, engines=("dict", "gpu"))
-
-    def test_duplicate_name_flagged(self):
-        again = dataclasses.replace(DGPM, display_name="dGPM again")
-        with pytest.raises(ReproError, match="registered twice"):
-            build_registry([SuperstepDriver(DGPM), SuperstepDriver(again)])
-
-    def test_requested_engine_reaches_build_program(self):
-        """One generic ``run`` hands the engine on: ``build_programs`` sees
-        the session's compiled-CSR cache under ``array`` and None under
-        ``dict`` -- once per host, with every site of the host."""
-        from repro import SimulationSession, hash_partition, web_graph
-        from repro.bench.workloads import cyclic_pattern
-
-        graph = web_graph(40, 120, n_labels=3, seed=2)
-        session = SimulationSession(hash_partition(graph, 3))
-        seen = []
-
-        def recording(fids, fragmentation, query, deps, config, compiled):
-            seen.append((fids, compiled))
-            return DGPM.build_programs(fids, fragmentation, query, deps, config, compiled)
-
-        driver = SuperstepDriver(dataclasses.replace(DGPM, build_programs=recording))
-        query = cyclic_pattern(graph, 3, 3, seed=2)
-        driver.run(session, query, session.config, engine="dict")
-        assert seen == [([0, 1, 2], None)] and session._compiled is None
-        driver.run(session, query, session.config, engine="array")
-        assert seen[1:] == [([0, 1, 2], session.compiled_fragments())]
-
-    def test_missing_session_gate_flagged(self):
-        findings = check(
-            DriverRegistryChecker(),
-            {"session/session.py": "def validate(driver, engine):\n    pass\n"},
-        )
-        assert [f.detail for f in findings] == ["session-gate"]
 
 
 class TestBareAssert:

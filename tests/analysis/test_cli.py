@@ -111,7 +111,7 @@ class TestListRules:
             "lazy-numpy",
             "protocol-exhaustive",
             "determinism",
-            "driver-registry",
             "bare-assert",
         ):
             assert rule in out
+        assert "driver-registry" not in out  # retired with the driver registry

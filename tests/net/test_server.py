@@ -155,8 +155,14 @@ class TestSyncClient:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 with pytest.raises(GraphError):
                     client.delete_edge("no-such", "edge")
-                with pytest.raises(ReproError):
-                    client.run(queries[0], algorithm="not-an-algorithm")
+                # a session serves dGPM, dGPMd and dGPMt only: a baseline or
+                # the retired dGPMNOpt alias is refused like any unknown name
+                for name in ("not-an-algorithm", "dmes", "dishhk", "match", "dgpmnopt"):
+                    with pytest.raises(ReproError) as err:
+                        client.run(queries[0], algorithm=name)
+                    assert str(err.value) == (
+                        f"unknown algorithm {name!r} (known: auto, dgpm, dgpmd, dgpmt)"
+                    )
                 # the connection survives per-request failures
                 assert client.run(queries[0], algorithm="dgpm").stamp == 0
 

@@ -8,8 +8,8 @@ private copy of the graph and demands
 
     ``result.relation == simulation(query, graph_after_first_stamp_ops)``
 
-for **every** result every reader ever got -- across all general-graph
-algorithms the session serves and two partitioners (``test_sharding.py``
+for **every** result every reader ever got -- across dGPM and dGPMNOpt (the
+general-graph algorithms the session serves) and two partitioners (``test_sharding.py``
 runs the same harness against the sharded backend).
 
 Every thread is joined with a timeout and asserted dead afterwards, so a
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import (
     ConcurrentSessionServer,
+    DgpmConfig,
     citation_dag,
     hash_partition,
     random_partition,
@@ -46,9 +47,10 @@ PARTITIONERS = {
     "hash": lambda g, seed: hash_partition(g, 3, seed=seed),
 }
 
-#: algorithms safe on arbitrary mutating graphs (dGPMd/dGPMt get dedicated
-#: shape-preserving scenarios below)
-GENERAL_ALGORITHMS = ["dgpm", "dgpmnopt", "dmes", "dishhk", "match"]
+#: configs of dGPM, the served algorithm safe on arbitrary mutating graphs:
+#: as is, and with both optimizations off -- the paper's dGPMNOpt (dGPMd/dGPMt
+#: get dedicated shape-preserving scenarios below)
+GENERAL_ALGORITHMS = {"dgpm": None, "dgpmnopt": DgpmConfig().without_optimizations()}
 
 JOIN_TIMEOUT = 120.0
 
@@ -101,6 +103,7 @@ def _stress(
     n_readers: int = 3,
     reads_per_reader: int = 8,
     batch: int = 1,
+    config: Optional[DgpmConfig] = None,
 ) -> List[Tuple[int, object]]:
     """Run readers against a writer; return [(query index, StampedResult)]."""
     results: List[Tuple[int, object]] = []
@@ -113,7 +116,7 @@ def _stress(
             barrier.wait(timeout=JOIN_TIMEOUT)
             for _ in range(reads_per_reader):
                 qi = rng.randrange(len(queries))
-                result = server.run(queries[qi], algorithm=algorithm)
+                result = server.run(queries[qi], algorithm=algorithm, config=config)
                 results.append((qi, result))  # list.append is atomic
         except BaseException as exc:
             failures.append(exc)
@@ -160,8 +163,8 @@ def _check_snapshots(
 
 
 @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
-def test_readers_vs_writer_thread_backend(partitioner, algorithm, rng, rng_seed):
+@pytest.mark.parametrize("variant", list(GENERAL_ALGORITHMS))
+def test_readers_vs_writer_thread_backend(partitioner, variant, rng, rng_seed):
     seed = rng_seed % 1000
     graph = web_graph(40, 170, n_labels=4, seed=seed)
     initial = graph.copy()  # the oracle replays from here
@@ -173,7 +176,9 @@ def test_readers_vs_writer_thread_backend(partitioner, algorithm, rng, rng_seed)
     ]
     ops = _mutation_ops(graph, 8, rng)
     with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
-        results = _stress(server, queries, ops, algorithm, seed)
+        results = _stress(
+            server, queries, ops, "dgpm", seed, config=GENERAL_ALGORITHMS[variant]
+        )
     _check_snapshots(initial, queries, ops, results)
 
 

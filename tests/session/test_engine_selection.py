@@ -6,8 +6,13 @@ engine is part of the result-cache key; and the compiled-CSR cache is reused
 across queries and recompiles exactly the fragments a mutation touched.
 """
 
+import dataclasses
+
 import pytest
 
+from repro import ConcurrentSessionServer, simulation
+from repro.core import dispatch
+from repro.core.dgpm import DGPM
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.pattern import Pattern
@@ -29,14 +34,31 @@ def query():
     return Pattern({"x": "A", "y": "B"}, [("x", "y")])
 
 
+#: names a session refuses: a typo, the baselines (one-shot ``run_*`` only)
+#: and the retired dGPMNOpt alias (``config=without_optimizations()`` now)
+REFUSED = ("nope", "dmes", "dishhk", "match", "dgpmnopt")
+KNOWN = "(known: auto, dgpm, dgpmd, dgpmt)"
+
+
 def test_unknown_algorithm_rejected_up_front(fragmentation, query):
     session = SimulationSession(fragmentation)
-    with pytest.raises(ReproError, match="unknown algorithm 'nope'") as err:
-        session.run(query, algorithm="nope")
-    # the error lists the valid names, not just the rejection
-    for name in ("auto", "dgpm", "dgpmnopt", "dgpmt", "dmes", "match"):
-        assert name in str(err.value)
+    for name in REFUSED:
+        with pytest.raises(ReproError) as err:
+            session.run(query, algorithm=name)
+        # the error lists exactly the served names, not just the rejection
+        assert str(err.value) == f"unknown algorithm {name!r} {KNOWN}"
     assert session.stats.queries_served == 0  # rejected before any serving
+
+
+def test_unknown_algorithm_rejected_by_the_sharded_backend(fragmentation, query):
+    with ConcurrentSessionServer(fragmentation, backend="sharded", n_workers=2) as server:
+        for name in REFUSED:
+            with pytest.raises(ReproError) as err:
+                server.run(query, algorithm=name)
+            assert str(err.value) == f"unknown algorithm {name!r} {KNOWN}"
+        assert server.run(query, algorithm="dgpm").relation == simulation(
+            query, fragmentation.graph
+        )
 
 
 def test_unknown_engine_rejected_up_front(fragmentation, query):
@@ -57,13 +79,6 @@ def test_bad_algorithm_and_engine_reported_together(fragmentation, query):
 def test_constructor_rejects_unknown_default_engine(fragmentation):
     with pytest.raises(ReproError, match="unknown engine 'columnar'"):
         SimulationSession(fragmentation, engine="columnar")
-
-
-def test_dict_only_drivers_reject_array_engine(fragmentation, query):
-    pytest.importorskip("numpy")
-    session = SimulationSession(fragmentation)
-    with pytest.raises(ReproError, match="'dmes' does not support engine 'array'"):
-        session.run(query, algorithm="dmes", engine="array")
 
 
 def test_session_default_engine_and_per_query_override(fragmentation, query):
@@ -109,3 +124,23 @@ def test_compiled_cache_reused_and_recompiled_per_touched_fragment(
     assert stale
     session.run(query, algorithm="dgpm")
     assert compiled.compilations == base + len(stale)
+
+
+def test_requested_engine_reaches_build_program(fragmentation, query, monkeypatch):
+    """The one ``run_protocol`` call site hands the engine on:
+    ``build_programs`` sees the session's compiled-CSR cache under ``array``
+    and None under ``dict`` -- once per host, with every site of the host."""
+    pytest.importorskip("numpy")
+    seen = []
+
+    def recording(fids, fragmentation, query, deps, config, compiled):
+        seen.append((fids, compiled))
+        return DGPM.build_programs(fids, fragmentation, query, deps, config, compiled)
+
+    spec = dataclasses.replace(DGPM, build_programs=recording)
+    monkeypatch.setitem(dispatch.ALGORITHMS, "dgpm", spec)
+    session = SimulationSession(fragmentation)
+    session.run(query, algorithm="dgpm", engine="dict")
+    assert seen == [([0, 1], None)] and session._compiled is None
+    session.run(query, algorithm="dgpm", engine="array")
+    assert seen[1:] == [([0, 1], session.compiled_fragments())]

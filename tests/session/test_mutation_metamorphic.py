@@ -6,7 +6,8 @@ are applied through :class:`SimulationSession`'s mutation API, and after
 centralized ``simulation(query, G')`` on the current graph -- across three
 partitioners and every algorithm the session serves (shape-restricted
 algorithms get shape-preserving streams: deletions/re-insertions for dGPMd
-on DAGs, leaf growth for dGPMt on trees).
+on DAGs, leaf growth for dGPMt on trees).  The baselines, which no session
+serves, answer one-shot over the fragmentation the session patches.
 
 Randomness comes from the ``rng``/``rng_seed`` fixtures (seed derived from
 the test node id and printed on every run), so a failing stream replays
@@ -19,12 +20,16 @@ import pytest
 
 from repro import (
     ConcurrentSessionServer,
+    DgpmConfig,
     SimulationSession,
     balanced_bfs_partition,
     citation_dag,
     hash_partition,
     random_partition,
     random_tree,
+    run_dishhk,
+    run_dmes,
+    run_match,
     simulation,
     tree_partition,
     web_graph,
@@ -40,8 +45,18 @@ PARTITIONERS = {
     "hash": lambda g, seed: hash_partition(g, 3, seed=seed),
 }
 
-#: general-graph algorithms (dGPMd/dGPMt need shape-preserving streams below)
-GENERAL_ALGORITHMS = ["dgpm", "dgpmnopt", "dmes", "dishhk", "match"]
+NOPT = DgpmConfig().without_optimizations()
+
+#: general-graph algorithms (dGPMd/dGPMt need shape-preserving streams
+#: below), each as ``(session, query) -> RunResult``: dGPM served as is and
+#: as dGPMNOpt, the baselines one-shot on the session's fragmentation
+GENERAL_ALGORITHMS = {
+    "dgpm": lambda session, q: session.run(q, algorithm="dgpm"),
+    "dgpmnopt": lambda session, q: session.run(q, algorithm="dgpm", config=NOPT),
+    "dmes": lambda session, q: run_dmes(q, session.fragmentation),
+    "dishhk": lambda session, q: run_dishhk(q, session.fragmentation),
+    "match": lambda session, q: run_match(q, session.fragmentation),
+}
 
 
 def _mutate_once(rng, session, graph, deleted):
@@ -73,9 +88,10 @@ def _mutate_once(rng, session, graph, deleted):
 
 
 @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", list(GENERAL_ALGORITHMS))
 def test_interleaved_stream_matches_oracle(partitioner, algorithm, rng, rng_seed):
     seed = rng_seed % 1000  # per-case, from the printed fixture seed
+    answer = GENERAL_ALGORITHMS[algorithm]
     graph = web_graph(60, 260, n_labels=4, seed=seed)
     frag = PARTITIONERS[partitioner](graph, seed)
     session = SimulationSession(frag)
@@ -86,20 +102,20 @@ def test_interleaved_stream_matches_oracle(partitioner, algorithm, rng, rng_seed
     ]
     # Pre-serve so the stream starts with cached (and soon warm) entries.
     for q in queries:
-        session.run(q, algorithm=algorithm)
+        answer(session, q)
 
     deleted = []
     for step in range(12):
         _mutate_once(rng, session, graph, deleted)
         frag.validate()
         q = queries[step % len(queries)]
-        result = session.run(q, algorithm=algorithm)
+        result = answer(session, q)
         assert result.relation == simulation(q, graph), (
             partitioner, algorithm, step,
         )
     # Every query once more at the end, against the final graph.
     for q in queries:
-        assert session.run(q, algorithm=algorithm).relation == simulation(q, graph)
+        assert answer(session, q).relation == simulation(q, graph)
     assert session.stats.invalidations == 0  # maintained, never dropped
 
 

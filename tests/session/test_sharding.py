@@ -6,7 +6,7 @@ Two layers, matching the two halves of ``session/sharding.py``:
   balanced function of the (worker set, fragment set) pair alone; a leave
   moves at most ``ceil(|F|/n) + 1`` fragments (``n`` the new worker count)
   and every move involves the leaving slot.
-* **Serving parity**: ``backend="sharded"`` answers every registered driver
+* **Serving parity**: ``backend="sharded"`` answers every served algorithm
   exactly like a from-scratch simulation, including under a mutation feed
   checked per stamp against the replay oracle, and agrees with the other
   backends on ownership-independent answers.
@@ -18,6 +18,7 @@ import threading
 
 from repro import (
     ConcurrentSessionServer,
+    DgpmConfig,
     citation_dag,
     hash_partition,
     random_partition,
@@ -27,8 +28,8 @@ from repro import (
     web_graph,
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
+from repro.core.dispatch import ALGORITHMS
 from repro.errors import ReproError
-from repro.session.drivers import DRIVERS
 from repro.session.session import SimulationSession
 from repro.session.sharding import HashRing
 
@@ -162,14 +163,17 @@ def test_sharded_serves_every_general_driver(rng_seed):
     query = cyclic_pattern(graph, 3, 4, seed=seed)
     oracle = simulation(query, graph)
     with ConcurrentSessionServer(frag, backend="sharded", n_workers=3) as server:
-        for algorithm in ("dgpm", "dgpmnopt", "dmes", "dishhk", "match", "auto"):
-            result = server.run(query, algorithm=algorithm)
+        nopt = DgpmConfig().without_optimizations()
+        for algorithm, config in (("dgpm", None), ("dgpm", nopt), ("auto", None)):
+            result = server.run(query, algorithm=algorithm, config=config)
             assert result.relation == oracle, algorithm
             assert result.stamp == 0
-        # distributed drivers report their sharded display names + ring width
+        # runs report their sharded display names + ring width
         dist = server.run(query, algorithm="dgpm")
         assert dist.metrics.algorithm == "dGPM/sharded"
         assert dist.metrics.extras["sharded_workers"] == 3.0
+        nopt_run = server.run(query, algorithm="dgpm", config=nopt)
+        assert nopt_run.metrics.algorithm == "dGPMNOpt/sharded"
 
 
 def test_sharded_dgpmd_on_dag(rng_seed):
@@ -195,21 +199,21 @@ def test_sharded_dgpmt_on_tree(rng_seed):
 
 
 def test_sharded_rounds_match_the_inprocess_engine(rng_seed):
-    """Every superstep algorithm of the registry reports the in-process
-    run's whole accounting -- rounds, messages, DS and its breakdown -- with
-    its sites spread over 3 workers: one loop and one meter, wherever the
-    sites live."""
+    """Every served algorithm reports the in-process run's whole accounting
+    -- rounds, messages, DS and its breakdown -- with its sites spread over
+    3 workers: one loop and one meter, wherever the sites live.  (dMes, never
+    served, keeps its placement independence in
+    ``tests/runtime/test_placement.py``.)"""
     seed = rng_seed % 1000
     web = web_graph(90, 300, n_labels=4, seed=seed)
     dag = citation_dag(100, 320, seed=seed)
     tree = random_tree(90, seed=seed)
     instances = {
         "dgpm": (web, hash_partition, cyclic_pattern(web, 3, 4, seed=seed)),
-        "dmes": (web, hash_partition, cyclic_pattern(web, 3, 4, seed=seed)),
         "dgpmd": (dag, hash_partition, dag_pattern(dag, 3, seed=seed)),
         "dgpmt": (tree, tree_partition, tree_pattern(tree, seed=seed)),
     }
-    assert set(instances) == {n for n, d in DRIVERS.items() if hasattr(d, "spec")}
+    assert set(instances) == set(ALGORITHMS)
     for algorithm, (graph, cut, query) in instances.items():
         local = SimulationSession(cut(graph, 4)).run(query, algorithm=algorithm)
         with ConcurrentSessionServer(cut(graph, 4), backend="sharded", n_workers=3) as server:
@@ -347,9 +351,8 @@ def test_workers_hold_their_owned_fragments_and_not_the_graph():
 
 
 def test_sharded_server_counts_the_queries_it_serves(rng_seed):
-    """Every superstep run on the sharded path executes the protocol: it is
-    a served query and a miss.  A centralized baseline goes through the
-    parent session, which counts it itself -- once."""
+    """Every run on the sharded path executes the protocol: it is a served
+    query and a miss."""
     graph = web_graph(150, 600, n_labels=5, seed=rng_seed % 1000)
     frag = hash_partition(graph, 4)
     queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(3)]
@@ -358,5 +361,3 @@ def test_sharded_server_counts_the_queries_it_serves(rng_seed):
             server.run(query, algorithm="dgpm")
         stats = server.stats
         assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (6, 0, 6)
-        server.run(queries[0], algorithm="match")
-        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (7, 0, 7)

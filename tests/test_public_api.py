@@ -1,5 +1,6 @@
 """Integration tests through the public package surface only."""
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 import repro
+from repro.analysis.checkers import ALL_CHECKERS
+from repro.core.protocol import AlgorithmSpec
 
 
 #: everything public these define -- a name not listed is a second way in
@@ -53,11 +56,19 @@ class TestExports:
         assert public == SURFACES[owner]
 
     def test_removed_entry_points_are_gone(self):
-        for driver in ("dgpm", "dgpmd", "dgpmt"):  # run_protocol(SPEC, ...) is the call
-            module = importlib.import_module(f"repro.core.{driver}")
+        # run_protocol(SPEC, ...) is the call; a baseline is its one run_*
+        for owner in ("core.dgpm", "core.dgpmd", "core.dgpmt", "baselines.dishhk",
+                      "baselines.dmes", "baselines.match_central"):
+            module = importlib.import_module(f"repro.{owner}")
             assert not [name for name in vars(module) if name.startswith("execute")]
         assert "join" not in vars(repro.session.sharding.HashRing)
         assert "__getstate__" not in vars(repro.session.SessionStats)
+        # a session serves the three specs of repro.core.dispatch.ALGORITHMS
+        assert not {"DRIVERS", "AlgorithmDriver"} & set(repro.session.__all__)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.session.drivers")
+        assert "engines" not in {f.name for f in dataclasses.fields(AlgorithmSpec)}
+        assert "driver-registry" not in {checker.rule for checker in ALL_CHECKERS}
 
     @pytest.mark.parametrize("function, name", REMOVED_PARAMETERS)
     def test_removed_parameters_are_gone(self, function, name):
