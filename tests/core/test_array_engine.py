@@ -439,6 +439,36 @@ def test_array_engine_accounting_matches_the_recorded_protocol(name, push):
     ) == GOLDEN[name, push]
 
 
+#: the same record for push-heavy instances: every site of
+#: ``web_graph(1000, 5000, seed=7)`` under a vf-ratio-0.25 partition pushes,
+#: shipping 9-16 KB of equations per query; keyed by cyclic_pattern's
+#: ``(n_nodes, n_edges, seed)``
+PUSH_HEAVY = {
+    (3, 5, 1): (671, 31584, 3, 16, {"control": 512, "equation": 9252, "query": 1920, "result": 2712, "rewire": 5340, "var_update": 16992}),
+    (4, 6, 3): (1106, 56844, 5, 16, {"control": 640, "equation": 14280, "query": 2944, "result": 924, "rewire": 9108, "var_update": 33456}),
+    (4, 6, 6): (1093, 53436, 4, 16, {"control": 672, "equation": 16056, "query": 2432, "result": 3360, "rewire": 9336, "var_update": 28044}),
+}
+
+
+@pytest.fixture(scope="module")
+def push_heavy_instance():
+    graph = web_graph(1000, 5000, seed=7)
+    return graph, partition(graph, 16, 7, vf_ratio=0.25)
+
+
+@pytest.mark.parametrize("shape", sorted(PUSH_HEAVY))
+def test_push_heavy_accounting_matches_the_recorded_protocol(push_heavy_instance, shape):
+    graph, fragmentation = push_heavy_instance
+    n_nodes, n_edges, seed = shape
+    query = cyclic_pattern(graph, n_nodes, n_edges, seed=seed)
+    result = run_protocol(DGPM, query, fragmentation, DgpmConfig(), "array")
+    assert result.relation == simulation(query, graph)
+    m = result.metrics
+    assert (
+        m.n_messages, m.ds_bytes, m.n_rounds, int(m.extras["pushes"]), m.ds_breakdown
+    ) == PUSH_HEAVY[shape]
+
+
 # ----------------------------------------------------------------------
 # numpy-less failure mode
 # ----------------------------------------------------------------------
