@@ -97,12 +97,18 @@ FALSE = Const(False)
 
 
 class Var(BoolExpr):
-    """A named Boolean variable, e.g. ``X(u, v)`` keyed by the pair ``(u, v)``."""
+    """A named Boolean variable, e.g. ``X(u, v)`` keyed by the pair ``(u, v)``.
 
-    __slots__ = ("name",)
+    Its hash is computed once, at construction, and ``variables()`` on
+    first use (neither is pickled).
+    """
+
+    __slots__ = ("name", "_hash", "_variables")
 
     def __init__(self, name: VarName) -> None:
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("var", name)))
+        object.__setattr__(self, "_variables", None)
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("Var is immutable")
@@ -111,7 +117,11 @@ class Var(BoolExpr):
         return (Var, (self.name,))
 
     def variables(self) -> FrozenSet[VarName]:
-        return frozenset([self.name])
+        out = self._variables
+        if out is None:
+            out = frozenset([self.name])
+            object.__setattr__(self, "_variables", out)
+        return out
 
     def substitute(self, binding: Mapping[VarName, BoolExpr]) -> BoolExpr:
         return binding.get(self.name, self)
@@ -127,20 +137,31 @@ class Var(BoolExpr):
         return isinstance(other, Var) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"X{self.name!r}" if not isinstance(self.name, str) else self.name
 
 
 class _NaryOp(BoolExpr):
-    """Shared machinery for And/Or: a frozen, deduplicated operand tuple."""
+    """Shared machinery for And/Or: a frozen, deduplicated operand tuple.
 
-    __slots__ = ("operands",)
+    ``variables()``, ``n_terms`` and the hash are computed once per node, on
+    first use, into slots that pickling leaves out (a receiving process
+    recomputes them: its string hashes differ).  Since :func:`conj` /
+    :func:`disj` are the only constructors, every node is normalized, and
+    :meth:`substitute` can return the node itself when the binding misses
+    its variables: re-normalizing a normalized node rebuilds an equal one.
+    """
+
+    __slots__ = ("operands", "_variables", "_n_terms", "_hash")
     _symbol = "?"
 
     def __init__(self, operands: Tuple[BoolExpr, ...]) -> None:
         object.__setattr__(self, "operands", operands)
+        object.__setattr__(self, "_variables", None)
+        object.__setattr__(self, "_n_terms", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("expressions are immutable")
@@ -149,20 +170,40 @@ class _NaryOp(BoolExpr):
         return (type(self), (self.operands,))
 
     def variables(self) -> FrozenSet[VarName]:
-        out: FrozenSet[VarName] = frozenset()
-        for op in self.operands:
-            out |= op.variables()
+        out = self._variables
+        if out is None:
+            out = frozenset().union(*(op.variables() for op in self.operands))
+            object.__setattr__(self, "_variables", out)
         return out
 
     @property
     def n_terms(self) -> int:
-        return sum(op.n_terms for op in self.operands)
+        out = self._n_terms
+        if out is None:
+            out = sum(op.n_terms for op in self.operands)
+            object.__setattr__(self, "_n_terms", out)
+        return out
+
+    def substitute(self, binding: Mapping[VarName, BoolExpr]) -> BoolExpr:
+        if binding.keys().isdisjoint(self.variables()):
+            return self
+        return self._build([op.substitute(binding) for op in self.operands])
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and set(self.operands) == set(other.operands)
+        if self is other:
+            return True
+        return (
+            type(self) is type(other)
+            and hash(self) == hash(other)
+            and set(self.operands) == set(other.operands)
+        )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, frozenset(self.operands)))
+        out = self._hash
+        if out is None:
+            out = hash((type(self).__name__, frozenset(self.operands)))
+            object.__setattr__(self, "_hash", out)
+        return out
 
     def __repr__(self) -> str:
         inner = f" {self._symbol} ".join(repr(op) for op in self.operands)
@@ -175,8 +216,9 @@ class And(_NaryOp):
     __slots__ = ()
     _symbol = "AND"
 
-    def substitute(self, binding: Mapping[VarName, BoolExpr]) -> BoolExpr:
-        return conj(op.substitute(binding) for op in self.operands)
+    @staticmethod
+    def _build(operands: Iterable[BoolExpr]) -> BoolExpr:
+        return conj(operands)
 
     def evaluate(self, valuation: Mapping[VarName, bool]) -> bool:
         return all(op.evaluate(valuation) for op in self.operands)
@@ -188,8 +230,9 @@ class Or(_NaryOp):
     __slots__ = ()
     _symbol = "OR"
 
-    def substitute(self, binding: Mapping[VarName, BoolExpr]) -> BoolExpr:
-        return disj(op.substitute(binding) for op in self.operands)
+    @staticmethod
+    def _build(operands: Iterable[BoolExpr]) -> BoolExpr:
+        return disj(operands)
 
     def evaluate(self, valuation: Mapping[VarName, bool]) -> bool:
         return any(op.evaluate(valuation) for op in self.operands)
@@ -199,15 +242,16 @@ def conj(operands: Iterable[BoolExpr]) -> BoolExpr:
     """Normalized conjunction: flatten, fold constants, dedupe, collapse singleton."""
     flat: Dict[BoolExpr, None] = {}
     for op in operands:
-        if isinstance(op, Const):
+        kind = type(op)
+        if kind is Const:
             if not op.value:
                 return FALSE
             continue  # TRUE is the unit of AND
-        if isinstance(op, And):
+        if kind is And:
             for inner in op.operands:
-                flat.setdefault(inner, None)
+                flat[inner] = None
         else:
-            flat.setdefault(op, None)
+            flat[op] = None
     if not flat:
         return TRUE
     if len(flat) == 1:
@@ -219,15 +263,16 @@ def disj(operands: Iterable[BoolExpr]) -> BoolExpr:
     """Normalized disjunction: flatten, fold constants, dedupe, collapse singleton."""
     flat: Dict[BoolExpr, None] = {}
     for op in operands:
-        if isinstance(op, Const):
+        kind = type(op)
+        if kind is Const:
             if op.value:
                 return TRUE
             continue  # FALSE is the unit of OR
-        if isinstance(op, Or):
+        if kind is Or:
             for inner in op.operands:
-                flat.setdefault(inner, None)
+                flat[inner] = None
         else:
-            flat.setdefault(op, None)
+            flat[op] = None
     if not flat:
         return FALSE
     if len(flat) == 1:

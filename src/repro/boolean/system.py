@@ -29,7 +29,7 @@ push is an *optimization*, never required for correctness).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.boolean.expr import BoolExpr, TRUE, VarName
 from repro.errors import ReproError
@@ -151,62 +151,76 @@ class EquationSystem:
         function of those parameters.
 
         Works SCC by SCC over the internal dependency graph, sinks first:
-        downstream components are substituted in fully reduced form, then a
-        symbolic Kleene iteration (from all-true, the gfp direction) runs
-        within the component -- it stabilizes within ``|SCC|`` rounds, so the
-        expensive iteration never spans the whole system.
+        downstream components are substituted in fully reduced form.  An
+        acyclic singleton is then done.  Inside any other component a
+        symbolic Kleene iteration (from all-true, the gfp direction) runs --
+        it stabilizes within ``|SCC|`` rounds, so the expensive iteration
+        never spans the whole system -- and it is semi-naive: a round
+        re-substitutes only the equations whose in-component inputs changed
+        in the round before (the others would rebuild what they hold).
 
         Raises :class:`EquationBlowupError` if any intermediate expression
         exceeds ``max_terms`` leaves.
         """
-        wanted = set(self._eqs if keep is None else keep)
-        unknown = wanted - set(self._eqs)
+        eqs = self._eqs
+        wanted = set(eqs if keep is None else keep)
+        unknown = wanted - set(eqs)
         if unknown:
             raise ReproError(f"cannot reduce undefined variables: {sorted(map(repr, unknown))}")
 
         from repro.graph.algorithms import tarjan_scc
-        from repro.graph.digraph import DiGraph
 
-        internal = set(self._eqs)
-        dep_graph = DiGraph({name: None for name in internal})
-        for name, expr in self._eqs.items():
-            for dep in expr.variables() & internal:
-                dep_graph.add_edge(name, dep)
-
+        deps = {
+            name: [v for v in expr.variables() if v in eqs] for name, expr in eqs.items()
+        }
         reduced: Dict[VarName, BoolExpr] = {}
-        for component in tarjan_scc(dep_graph):  # sinks first
+
+        def check(name: VarName, expr: BoolExpr) -> BoolExpr:
+            if expr.n_terms > max_terms:
+                raise EquationBlowupError(
+                    f"equation for {name!r} grew past {max_terms} terms during reduction"
+                )
+            return expr
+
+        for component in tarjan_scc(deps):  # sinks first
+            if len(component) == 1 and component[0] not in deps[component[0]]:
+                name = component[0]
+                binding = {v: reduced[v] for v in deps[name]}
+                reduced[name] = check(name, eqs[name].substitute(binding))
+                continue
             comp = set(component)
             # Substitute fully-reduced downstream variables.
             local: Dict[VarName, BoolExpr] = {}
+            inputs: Dict[VarName, List[VarName]] = {}
+            readers: Dict[VarName, List[VarName]] = {}
             for name in component:
-                expr = self._eqs[name]
-                binding = {
-                    v: reduced[v]
-                    for v in expr.variables() & internal
-                    if v not in comp
-                }
-                local[name] = expr.substitute(binding)
+                expr = eqs[name]
+                local[name] = expr = expr.substitute(
+                    {v: reduced[v] for v in deps[name] if v not in comp}
+                )
+                inputs[name] = [v for v in expr.variables() if v in comp]
+                for v in inputs[name]:
+                    readers.setdefault(v, []).append(name)
             # Kleene within the component, from the all-true valuation.
             current = {
-                name: expr.substitute({v: TRUE for v in expr.variables() & comp})
+                name: expr.substitute(dict.fromkeys(inputs[name], TRUE))
                 for name, expr in local.items()
             }
+            dirty = component
             for _ in range(len(component)):
-                stable = True
-                nxt: Dict[VarName, BoolExpr] = {}
-                for name, expr in local.items():
-                    binding = {v: current[v] for v in expr.variables() & comp}
-                    res = expr.substitute(binding)
-                    if res.n_terms > max_terms:
-                        raise EquationBlowupError(
-                            f"equation for {name!r} grew past {max_terms} terms during reduction"
-                        )
-                    nxt[name] = res
-                    if res != current[name]:
-                        stable = False
-                current = nxt
-                if stable:
+                nxt = {
+                    name: check(
+                        name, local[name].substitute({v: current[v] for v in inputs[name]})
+                    )
+                    for name in dirty
+                }
+                changed = [name for name, res in nxt.items() if res != current[name]]
+                if not changed:
                     break
+                for name in changed:
+                    current[name] = nxt[name]
+                stale = {r for name in changed for r in readers.get(name, ())}
+                dirty = [name for name in component if name in stale]
             reduced.update(current)
         return {name: reduced[name] for name in wanted}
 

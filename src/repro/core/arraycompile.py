@@ -295,6 +295,7 @@ class HostSnapshot(_Columnar):
     __slots__ = (
         "members", "fids", "starts", "site_of",
         "deliver_indptr", "deliver_rows", "external", "_position", "stamp",
+        "_views", "_copies",
     )
 
     def __init__(self, members: Tuple[CompiledFragment, ...], deps) -> None:
@@ -345,6 +346,40 @@ class HostSnapshot(_Columnar):
                     self.external[row] = away
         #: what it was built from; compares by identity (and deps' version)
         self.stamp = (deps, deps.version, self.members)
+        self._views: Optional[Tuple[memoryview, memoryview, bytes]] = None
+        self._copies: Optional[Tuple[object, object]] = None
+
+    def python_views(self) -> Tuple[memoryview, memoryview, bytes]:
+        """``(indptr, indices, local)``: the forward CSR as memoryviews and
+        ``local_mask`` as bytes -- what the push's per-pair equation build
+        reads, where a numpy scalar per successor costs ~0.1 us and a list
+        copy of the CSR ~40 bytes per edge.  Built on first use and cached
+        like :meth:`CompiledFragment.tree_levels` (pure structure; a racing
+        builder stores an equal value)."""
+        views = self._views
+        if views is None:
+            views = (
+                memoryview(self.fwd_indptr), memoryview(self.fwd_indices),
+                self.local_mask.tobytes(),
+            )
+            self._views = views
+        return views
+
+    def copy_rows(self, rows, blocks):
+        """Per pair, the row of the node behind ``rows[i]`` in block
+        ``blocks[i]``, or -1 where that block holds no copy of it: one
+        search over the rows sorted by (global id, block), that order built
+        on first use and cached like :meth:`python_views`."""
+        np = require_numpy()
+        copies = self._copies
+        if copies is None:
+            key = self.gids * len(self.fids) + self.site_of
+            order = np.argsort(key)
+            copies = self._copies = (key[order], order)
+        keys, order = copies
+        want = self.gids[rows] * len(self.fids) + blocks
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[at] == want, order[at], -1)
 
     def row_of(self, fid: int, node) -> Optional[int]:
         """The row of ``node``'s copy in member ``fid`` (None: it holds none)."""

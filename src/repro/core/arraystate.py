@@ -232,60 +232,75 @@ class ArrayEvalState:
         return pess
 
     def in_node_equations(
-        self, pess, lo: int, hi: int, max_terms: int = 4096
-    ) -> Dict[VarKey, BoolExpr]:
-        """The unresolved in-node variables of block rows ``lo`` to ``hi``,
-        reduced to virtual variables only.
+        self, pess, max_terms: int = 4096
+    ) -> Dict[int, Tuple[Dict[VarKey, BoolExpr], Dict[VarKey, int]]]:
+        """Per block: its unresolved in-node variables reduced to virtual
+        variables only, and the pair codes of those variables and of every
+        virtual leaf met on the way.
 
         ``pess`` is :meth:`pessimistic`'s bracket.  In-node pairs true in it
         are definitively TRUE and pairs outside ``sim`` already falsified;
-        neither is returned.  The rest reduce to the same expressions over
-        virtual-variable leaves as the dict engine's, built from the
-        dependent subsystem only.  Raises
-        :class:`~repro.boolean.system.EquationBlowupError` past
-        ``max_terms``, exactly like the dict path.
+        neither is returned, and a block with no other in-node pair is left
+        out.  The rest reduce to the same expressions over virtual-variable
+        leaves as the dict engine's, built from the dependent subsystem only.
+        The subsystems of all blocks are built in one pass over the
+        snapshot's :meth:`~repro.core.arraycompile.HostSnapshot.python_views`
+        and the ``sim`` / ``pess`` rows as bytes.  Each is reduced on its own,
+        since the ``max_terms`` budget is per site: a block whose reduction
+        raises :class:`~repro.boolean.system.EquationBlowupError`, as the dict
+        path would, is left out.  The codes are what the push translates into
+        its co-located receivers' codes.
         """
         np = require_numpy()
-        from collections import deque
-
-        from repro.boolean.system import EquationSystem
+        from repro.boolean.system import EquationBlowupError, EquationSystem
 
         c, view = self.compiled, self.view
-        open_pairs = self.sim[:, lo:hi] & c.in_mask[lo:hi] & ~pess[:, lo:hi]
-        qis, offsets = np.nonzero(open_pairs)
-        queue: deque = deque(zip(qis.tolist(), (offsets + lo).tolist()))
-        seen: Set[Tuple[int, int]] = set(queue)
-        keep = [(view.qnodes[i], c.nodes[vi]) for i, vi in queue]
-        if not keep:
+        qis, rows = np.nonzero(self.sim & c.in_mask & ~pess)
+        if not rows.size:
             return {}
+        blocks: Dict[int, List[Tuple[int, int]]] = {}
+        for k, pair in zip(c.site_of[rows].tolist(), zip(qis.tolist(), rows.tolist())):
+            blocks.setdefault(k, []).append(pair)
+        indptr, indices, local = c.python_views()
+        sim, sure = [row.tobytes() for row in self.sim], [row.tobytes() for row in pess]
+        qnodes, nodes, children, n = view.qnodes, c.nodes, view.children, c.n_nodes
 
-        # Build the dependent subsystem only: pairs in sim \ pess, reached
-        # from the unresolved in-node variables.  Constants fold on sight.
-        equations: Dict[VarKey, BoolExpr] = {}
-        fwd_indptr, fwd_indices = c.fwd_indptr, c.fwd_indices
-        while queue:
-            i, vi = queue.popleft()
-            terms: List[BoolExpr] = []
-            for ci in view.children[i]:
-                succs = fwd_indices[fwd_indptr[vi]:fwd_indptr[vi + 1]]
-                alts: List[BoolExpr] = []
-                term_true = False
-                for w in succs.tolist():
-                    if not self.sim[ci, w]:
-                        continue
-                    if pess[ci, w]:
-                        term_true = True
-                        break
-                    alts.append(Var((view.qnodes[ci], c.nodes[w])))
-                    if c.local_mask[w] and (ci, w) not in seen:
-                        seen.add((ci, w))
-                        queue.append((ci, w))
-                if term_true:
-                    continue
-                terms.append(disj(alts) if alts else FALSE)
-            equations[(view.qnodes[i], c.nodes[vi])] = conj(terms)
-        system = EquationSystem(equations)
-        return system.reduced_system(keep=keep, max_terms=max_terms).as_dict()
+        out: Dict[int, Tuple[Dict[VarKey, BoolExpr], Dict[VarKey, int]]] = {}
+        for k in sorted(blocks):
+            # The dependent subsystem only: pairs in sim \ pess, reached from
+            # the block's unresolved in-node variables (no edge leaves a
+            # block).  Constants fold on sight.
+            queue = blocks[k]
+            code_of = {(qnodes[i], nodes[vi]): i * n + vi for i, vi in queue}
+            keep = list(code_of)
+            seen = set(queue)
+            equations: Dict[VarKey, BoolExpr] = {}
+            for i, vi in queue:  # grows while it is walked: breadth first
+                succs = indices[indptr[vi]:indptr[vi + 1]]
+                terms: List[BoolExpr] = []
+                for ci in children[i]:
+                    sim_c, sure_c, u = sim[ci], sure[ci], qnodes[ci]
+                    alts: List[BoolExpr] = []
+                    for w in succs:
+                        if not sim_c[w]:
+                            continue
+                        if sure_c[w]:
+                            break  # this child's term is TRUE
+                        key = (u, nodes[w])
+                        alts.append(Var(key))
+                        if not local[w]:
+                            code_of[key] = ci * n + w
+                        elif (ci, w) not in seen:
+                            seen.add((ci, w))
+                            queue.append((ci, w))
+                    else:
+                        terms.append(disj(alts) if alts else FALSE)
+                equations[(qnodes[i], nodes[vi])] = conj(terms)
+            try:
+                out[k] = (EquationSystem(equations).reduce(keep, max_terms), code_of)
+            except EquationBlowupError:
+                continue
+        return out
 
 
 # ----------------------------------------------------------------------

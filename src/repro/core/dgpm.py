@@ -68,7 +68,9 @@ class _PushState:
 
     def add(self, var: VarKey, expr: BoolExpr) -> Optional[VarKey]:
         """Register a pushed equation; returns ``var`` if already false."""
-        expr = expr.substitute({leaf: FALSE for leaf in self.known_false_leaves})
+        known = self.known_false_leaves & expr.variables()
+        if known:
+            expr = expr.substitute(dict.fromkeys(known, FALSE))
         if expr == FALSE:
             return var
         self.equations[var] = expr
@@ -78,13 +80,23 @@ class _PushState:
 
     def on_leaf_false(self, leaf: VarKey) -> List[VarKey]:
         """A grandchild falsified ``leaf``; returns pushed vars now false."""
-        self.known_false_leaves.add(leaf)
+        return self.on_leaves_false([leaf])
+
+    def on_leaves_false(self, leaves: List[VarKey]) -> List[VarKey]:
+        """Grandchildren falsified ``leaves``; returns pushed vars now false.
+        Each equation is substituted once, however many of its leaves fell."""
+        self.known_false_leaves.update(leaves)
+        fell: Dict[VarKey, List[VarKey]] = {}
+        if self.leaf_index:
+            for leaf in leaves:
+                for var in self.leaf_index.get(leaf, ()):
+                    fell.setdefault(var, []).append(leaf)
         out: List[VarKey] = []
-        for var in list(self.leaf_index.get(leaf, ())):
+        for var, falsified in fell.items():
             expr = self.equations.get(var)
             if expr is None:
                 continue
-            expr = expr.substitute({leaf: FALSE})
+            expr = expr.substitute(dict.fromkeys(falsified, FALSE))
             if expr == FALSE:
                 del self.equations[var]
                 out.append(var)
@@ -126,23 +138,44 @@ def _benefit(n_unresolved_virtual: int, pending: Iterable[BoolExpr]) -> float:
 
 
 def _push_messages(
-    fid: int, pending: Dict[VarKey, BoolExpr], deps: DependencyGraphs, cost: CostModel
+    fid: int,
+    pending: Dict[VarKey, BoolExpr],
+    deps: DependencyGraphs,
+    cost: CostModel,
+    code_of: Optional[Dict[VarKey, int]] = None,
+    here=(),
 ) -> List[Message]:
     """Site ``fid``'s push: every pending in-node equation to its watcher
-    sites, and a REWIRE to the owner of every leaf."""
+    sites, and a REWIRE to the owner of every leaf.
+
+    With ``code_of`` (the array engine: the sender's pair code of every
+    variable it names), a payload becomes ``(payload, codes)``: for a
+    receiver in ``here`` the sender's codes of the variables it names --
+    EQUATION ``[var, *expr.variables()]``, REWIRE one per entry -- for the
+    host to translate into the receiver's, None for a receiver elsewhere.
+    """
     out: List[Message] = []
     rewires: Dict[int, List[Tuple[VarKey, int]]] = {}
-    for (u, v), expr in sorted(pending.items(), key=repr):
-        for peer in sorted(deps.watcher_sites(fid, v)):
-            size = cost.message_header_bytes + cost.equation_bytes(expr.n_terms)
-            out.append(Message(fid, peer, MessageKind.EQUATION, ((u, v), expr), size))
-            # Every leaf variable's owner must now also notify `peer`.
-            for leaf_u, leaf_v in expr.variables():
-                owner = deps.owner_site(fid, leaf_v)
-                rewires.setdefault(owner, []).append(((leaf_u, leaf_v), peer))
+    for var, expr in sorted(pending.items(), key=lambda item: repr(item[0])):
+        size = cost.message_header_bytes + cost.equation_bytes(expr.n_terms)
+        leaves = list(expr.variables())
+        # Every leaf variable's owner must now also notify the watchers.
+        owners = [deps.owner_site(fid, leaf[1]) for leaf in leaves]
+        named = None if code_of is None else [code_of[var], *map(code_of.__getitem__, leaves)]
+        for peer in sorted(deps.watcher_sites(fid, var[1])):
+            payload = (var, expr) if code_of is None else (
+                (var, expr), named if peer in here else None
+            )
+            out.append(Message(fid, peer, MessageKind.EQUATION, payload, size))
+            for leaf, owner in zip(leaves, owners):
+                rewires.setdefault(owner, []).append((leaf, peer))
     for owner, entries in sorted(rewires.items()):
-        size = cost.var_batch_bytes(len(entries))
-        out.append(Message(fid, owner, MessageKind.REWIRE, entries, size))
+        payload = entries if code_of is None else (
+            entries, [code_of[leaf] for leaf, _ in entries] if owner in here else None
+        )
+        out.append(
+            Message(fid, owner, MessageKind.REWIRE, payload, cost.var_batch_bytes(len(entries)))
+        )
     return out
 
 
@@ -374,8 +407,13 @@ class DgpmHostProgram:
         }
         self.push_states: Dict[int, _PushState] = {fid: _PushState() for fid in self.fids}
         #: a pushed equation's leaf that is a virtual variable of the site
-        #: holding the equation: pair code -> (that site, the leaf)
+        #: holding the equation: pair code -> (that site, the leaf), and
+        #: those codes as a (Q, N) mask
         self._leaf_at: Dict[int, Tuple[int, VarKey]] = {}
+        self._waiting = np.zeros_like(self.state.sim)
+        #: per site, its adopted pushed variables' own codes
+        self._pushed: Dict[int, Dict[VarKey, int]] = {fid: {} for fid in self.fids}
+        self._block: Dict[int, int] = {fid: k for k, fid in enumerate(self.fids)}
         self.pushes_triggered = 0
 
     def _locate(self, fid: int, key: VarKey) -> Optional[int]:
@@ -432,61 +470,95 @@ class DgpmHostProgram:
     # ------------------------------------------------------------------
     def _try_push(self) -> List[Message]:
         """Every site with B(Si) >= θ ships its in-node equations: one
-        pessimistic bracket for the host, one symbolic reduction per site
-        that has an unresolved in-node variable."""
+        pessimistic bracket and one equation build for the host, one symbolic
+        reduction per site that has an unresolved in-node variable."""
         if not self.config.enable_push:
             return []
         np = require_numpy()
         state, snap = self.state, self.snapshot
         pess = state.pessimistic()
-        unresolved = (state.sim & ~pess & snap.in_mask).any(axis=0)
         per_row = (state.sim & snap.virtual_mask).sum(axis=0)  # |Fi.O'|, by block
         n_virtual = np.bincount(snap.site_of, weights=per_row, minlength=len(self.fids))
         out: List[Message] = []
-        for k in np.unique(snap.site_of[unresolved]).tolist():
-            try:
-                equations = state.in_node_equations(
-                    pess, snap.starts[k], snap.starts[k + 1], self.config.push_max_terms
-                )
-            except EquationBlowupError:
-                continue
+        by_block = state.in_node_equations(pess, self.config.push_max_terms)
+        for k, (equations, code_of) in by_block.items():
             pending = {key: e for key, e in equations.items() if not e.is_const()}
             if pending and (
                 _benefit(n_virtual[k], pending.values()) >= self.config.push_threshold
             ):
                 self.pushes_triggered += 1
-                out.extend(_push_messages(self.fids[k], pending, self.deps, self.cost))
+                out.extend(_push_messages(
+                    self.fids[k], pending, self.deps, self.cost, code_of, self._block
+                ))
+        self._translate_codes(out)
         return out
 
-    def _adopt_equation(self, fid: int, var: VarKey, expr: BoolExpr) -> bool:
+    def _translate_codes(self, messages: List[Message]) -> None:
+        """Turn the sender's codes in the push ``messages`` for co-located
+        sites into the receivers' codes, in one lookup: a leaf the receiver
+        holds no virtual copy of becomes ``-1`` (only its key reaches it);
+        a REWIRE names variables of the owner itself."""
+        np = require_numpy()
+        snap, n = self.snapshot, self.snapshot.n_nodes
+        coded = [m for m in messages if m.payload[1] is not None]
+        if not coded:
+            return
+        sources = [code for m in coded for code in m.payload[1]]
+        sizes = [len(m.payload[1]) for m in coded]
+        blocks = np.repeat([self._block[m.dst] for m in coded], sizes)
+        # which codes name an equation's leaf: all but the first of an EQUATION
+        leaf = np.repeat([m.kind == MessageKind.EQUATION for m in coded], sizes)
+        leaf[np.cumsum(sizes) - sizes] = False
+        qis, rows = np.divmod(np.asarray(sources, dtype=np.int64), n)
+        there = snap.copy_rows(rows, blocks)
+        ok = there >= 0
+        ok[ok] = snap.virtual_mask[there[ok]] | ~leaf[ok]
+        codes = np.where(ok, qis * n + there, -1).tolist()
+        at = 0
+        for message, size in zip(coded, sizes):
+            message.payload = (message.payload[0], codes[at:at + size])
+            at += size
+
+    def _adopt_equation(self, fid: int, var: VarKey, expr: BoolExpr, codes, sim) -> Optional[int]:
         """Site ``fid`` takes over the pushed equation of its virtual
-        variable ``var``; True if it is false on arrival."""
-        virtual, sim = self.snapshot.virtual_mask, self.state.sim.ravel()
-        known: Dict[VarKey, BoolExpr] = {}  # leaves this site was already told are false
+        variable ``var``; ``codes`` are fid's codes of ``[var, *leaves]``
+        (None: the sender is on another host, so they are located here) and
+        ``sim`` the host's candidate bits.  Returns ``var``'s code if the
+        equation is false on arrival."""
+        if codes is None:
+            virtual, n = self.snapshot.virtual_mask, self.snapshot.n_nodes
+            codes = []
+            for key in (var, *expr.variables()):
+                code = self._locate(fid, key)
+                codes.append(-1 if code is None or not virtual[code % n] else code)
+        known: List[VarKey] = []  # leaves this site was already told are false
         waiting: Dict[int, Tuple[int, VarKey]] = {}
-        for leaf in expr.variables():
-            code = self._locate(fid, leaf)
-            if code is not None and virtual[code % virtual.size]:
+        for leaf, code in zip(expr.variables(), codes[1:]):
+            if code >= 0:
                 if sim[code]:
                     waiting[code] = (fid, leaf)
                 else:
-                    known[leaf] = FALSE
+                    known.append(leaf)
         if known:
-            expr = expr.substitute(known)
+            expr = expr.substitute(dict.fromkeys(known, FALSE))
         if self.push_states[fid].add(var, expr) is not None:
-            return True
+            return codes[0]
+        self._pushed[fid][var] = codes[0]
         self._leaf_at.update(waiting)
-        return False
+        return None
 
-    def _rewire(self, fid: int, entries) -> List[Message]:
+    def _rewire(self, fid: int, entries, codes) -> List[Message]:
         """Site ``fid``'s variables gain watchers; the ones already shipped
-        are forwarded now, so nothing is lost in flight."""
+        are forwarded now, so nothing is lost in flight.  ``codes`` are
+        fid's codes of the entries' variables (None: located here)."""
+        if codes is None:
+            codes = [self._locate(fid, var) for var, _ in entries]
         forwards: List[Message] = []
-        for var, new_watcher in entries:
-            code = self._locate(fid, var)
-            if code is None:
+        shipped = self.shipped.ravel()
+        for (var, new_watcher), code in zip(entries, codes):
+            if code is None or code < 0:
                 continue
-            if self.shipped.flat[code]:
+            if shipped[code]:
                 forwards.append(_var_update(self.cost, fid, new_watcher, ([var], None), 1))
             elif new_watcher not in self.deps.watcher_sites(fid, var[1]):
                 self.key_watchers.setdefault(code, set()).add(new_watcher)
@@ -522,50 +594,56 @@ class DgpmHostProgram:
     def on_tick(self, round_no: int, inbox: List[Message]) -> TickResult:
         np = require_numpy()
         parts: List = []  # received falsifications: pair codes ...
-        keys_of: Dict[int, List[VarKey]] = {}  # ... and, per site, keys
+        told: List[int] = []  # ... those that arrived as keys, or false on arrival
+        keys_of: Dict[int, List[VarKey]] = {}  # per site, what its pushed equations see
         changed: Set[int] = set()  # sites that received a falsification
         forwards: List[Message] = []
+        sim = None  # the candidate bits as bytes, while a push is being adopted
         for message in inbox:
             if message.kind == MessageKind.VAR_UPDATE:
                 keys, codes = message.payload
                 changed.add(message.dst)
                 if keys:
                     keys_of.setdefault(message.dst, []).extend(keys)
+                    for key in keys:
+                        code = self._locate(message.dst, key)
+                        if code is not None:
+                            told.append(code)
                 if codes is not None:
                     parts.append(codes)
             elif message.kind == MessageKind.EQUATION:
-                if self._adopt_equation(message.dst, *message.payload):
+                if sim is None:
+                    sim = self.state.sim.tobytes()
+                (var, expr), codes = message.payload
+                code = self._adopt_equation(message.dst, var, expr, codes, sim)
+                if code is not None:
                     changed.add(message.dst)
-                    keys_of.setdefault(message.dst, []).append(message.payload[0])
+                    keys_of.setdefault(message.dst, []).append(var)
+                    told.append(code)
             elif message.kind == MessageKind.REWIRE:
-                forwards.extend(self._rewire(message.dst, message.payload))
+                forwards.extend(self._rewire(message.dst, *message.payload))
+        if sim is not None:  # mark the leaves adopted equations wait for
+            self._waiting.flat[list(self._leaf_at)] = True
         if not changed:
             return self._finish(forwards, (), 0)
 
         # Pushed equations react to leaf falsifications as well: the keys a
-        # site was sent, then the leaves that arrived as codes.
-        told: List[Optional[int]] = []  # what arrived as keys
-        derived: List[Optional[int]] = []  # pushed variables now false
-        for fid, keys in keys_of.items():
-            told.extend(self._locate(fid, key) for key in keys)
-            push_state = self.push_states[fid]
-            if push_state.leaf_index:
-                for key in keys:
-                    derived.extend(self._locate(fid, v) for v in push_state.on_leaf_false(key))
-            else:
-                push_state.known_false_leaves.update(keys)
-        parts.append(np.asarray([c for c in told if c is not None], dtype=np.int64))
+        # site was sent and the leaves that arrived as codes, one batch a site.
+        parts.append(np.asarray(told, dtype=np.int64))
         codes = np.concatenate(parts)
         if self._leaf_at:
-            for code in self._leaf_at.keys() & set(codes.tolist()):
+            hits = codes[self._waiting.flat[codes]]
+            self._waiting.flat[hits] = False
+            for code in set(hits.tolist()):
                 fid, leaf = self._leaf_at.pop(code)
-                derived.extend(
-                    self._locate(fid, v) for v in self.push_states[fid].on_leaf_false(leaf)
-                )
+                keys_of.setdefault(fid, []).append(leaf)
+        derived: List[int] = []  # pushed variables now false
+        for fid, keys in keys_of.items():
+            pushed = self._pushed[fid]
+            derived.extend([pushed[v] for v in self.push_states[fid].on_leaves_false(keys)])
 
         if self.config.incremental:
-            also = np.asarray([c for c in derived if c is not None], dtype=np.int64)
-            self.state.falsify(np.concatenate((codes, also)))
+            self.state.falsify(np.concatenate((codes, np.asarray(derived, dtype=np.int64))))
             falsified = self.state.take_newly_false()
         else:
             # dGPMNOpt: rebuild the whole evaluation from what was received

@@ -19,19 +19,22 @@ not hit Python's recursion limit):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Union
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph, Node
 
 
-def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
+def tarjan_scc(graph: Union[DiGraph, Mapping[Node, Sequence[Node]]]) -> List[List[Node]]:
     """Strongly connected components in completion (reverse topological) order.
 
     Iterative Tarjan: returns a list of components; each component is a list
     of nodes.  A component appears *after* every component it points to
-    (sinks first), which is the order fixpoint solvers consume.
+    (sinks first), which is the order fixpoint solvers consume.  ``graph``
+    is a :class:`DiGraph` or a plain adjacency mapping (node -> successors,
+    every successor a key), which is what equation systems pass.
     """
+    adjacency = graph._succ if isinstance(graph, DiGraph) else graph
     index: Dict[Node, int] = {}
     lowlink: Dict[Node, int] = {}
     on_stack: Set[Node] = set()
@@ -39,7 +42,7 @@ def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
     components: List[List[Node]] = []
     counter = 0
 
-    for root in graph.nodes():
+    for root in adjacency:
         if root in index:
             continue
         # Each work item is (node, iterator position into successors).
@@ -53,7 +56,7 @@ def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
                 stack.append(node)
                 on_stack.add(node)
             recursed = False
-            successors = graph.successors(node)
+            successors = adjacency[node]
             for i in range(child_idx, len(successors)):
                 child = successors[i]
                 if child not in index:
