@@ -10,12 +10,14 @@ throughput that changes answers would be worthless.
 Measurement protocol (deliberate choices, in order of importance):
 
 * **Push disabled** (``DgpmConfig(enable_push=False)``).  The Section-4.2
-  push optimization is symbolic-equation machinery whose cost is identical
-  under both engines and dominates when enabled, so it would dilute the
-  engine comparison; it is also a communication-rounds optimization that is
-  a uniform net loss in the in-process harness.  Comparing both engines
-  under the same no-push config isolates what this benchmark is about: the
-  evaluation engine.
+  push optimization is symbolic-equation machinery, plain Python under both
+  engines, so it would dilute the engine comparison.  In process it also
+  costs more CPU than the rounds it saves: over the 144 ``cold_reads``
+  patterns of ``benchmarks/serving`` (1,000 nodes, |F| = 16, array engine,
+  CPU time per query on a shared 2-vCPU box) it takes the median query from
+  1.55 to 2.40 ms and the 95th percentile from 2.13 to 5.25 ms.  Comparing
+  both engines under the same no-push config isolates what this benchmark
+  is about: the evaluation engine.
 * **Result cache off** (``cache_size=0``).  A cache hit costs the same under
   either engine; we are metering evaluation, not caching.
 * **CPU time, not wall time** (``time.process_time``).  Wall clock on shared

@@ -24,6 +24,11 @@ between genuinely depends on virtual variables and enters the symbolic
 reduction, site by site.  The reduced equations are logically equal to the
 dict engine's (same greatest fixpoint projected onto the same virtual
 variables), just built from a system that is orders of magnitude smaller.
+The subsystems of all the host's sites are built in one fused pass, per
+pair over Python views (the snapshot's cached memoryviews of its forward
+CSR and ``local_mask`` bytes, ``sim`` / ``pess`` rows as bytes), never a
+numpy scalar per successor; the pass also records every variable's pair
+code, so the push can hand co-located receivers codes instead of keys.
 
 :class:`ArrayRankState` vectorizes dGPMd's per-rank exact evaluation, and
 :class:`ArrayTreeState` vectorizes dGPMt's bottom-up subtree sweep with the

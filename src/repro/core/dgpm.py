@@ -82,9 +82,15 @@ class _PushState:
         """A grandchild falsified ``leaf``; returns pushed vars now false."""
         return self.on_leaves_false([leaf])
 
-    def on_leaves_false(self, leaves: List[VarKey]) -> List[VarKey]:
+    def on_leaves_false(self, leaves: List[VarKey], memo=None) -> List[VarKey]:
         """Grandchildren falsified ``leaves``; returns pushed vars now false.
-        Each equation is substituted once, however many of its leaves fell."""
+
+        Each equation is substituted once, however many of its leaves fell.
+        ``memo`` maps ``(equation, fallen leaves)`` to the result and may be
+        shared by the sites of a host for a round: one pushed equation
+        reaches every watcher of its variable, and the same leaves then
+        fall on it at each of them."""
+        memo = {} if memo is None else memo
         self.known_false_leaves.update(leaves)
         fell: Dict[VarKey, List[VarKey]] = {}
         if self.leaf_index:
@@ -96,7 +102,10 @@ class _PushState:
             expr = self.equations.get(var)
             if expr is None:
                 continue
-            expr = expr.substitute(dict.fromkeys(falsified, FALSE))
+            key = (expr, frozenset(falsified))
+            expr = memo.get(key)
+            if expr is None:
+                expr = memo[key] = key[0].substitute(dict.fromkeys(falsified, FALSE))
             if expr == FALSE:
                 del self.equations[var]
                 out.append(var)
@@ -377,6 +386,19 @@ class DgpmHostProgram:
     delivery table), applied without a Python loop.  Every site has its own
     :class:`_PushState`, and B(Si) >= θ is decided per site from per-block
     counts of the one pessimistic bracket.
+
+    The push is paid once per host, not per site: one pessimistic bracket
+    and one pass that builds every site's dependent equation subsystem
+    (:meth:`~repro.core.arraystate.ArrayEvalState.in_node_equations`), then
+    one reduction per site (the blow-up budget is per site).  Its EQUATION
+    / REWIRE payloads are ``(payload, codes)``: for a co-located receiver
+    the receiver's codes of the variables named (EQUATION ``[var,
+    *expr.variables()]``, ``-1`` for a leaf it holds no virtual copy of;
+    REWIRE the owner's code per entry), translated in one lookup per push
+    (:meth:`~repro.core.arraycompile.HostSnapshot.copy_rows`); None for a
+    receiver on another host, which locates the keys.  Adoption then reads
+    the candidate bits at those codes, and a site's fallen leaves are
+    applied to its pushed equations in one batch a round.
     """
 
     def __init__(self, fids, query, deps, config, compiled) -> None:
@@ -407,10 +429,8 @@ class DgpmHostProgram:
         }
         self.push_states: Dict[int, _PushState] = {fid: _PushState() for fid in self.fids}
         #: a pushed equation's leaf that is a virtual variable of the site
-        #: holding the equation: pair code -> (that site, the leaf), and
-        #: those codes as a (Q, N) mask
+        #: holding the equation: pair code -> (that site, the leaf)
         self._leaf_at: Dict[int, Tuple[int, VarKey]] = {}
-        self._waiting = np.zeros_like(self.state.sim)
         #: per site, its adopted pushed variables' own codes
         self._pushed: Dict[int, Dict[VarKey, int]] = {fid: {} for fid in self.fids}
         self._block: Dict[int, int] = {fid: k for k, fid in enumerate(self.fids)}
@@ -495,29 +515,32 @@ class DgpmHostProgram:
 
     def _translate_codes(self, messages: List[Message]) -> None:
         """Turn the sender's codes in the push ``messages`` for co-located
-        sites into the receivers' codes, in one lookup: a leaf the receiver
-        holds no virtual copy of becomes ``-1`` (only its key reaches it);
-        a REWIRE names variables of the owner itself."""
+        sites into the receivers' codes, one lookup per message kind: an
+        EQUATION names virtual variables of its receiver (a leaf the
+        receiver holds no virtual copy of becomes ``-1``: only its key
+        reaches it), a REWIRE variables of the owner itself."""
         np = require_numpy()
         snap, n = self.snapshot, self.snapshot.n_nodes
-        coded = [m for m in messages if m.payload[1] is not None]
-        if not coded:
-            return
-        sources = [code for m in coded for code in m.payload[1]]
-        sizes = [len(m.payload[1]) for m in coded]
-        blocks = np.repeat([self._block[m.dst] for m in coded], sizes)
-        # which codes name an equation's leaf: all but the first of an EQUATION
-        leaf = np.repeat([m.kind == MessageKind.EQUATION for m in coded], sizes)
-        leaf[np.cumsum(sizes) - sizes] = False
-        qis, rows = np.divmod(np.asarray(sources, dtype=np.int64), n)
-        there = snap.copy_rows(rows, blocks)
-        ok = there >= 0
-        ok[ok] = snap.virtual_mask[there[ok]] | ~leaf[ok]
-        codes = np.where(ok, qis * n + there, -1).tolist()
-        at = 0
-        for message, size in zip(coded, sizes):
-            message.payload = (message.payload[0], codes[at:at + size])
-            at += size
+        for kind in (MessageKind.EQUATION, MessageKind.REWIRE):
+            coded = [m for m in messages if m.kind == kind and m.payload[1] is not None]
+            if not coded:
+                continue
+            sizes = [len(m.payload[1]) for m in coded]
+            qis, rows = np.divmod(
+                np.fromiter((c for m in coded for c in m.payload[1]), np.int64, sum(sizes)), n
+            )
+            blocks = np.repeat(
+                np.fromiter((self._block[m.dst] for m in coded), np.int64, len(coded)), sizes
+            )
+            there = snap.copy_rows(rows, blocks)
+            ok = there >= 0
+            if kind == MessageKind.EQUATION:
+                ok[ok] = snap.virtual_mask[there[ok]]
+            codes = np.where(ok, qis * n + there, -1).tolist()
+            at = 0
+            for message, size in zip(coded, sizes):
+                message.payload = (message.payload[0], codes[at:at + size])
+                at += size
 
     def _adopt_equation(self, fid: int, var: VarKey, expr: BoolExpr, codes, sim) -> Optional[int]:
         """Site ``fid`` takes over the pushed equation of its virtual
@@ -622,8 +645,6 @@ class DgpmHostProgram:
                     told.append(code)
             elif message.kind == MessageKind.REWIRE:
                 forwards.extend(self._rewire(message.dst, *message.payload))
-        if sim is not None:  # mark the leaves adopted equations wait for
-            self._waiting.flat[list(self._leaf_at)] = True
         if not changed:
             return self._finish(forwards, (), 0)
 
@@ -632,15 +653,16 @@ class DgpmHostProgram:
         parts.append(np.asarray(told, dtype=np.int64))
         codes = np.concatenate(parts)
         if self._leaf_at:
-            hits = codes[self._waiting.flat[codes]]
-            self._waiting.flat[hits] = False
-            for code in set(hits.tolist()):
+            for code in self._leaf_at.keys() & set(codes.tolist()):
                 fid, leaf = self._leaf_at.pop(code)
                 keys_of.setdefault(fid, []).append(leaf)
         derived: List[int] = []  # pushed variables now false
+        memo: Dict = {}
         for fid, keys in keys_of.items():
             pushed = self._pushed[fid]
-            derived.extend([pushed[v] for v in self.push_states[fid].on_leaves_false(keys)])
+            derived.extend(
+                [pushed[v] for v in self.push_states[fid].on_leaves_false(keys, memo)]
+            )
 
         if self.config.incremental:
             self.state.falsify(np.concatenate((codes, np.asarray(derived, dtype=np.int64))))
