@@ -17,10 +17,11 @@ What this example shows
   a from-scratch simulation on the graph after its first ``s`` updates:
   clients can reason about exactly which version of the world they saw.
 
-Two backends behind the same API:
+Two backends behind the same API and the same result cache; the backend
+only decides where a cache miss computes:
 
-* ``backend="thread"`` (used below, works everywhere): overlap, fairness and
-  one shared result cache; compute stays GIL-bound.
+* ``backend="thread"`` (used below, works everywhere): in process, with
+  overlap and fairness; compute stays GIL-bound.
 * ``backend="sharded"``: the paper's site model -- a pool of OS worker
   processes each owning only its ring-assigned fragments, this server as
   coordinator; ``server.shard_stats()`` reports what each worker holds

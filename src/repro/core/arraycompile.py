@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import ReproError
 from repro.partition.fragment import Fragment
 from repro.partition.fragmentation import Fragmentation
 
@@ -466,10 +467,10 @@ ENGINES: Tuple[str, ...] = ("dict", "array")
 
 
 def validate_engine(engine: str) -> str:
-    """Normalize and validate an engine name; raises ``ValueError`` if unknown."""
+    """Normalize and validate an engine name; raises ``ReproError`` if unknown."""
     name = engine.lower()
     if name not in ENGINES:
-        raise ValueError(
+        raise ReproError(
             f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
         )
     return name

@@ -13,7 +13,7 @@ Three pieces:
   the session's interning table, which keeps the serialized form compact and
   insulates the key from expensive label ``repr``\\ s.
 * :class:`LruResultCache` -- a small LRU keyed by
-  ``(algorithm, engine, config, query digest)`` whose values are
+  ``(algorithm, config, query digest)`` whose values are
   :class:`CacheEntry` objects: the result *and* everything else the session
   remembers about that query (pattern, canonical order, hit count, warm
   repair state).  One object per key in one table, so an entry's

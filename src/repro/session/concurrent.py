@@ -29,25 +29,27 @@ The snapshot/stamp contract
   block until their update is applied and return the per-update
   :class:`StampedOutcome` (outcome plus the stamp the graph reached).
 
-Two execution backends behind one API
--------------------------------------
+One read path, two places a miss computes
+-----------------------------------------
 
-* ``backend="thread"`` -- every caller shares one session and one result
-  cache.  A cache hit that needs no wait is answered on the calling thread
-  (:meth:`submit` says when); the rest -- misses, and hits that meet a
-  writer, a stale fragmentation or an undecided shape fact -- run on a
-  thread pool.  A slow query
-  never blocks an unrelated one, and concurrent identical queries coalesce
-  into a single protocol run (:meth:`LruResultCache.get_or_compute`).  The
-  pool's width buys no throughput (measured: misses run at the same ops/s
-  at width 1, 2 and 4), and since hits skip the pool it no longer decides
-  whether a hit waits behind a running miss either; what it still sets is
-  how many misses, and hits that fell through to the pool, run at once
-  (the README has the numbers).
+Every read goes through the fronted session's result cache, on either
+backend: a cache hit that needs no wait is answered on the calling thread
+(:meth:`submit` says when); the rest -- misses, and hits that meet a
+writer, a stale fragmentation or an undecided shape fact -- run on a
+thread pool.  A slow query never blocks an unrelated one, concurrent
+identical queries coalesce into a single computation
+(:meth:`LruResultCache.get_or_compute`), and cached entries are repaired
+across mutations by the session.  The pool's width buys no throughput
+(measured: misses run at the same ops/s at width 1, 2 and 4); what it sets
+is how many misses, and hits that fell through to the pool, run at once
+(the README has the numbers).  The backend only decides where a miss
+computes:
+
+* ``backend="thread"`` -- in process, over the session's fragmentation.
 * ``backend="sharded"`` -- the paper's site model as a deployment: each of
   a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
   the fragments a :class:`~repro.session.sharding.HashRing` assigns it
-  (never the base graph), and this class plays coordinator.  A query is
+  (never the base graph), and this class plays coordinator.  A miss is
   the same :func:`~repro.core.protocol.run_protocol` call as in-process
   evaluation, with the worker handles as the engine's hosts: one superstep
   loop, one metering path, so rounds, messages, DS and PT mean the same on
@@ -56,7 +58,8 @@ Two execution backends behind one API
   worker).  Mutation batches ship, inside the same write-lock hold that
   patches the parent session, only to the workers owning the touched
   fragments; a dead worker is respawned (or evicted) from the parent's
-  authoritative fragmentation, so no batch is ever lost.
+  authoritative fragmentation, so no batch is ever lost.  After
+  :meth:`close` the session computes in process again.
 
 >>> server = ConcurrentSessionServer(fragmentation, backend="thread")
 >>> futures = [server.submit(q) for q in queries]     # concurrent reads
@@ -79,7 +82,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import AlgorithmSpec, run_protocol
+from repro.core.protocol import run_protocol
 from repro.errors import (
     MutationBatchError,
     Overloaded,
@@ -320,9 +323,10 @@ class ConcurrentSessionServer:
         ``config`` and ``session_kwargs``) or an existing
         :class:`SimulationSession` to front.
     backend:
-        ``"thread"`` (shared session, shared cache) or ``"sharded"``
-        (fragment-owning OS workers: the paper's site model, bounded
-        per-worker memory and fault isolation -- not speed); see the module
+        Where a cache miss computes: ``"thread"`` (in process) or
+        ``"sharded"`` (fragment-owning OS workers: the paper's site model,
+        bounded per-worker memory and fault isolation -- not speed); both
+        read through the session's one result cache.  See the module
         docstring.
     n_workers:
         Thread-pool width: how many pool requests (misses, and hits that
@@ -409,6 +413,7 @@ class ConcurrentSessionServer:
         self._next_sub_id = 1
         if backend == "sharded":
             self._ring, self._shards = self._spawn_shards()
+            self._session._evaluate = self._evaluate_on_shards
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -464,6 +469,9 @@ class ConcurrentSessionServer:
                 time.monotonic() < deadline
             ):
                 self._write_cond.wait(timeout=1.0)
+        if self._shards is not None:
+            with self._rw.write_locked():  # no read is computing on the pool
+                self._session._evaluate = self._session._evaluate_here
         for handle in self._shards or ():
             try:
                 with handle.lock:
@@ -508,32 +516,31 @@ class ConcurrentSessionServer:
     ) -> "Future[StampedResult]":
         """Enqueue one query; the future resolves to a :class:`StampedResult`.
 
-        Thread backend: a cache hit that needs no wait is answered on the
-        calling thread and comes back as an already-resolved future.  It
+        A cache hit that needs no wait is answered on the calling thread and
+        comes back as an already-resolved future, on either backend.  It
         needs none when the read lock is free of writers (active or
         waiting) and :meth:`SimulationSession.lookup` finds the key without
         ``O(|G|)`` work -- the fragmentation is not stale, an ``"auto"``
         dispatch reads only decided shape facts -- and cached, not in
         flight.  Everything else runs on the pool, a miss reusing the key
-        the failed lookup derived.  Errors, the lookup's included, always
-        arrive through the future.
+        the failed lookup derived; only a miss reaches the shard workers.
+        Errors, the lookup's included, always arrive through the future.
         """
         self._check_open()
         key = None
-        if self._shards is None:
-            future: "Future[StampedResult]" = Future()
-            try:
-                with self._rw.read_locked_if_free() as held:
-                    if held:
-                        hit, key = self._session.lookup(query, algorithm, config)
-                        if hit is not None:
-                            future.set_result(
-                                StampedResult(hit.relation, hit.metrics, self._stamp)
-                            )
-                            return future
-            except Exception as exc:
-                future.set_exception(exc)
-                return future
+        future: "Future[StampedResult]" = Future()
+        try:
+            with self._rw.read_locked_if_free() as held:
+                if held:
+                    hit, key = self._session.lookup(query, algorithm, config)
+                    if hit is not None:
+                        future.set_result(
+                            StampedResult(hit.relation, hit.metrics, self._stamp)
+                        )
+                        return future
+        except Exception as exc:
+            future.set_exception(exc)
+            return future
         try:
             return self._executor.submit(self._serve, query, algorithm, config, key)
         except RuntimeError as exc:
@@ -572,9 +579,7 @@ class ConcurrentSessionServer:
     ) -> StampedResult:
         with self._rw.read_locked():
             stamp = self._stamp
-            if self._shards is not None:
-                result = self._serve_via_shards(query, algorithm, config)
-            elif key is not None and self._session.is_current(key):
+            if key is not None and self._session.is_current(key):
                 result = self._session.run_key(key)
             else:
                 result = self._session.run(query, algorithm=algorithm, config=config)
@@ -625,12 +630,10 @@ class ConcurrentSessionServer:
                     if not handle.dead
                 ]
 
-    def _serve_via_shards(
-        self, query: Pattern, algorithm: str, config: Optional[DgpmConfig]
-    ) -> RunResult:
-        config = config or self._session.config
-        self._session._validate_args(algorithm, None)
-        spec = self._session._resolve_for_query(algorithm, query)
+    def _evaluate_on_shards(self, key: QueryKey) -> RunResult:
+        """The session's evaluation while this sharded server is open: a
+        miss runs on the worker pool.  (The caller holds a read or the
+        write lock, so the pool lock is always taken second.)"""
         # Queries are pure reads, so a worker death mid-run is retried from
         # scratch after the pool heals (bounded: each retry removes or
         # respawns at least one dead worker).
@@ -639,23 +642,21 @@ class ConcurrentSessionServer:
             for _ in range(self.n_workers + 2):
                 self._heal_pool_locked()
                 try:
-                    return self._run_plan_locked(spec, query, config)
+                    return self._run_plan_locked(key)
                 except ProtocolError as exc:
                     last = exc
             raise ProtocolError(
                 f"sharded query failed after repeated pool repair: {last}"
             ) from last
 
-    def _run_plan_locked(
-        self, spec: AlgorithmSpec, query: Pattern, config: DgpmConfig
-    ) -> RunResult:
+    def _run_plan_locked(self, key: QueryKey) -> RunResult:
         """One distributed run: the protocol in-process evaluation runs,
         with every site placed on the worker that owns its fragment.
 
         The superstep loop, the metering and the metrics are
         :func:`~repro.core.protocol.run_protocol`'s; what is this backend's
-        own is the placement, draining the replies an aborted run left
-        owed, and the traffic attribution.
+        own is the placement and draining the replies an aborted run left
+        owed.
         """
         session = self._session
         handles = {h.slot: h for h in self._shards if not h.dead}
@@ -672,18 +673,13 @@ class ConcurrentSessionServer:
             for frag in session.fragmentation
         }
         try:
-            result = run_protocol(
-                spec, query, session.fragmentation, config, placement=placement
+            return run_protocol(
+                key.spec, key.query, session.fragmentation, key.config,
+                placement=placement,
             )
         except BaseException:
             self._abort_outstanding(handles.values())
             raise
-        # The parent session never ran this query, so count it and attribute
-        # its traffic here: every run on this path executes the protocol (a
-        # miss), and the sharded backend is the headline consumer of the
-        # per-fragment window (rebalance() migrates by it).
-        session.stats.count_query(False, session._touched_fids(result.relation))
-        return result
 
     @staticmethod
     def _abort_outstanding(handles: Iterable[_ShardHandle]) -> None:
@@ -886,10 +882,9 @@ class ConcurrentSessionServer:
         start = time.perf_counter()
         with self._rw.write_locked():
             if traffic is None:
-                # The parent session's window: all traffic on the thread
-                # backend, coordinator-attributed queries plus mutations on
-                # the sharded one.  The overflow key carries no placement
-                # signal.
+                # The parent session's window: every served query, hits
+                # included, plus mutations, on either backend.  The overflow
+                # key carries no placement signal.
                 traffic = self._session.stats.traffic_snapshot()
                 traffic.pop(-1, None)
             before = partition_stats(self._session.fragmentation)

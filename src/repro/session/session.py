@@ -20,7 +20,10 @@ Amortized across queries:
   every subsequent ``LocalEvalState``);
 * an interned label-id table over the fragmentation's alphabet;
 * an LRU cache of final results keyed by ``(algorithm, config, canonical
-  query hash)`` -- repeated queries are answered without touching a site.
+  query hash)`` -- repeated queries are answered without touching a site,
+  wherever the sites run (a sharded
+  :class:`~repro.session.concurrent.ConcurrentSessionServer` only changes
+  where a miss computes).
 
 Mutation API and its invariant contract
 ---------------------------------------
@@ -89,6 +92,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.arraycompile import validate_engine
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
 from repro.core.dgpmd import dgpmd_applies
@@ -274,9 +278,8 @@ class QueryKey:
     query: Pattern
     spec: AlgorithmSpec
     config: DgpmConfig
-    engine: str
     form: CanonicalQuery
-    #: the result cache's key: ``(spec name, engine, repr(config), digest)``
+    #: the result cache's key: ``(spec name, repr(config), digest)``
     key: Tuple
     fragmentation: Fragmentation
     version: int
@@ -344,8 +347,7 @@ class SimulationSession:
         0: never build one, evict affected entries.  Pinned entries
         (:meth:`pin`) are warm outside this budget.
     engine:
-        Default execution engine for every query (``"dict"`` or
-        ``"array"``); ``run``/``run_many`` accept a per-query override.  The
+        Execution engine for every query (``"dict"`` or ``"array"``).  The
         array engine compiles fragments to columnar CSR snapshots
         (:mod:`repro.core.arraycompile`) cached on the session and
         invalidated per fragment by mutation stamp; it requires numpy at
@@ -364,7 +366,10 @@ class SimulationSession:
         self.config = config or DgpmConfig()
         self.max_warm_states = max_warm_states
         self.stats = SessionStats()
-        self.engine = self._validate_args("auto", engine)
+        self.engine = validate_engine(engine)
+        #: computes a miss: in process, unless a sharded server points it
+        #: at its worker pool for as long as that server is open
+        self._evaluate: Callable[[QueryKey], RunResult] = self._evaluate_here
         self.labels = LabelInterner()
         self._cache = LruResultCache(cache_size)
         self._deps: Optional[DependencyGraphs] = None
@@ -524,7 +529,6 @@ class SimulationSession:
         query: Pattern,
         algorithm: str = "auto",
         config: Optional[DgpmConfig] = None,
-        engine: Optional[str] = None,
     ) -> RunResult:
         """Serve one query; identical in answer and metrics to the one-shot
         ``run_*`` function of the same algorithm.
@@ -550,7 +554,7 @@ class SimulationSession:
 ConcurrentSessionServer` provides.
         """
         self._refresh_if_stale()
-        return self.run_key(self._query_key(query, algorithm, config, engine))
+        return self.run_key(self._query_key(query, algorithm, config))
 
     def lookup(
         self,
@@ -578,7 +582,7 @@ ConcurrentSessionServer` provides.
             algorithm = choose_algorithm_if_decided(query, self.fragmentation)
             if algorithm is None:
                 return None, None
-        key = self._query_key(query, algorithm, config, None)
+        key = self._query_key(query, algorithm, config)
         entry = self._cache.get(key.key)
         return (None if entry is None else self._served(key, entry, True)), key
 
@@ -601,12 +605,7 @@ ConcurrentSessionServer` provides.
     def _run_entry(self, key: QueryKey) -> Tuple[RunResult, CacheEntry]:
 
         def compute() -> CacheEntry:
-            # Providers, not values: a query the precheck refuses must not
-            # build the watcher tables, nor a dict-engine one the CSR cache.
-            result = run_protocol(
-                key.spec, key.query, self.fragmentation, key.config, key.engine,
-                deps=lambda: self.deps, compiled=self.compiled_fragments,
-            )
+            result = self._evaluate(key)
             return CacheEntry(
                 result=result, query=key.query, algorithm=key.spec.name,
                 config=key.config, order=key.form.order,
@@ -624,6 +623,14 @@ ConcurrentSessionServer` provides.
             self.stats.sync_evictions(self._cache.stats.evictions)
         return self._served(key, entry, hit), entry
 
+    def _evaluate_here(self, key: QueryKey) -> RunResult:
+        # Providers, not values: a query the precheck refuses must not
+        # build the watcher tables, nor a dict-engine one the CSR cache.
+        return run_protocol(
+            key.spec, key.query, self.fragmentation, key.config, self.engine,
+            deps=lambda: self.deps, compiled=self.compiled_fragments,
+        )
+
     # ------------------------------------------------------------------
     # standing queries
     # ------------------------------------------------------------------
@@ -634,7 +641,7 @@ ConcurrentSessionServer` provides.
         it: warm (unless boolean-only) outside ``max_warm_states``, never the
         LRU's victim.  The caller holds the read exclusion."""
         self._refresh_if_stale()
-        key = self._query_key(query, algorithm, config, None)
+        key = self._query_key(query, algorithm, config)
         result, entry = self._run_entry(key)
         pin = Pin(key, entry, result.relation)
         with self._pin_lock:
@@ -671,19 +678,13 @@ ConcurrentSessionServer` provides.
         return pin, _ordered(new - old), _ordered(old - new)
 
     def _query_key(
-        self,
-        query: Pattern,
-        algorithm: str,
-        config: Optional[DgpmConfig],
-        engine: Optional[str],
+        self, query: Pattern, algorithm: str, config: Optional[DgpmConfig]
     ) -> QueryKey:
         config = config or self.config
-        engine = self._validate_args(algorithm, engine)
         spec = self._resolve_for_query(algorithm, query)
         form = self.canonical_form_of(query)
         return QueryKey(
-            query, spec, config, engine, form,
-            (spec.name, engine, repr(config), form.digest),
+            query, spec, config, form, (spec.name, repr(config), form.digest),
             self.fragmentation, self.fragmentation.version,
         )
 
@@ -706,13 +707,9 @@ ConcurrentSessionServer` provides.
         queries: Iterable[Pattern],
         algorithm: str = "auto",
         config: Optional[DgpmConfig] = None,
-        engine: Optional[str] = None,
     ) -> List[RunResult]:
         """Serve a stream of queries in order; one result per query."""
-        return [
-            self.run(query, algorithm=algorithm, config=config, engine=engine)
-            for query in queries
-        ]
+        return [self.run(query, algorithm, config) for query in queries]
 
     def _touched_fids(self, relation: MatchRelation) -> Tuple[int, ...]:
         """Fragments owning the relation's matched data nodes (sorted).
@@ -908,32 +905,16 @@ ConcurrentSessionServer` provides.
         )
 
     # ------------------------------------------------------------------
-    def _validate_args(self, algorithm: str, engine: Optional[str]) -> str:
-        """Validate ``run``'s names up front; one error listing every problem,
-        with the valid names spelled out.  Returns the normalized engine name
-        (the session default when ``engine`` is None).
-        """
-        from repro.core.arraycompile import ENGINES
-
-        problems: List[str] = []
-        valid = {"auto", *ALGORITHMS}
-        if algorithm.lower() not in valid:
-            known = ", ".join(sorted(valid))
-            problems.append(f"unknown algorithm {algorithm!r} (known: {known})")
-        engine_name = (engine if engine is not None else self.engine).lower()
-        if engine_name not in ENGINES:
-            problems.append(
-                f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
-            )
-        if problems:
-            raise ReproError("; ".join(problems))
-        return engine_name
-
     def _resolve_for_query(self, algorithm: str, query: Pattern) -> AlgorithmSpec:
-        """The spec a validated algorithm name stands for."""
+        """The spec ``algorithm`` names (``"auto"``: dispatched on the
+        graph's shape); an unknown name raises before any protocol work,
+        listing the served names."""
         name = algorithm.lower()
         if name == "auto":
             name = choose_algorithm(query, self.fragmentation).lower()
+        elif name not in ALGORITHMS:
+            known = ", ".join(sorted({"auto", *ALGORITHMS}))
+            raise ReproError(f"unknown algorithm {algorithm!r} (known: {known})")
         return ALGORITHMS[name]
 
     def __repr__(self) -> str:

@@ -492,9 +492,9 @@ def test_dict_engine_serves_without_numpy(monkeypatch):
     from repro.simulation import simulation
 
     graph = small_graph()
-    session = SimulationSession(small_fragmentation())
     pattern = Pattern({"x": "A", "y": "B"}, [("x", "y")])
-    result = session.run(pattern, algorithm="dgpm")  # default engine: dict
-    assert result.relation == simulation(pattern, graph)
+    session = SimulationSession(small_fragmentation())  # default engine: dict
+    assert session.run(pattern, algorithm="dgpm").relation == simulation(pattern, graph)
+    session = SimulationSession(small_fragmentation(), engine="array")
     with pytest.raises(RuntimeError, match="requires numpy"):
-        session.run(pattern, algorithm="dgpm", engine="array")
+        session.run(pattern, algorithm="dgpm")

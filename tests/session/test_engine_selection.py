@@ -1,9 +1,10 @@
 """Engine selection and up-front argument validation on the session.
 
-Covers the ``run(algorithm=, engine=)`` contract: bad names are rejected
-before any protocol work, together, with the valid names spelled out; the
-engine is part of the result-cache key; and the compiled-CSR cache is reused
-across queries and recompiles exactly the fragments a mutation touched.
+Covers the ``run(algorithm=)`` contract: a bad name is rejected before any
+protocol work, with the valid names spelled out; the engine is the
+session's, fixed at construction (a request names only what to compute);
+and the compiled-CSR cache is reused across queries and recompiles exactly
+the fragments a mutation touched.
 """
 
 import dataclasses
@@ -61,45 +62,17 @@ def test_unknown_algorithm_rejected_by_the_sharded_backend(fragmentation, query)
         )
 
 
-def test_unknown_engine_rejected_up_front(fragmentation, query):
-    session = SimulationSession(fragmentation)
-    with pytest.raises(ReproError, match="unknown engine 'gpu'.*dict.*array"):
-        session.run(query, engine="gpu")
-
-
-def test_bad_algorithm_and_engine_reported_together(fragmentation, query):
-    session = SimulationSession(fragmentation)
-    with pytest.raises(ReproError) as err:
-        session.run(query, algorithm="nope", engine="gpu")
-    message = str(err.value)
-    assert "unknown algorithm 'nope'" in message
-    assert "unknown engine 'gpu'" in message
-
-
 def test_constructor_rejects_unknown_default_engine(fragmentation):
-    with pytest.raises(ReproError, match="unknown engine 'columnar'"):
+    with pytest.raises(ReproError, match="unknown engine 'columnar'.*dict.*array"):
         SimulationSession(fragmentation, engine="columnar")
 
 
-def test_session_default_engine_and_per_query_override(fragmentation, query):
+def test_array_and_dict_sessions_agree(fragmentation, query):
     pytest.importorskip("numpy")
     dict_answer = SimulationSession(fragmentation).run(query, algorithm="dgpm")
-    session = SimulationSession(fragmentation, engine="array")
+    session = SimulationSession(fragmentation, engine="ARRAY")
+    assert session.engine == "array"
     assert session.run(query, algorithm="dgpm").relation == dict_answer.relation
-    assert (
-        session.run(query, algorithm="dgpm", engine="dict").relation
-        == dict_answer.relation
-    )
-
-
-def test_engine_is_part_of_the_cache_key(fragmentation, query):
-    pytest.importorskip("numpy")
-    session = SimulationSession(fragmentation)
-    session.run(query, algorithm="dgpm", engine="dict")
-    session.run(query, algorithm="dgpm", engine="array")
-    assert session.stats.cache_misses == 2  # array run was not a dict hit
-    session.run(query, algorithm="dgpm", engine="array")
-    assert session.stats.cache_hits == 1
 
 
 def test_compiled_cache_reused_and_recompiled_per_touched_fragment(
@@ -127,7 +100,7 @@ def test_compiled_cache_reused_and_recompiled_per_touched_fragment(
 
 
 def test_requested_engine_reaches_build_program(fragmentation, query, monkeypatch):
-    """The one ``run_protocol`` call site hands the engine on:
+    """The session's in-process evaluation hands its engine on:
     ``build_programs`` sees the session's compiled-CSR cache under ``array``
     and None under ``dict`` -- once per host, with every site of the host."""
     pytest.importorskip("numpy")
@@ -140,7 +113,8 @@ def test_requested_engine_reaches_build_program(fragmentation, query, monkeypatc
     spec = dataclasses.replace(DGPM, build_programs=recording)
     monkeypatch.setitem(dispatch.ALGORITHMS, "dgpm", spec)
     session = SimulationSession(fragmentation)
-    session.run(query, algorithm="dgpm", engine="dict")
+    session.run(query, algorithm="dgpm")
     assert seen == [([0, 1], None)] and session._compiled is None
-    session.run(query, algorithm="dgpm", engine="array")
+    session = SimulationSession(fragmentation, engine="array")
+    session.run(query, algorithm="dgpm")
     assert seen[1:] == [([0, 1], session.compiled_fragments())]

@@ -28,6 +28,11 @@ import pytest
 
 from tests.session.test_concurrent_stress import _mutation_ops, _replay
 
+# A test that repeats one query and then asserts that a fault fired or a
+# worker respawned builds its server with cache_size=0: it must reach the
+# workers on every read, and a cached repeat is answered by the coordinator
+# without touching a worker.
+
 
 def _fixture(seed: int, n_fragments: int = 6):
     graph = web_graph(50, 180, n_labels=4, seed=seed)
@@ -74,7 +79,7 @@ def test_seeded_kill_mid_stream_recovers(fault_seed, rng_seed):
     oracle = simulation(query, graph)
     plan = FaultPlan.seeded(fault_seed, n_slots=3, kill_window=(2, 20))
     with ConcurrentSessionServer(
-        frag, backend="sharded", n_workers=3, fault_plan=plan
+        frag, backend="sharded", n_workers=3, fault_plan=plan, cache_size=0
     ) as server:
         for _ in range(12):  # enough traffic to cross the kill boundary
             result = server.run(query, algorithm="dgpm")
@@ -159,6 +164,7 @@ def test_exhausted_respawn_evicts_slot_and_reships_migrated(
         backend="sharded",
         n_workers=3,
         respawn=RetryPolicy(attempts=1, backoff_s=0.0),
+        cache_size=0,
     ) as server:
         assert server.run(query, algorithm="dgpm").relation == oracle
         old_ring = server.ring
@@ -205,7 +211,9 @@ def test_plain_worker_kill_respawns_without_a_fault_plan(rng_seed):
     seed = rng_seed % 1000
     graph, frag, query = _fixture(seed)
     oracle = simulation(query, graph)
-    with ConcurrentSessionServer(frag, backend="sharded", n_workers=3) as server:
+    with ConcurrentSessionServer(
+        frag, backend="sharded", n_workers=3, cache_size=0
+    ) as server:
         assert server.run(query, algorithm="dgpm").relation == oracle
         victim = server._shards[1]
         victim.process.terminate()

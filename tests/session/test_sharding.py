@@ -228,9 +228,11 @@ def test_sharded_rounds_match_the_inprocess_engine(rng_seed):
         assert 0 <= colocated <= sharded.metrics.ds_bytes
 
 
-def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
+def _check_mutation_feed(rng, rng_seed, hot: bool) -> None:
     """Every stamped answer equals the from-scratch oracle at its stamp --
-    the linearizability contract under a serial mutation feed."""
+    the linearizability contract under a serial mutation feed.  ``hot``
+    serves the query twice per stamp, so the coordinator's warm repair of
+    the cached entry answers the reads after each batch."""
     seed = rng_seed % 1000
     graph = web_graph(50, 190, n_labels=4, seed=seed)
     initial = graph.copy()
@@ -241,11 +243,82 @@ def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
         for start in range(0, len(ops), 3):
             outcomes = server.apply(ops[start:start + 3])
             stamp = outcomes[-1].stamp
-            result = server.run(query, algorithm="dgpm")
-            assert result.stamp == stamp
             oracle = simulation(query, _replay(initial, ops, stamp))
-            assert result.relation == oracle, f"stamp {stamp} (seed {seed})"
+            for _ in range(2 if hot else 1):
+                result = server.run(query, algorithm="dgpm")
+                assert result.stamp == stamp
+                assert result.relation == oracle, f"stamp {stamp} (seed {seed})"
         assert server.stamp == len(ops)
+        stats = server.stats
+        if hot:
+            assert stats.cache_hits > 0
+            assert stats.entries_kept + stats.entries_repaired > 0
+
+
+def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
+    _check_mutation_feed(rng, rng_seed, hot=False)
+
+
+def test_sharded_hot_mutation_feed_matches_replay_oracle(rng, rng_seed):
+    _check_mutation_feed(rng, rng_seed, hot=True)
+
+
+def test_a_cached_query_outlives_a_dead_worker_and_close(rng_seed):
+    """A hit never touches the pool: it is answered while a worker is dead,
+    the next miss heals the pool, and after ``close()`` the session still
+    answers, in process."""
+    seed = rng_seed % 1000
+    graph = web_graph(60, 220, n_labels=4, seed=seed)
+    # three shapes, so three cache keys
+    cached, fresh, late = (
+        cyclic_pattern(graph, n, n + 1, seed=seed) for n in (2, 3, 4)
+    )
+    server = ConcurrentSessionServer(
+        hash_partition(graph, 6, seed=seed), backend="sharded", n_workers=3
+    )
+    with server:
+        first = server.run(cached, algorithm="dgpm")
+        assert first.relation == simulation(cached, graph)
+        victim = server._shards[0]
+        victim.process.terminate()
+        victim.process.join(timeout=10)
+        hit = server.run(cached, algorithm="dgpm")
+        assert hit.metrics.extras["cache_hit"] == 1.0
+        assert hit.relation == simulation(cached, graph)
+        assert server.respawns == 0
+        assert server.run(fresh, algorithm="dgpm").relation == simulation(fresh, graph)
+        assert server.respawns == 1
+    result = server.session.run(late, algorithm="dgpm")
+    assert result.relation == simulation(late, graph)
+    assert result.metrics.algorithm == "dGPM"
+    assert "sharded_workers" not in result.metrics.extras
+
+
+def test_sharded_subscription_evaluates_on_the_workers():
+    """A subscription's baseline, and a lapsed pin's re-evaluation, are
+    misses like any other: they run on the shard workers."""
+    from tests.session.test_shape_dispatch import TWO_CYCLE, alternating_dag
+
+    graph = web_graph(150, 600, n_labels=5, seed=3)
+    query = cyclic_pattern(graph, 3, 4, seed=3)
+    with ConcurrentSessionServer(
+        hash_partition(graph, 4), backend="sharded", n_workers=2
+    ) as server:
+        _, baseline = server.subscribe(query, lambda *push: None)
+        assert baseline.metrics.algorithm == "dGPM/sharded"
+        assert baseline.metrics.extras["sharded_workers"] == 2
+    pushes: list = []
+    with ConcurrentSessionServer(
+        alternating_dag(), backend="sharded", n_workers=2
+    ) as server:
+        _, baseline = server.subscribe(TWO_CYCLE, lambda *push: pushes.append(push))
+        assert baseline.metrics.algorithm == "dGPMd/sharded"
+        server.insert_edge(3, 0)  # closes a cycle: the dGPMd pin lapses
+        assert len(pushes) == 1
+        repinned = server.run(TWO_CYCLE)  # a hit on the re-evaluated pin
+        assert repinned.metrics.extras["cache_hit"] == 1.0
+        assert repinned.metrics.algorithm == "dGPM/sharded"
+        assert repinned.metrics.extras["sharded_workers"] == 2
 
 
 def test_sharded_concurrent_readers_vs_writer(rng, rng_seed):
@@ -350,9 +423,27 @@ def test_workers_hold_their_owned_fragments_and_not_the_graph():
     assert max(sizes) <= 0.6 * single["resident_size"]
 
 
-def test_sharded_server_counts_the_queries_it_serves(rng_seed):
-    """Every run on the sharded path executes the protocol: it is a served
-    query and a miss."""
+@pytest.fixture
+def q_starts(monkeypatch):
+    """The slot of every ``q.start`` the coordinator posts to a worker."""
+    from repro.session.concurrent import _ShardHandle
+
+    slots = []
+    post = _ShardHandle.post
+
+    def recording(handle, command, payload):
+        if command == "q.start":
+            slots.append(handle.slot)
+        return post(handle, command, payload)
+
+    monkeypatch.setattr(_ShardHandle, "post", recording)
+    return slots
+
+
+def test_sharded_server_counts_the_queries_it_serves(rng_seed, q_starts):
+    """The sharded backend reads through the session's cache: a repeated
+    query is a hit the coordinator answers, and each distinct query runs
+    the protocol once -- one ``q.start`` per live worker."""
     graph = web_graph(150, 600, n_labels=5, seed=rng_seed % 1000)
     frag = hash_partition(graph, 4)
     queries = [cyclic_pattern(graph, 3, 4, seed=s) for s in range(3)]
@@ -360,4 +451,36 @@ def test_sharded_server_counts_the_queries_it_serves(rng_seed):
         for query in queries * 2:
             server.run(query, algorithm="dgpm")
         stats = server.stats
-        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (6, 0, 6)
+        assert (stats.queries_served, stats.cache_hits, stats.cache_misses) == (6, 3, 3)
+        assert sorted(q_starts) == sorted(server.ring.workers * 3)
+
+
+def test_concurrent_identical_sharded_misses_run_once(rng_seed, q_starts):
+    """k threads submitting one uncached query at once coalesce into one
+    distributed run: each worker sees a single ``q.start``."""
+    graph = web_graph(150, 600, n_labels=5, seed=rng_seed % 1000)
+    query = cyclic_pattern(graph, 3, 4, seed=rng_seed % 1000)
+    k = 6
+    barrier = threading.Barrier(k)
+    with ConcurrentSessionServer(
+        hash_partition(graph, 4), backend="sharded", n_workers=2
+    ) as server:
+
+        def submit():
+            barrier.wait()
+            return server.submit(query, algorithm="dgpm")
+
+        futures: list = []
+        threads = [
+            threading.Thread(target=lambda: futures.append(submit()))
+            for _ in range(k)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        answers = {future.result().relation for future in futures}
+        assert answers == {simulation(query, graph)}
+        assert sorted(q_starts) == sorted(server.ring.workers)
+        assert (server.stats.cache_misses, server.stats.cache_hits) == (1, k - 1)
