@@ -500,7 +500,9 @@ class ConcurrentSessionServer:
 
     @property
     def session(self) -> SimulationSession:
-        """The fronted session (mutate it only through this server)."""
+        """The fronted session (mutate it only through this server).  Until
+        ``close()`` a sharded server computes its misses on the pool, also in
+        a direct call, which takes no server lock: make one only when idle."""
         return self._session
 
     @property
@@ -631,9 +633,8 @@ class ConcurrentSessionServer:
                 ]
 
     def _evaluate_on_shards(self, key: QueryKey) -> RunResult:
-        """The session's evaluation while this sharded server is open: a
-        miss runs on the worker pool.  (The caller holds a read or the
-        write lock, so the pool lock is always taken second.)"""
+        """The session's miss while this sharded server is open: it runs on
+        the pool, taking the pool lock after the server's (see :attr:`session`)."""
         # Queries are pure reads, so a worker death mid-run is retried from
         # scratch after the pool heals (bounded: each retry removes or
         # respawns at least one dead worker).
@@ -863,7 +864,8 @@ class ConcurrentSessionServer:
           machinery; only moved fragments re-ship.
 
         ``traffic`` overrides the ``{fid: count}`` window read from the
-        parent session's counters.  The write lock is held throughout --
+        parent session's counters (cache hits count, and never reach a
+        worker).  The write lock is held throughout --
         readers see the old placement or the new one, never an intermediate
         -- and the traffic window resets afterwards so the next rebalance
         sees fresh counters.  Shard workers that fail mid-rebalance are
@@ -883,8 +885,8 @@ class ConcurrentSessionServer:
         with self._rw.write_locked():
             if traffic is None:
                 # The parent session's window: every served query, hits
-                # included, plus mutations, on either backend.  The overflow
-                # key carries no placement signal.
+                # included (so "place" weighs demand, not worker work), plus
+                # mutations.  The overflow key carries no placement signal.
                 traffic = self._session.stats.traffic_snapshot()
                 traffic.pop(-1, None)
             before = partition_stats(self._session.fragmentation)

@@ -21,9 +21,7 @@ Amortized across queries:
 * an interned label-id table over the fragmentation's alphabet;
 * an LRU cache of final results keyed by ``(algorithm, config, canonical
   query hash)`` -- repeated queries are answered without touching a site,
-  wherever the sites run (a sharded
-  :class:`~repro.session.concurrent.ConcurrentSessionServer` only changes
-  where a miss computes).
+  on either serving backend (a sharded server only moves where a miss runs).
 
 Mutation API and its invariant contract
 ---------------------------------------

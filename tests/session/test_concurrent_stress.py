@@ -81,6 +81,20 @@ def _mutation_ops(graph: DiGraph, n_ops: int, rng: random.Random) -> List[Mutati
     return ops
 
 
+def _answer_moving_ops(
+    graph: DiGraph, query: Pattern, n_cut: int, n_churn: int, rng: random.Random
+) -> List[MutationOp]:
+    """Cut ``n_cut`` edges inside ``query``'s answer, then make ``n_churn``
+    random updates: a valid-in-sequence update list whose answer moves, so
+    an update that misses a site shows in the oracle."""
+    matched = {v for _, v in simulation(query, graph).as_relation()}
+    cut = rng.sample(sorted(e for e in graph.edges() if set(e) <= matched), n_cut)
+    rest = graph.copy()
+    for edge in cut:
+        rest.remove_edge(*edge)
+    return [DeleteEdge(*edge) for edge in cut] + _mutation_ops(rest, n_churn, rng)
+
+
 def _replay(graph: DiGraph, ops: List[MutationOp], n: int) -> DiGraph:
     """The graph after the first ``n`` updates (fresh copy each call)."""
     replayed = graph.copy()

@@ -156,7 +156,7 @@ def test_sharded_coordinator_attributes_traffic():
     graph, frag, queries = _instance()
     with ConcurrentSessionServer(frag, backend="sharded", n_workers=2) as server:
         server.run(queries[0], algorithm="dgpm")
-        assert server.stats.fragment_queries  # bumped at assemble time
+        assert server.stats.fragment_queries  # bumped when the session serves it
 
 
 def test_hash_ring_rebalanced_is_deterministic_and_minimal():

@@ -26,12 +26,11 @@ from repro.runtime.transport import FaultPlan, RetryPolicy
 
 import pytest
 
-from tests.session.test_concurrent_stress import _mutation_ops, _replay
+from tests.session.test_concurrent_stress import _answer_moving_ops, _replay
 
-# A test that repeats one query and then asserts that a fault fired or a
-# worker respawned builds its server with cache_size=0: it must reach the
-# workers on every read, and a cached repeat is answered by the coordinator
-# without touching a worker.
+# Every server here is built with cache_size=0: a fault only fires, and an
+# answer only checks a worker, on a read that reaches the workers, and a
+# cached repeat is answered by the coordinator without touching a worker.
 
 
 def _fixture(seed: int, n_fragments: int = 6):
@@ -100,7 +99,7 @@ def test_dropped_frame_surfaces_and_heals(rng_seed):
     oracle = simulation(query, graph)
     plan = FaultPlan(seed=7, drops=[(0, 3)])
     with ConcurrentSessionServer(
-        frag, backend="sharded", n_workers=2, fault_plan=plan
+        frag, backend="sharded", n_workers=2, fault_plan=plan, cache_size=0
     ) as server:
         for _ in range(6):
             assert server.run(query, algorithm="dgpm").relation == oracle
@@ -113,10 +112,10 @@ def test_no_lost_mutation_batch_after_kill(rng, rng_seed):
     seed = rng_seed % 1000
     graph, frag, query = _fixture(seed)
     initial = graph.copy()
-    ops = _mutation_ops(graph, 10, rng)
+    ops = _answer_moving_ops(graph, query, 4, 6, rng)
     plan = FaultPlan.seeded(seed, n_slots=3, kill_window=(2, 25))
     with ConcurrentSessionServer(
-        frag, backend="sharded", n_workers=3, fault_plan=plan
+        frag, backend="sharded", n_workers=3, fault_plan=plan, cache_size=0
     ) as server:
         for start in range(0, len(ops), 2):
             outcomes = server.apply(ops[start:start + 2])
@@ -137,7 +136,7 @@ def test_delays_jitter_without_breaking_answers(rng_seed):
     oracle = simulation(query, graph)
     plan = FaultPlan(seed=5, delay_every=7, delay_s=0.0005)
     with ConcurrentSessionServer(
-        frag, backend="sharded", n_workers=2, fault_plan=plan
+        frag, backend="sharded", n_workers=2, fault_plan=plan, cache_size=0
     ) as server:
         for _ in range(4):
             assert server.run(query, algorithm="dgpm").relation == oracle
@@ -197,6 +196,7 @@ def test_all_workers_dead_raises_instead_of_hanging(monkeypatch, rng_seed):
         backend="sharded",
         n_workers=2,
         respawn=RetryPolicy(attempts=1, backoff_s=0.0),
+        cache_size=0,
     ) as server:
         for handle in list(server._shards):
             handle.process.terminate()

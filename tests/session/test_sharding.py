@@ -36,7 +36,7 @@ from repro.session.sharding import HashRing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.session.test_concurrent_stress import _mutation_ops, _replay
+from tests.session.test_concurrent_stress import _answer_moving_ops, _replay
 
 
 # ----------------------------------------------------------------------
@@ -228,39 +228,42 @@ def test_sharded_rounds_match_the_inprocess_engine(rng_seed):
         assert 0 <= colocated <= sharded.metrics.ds_bytes
 
 
-def _check_mutation_feed(rng, rng_seed, hot: bool) -> None:
+def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
     """Every stamped answer equals the from-scratch oracle at its stamp --
-    the linearizability contract under a serial mutation feed.  ``hot``
-    serves the query twice per stamp, so the coordinator's warm repair of
-    the cached entry answers the reads after each batch."""
+    the linearizability contract under a serial mutation feed.  The cold
+    feed (``cache_size=0``) reads once per stamp, so every read runs on the
+    workers against their broadcast deltas; the hot feed reads twice per
+    stamp, so the coordinator's warm repair of the cached entry answers the
+    reads after each batch."""
     seed = rng_seed % 1000
     graph = web_graph(50, 190, n_labels=4, seed=seed)
     initial = graph.copy()
-    frag = hash_partition(graph, 5, seed=seed)
     query = cyclic_pattern(graph, 3, 4, seed=seed)
-    ops = _mutation_ops(graph, 12, rng)
-    with ConcurrentSessionServer(frag, backend="sharded", n_workers=3) as server:
-        for start in range(0, len(ops), 3):
-            outcomes = server.apply(ops[start:start + 3])
-            stamp = outcomes[-1].stamp
-            oracle = simulation(query, _replay(initial, ops, stamp))
-            for _ in range(2 if hot else 1):
-                result = server.run(query, algorithm="dgpm")
-                assert result.stamp == stamp
-                assert result.relation == oracle, f"stamp {stamp} (seed {seed})"
-        assert server.stamp == len(ops)
-        stats = server.stats
-        if hot:
-            assert stats.cache_hits > 0
-            assert stats.entries_kept + stats.entries_repaired > 0
-
-
-def test_sharded_mutation_feed_matches_replay_oracle(rng, rng_seed):
-    _check_mutation_feed(rng, rng_seed, hot=False)
-
-
-def test_sharded_hot_mutation_feed_matches_replay_oracle(rng, rng_seed):
-    _check_mutation_feed(rng, rng_seed, hot=True)
+    ops = _answer_moving_ops(graph, query, 3, 9, rng)
+    assert simulation(query, _replay(initial, ops, 3)) != simulation(query, initial)
+    for hot in (False, True):
+        graph = initial.copy()
+        frag = hash_partition(graph, 5, seed=seed)
+        with ConcurrentSessionServer(
+            frag, backend="sharded", n_workers=3, cache_size=128 if hot else 0
+        ) as server:
+            for start in range(0, len(ops), 3):
+                outcomes = server.apply(ops[start:start + 3])
+                stamp = outcomes[-1].stamp
+                oracle = simulation(query, _replay(initial, ops, stamp))
+                for _ in range(2 if hot else 1):
+                    result = server.run(query, algorithm="dgpm")
+                    assert result.stamp == stamp
+                    assert result.relation == oracle, (
+                        f"stamp {stamp} (seed {seed}, hot={hot})"
+                    )
+            assert server.stamp == len(ops)
+            stats = server.stats
+            if hot:
+                assert stats.cache_hits > 0
+                assert stats.entries_kept + stats.entries_repaired > 0
+            else:
+                assert stats.cache_hits == 0
 
 
 def test_a_cached_query_outlives_a_dead_worker_and_close(rng_seed):
@@ -331,8 +334,11 @@ def test_sharded_concurrent_readers_vs_writer(rng, rng_seed):
     initial = graph.copy()
     frag = hash_partition(graph, 4, seed=seed)
     queries = [cyclic_pattern(graph, 3, 4, seed=seed)]
-    ops = _mutation_ops(graph, 6, rng)
-    with ConcurrentSessionServer(frag, backend="sharded", n_workers=2) as server:
+    ops = _answer_moving_ops(graph, queries[0], 3, 3, rng)
+    # cache_size=0: every read runs on the workers, not the coordinator
+    with ConcurrentSessionServer(
+        frag, backend="sharded", n_workers=2, cache_size=0
+    ) as server:
         results = _stress(server, queries, ops, "dgpm", seed, n_readers=2,
                           reads_per_reader=4)
     _check_snapshots(initial, queries, ops, results)
