@@ -147,20 +147,17 @@ class IncrementalMatchState:
         deps: DependencyGraphs,
         config: Optional[DgpmConfig] = None,
     ) -> None:
-        config = config or DgpmConfig(enable_push=False)
-        if not config.incremental:
-            raise ReproError("incremental maintenance requires config.incremental")
-        if config.enable_push:
-            # Push rewires watcher sets dynamically; warm states keep the
-            # protocol in its plain falsification-shipping form.
-            config = DgpmConfig(
-                incremental=True, enable_push=False,
-                boolean_only=config.boolean_only, cost=config.cost,
-            )
+        config = config or DgpmConfig()
         self.query = query
         self.fragmentation = fragmentation
         self.deps = deps
-        self.config = config
+        # Repair is incremental lEval whatever the caller's config says, and
+        # push rewires watcher sets dynamically: warm states keep the
+        # protocol in its plain falsification-shipping form.
+        self.config = DgpmConfig(
+            incremental=True, enable_push=False,
+            boolean_only=config.boolean_only, cost=config.cost,
+        )
         #: query nodes that have parents (the only ones counters track)
         self._parented = [u for u in query.nodes() if query.parents(u)]
         #: one repair's local pairs gone false (journaled by every site) / true

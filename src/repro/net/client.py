@@ -13,6 +13,10 @@ carrying its message.  Nothing a server sends is ever unpickled: both
 clients parse frames only through :class:`repro.net.protocol.Connection`,
 whose bodies are the safe codec's.
 
+A request names a query and an algorithm, never a config: every query runs
+under the config the server's session was built with
+(``ConcurrentSessionServer(config=)``).
+
 The request-building surface lives once, in :class:`_ClientCore`; the two
 clients differ only in transport style:
 
@@ -60,7 +64,6 @@ from typing import (
     Union,
 )
 
-from repro.core.config import DgpmConfig
 from repro.errors import ReproError, TransportError, WireFormatError
 from repro.graph.digraph import Label, Node
 from repro.graph.mutations import (
@@ -172,14 +175,10 @@ class _ClientCore:
         works on a connection that never said it."""
         return self._req(protocol.Hello(role=role, token=token), FrameKind.HELLO)
 
-    def run(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
-    ) -> Any:
-        """Evaluate one query; returns/resolves to the stamped answer."""
-        request = protocol.RunRequest(query=query, algorithm=algorithm, config=config)
+    def run(self, query: Pattern, algorithm: str = "auto") -> Any:
+        """Evaluate one query under the server's config; returns/resolves to
+        the stamped answer."""
+        request = protocol.RunRequest(query=query, algorithm=algorithm)
         return self._req(request, FrameKind.RESULT, _stamped)
 
     def stats(self) -> Any:
@@ -309,20 +308,13 @@ class SessionClient(_ClientCore):
 
     # ------------------------------------------------------------------
     def run_many(
-        self,
-        queries: Iterable[Pattern],
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, queries: Iterable[Pattern], algorithm: str = "auto"
     ) -> List[StampedResult]:
         """Evaluate queries one after another (one connection, in order)."""
-        return [self.run(q, algorithm=algorithm, config=config) for q in queries]
+        return [self.run(q, algorithm=algorithm) for q in queries]
 
     def subscribe(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
-        buffer: int = 256,
+        self, query: Pattern, algorithm: str = "auto", buffer: int = 256
     ) -> "Subscription":
         """Open a standing query; returns a :class:`Subscription` iterator.
 
@@ -332,7 +324,7 @@ class SessionClient(_ClientCore):
         and ``SUBSCRIBED`` ack, never the wait for the next delta.
         """
         request = protocol.SubscribeRequest(
-            query=query, algorithm=algorithm, config=config, buffer=buffer
+            query=query, algorithm=algorithm, buffer=buffer
         )
         return Subscription(
             _dial(self._host, self._port, self._timeout, self._max_frame), request
@@ -524,24 +516,15 @@ class AsyncSessionClient(_ClientCore):
 
     # ------------------------------------------------------------------
     async def run_many(
-        self,
-        queries: Iterable[Pattern],
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, queries: Iterable[Pattern], algorithm: str = "auto"
     ) -> List[StampedResult]:
         """Evaluate queries concurrently (pipelined); results in input order."""
         return list(
-            await asyncio.gather(
-                *[self.run(q, algorithm=algorithm, config=config) for q in queries]
-            )
+            await asyncio.gather(*[self.run(q, algorithm=algorithm) for q in queries])
         )
 
     async def subscribe(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
-        buffer: int = 256,
+        self, query: Pattern, algorithm: str = "auto", buffer: int = 256
     ) -> "AsyncSubscription":
         """Open a standing query on this connection; returns an async
         iterator of :class:`~repro.net.protocol.PushDelta`.
@@ -558,7 +541,7 @@ class AsyncSessionClient(_ClientCore):
         try:
             reply_kind, payload = await self._round_trip(
                 protocol.SubscribeRequest(
-                    query=query, algorithm=algorithm, config=config, buffer=buffer
+                    query=query, algorithm=algorithm, buffer=buffer
                 ),
                 seq,
             )

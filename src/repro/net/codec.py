@@ -102,13 +102,13 @@ FRAME_STRUCTS: Dict[str, int] = {
     "ResultChunk": 14,
 }
 
-#: payload types carried inside frames -> struct id
+#: payload types carried inside frames -> struct id.  Ids 35 and 36 (a
+#: request's ``DgpmConfig`` and its ``CostModel``) are retired, never reused:
+#: the config is the server's, and a body naming either is refused
 VALUE_STRUCTS: Dict[str, int] = {
     "Pattern": 32,
     "MatchRelation": 33,
     "RunMetrics": 34,
-    "DgpmConfig": 35,
-    "CostModel": 36,
     "SessionStats": 37,
     "MutationOutcome": 38,
     "MutationDelta": 39,
@@ -172,13 +172,11 @@ def _ensure_registered() -> None:
         return
     from dataclasses import fields as dc_fields
 
-    from repro.core.config import DgpmConfig
     from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, RemoveNode
     from repro.graph.pattern import Pattern
     from repro.net import protocol
     from repro.partition.fragmentation import MutationDelta
     from repro.partition.metrics import PartitionStats
-    from repro.runtime.costmodel import CostModel
     from repro.runtime.metrics import RunMetrics
     from repro.session.concurrent import StampedOutcome
     from repro.session.session import MutationOutcome, SessionStats
@@ -206,8 +204,6 @@ def _ensure_registered() -> None:
         auto(sid, getattr(protocol, name))
     for cls in (
         RunMetrics,
-        DgpmConfig,
-        CostModel,
         SessionStats,
         MutationOutcome,
         MutationDelta,

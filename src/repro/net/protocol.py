@@ -55,7 +55,6 @@ import struct
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.core.config import DgpmConfig
 from repro import errors
 from repro.errors import MutationBatchError, TransportError, WireFormatError
 from repro.graph.mutations import MutationOp
@@ -124,12 +123,11 @@ class Hello:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """Evaluate ``query`` with ``algorithm`` under ``config`` (None = server
-    default)."""
+    """Evaluate ``query`` with ``algorithm``, under the config the server's
+    session was built with (a peer names no config)."""
 
     query: Pattern
     algorithm: str = "auto"
-    config: Optional[DgpmConfig] = None
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,6 @@ class SubscribeRequest:
 
     query: Pattern
     algorithm: str = "auto"
-    config: Optional[DgpmConfig] = None
     buffer: int = 256
 
 

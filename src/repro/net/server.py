@@ -289,9 +289,7 @@ class NetworkSessionServer:
         reply: object
         try:
             if kind == FrameKind.RUN:
-                future = self._server.submit(
-                    frame.query, algorithm=frame.algorithm, config=frame.config
-                )
+                future = self._server.submit(frame.query, algorithm=frame.algorithm)
                 # A hit answered inside submit() is already resolved: encode
                 # it now instead of taking a trip through the loop.
                 result = (
@@ -375,7 +373,7 @@ class NetworkSessionServer:
         sub_id, baseline = await loop.run_in_executor(
             None,
             lambda: self._server.subscribe(
-                frame.query, deliver, algorithm=frame.algorithm, config=frame.config
+                frame.query, deliver, algorithm=frame.algorithm
             ),
         )
         state.sub_id = sub_id

@@ -13,7 +13,7 @@ Three pieces:
   the session's interning table, which keeps the serialized form compact and
   insulates the key from expensive label ``repr``\\ s.
 * :class:`LruResultCache` -- a small LRU keyed by
-  ``(algorithm, config, query digest)`` whose values are
+  ``(algorithm, query digest)`` whose values are
   :class:`CacheEntry` objects: the result *and* everything else the session
   remembers about that query (pattern, canonical order, hit count, warm
   repair state).  One object per key in one table, so an entry's
@@ -54,7 +54,6 @@ from repro.graph.pattern import Pattern
 from repro.runtime.metrics import RunResult
 
 if TYPE_CHECKING:  # annotations only: the cache never imports ``repro.core``
-    from repro.core.config import DgpmConfig
     from repro.core.incremental import IncrementalMatchState
     from repro.session.session import Pin
 
@@ -242,7 +241,6 @@ class CacheEntry:
     result: RunResult
     query: Pattern
     algorithm: str
-    config: DgpmConfig
     #: the stored pattern's canonical node order -- a hit whose (isomorphic)
     #: pattern uses different node names translates the cached relation
     #: through position-wise correspondence of the two orders

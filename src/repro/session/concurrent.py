@@ -336,8 +336,9 @@ class ConcurrentSessionServer:
         miss at any width.  For the sharded backend also the number of shard
         worker processes.
     config:
-        Default config for a session built from a fragmentation (rejected
-        together with an existing session -- that session already has one).
+        The config of a session built from a fragmentation, the one every
+        request runs under (rejected together with an existing session --
+        that session already has one).
     session_kwargs:
         Extra :class:`SimulationSession` keyword arguments for a session
         built from a fragmentation (``cache_size``, ``max_warm_states``, ...).
@@ -511,10 +512,7 @@ class ConcurrentSessionServer:
         return self._session.stats
 
     def submit(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, query: Pattern, algorithm: str = "auto"
     ) -> "Future[StampedResult]":
         """Enqueue one query; the future resolves to a :class:`StampedResult`.
 
@@ -534,7 +532,7 @@ class ConcurrentSessionServer:
         try:
             with self._rw.read_locked_if_free() as held:
                 if held:
-                    hit, key = self._session.lookup(query, algorithm, config)
+                    hit, key = self._session.lookup(query, algorithm)
                     if hit is not None:
                         future.set_result(
                             StampedResult(hit.relation, hit.metrics, self._stamp)
@@ -544,47 +542,32 @@ class ConcurrentSessionServer:
             future.set_exception(exc)
             return future
         try:
-            return self._executor.submit(self._serve, query, algorithm, config, key)
+            return self._executor.submit(self._serve, query, algorithm, key)
         except RuntimeError as exc:
             # close() raced us between _check_open and the executor submit;
             # keep the documented error contract.
             raise ReproError("the server is closed") from exc
 
-    def run(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
-    ) -> StampedResult:
+    def run(self, query: Pattern, algorithm: str = "auto") -> StampedResult:
         """Serve one query synchronously (still concurrent with other calls)."""
-        return self.submit(query, algorithm=algorithm, config=config).result()
+        return self.submit(query, algorithm=algorithm).result()
 
     def run_many(
-        self,
-        queries: Iterable[Pattern],
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, queries: Iterable[Pattern], algorithm: str = "auto"
     ) -> List[StampedResult]:
         """Serve a batch of queries concurrently; results in input order."""
-        futures = [
-            self.submit(query, algorithm=algorithm, config=config)
-            for query in queries
-        ]
+        futures = [self.submit(query, algorithm=algorithm) for query in queries]
         return [future.result() for future in futures]
 
     def _serve(
-        self,
-        query: Pattern,
-        algorithm: str,
-        config: Optional[DgpmConfig],
-        key: Optional[QueryKey],
+        self, query: Pattern, algorithm: str, key: Optional[QueryKey]
     ) -> StampedResult:
         with self._rw.read_locked():
             stamp = self._stamp
             if key is not None and self._session.is_current(key):
                 result = self._session.run_key(key)
             else:
-                result = self._session.run(query, algorithm=algorithm, config=config)
+                result = self._session.run(query, algorithm=algorithm)
         return StampedResult(
             relation=result.relation, metrics=result.metrics, stamp=stamp
         )
@@ -675,7 +658,7 @@ class ConcurrentSessionServer:
         }
         try:
             return run_protocol(
-                key.spec, key.query, session.fragmentation, key.config,
+                key.spec, key.query, session.fragmentation, session.config,
                 placement=placement,
             )
         except BaseException:
@@ -951,7 +934,6 @@ class ConcurrentSessionServer:
         query: Pattern,
         callback: Callable[[int, int, Tuple, Tuple], None],
         algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
     ) -> Tuple[int, StampedResult]:
         """Register a standing query; returns ``(sub_id, baseline result)``.
 
@@ -976,7 +958,7 @@ class ConcurrentSessionServer:
         self._check_open()
         with self._rw.read_locked():
             stamp = self._stamp
-            result, pin = self._session.pin(query, algorithm, config)
+            result, pin = self._session.pin(query, algorithm)
             with self._sub_lock:
                 if len(self._subs) >= MAX_SUBSCRIPTIONS:
                     self._session.unpin(pin)

@@ -19,8 +19,8 @@ Amortized across queries:
   each :class:`~repro.graph.digraph.DiGraph` (built on first use, reused by
   every subsequent ``LocalEvalState``);
 * an interned label-id table over the fragmentation's alphabet;
-* an LRU cache of final results keyed by ``(algorithm, config, canonical
-  query hash)`` -- repeated queries are answered without touching a site,
+* an LRU cache of final results keyed by ``(algorithm, canonical query
+  hash)`` -- repeated queries are answered without touching a site,
   on either serving backend (a sharded server only moves where a miss runs).
 
 Mutation API and its invariant contract
@@ -267,7 +267,7 @@ class QueryKey:
 
     :meth:`SimulationSession.lookup` derives it; on a miss the same key
     feeds :meth:`SimulationSession.run_key`, so the compute repeats no
-    validation, dispatch, canonical form or ``repr(config)``.  It is valid
+    validation, dispatch or canonical form.  It is valid
     while ``fragmentation`` is still served at ``version``
     (:meth:`SimulationSession.is_current`): ``algorithm="auto"`` dispatch
     reads the graph's shape, which a mutation can change.
@@ -275,9 +275,8 @@ class QueryKey:
 
     query: Pattern
     spec: AlgorithmSpec
-    config: DgpmConfig
     form: CanonicalQuery
-    #: the result cache's key: ``(spec name, repr(config), digest)``
+    #: the result cache's key: ``(spec name, digest)``
     key: Tuple
     fragmentation: Fragmentation
     version: int
@@ -331,8 +330,9 @@ class SimulationSession:
     fragmentation:
         The distributed graph to serve; held by reference (not copied).
     config:
-        Default :class:`DgpmConfig` for every query; ``run``/``run_many``
-        accept a per-query override.
+        The :class:`DgpmConfig` every query, warm state and pin runs under;
+        a request names only the query and the algorithm (to compare
+        configs, build one session per config).
     cache_size:
         Maximum number of cached results (0 disables result caching; the
         structural caches are unaffected).
@@ -522,17 +522,13 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def run(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
-    ) -> RunResult:
+    def run(self, query: Pattern, algorithm: str = "auto") -> RunResult:
         """Serve one query; identical in answer and metrics to the one-shot
         ``run_*`` function of the same algorithm.
 
         ``algorithm`` is ``"auto"``, ``"dgpm"``, ``"dgpmd"`` or ``"dgpmt"``
-        (dGPMNOpt: ``"dgpm"`` under ``DgpmConfig().without_optimizations()``).
+        (dGPMNOpt: ``"dgpm"`` on a session built with
+        ``config=DgpmConfig().without_optimizations()``).
 
         Cache hits return a result whose ``metrics.extras`` carries
         ``cache_hit: 1.0``; the relation object is shared (safe:
@@ -552,13 +548,10 @@ class SimulationSession:
 ConcurrentSessionServer` provides.
         """
         self._refresh_if_stale()
-        return self.run_key(self._query_key(query, algorithm, config))
+        return self.run_key(self._query_key(query, algorithm))
 
     def lookup(
-        self,
-        query: Pattern,
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, query: Pattern, algorithm: str = "auto"
     ) -> Tuple[Optional[RunResult], Optional[QueryKey]]:
         """The cached answer to a request, or None; plus the request's key.
 
@@ -580,7 +573,7 @@ ConcurrentSessionServer` provides.
             algorithm = choose_algorithm_if_decided(query, self.fragmentation)
             if algorithm is None:
                 return None, None
-        key = self._query_key(query, algorithm, config)
+        key = self._query_key(query, algorithm)
         entry = self._cache.get(key.key)
         return (None if entry is None else self._served(key, entry, True)), key
 
@@ -606,7 +599,7 @@ ConcurrentSessionServer` provides.
             result = self._evaluate(key)
             return CacheEntry(
                 result=result, query=key.query, algorithm=key.spec.name,
-                config=key.config, order=key.form.order,
+                order=key.form.order,
                 fids=self._touched_fids(result.relation),
             )
 
@@ -625,26 +618,24 @@ ConcurrentSessionServer` provides.
         # Providers, not values: a query the precheck refuses must not
         # build the watcher tables, nor a dict-engine one the CSR cache.
         return run_protocol(
-            key.spec, key.query, self.fragmentation, key.config, self.engine,
+            key.spec, key.query, self.fragmentation, self.config, self.engine,
             deps=lambda: self.deps, compiled=self.compiled_fragments,
         )
 
     # ------------------------------------------------------------------
     # standing queries
     # ------------------------------------------------------------------
-    def pin(
-        self, query: Pattern, algorithm: str = "auto", config: Optional[DgpmConfig] = None
-    ) -> Tuple[RunResult, Pin]:
+    def pin(self, query: Pattern, algorithm: str = "auto") -> Tuple[RunResult, Pin]:
         """Serve ``query`` as :meth:`run` does and pin the entry that served
         it: warm (unless boolean-only) outside ``max_warm_states``, never the
         LRU's victim.  The caller holds the read exclusion."""
         self._refresh_if_stale()
-        key = self._query_key(query, algorithm, config)
+        key = self._query_key(query, algorithm)
         result, entry = self._run_entry(key)
         pin = Pin(key, entry, result.relation)
         with self._pin_lock:
             entry.pins += (pin,)
-        warmable = entry.warm is None and not entry.config.boolean_only
+        warmable = entry.warm is None and not self.config.boolean_only
         if warmable and self._cache.holds(key.key, entry):
             entry.warm = self._warm_state(entry)  # racing pins: either is exact
         return result, pin
@@ -670,19 +661,16 @@ ConcurrentSessionServer` provides.
                 added = _ordered(pair for pair, now in flips if now)
                 return pin, added, _ordered(pair for pair, now in flips if not now)
         else:
-            result, pin = self.pin(key.query, "auto", key.config)
+            result, pin = self.pin(key.query, "auto")
             after = result.relation
         old, new = before.as_relation(), after.as_relation()
         return pin, _ordered(new - old), _ordered(old - new)
 
-    def _query_key(
-        self, query: Pattern, algorithm: str, config: Optional[DgpmConfig]
-    ) -> QueryKey:
-        config = config or self.config
+    def _query_key(self, query: Pattern, algorithm: str) -> QueryKey:
         spec = self._resolve_for_query(algorithm, query)
         form = self.canonical_form_of(query)
         return QueryKey(
-            query, spec, config, form, (spec.name, repr(config), form.digest),
+            query, spec, form, (spec.name, form.digest),
             self.fragmentation, self.fragmentation.version,
         )
 
@@ -701,13 +689,10 @@ ConcurrentSessionServer` provides.
         )
 
     def run_many(
-        self,
-        queries: Iterable[Pattern],
-        algorithm: str = "auto",
-        config: Optional[DgpmConfig] = None,
+        self, queries: Iterable[Pattern], algorithm: str = "auto"
     ) -> List[RunResult]:
         """Serve a stream of queries in order; one result per query."""
-        return [self.run(query, algorithm, config) for query in queries]
+        return [self.run(query, algorithm) for query in queries]
 
     def _touched_fids(self, relation: MatchRelation) -> Tuple[int, ...]:
         """Fragments owning the relation's matched data nodes (sorted).
@@ -827,8 +812,9 @@ ConcurrentSessionServer` provides.
         # has no state yet gets it from the first delta that may change it.
         # Pinned entries are warm outside the budget.
         unpinned = [e for _, e in live if not e.pins]
-        hot = [e for e in unpinned if e.hits and not e.config.boolean_only]
-        slots = set(hot[-self.max_warm_states:]) if self.max_warm_states > 0 else ()
+        hot = [e for e in unpinned if e.hits]
+        warmable = self.max_warm_states > 0 and not self.config.boolean_only
+        slots = set(hot[-self.max_warm_states:]) if warmable else ()
         for key, entry in live:
             changed = False
             if entry.warm is not None:
@@ -896,10 +882,7 @@ ConcurrentSessionServer` provides.
     def _warm_state(self, entry: CacheEntry) -> IncrementalMatchState:
         """A fresh incremental state for ``entry``'s query (one fixpoint)."""
         return IncrementalMatchState(
-            entry.query,
-            self.fragmentation,
-            self.deps,
-            DgpmConfig(incremental=True, enable_push=False, cost=entry.config.cost),
+            entry.query, self.fragmentation, self.deps, self.config
         )
 
     # ------------------------------------------------------------------

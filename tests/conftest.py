@@ -113,7 +113,7 @@ def web_1k_query() -> Pattern:
 
 def cache_entry(result) -> CacheEntry:
     """A table entry around an opaque ``result`` (for cache unit tests)."""
-    return CacheEntry(result=result, query=None, algorithm="", config=None)
+    return CacheEntry(result=result, query=None, algorithm="")
 
 
 def warm_entries(session) -> list:

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from repro.core import DgpmConfig
-from repro.errors import GraphError, ReproError
+from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.examples import figure1
 from repro.graph.generators import random_labeled_graph
 from repro.graph.pattern import Pattern
 from repro.partition import random_partition
+from repro.runtime.costmodel import CostModel
 from repro.simulation import simulation
 from tests.conftest import PatchedState
 
@@ -258,7 +259,16 @@ class TestMixedWorkload:
                 graph.add_edge(u, v)
             assert session.relation() == simulation(q, graph), step
 
-    def test_nonincremental_config_rejected(self):
-        q, _, frag = figure1()
-        with pytest.raises(ReproError):
-            PatchedState(q, frag, DgpmConfig(incremental=False))
+    def test_nonincremental_config_repairs_incrementally(self):
+        # A dGPMNOpt caller's warm state still repairs by incremental lEval
+        # without push; cost and boolean_only come from the caller's config.
+        q, g, frag = figure1()
+        cost = CostModel(node_id_bytes=16)
+        nopt = DgpmConfig(cost=cost).without_optimizations()
+        session = PatchedState(q, frag, nopt)
+        config = session.state.config
+        assert (config.incremental, config.enable_push) == (True, False)
+        assert (config.cost, config.boolean_only) == (cost, False)
+        session.mutate("delete_edge", "f2", "sp1")
+        g.remove_edge("f2", "sp1")
+        assert session.relation() == simulation(q, g)

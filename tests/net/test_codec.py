@@ -122,7 +122,6 @@ V2_FRAMES = st.one_of(
         protocol.SubscribeRequest,
         query=st.just(None),
         algorithm=st.sampled_from(["auto", "dgpm"]),
-        config=st.none(),
         buffer=st.integers(min_value=1, max_value=1024),
     ),
     st.builds(

@@ -12,6 +12,7 @@ string makes ``receive`` raise anything but :class:`WireFormatError`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import socket
 import struct
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DgpmConfig
 from repro.errors import (
     GraphError,
     MutationBatchError,
@@ -40,6 +42,7 @@ from repro.net.protocol import (
     decode,
     encode,
 )
+from repro.runtime.costmodel import CostModel
 from repro.runtime.metrics import RunMetrics
 from repro.session.concurrent import StampedOutcome
 from repro.session.session import MutationOutcome, SessionStats
@@ -151,7 +154,6 @@ FRAMES = st.one_of(
         protocol.RunRequest,
         query=patterns(),
         algorithm=st.sampled_from(["auto", "dgpm", "dmes"]),
-        config=st.none(),
     ),
     st.builds(protocol.MutateRequest, ops=OPS),
     st.builds(protocol.StatsRequest),
@@ -315,10 +317,32 @@ def _frame(kind: int, body: bytes, seq: int = 1, version: int = PROTOCOL_VERSION
     return struct.pack(">4sBBHII", MAGIC, version, int(kind), 0, seq, len(body)) + body
 
 
+class _Encoded(bytes):
+    """A field already in codec bytes: :func:`_struct` writes it as it is."""
+
+
 def _struct(name: str, *fields) -> bytes:
     """A hand-rolled codec struct: the fields a frame class would refuse."""
     head = bytes([0x0E, codec.FRAME_STRUCTS[name], len(fields)])
-    return head + b"".join(codec.encode(value) for value in fields)
+    return head + b"".join(
+        value if isinstance(value, _Encoded) else codec.encode(value)
+        for value in fields
+    )
+
+
+def _retired_config(**changes) -> _Encoded:
+    """A ``DgpmConfig`` as a request could carry it before the config left
+    the wire: its fields in declaration order under the retired struct id
+    35, its ``CostModel`` under 36."""
+
+    def raw(sid: int, obj) -> bytes:
+        values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        return bytes([0x0E, sid, len(values)]) + b"".join(
+            raw(36, value) if isinstance(value, CostModel) else codec.encode(value)
+            for value in values
+        )
+
+    return _Encoded(raw(35, DgpmConfig(**changes)))
 
 
 class TestRejection:
@@ -406,6 +430,26 @@ class TestRejection:
         body = _struct("ErrorReply", "boom", "GraphError", b"\x80\x04pickle")
         with pytest.raises(WireFormatError, match="ErrorReply.applied"):
             decode(_frame(FrameKind.ERROR, body))
+
+    def test_a_request_names_no_config(self):
+        """The config is the server's: a RUN or SUBSCRIBE in the layout that
+        carried one, and a body naming the retired config struct, are
+        refused at decode."""
+        query = Pattern({"a": "x", "b": "y"}, [("a", "b")])
+        scrambled = _retired_config(scramble=(0, 1e-6))
+        cases = [
+            (FrameKind.RUN, _struct("RunRequest", query, "auto", None),
+             "cannot rebuild RunRequest"),
+            (FrameKind.SUBSCRIBE, _struct("SubscribeRequest", query, "auto", None, 256),
+             "cannot rebuild SubscribeRequest"),
+            (FrameKind.RUN, _struct("RunRequest", query, "auto", scrambled),
+             "unknown struct id 35"),
+        ]
+        for kind, body, match in cases:
+            with pytest.raises(WireFormatError, match=match):
+                decode(_frame(kind, body))
+        with pytest.raises(WireFormatError, match="unknown struct id 35"):
+            codec.decode(scrambled)
 
 
 # ----------------------------------------------------------------------

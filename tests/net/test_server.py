@@ -39,7 +39,7 @@ from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
 from repro.net.server import NetworkSessionServer
 from repro.partition.fragmentation import fragment_graph
 
-from tests.net.test_protocol import _frame, _struct
+from tests.net.test_protocol import _frame, _retired_config, _struct
 
 JOIN_TIMEOUT = 60.0
 #: the retired ``OBJ`` kind (opaque pickled bodies): now simply unknown
@@ -259,6 +259,25 @@ class TestNoPickleOnTheClientPort:
         finally:
             listener.close()
             fake.join(timeout=JOIN_TIMEOUT)
+
+
+class TestThePeerChoosesNoWork:
+    def test_a_run_frame_carrying_a_config_is_refused(self, instance):
+        """A RUN in the layout that carried a config -- here one releasing
+        1e-6 of the queued messages per round -- earns one ERROR frame and a
+        hang-up, and runs nothing; the next client is served as usual."""
+        graph, frag, queries = instance
+        scrambled = _retired_config(scramble=(0, 1e-6))
+        body = _struct("RunRequest", queries[0], "auto", scrambled)
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+                sock.sendall(_frame(FrameKind.RUN, body))
+                events = _drain(sock)  # returns on the server's hang-up
+            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+            assert events[0][2].kind == "WireFormatError"
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                assert client.stats().stats.queries_served == 0
+                assert client.run(queries[0]).relation == simulation(queries[0], graph)
 
 
 class TestErrorsOverTheWire:

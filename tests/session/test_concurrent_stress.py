@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import (
     ConcurrentSessionServer,
@@ -117,7 +117,6 @@ def _stress(
     n_readers: int = 3,
     reads_per_reader: int = 8,
     batch: int = 1,
-    config: Optional[DgpmConfig] = None,
 ) -> List[Tuple[int, object]]:
     """Run readers against a writer; return [(query index, StampedResult)]."""
     results: List[Tuple[int, object]] = []
@@ -130,7 +129,7 @@ def _stress(
             barrier.wait(timeout=JOIN_TIMEOUT)
             for _ in range(reads_per_reader):
                 qi = rng.randrange(len(queries))
-                result = server.run(queries[qi], algorithm=algorithm, config=config)
+                result = server.run(queries[qi], algorithm=algorithm)
                 results.append((qi, result))  # list.append is atomic
         except BaseException as exc:
             failures.append(exc)
@@ -189,10 +188,11 @@ def test_readers_vs_writer_thread_backend(partitioner, variant, rng, rng_seed):
         Pattern({"p": "dom2"}),
     ]
     ops = _mutation_ops(graph, 8, rng)
-    with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
-        results = _stress(
-            server, queries, ops, "dgpm", seed, config=GENERAL_ALGORITHMS[variant]
-        )
+    config = GENERAL_ALGORITHMS[variant]
+    with ConcurrentSessionServer(
+        frag, backend="thread", n_workers=4, config=config
+    ) as server:
+        results = _stress(server, queries, ops, "dgpm", seed)
     _check_snapshots(initial, queries, ops, results)
 
 

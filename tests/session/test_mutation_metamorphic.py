@@ -45,14 +45,16 @@ PARTITIONERS = {
     "hash": lambda g, seed: hash_partition(g, 3, seed=seed),
 }
 
-NOPT = DgpmConfig().without_optimizations()
+#: the session config of each case that is not the default: dGPMNOpt is
+#: dGPM on a session built with both optimizations off
+CONFIGS = {"dgpmnopt": DgpmConfig().without_optimizations()}
 
 #: general-graph algorithms (dGPMd/dGPMt need shape-preserving streams
 #: below), each as ``(session, query) -> RunResult``: dGPM served as is and
 #: as dGPMNOpt, the baselines one-shot on the session's fragmentation
 GENERAL_ALGORITHMS = {
     "dgpm": lambda session, q: session.run(q, algorithm="dgpm"),
-    "dgpmnopt": lambda session, q: session.run(q, algorithm="dgpm", config=NOPT),
+    "dgpmnopt": lambda session, q: session.run(q, algorithm="dgpm"),
     "dmes": lambda session, q: run_dmes(q, session.fragmentation),
     "dishhk": lambda session, q: run_dishhk(q, session.fragmentation),
     "match": lambda session, q: run_match(q, session.fragmentation),
@@ -94,7 +96,7 @@ def test_interleaved_stream_matches_oracle(partitioner, algorithm, rng, rng_seed
     answer = GENERAL_ALGORITHMS[algorithm]
     graph = web_graph(60, 260, n_labels=4, seed=seed)
     frag = PARTITIONERS[partitioner](graph, seed)
-    session = SimulationSession(frag)
+    session = SimulationSession(frag, config=CONFIGS.get(algorithm))
     queries = [
         cyclic_pattern(graph, 3, 4, seed=seed),
         Pattern({"a": "dom0", "b": "dom1"}, [("a", "b")]),

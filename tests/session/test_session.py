@@ -160,16 +160,6 @@ class TestCaching:
         assert session.stats.cache_hits == 1
         assert served.relation == simulation(renamed, graph)
 
-    def test_distinct_configs_do_not_collide(self, web_instance):
-        _, frag, queries = web_instance
-        session = SimulationSession(frag)
-        plain = session.run(queries[0], algorithm="dgpm")
-        nopt = session.run(
-            queries[0], algorithm="dgpm", config=DgpmConfig().without_optimizations()
-        )
-        assert plain.relation == nopt.relation
-        assert session.stats.cache_misses == 2  # different config -> different key
-
     def test_lru_eviction(self):
         cache = LruResultCache(max_entries=2)
         cache.put(("a",), cache_entry("ra"))
@@ -259,18 +249,16 @@ class TestSessionSurface:
             session.run(queries[0], algorithm="nonsense")
 
     def test_dgpmnopt_alias_disables_optimizations(self, web_instance):
-        """dGPMNOpt is dGPM under a config with both optimizations off; the
-        label comes from the spec, not from an algorithm name."""
+        """dGPMNOpt is dGPM on a session built with both optimizations off;
+        the label comes from the spec, not from an algorithm name."""
         graph, frag, queries = web_instance
-        session = SimulationSession(frag)
-        nopt = DgpmConfig().without_optimizations()
-        result = session.run(queries[0], algorithm="dgpm", config=nopt)
+        nopt = SimulationSession(frag, config=DgpmConfig().without_optimizations())
+        result = nopt.run(queries[0], algorithm="dgpm")
         assert result.metrics.algorithm == "dGPMNOpt"
         assert result.relation == simulation(queries[0], graph)
-        plain = session.run(queries[0], algorithm="dgpm")
+        plain = SimulationSession(frag).run(queries[0], algorithm="dgpm")
         assert plain.metrics.algorithm == "dGPM"
         assert plain.relation == result.relation
-        assert session.stats.cache_misses == 2  # distinct cache keys
 
     def test_dgpmd_precondition_skips_deps_build(self, web_instance):
         _, frag, queries = web_instance  # cyclic graph, cyclic query

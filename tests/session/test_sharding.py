@@ -163,16 +163,22 @@ def test_sharded_serves_every_general_driver(rng_seed):
     query = cyclic_pattern(graph, 3, 4, seed=seed)
     oracle = simulation(query, graph)
     with ConcurrentSessionServer(frag, backend="sharded", n_workers=3) as server:
-        nopt = DgpmConfig().without_optimizations()
-        for algorithm, config in (("dgpm", None), ("dgpm", nopt), ("auto", None)):
-            result = server.run(query, algorithm=algorithm, config=config)
+        for algorithm in ("dgpm", "auto"):
+            result = server.run(query, algorithm=algorithm)
             assert result.relation == oracle, algorithm
             assert result.stamp == 0
         # runs report their sharded display names + ring width
         dist = server.run(query, algorithm="dgpm")
         assert dist.metrics.algorithm == "dGPM/sharded"
         assert dist.metrics.extras["sharded_workers"] == 3.0
-        nopt_run = server.run(query, algorithm="dgpm", config=nopt)
+    # dGPMNOpt is dGPM on a server whose session has both optimizations off
+    nopt = DgpmConfig().without_optimizations()
+    with ConcurrentSessionServer(
+        frag, backend="sharded", n_workers=3, config=nopt
+    ) as server:
+        nopt_run = server.run(query, algorithm="dgpm")
+        assert nopt_run.relation == oracle
+        assert nopt_run.stamp == 0
         assert nopt_run.metrics.algorithm == "dGPMNOpt/sharded"
 
 
