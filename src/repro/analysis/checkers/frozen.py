@@ -53,7 +53,7 @@ CROSSING_TYPES: Tuple[CrossingType, ...] = (
     ),
     CrossingType(
         "session/cache.py", "CanonicalQuery",
-        "memoized per pattern and read by routing + cache concurrently",
+        "held by every QueryKey and read by routing + cache concurrently",
     ),
     CrossingType(
         "session/concurrent.py", "StampedResult",

@@ -43,9 +43,7 @@ class Pattern:
     False
     """
 
-    # __weakref__ lets serving layers keep weak per-pattern memos (e.g. the
-    # session's canonical-form cache) without pinning patterns alive.
-    __slots__ = ("_graph", "__weakref__")
+    __slots__ = ("_graph",)
 
     def __init__(
         self,

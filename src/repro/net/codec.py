@@ -22,8 +22,10 @@ are serialized in sorted-bytes order, so equal sets produce equal bytes
 (a ``dict`` is written in its insertion order: equal dicts built in
 different orders do not).
 
-The per-item paths of ``_encode_value`` / ``_decode_value`` *are* the
-format.  Two shortcuts write and read the same bytes and nothing else:
+The per-item paths -- the encoders of ``_ENCODERS``, keyed by the value's
+exact type, and ``_decode_value``, which reads at an integer offset into
+the body -- *are* the format.  Two shortcuts write and read the same bytes
+and nothing else:
 
 * the **int-run kernels** -- a ``set`` / ``frozenset`` of ``_RUN_MIN`` or
   more plain int64s (exactly ``int``: no ``bool``, subclass or bigint) is
@@ -68,6 +70,8 @@ _T_STRUCT = 0x0E  # varint struct id + varint field count + field values
 
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
+_TAGGED_INT64 = struct.Struct(">Bq")
+_TAGGED_FLOAT64 = struct.Struct(">Bd")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: shortest run the int-run kernels take: the measured break-even of set
@@ -264,212 +268,287 @@ def _encode_int_set(out: bytearray, items: Any, depth: int) -> bool:
     return True
 
 
-def _encode_value(out: bytearray, obj: Any, depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise WireFormatError(f"value nesting exceeds {MAX_DEPTH} levels")
-    if obj is None:
-        out.append(_T_NONE)
-    elif obj is True:
-        out.append(_T_TRUE)
-    elif obj is False:
-        out.append(_T_FALSE)
-    elif type(obj) is int:
-        if _INT64_MIN <= obj <= _INT64_MAX:
-            out.append(_T_INT)
-            out += _INT64.pack(obj)
-        else:
-            raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_T_BIGINT)
-            _write_varint(out, len(raw))
-            out += raw
-    elif type(obj) is float:
-        out.append(_T_FLOAT)
-        out += _FLOAT64.pack(obj)
-    elif type(obj) is str:
-        raw = obj.encode("utf-8")
-        out.append(_T_STR)
+def _too_deep() -> WireFormatError:
+    return WireFormatError(f"value nesting exceeds {MAX_DEPTH} levels")
+
+
+# The per-item encoders, one per type of the value vocabulary and keyed by
+# ``type(obj)`` in ``_ENCODERS`` (anything else is a registered struct or
+# refused).  Each writes ``obj`` at nesting ``depth``; one that writes
+# members first checks that ``depth + 1`` is within ``MAX_DEPTH``.
+def _encode_constant(out: bytearray, obj: Any, depth: int) -> None:
+    out.append(_T_NONE if obj is None else _T_TRUE if obj else _T_FALSE)
+
+
+def _encode_int(out: bytearray, obj: Any, depth: int) -> None:
+    if _INT64_MIN <= obj <= _INT64_MAX:
+        out += _TAGGED_INT64.pack(_T_INT, obj)
+    else:
+        raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+        out.append(_T_BIGINT)
         _write_varint(out, len(raw))
         out += raw
-    elif type(obj) is bytes:
-        out.append(_T_BYTES)
-        _write_varint(out, len(obj))
-        out += obj
-    elif type(obj) is tuple or type(obj) is list:
-        out.append(_T_TUPLE if type(obj) is tuple else _T_LIST)
-        _write_varint(out, len(obj))
-        for item in obj:
-            _encode_value(out, item, depth + 1)
-    elif type(obj) is dict:
-        out.append(_T_DICT)
-        _write_varint(out, len(obj))
+
+
+def _encode_float(out: bytearray, obj: Any, depth: int) -> None:
+    out += _TAGGED_FLOAT64.pack(_T_FLOAT, obj)
+
+
+def _encode_str(out: bytearray, obj: Any, depth: int) -> None:
+    raw = obj.encode("utf-8")
+    out.append(_T_STR)
+    _write_varint(out, len(raw))
+    out += raw
+
+
+def _encode_bytes(out: bytearray, obj: Any, depth: int) -> None:
+    out.append(_T_BYTES)
+    _write_varint(out, len(obj))
+    out += obj
+
+
+def _encode_items(out: bytearray, items: Sequence[Any], depth: int) -> None:
+    """Append ``items``, the members of a container at ``depth``."""
+    if items:
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        get = _ENCODERS.get
+        for item in items:
+            get(type(item), _encode_struct)(out, item, depth)
+
+
+def _encode_sequence(out: bytearray, obj: Any, depth: int) -> None:
+    out.append(_T_TUPLE if type(obj) is tuple else _T_LIST)
+    _write_varint(out, len(obj))
+    _encode_items(out, obj, depth)
+
+
+def _encode_dict(out: bytearray, obj: Any, depth: int) -> None:
+    out.append(_T_DICT)
+    _write_varint(out, len(obj))
+    if obj:
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        get = _ENCODERS.get
         for key, value in obj.items():
-            _encode_value(out, key, depth + 1)
-            _encode_value(out, value, depth + 1)
-    elif type(obj) is set or type(obj) is frozenset:
-        out.append(_T_SET if type(obj) is set else _T_FROZENSET)
-        _write_varint(out, len(obj))
-        if not _encode_int_set(out, obj, depth):
-            encoded: List[bytes] = []
-            for item in obj:
-                buf = bytearray()
-                _encode_value(buf, item, depth + 1)
-                encoded.append(bytes(buf))
-            for raw in sorted(encoded):
-                out += raw
-    elif type(obj) is _Memo:
-        raw = obj.cell[0]
-        if raw is None:
+            get(type(key), _encode_struct)(out, key, depth)
+            get(type(value), _encode_struct)(out, value, depth)
+
+
+def _encode_set(out: bytearray, obj: Any, depth: int) -> None:
+    out.append(_T_SET if type(obj) is set else _T_FROZENSET)
+    _write_varint(out, len(obj))
+    if obj and not _encode_int_set(out, obj, depth):
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        get = _ENCODERS.get
+        encoded: List[bytes] = []
+        for item in obj:
             buf = bytearray()
-            _encode_value(buf, obj.value, depth)
-            # Threads racing to fill one cell store equal bytes (the value is
-            # immutable, the encoding deterministic): last writer wins, benignly.
-            # Every frame puts a relation's sets at one depth (RunReply and
-            # SubscribeReply both hold it as a field), so the nesting check
-            # taken here holds for every later splice.
-            obj.cell[0] = raw = bytes(buf)
-        out += raw
-    else:
-        spec = _BY_CLASS.get(type(obj))
-        if spec is None:
-            raise WireFormatError(
-                f"{type(obj).__name__} is not encodable on the wire "
-                "(not a registered struct)"
-            )
-        fields = spec.extract(obj)
-        out.append(_T_STRUCT)
-        _write_varint(out, spec.sid)
-        _write_varint(out, len(fields))
-        for item in fields:
-            _encode_value(out, item, depth + 1)
+            get(type(item), _encode_struct)(buf, item, depth)
+            encoded.append(bytes(buf))
+        for raw in sorted(encoded):
+            out += raw
+
+
+def _encode_memo(out: bytearray, obj: Any, depth: int) -> None:
+    raw = obj.cell[0]
+    if raw is None:
+        buf = bytearray()
+        _ENCODERS.get(type(obj.value), _encode_struct)(buf, obj.value, depth)
+        # Threads racing to fill one cell store equal bytes (the value is
+        # immutable, the encoding deterministic): last writer wins, benignly.
+        # Every frame puts a relation's sets at one depth (RunReply and
+        # SubscribeReply both hold it as a field), so the nesting check
+        # taken here holds for every later splice.
+        obj.cell[0] = raw = bytes(buf)
+    out += raw
+
+
+def _encode_struct(out: bytearray, obj: Any, depth: int) -> None:
+    spec = _BY_CLASS.get(type(obj))
+    if spec is None:
+        raise WireFormatError(
+            f"{type(obj).__name__} is not encodable on the wire "
+            "(not a registered struct)"
+        )
+    fields = spec.extract(obj)
+    out.append(_T_STRUCT)
+    _write_varint(out, spec.sid)
+    _write_varint(out, len(fields))
+    _encode_items(out, fields, depth)
+
+
+_Encoder = Callable[[bytearray, Any, int], None]
+
+_ENCODERS: Dict[type, _Encoder] = {
+    type(None): _encode_constant,
+    bool: _encode_constant,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    tuple: _encode_sequence,
+    list: _encode_sequence,
+    dict: _encode_dict,
+    set: _encode_set,
+    frozenset: _encode_set,
+    _Memo: _encode_memo,
+}
 
 
 def encode(obj: Any) -> bytes:
     """Encode one value (typically a protocol frame) to wire bytes."""
     _ensure_registered()
     out = bytearray()
-    _encode_value(out, obj, 0)
+    _ENCODERS.get(type(obj), _encode_struct)(out, obj, 0)
     return bytes(out)
 
 
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise WireFormatError(
-                f"truncated value: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise WireFormatError("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise WireFormatError("varint too long")
+_CONTAINERS: Dict[int, Callable[[Sequence[Any]], Any]] = {
+    _T_TUPLE: tuple,
+    _T_LIST: list,
+    _T_SET: set,
+    _T_FROZENSET: frozenset,
+}
 
 
-def _decode_items(reader: _Reader, depth: int) -> Sequence[Any]:
+def _varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """The varint at ``pos`` and the offset after it (callers read a
+    one-byte varint, the common case, inline)."""
+    shift = 0
+    value = 0
+    while True:
+        if pos >= len(data):
+            raise WireFormatError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise WireFormatError("varint too long")
+
+
+def _decode_items(data: bytes, pos: int, depth: int) -> Tuple[Sequence[Any], int]:
     """A varint count and that many values, the members of a container at
     ``depth``: by the run kernel when they are all ``INT``, else one by one."""
-    count = reader.varint()
-    end = reader.pos + 9 * count
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint(data, pos)
+    end = pos + 9 * count
     # The bound comes first: nothing sized by ``count`` is allocated for a
     # body that does not hold ``count`` values.
-    if count >= _RUN_MIN and depth < MAX_DEPTH and end <= len(reader.data):
-        chunk = reader.data[reader.pos : end]
+    if count >= _RUN_MIN and depth < MAX_DEPTH and end <= len(data):
+        chunk = data[pos:end]
         if chunk[0::9].count(_T_INT) == count:
             raw = bytearray(8 * count)
             for k in range(8):
                 raw[k::8] = chunk[k + 1 :: 9]
-            reader.pos = end
-            return struct.unpack(">%dq" % count, raw)
-    return [_decode_value(reader, depth + 1) for _ in range(count)]
+            return struct.unpack(">%dq" % count, raw), end
+    items = []
+    depth += 1
+    for _ in range(count):
+        item, pos = _decode_value(data, pos, depth)
+        items.append(item)
+    return items, pos
 
 
-def _decode_value(reader: _Reader, depth: int) -> Any:
+def _decode_value(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """The value whose tag is at ``pos``, and the offset after it.
+
+    Reading past the end raises ``IndexError`` (a tag or a varint) or
+    ``struct.error`` (a fixed-width value); :func:`decode` reports both as
+    truncation.
+    """
     if depth > MAX_DEPTH:
-        raise WireFormatError(f"value nesting exceeds {MAX_DEPTH} levels")
-    tag = reader.take(1)[0]
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
+        raise _too_deep()
+    tag = data[pos]
+    pos += 1
     if tag == _T_INT:
-        return _INT64.unpack(reader.take(8))[0]
-    if tag == _T_BIGINT:
-        raw = reader.take(reader.varint())
-        return int.from_bytes(raw, "big", signed=True)
+        return _INT64.unpack_from(data, pos)[0], pos + 8
+    if tag == _T_STR or tag == _T_BYTES or tag == _T_BIGINT:
+        size = data[pos]
+        if size < 0x80:
+            pos += 1
+        else:
+            size, pos = _varint(data, pos)
+        end = pos + size
+        if end > len(data):
+            raise WireFormatError(
+                f"truncated value: need {size} bytes at offset {pos}, "
+                f"have {len(data) - pos}"
+            )
+        if tag == _T_STR:
+            try:
+                return data[pos:end].decode("utf-8"), end
+            except UnicodeDecodeError as exc:
+                raise WireFormatError(f"invalid utf-8 in string value: {exc}") from exc
+        if tag == _T_BYTES:
+            return data[pos:end], end
+        return int.from_bytes(data[pos:end], "big", signed=True), end
     if tag == _T_FLOAT:
-        return _FLOAT64.unpack(reader.take(8))[0]
-    if tag == _T_STR:
-        raw = reader.take(reader.varint())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"invalid utf-8 in string value: {exc}") from exc
-    if tag == _T_BYTES:
-        return reader.take(reader.varint())
-    if tag in (_T_TUPLE, _T_LIST):
-        items = _decode_items(reader, depth)
-        return tuple(items) if tag == _T_TUPLE else list(items)
-    if tag == _T_DICT:
-        count = reader.varint()
-        out: Dict[Any, Any] = {}
-        for _ in range(count):
-            key = _decode_value(reader, depth + 1)
-            out[key] = _decode_value(reader, depth + 1)
-        return out
-    if tag in (_T_SET, _T_FROZENSET):
-        items = _decode_items(reader, depth)
-        return set(items) if tag == _T_SET else frozenset(items)
+        return _FLOAT64.unpack_from(data, pos)[0], pos + 8
     if tag == _T_STRUCT:
-        sid = reader.varint()
+        sid = data[pos]
+        if sid < 0x80:
+            pos += 1
+        else:
+            sid, pos = _varint(data, pos)
         spec = _BY_ID.get(sid)
         if spec is None:
             raise WireFormatError(f"unknown struct id {sid}")
-        fields = _decode_items(reader, depth)
+        fields, pos = _decode_items(data, pos, depth)
         try:
-            return spec.build(*fields)
+            return spec.build(*fields), pos
         except WireFormatError:
             raise
         except Exception as exc:
             raise WireFormatError(
                 f"cannot rebuild {spec.cls.__name__} from wire fields: {exc!r}"
             ) from exc
-    raise WireFormatError(f"unknown value tag {tag:#04x}")
+    if tag <= _T_FALSE:
+        return (None, True, False)[tag], pos
+    if tag == _T_DICT:
+        count = data[pos]
+        if count < 0x80:
+            pos += 1
+        else:
+            count, pos = _varint(data, pos)
+        out: Dict[Any, Any] = {}
+        depth += 1
+        for _ in range(count):
+            key, pos = _decode_value(data, pos, depth)
+            value, pos = _decode_value(data, pos, depth)
+            out[key] = value
+        return out, pos
+    container = _CONTAINERS.get(tag)
+    if container is None:
+        raise WireFormatError(f"unknown value tag {tag:#04x}")
+    items, pos = _decode_items(data, pos, depth)
+    return container(items), pos
 
 
 def decode(data: bytes) -> Any:
     """Decode one value from wire bytes (trailing bytes are rejected)."""
     _ensure_registered()
-    reader = _Reader(data)
     try:
-        value = _decode_value(reader, 0)
+        value, pos = _decode_value(data, 0, 0)
+    except (IndexError, struct.error):
+        raise WireFormatError(
+            f"truncated value: the {len(data)}-byte body ends inside one"
+        ) from None
     except TypeError as exc:  # a list or dict where a dict key / set member goes
         raise WireFormatError(f"unhashable key in a wire value: {exc}") from exc
-    if reader.pos != len(data):
-        raise WireFormatError(
-            f"{len(data) - reader.pos} stray bytes after a wire value"
-        )
+    if pos != len(data):
+        raise WireFormatError(f"{len(data) - pos} stray bytes after a wire value")
     return value

@@ -124,10 +124,15 @@ class Hello:
 @dataclass(frozen=True)
 class RunRequest:
     """Evaluate ``query`` with ``algorithm``, under the config the server's
-    session was built with (a peer names no config)."""
+    session was built with (a peer names no config); a field of another
+    type is refused at decode."""
 
     query: Pattern
     algorithm: str = "auto"
+
+    def __post_init__(self) -> None:
+        _require("RunRequest.query", self.query, Pattern)
+        _require("RunRequest.algorithm", self.algorithm, str)
 
 
 @dataclass(frozen=True)

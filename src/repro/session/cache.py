@@ -107,7 +107,8 @@ class CanonicalQuery:
 
     ``exact`` is False when the pattern was too symmetric to canonicalize
     within the permutation budget; the digest is then still deterministic
-    (stable for byte-identical re-submissions) but not rename-invariant.
+    (stable under every renaming that keeps the node order) but not
+    invariant under reordering the nodes.
     """
 
     digest: str
@@ -128,27 +129,28 @@ def canonical_form(
     edge encoding wins.  Pattern queries are tiny (the paper's experiments
     top out around |Vq| = 7), so the residual search is a handful of
     candidates; pathologically symmetric inputs whose candidate count
-    exceeds ``max_candidates`` fall back to a deterministic name-based
-    order inside each class (``exact=False``) -- the digest then loses
-    rename-invariance but never correctness, because equal digests still
-    imply equal position-wise structure.
-    """
-    if interner is None:
-        def label_key(u):
-            return repr(query.label(u))
-    else:
-        def label_key(u):
-            return interner.intern(query.label(u))
+    exceeds ``max_candidates`` keep the pattern's own node order inside
+    each class (``exact=False``) -- the digest then loses invariance under
+    reordering the nodes but never correctness, because equal digests
+    still imply equal position-wise structure.
 
+    The result depends on the node names only through their positions in
+    ``query.nodes()``: two patterns with the same labels and edges by
+    position get the same digest and the same order by position (the
+    session memoizes forms on exactly that).
+    """
     nodes = list(query.nodes())
+    if interner is None:
+        key_of = {u: repr(query.label(u)) for u in nodes}
+    else:
+        key_of = {u: interner.intern(query.label(u)) for u in nodes}
     succ = {u: list(query.children(u)) for u in nodes}
     pred = {u: list(query.parents(u)) for u in nodes}
 
     # 1-WL refinement: colors start as label ranks and are re-ranked each
     # round by (color, sorted successor colors, sorted predecessor colors).
-    initial = sorted({label_key(u) for u in nodes})
-    rank_of = {key: i for i, key in enumerate(initial)}
-    color = {u: rank_of[label_key(u)] for u in nodes}
+    rank_of = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
+    color = {u: rank_of[key_of[u]] for u in nodes}
     for _ in range(len(nodes)):
         sig = {
             u: (
@@ -182,11 +184,7 @@ def canonical_form(
             break
     if n_candidates > max_candidates:
         exact = False
-        order = tuple(
-            u
-            for cls in ordered_classes
-            for u in sorted(cls, key=repr)
-        )
+        order = tuple(itertools.chain.from_iterable(ordered_classes))
         best_edges = edge_encoding(order)
     else:
         exact = True
@@ -202,7 +200,7 @@ def canonical_form(
 
     # Labels are constant across candidates (classes refine labels), so the
     # encoding is (per-position labels, minimized edge list).
-    labels_part = tuple(label_key(u) for u in order)
+    labels_part = tuple(key_of[u] for u in order)
     blob = repr((len(nodes), labels_part, best_edges)).encode("utf-8")
     return CanonicalQuery(
         digest=hashlib.sha256(blob).hexdigest(), order=order, exact=exact

@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -114,7 +113,7 @@ from repro.graph.mutations import (
 )
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
-from repro.runtime.metrics import RunResult
+from repro.runtime.metrics import RunMetrics, RunResult
 from repro.session.cache import (
     CacheEntry,
     CanonicalQuery,
@@ -123,6 +122,10 @@ from repro.session.cache import (
     canonical_form,
 )
 from repro.simulation.matchrel import MatchRelation
+
+#: positional shapes whose canonical form one session remembers
+#: (:meth:`SimulationSession.canonical_form_of`); a full memo starts over
+FORM_MEMO_SIZE = 1024
 
 
 @dataclass
@@ -382,12 +385,8 @@ class SimulationSession:
         self._compiled_lock = threading.Lock()
         #: guards every cache entry's ``pins``
         self._pin_lock = threading.Lock()
-        #: canonical forms memoized per live Pattern object (weak keys: the
-        #: memo never pins a pattern) -- repeat submissions of the same
-        #: object skip the WL-refinement/permutation work on the hit path
-        self._form_memo: "weakref.WeakKeyDictionary[Pattern, object]" = (
-            weakref.WeakKeyDictionary()
-        )
+        #: positional shape -> (digest, canonical order as positions, exact)
+        self._form_memo: Dict[Tuple, Tuple[str, Tuple[int, ...], bool]] = {}
         self._version = fragmentation.version
         self.labels.intern_all(
             sorted(fragmentation.graph.label_alphabet(), key=repr)
@@ -430,18 +429,38 @@ class SimulationSession:
                     )
         return self._compiled
 
-    def canonical_form_of(self, query: Pattern):
-        """The query's canonical form, memoized per live ``Pattern`` object.
+    def canonical_form_of(self, query: Pattern) -> CanonicalQuery:
+        """The query's canonical form, memoized by its positional shape.
 
-        Serving layers call this on every dispatch (cache key, worker
-        routing); the WL-refinement/permutation work runs once per pattern
-        object instead of once per call.
+        The shape is the interned label of each node in ``query.nodes()``
+        order plus the edges as sorted ``(index, index)`` pairs; the memo
+        keeps the digest, the canonical order as positions and ``exact``.
+        :func:`~repro.session.cache.canonical_form` reads the node names
+        only through those positions, so a memo hit is exact, and a request
+        that renames a pattern seen before -- every request off the wire is
+        a freshly decoded ``Pattern``, usually under names of its own --
+        skips the WL refinement and the permutation search.  At most
+        :data:`FORM_MEMO_SIZE` shapes are kept once no store is in flight:
+        a store that overfills the memo clears it.  No lock: a dict's get,
+        set and clear are atomic, and threads racing on one shape store
+        equal values.
         """
-        form = self._form_memo.get(query)
-        if form is None:
+        nodes = tuple(query.nodes())
+        index = {u: i for i, u in enumerate(nodes)}
+        intern = self.labels.intern
+        shape = (
+            tuple(intern(query.label(u)) for u in nodes),
+            tuple(sorted((index[a], index[b]) for a, b in query.edges())),
+        )
+        memo = self._form_memo.get(shape)
+        if memo is None:
             form = canonical_form(query, self.labels)
-            self._form_memo[query] = form
-        return form
+            memo = (form.digest, tuple(index[u] for u in form.order), form.exact)
+            self._form_memo[shape] = memo
+            if len(self._form_memo) > FORM_MEMO_SIZE:
+                self._form_memo.clear()
+        digest, positions, exact = memo
+        return CanonicalQuery(digest, tuple(nodes[i] for i in positions), exact)
 
     def warm(self) -> "SimulationSession":
         """Eagerly build every amortizable structure (optional; they are lazy).
@@ -667,11 +686,13 @@ ConcurrentSessionServer` provides.
         return pin, _ordered(new - old), _ordered(old - new)
 
     def _query_key(self, query: Pattern, algorithm: str) -> QueryKey:
+        """The request's key; the caller has just checked (or made) the
+        session current, so ``_version`` is the graph's version."""
         spec = self._resolve_for_query(algorithm, query)
         form = self.canonical_form_of(query)
         return QueryKey(
             query, spec, form, (spec.name, form.digest),
-            self.fragmentation, self.fragmentation.version,
+            self.fragmentation, self._version,
         )
 
     def _served(self, key: QueryKey, entry: CacheEntry, hit: bool) -> RunResult:
@@ -683,9 +704,16 @@ ConcurrentSessionServer` provides.
         self.stats.count_query(hit, entry.fids)
         # The metrics are copied either way: the caller owns what it gets,
         # and mutating its extras must not leak into later hits.
+        m = stored.metrics
         return RunResult(
             relation=stored.relation.renamed(entry.order, key.form.order),
-            metrics=replace(stored.metrics, extras=extras),
+            metrics=RunMetrics(
+                algorithm=m.algorithm, pt_seconds=m.pt_seconds,
+                wall_seconds=m.wall_seconds, ds_bytes=m.ds_bytes,
+                n_messages=m.n_messages, n_rounds=m.n_rounds,
+                ds_breakdown=m.ds_breakdown,
+                per_round_compute=m.per_round_compute, extras=extras,
+            ),
         )
 
     def run_many(

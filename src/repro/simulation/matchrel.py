@@ -16,6 +16,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Set, 
 from repro.graph.digraph import DiGraph, Node
 from repro.graph.pattern import Pattern
 
+#: slot assignment past :meth:`MatchRelation.__setattr__`
+_set = object.__setattr__
+
 
 class MatchRelation:
     """An immutable match relation ``R ⊆ Vq × V``.
@@ -46,13 +49,15 @@ class MatchRelation:
     __slots__ = ("_matches", "_query_nodes", "_is_match", "_cells", "_frozen")
 
     def __init__(self, query_nodes: Iterable[Node], matches: Mapping[Node, Iterable[Node]]) -> None:
-        self._query_nodes: Tuple[Node, ...] = tuple(query_nodes)
-        self._matches: Dict[Node, FrozenSet[Node]] = {
-            u: frozenset(matches.get(u, ())) for u in self._query_nodes
+        nodes: Tuple[Node, ...] = tuple(query_nodes)
+        sets: Dict[Node, FrozenSet[Node]] = {
+            u: frozenset(matches.get(u, ())) for u in nodes
         }
-        self._is_match = all(self._matches[u] for u in self._query_nodes)
-        self._cells: Dict[Node, list] = {u: [None] for u in self._query_nodes}
-        self._frozen = True
+        _set(self, "_query_nodes", nodes)
+        _set(self, "_matches", sets)
+        _set(self, "_is_match", all(sets.values()))
+        _set(self, "_cells", {u: [None] for u in nodes})
+        _set(self, "_frozen", True)
 
     def renamed(self, old_order: Sequence[Node], new_order: Sequence[Node]) -> "MatchRelation":
         """This relation over other node names: ``old_order[i]`` becomes
@@ -66,11 +71,12 @@ class MatchRelation:
         if old_order == new_order:
             return self
         view = object.__new__(MatchRelation)
-        view._query_nodes = tuple(new_order)
-        view._matches = {new: self._matches[old] for old, new in zip(old_order, new_order)}
-        view._is_match = self._is_match
-        view._cells = {new: self._cells[old] for old, new in zip(old_order, new_order)}
-        view._frozen = True
+        pairs = tuple(zip(old_order, new_order))
+        _set(view, "_query_nodes", tuple(new_order))
+        _set(view, "_matches", {new: self._matches[old] for old, new in pairs})
+        _set(view, "_is_match", self._is_match)
+        _set(view, "_cells", {new: self._cells[old] for old, new in pairs})
+        _set(view, "_frozen", True)
         return view
 
     def patched(self, added: Sequence[Tuple], removed: Sequence[Tuple]) -> "MatchRelation":

@@ -48,7 +48,7 @@ from repro.session.concurrent import StampedOutcome
 from repro.session.session import MutationOutcome, SessionStats
 from repro.simulation.matchrel import MatchRelation
 
-from tests.net.test_codec import peak_traced, ref_decode, ref_encode
+from tests.net.test_codec import _outcome, peak_traced, ref_decode, ref_encode
 
 # ----------------------------------------------------------------------
 # strategies
@@ -303,6 +303,43 @@ class TestGoldenBytes:
         # modulo the names: renaming back is the golden frame again
         back = relation.renamed(order, ("x", "yy", "zzz")).renamed(("x", "yy", "zzz"), order)
         assert _sha256(protocol.RunReply(back, _GOLDEN_METRICS, stamp=41)) == self.RUN_REPLY
+
+
+def _hot_reads_replies():
+    """RunReply frames as ``hot_reads`` serves them: its graph and
+    partition (``benchmarks/serving``), one pattern whose match sets are all
+    below the int-run threshold and one with sets on and above it."""
+    from repro import SimulationSession, partition, web_graph
+    from repro.bench.workloads import cyclic_pattern
+
+    graph = web_graph(3000, 15000, seed=7)
+    session = SimulationSession(partition(graph, 16, 7, vf_ratio=0.25))
+    for seed in (1, 2):
+        result = session.run(cyclic_pattern(graph, 4, 5, seed=seed))
+        yield protocol.RunReply(result.relation, result.metrics, stamp=0)
+
+
+class TestTruncatedBodies:
+    def test_every_proper_prefix_is_a_wire_format_error(self):
+        """The offset reader runs off the end of a cut body as
+        ``IndexError`` / ``struct.error``; neither, nor anything else but
+        :class:`WireFormatError`, may reach the caller."""
+        frames = [
+            protocol.RunReply(_golden_relation(), _GOLDEN_METRICS, stamp=41),
+            protocol.SubscribeReply(sub_id=3, stamp=41, relation=_golden_relation()),
+            protocol.PushDelta(
+                sub_id=3,
+                stamp=42,
+                added=tuple(("u1", v) for v in range(20)),
+                removed=(("u2", -1), ("u0", 2**63 - 1)),
+            ),
+            *_hot_reads_replies(),
+        ]
+        for frame in frames:
+            body = codec.encode(frame)
+            assert codec.decode(body) == frame
+            outcomes = {_outcome(codec.decode, body[:cut]) for cut in range(len(body))}
+            assert outcomes == {WireFormatError}, type(frame).__name__
 
 
 # ----------------------------------------------------------------------

@@ -279,16 +279,36 @@ class TestThePeerChoosesNoWork:
                 assert client.stats().stats.queries_served == 0
                 assert client.run(queries[0]).relation == simulation(queries[0], graph)
 
+    @pytest.mark.parametrize("field", ["query", "algorithm"])
+    def test_a_run_frame_with_a_mistyped_field_is_refused(self, instance, field):
+        """A RUN whose query is not a Pattern, or whose algorithm is not a
+        str, is a WireFormatError at decode -- one ERROR frame, a hang-up,
+        nothing served -- not an error from inside the compute on a
+        connection that stays open."""
+        graph, frag, queries = instance
+        fields = (5, "auto") if field == "query" else (queries[0], 5)
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+                sock.sendall(_frame(FrameKind.RUN, _struct("RunRequest", *fields)))
+                events = _drain(sock)  # returns on the server's hang-up
+            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+            assert events[0][2].kind == "WireFormatError"
+            assert f"RunRequest.{field} must be" in events[0][2].message
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                assert client.stats().stats.queries_served == 0
+                assert client.run(queries[0]).relation == simulation(queries[0], graph)
+
 
 class TestErrorsOverTheWire:
     def test_non_repro_exception_surfaces_as_transport_error(self, instance):
         """Only repro.errors classes are rebuilt client-side; anything else
         arrives as a TransportError naming the class and its message."""
         graph, frag, queries = instance
+        unhashable = Pattern({"a": ["x"]})  # the server cannot intern its label
         with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 with pytest.raises(TransportError, match=r"server error \(\w+\): ") as info:
-                    client.run(None)  # not a Pattern: the server trips over it
+                    client.run(unhashable)
                 assert type(info.value) is TransportError
                 assert client.run(queries[0]).stamp == 0  # connection survives
 
