@@ -61,11 +61,15 @@ def guarded_by(node: ast.AST, lock_exprs: Sequence[str]) -> bool:
 
 
 def _with_matches(node: ast.With, wanted: set) -> bool:
-    for item in node.items:
-        rendered = dotted(item.context_expr)
-        if rendered is not None and rendered in wanted:
-            return True
-    return False
+    return any(_acquires(item.context_expr, wanted) for item in node.items)
+
+
+def _acquires(expr: ast.AST, wanted: set) -> bool:
+    """``expr`` takes one of the ``wanted`` locks; a conditional expression
+    does only when both of its branches do."""
+    if isinstance(expr, ast.IfExp):
+        return _acquires(expr.body, wanted) and _acquires(expr.orelse, wanted)
+    return dotted(expr) in wanted
 
 
 def attribute_writes(

@@ -128,8 +128,8 @@ GUARDED: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="ConcurrentSessionServer",
         attrs=("_stamp",),
-        locks=("self._rw.write_locked()",),
-        why="the stamp advances only at quiescent points",
+        locks=("self._rw.write_locked()", "self._rw.write_locked_if_free()"),
+        why="the stamp advances only at quiescent points (either write acquire)",
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",

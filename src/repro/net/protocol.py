@@ -75,6 +75,9 @@ DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 #: what one driver read asks the OS for
 READ_SIZE = 64 * 1024
 
+#: the most PUSH frames one subscription may queue (16x the client default)
+MAX_PUSH_BUFFER = 4096
+
 _HEADER = struct.Struct(">4sBBHII")
 HEADER_SIZE = _HEADER.size
 
@@ -256,14 +259,26 @@ class SubscribeRequest:
     """Register a standing query: PUSH a stamped delta after every mutation
     batch that changes its match set.
 
-    ``buffer`` bounds the server-side delta queue for this subscription; a
-    subscriber that falls further behind than that is *lapsed* (it receives
-    one final ``PushDelta(lapsed=True)`` and must re-subscribe).
+    ``buffer`` bounds the server-side delta queue for this subscription
+    (``1..MAX_PUSH_BUFFER``); a subscriber that falls further behind than
+    that is *lapsed* (it receives one final ``PushDelta(lapsed=True)`` and
+    must re-subscribe).  A field of another type or range is refused at
+    decode.
     """
 
     query: Pattern
     algorithm: str = "auto"
     buffer: int = 256
+
+    def __post_init__(self) -> None:
+        _require("SubscribeRequest.query", self.query, Pattern)
+        _require("SubscribeRequest.algorithm", self.algorithm, str)
+        _require("SubscribeRequest.buffer", self.buffer, int)
+        if not 1 <= self.buffer <= MAX_PUSH_BUFFER:
+            raise WireFormatError(
+                f"SubscribeRequest.buffer must be in 1..{MAX_PUSH_BUFFER}, "
+                f"got {self.buffer}"
+            )
 
 
 @dataclass(frozen=True)

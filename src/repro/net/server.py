@@ -25,10 +25,14 @@ Concurrency model
   the frame ``seq``) and a slow query never blocks a cheap one -- on the
   same connection or across connections.
 * A query future that ``submit()`` returns already resolved (a hit) is
-  read at once; any other is awaited as an asyncio future.  Mutation
-  batches and stats snapshots (which block on the writer protocol) run
-  through the loop's default thread-pool executor.  Besides those hits,
-  the event loop only parses frames and encodes replies.
+  read at once; any other is awaited as an asyncio future.  A mutation
+  batch that needs no wait (thread backend, nothing holding or waiting for
+  the reader-writer lock, no batch applying or queued) is applied on the
+  loop by :meth:`ConcurrentSessionServer.apply_if_free`; while it holds the
+  write lock no hit could be answered anyway.  Other batches and stats
+  snapshots run through the loop's default thread-pool executor.  Besides
+  those hits and batches, the event loop only parses frames and encodes
+  replies.
 * Per-request failures travel back as ``ERROR`` frames carrying the
   exception's class name and message as codec values; the connection stays
   usable.  Only a framing violation (bad magic, a version other than 2, an
@@ -45,14 +49,16 @@ Standing queries
 
 A ``SUBSCRIBE`` frame registers its query with the serving stack's
 subscription registry (:meth:`ConcurrentSessionServer.subscribe`).  The
-registry fires its callback at each batch's quiescent point (writer
-thread, write lock held); the callback hands the delta to the event loop
-with ``call_soon_threadsafe``, where it lands on a bounded per-subscription
-queue drained by a dedicated writer task into ``PUSH`` frames that share
-the ``SUBSCRIBE`` frame's ``seq``.  A subscriber that falls further behind
-than its declared buffer is *lapsed*: dropped from the registry, with one
-final ``PushDelta(lapsed=True)``.  Closing the connection unsubscribes
-everything it registered.  Replies whose encoded size exceeds
+registry fires its callback at each batch's quiescent point (on the thread
+applying the batch, often the loop itself, write lock held); the callback
+hands the delta to the event loop with ``call_soon_threadsafe``, where it
+lands on a bounded per-subscription queue drained by a dedicated writer
+task into ``PUSH`` frames that share the ``SUBSCRIBE`` frame's ``seq``
+(a batch's ``MUTATE`` reply and its ``PUSH`` frames keep no mutual order).
+A subscriber that falls further behind than its declared buffer is
+*lapsed*: dropped from the registry, with one final
+``PushDelta(lapsed=True)``.  Closing the connection unsubscribes everything
+it registered.  Replies whose encoded size exceeds
 :data:`CHUNK_SIZE` travel as consecutive ``RESULT_CHUNK`` slices.
 
 Graceful shutdown: :meth:`aclose` stops accepting, lets every in-flight
@@ -96,7 +102,7 @@ _Reply = Callable[[int, object], Awaitable[None]]
 class _SubState:
     """Server-side per-connection state of one standing query.
 
-    The registry callback (writer thread, write lock held) hands deltas to
+    The registry callback (batch thread, write lock held) hands deltas to
     the event loop with ``call_soon_threadsafe``; the loop enqueues them on
     the bounded ``queue`` and a dedicated writer task drains it into PUSH
     frames.  An overflowing queue *lapses* the subscription: it is dropped
@@ -108,7 +114,7 @@ class _SubState:
     def __init__(self, seq: int, buffer: int) -> None:
         self.sub_id = -1
         self.seq = seq
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=max(1, buffer))
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=buffer)
         self.task: Optional[asyncio.Task] = None
         self.lapsed = False
 
@@ -303,9 +309,13 @@ class NetworkSessionServer:
                     stamp=result.stamp,
                 )
             elif kind == FrameKind.MUTATE:
-                outcomes = await loop.run_in_executor(
-                    None, self._server.apply, list(frame.ops)
-                )
+                # A batch that needs no wait is applied right here, on the
+                # loop: the thread hop would cost more than its repair.
+                outcomes = self._server.apply_if_free(frame.ops)
+                if outcomes is None:
+                    outcomes = await loop.run_in_executor(
+                        None, self._server.apply, list(frame.ops)
+                    )
                 reply = protocol.MutateReply(outcomes=tuple(outcomes))
             elif kind == FrameKind.STATS:
                 # The cut-quality snapshot takes the server's read lock (it
@@ -364,8 +374,9 @@ class NetworkSessionServer:
         state = _SubState(seq, frame.buffer)
 
         def deliver(sub_id: int, stamp: int, added: Tuple, removed: Tuple) -> None:
-            # Writer thread, write lock held: must not block.  The loop
-            # enqueues in call order, so deltas stay stamp-ordered.
+            # The batch's thread (often the loop's own), write lock held:
+            # must not block.  The loop enqueues in call order, so deltas
+            # stay stamp-ordered.
             loop.call_soon_threadsafe(
                 self._enqueue_push, state, sub_id, stamp, added, removed
             )

@@ -17,9 +17,11 @@ The snapshot/stamp contract
   ``add_node`` / ``apply`` are serialized, coalesced into batches, and
   applied only while *no* query is in flight (a writer-priority write lock:
   arriving writers stop new readers from starting, in-flight readers drain,
-  the whole pending batch applies, readers resume).  A batch submitted
-  through one :meth:`apply` call is atomic: readers can never observe a
-  graph between two updates of the same batch.
+  the whole pending batch applies, readers resume).  A batch that needs no
+  wait at all may be applied on the calling thread instead
+  (:meth:`apply_if_free`, which the TCP ingress tries first).  A batch
+  submitted through one :meth:`apply` call is atomic: readers can never
+  observe a graph between two updates of the same batch.
 * **Every result is stamped.**  The server counts applied mutations; the
   *mutation stamp* of a query result is that counter at the moment the query
   ran.  Because writers only run at quiescent points, a result stamped ``s``
@@ -229,11 +231,28 @@ class _ReadWriteLock:
                 self._writers_waiting -= 1
             self._writer_active = True
         try:
-            yield
+            yield True
         finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
+            self._release_write()
+
+    @contextmanager
+    def write_locked_if_free(self):
+        """Like :meth:`write_locked` but never waits: yields False, holding
+        nothing, while a reader is active or a writer is active or waiting."""
+        with self._cond:
+            held = not (self._readers or self._writer_active or self._writers_waiting)
+            if held:
+                self._writer_active = True
+        try:
+            yield held
+        finally:
+            if held:
+                self._release_write()
+
+    def _release_write(self) -> None:
+        with self._cond:
+            self._writer_active = False
+            self._cond.notify_all()
 
 
 @dataclass(eq=False)
@@ -939,12 +958,14 @@ class ConcurrentSessionServer:
 
         After every committed mutation batch that changes the query's
         answer, ``callback(sub_id, stamp, added, removed)`` fires from the
-        writer's thread, inside the batch's quiescent point -- ``added`` and
-        ``removed`` are tuples of ``(query node, data node)`` pairs and the
-        stamp identifies exactly the graph version they describe.  The
-        callback must not block (hand off to a queue) and must not call
-        back into this server (the write lock is held).  Batches that leave
-        the answer unchanged push nothing.
+        thread applying the batch (over TCP, usually the ingress loop: see
+        :meth:`apply_if_free`), inside the batch's quiescent point --
+        ``added`` and ``removed`` are tuples of ``(query node, data node)``
+        pairs and the stamp identifies exactly the graph version they
+        describe.  The callback must not block (hand off to a queue: it may
+        be running on an event loop) and must not call back into this
+        server (the write lock is held).  Batches that leave the answer
+        unchanged push nothing.
 
         The baseline evaluation pins the query's cache entry warm, outside
         the session's ``max_warm_states`` (:meth:`SimulationSession.pin`):
@@ -1043,6 +1064,39 @@ class ConcurrentSessionServer:
         """
         return self._mutate(normalize_ops(updates))
 
+    def apply_if_free(
+        self, updates: Sequence[MutationOp]
+    ) -> Optional[List[StampedOutcome]]:
+        """:meth:`apply` on the calling thread if the batch needs no wait,
+        else None, having applied nothing.
+
+        No wait: the thread backend (a sharded batch waits for every
+        worker's ack), nothing holding or waiting for the reader-writer
+        lock, no batch applying or queued.  The batch runs through the
+        drainer's code, as the drainer: a ticket queued meanwhile is
+        applied by its owner after it, and :meth:`close` waits for it.
+        """
+        if self.backend != "thread":
+            return None
+        ticket = _WriteTicket(normalize_ops(updates))
+        with self._write_cond:
+            self._check_open()
+            if self._applying or self._write_queue:
+                return None
+            # Claimed before the write lock is tried, so that this condition
+            # and the lock's own are never held together.
+            self._applying = True
+        try:
+            if not self._apply_batch([ticket], wait=False):
+                return None
+        finally:
+            with self._write_cond:
+                self._applying = False
+                self._write_cond.notify_all()
+        if ticket.error is not None:
+            raise ticket.error
+        return ticket.results
+
     def _mutate(self, ops: List[MutationOp]) -> List[StampedOutcome]:
         if not ops:
             return []
@@ -1103,14 +1157,19 @@ class ConcurrentSessionServer:
                     ticket.done = True
                 self._write_cond.notify_all()
 
-    def _apply_batch(self, batch: List[_WriteTicket]) -> None:
+    def _apply_batch(self, batch: List[_WriteTicket], wait: bool = True) -> bool:
         """Apply every ticket inside one write-lock hold (the quiescent point).
 
         Per-ticket failures (e.g. deleting an edge that is already gone) are
         recorded on that ticket and do not disturb the others; the worker
         broadcast ships exactly the deltas the parent session produced.
+        ``wait=False``: if the lock is not free, apply nothing, return False.
         """
-        with self._rw.write_locked():
+        with (
+            self._rw.write_locked() if wait else self._rw.write_locked_if_free()
+        ) as held:
+            if not held:
+                return False
             stamp_before = self._stamp
             applied_deltas: List[MutationDelta] = []
             for ticket in batch:
@@ -1158,6 +1217,7 @@ class ConcurrentSessionServer:
                 # exactly the post-batch graph's, so every pushed delta is
                 # stamped with the state it describes.
                 self._notify_subscribers_locked()
+        return True
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:

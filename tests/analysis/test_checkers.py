@@ -168,6 +168,43 @@ class TestLockDiscipline:
         )
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
+    def test_production_registry_guards_the_stamp_under_both_write_acquires(self):
+        """The stamp advances under the waiting or the non-blocking write
+        acquire (or a choice of the two); a write outside both -- a helper
+        with no lexical ``with`` of its own -- is still a finding."""
+
+        def server(*body: str) -> str:
+            return "class ConcurrentSessionServer:\n    def batch(self, wait):\n" + "".join(
+                f"        {line}\n" for line in body
+            )
+
+        flagged = [
+            server("self._stamp += 1"),
+            server("with self._write_cond:", "    self._stamp += 1"),
+            server(
+                "with self._rw.write_locked() if wait else self._rw.read_locked():",
+                "    self._stamp += 1",
+            ),
+        ]
+        for src in flagged:
+            findings = check(LockDisciplineChecker(), {"m.py": src})
+            assert [f.detail for f in findings] == ["_stamp"], src
+        clean = [
+            server("with self._rw.write_locked():", "    self._stamp += 1"),
+            server(
+                "with self._rw.write_locked_if_free() as held:",
+                "    if held:",
+                "        self._stamp += 1",
+            ),
+            server(
+                "with (self._rw.write_locked() if wait",
+                "      else self._rw.write_locked_if_free()) as held:",
+                "    self._stamp += 1",
+            ),
+        ]
+        for src in clean:
+            assert check(LockDisciplineChecker(), {"m.py": src}) == [], src
+
 
 class TestFrozenCrossing:
     def test_unfrozen_dataclass_in_frozen_module_flagged(self):

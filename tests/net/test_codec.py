@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge, RemoveNode
+from repro.graph.pattern import Pattern
 from repro.net import codec, protocol
 
 # ----------------------------------------------------------------------
@@ -105,6 +106,13 @@ MUTATION_OPS = st.one_of(
     st.builds(RemoveNode, st.integers()),
 )
 
+#: small real patterns: one to three labelled nodes, a path of edges
+PATTERNS = st.lists(st.text(max_size=3), min_size=1, max_size=3).map(
+    lambda labels: Pattern(
+        dict(enumerate(labels)), [(i, i + 1) for i in range(len(labels) - 1)]
+    )
+)
+
 PAIRS = st.lists(
     st.tuples(st.text(max_size=5), st.integers()), max_size=4
 ).map(tuple)
@@ -120,7 +128,7 @@ V2_FRAMES = st.one_of(
               ops=st.lists(MUTATION_OPS, max_size=4).map(tuple)),
     st.builds(
         protocol.SubscribeRequest,
-        query=st.just(None),
+        query=PATTERNS,
         algorithm=st.sampled_from(["auto", "dgpm"]),
         buffer=st.integers(min_value=1, max_value=1024),
     ),

@@ -40,6 +40,7 @@ from repro.net.server import NetworkSessionServer
 from repro.partition.fragmentation import fragment_graph
 
 from tests.net.test_protocol import _frame, _retired_config, _struct
+from tests.session.test_concurrent_server import _hold, _SignallingCondition
 
 JOIN_TIMEOUT = 60.0
 #: the retired ``OBJ`` kind (opaque pickled bodies): now simply unknown
@@ -297,6 +298,125 @@ class TestThePeerChoosesNoWork:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 assert client.stats().stats.queries_served == 0
                 assert client.run(queries[0]).relation == simulation(queries[0], graph)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("query", 5), ("algorithm", 5), ("buffer", 0), ("buffer", 10**12)],
+        ids=["query", "algorithm", "buffer-zero", "buffer-huge"],
+    )
+    def test_a_subscribe_frame_with_a_bad_field_is_refused(
+        self, instance, field, bad
+    ):
+        """A SUBSCRIBE whose query is not a Pattern, whose algorithm is not a
+        str, or whose buffer is outside 1..MAX_PUSH_BUFFER (a huge one would
+        make its PUSH queue unbounded) is a WireFormatError at decode: one
+        ERROR frame, a hang-up, no subscription registered."""
+        graph, frag, queries = instance
+        fields = {"query": queries[0], "algorithm": "auto", "buffer": 256}
+        fields[field] = bad
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+                body = _struct("SubscribeRequest", *fields.values())
+                sock.sendall(_frame(FrameKind.SUBSCRIBE, body))
+                events = _drain(sock)  # returns on the server's hang-up
+            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+            assert events[0][2].kind == "WireFormatError"
+            assert f"SubscribeRequest.{field} must be" in events[0][2].message
+            assert srv.ingress.server._subs == {}
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                assert client.stats().stats.queries_served == 0
+                assert client.run(queries[0]).relation == simulation(queries[0], graph)
+
+
+def _record_threads(obj, name: str, monkeypatch) -> List[int]:
+    """Wrap ``obj.name`` to record the thread id of every call."""
+    threads: List[int] = []
+    original = getattr(obj, name)
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, recording)
+    return threads
+
+
+class TestWhereABatchIsApplied:
+    """A MUTATE that needs no wait is applied on the ingress loop; any other
+    one on a thread, with the same stamps either way."""
+
+    def test_a_free_batch_is_applied_on_the_loop(self, instance, monkeypatch):
+        graph, frag, queries = instance
+        edges = list(graph.edges())
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            applied_on = _record_threads(
+                srv.ingress.server.session, "apply", monkeypatch
+            )
+            hops = _record_threads(srv._loop, "run_in_executor", monkeypatch)
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                outcomes = client.apply([DeleteEdge(*edges[0]), DeleteEdge(*edges[1])])
+                assert [o.stamp for o in outcomes] == [1, 2]
+                result = client.run(queries[0], algorithm="dgpm")
+            assert applied_on == [srv._thread.ident] * 2
+            assert hops == []
+            assert result.stamp == 2
+            assert result.relation == simulation(queries[0], graph)
+
+    def test_a_batch_beside_a_reader_waits_on_a_thread(self, instance, monkeypatch):
+        """The MUTATE falls back to a thread and waits there for the held
+        read; meanwhile the loop still answers another connection."""
+        graph, frag, queries = instance
+        edge = next(iter(graph.edges()))
+        before = simulation(queries[0], graph)
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            server = srv.ingress.server
+            cond = server._rw._cond = _SignallingCondition()
+            applied_on = _record_threads(server.session, "apply", monkeypatch)
+            entered, release = _hold(server.session, "_touched_fids", monkeypatch)
+            results = {}
+
+            def call(name, request):
+                with SessionClient(*srv.address, timeout=60.0) as client:
+                    results[name] = request(client)
+
+            read = threading.Thread(
+                target=call,
+                args=("read", lambda c: c.run(queries[0], algorithm="dgpm")),
+            )
+            write = threading.Thread(
+                target=call, args=("write", lambda c: c.delete_edge(*edge))
+            )
+            read.start()
+            try:
+                assert entered.wait(JOIN_TIMEOUT)  # the miss holds the read lock
+                write.start()
+                assert cond.waited.wait(JOIN_TIMEOUT)  # the batch waits for it
+                assert applied_on == [] and server.stamp == 0
+                with SessionClient(*srv.address, timeout=60.0) as other:
+                    assert other.hello().role == "server"
+            finally:
+                release.set()
+            for thread in (read, write):
+                thread.join(JOIN_TIMEOUT)
+                assert not thread.is_alive(), "request deadlocked"
+            assert results["read"].stamp == 0
+            assert results["read"].relation == before
+            assert results["write"].stamp == 1
+            assert len(applied_on) == 1 and applied_on[0] != srv._thread.ident
+
+    def test_a_sharded_batch_is_applied_off_the_loop(self, instance, monkeypatch):
+        graph, frag, queries = instance
+        edge = next(iter(graph.edges()))
+        with serve_in_thread(frag, backend="sharded", n_workers=2) as srv:
+            server = srv.ingress.server
+            assert server.apply_if_free([DeleteEdge(*edge)]) is None
+            assert server.stamp == 0 and graph.has_edge(*edge)
+            applied_on = _record_threads(server.session, "apply", monkeypatch)
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                assert client.delete_edge(*edge).stamp == 1
+                result = client.run(queries[0], algorithm="dgpm")
+            assert len(applied_on) == 1 and applied_on[0] != srv._thread.ident
+            assert result.relation == simulation(queries[0], graph)
 
 
 class TestErrorsOverTheWire:

@@ -25,6 +25,7 @@ from repro.bench.workloads import cyclic_pattern
 from repro.errors import GraphError, MutationBatchError, ReproError
 from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
+from repro.session.concurrent import _WriteTicket
 
 
 @pytest.fixture()
@@ -381,6 +382,228 @@ class TestHitsOnTheCallingThread:
         finally:
             sys.setswitchinterval(interval)
         assert not errors, f"reader failed: {errors[0]!r}"
+
+
+def _twin_servers(graph):
+    """Two thread-backend servers over equal copies of ``graph``."""
+    return [
+        ConcurrentSessionServer(partition(graph.copy(), 3, seed=17), backend="thread")
+        for _ in range(2)
+    ]
+
+
+class TestBatchesOnTheCallingThread:
+    """apply_if_free() applies a batch that needs no wait where it is
+    called, through the drainer's code; any other batch is left alone."""
+
+    def test_a_free_batch_is_applied_here_with_the_drainers_stamps(
+        self, small_instance
+    ):
+        graph, frag, queries = small_instance
+        edges = list(graph.edges())
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            pushed = []
+            server.subscribe(
+                queries[0], lambda *push: pushed.append(threading.get_ident())
+            )
+            batch = [DeleteEdge(*edges[0]), DeleteEdge(*edges[1])]
+            outcomes = server.apply_if_free(batch)
+            assert [o.stamp for o in outcomes] == [1, 2]
+            assert server.stamp == 2
+            assert not graph.has_edge(*edges[0]) and not graph.has_edge(*edges[1])
+            assert set(pushed) <= {threading.get_ident()}
+            assert server.apply_if_free([]) == []
+            result = server.run(queries[0], algorithm="dgpm")
+            assert result.stamp == 2
+            assert result.relation == simulation(queries[0], graph)
+
+    @pytest.mark.parametrize(
+        "busy", ["drainer-applying", "drainer-between-batches", "ticket-queued", "reader"]
+    )
+    def test_a_batch_that_must_wait_is_not_applied(
+        self, small_instance, monkeypatch, busy
+    ):
+        """None, and no side effect on the stamp, the graph or the queue."""
+        graph, frag, queries = small_instance
+        edges = list(graph.edges())
+        with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+            held = reading = None
+            release = threading.Event()
+            if busy == "drainer-applying":
+                entered, release = _hold(server.session, "apply", monkeypatch)
+                held = threading.Thread(target=server.delete_edge, args=edges[0])
+                held.start()
+                assert entered.wait(JOIN_TIMEOUT)
+            elif busy == "reader":
+                entered, release = _hold(server.session, "_touched_fids", monkeypatch)
+                reading = server.submit(queries[0], algorithm="dgpm")
+                assert entered.wait(JOIN_TIMEOUT)
+            # The other two hold the lock free, so that one check alone must
+            # refuse: set up by hand, as a drainer looks between two of its
+            # batches, and a ticket queued with no drainer yet.
+            elif busy == "drainer-between-batches":
+                server._applying = True
+            else:
+                server._write_queue.append(_WriteTicket([DeleteEdge(*edges[0])]))
+            try:
+                stamp = server.stamp
+                queued = list(server._write_queue)
+                assert server.apply_if_free([DeleteEdge(*edges[1])]) is None
+                assert server.stamp == stamp
+                assert graph.has_edge(*edges[1])
+                assert server._write_queue == queued
+                assert server._applying == (busy.startswith("drainer"))
+            finally:
+                release.set()
+                if held is None and reading is None:
+                    server._applying = False
+                    server._write_queue.clear()
+            if held is not None:
+                held.join(JOIN_TIMEOUT)
+                assert not held.is_alive(), "writer deadlocked"
+            if reading is not None:
+                reading.result(timeout=JOIN_TIMEOUT)
+            # Once free again, the same batch is applied here.
+            outcomes = server.apply_if_free([DeleteEdge(*edges[1])])
+            assert [o.stamp for o in outcomes] == [server.stamp]
+
+    def test_a_ticket_queued_meanwhile_is_drained_after_it(
+        self, small_instance, monkeypatch
+    ):
+        graph, frag, _ = small_instance
+        edges = list(graph.edges())
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            cond = server._write_cond = _SignallingCondition()
+            entered, release = _hold(server.session, "apply", monkeypatch)
+            results = {}
+            inline = threading.Thread(
+                target=lambda: results.update(
+                    inline=server.apply_if_free([DeleteEdge(*edges[0])])
+                )
+            )
+            inline.start()
+            try:
+                assert entered.wait(JOIN_TIMEOUT)  # inside the inline batch
+                queued = threading.Thread(
+                    target=lambda: results.update(
+                        queued=server.delete_edge(*edges[1])
+                    )
+                )
+                queued.start()
+                assert cond.waited.wait(JOIN_TIMEOUT)  # its owner waits for us
+                assert server.stamp == 0 and graph.has_edge(*edges[1])
+            finally:
+                release.set()
+            for thread in (inline, queued):
+                thread.join(JOIN_TIMEOUT)
+                assert not thread.is_alive(), "writer deadlocked"
+            assert [o.stamp for o in results["inline"]] == [1]
+            assert results["queued"].stamp == 2
+            assert not server._applying and not server._write_queue
+
+    def test_close_waits_for_an_inline_batch(self, small_instance, monkeypatch):
+        graph, frag, _ = small_instance
+        edge = next(iter(graph.edges()))
+        server = ConcurrentSessionServer(frag, backend="thread")
+        cond = server._write_cond = _SignallingCondition()
+        entered, release = _hold(server.session, "apply", monkeypatch)
+        results = {}
+        inline = threading.Thread(
+            target=lambda: results.update(inline=server.apply_if_free([DeleteEdge(*edge)]))
+        )
+        inline.start()
+        try:
+            assert entered.wait(JOIN_TIMEOUT)
+            closing = threading.Thread(target=server.close)
+            closing.start()
+            assert cond.waited.wait(JOIN_TIMEOUT)  # close() waits for the batch
+            assert closing.is_alive()
+        finally:
+            release.set()
+        for thread in (inline, closing):
+            thread.join(JOIN_TIMEOUT)
+            assert not thread.is_alive(), "close deadlocked"
+        assert [o.stamp for o in results["inline"]] == [1]
+        assert not graph.has_edge(*edge)
+        with pytest.raises(ReproError, match="closed"):
+            server.apply_if_free([DeleteEdge(*edge)])
+
+    def test_inline_and_drained_batches_race_without_loss(self, small_instance):
+        """More writers than cores, half trying apply_if_free first, beside
+        readers: every op gets its own stamp, none is lost, none deadlocks."""
+        graph, frag, queries = small_instance
+        edges = list(graph.edges())[:48]
+        stamps: List[int] = []
+        errors: List[BaseException] = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
+
+                def write(i: int) -> None:
+                    try:
+                        for edge in edges[i::8]:
+                            ops = [DeleteEdge(*edge)]
+                            outcomes = server.apply_if_free(ops) if i % 2 else None
+                            if outcomes is None:
+                                outcomes = server.apply(ops)
+                            stamps.extend(o.stamp for o in outcomes)
+                    except BaseException as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                def read() -> None:
+                    while not stop.is_set():
+                        server.run(queries[0], algorithm="dgpm")
+
+                writers = [threading.Thread(target=write, args=(i,)) for i in range(8)]
+                readers = [threading.Thread(target=read) for _ in range(2)]
+                for t in writers + readers:
+                    t.start()
+                for t in writers:
+                    t.join(timeout=JOIN_TIMEOUT)
+                    assert not t.is_alive(), "writer deadlocked"
+                stop.set()
+                for t in readers:
+                    t.join(timeout=JOIN_TIMEOUT)
+                    assert not t.is_alive(), "reader deadlocked"
+                assert not errors, f"writer failed: {errors[0]!r}"
+                assert sorted(stamps) == list(range(1, len(edges) + 1))
+                assert server.stamp == len(edges)
+                assert not server._applying and not server._write_queue
+                result = server.run(queries[0], algorithm="dgpm")
+                assert result.relation == simulation(queries[0], graph)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("position", ["first-op", "mid-batch"])
+    def test_errors_are_apply_s_errors(self, small_instance, position):
+        graph, _, _ = small_instance
+        edges = list(graph.edges())
+        missing = DeleteEdge("nope", "also-nope")
+        batch = (
+            [missing]
+            if position == "first-op"
+            else [DeleteEdge(*edges[0]), missing, DeleteEdge(*edges[1])]
+        )
+        inline, drained = _twin_servers(graph)
+        with inline, drained:
+            with pytest.raises(ReproError) as got:
+                inline.apply_if_free(batch)
+            with pytest.raises(ReproError) as want:
+                drained.apply(batch)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert type(got.value.__cause__) is type(want.value.__cause__)
+            if position == "mid-batch":
+                assert [(o.stamp, o.outcome.kind) for o in got.value.applied] == [
+                    (o.stamp, o.outcome.kind) for o in want.value.applied
+                ] == [(1, "delete")]
+                assert got.value.failed_op == want.value.failed_op == missing
+            assert inline.stamp == drained.stamp
+            assert sorted(inline.session.fragmentation.graph.edges()) == sorted(
+                drained.session.fragmentation.graph.edges()
+            )
 
 
 class TestStampedResultSurface:
