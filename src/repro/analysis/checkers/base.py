@@ -42,7 +42,7 @@ def iter_class_defs(module: ParsedModule) -> Iterator[ast.ClassDef]:
 def guarded_by(node: ast.AST, lock_exprs: Sequence[str]) -> bool:
     """True iff ``node`` sits lexically inside ``with <lock>`` for one of
     ``lock_exprs`` (dotted forms like ``"self._lock"`` or
-    ``"self._rw.write_locked()"``).
+    ``"self._gate.writing()"``).
 
     The climb stops at the innermost enclosing function: a with-block
     *around* a ``def`` does not guard code inside it (the closure runs
@@ -61,15 +61,7 @@ def guarded_by(node: ast.AST, lock_exprs: Sequence[str]) -> bool:
 
 
 def _with_matches(node: ast.With, wanted: set) -> bool:
-    return any(_acquires(item.context_expr, wanted) for item in node.items)
-
-
-def _acquires(expr: ast.AST, wanted: set) -> bool:
-    """``expr`` takes one of the ``wanted`` locks; a conditional expression
-    does only when both of its branches do."""
-    if isinstance(expr, ast.IfExp):
-        return _acquires(expr.body, wanted) and _acquires(expr.orelse, wanted)
-    return dotted(expr) in wanted
+    return any(dotted(item.context_expr) in wanted for item in node.items)
 
 
 def attribute_writes(

@@ -110,26 +110,19 @@ GUARDED: Tuple[GuardSpec, ...] = (
         ),
     ),
     GuardSpec(
-        class_name="_ReadWriteLock",
-        attrs=("_readers", "_writer_active", "_writers_waiting"),
+        class_name="_Gate",
+        attrs=("_state",),
         locks=("self._cond",),
         why=(
-            "every acquire and release, the non-blocking read acquire "
-            "included, decides on and updates the reader / writer counts "
-            "under the one condition variable"
+            "every admission decision reads the record and commits its "
+            "successor under the gate's one condition variable"
         ),
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",
-        attrs=("_write_queue", "_applying", "_closed"),
-        locks=("self._write_cond",),
-        why="mutation tickets coalesce under the drainer condition variable",
-    ),
-    GuardSpec(
-        class_name="ConcurrentSessionServer",
         attrs=("_stamp",),
-        locks=("self._rw.write_locked()", "self._rw.write_locked_if_free()"),
-        why="the stamp advances only at quiescent points (either write acquire)",
+        locks=("self._gate.writing()",),
+        why="the stamp advances only at quiescent points (a write hold)",
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",

@@ -138,7 +138,7 @@ def _parse(source: str, relpath: str) -> ast.Module:
 def dotted(node: ast.AST) -> Optional[str]:
     """Render a Name/Attribute/Call chain as a dotted string.
 
-    ``self._rw.write_locked()`` -> ``"self._rw.write_locked()"``;
+    ``self._gate.writing()`` -> ``"self._gate.writing()"``;
     returns None for expressions outside that grammar (subscripts, calls
     with the callee itself a call, ...).  Call *arguments* are ignored: lock
     guards are matched by shape, not by argument values.

@@ -116,12 +116,16 @@ class Hello:
     An optional identity/liveness probe: the server answers with its own
     ``Hello``.  ``versions`` announces every protocol version the sender can
     speak; ``token`` is opaque bytes a peer may attach (the server does not
-    read it).
+    read it).  A ``role`` or ``token`` of another type is refused at decode.
     """
 
     role: str
     token: bytes = b""
     versions: Tuple[int, ...] = (PROTOCOL_VERSION,)
+
+    def __post_init__(self) -> None:
+        _require("Hello.role", self.role, str)
+        _require("Hello.token", self.token, bytes)
 
 
 @dataclass(frozen=True)
@@ -298,9 +302,13 @@ class SubscribeReply:
 @dataclass(frozen=True)
 class UnsubscribeRequest:
     """Cancel the standing query ``sub_id`` (acked with a
-    :class:`SubscribeReply` carrying ``relation=None``)."""
+    :class:`SubscribeReply` carrying ``relation=None``); a ``sub_id`` that
+    is not an int (a bool included) is refused at decode."""
 
     sub_id: int
+
+    def __post_init__(self) -> None:
+        _require("UnsubscribeRequest.sub_id", self.sub_id, int)
 
 
 @dataclass(frozen=True)

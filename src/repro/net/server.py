@@ -5,12 +5,12 @@ protocol of :mod:`repro.net.protocol`, and feeds every query into
 :meth:`ConcurrentSessionServer.submit`.  The asyncio loop answers the cache
 hits that need no wait and hands everything else to the serving stack's
 thread pool; it never computes a relation and never scans the graph.  A
-hit needs no wait when (thread backend only) the reader-writer lock has no
-writer active or waiting, the fragmentation is not stale (a stale one is
-re-validated, which is ``O(|G|)``), an ``algorithm="auto"`` dispatch reads
-only shape facts that are already decided (a mutation can leave acyclicity
-or fragment connectivity to be settled by an ``O(|G|)`` scan), and the key
-is cached (a key whose compute is still in flight is a miss).  Queries
+hit needs no wait when the admission gate has no writer active or waiting,
+the fragmentation is not stale (a stale one is re-validated, which is
+``O(|G|)``), an ``algorithm="auto"`` dispatch reads only shape facts that
+are already decided (a mutation can leave acyclicity or fragment
+connectivity to be settled by an ``O(|G|)`` scan), and the key is cached (a
+key whose compute is still in flight is a miss).  Queries
 therefore keep the whole snapshot/stamp
 contract of :mod:`repro.session.concurrent`: they run concurrently under
 the read lock, mutation batches apply at quiescent points, and every reply
@@ -26,13 +26,14 @@ Concurrency model
   same connection or across connections.
 * A query future that ``submit()`` returns already resolved (a hit) is
   read at once; any other is awaited as an asyncio future.  A mutation
-  batch that needs no wait (thread backend, nothing holding or waiting for
-  the reader-writer lock, no batch applying or queued) is applied on the
-  loop by :meth:`ConcurrentSessionServer.apply_if_free`; while it holds the
-  write lock no hit could be answered anyway.  Other batches and stats
-  snapshots run through the loop's default thread-pool executor.  Besides
-  those hits and batches, the event loop only parses frames and encodes
-  replies.
+  batch that needs no wait (thread backend, at most
+  :data:`~repro.session.concurrent.INLINE_MAX_OPS` updates, nothing holding
+  or waiting for the admission gate, no batch applying or queued) is
+  applied on the loop by :meth:`ConcurrentSessionServer.apply_if_free`;
+  while it holds the gate no hit could be answered anyway, and the op cap
+  bounds how long it holds the loop.  Other batches and stats snapshots run
+  through the loop's default thread-pool executor.  Besides those hits and
+  batches, the event loop only parses frames and encodes replies.
 * Per-request failures travel back as ``ERROR`` frames carrying the
   exception's class name and message as codec values; the connection stays
   usable.  Only a framing violation (bad magic, a version other than 2, an

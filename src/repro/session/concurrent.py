@@ -4,7 +4,7 @@ The paper's possibility results assume a resident fragmentation answering
 *many independent* queries (Sections 4-5); each query is a pure read and the
 engine is single-threaded per query, so serving them in parallel changes
 throughput, never answers.  :class:`ConcurrentSessionServer` is that serving
-tier: a front-end over exactly one session, with a reader-writer protocol
+tier: a front-end over exactly one session, with an admission protocol
 that keeps the paper's correctness guarantees intact while the graph
 mutates underneath the traffic.
 
@@ -12,16 +12,17 @@ The snapshot/stamp contract
 ---------------------------
 
 * **Readers run concurrently.**  Any number of in-flight :meth:`run` /
-  :meth:`submit` calls proceed at once under a shared read lock.
+  :meth:`submit` calls proceed at once under a shared hold of the gate.
 * **Writers run at quiescent points.**  ``delete_edge`` / ``insert_edge`` /
-  ``add_node`` / ``apply`` are serialized, coalesced into batches, and
-  applied only while *no* query is in flight (a writer-priority write lock:
-  arriving writers stop new readers from starting, in-flight readers drain,
-  the whole pending batch applies, readers resume).  A batch that needs no
-  wait at all may be applied on the calling thread instead
-  (:meth:`apply_if_free`, which the TCP ingress tries first).  A batch
-  submitted through one :meth:`apply` call is atomic: readers can never
-  observe a graph between two updates of the same batch.
+  ``add_node`` / ``apply`` enqueue a ticket; one caller at a time, the
+  *drainer*, applies the whole queue as one batch under an exclusive hold,
+  taken only while *no* query is in flight (writer priority: an arriving
+  writer stops new readers from starting, in-flight readers drain, the
+  batch applies, readers resume).  A batch that needs no wait at all may be
+  applied on the calling thread instead (:meth:`apply_if_free`, which the
+  TCP ingress tries first).  A batch submitted through one :meth:`apply`
+  call is atomic: readers can never observe a graph between two updates of
+  the same batch.
 * **Every result is stamped.**  The server counts applied mutations; the
   *mutation stamp* of a query result is that counter at the moment the query
   ran.  Because writers only run at quiescent points, a result stamped ``s``
@@ -30,6 +31,17 @@ The snapshot/stamp contract
   end-to-end by ``tests/session/test_concurrent_stress.py``.  Mutation calls
   block until their update is applied and return the per-update
   :class:`StampedOutcome` (outcome plus the stamp the graph reached).
+
+The gate
+--------
+
+All of this is one condition variable over one immutable six-field record
+(:class:`_GateState`), whose transitions are pure and admit, refuse or
+wait.  ``tests/session/test_gate_explorer.py`` runs each server method's
+sequence of transitions for up to five callers over every reachable state
+and checks mutual exclusion, writer priority, tickets applied in admission
+order (none lost, none twice), :meth:`close` completing only after every
+admitted ticket, and that no state deadlocks.
 
 One read path, two places a miss computes
 -----------------------------------------
@@ -57,7 +69,7 @@ computes:
   loop, one metering path, so rounds, messages, DS and PT mean the same on
   both backends and do not depend on ``n_workers``
   (``extras["colocated_ds_bytes"]`` is the part of DS that stayed inside a
-  worker).  Mutation batches ship, inside the same write-lock hold that
+  worker).  Mutation batches ship, inside the same write hold that
   patches the parent session, only to the workers owning the touched
   fragments; a dead worker is respawned (or evicted) from the parent's
   authoritative fragmentation, so no batch is ever lost.  After
@@ -80,7 +92,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
@@ -114,6 +126,11 @@ from repro.simulation.matchrel import MatchRelation
 #: standing queries one server holds at most; each pins a warm cache entry
 #: outside the session's ``max_warm_states``, so this bounds those states
 MAX_SUBSCRIPTIONS = 1024
+
+#: the longest batch :meth:`ConcurrentSessionServer.apply_if_free` applies on
+#: the calling thread (over TCP, the ingress loop): one update spends ~0.3 ms
+#: in the session, so an inline batch holds that thread ~5 ms at most
+INLINE_MAX_OPS = 16
 
 
 @dataclass(frozen=True)
@@ -172,87 +189,9 @@ class RebalanceOutcome:
     wall_seconds: float
 
 
-class _ReadWriteLock:
-    """A writer-priority readers-writer lock.
-
-    Arriving writers bar *new* readers, wait for in-flight readers to drain
-    (the quiescent point), run exclusively, then release everyone.  Writer
-    priority keeps a steady query stream from starving mutations; writers
-    cannot starve readers because the server drains its whole pending batch
-    in one exclusive section and then lets readers back in.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read_locked(self):
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            self._release_read()
-
-    @contextmanager
-    def read_locked_if_free(self):
-        """Like :meth:`read_locked` but never waits: yields False, holding
-        nothing, while a writer is active or waiting.  (The condition's own
-        mutex is only ever held for O(1) bookkeeping, never across a wait.)"""
-        with self._cond:
-            held = not (self._writer_active or self._writers_waiting)
-            if held:
-                self._readers += 1
-        try:
-            yield held
-        finally:
-            if held:
-                self._release_read()
-
-    def _release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    @contextmanager
-    def write_locked(self):
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield True
-        finally:
-            self._release_write()
-
-    @contextmanager
-    def write_locked_if_free(self):
-        """Like :meth:`write_locked` but never waits: yields False, holding
-        nothing, while a reader is active or a writer is active or waiting."""
-        with self._cond:
-            held = not (self._readers or self._writer_active or self._writers_waiting)
-            if held:
-                self._writer_active = True
-        try:
-            yield held
-        finally:
-            if held:
-                self._release_write()
-
-    def _release_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
+#: a gate transition's decision: commit and proceed, commit and give up, or
+#: park the caller until the state changes (committing nothing)
+_ADMIT, _REFUSE, _WAIT = "admit", "refuse", "wait"
 
 
 @dataclass(eq=False)
@@ -262,7 +201,163 @@ class _WriteTicket:
     ops: List[MutationOp]
     results: Optional[List[StampedOutcome]] = None
     error: Optional[BaseException] = None
-    done: bool = False
+
+
+class _GateState(NamedTuple):
+    """A server's whole admission state.  Each method is a pure
+    transition ``(state, *args) -> (decision, new state)``, run by
+    :class:`_Gate` and by ``tests/session/test_gate_explorer.py``."""
+
+    readers: int = 0
+    writer: bool = False
+    #: announced blocking writers; they bar new readers (writer priority)
+    writers_waiting: int = 0
+    #: tickets not yet taken by a drainer, in admission order
+    queue: Tuple[_WriteTicket, ...] = ()
+    #: None while no caller holds the drainer role, else the batch it
+    #: applies (``()`` before its first batch, and for an inline batch)
+    applying: Optional[Tuple[_WriteTicket, ...]] = None
+    closed: bool = False
+
+    def read(self):
+        if self.writer or self.writers_waiting:
+            return _WAIT, self
+        return _ADMIT, self._replace(readers=self.readers + 1)
+
+    def read_done(self):
+        return _ADMIT, self._replace(readers=self.readers - 1)
+
+    def announce(self):
+        return _ADMIT, self._replace(writers_waiting=self.writers_waiting + 1)
+
+    def write(self):
+        if self.writer or self.readers:
+            return _WAIT, self
+        waiting = self.writers_waiting - 1
+        return _ADMIT, self._replace(writer=True, writers_waiting=waiting)
+
+    def withdraw(self):
+        return _ADMIT, self._replace(writers_waiting=self.writers_waiting - 1)
+
+    def write_done(self):
+        return _ADMIT, self._replace(writer=False)
+
+    def write_inline(self):
+        """The write hold and the drainer role at once, for a batch that
+        needs no wait: only an idle gate admits it."""
+        if self.closed:
+            return _REFUSE, self
+        if self != _GateState():
+            return _WAIT, self
+        return _ADMIT, self._replace(writer=True, applying=())
+
+    def inline_done(self):
+        return _ADMIT, self._replace(writer=False, applying=None)
+
+    def resign(self):
+        """Give up the drainer role after a failed batch."""
+        return _ADMIT, self._replace(applying=None)
+
+    def enqueue(self, ticket: _WriteTicket):
+        if self.closed:
+            return _REFUSE, self
+        return _ADMIT, self._replace(queue=self.queue + (ticket,))
+
+    def claim(self, ticket: _WriteTicket):
+        """Become the drainer; refused once another drainer applied the
+        ticket (it is neither queued nor applying)."""
+        if ticket not in self.queue and ticket not in (self.applying or ()):
+            return _REFUSE, self
+        if self.applying is not None:
+            return _WAIT, self
+        return _ADMIT, self._replace(applying=())
+
+    def take(self):
+        """Finish the drainer's batch and take the whole queue as the next
+        one; with nothing queued, give up the drainer role (refuse)."""
+        if not self.queue:
+            return _REFUSE, self._replace(applying=None)
+        return _ADMIT, self._replace(queue=(), applying=self.queue)
+
+    def close(self):
+        if self.closed:
+            return _REFUSE, self
+        return _ADMIT, self._replace(closed=True)
+
+    def drained(self):
+        if self.queue or self.applying is not None:
+            return _WAIT, self
+        return _ADMIT, self
+
+
+def _wakes(old: _GateState, new: _GateState) -> bool:
+    """Whether a caller parked on ``old`` may proceed on ``new``."""
+    return (
+        old.readers > new.readers == 0
+        or old.writer > new.writer
+        or (old.writers_waiting > new.writers_waiting and not new.writer)
+        or (old.applying is not None and new.applying is None)
+        or (bool(old.applying) and new.applying is not old.applying)
+    )
+
+
+class _Gate:
+    """A server's one admission lock: a condition over a :class:`_GateState`.
+    Writer priority keeps queries from starving mutations; a drainer applies
+    the whole queue per write hold, so writers cannot starve readers."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._state = _GateState()
+
+    def step(self, transition, *args, wait=True, timeout=None) -> Optional[_GateState]:
+        """Run one transition: commit its state on admit or refuse, wake the
+        parked callers if one may now proceed, park this one on wait.  The
+        committed state on admit, else None; ``wait=False``, or a
+        ``timeout`` (s) that runs out, refuses instead of waiting."""
+        with self._cond:
+            old = self._state
+            decision, new = transition(old, *args)
+            if decision == _WAIT:
+                if not wait or not self._cond.wait_for(
+                    lambda: transition(self._state, *args)[0] != _WAIT, timeout
+                ):
+                    return None
+                old = self._state
+                decision, new = transition(old, *args)
+            self._state = new
+            if _wakes(old, new):
+                self._cond.notify_all()
+        return new if decision == _ADMIT else None
+
+    @contextmanager
+    def reading(self, wait: bool = True):
+        """A shared hold; yields whether it is held."""
+        held = self.step(_GateState.read, wait=wait) is not None
+        try:
+            yield held
+        finally:
+            if held:
+                self.step(_GateState.read_done)
+
+    @contextmanager
+    def writing(self, wait: bool = True):
+        """An exclusive hold; yields whether it is held.  ``wait=False`` is
+        an inline batch's claim, which holds the drainer role too."""
+        if wait:
+            self.step(_GateState.announce)
+            try:
+                held = self.step(_GateState.write) is not None
+            except BaseException:  # interrupted while parked
+                self.step(_GateState.withdraw)
+                raise
+        else:
+            held = self.step(_GateState.write_inline, wait=False) is not None
+        try:
+            yield held
+        finally:
+            if held:
+                self.step(_GateState.write_done if wait else _GateState.inline_done)
 
 
 class _ShardHandle:
@@ -406,12 +501,8 @@ class ConcurrentSessionServer:
             )
         self.backend = backend
         self.n_workers = n_workers
-        self._rw = _ReadWriteLock()
+        self._gate = _Gate()
         self._stamp = 0
-        self._closed = False
-        self._write_cond = threading.Condition()
-        self._write_queue: List[_WriteTicket] = []
-        self._applying = False
         self._executor = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve"
         )
@@ -425,9 +516,9 @@ class ConcurrentSessionServer:
         self._respawns = 0
         self._rebalances = 0
         #: standing queries: sub_id -> (delta callback, pin on the cache
-        #: entry).  Their lock is only ever taken second, inside the
-        #: reader-writer lock (registration read-locked, notify write-locked)
-        #: or on its own
+        #: entry).  Their lock is only ever taken second, inside a gate hold
+        #: (registration under a read hold, notify under a write hold) or on
+        #: its own
         self._sub_lock = threading.Lock()
         self._subs: Dict[int, Tuple[Callable[[int, int, Tuple, Tuple], None], Pin]] = {}
         self._next_sub_id = 1
@@ -475,22 +566,15 @@ class ConcurrentSessionServer:
         the executor and mutation tickets already enqueued are drained
         first, so no batch's worker broadcast races the worker shutdown.
         """
-        with self._write_cond:
-            if self._closed:
-                return
-            self._closed = True
+        if not self._gate.step(_GateState.close):
+            return
         self._executor.shutdown(wait=True)
         # Let in-flight mutation batches finish their worker broadcasts
         # before the workers are told to stop (bounded: a wedged drainer
         # must not make close() hang forever).
-        deadline = time.monotonic() + 30.0
-        with self._write_cond:
-            while (self._applying or self._write_queue) and (
-                time.monotonic() < deadline
-            ):
-                self._write_cond.wait(timeout=1.0)
+        self._gate.step(_GateState.drained, timeout=30.0)
         if self._shards is not None:
-            with self._rw.write_locked():  # no read is computing on the pool
+            with self._gate.writing():  # no read is computing on the pool
                 self._session._evaluate = self._session._evaluate_here
         for handle in self._shards or ():
             try:
@@ -537,8 +621,8 @@ class ConcurrentSessionServer:
 
         A cache hit that needs no wait is answered on the calling thread and
         comes back as an already-resolved future, on either backend.  It
-        needs none when the read lock is free of writers (active or
-        waiting) and :meth:`SimulationSession.lookup` finds the key without
+        needs none when the gate has no writer (active or waiting) and
+        :meth:`SimulationSession.lookup` finds the key without
         ``O(|G|)`` work -- the fragmentation is not stale, an ``"auto"``
         dispatch reads only decided shape facts -- and cached, not in
         flight.  Everything else runs on the pool, a miss reusing the key
@@ -549,7 +633,7 @@ class ConcurrentSessionServer:
         key = None
         future: "Future[StampedResult]" = Future()
         try:
-            with self._rw.read_locked_if_free() as held:
+            with self._gate.reading(wait=False) as held:
                 if held:
                     hit, key = self._session.lookup(query, algorithm)
                     if hit is not None:
@@ -581,7 +665,7 @@ class ConcurrentSessionServer:
     def _serve(
         self, query: Pattern, algorithm: str, key: Optional[QueryKey]
     ) -> StampedResult:
-        with self._rw.read_locked():
+        with self._gate.reading():
             stamp = self._stamp
             if key is not None and self._session.is_current(key):
                 result = self._session.run_key(key)
@@ -617,7 +701,7 @@ class ConcurrentSessionServer:
         this object.
         """
         self._check_open()
-        with self._rw.read_locked():
+        with self._gate.reading():
             return partition_stats(self._session.fragmentation)
 
     def shard_stats(self) -> List[dict]:
@@ -625,7 +709,7 @@ class ConcurrentSessionServer:
         if self._shards is None:
             raise ReproError("shard_stats requires the sharded backend")
         self._check_open()
-        with self._rw.read_locked():
+        with self._gate.reading():
             with self._pool_lock:
                 self._heal_pool_locked()
                 return [
@@ -884,7 +968,7 @@ class ConcurrentSessionServer:
             )
         self._check_open()
         start = time.perf_counter()
-        with self._rw.write_locked():
+        with self._gate.writing():
             if traffic is None:
                 # The parent session's window: every served query, hits
                 # included (so "place" weighs demand, not worker work), plus
@@ -977,7 +1061,7 @@ class ConcurrentSessionServer:
         :data:`MAX_SUBSCRIPTIONS` a new one raises :class:`Overloaded`.
         """
         self._check_open()
-        with self._rw.read_locked():
+        with self._gate.reading():
             stamp = self._stamp
             result, pin = self._session.pin(query, algorithm)
             with self._sub_lock:
@@ -1071,28 +1155,18 @@ class ConcurrentSessionServer:
         else None, having applied nothing.
 
         No wait: the thread backend (a sharded batch waits for every
-        worker's ack), nothing holding or waiting for the reader-writer
-        lock, no batch applying or queued.  The batch runs through the
-        drainer's code, as the drainer: a ticket queued meanwhile is
-        applied by its owner after it, and :meth:`close` waits for it.
+        worker's ack), at most :data:`INLINE_MAX_OPS` updates, and nothing
+        holding or waiting for the gate, no batch applying or queued.  The
+        batch runs through the drainer's code, holding the drainer role: a
+        ticket queued meanwhile is applied by its owner after it, and
+        :meth:`close` waits for it.
         """
-        if self.backend != "thread":
-            return None
         ticket = _WriteTicket(normalize_ops(updates))
-        with self._write_cond:
+        if self.backend != "thread" or len(ticket.ops) > INLINE_MAX_OPS:
+            return None
+        if not self._apply_batch([ticket], wait=False):
             self._check_open()
-            if self._applying or self._write_queue:
-                return None
-            # Claimed before the write lock is tried, so that this condition
-            # and the lock's own are never held together.
-            self._applying = True
-        try:
-            if not self._apply_batch([ticket], wait=False):
-                return None
-        finally:
-            with self._write_cond:
-                self._applying = False
-                self._write_cond.notify_all()
+            return None
         if ticket.error is not None:
             raise ticket.error
         return ticket.results
@@ -1101,18 +1175,13 @@ class ConcurrentSessionServer:
         if not ops:
             return []
         ticket = _WriteTicket(ops)
-        with self._write_cond:
-            self._check_open()
-            self._write_queue.append(ticket)
-            # One mutating caller at a time plays "drainer" and applies the
-            # whole pending queue (coalescing everyone else's tickets into
-            # its quiescent point); the rest wait for their ticket.
-            while not ticket.done and self._applying:
-                self._write_cond.wait()
-            become_drainer = not ticket.done
-            if become_drainer:
-                self._applying = True
-        if become_drainer:
+        if not self._gate.step(_GateState.enqueue, ticket):
+            raise ReproError("the server is closed")
+        # One mutating caller at a time plays "drainer" and applies the
+        # whole pending queue (coalescing everyone else's tickets into its
+        # quiescent point); the claim of any other returns once its ticket
+        # is applied.
+        if self._gate.step(_GateState.claim, ticket):
             try:
                 self._drain_writes()
             except BaseException:
@@ -1122,52 +1191,34 @@ class ConcurrentSessionServer:
                 # or error recorded), fall through and report that decision;
                 # re-raise only when the failure struck before our ticket
                 # was resolved.
-                with self._write_cond:
-                    if ticket.results is None and ticket.error is None:
-                        raise
-        with self._write_cond:
-            while not ticket.done:
-                self._write_cond.wait()
+                if ticket.results is None and ticket.error is None:
+                    raise
         if ticket.error is not None:
             raise ticket.error
         return ticket.results
 
     def _drain_writes(self) -> None:
-        while True:
-            with self._write_cond:
-                batch = list(self._write_queue)
-                self._write_queue.clear()
-                if not batch:
-                    self._applying = False
-                    self._write_cond.notify_all()
-                    return
+        while (taken := self._gate.step(_GateState.take)) is not None:
+            batch = taken.applying
             try:
                 self._apply_batch(batch)
             except BaseException as exc:
-                with self._write_cond:
-                    for ticket in batch:
-                        if ticket.error is None and ticket.results is None:
-                            ticket.error = exc
-                        ticket.done = True
-                    self._applying = False
-                    self._write_cond.notify_all()
-                raise
-            with self._write_cond:
                 for ticket in batch:
-                    ticket.done = True
-                self._write_cond.notify_all()
+                    if ticket.error is None and ticket.results is None:
+                        ticket.error = exc
+                self._gate.step(_GateState.resign)
+                raise
 
-    def _apply_batch(self, batch: List[_WriteTicket], wait: bool = True) -> bool:
-        """Apply every ticket inside one write-lock hold (the quiescent point).
+    def _apply_batch(self, batch: Sequence[_WriteTicket], wait: bool = True) -> bool:
+        """Apply every ticket inside one write hold (the quiescent point).
 
         Per-ticket failures (e.g. deleting an edge that is already gone) are
         recorded on that ticket and do not disturb the others; the worker
         broadcast ships exactly the deltas the parent session produced.
-        ``wait=False``: if the lock is not free, apply nothing, return False.
+        ``wait=False`` is an inline batch's claim: if it is refused, apply
+        nothing and return False.
         """
-        with (
-            self._rw.write_locked() if wait else self._rw.write_locked_if_free()
-        ) as held:
+        with self._gate.writing(wait) as held:
             if not held:
                 return False
             stamp_before = self._stamp
@@ -1221,7 +1272,7 @@ class ConcurrentSessionServer:
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
-        if self._closed:
+        if self._gate._state.closed:
             raise ReproError("the server is closed")
 
     def __repr__(self) -> str:

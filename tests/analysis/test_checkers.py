@@ -140,38 +140,29 @@ class TestLockDiscipline:
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
     def test_production_registry_guards_the_reader_writer_counts(self):
-        """A read acquire that skips the condition variable is flagged; the
-        non-blocking acquire written under it is clean."""
+        """The gate's record (reader and writer counts, queue, drainer,
+        closed) is committed only under its condition variable."""
         seeded = (
-            "class _ReadWriteLock:\n"
-            "    def try_read(self):\n"
-            "        if self._writer_active or self._writers_waiting:\n"
-            "            return False\n"
-            "        self._readers += 1\n"
-            "        return True\n"
-            "    def writer_arrives(self):\n"
-            "        self._writers_waiting += 1\n"
-            "        self._writer_active = True\n"
+            "class _Gate:\n"
+            "    def step(self, transition):\n"
+            "        decision, self._state = transition(self._state)\n"
+            "        return decision\n"
         )
         findings = check(LockDisciplineChecker(), {"m.py": seeded})
-        assert sorted(f.detail for f in findings) == [
-            "_readers", "_writer_active", "_writers_waiting"
-        ]
+        assert [f.detail for f in findings] == ["_state"]
         clean = (
-            "class _ReadWriteLock:\n"
-            "    def try_read(self):\n"
+            "class _Gate:\n"
+            "    def step(self, transition):\n"
             "        with self._cond:\n"
-            "            held = not (self._writer_active or self._writers_waiting)\n"
-            "            if held:\n"
-            "                self._readers += 1\n"
-            "        return held\n"
+            "            decision, self._state = transition(self._state)\n"
+            "        return decision\n"
         )
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
     def test_production_registry_guards_the_stamp_under_both_write_acquires(self):
-        """The stamp advances under the waiting or the non-blocking write
-        acquire (or a choice of the two); a write outside both -- a helper
-        with no lexical ``with`` of its own -- is still a finding."""
+        """The stamp advances under a write hold -- waiting or not: the
+        guard matches ``writing()`` whatever its arguments; a write outside
+        the gate, or under an unrelated lock, is a finding."""
 
         def server(*body: str) -> str:
             return "class ConcurrentSessionServer:\n    def batch(self, wait):\n" + "".join(
@@ -180,26 +171,18 @@ class TestLockDiscipline:
 
         flagged = [
             server("self._stamp += 1"),
-            server("with self._write_cond:", "    self._stamp += 1"),
-            server(
-                "with self._rw.write_locked() if wait else self._rw.read_locked():",
-                "    self._stamp += 1",
-            ),
+            server("with self._pool_lock:", "    self._stamp += 1"),
+            server("with self._gate.reading():", "    self._stamp += 1"),
         ]
         for src in flagged:
             findings = check(LockDisciplineChecker(), {"m.py": src})
             assert [f.detail for f in findings] == ["_stamp"], src
         clean = [
-            server("with self._rw.write_locked():", "    self._stamp += 1"),
+            server("with self._gate.writing():", "    self._stamp += 1"),
             server(
-                "with self._rw.write_locked_if_free() as held:",
+                "with self._gate.writing(wait) as held:",
                 "    if held:",
                 "        self._stamp += 1",
-            ),
-            server(
-                "with (self._rw.write_locked() if wait",
-                "      else self._rw.write_locked_if_free()) as held:",
-                "    self._stamp += 1",
             ),
         ]
         for src in clean:

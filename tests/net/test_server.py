@@ -38,6 +38,7 @@ from repro.net.protocol import Connection, FrameKind
 from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
 from repro.net.server import NetworkSessionServer
 from repro.partition.fragmentation import fragment_graph
+from repro.session.concurrent import INLINE_MAX_OPS
 
 from tests.net.test_protocol import _frame, _retired_config, _struct
 from tests.session.test_concurrent_server import _hold, _SignallingCondition
@@ -262,6 +263,23 @@ class TestNoPickleOnTheClientPort:
             fake.join(timeout=JOIN_TIMEOUT)
 
 
+def _refused_at_decode(instance, kind, name: str, fields: dict, field: str) -> None:
+    """A frame whose ``field`` has the wrong type earns one ERROR frame
+    (WireFormatError, seq 0) and a hang-up, serves nothing, and the next
+    client is served as usual."""
+    graph, frag, queries = instance
+    with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+        with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+            sock.sendall(_frame(kind, _struct(name, *fields.values())))
+            events = _drain(sock)  # returns on the server's hang-up
+        assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+        assert events[0][2].kind == "WireFormatError"
+        assert f"{name}.{field} must be" in events[0][2].message
+        with SessionClient(*srv.address, timeout=60.0) as client:
+            assert client.stats().stats.queries_served == 0
+            assert client.run(queries[0]).relation == simulation(queries[0], graph)
+
+
 class TestThePeerChoosesNoWork:
     def test_a_run_frame_carrying_a_config_is_refused(self, instance):
         """A RUN in the layout that carried a config -- here one releasing
@@ -286,18 +304,27 @@ class TestThePeerChoosesNoWork:
         str, is a WireFormatError at decode -- one ERROR frame, a hang-up,
         nothing served -- not an error from inside the compute on a
         connection that stays open."""
-        graph, frag, queries = instance
-        fields = (5, "auto") if field == "query" else (queries[0], 5)
-        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
-            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
-                sock.sendall(_frame(FrameKind.RUN, _struct("RunRequest", *fields)))
-                events = _drain(sock)  # returns on the server's hang-up
-            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
-            assert events[0][2].kind == "WireFormatError"
-            assert f"RunRequest.{field} must be" in events[0][2].message
-            with SessionClient(*srv.address, timeout=60.0) as client:
-                assert client.stats().stats.queries_served == 0
-                assert client.run(queries[0]).relation == simulation(queries[0], graph)
+        _, _, queries = instance
+        fields = {"query": queries[0], "algorithm": "auto", field: 5}
+        _refused_at_decode(instance, FrameKind.RUN, "RunRequest", fields, field)
+
+    @pytest.mark.parametrize(
+        "kind, name, fields, field",
+        [
+            (FrameKind.HELLO, "Hello", {"role": 5, "token": b"", "versions": (2,)},
+             "role"),
+            (FrameKind.HELLO, "Hello", {"role": "c", "token": "x", "versions": (2,)},
+             "token"),
+            (FrameKind.UNSUBSCRIBE, "UnsubscribeRequest", {"sub_id": "1"}, "sub_id"),
+        ],
+        ids=["hello-role", "hello-token", "unsubscribe-sub_id"],
+    )
+    def test_a_hello_or_unsubscribe_with_a_mistyped_field_is_refused(
+        self, instance, kind, name, fields, field
+    ):
+        """A HELLO whose role is not a str or whose token is not bytes, an
+        UNSUBSCRIBE whose sub_id is not an int: refused at decode too."""
+        _refused_at_decode(instance, kind, name, fields, field)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -370,7 +397,7 @@ class TestWhereABatchIsApplied:
         before = simulation(queries[0], graph)
         with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
             server = srv.ingress.server
-            cond = server._rw._cond = _SignallingCondition()
+            cond = server._gate._cond = _SignallingCondition()
             applied_on = _record_threads(server.session, "apply", monkeypatch)
             entered, release = _hold(server.session, "_touched_fids", monkeypatch)
             results = {}
@@ -403,6 +430,43 @@ class TestWhereABatchIsApplied:
             assert results["read"].relation == before
             assert results["write"].stamp == 1
             assert len(applied_on) == 1 and applied_on[0] != srv._thread.ident
+
+    def test_a_batch_over_the_inline_cap_is_applied_off_the_loop(
+        self, instance, monkeypatch
+    ):
+        """A MUTATE of more than INLINE_MAX_OPS updates goes to a thread even
+        when nothing else runs: while it applies, the loop still answers a
+        HELLO on another connection."""
+        graph, frag, _ = instance
+        edges = list(graph.edges())[: INLINE_MAX_OPS + 1]
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            session = srv.ingress.server.session
+            entered, release = _hold(session, "apply", monkeypatch)
+            applied_on = _record_threads(session, "apply", monkeypatch)
+            results = {}
+
+            def mutate() -> None:
+                with SessionClient(*srv.address, timeout=60.0) as client:
+                    results["outcomes"] = client.apply(
+                        [DeleteEdge(*edge) for edge in edges]
+                    )
+
+            writer = threading.Thread(target=mutate)
+            writer.start()
+            try:
+                assert entered.wait(JOIN_TIMEOUT)  # the batch is applying
+                # A loop stuck in the batch would time this out instead.
+                with SessionClient(*srv.address, timeout=10.0) as other:
+                    assert other.hello().role == "server"
+                assert applied_on[0] != srv._thread.ident
+            finally:
+                release.set()
+            writer.join(JOIN_TIMEOUT)
+            assert not writer.is_alive(), "writer deadlocked"
+            assert [o.stamp for o in results["outcomes"]] == list(
+                range(1, len(edges) + 1)
+            )
+            assert len(set(applied_on)) == 1 and len(applied_on) == len(edges)
 
     def test_a_sharded_batch_is_applied_off_the_loop(self, instance, monkeypatch):
         graph, frag, queries = instance

@@ -25,7 +25,7 @@ from repro.bench.workloads import cyclic_pattern
 from repro.errors import GraphError, MutationBatchError, ReproError
 from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
-from repro.session.concurrent import _WriteTicket
+from repro.session.concurrent import _GateState, _WriteTicket
 
 
 @pytest.fixture()
@@ -96,6 +96,31 @@ class TestThreadBackend:
             edge = next(iter(graph.edges()))
             assert server.delete_edge(*edge).stamp == 1
             assert server.run(queries[0], algorithm="dgpm").stamp == 1
+
+    def test_a_failed_drain_gives_up_only_the_drainer_role(
+        self, small_instance, monkeypatch
+    ):
+        """A drain aborted by a non-Exception (an interrupt) reports it on its
+        tickets and releases the drainer role, and nothing else: another
+        writer's hold stays held."""
+        graph, frag, _ = small_instance
+        edges = list(graph.edges())
+
+        class Interrupt(BaseException):
+            pass
+
+        def interrupted(batch, wait=True):
+            raise Interrupt
+
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            monkeypatch.setattr(server, "_apply_batch", interrupted)
+            with server._gate.writing():  # another writer, e.g. a rebalance
+                with pytest.raises(Interrupt):
+                    server.delete_edge(*edges[0])
+                assert server._gate._state == _GateState(writer=True)
+            monkeypatch.undo()
+            assert server._gate._state == _GateState()
+            assert server.delete_edge(*edges[1]).stamp == 1
 
     def test_partial_batch_failure_reports_applied_prefix(self, small_instance):
         """A batch failing midway raises MutationBatchError carrying the
@@ -243,7 +268,7 @@ class TestHitsOnTheCallingThread:
         graph, frag, queries = small_instance
         edge = next(iter(graph.edges()))
         with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
-            cond = server._rw._cond = _SignallingCondition()
+            cond = server._gate._cond = _SignallingCondition()
             server.run(queries[0], algorithm="dgpm")
             write = threading.Thread(target=server.delete_edge, args=edge)
             if writer == "active":
@@ -442,22 +467,22 @@ class TestBatchesOnTheCallingThread:
             # refuse: set up by hand, as a drainer looks between two of its
             # batches, and a ticket queued with no drainer yet.
             elif busy == "drainer-between-batches":
-                server._applying = True
+                server._gate._state = _GateState(applying=())
             else:
-                server._write_queue.append(_WriteTicket([DeleteEdge(*edges[0])]))
+                server._gate._state = _GateState(
+                    queue=(_WriteTicket([DeleteEdge(*edges[0])]),)
+                )
             try:
                 stamp = server.stamp
-                queued = list(server._write_queue)
+                gate = server._gate._state
                 assert server.apply_if_free([DeleteEdge(*edges[1])]) is None
                 assert server.stamp == stamp
                 assert graph.has_edge(*edges[1])
-                assert server._write_queue == queued
-                assert server._applying == (busy.startswith("drainer"))
+                assert server._gate._state == gate
             finally:
                 release.set()
                 if held is None and reading is None:
-                    server._applying = False
-                    server._write_queue.clear()
+                    server._gate._state = _GateState()
             if held is not None:
                 held.join(JOIN_TIMEOUT)
                 assert not held.is_alive(), "writer deadlocked"
@@ -473,7 +498,7 @@ class TestBatchesOnTheCallingThread:
         graph, frag, _ = small_instance
         edges = list(graph.edges())
         with ConcurrentSessionServer(frag, backend="thread") as server:
-            cond = server._write_cond = _SignallingCondition()
+            cond = server._gate._cond = _SignallingCondition()
             entered, release = _hold(server.session, "apply", monkeypatch)
             results = {}
             inline = threading.Thread(
@@ -499,13 +524,13 @@ class TestBatchesOnTheCallingThread:
                 assert not thread.is_alive(), "writer deadlocked"
             assert [o.stamp for o in results["inline"]] == [1]
             assert results["queued"].stamp == 2
-            assert not server._applying and not server._write_queue
+            assert server._gate._state == _GateState()
 
     def test_close_waits_for_an_inline_batch(self, small_instance, monkeypatch):
         graph, frag, _ = small_instance
         edge = next(iter(graph.edges()))
         server = ConcurrentSessionServer(frag, backend="thread")
-        cond = server._write_cond = _SignallingCondition()
+        cond = server._gate._cond = _SignallingCondition()
         entered, release = _hold(server.session, "apply", monkeypatch)
         results = {}
         inline = threading.Thread(
@@ -570,7 +595,7 @@ class TestBatchesOnTheCallingThread:
                 assert not errors, f"writer failed: {errors[0]!r}"
                 assert sorted(stamps) == list(range(1, len(edges) + 1))
                 assert server.stamp == len(edges)
-                assert not server._applying and not server._write_queue
+                assert server._gate._state == _GateState()
                 result = server.run(queries[0], algorithm="dgpm")
                 assert result.relation == simulation(queries[0], graph)
         finally:
