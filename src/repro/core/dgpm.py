@@ -23,17 +23,20 @@ Theorem 2.
 
 Two programs implement the site side.  The protocol is defined by what sites
 ship, not by how a machine holding several fragments computes their local
-fixpoints: :class:`DgpmSiteProgram` (dict engine) is one program per site,
-:class:`DgpmHostProgram` (array engine) one program for *all* sites of a
-host that still emits every site's messages through the host's metered
-network -- relation, rounds, messages, DS and pushes are the same.
+fixpoints or packs their mail: :class:`DgpmSiteProgram` (dict engine) is one
+program per site, :class:`DgpmHostProgram` (array engine) one program for
+*all* sites of a host, whose mail between them moves as one envelope per
+kind and round with a row per logical message -- the network meters rows,
+so relation, rounds, messages, DS and pushes are the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.boolean.expr import BoolExpr, FALSE
 from repro.boolean.system import EquationBlowupError
@@ -47,7 +50,7 @@ from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.runtime.costmodel import CostModel
 from repro.runtime.engine import TickResult
-from repro.runtime.messages import COORDINATOR, Message, MessageKind
+from repro.runtime.messages import COORDINATOR, Envelope, Mail, Message, MessageKind
 from repro.runtime.metrics import RunResult
 
 
@@ -124,17 +127,16 @@ def _var_update(cost: CostModel, src: int, dst: int, payload, n_vars: int) -> Me
     return Message(src, dst, MessageKind.VAR_UPDATE, payload, cost.var_batch_bytes(n_vars))
 
 
-def _result_message(fid: int, matches: Dict[Node, Set[Node]], config: DgpmConfig) -> Message:
-    """Site ``fid``'s local matches (or only whether it has any) for ``Sc``."""
+def _result_row(matches: Dict[Node, Set[Node]], config: DgpmConfig) -> Tuple[dict, int]:
+    """A site's local matches (or only whether it has any) for ``Sc``, and
+    their metered size."""
     if config.boolean_only:
         payload = {u: bool(vs) for u, vs in matches.items()}
         size = len(payload)
     else:
         payload = matches
         size = sum(len(vs) for vs in matches.values())
-    return Message(
-        fid, COORDINATOR, MessageKind.RESULT, payload, config.cost.var_batch_bytes(size)
-    )
+    return payload, config.cost.var_batch_bytes(size)
 
 
 def _benefit(n_unresolved_virtual: int, pending: Iterable[BoolExpr]) -> float:
@@ -146,24 +148,23 @@ def _benefit(n_unresolved_virtual: int, pending: Iterable[BoolExpr]) -> float:
     return n_unresolved_virtual / (m * len(sizes))
 
 
-def _push_messages(
+def _push_rows(
     fid: int,
     pending: Dict[VarKey, BoolExpr],
     deps: DependencyGraphs,
     cost: CostModel,
     code_of: Optional[Dict[VarKey, int]] = None,
-    here=(),
-) -> List[Message]:
-    """Site ``fid``'s push: every pending in-node equation to its watcher
-    sites, and a REWIRE to the owner of every leaf.
+) -> Iterator[Tuple[MessageKind, int, object, int, Optional[List[int]]]]:
+    """Site ``fid``'s push as ``(kind, receiver, payload, size, named)``
+    rows: every pending in-node equation to its watcher sites, and a REWIRE
+    to the owner of every leaf.
 
     With ``code_of`` (the array engine: the sender's pair code of every
-    variable it names), a payload becomes ``(payload, codes)``: for a
-    receiver in ``here`` the sender's codes of the variables it names --
-    EQUATION ``[var, *expr.variables()]``, REWIRE one per entry -- for the
-    host to translate into the receiver's, None for a receiver elsewhere.
+    variable it names), ``named`` holds the sender's codes of the variables
+    a row names -- EQUATION ``[var, *expr.variables()]``, REWIRE one per
+    entry -- for the host to translate into a co-located receiver's; else
+    None.
     """
-    out: List[Message] = []
     rewires: Dict[int, List[Tuple[VarKey, int]]] = {}
     for var, expr in sorted(pending.items(), key=lambda item: repr(item[0])):
         size = cost.message_header_bytes + cost.equation_bytes(expr.n_terms)
@@ -172,20 +173,21 @@ def _push_messages(
         owners = [deps.owner_site(fid, leaf[1]) for leaf in leaves]
         named = None if code_of is None else [code_of[var], *map(code_of.__getitem__, leaves)]
         for peer in sorted(deps.watcher_sites(fid, var[1])):
-            payload = (var, expr) if code_of is None else (
-                (var, expr), named if peer in here else None
-            )
-            out.append(Message(fid, peer, MessageKind.EQUATION, payload, size))
+            yield MessageKind.EQUATION, peer, (var, expr), size, named
             for leaf, owner in zip(leaves, owners):
                 rewires.setdefault(owner, []).append((leaf, peer))
     for owner, entries in sorted(rewires.items()):
-        payload = entries if code_of is None else (
-            entries, [code_of[leaf] for leaf, _ in entries] if owner in here else None
-        )
-        out.append(
-            Message(fid, owner, MessageKind.REWIRE, payload, cost.var_batch_bytes(len(entries)))
-        )
-    return out
+        named = None if code_of is None else [code_of[leaf] for leaf, _ in entries]
+        yield MessageKind.REWIRE, owner, entries, cost.var_batch_bytes(len(entries)), named
+
+
+def _rows(mail: Mail) -> Iterator[Tuple[int, object, Optional[List[int]]]]:
+    """``(receiver, payload, codes)`` per row of ``mail``; the codes are
+    None for mail without a code column (it came from another host)."""
+    if mail.codes is None:
+        return zip(mail.dsts, mail.payloads, repeat(None))
+    codes, bounds = mail.codes.tolist(), mail.bounds
+    return zip(mail.dsts, mail.payloads, map(codes.__getitem__, map(slice, bounds, bounds[1:])))
 
 
 class DgpmSiteProgram:
@@ -281,7 +283,10 @@ class DgpmSiteProgram:
         self.pushes_triggered += 1
         # (the pushed variables keep shipping as values too: receivers
         # de-duplicate, and nothing depends on the equation arriving first)
-        return _push_messages(self.fid, pending, self.deps, self.cost)
+        return [
+            Message(self.fid, peer, kind, payload, size)
+            for kind, peer, payload, size, _ in _push_rows(self.fid, pending, self.deps, self.cost)
+        ]
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -359,7 +364,8 @@ class DgpmSiteProgram:
         return out
 
     def collect(self) -> Message:
-        return _result_message(self.fid, self.state.local_matches(), self.config)
+        payload, size = _result_row(self.state.local_matches(), self.config)
+        return Message(self.fid, COORDINATOR, MessageKind.RESULT, payload, size)
 
 
 class DgpmHostProgram:
@@ -369,36 +375,38 @@ class DgpmHostProgram:
     :class:`~repro.core.arraycompile.HostSnapshot`, and one
     :class:`~repro.core.arraystate.ArrayEvalState` over it holds all their
     local fixpoints: a step is one set of counter waves for the host, not
-    one per site.  What the sites *say* is untouched.  Per round the program
-    emits the messages its sites would: one VAR_UPDATE per (site, watcher
-    site) with that round's falsified in-node variables (batched, the dGPMd
-    Example-10 merge, where the dict engine sends one message per variable:
-    same variables, same round, fewer envelopes), the same EQUATION / REWIRE
-    / CONTROL envelopes, one RESULT per site.  Mail between two of its own
-    sites leaves through the host's network like any other and is in next
-    round's inbox: metered, scramble-able, a round late.
+    one per site.  What the sites *say* is untouched, not how it travels: a
+    step's mail between the host's own sites is one
+    :class:`~repro.runtime.messages.Envelope` per kind (VAR_UPDATE,
+    EQUATION, REWIRE) with a row per logical message, a round late and
+    scramble-able row by row; CONTROL and RESULT are an envelope with a row
+    per site.  The network meters rows, so messages, DS and rounds are those
+    of per-site mail.  Mail to a site on another host is a plain message per
+    logical message, with the dict engine's payload.
 
     A variable is a *pair code* ``query index * N + row`` in here; the row
-    names the site, so the tables below are per-site records.  A VAR_UPDATE
-    payload is ``(keys, codes)``: ``(u, v)`` keys -- all that a site on
-    another host, or one watching by rewire only, can read -- and, for
-    co-located watchers, the codes of their virtual copies (the snapshot's
-    delivery table), applied without a Python loop.  Every site has its own
-    :class:`_PushState`, and B(Si) >= θ is decided per site from per-block
-    counts of the one pessimistic bracket.
+    names the site, so the tables below are per-site records.  VAR_UPDATE
+    has a row per (site, watcher site) with the round's falsified in-node
+    variables (the dGPMd Example-10 merge, where the dict engine sends one
+    message per variable); its code column is the watchers' virtual copies
+    sorted by pair (the snapshot's delivery table), applied by the receiver
+    without a Python loop.  A row's payload holds the ``(u, v)`` keys of
+    the watchers by rewire only; a rewire forward is a row of its own.
+    Every site has its own :class:`_PushState`, and B(Si) >= θ is decided
+    per site from per-block counts of the one pessimistic bracket.
 
     The push is paid once per host, not per site: one pessimistic bracket
     and one pass that builds every site's dependent equation subsystem
     (:meth:`~repro.core.arraystate.ArrayEvalState.in_node_equations`), then
-    one reduction per site (the blow-up budget is per site).  Its EQUATION
-    / REWIRE payloads are ``(payload, codes)``: for a co-located receiver
-    the receiver's codes of the variables named (EQUATION ``[var,
-    *expr.variables()]``, ``-1`` for a leaf it holds no virtual copy of;
-    REWIRE the owner's code per entry), translated in one lookup per push
-    (:meth:`~repro.core.arraycompile.HostSnapshot.copy_rows`); None for a
-    receiver on another host, which locates the keys.  Adoption then reads
-    the candidate bits at those codes, and a site's fallen leaves are
-    applied to its pushed equations in one batch a round.
+    one reduction per site (the blow-up budget is per site).  The code
+    column of its EQUATION / REWIRE envelopes holds the receivers' codes of
+    the variables named (EQUATION ``[var, *expr.variables()]``, ``-1`` for
+    a leaf the receiver holds no virtual copy of; REWIRE the owner's code
+    per entry), translated in one lookup
+    (:meth:`~repro.core.arraycompile.HostSnapshot.copy_rows`); a receiver
+    on another host locates the keys.  Adoption then reads the candidate
+    bits at those codes, and a site's fallen leaves are applied to its
+    pushed equations in one batch a round.
     """
 
     def __init__(self, fids, query, deps, config, compiled) -> None:
@@ -446,52 +454,71 @@ class DgpmHostProgram:
     # ------------------------------------------------------------------
     # lMsg: route falsifications along the dependency graph
     # ------------------------------------------------------------------
-    def _ship(self, codes) -> List[Message]:
-        """The VAR_UPDATEs for the newly false variables ``codes``."""
+    def _ship(self, codes, forwards=()) -> List[Mail]:
+        """The VAR_UPDATEs for the newly false variables ``codes`` and the
+        rewire ``forwards`` (``(site, watcher site, key)``): one envelope of
+        the rows between this host's sites, a message for each that leaves."""
         np = require_numpy()
         snap, fids, cost, n = self.snapshot, self.fids, self.cost, self.snapshot.n_nodes
         qis, rows = np.divmod(codes, n)
         keep = self._parented[qis] & snap.in_mask[rows]
         codes, qis, rows = codes[keep], qis[keep], rows[keep]
-        if not codes.size:
-            return []
         self.shipped.flat[codes] = True
 
         keyed: Dict[Tuple[int, int], List[VarKey]] = {}  # (site, watcher site) -> keys
-        if self.key_watchers:
+        if self.key_watchers and codes.size:
             for code in self.key_watchers.keys() & set(codes.tolist()):
                 qi, row = divmod(code, n)
                 key = (self.state.view.qnodes[qi], snap.nodes[row])
                 for peer in self.key_watchers[code]:
                     keyed.setdefault((fids[snap.site_of[row]], peer), []).append(key)
 
-        # Co-located watchers: the codes of their virtual copies, grouped by
-        # (site, watcher site).
-        messages: List[Message] = []
+        # Co-located watchers: the codes of their virtual copies, sorted by
+        # (site, watcher site) -- a row per pair, the column as it is.
         targets, copies = gather_csr(snap.deliver_indptr, snap.deliver_rows, rows)
-        if targets.size:
-            k = len(fids)
-            pair = np.repeat(snap.site_of[rows], copies) * k + snap.site_of[targets]
-            order = np.argsort(pair, kind="stable")
-            pair, codes = pair[order], (np.repeat(qis, copies) * n + targets)[order]
-            cuts = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), pair.size]
-            for p, lo, hi in zip(pair[cuts[:-1]].tolist(), cuts, cuts[1:]):
-                src, dst = fids[p // k], fids[p % k]
-                keys = keyed.pop((src, dst), ()) if keyed else ()
-                messages.append(
-                    _var_update(cost, src, dst, (keys, codes[lo:hi]), hi - lo + len(keys))
-                )
-        for (src, dst), keys in keyed.items():
-            messages.append(_var_update(cost, src, dst, (keys, None), len(keys)))
-        return messages
+        k = len(fids)
+        pair = np.repeat(snap.site_of[rows], copies) * k + snap.site_of[targets]
+        order = np.argsort(pair, kind="stable")
+        pair, column = pair[order], (np.repeat(qis, copies) * n + targets)[order]
+        cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
+        bounds = [0, *cuts, pair.size] if pair.size else [0]  # a pair's codes, per row
+        heads = pair[bounds[:-1]].tolist()
+        out = [  # a row: [site, watcher site, keys, number of variables]
+            [fids[p // k], fids[p % k], (), hi - lo] for p, lo, hi in zip(heads, bounds, bounds[1:])
+        ]
+        # Keys: a pair's join its codes, the rest (and every forward, a
+        # message of its own) are rows without codes -- or leave the host.
+        alone = [*keyed.items(), *(((src, dst), [key]) for src, dst, key in forwards)]
+        leaving: List[Mail] = [
+            _var_update(cost, src, dst, keys, len(keys))
+            for (src, dst), keys in alone if dst not in self._block
+        ]
+        for i, ((src, dst), keys) in enumerate(alone):
+            if dst in self._block:
+                p = self._block[src] * k + self._block[dst]
+                at = bisect_left(heads, p)
+                if i < len(keyed) and at < len(heads) and heads[at] == p:
+                    out[at][2:] = keys, out[at][3] + len(keys)
+                else:
+                    out.append([src, dst, keys, len(keys)])
+                    bounds.append(bounds[-1])
+        if out:
+            srcs, dsts, payloads, n_vars = zip(*out)
+            sizes = cost.var_batch_bytes(np.asarray(n_vars)).tolist()
+            leaving.insert(0, Envelope(
+                MessageKind.VAR_UPDATE, srcs, dsts, sizes, payloads, column, bounds
+            ))
+        return leaving
 
     # ------------------------------------------------------------------
     # push operation (Section 4.2)
     # ------------------------------------------------------------------
-    def _try_push(self) -> List[Message]:
+    def _try_push(self) -> List[Mail]:
         """Every site with B(Si) >= θ ships its in-node equations: one
         pessimistic bracket and one equation build for the host, one symbolic
-        reduction per site that has an unresolved in-node variable."""
+        reduction per site that has an unresolved in-node variable.  The
+        rows to this host's sites become one EQUATION and one REWIRE
+        envelope."""
         if not self.config.enable_push:
             return []
         np = require_numpy()
@@ -499,48 +526,45 @@ class DgpmHostProgram:
         pess = state.pessimistic()
         per_row = (state.sim & snap.virtual_mask).sum(axis=0)  # |Fi.O'|, by block
         n_virtual = np.bincount(snap.site_of, weights=per_row, minlength=len(self.fids))
-        out: List[Message] = []
+        here: Dict[MessageKind, List[tuple]] = {MessageKind.EQUATION: [], MessageKind.REWIRE: []}
+        leaving: List[Mail] = []
         by_block = state.in_node_equations(pess, self.config.push_max_terms)
         for k, (equations, code_of) in by_block.items():
             pending = {key: e for key, e in equations.items() if not e.is_const()}
-            if pending and (
-                _benefit(n_virtual[k], pending.values()) >= self.config.push_threshold
+            if not pending or (
+                _benefit(n_virtual[k], pending.values()) < self.config.push_threshold
             ):
-                self.pushes_triggered += 1
-                out.extend(_push_messages(
-                    self.fids[k], pending, self.deps, self.cost, code_of, self._block
-                ))
-        self._translate_codes(out)
-        return out
+                continue
+            self.pushes_triggered += 1
+            fid = self.fids[k]
+            for kind, dst, payload, size, named in _push_rows(
+                fid, pending, self.deps, self.cost, code_of
+            ):
+                if dst in self._block:
+                    here[kind].append((fid, dst, size, payload, named))
+                else:
+                    leaving.append(Message(fid, dst, kind, payload, size))
+        coded = [self._translated(kind, *zip(*rows)) for kind, rows in here.items() if rows]
+        return [*coded, *leaving]
 
-    def _translate_codes(self, messages: List[Message]) -> None:
-        """Turn the sender's codes in the push ``messages`` for co-located
-        sites into the receivers' codes, one lookup per message kind: an
-        EQUATION names virtual variables of its receiver (a leaf the
-        receiver holds no virtual copy of becomes ``-1``: only its key
-        reaches it), a REWIRE variables of the owner itself."""
+    def _translated(self, kind, srcs, dsts, sizes, payloads, named) -> Envelope:
+        """The push envelope of rows to this host's sites, the sender's codes
+        in ``named`` turned into the receivers' in one lookup: an EQUATION
+        names virtual variables of its receiver (a leaf the receiver holds
+        no virtual copy of becomes ``-1``: only its key reaches it), a
+        REWIRE variables of the owner itself."""
         np = require_numpy()
         snap, n = self.snapshot, self.snapshot.n_nodes
-        for kind in (MessageKind.EQUATION, MessageKind.REWIRE):
-            coded = [m for m in messages if m.kind == kind and m.payload[1] is not None]
-            if not coded:
-                continue
-            sizes = [len(m.payload[1]) for m in coded]
-            qis, rows = np.divmod(
-                np.fromiter((c for m in coded for c in m.payload[1]), np.int64, sum(sizes)), n
-            )
-            blocks = np.repeat(
-                np.fromiter((self._block[m.dst] for m in coded), np.int64, len(coded)), sizes
-            )
-            there = snap.copy_rows(rows, blocks)
-            ok = there >= 0
-            if kind == MessageKind.EQUATION:
-                ok[ok] = snap.virtual_mask[there[ok]]
-            codes = np.where(ok, qis * n + there, -1).tolist()
-            at = 0
-            for message, size in zip(coded, sizes):
-                message.payload = (message.payload[0], codes[at:at + size])
-                at += size
+        lengths = [len(codes) for codes in named]
+        bounds = [0, *accumulate(lengths)]
+        qis, rows = np.divmod(np.fromiter(chain.from_iterable(named), np.int64, bounds[-1]), n)
+        blocks = np.repeat([self._block[dst] for dst in dsts], lengths)
+        there = snap.copy_rows(rows, blocks)
+        ok = there >= 0
+        if kind == MessageKind.EQUATION:
+            ok[ok] = snap.virtual_mask[there[ok]]
+        column = np.where(ok, qis * n + there, -1)
+        return Envelope(kind, srcs, dsts, sizes, payloads, column, bounds)
 
     def _adopt_equation(self, fid: int, var: VarKey, expr: BoolExpr, codes, sim) -> Optional[int]:
         """Site ``fid`` takes over the pushed equation of its virtual
@@ -570,19 +594,20 @@ class DgpmHostProgram:
         self._leaf_at.update(waiting)
         return None
 
-    def _rewire(self, fid: int, entries, codes) -> List[Message]:
+    def _rewire(self, fid: int, entries, codes) -> List[Tuple[int, int, VarKey]]:
         """Site ``fid``'s variables gain watchers; the ones already shipped
-        are forwarded now, so nothing is lost in flight.  ``codes`` are
-        fid's codes of the entries' variables (None: located here)."""
+        are forwarded now (``(fid, watcher, key)``), so nothing is lost in
+        flight.  ``codes`` are fid's codes of the entries' variables (None:
+        located here)."""
         if codes is None:
             codes = [self._locate(fid, var) for var, _ in entries]
-        forwards: List[Message] = []
+        forwards: List[Tuple[int, int, VarKey]] = []
         shipped = self.shipped.ravel()
         for (var, new_watcher), code in zip(entries, codes):
             if code is None or code < 0:
                 continue
             if shipped[code]:
-                forwards.append(_var_update(self.cost, fid, new_watcher, ([var], None), 1))
+                forwards.append((fid, new_watcher, var))
             elif new_watcher not in self.deps.watcher_sites(fid, var[1]):
                 self.key_watchers.setdefault(code, set()).add(new_watcher)
         return forwards
@@ -590,13 +615,19 @@ class DgpmHostProgram:
     # ------------------------------------------------------------------
     # engine hooks
     # ------------------------------------------------------------------
-    def _finish(self, messages: List[Message], changed, n_falsified: int) -> TickResult:
-        """Close a step: a changed-flag from every site of ``changed`` that
-        sent something, and the busiest site's share of the step's counter
-        decrements (an even split when there were none)."""
+    def _finish(self, mail: List[Mail], changed, n_falsified: int) -> TickResult:
+        """Close a step: a changed-flag row from every site of ``changed``
+        that sent something (one CONTROL envelope), and the busiest site's
+        share of the step's counter decrements (an even split when there
+        were none)."""
         np = require_numpy()
-        senders = {message.src for message in messages}
-        messages.extend(_control_flag(fid, self.cost) for fid in changed if fid in senders)
+        senders = set(chain.from_iterable(sent.srcs for sent in mail))
+        flags = [fid for fid in self.fids if fid in senders and fid in changed]
+        if flags:
+            mail.append(Envelope(
+                MessageKind.CONTROL, flags, [COORDINATOR] * len(flags),
+                [self.cost.control_flag_bytes] * len(flags), [True] * len(flags),
+            ))
         work = np.bincount(
             self.snapshot.site_of, weights=self.state.row_work, minlength=len(self.fids)
         )
@@ -604,49 +635,50 @@ class DgpmHostProgram:
         total = work.sum()
         share = work.max() / total if total else 1.0 / max(len(changed), 1)
         return TickResult(
-            messages=messages, halted=True, n_falsified=n_falsified, slowest_share=float(share)
+            messages=mail, halted=True, n_falsified=n_falsified, slowest_share=float(share)
         )
 
     def on_start(self) -> TickResult:
         self.state.run_initial()
         falsified = self.state.take_newly_false()
-        messages = self._ship(falsified)
-        messages.extend(self._try_push())
-        return self._finish(messages, self.fids, falsified.size)
+        return self._finish(
+            [*self._ship(falsified), *self._try_push()], self.fids, falsified.size
+        )
 
-    def on_tick(self, round_no: int, inbox: List[Message]) -> TickResult:
+    def on_tick(self, round_no: int, inbox: List[Mail]) -> TickResult:
         np = require_numpy()
         parts: List = []  # received falsifications: pair codes ...
         told: List[int] = []  # ... those that arrived as keys, or false on arrival
         keys_of: Dict[int, List[VarKey]] = {}  # per site, what its pushed equations see
         changed: Set[int] = set()  # sites that received a falsification
-        forwards: List[Message] = []
+        forwards: List[Tuple[int, int, VarKey]] = []
         sim = None  # the candidate bits as bytes, while a push is being adopted
-        for message in inbox:
-            if message.kind == MessageKind.VAR_UPDATE:
-                keys, codes = message.payload
-                changed.add(message.dst)
-                if keys:
-                    keys_of.setdefault(message.dst, []).extend(keys)
-                    for key in keys:
-                        code = self._locate(message.dst, key)
-                        if code is not None:
-                            told.append(code)
-                if codes is not None:
-                    parts.append(codes)
-            elif message.kind == MessageKind.EQUATION:
+        for mail in inbox:
+            if mail.kind == MessageKind.VAR_UPDATE:
+                changed.update(mail.dsts)
+                if mail.codes is not None:
+                    parts.append(mail.codes)
+                for dst, keys in zip(mail.dsts, mail.payloads):
+                    if keys:
+                        keys_of.setdefault(dst, []).extend(keys)
+                        for key in keys:
+                            code = self._locate(dst, key)
+                            if code is not None:
+                                told.append(code)
+            elif mail.kind == MessageKind.EQUATION:
                 if sim is None:
                     sim = self.state.sim.tobytes()
-                (var, expr), codes = message.payload
-                code = self._adopt_equation(message.dst, var, expr, codes, sim)
-                if code is not None:
-                    changed.add(message.dst)
-                    keys_of.setdefault(message.dst, []).append(var)
-                    told.append(code)
-            elif message.kind == MessageKind.REWIRE:
-                forwards.extend(self._rewire(message.dst, *message.payload))
+                for dst, (var, expr), named in _rows(mail):
+                    code = self._adopt_equation(dst, var, expr, named, sim)
+                    if code is not None:
+                        changed.add(dst)
+                        keys_of.setdefault(dst, []).append(var)
+                        told.append(code)
+            elif mail.kind == MessageKind.REWIRE:
+                for dst, entries, named in _rows(mail):
+                    forwards.extend(self._rewire(dst, entries, named))
         if not changed:
-            return self._finish(forwards, (), 0)
+            return self._finish(self._ship(np.empty(0, dtype=np.int64), forwards), (), 0)
 
         # Pushed equations react to leaf falsifications as well: the keys a
         # site was sent and the leaves that arrived as codes, one batch a site.
@@ -681,11 +713,9 @@ class DgpmHostProgram:
                 & self.snapshot.in_mask
                 & ~self.shipped
             )
-        messages = self._ship(falsified)
-        messages.extend(forwards)
-        return self._finish(messages, changed, falsified.size)
+        return self._finish(self._ship(falsified, forwards), changed, falsified.size)
 
-    def collect(self) -> List[Message]:
+    def collect(self) -> Envelope:
         np = require_numpy()
         snap, view = self.snapshot, self.state.view
         matches: List[Dict[Node, Set[Node]]] = [{} for _ in self.fids]
@@ -695,10 +725,8 @@ class DgpmHostProgram:
             nodes = [snap.nodes[row] for row in rows.tolist()]
             for k, found in enumerate(matches):
                 found[u] = set(nodes[cuts[k]:cuts[k + 1]])
-        return [
-            _result_message(fid, found, self.config)
-            for fid, found in zip(self.fids, matches)
-        ]
+        payloads, sizes = zip(*(_result_row(found, self.config) for found in matches))
+        return Envelope(MessageKind.RESULT, self.fids, (COORDINATOR,) * len(sizes), sizes, payloads)
 
 
 def _build_programs(fids, fragmentation, query, deps, config, compiled):

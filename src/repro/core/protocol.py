@@ -28,7 +28,7 @@ from repro.graph.digraph import Node
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation
 from repro.runtime.engine import Host, LocalHost, SiteProgram, SyncEngine
-from repro.runtime.messages import Message
+from repro.runtime.messages import Mail
 from repro.runtime.metrics import RunResult
 from repro.runtime.network import Network
 from repro.simulation.matchrel import MatchRelation
@@ -70,16 +70,18 @@ def per_site(build: Callable[..., SiteProgram]) -> Callable[..., Dict[int, SiteP
     return lambda fids, *run: {fid: build(fid, *run) for fid in fids}
 
 
-def assemble_result(query: Pattern, result_messages: List[Message]) -> MatchRelation:
-    """Coordinator phase 3: union local matches; empty if a query node is bare."""
+def assemble_result(query: Pattern, results: List[Mail]) -> MatchRelation:
+    """Coordinator phase 3: union the local matches of every RESULT row;
+    empty if a query node is bare."""
     merged: Dict[Node, Set[Node]] = {u: set() for u in query.nodes()}
-    for message in result_messages:
-        for u, vs in message.payload.items():
-            if isinstance(vs, bool):  # boolean_only collection
-                if vs:
-                    merged[u].add(("__some__", message.src, u))
-            else:
-                merged[u] |= vs
+    for mail in results:
+        for src, payload in zip(mail.srcs, mail.payloads):
+            for u, vs in payload.items():
+                if isinstance(vs, bool):  # boolean_only collection
+                    if vs:
+                        merged[u].add(("__some__", src, u))
+                else:
+                    merged[u] |= vs
     return MatchRelation(query.nodes(), merged)
 
 

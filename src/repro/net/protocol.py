@@ -78,6 +78,9 @@ READ_SIZE = 64 * 1024
 #: the most PUSH frames one subscription may queue (16x the client default)
 MAX_PUSH_BUFFER = 4096
 
+#: the most updates one MUTATE may carry (the client refuses to send more)
+MAX_MUTATE_OPS = 4096
+
 _HEADER = struct.Struct(">4sBBHII")
 HEADER_SIZE = _HEADER.size
 
@@ -145,13 +148,19 @@ class RunRequest:
 @dataclass(frozen=True)
 class MutateRequest:
     """Apply ``ops`` as one atomic batch (syntax of
-    :meth:`SimulationSession.apply`); anything but a tuple of
-    :class:`~repro.graph.mutations.MutationOp` is refused at decode."""
+    :meth:`SimulationSession.apply`); anything but a tuple of at most
+    :data:`MAX_MUTATE_OPS` :class:`~repro.graph.mutations.MutationOp` is
+    refused at decode."""
 
     ops: Tuple[MutationOp, ...]
 
     def __post_init__(self) -> None:
         _require("MutateRequest.ops", self.ops, tuple)
+        if len(self.ops) > MAX_MUTATE_OPS:
+            raise WireFormatError(
+                f"MutateRequest.ops must hold at most {MAX_MUTATE_OPS} updates, "
+                f"got {len(self.ops)}"
+            )
         for op in self.ops:
             if not isinstance(op, MutationOp):
                 raise WireFormatError(

@@ -17,8 +17,11 @@ owns, with the coordinator's handle to it as the remote host.  A program may
 stand for several sites of its host (``programs`` holds it under each of
 their ids; it is stepped once a round, with the mail of all of them): how a
 machine computes the local fixpoints of the fragments it holds is its own
-business -- dGPM's array engine does it in one array program -- as long as
-every message between two sites is still a message.  The contract
+business -- dGPM's array engine does it in one array program.  What it
+must keep is the meter: every logical message between two sites is a row
+-- of a plain message, or of an envelope that carries a program's
+co-located mail of one kind for a round -- and the network meters rows, so
+envelopes change no count, byte or round.  The contract
 is two calls, ``post(command, payload)`` then ``collect(command)``: the
 engine posts a round to *every* host before it collects the first reply, so
 remote hosts compute a superstep concurrently.  Commands and replies:
@@ -34,9 +37,9 @@ remote hosts compute a superstep concurrently.  Commands and replies:
   The clock is the host's; a program standing for several sites reports the
   fraction of its step its busiest site accounts for, apportioned by work done
   (:attr:`TickResult.slowest_share`), so PT is then an *estimate*.
-* ``"q.collect"`` replies ``(results, site_extras, network)``: every site's
-  RESULT message, the per-site values of the host's ``readers``, and the
-  host's own network as its meter.
+* ``"q.collect"`` replies ``(results, site_extras, network)``: the
+  programs' RESULT mail (a row per site), the per-site values of the host's
+  ``readers``, and the host's own network as its meter.
 
 **What is metered where.**  Mail between two sites of one host never leaves
 it: the host buffers it in its own :class:`Network`, so it is metered,
@@ -55,11 +58,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.errors import ProtocolError
 from repro.runtime.costmodel import CostModel
-from repro.runtime.messages import COORDINATOR, Message
+from repro.runtime.messages import COORDINATOR, Mail, Message
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.network import Network
 
@@ -68,7 +71,7 @@ from repro.runtime.network import Network
 class TickResult:
     """What a site produced during one round."""
 
-    messages: List[Message] = field(default_factory=list)
+    messages: List[Mail] = field(default_factory=list)
     #: True when the site has no local work left (it can still be woken
     #: by a later message).
     halted: bool = True
@@ -88,14 +91,14 @@ class SiteProgram(Protocol):
         """First tick, before any message is delivered."""
         ...
 
-    def on_tick(self, round_no: int, inbox: List[Message]) -> TickResult:
+    def on_tick(self, round_no: int, inbox: List[Mail]) -> TickResult:
         """One superstep: process ``inbox`` (the mail of every site the
-        program stands for), return outgoing messages."""
+        program stands for), return outgoing mail."""
         ...
 
-    def collect(self) -> Union[Message, List[Message]]:
-        """Final local result, addressed to the coordinator: one message per
-        site (a list when the program stands for several)."""
+    def collect(self) -> Mail:
+        """Final local result, addressed to the coordinator: a row per site
+        the program stands for."""
         ...
 
 
@@ -134,7 +137,7 @@ class LocalHost:
 
     def _step(self, calls: Iterable[Tuple[SiteProgram, Callable[[], TickResult]]]) -> tuple:
         """Run one round's program calls; keep their mutual mail, return the rest."""
-        outbound: List[Message] = []
+        outbound: List[Mail] = []
         slowest = 0.0
         n_falsified = 0
         for program, call in calls:
@@ -155,11 +158,11 @@ class LocalHost:
         """Every program's first step."""
         return self._step((p, p.on_start) for p in self._distinct)
 
-    def tick(self, payload: Tuple[int, List[Message]]) -> tuple:
+    def tick(self, payload: Tuple[int, List[Mail]]) -> tuple:
         """One superstep: last round's local mail plus ``inbox`` from outside;
         a halted program without mail is skipped."""
         round_no, inbox = payload
-        mail: Dict[SiteProgram, List[Message]] = {}
+        mail: Dict[SiteProgram, List[Mail]] = {}
         for fid, messages in self.network.deliver().items():
             mail.setdefault(self.programs[fid], []).extend(messages)
         for message in inbox:
@@ -172,12 +175,8 @@ class LocalHost:
 
     def results(self, _=None) -> tuple:
         """Every site's final local answer, reader values, and the meter."""
-        results: List[Message] = []
-        for program in self._distinct:
-            collected = program.collect()
-            results.extend(collected if isinstance(collected, list) else [collected])
         return (
-            results,
+            [program.collect() for program in self._distinct],
             {key: [read(p) for p in self._distinct] for key, read in self.readers.items()},
             self.network,
         )
@@ -204,7 +203,7 @@ class SyncEngine:
         placement: Mapping[int, Host],
         network: Network,
         cost: CostModel,
-        coordinator_inbox_handler: Optional[Callable[[List[Message]], Iterable[Message]]] = None,
+        coordinator_inbox_handler: Optional[Callable[[List[Mail]], Iterable[Message]]] = None,
         max_rounds: int = 1_000_000,
     ) -> None:
         self.placement = placement
@@ -268,7 +267,7 @@ class SyncEngine:
                 replies = list(self.coordinator_inbox_handler(coordinator_msgs))
                 self.coordinator_compute += time.perf_counter() - start
                 self.network.send_all(replies)
-            per_host: Dict[Host, List[Message]] = {}
+            per_host: Dict[Host, List[Mail]] = {}
             for fid, inbox in inboxes.items():
                 per_host.setdefault(self.placement[fid], []).extend(inbox)
             self._round(
@@ -280,17 +279,17 @@ class SyncEngine:
                 },
             )
 
-    def collect_results(self) -> List[Message]:
-        """Gather every site's final local answer (metered as RESULT
-        messages) and fold the hosts' meters into the engine's network."""
+    def collect_results(self) -> List[Mail]:
+        """Gather every site's final local answer (metered as RESULT rows)
+        and fold the hosts' meters into the engine's network."""
         between_hosts = self.network.data_bytes
-        out: List[Message] = []
+        out: List[Mail] = []
         for _, reply in self._exchange("q.collect", dict.fromkeys(self.hosts)):
             results, site_extras, meter = reply
-            for message in results:
-                if message.dst != COORDINATOR:
+            for mail in results:
+                if any(dst != COORDINATOR for dst in mail.dsts):
                     raise ProtocolError("collect() must address the coordinator")
-                self.network.send(message)
+                self.network.send(mail)
             out.extend(results)
             for key, values in site_extras.items():
                 self.site_extras.setdefault(key, []).extend(values)

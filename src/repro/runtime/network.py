@@ -6,14 +6,17 @@ delivered at the start of round ``r + 1``.  Every byte is accounted by
 see :data:`~repro.runtime.messages.DATA_KINDS`) and the full breakdown.
 Mail a site addresses to itself is delivered like any other but never
 counted: it is a local event (dGPM's push uses it to hand itself a
-falsification next round), not data shipment.
+falsification next round), not data shipment.  What is counted is logical
+messages: an :class:`~repro.runtime.messages.Envelope` row by row.
 
 **Asynchrony testing.**  The paper's dGPM runs asynchronously; its fixpoint
 is schedule-independent (Section 4.1's correctness argument).  Construct the
 network with ``scramble=(seed, fraction)`` and each delivery round releases
-only a random subset of the queued messages, holding the rest back -- an
-adversarial reordering of the asynchronous schedule.  Tests assert every
-algorithm converges to the same answer under many such schedules.
+only a random subset of the queued logical messages, holding the rest back
+-- an adversarial reordering of the asynchronous schedule.  Rows are held
+one at a time: one draw per row, and an envelope's held rows stay in flight
+as a smaller envelope.  Tests assert every algorithm converges to the same
+answer under many such schedules.
 """
 
 from __future__ import annotations
@@ -23,7 +26,17 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.costmodel import CostModel
-from repro.runtime.messages import COORDINATOR, DATA_KINDS, Message, MessageKind
+from repro.runtime.messages import COORDINATOR, DATA_KINDS, Envelope, Mail, MessageKind
+
+
+def _split(mail: Mail, keep: List[bool]) -> Tuple[List[Mail], List[Mail]]:
+    """``mail``'s rows where ``keep`` holds and the others, each side as
+    one piece of mail or none."""
+    kept = [i for i, k in enumerate(keep) if k]
+    held = [i for i, k in enumerate(keep) if not k]
+    if kept and held:
+        return [mail.take(kept)], [mail.take(held)]
+    return ([mail], []) if kept else ([], [mail])
 
 
 class Network:
@@ -31,7 +44,7 @@ class Network:
 
     def __init__(self, cost: CostModel, scramble: Optional[Tuple[int, float]] = None) -> None:
         self.cost = cost
-        self._in_flight: List[Message] = []
+        self._in_flight: List[Mail] = []
         self.bytes_by_kind: Dict[MessageKind, int] = defaultdict(int)
         self.count_by_kind: Dict[MessageKind, int] = defaultdict(int)
         self.round_bytes: List[int] = []  # data bytes moved per delivery round
@@ -45,24 +58,27 @@ class Network:
             self._deliver_fraction = fraction
 
     # ------------------------------------------------------------------
-    def send(self, message: Message) -> None:
-        """Queue ``message`` for delivery at the next round."""
-        self._in_flight.append(message)
-        if message.src != message.dst:
-            self.bytes_by_kind[message.kind] += message.size_bytes
-            self.count_by_kind[message.kind] += 1
+    def send(self, mail: Mail) -> None:
+        """Queue ``mail`` for delivery at the next round, metering its rows."""
+        self._in_flight.append(mail)
+        count, size = mail.metered()
+        if count:
+            self.bytes_by_kind[mail.kind] += size
+            self.count_by_kind[mail.kind] += count
 
-    def send_all(self, messages) -> None:
-        """Queue several messages."""
-        for message in messages:
-            self.send(message)
+    def send_all(self, mails) -> None:
+        """Queue several messages or envelopes."""
+        for mail in mails:
+            self.send(mail)
 
     def broadcast_query(self, fids, query) -> None:
         """Phase 1 of every protocol: the coordinator posts ``Q`` to every
-        site (metered as QUERY); the broadcast completes before evaluation."""
-        size = self.cost.query_bytes(query.n_nodes, query.n_edges)
-        for fid in fids:
-            self.send(Message(COORDINATOR, fid, MessageKind.QUERY, query, size))
+        site (one envelope, a QUERY row per site); the broadcast completes
+        before evaluation."""
+        fids = list(fids)
+        n, size = len(fids), self.cost.query_bytes(query.n_nodes, query.n_edges)
+        if fids:
+            self.send(Envelope(MessageKind.QUERY, [COORDINATOR] * n, fids, [size] * n, [query] * n))
         while self.has_pending:
             self.deliver()
 
@@ -71,30 +87,34 @@ class Network:
         """True iff messages await delivery."""
         return bool(self._in_flight)
 
-    def deliver(self) -> Dict[int, List[Message]]:
-        """Deliver queued messages, grouped by destination.
+    def deliver(self) -> Dict[int, List[Mail]]:
+        """Deliver queued mail, grouped by destination (an envelope's: the
+        one it is routed by).
 
-        In scramble mode only a random subset is released (at least one, so
-        progress is guaranteed); the rest stay in flight for a later round.
-        Also records the round's data-byte volume for the PT model.
+        In scramble mode only a random subset of the rows is released (at
+        least one, so progress is guaranteed); the rest stay in flight for a
+        later round.  Also records the round's data-byte volume for the PT model.
         """
         releasing = self._in_flight
-        held: List[Message] = []
-        if self._rng is not None and len(self._in_flight) > 1:
+        held: List[Mail] = []
+        if self._rng is not None and sum(len(m.dsts) for m in releasing) > 1:
             releasing = []
-            for message in self._in_flight:
-                if self._rng.random() < self._deliver_fraction:
-                    releasing.append(message)
-                else:
-                    held.append(message)
-            if not releasing:  # guarantee progress
-                releasing.append(held.pop(self._rng.randrange(len(held))))
-        inboxes: Dict[int, List[Message]] = defaultdict(list)
+            for mail in self._in_flight:
+                keep = [self._rng.random() < self._deliver_fraction for _ in mail.dsts]
+                out, back = _split(mail, keep)  # one draw per row
+                releasing += out
+                held += back
+            if not releasing:  # guarantee progress: release one held row
+                rows = [(at, i) for at, mail in enumerate(held) for i in range(len(mail.dsts))]
+                at, pick = rows[self._rng.randrange(len(rows))]
+                mail = held.pop(at)
+                releasing, held[at:at] = _split(mail, [i == pick for i in range(len(mail.dsts))])
+        inboxes: Dict[int, List[Mail]] = defaultdict(list)
         volume = 0
-        for message in releasing:
-            inboxes[message.dst].append(message)
-            if message.kind in DATA_KINDS and message.src != message.dst:
-                volume += message.size_bytes
+        for mail in releasing:
+            inboxes[mail.dst].append(mail)
+            if mail.kind in DATA_KINDS:
+                volume += mail.metered()[1]
         self.round_bytes.append(volume)
         self._in_flight = held
         return dict(inboxes)

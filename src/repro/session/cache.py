@@ -356,8 +356,9 @@ class LruResultCache:
             self._entries.move_to_end(key)
             excess = len(self._entries) - self.max_entries
             if excess > 0:
-                unpinned = [k for k, e in self._entries.items() if not e.pins]
-                for victim in unpinned[:excess]:
+                # from the LRU end, stopping at the ``excess``-th unpinned key
+                unpinned = (k for k, e in self._entries.items() if not e.pins)
+                for victim in list(itertools.islice(unpinned, excess)):
                     del self._entries[victim]
                     self.stats.evictions += 1
 

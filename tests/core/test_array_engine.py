@@ -30,7 +30,7 @@ from repro.graph.examples import (
 )
 from repro.partition.fragmentation import fragment_graph
 from repro.runtime.engine import SyncEngine
-from repro.runtime.messages import MessageKind
+from repro.runtime.messages import DATA_KINDS, MessageKind
 from repro.runtime.network import Network
 from repro.session.cache import LabelInterner
 from repro.simulation import simulation
@@ -386,15 +386,15 @@ def test_fused_program_reports_a_share_of_its_own_step_time_and_one_result_per_s
         assert 1.0 / len(fids) <= share <= 1.0  # the busiest of six sites
         assert 0.0 < compute <= took
 
-    results = engine.collect_results()
-    assert [m.src for m in results] == fids
+    (results,) = engine.collect_results()  # one RESULT envelope, a row per site
+    assert results.kind == MessageKind.RESULT
+    assert list(results.srcs) == fids
     per_site = local_host(DGPM, fids, fragmentation, query, deps, config)
     SyncEngine(dict.fromkeys(fids, per_site), Network(config.cost), config.cost).run_fixpoint()
-    for message, fid in zip(results, fids):
+    for payload, size, fid in zip(results.payloads, results.sizes, fids):
         expected = per_site.programs[fid].collect()  # the dict engine's RESULT
-        assert message.kind == MessageKind.RESULT
-        assert message.payload == expected.payload
-        assert message.size_bytes == expected.size_bytes
+        assert payload == expected.payload
+        assert size == expected.size_bytes
 
 
 #: (n_messages, ds_bytes, n_rounds, pushes, ds_breakdown) of the array engine,
@@ -437,6 +437,27 @@ def test_array_engine_accounting_matches_the_recorded_protocol(name, push):
     assert (
         m.n_messages, m.ds_bytes, m.n_rounds, int(m.extras["pushes"]), m.ds_breakdown
     ) == GOLDEN[name, push]
+
+
+def test_a_single_host_run_sends_its_mail_as_a_few_envelopes_a_round(monkeypatch):
+    """Co-located mail moves as one envelope per kind and round (VAR_UPDATE,
+    EQUATION, REWIRE, CONTROL), plus the QUERY broadcast and the RESULT
+    envelope; the network still counts every logical message in them."""
+    query, graph, fragmentation = _golden_instance("web_1k")
+    sent = []
+    send = Network.send
+
+    def counting(network, mail):
+        sent.append(mail)
+        send(network, mail)
+
+    monkeypatch.setattr(Network, "send", counting)
+    result = run_protocol(DGPM, query, fragmentation, DgpmConfig(enable_push=True), "array")
+    m = result.metrics
+    assert len(sent) <= 4 * m.n_rounds + 2
+    rows = [(mail.kind, src, dst) for mail in sent for src, dst in zip(mail.srcs, mail.dsts)]
+    assert sum(kind in DATA_KINDS and src != dst for kind, src, dst in rows) == m.n_messages
+    assert m.n_messages == GOLDEN["web_1k", True][0]
 
 
 #: the same record for push-heavy instances: every site of

@@ -355,6 +355,27 @@ class TestThePeerChoosesNoWork:
                 assert client.run(queries[0]).relation == simulation(queries[0], graph)
 
 
+    def test_a_mutate_frame_over_the_op_cap_is_refused(self, instance):
+        """A MUTATE of MAX_MUTATE_OPS + 1 updates is a WireFormatError at
+        decode: one ERROR frame (seq 0), a hang-up, nothing applied, and the
+        next client is served.  The client refuses to send such a batch."""
+        graph, frag, queries = instance
+        ops = (DeleteEdge(*next(iter(graph.edges()))),) * (protocol.MAX_MUTATE_OPS + 1)
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            with socket.create_connection(srv.address, timeout=JOIN_TIMEOUT) as sock:
+                sock.sendall(_frame(FrameKind.MUTATE, _struct("MutateRequest", ops)))
+                events = _drain(sock)  # returns on the server's hang-up
+            assert [(k, seq) for k, seq, _ in events] == [(FrameKind.ERROR, 0)]
+            assert events[0][2].kind == "WireFormatError"
+            assert "MutateRequest.ops must hold at most 4096" in events[0][2].message
+            assert srv.ingress.server.stamp == 0
+            with SessionClient(*srv.address, timeout=60.0) as client:
+                with pytest.raises(WireFormatError):
+                    client.apply(list(ops))
+                assert client.run(queries[0]).relation == simulation(queries[0], graph)
+            assert srv.ingress.server.stamp == 0
+
+
 def _record_threads(obj, name: str, monkeypatch) -> List[int]:
     """Wrap ``obj.name`` to record the thread id of every call."""
     threads: List[int] = []
