@@ -31,6 +31,7 @@ from typing import Dict, List
 from repro import ConcurrentSessionServer, hash_partition, simulation, web_graph
 from repro.bench.smoke import write_record
 from repro.bench.workloads import cyclic_pattern
+from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.partition.metrics import partition_stats
 from repro.partition.partitioners import min_cut_partition
 
@@ -66,8 +67,8 @@ def partition_run(
         t0 = time.perf_counter()
         n_ops = 0
         for i, (u, v) in enumerate(edges):
-            server.delete_edge(u, v)
-            server.insert_edge(u, v)
+            server.apply([DeleteEdge(u, v)])
+            server.apply([InsertEdge(u, v)])
             n_ops += 2
             if i % 5 == 0:
                 server.run(queries[i % len(queries)], algorithm="dgpm")

@@ -36,6 +36,7 @@ import time
 
 from repro import ConcurrentSessionServer, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
+from repro.graph.mutations import DeleteEdge, InsertEdge
 
 
 def main() -> None:
@@ -64,11 +65,11 @@ def main() -> None:
             for step in range(10):
                 if step % 4 == 3 and deleted:
                     u, v = deleted.pop()
-                    server.insert_edge(u, v)
+                    server.apply([InsertEdge(u, v)])
                 else:
                     edges = list(graph.edges())
                     u, v = edges[rng.randrange(len(edges))]
-                    server.delete_edge(u, v)
+                    server.apply([DeleteEdge(u, v)])
                     deleted.append((u, v))
 
         t0 = time.perf_counter()

@@ -8,9 +8,10 @@ resident at its sites while *both* queries and updates stream in.  One
 * hot queries are answered from the LRU cache; the first update that may
   change a hot answer gives it a warm incremental state (the paper's
   Section-4.2 incremental lEval, kept alive per query) -- reads build none;
-* ``session.delete_edge`` patches the fragmentation in place -- fragment
-  subgraphs, ``Fi.O``/``Fi.I`` metadata, watcher tables -- and repairs the
-  warm answers through the affected area only (``O(|AFF|)``);
+* ``session.apply([DeleteEdge(u, v)])``, the one write call, patches the
+  fragmentation in place -- fragment subgraphs, ``Fi.O``/``Fi.I`` metadata,
+  watcher tables -- and repairs the warm answers through the affected area
+  only (``O(|AFF|)``);
 * cached entries that the update provably cannot touch (no query edge
   carries the deleted edge's label pair) are simply kept;
 * an insertion re-evaluates only the affected warm entries.
@@ -26,6 +27,7 @@ import time
 
 from repro import SimulationSession, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
+from repro.graph.mutations import DeleteEdge, InsertEdge
 
 
 def main() -> None:
@@ -50,7 +52,7 @@ def main() -> None:
     for step in range(40):
         if step % 5 == 4 and deleted:
             u, v = deleted.pop(rng.randrange(len(deleted)))
-            session.insert_edge(u, v)
+            session.apply([InsertEdge(u, v)])
         else:
             edges = [
                 (u, v)
@@ -58,7 +60,7 @@ def main() -> None:
                 if (graph.label(u), graph.label(v)) in relevant
             ] if step % 2 == 0 else list(graph.edges())
             u, v = edges[rng.randrange(len(edges))]
-            outcome = session.delete_edge(u, v)
+            outcome = session.apply([DeleteEdge(u, v)])[0]
             deleted.append((u, v))
             if step == 0:
                 print("hot queries warmed by the first relevant update: "

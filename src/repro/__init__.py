@@ -24,8 +24,7 @@ Public surface
   (:func:`web_graph`, :func:`citation_dag`, :func:`random_labeled_graph`,
   :func:`random_tree`), the paper's examples in :mod:`repro.graph.examples`;
 * centralized engines: :func:`simulation` (HHK), :func:`naive_simulation`,
-  :func:`dag_simulation`, plus strong simulation / subgraph isomorphism in
-  :mod:`repro.simulation`;
+  :func:`dag_simulation` in :mod:`repro.simulation`;
 * fragmentation: :func:`fragment_graph`, :func:`partition`, partitioners and
   :func:`refine_to_vf_ratio` in :mod:`repro.partition`;
 * distributed algorithms: :func:`run_dgpm` (Theorem 2), :func:`run_dgpmd`
@@ -35,9 +34,11 @@ Public surface
 * resident serving: :class:`SimulationSession` in :mod:`repro.session` holds
   a fragmentation and serves query streams with per-graph setup amortized
   and an LRU result cache (``session.run_many(queries)``); it is also the
-  write path -- ``session.delete_edge/insert_edge/add_node`` patch the
-  fragmentation in place and maintain the caches incrementally
-  (``O(|AFF|)`` repair for hot queries) instead of dropping them;
+  write path -- its one write call, ``session.apply(ops)`` over the typed
+  ops of :mod:`repro.graph.mutations`, patches the fragmentation in place
+  and maintains the caches incrementally (``O(|AFF|)`` repair for hot
+  queries) instead of dropping them; the server and both network clients
+  write through the same ``apply(ops)``;
 * concurrent serving: :class:`ConcurrentSessionServer` fronts one session
   with many reader threads (or a pool of fragment-owning shard workers) under a
   reader-writer protocol -- queries run concurrently, mutations apply in

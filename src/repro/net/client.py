@@ -4,14 +4,16 @@ Both clients return the same objects an in-process caller gets from
 :class:`~repro.session.concurrent.ConcurrentSessionServer`:
 :class:`StampedResult` for queries and :class:`StampedOutcome` lists for
 mutations, so parity checks and stamp reasoning are written once whichever
-side of the socket the caller is on.  Server-side exceptions arrive in
-``ERROR`` frames and are re-raised as their original type
-(:class:`GraphError`, :class:`MutationBatchError`, ...) when that type is
-one of :mod:`repro.errors`; any other server-side exception surfaces as a
-:class:`~repro.errors.TransportError` naming the original class and
-carrying its message.  Nothing a server sends is ever unpickled: both
-clients parse frames only through :class:`repro.net.protocol.Connection`,
-whose bodies are the safe codec's.
+side of the socket the caller is on.  The one write call is :meth:`apply`,
+a batch of typed :class:`~repro.graph.mutations.MutationOp` values.
+
+Server-side exceptions arrive in ``ERROR`` frames and are re-raised as
+their original type (:class:`GraphError`, :class:`MutationBatchError`, ...)
+when that type is one of :mod:`repro.errors`; any other server-side
+exception surfaces as a :class:`~repro.errors.TransportError` naming the
+original class and carrying its message.  Nothing a server sends is ever
+unpickled: both clients parse frames only through
+:class:`repro.net.protocol.Connection`, whose bodies are the safe codec's.
 
 A request names a query and an algorithm, never a config: every query runs
 under the config the server's session was built with
@@ -38,7 +40,7 @@ iterator sharing the pipelined connection).
 
 >>> with connect((host, port)) as client:
 ...     result = client.run(query)            # StampedResult
-...     client.delete_edge(u, v)              # StampedOutcome, stamp advanced
+...     client.apply([DeleteEdge(u, v)])     # [StampedOutcome], stamp advanced
 ...     client.run(query).stamp
 1
 """
@@ -65,20 +67,12 @@ from typing import (
 )
 
 from repro.errors import ReproError, TransportError, WireFormatError
-from repro.graph.digraph import Label, Node
-from repro.graph.mutations import (
-    AddNode,
-    DeleteEdge,
-    InsertEdge,
-    MutationOp,
-    RemoveNode,
-    normalize_ops,
-)
+from repro.graph.mutations import MutationOp, normalize_ops
 from repro.graph.pattern import Pattern
 from repro.net import protocol
 from repro.net.protocol import DEFAULT_MAX_FRAME, READ_SIZE, Event, FrameKind
 from repro.runtime.transport import RetryPolicy
-from repro.session.concurrent import StampedOutcome, StampedResult
+from repro.session.concurrent import StampedResult
 
 
 def _unwrap(kind: FrameKind, payload: Any, expected: FrameKind) -> Any:
@@ -148,10 +142,6 @@ def _same(reply: Any) -> Any:
     return reply
 
 
-def _first(outcomes: Sequence[StampedOutcome]) -> StampedOutcome:
-    return outcomes[0]
-
-
 class _ClientCore:
     """The request-building surface shared by both clients.
 
@@ -185,32 +175,14 @@ class _ClientCore:
         """The server's serving counters, stamp, and identity facts."""
         return self._req(protocol.StatsRequest(), FrameKind.STATS_REPLY)
 
-    def _mutate(self, ops: Sequence[MutationOp], then: Callable[[Any], Any]) -> Any:
-        request = protocol.MutateRequest(ops=tuple(normalize_ops(ops)))
-        return self._req(
-            request, FrameKind.OUTCOMES, lambda reply: then(reply.outcomes)
-        )
-
     def apply(self, updates: Sequence[MutationOp]) -> Any:
-        """Apply a mutation batch (atomic to readers); see
+        """Apply a mutation batch (atomic to readers), the one write call;
+        returns/resolves to one stamped outcome per update.  See
         :meth:`ConcurrentSessionServer.apply`."""
-        return self._mutate(updates, list)
-
-    def delete_edge(self, u: Node, v: Node) -> Any:
-        """Delete edge ``(u, v)``; completes once applied, with its stamp."""
-        return self._mutate([DeleteEdge(u, v)], _first)
-
-    def insert_edge(self, u: Node, v: Node) -> Any:
-        """Insert edge ``(u, v)``; completes once applied, with its stamp."""
-        return self._mutate([InsertEdge(u, v)], _first)
-
-    def add_node(self, node: Node, label: Label, fid: Optional[int] = None) -> Any:
-        """Add an isolated labeled node; completes once applied."""
-        return self._mutate([AddNode(node, label, fid)], _first)
-
-    def remove_node(self, node: Node) -> Any:
-        """Remove ``node`` and every incident edge; completes once applied."""
-        return self._mutate([RemoveNode(node)], _first)
+        request = protocol.MutateRequest(ops=tuple(normalize_ops(updates)))
+        return self._req(
+            request, FrameKind.OUTCOMES, lambda reply: list(reply.outcomes)
+        )
 
 
 class SessionClient(_ClientCore):

@@ -23,7 +23,10 @@ Concurrency model
 * Each connection has one reader coroutine; each request becomes its own
   task, so a connection can pipeline (the asyncio client keys replies by
   the frame ``seq``) and a slow query never blocks a cheap one -- on the
-  same connection or across connections.
+  same connection or across connections.  A connection holds at most
+  :data:`MAX_INFLIGHT` such tasks: a frame past the cap is answered at once
+  with ``ERROR(Overloaded)`` on its own ``seq``, and the connection stays
+  usable.
 * A query future that ``submit()`` returns already resolved (a hit) is
   read at once; any other is awaited as an asyncio future.  A mutation
   batch that needs no wait (thread backend, at most
@@ -78,7 +81,7 @@ import contextlib
 import threading
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from repro.errors import ReproError, TransportError, WireFormatError
+from repro.errors import Overloaded, ReproError, TransportError, WireFormatError
 from repro.net import protocol
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
@@ -91,6 +94,10 @@ from repro.session.concurrent import ConcurrentSessionServer
 
 #: replies whose encoded frame exceeds this are sliced into RESULT_CHUNK frames
 CHUNK_SIZE = 512 * 1024
+
+#: requests one connection may have in flight; a frame past it is refused
+#: with ``Overloaded`` (a pipelining peer cannot queue unbounded tasks)
+MAX_INFLIGHT = 1024
 
 #: seconds :meth:`NetworkSessionServer.aclose` waits for in-flight requests
 #: to finish before tearing connections down
@@ -261,6 +268,11 @@ class NetworkSessionServer:
                     if kind == FrameKind.BYE:
                         goodbye = True
                         break
+                    if len(inflight) >= MAX_INFLIGHT:
+                        error = Overloaded(f"{MAX_INFLIGHT} requests in flight")
+                        with contextlib.suppress(ConnectionError, OSError):
+                            await reply(seq, ErrorReply.from_exception(error))
+                        continue
                     task = asyncio.create_task(
                         self._dispatch(kind, seq, frame, reply, subs)
                     )
@@ -339,9 +351,11 @@ class NetworkSessionServer:
             elif kind == FrameKind.SUBSCRIBE:
                 reply = await self._subscribe(loop, seq, frame, send, subs)
             elif kind == FrameKind.UNSUBSCRIBE:
-                self._server.unsubscribe(frame.sub_id)
+                # Only this connection's own: another's id, or an unknown
+                # one, is acked as the no-op it is here.
                 state = subs.pop(frame.sub_id, None)
-                if state is not None and state.task is not None:
+                if state is not None:
+                    self._server.unsubscribe(frame.sub_id)
                     state.task.cancel()
                 reply = protocol.SubscribeReply(
                     sub_id=frame.sub_id, stamp=self._server.stamp, relation=None

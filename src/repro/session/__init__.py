@@ -11,17 +11,19 @@ the property that matters once the same resident graph sees heavy query
 traffic.  The baselines are never served: they are the one-shot
 :mod:`repro.baselines` ``run_*`` functions.
 
-The session is also the graph's write path: ``session.delete_edge`` /
-``insert_edge`` / ``add_node`` / ``apply`` patch the resident fragmentation
-in place and *maintain* the serving caches across the mutation (warm
-incremental repair for hot queries, label-relevance retention for the rest)
-instead of dropping them -- see :mod:`repro.session.session` for the
-contract.
+The session is also the graph's write path, with one write call:
+``session.apply(ops)``, a batch of typed
+:class:`~repro.graph.mutations.MutationOp` values, patches the resident
+fragmentation in place and *maintains* the serving caches across the
+mutation (warm incremental repair for hot queries, label-relevance retention
+for the rest) instead of dropping them -- see :mod:`repro.session.session`
+for the contract.
 
 :class:`~repro.session.concurrent.ConcurrentSessionServer` serves one
 session from many threads -- or, with its sharded backend, from a pool of
 fragment-owning worker processes -- under a reader-writer protocol with
-snapshot stamps; see :mod:`repro.session.concurrent` for the contract.
+snapshot stamps, and writes through the same ``apply(ops)``; see
+:mod:`repro.session.concurrent` for the contract.
 
 The one-shot entry points ``run_dgpm`` / ``run_dgpmd`` / ``run_dgpmt``
 remain the public API; each is a thin wrapper that builds a throwaway session.

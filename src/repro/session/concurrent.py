@@ -13,9 +13,9 @@ The snapshot/stamp contract
 
 * **Readers run concurrently.**  Any number of in-flight :meth:`run` /
   :meth:`submit` calls proceed at once under a shared hold of the gate.
-* **Writers run at quiescent points.**  ``delete_edge`` / ``insert_edge`` /
-  ``add_node`` / ``apply`` enqueue a ticket; one caller at a time, the
-  *drainer*, applies the whole queue as one batch under an exclusive hold,
+* **Writers run at quiescent points.**  :meth:`apply`, the one write call,
+  enqueues its batch as a ticket; one caller at a time, the *drainer*,
+  applies the whole queue as one batch under an exclusive hold,
   taken only while *no* query is in flight (writer priority: an arriving
   writer stops new readers from starting, in-flight readers drain, the
   batch applies, readers resume).  A batch that needs no wait at all may be
@@ -28,9 +28,10 @@ The snapshot/stamp contract
   ran.  Because writers only run at quiescent points, a result stamped ``s``
   is exactly the relation a from-scratch simulation would produce on the
   graph after the first ``s`` mutations -- snapshot semantics, checked
-  end-to-end by ``tests/session/test_concurrent_stress.py``.  Mutation calls
-  block until their update is applied and return the per-update
-  :class:`StampedOutcome` (outcome plus the stamp the graph reached).
+  end-to-end by ``tests/session/test_concurrent_stress.py``.  :meth:`apply`
+  blocks until its batch is applied and returns one :class:`StampedOutcome`
+  per update (outcome plus the stamp the graph reached); a one-update batch
+  that fails raises that update's own error.
 
 The gate
 --------
@@ -77,7 +78,7 @@ computes:
 
 >>> server = ConcurrentSessionServer(fragmentation, backend="thread")
 >>> futures = [server.submit(q) for q in queries]     # concurrent reads
->>> outcome = server.delete_edge(u, v)                # quiescent-point write
+>>> [outcome] = server.apply([DeleteEdge(u, v)])      # quiescent-point write
 >>> outcome.stamp                                     # graph version reached
 1
 >>> server.run(queries[0]).stamp                      # observed by this read
@@ -104,15 +105,7 @@ from repro.errors import (
     ReproError,
     TransportError,
 )
-from repro.graph.digraph import Label, Node
-from repro.graph.mutations import (
-    AddNode,
-    DeleteEdge,
-    InsertEdge,
-    MutationOp,
-    RemoveNode,
-    normalize_ops,
-)
+from repro.graph.mutations import MutationOp, normalize_ops
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.partition.metrics import PartitionStats, partition_stats
@@ -1114,24 +1107,6 @@ class ConcurrentSessionServer:
     # ------------------------------------------------------------------
     # writes (serialized, coalesced, applied at quiescent points)
     # ------------------------------------------------------------------
-    def delete_edge(self, u: Node, v: Node) -> StampedOutcome:
-        """Delete edge ``(u, v)``; blocks until applied, returns its stamp."""
-        return self._mutate([DeleteEdge(u, v)])[0]
-
-    def insert_edge(self, u: Node, v: Node) -> StampedOutcome:
-        """Insert edge ``(u, v)``; blocks until applied, returns its stamp."""
-        return self._mutate([InsertEdge(u, v)])[0]
-
-    def add_node(
-        self, node: Node, label: Label, fid: Optional[int] = None
-    ) -> StampedOutcome:
-        """Add an isolated labeled node; blocks until applied."""
-        return self._mutate([AddNode(node, label, fid)])[0]
-
-    def remove_node(self, node: Node) -> StampedOutcome:
-        """Remove ``node`` with every incident edge; blocks until applied."""
-        return self._mutate([RemoveNode(node)])[0]
-
     def apply(self, updates: Sequence[MutationOp]) -> List[StampedOutcome]:
         """Apply a batch of updates in one quiescent point.
 
@@ -1141,37 +1116,13 @@ class ConcurrentSessionServer:
         (e.g. deleting an edge that is already gone), the updates applied
         before it stay applied (node additions have no inverse, so there is
         no rollback) and a :class:`~repro.errors.MutationBatchError` reports
-        the failing update plus the stamped outcomes of the applied prefix;
-        readers then observe the prefix state.  Update syntax matches
+        the failing update plus the stamped outcomes of the applied prefix
+        (a one-update batch raises that update's own error instead); readers
+        then observe the prefix state.  Update syntax matches
         :meth:`SimulationSession.apply`: typed
         :class:`~repro.graph.mutations.MutationOp` values.
         """
-        return self._mutate(normalize_ops(updates))
-
-    def apply_if_free(
-        self, updates: Sequence[MutationOp]
-    ) -> Optional[List[StampedOutcome]]:
-        """:meth:`apply` on the calling thread if the batch needs no wait,
-        else None, having applied nothing.
-
-        No wait: the thread backend (a sharded batch waits for every
-        worker's ack), at most :data:`INLINE_MAX_OPS` updates, and nothing
-        holding or waiting for the gate, no batch applying or queued.  The
-        batch runs through the drainer's code, holding the drainer role: a
-        ticket queued meanwhile is applied by its owner after it, and
-        :meth:`close` waits for it.
-        """
-        ticket = _WriteTicket(normalize_ops(updates))
-        if self.backend != "thread" or len(ticket.ops) > INLINE_MAX_OPS:
-            return None
-        if not self._apply_batch([ticket], wait=False):
-            self._check_open()
-            return None
-        if ticket.error is not None:
-            raise ticket.error
-        return ticket.results
-
-    def _mutate(self, ops: List[MutationOp]) -> List[StampedOutcome]:
+        ops = normalize_ops(updates)
         if not ops:
             return []
         ticket = _WriteTicket(ops)
@@ -1193,6 +1144,29 @@ class ConcurrentSessionServer:
                 # was resolved.
                 if ticket.results is None and ticket.error is None:
                     raise
+        if ticket.error is not None:
+            raise ticket.error
+        return ticket.results
+
+    def apply_if_free(
+        self, updates: Sequence[MutationOp]
+    ) -> Optional[List[StampedOutcome]]:
+        """:meth:`apply` on the calling thread if the batch needs no wait,
+        else None, having applied nothing.
+
+        No wait: the thread backend (a sharded batch waits for every
+        worker's ack), at most :data:`INLINE_MAX_OPS` updates, and nothing
+        holding or waiting for the gate, no batch applying or queued.  The
+        batch runs through the drainer's code, holding the drainer role: a
+        ticket queued meanwhile is applied by its owner after it, and
+        :meth:`close` waits for it.
+        """
+        ticket = _WriteTicket(normalize_ops(updates))
+        if self.backend != "thread" or len(ticket.ops) > INLINE_MAX_OPS:
+            return None
+        if not self._apply_batch([ticket], wait=False):
+            self._check_open()
+            return None
         if ticket.error is not None:
             raise ticket.error
         return ticket.results

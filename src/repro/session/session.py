@@ -26,14 +26,13 @@ Amortized across queries:
 Mutation API and its invariant contract
 ---------------------------------------
 
-The session is the write path for a graph that changes while being served:
-:meth:`delete_edge`, :meth:`insert_edge`, :meth:`add_node`,
-:meth:`remove_node`, and the batched :meth:`apply` (typed
-:class:`~repro.graph.mutations.MutationOp` values) patch the resident
-fragmentation **in place** through
-:meth:`Fragmentation.delete_edge` and friends, which maintain the
-Section-2.2 invariants (``Fi.O``/``Fi.I`` membership, induced fragment
-subgraphs) per update -- ``fragmentation.validate()`` holds after any
+The session is the write path for a graph that changes while being served,
+and it has one write call: :meth:`apply`, a batch of typed
+:class:`~repro.graph.mutations.MutationOp` values, patches the resident
+fragmentation **in place**, one op at a time, through
+:meth:`Fragmentation.delete_edge` and friends (the data layer), which
+maintain the Section-2.2 invariants (``Fi.O``/``Fi.I`` membership, induced
+fragment subgraphs) per update -- ``fragmentation.validate()`` holds after any
 sequence of session-applied mutations.  The watcher/boundary tables are
 patched incrementally (:meth:`DependencyGraphs.apply_delta`), never rebuilt,
 and the result cache is *maintained*, not dropped:
@@ -76,7 +75,7 @@ stale boundary tables.
 >>> session = SimulationSession(fragmentation)
 >>> first = session.run(query)                      # pays setup once
 >>> again = session.run(query)                      # served from cache
->>> outcome = session.delete_edge(u, v)             # patches, not drops
+>>> [outcome] = session.apply([DeleteEdge(u, v)])  # patches, not drops
 >>> outcome.cache_repaired, outcome.cache_kept
 ...
 >>> session.run(query).relation                     # still oracle-exact
@@ -102,7 +101,6 @@ from repro.core.dispatch import (
 from repro.core.incremental import IncrementalMatchState, delta_may_change_answer
 from repro.core.protocol import AlgorithmSpec, run_protocol
 from repro.errors import ReproError
-from repro.graph.digraph import Label, Node
 from repro.graph.mutations import (
     AddNode,
     DeleteEdge,
@@ -744,73 +742,40 @@ ConcurrentSessionServer` provides.
     # ------------------------------------------------------------------
     # mutations (the write path; see the module docstring for the contract)
     # ------------------------------------------------------------------
-    def delete_edge(self, u: Node, v: Node) -> MutationOutcome:
-        """Delete edge ``(u, v)`` from the resident graph, maintaining caches.
-
-        Warm entries are repaired through the affected area only
-        (``O(|AFF|)``); label-irrelevant entries are kept; affected hot
-        entries are promoted to warm ones; the rest are evicted.
-        """
-        return self._absorb(self.fragmentation.delete_edge, u, v)
-
-    def insert_edge(self, u: Node, v: Node) -> MutationOutcome:
-        """Insert edge ``(u, v)``; warm entries revive what it can revive.
-
-        Insertions can revive matches, which falsification-only repair
-        cannot express -- every warm entry re-opens the false pairs that
-        reach the new edge and reruns the fixpoint from those
-        (:meth:`IncrementalMatchState.apply`); with none, the insert
-        only bumps the successor counter it feeds.
-        """
-        return self._absorb(self.fragmentation.insert_edge, u, v)
-
-    def add_node(self, node: Node, label: Label, fid: Optional[int] = None) -> MutationOutcome:
-        """Add an isolated labeled node to fragment ``fid`` (default: smallest)."""
-        return self._absorb(self.fragmentation.add_node, node, label, fid)
-
-    def remove_node(self, node: Node) -> MutationOutcome:
-        """Remove ``node`` with every incident edge, maintaining caches.
-
-        The fragmentation turns the removal into a cascade of ordinary edge
-        deletions (warm entries repair each one natively, in cascade order)
-        followed by scrubbing the then-isolated node from candidate sets and
-        counters.
-        """
-        return self._absorb(self.fragmentation.remove_node, node)
-
-    def apply_op(self, op: MutationOp) -> MutationOutcome:
-        """Apply one typed :class:`~repro.graph.mutations.MutationOp`."""
-        op = normalize_op(op)
-        if isinstance(op, DeleteEdge):
-            return self.delete_edge(op.u, op.v)
-        if isinstance(op, InsertEdge):
-            return self.insert_edge(op.u, op.v)
-        if isinstance(op, AddNode):
-            return self.add_node(op.node, op.label, op.fid)
-        if isinstance(op, RemoveNode):
-            return self.remove_node(op.node)
-        raise ReproError(
-            f"unknown update kind {op.kind!r} "
-            "(known: delete, insert, add_node, remove_node)"
-        )
-
     def apply(self, updates: Sequence[MutationOp]) -> List[MutationOutcome]:
-        """Apply a batch of updates in order; one outcome per update.
+        """Apply a batch of typed updates in order; one outcome per update.
 
-        Each update is a :class:`~repro.graph.mutations.MutationOp`
-        (:class:`~repro.graph.mutations.InsertEdge`,
-        :class:`~repro.graph.mutations.DeleteEdge`,
-        :class:`~repro.graph.mutations.AddNode`, or
-        :class:`~repro.graph.mutations.RemoveNode`).
+        Each update is a :class:`~repro.graph.mutations.MutationOp`, patched
+        into the fragmentation by its own :class:`Fragmentation` method:
+
+        * :class:`~repro.graph.mutations.DeleteEdge` -- warm entries are
+          repaired through the affected area only (``O(|AFF|)``);
+          label-irrelevant entries are kept; affected hot entries are
+          promoted to warm ones; the rest are evicted.
+        * :class:`~repro.graph.mutations.InsertEdge` -- insertions can revive
+          matches, which falsification-only repair cannot express: every
+          warm entry re-opens the false pairs that reach the new edge and
+          reruns the fixpoint from those
+          (:meth:`IncrementalMatchState.apply`); with none, the insert only
+          bumps the successor counter it feeds.
+        * :class:`~repro.graph.mutations.AddNode` -- an isolated labeled node
+          in fragment ``fid`` (default: the smallest).
+        * :class:`~repro.graph.mutations.RemoveNode` -- the fragmentation
+          turns the removal into a cascade of ordinary edge deletions (warm
+          entries repair each one natively, in cascade order), then scrubs
+          the isolated node from candidate sets and counters.
+
+        An update that fails raises its own error; the updates before it
+        stay applied.
         """
-        return [self.apply_op(update) for update in updates]
+        return [self._absorb(normalize_op(update)) for update in updates]
 
     # ------------------------------------------------------------------
     # maintenance internals
     # ------------------------------------------------------------------
-    def _absorb(self, patch: Callable[..., MutationDelta], *args) -> MutationOutcome:
-        """Patch the fragmentation with ``patch(*args)`` and propagate the
-        delta into every derived structure.
+    def _absorb(self, op: MutationOp) -> MutationOutcome:
+        """Patch the fragmentation with ``op`` and propagate the delta into
+        every derived structure.
 
         Mutations are *not* safe against concurrent ``run`` calls on their
         own -- the concurrent front-end applies them at quiescent points
@@ -819,7 +784,21 @@ ConcurrentSessionServer` provides.
         """
         start = time.perf_counter()
         self._refresh_if_stale()
-        delta = patch(*args)
+        fragmentation = self.fragmentation
+        match op:
+            case DeleteEdge(u, v):
+                delta = fragmentation.delete_edge(u, v)
+            case InsertEdge(u, v):
+                delta = fragmentation.insert_edge(u, v)
+            case AddNode(node, label, fid):
+                delta = fragmentation.add_node(node, label, fid)
+            case RemoveNode(node):
+                delta = fragmentation.remove_node(node)
+            case _:
+                raise ReproError(
+                    f"unknown update kind {op.kind!r} "
+                    "(known: delete, insert, add_node, remove_node)"
+                )
         self.stats.bump("mutations")
         touched = {delta.source_fid, delta.target_fid}
         for edge_delta in delta.cascade:

@@ -20,6 +20,7 @@ from repro.bench.workloads import cyclic_pattern
 from repro.core.depgraph import DependencyGraphs
 from repro.core.incremental import IncrementalMatchState
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import fragment_graph
 from tests.conftest import PatchedState, warm_entries
@@ -211,10 +212,10 @@ def test_first_virtual_copy_through_a_warm_session_entry():
     session = SimulationSession(frag)
     session.run(query)
     session.run(query)
-    session.delete_edge("u2", "v")  # promotes; v leaves the source's Fi.O
+    session.apply([DeleteEdge("u2", "v")])  # promotes; v leaves the source's Fi.O
     assert len(warm_entries(session)) == 1
-    session.insert_edge("u1", "v")
-    session.insert_edge("u2", "v")
+    session.apply([InsertEdge("u1", "v")])
+    session.apply([InsertEdge("u2", "v")])
     served = session.run(query)
     assert served.metrics.extras.get("cache_hit") == 1.0
     assert served.relation == simulation(query, graph)
@@ -240,7 +241,7 @@ def test_benchmark_shaped_reinsert_is_targeted_and_small(monkeypatch):
     )
     session.run(query)
     session.run(query)
-    session.delete_edge(*witness)  # promotes the entry (one bootstrap)
+    session.apply([DeleteEdge(*witness)])  # promotes the entry (one bootstrap)
     assert len(warm_entries(session)) == 1
     without = simulation(query, graph)
     assert without.is_match and without != before
@@ -257,9 +258,9 @@ def test_benchmark_shaped_reinsert_is_targeted_and_small(monkeypatch):
         lambda self, delta: costs.append(real_apply(self, delta)) or costs[-1],
     )
     for _ in range(3):
-        assert session.insert_edge(*witness).cache_repaired == 1
+        assert session.apply([InsertEdge(*witness)])[0].cache_repaired == 1
         assert session.run(query).relation == simulation(query, graph) == before
-        assert session.delete_edge(*witness).cache_repaired == 1
+        assert session.apply([DeleteEdge(*witness)])[0].cache_repaired == 1
         assert session.run(query).relation == simulation(query, graph) == without
     assert bootstraps == []
     inserts, deletes = costs[0::2], costs[1::2]

@@ -19,6 +19,7 @@ from repro.core.dgpmt import DGPMT
 from repro.core.protocol import run_protocol
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_tree
+from repro.graph.mutations import DeleteEdge, InsertEdge, RemoveNode
 from repro.graph.pattern import Pattern
 from repro.partition.partitioners import (
     balanced_bfs_partition,
@@ -160,11 +161,11 @@ def _apply(session, kind, u, v) -> bool:
     fragmentation = session.fragmentation
     graph = fragmentation.graph
     if kind == "delete" and graph.has_edge(u, v):
-        session.delete_edge(u, v)
+        session.apply([DeleteEdge(u, v)])
     elif kind == "insert" and u in graph and v in graph and u != v and not graph.has_edge(u, v):
-        session.insert_edge(u, v)
+        session.apply([InsertEdge(u, v)])
     elif kind == "remove" and u in graph and graph.n_nodes > 1:
-        session.remove_node(u)
+        session.apply([RemoveNode(u)])
     elif kind == "unwatch" and v in graph:
         # a crossing-edge delete that leaves the target fragment's graph
         # alone and only drops a watcher (or the in-node marker with it)
@@ -174,7 +175,7 @@ def _apply(session, kind, u, v) -> bool:
         ]
         if not sources:
             return False
-        session.delete_edge(sources[u % len(sources)], v)
+        session.apply([DeleteEdge(sources[u % len(sources)], v)])
     else:
         return False
     return True

@@ -26,14 +26,16 @@ from repro.bench.workloads import cyclic_pattern
 from repro.errors import (
     GraphError,
     MutationBatchError,
+    Overloaded,
     ReproError,
     TransportError,
     WireFormatError,
 )
 from repro.graph.digraph import DiGraph
-from repro.graph.mutations import DeleteEdge
+from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
 from repro.net import protocol
+from repro.net import server as server_module
 from repro.net.protocol import Connection, FrameKind
 from repro.net import AsyncSessionClient, SessionClient, serve_in_thread
 from repro.net.server import NetworkSessionServer
@@ -88,12 +90,12 @@ class TestSyncClient:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 edges = list(graph.edges())
                 for i, (u, v) in enumerate(edges[:3]):
-                    outcome = client.delete_edge(u, v)
+                    outcome = client.apply([DeleteEdge(u, v)])[0]
                     assert outcome.stamp == i + 1
                     result = client.run(queries[0], algorithm="dgpm")
                     assert result.stamp == i + 1
                     assert result.relation == simulation(queries[0], graph)
-                outcome = client.insert_edge(*edges[2])
+                outcome = client.apply([InsertEdge(*edges[2])])[0]
                 assert outcome.stamp == 4
                 assert outcome.outcome.kind == "insert"
 
@@ -115,7 +117,7 @@ class TestSyncClient:
         with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 client.run(queries[0], algorithm="dgpm")
-                client.delete_edge(*list(graph.edges())[0])
+                client.apply([DeleteEdge(*list(graph.edges())[0])])
                 reply = client.stats()
                 assert reply.backend == "thread"
                 assert reply.stamp == 1
@@ -156,7 +158,7 @@ class TestSyncClient:
         with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
             with SessionClient(*srv.address, timeout=60.0) as client:
                 with pytest.raises(GraphError):
-                    client.delete_edge("no-such", "edge")
+                    client.apply([DeleteEdge("no-such", "edge")])
                 # a session serves dGPM, dGPMd and dGPMt only: a baseline or
                 # the retired dGPMNOpt alias is refused like any unknown name
                 for name in ("not-an-algorithm", "dmes", "dishhk", "match", "dgpmnopt"):
@@ -375,6 +377,37 @@ class TestThePeerChoosesNoWork:
                 assert client.run(queries[0]).relation == simulation(queries[0], graph)
             assert srv.ingress.server.stamp == 0
 
+    def test_a_request_past_the_inflight_cap_is_refused(self, instance, monkeypatch):
+        """With MAX_INFLIGHT requests of one connection held in the pool, the
+        next frame is answered at once with Overloaded on its own seq; the
+        held ones are answered after the release, and the connection keeps
+        serving."""
+        graph, frag, queries = instance
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT", 2)
+        with serve_in_thread(frag, backend="thread", n_workers=2) as srv:
+            _, release = _hold(srv.ingress.server.session, "_touched_fids", monkeypatch)
+
+            async def scenario():
+                async with await AsyncSessionClient.connect(*srv.address) as client:
+                    runs = [
+                        asyncio.create_task(client.run(q, algorithm="dgpm"))
+                        for q in queries
+                    ]
+                    try:
+                        with pytest.raises(Overloaded):
+                            await asyncio.wait_for(runs[2], JOIN_TIMEOUT)
+                        assert not runs[0].done() and not runs[1].done()
+                    finally:
+                        release.set()
+                    held = await asyncio.wait_for(
+                        asyncio.gather(*runs[:2]), JOIN_TIMEOUT
+                    )
+                    return held, await client.run(queries[2], algorithm="dgpm")
+
+            held, retried = asyncio.run(scenario())
+        for q, result in zip(queries, [*held, retried]):
+            assert result.relation == simulation(q, graph)
+
 
 def _record_threads(obj, name: str, monkeypatch) -> List[int]:
     """Wrap ``obj.name`` to record the thread id of every call."""
@@ -432,7 +465,7 @@ class TestWhereABatchIsApplied:
                 args=("read", lambda c: c.run(queries[0], algorithm="dgpm")),
             )
             write = threading.Thread(
-                target=call, args=("write", lambda c: c.delete_edge(*edge))
+                target=call, args=("write", lambda c: c.apply([DeleteEdge(*edge)])[0])
             )
             read.start()
             try:
@@ -498,7 +531,7 @@ class TestWhereABatchIsApplied:
             assert server.stamp == 0 and graph.has_edge(*edge)
             applied_on = _record_threads(server.session, "apply", monkeypatch)
             with SessionClient(*srv.address, timeout=60.0) as client:
-                assert client.delete_edge(*edge).stamp == 1
+                assert client.apply([DeleteEdge(*edge)])[0].stamp == 1
                 result = client.run(queries[0], algorithm="dgpm")
             assert len(applied_on) == 1 and applied_on[0] != srv._thread.ident
             assert result.relation == simulation(queries[0], graph)
@@ -644,10 +677,10 @@ class TestAsyncClient:
 
             async def scenario():
                 async with await AsyncSessionClient.connect(host, port) as client:
-                    outcome = await client.delete_edge(*edges[0])
+                    outcome = (await client.apply([DeleteEdge(*edges[0])]))[0]
                     assert outcome.stamp == 1
                     with pytest.raises(GraphError):
-                        await client.delete_edge(*edges[0])  # already gone
+                        await client.apply([DeleteEdge(*edges[0])])  # already gone
                     result = await client.run(queries[0], algorithm="dgpm")
                     assert result.stamp == 1
                     return result
@@ -709,7 +742,7 @@ class TestSnapshotContractOverTheWire:
                     with SessionClient(host, port, timeout=60.0) as client:
                         edges = list(initial.edges())
                         for u, v in edges[:4]:
-                            client.delete_edge(u, v)
+                            client.apply([DeleteEdge(u, v)])
                             ops.append(DeleteEdge(u, v))
                 except BaseException as exc:
                     failures.append(exc)
@@ -792,7 +825,7 @@ class TestHitsOnTheLoop:
         two_cycle = Pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
         with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
             assert server.run(two_cycle).metrics.algorithm.split("/")[0] == "dGPM"
-            server.delete_edge(5, 4)  # the graph's only cycle
+            server.apply([DeleteEdge(5, 4)])  # the graph's only cycle
             assert graph._shape.acyclic is None
             scanned_on: List[str] = []
             find_cycle = DiGraph._find_cycle
@@ -891,7 +924,7 @@ class TestFullStackOverShardWorkers:
                     result = client.run(q, algorithm="dgpm")
                     assert result.stamp == 0
                     assert result.relation == simulation(q, graph)
-                outcome = client.delete_edge(*list(graph.edges())[0])
+                outcome = client.apply([DeleteEdge(*list(graph.edges())[0])])[0]
                 assert outcome.stamp == 1
                 result = client.run(queries[0], algorithm="dgpm")
                 assert result.stamp == 1

@@ -26,7 +26,13 @@ from repro import ConcurrentSessionServer, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
 from repro.errors import TransportError
 from repro.graph.digraph import DiGraph
-from repro.graph.mutations import DeleteEdge, InsertEdge, MutationOp, RemoveNode
+from repro.graph.mutations import (
+    AddNode,
+    DeleteEdge,
+    InsertEdge,
+    MutationOp,
+    RemoveNode,
+)
 from repro.graph.pattern import Pattern
 from repro.net import protocol
 from repro.net.client import AsyncSessionClient, SessionClient, connect
@@ -319,14 +325,14 @@ class TestRegistry:
                 simulation(query, graph)
             )
             # An edge between fresh, query-irrelevant nodes: no push.
-            server.add_node(10_001, "zz-unused")
-            server.add_node(10_002, "zz-unused")
-            server.insert_edge(10_001, 10_002)
+            server.apply([AddNode(10_001, "zz-unused")])
+            server.apply([AddNode(10_002, "zz-unused")])
+            server.apply([InsertEdge(10_001, 10_002)])
             assert fired == []
             # Destroy every match by deleting every edge: pushes follow.
             before = _as_sets(simulation(query, graph))
             for u, v in list(graph.edges()):
-                server.delete_edge(u, v)
+                server.apply([DeleteEdge(u, v)])
             if any(before.values()):
                 assert fired, "match set emptied but no callback fired"
                 stamps = [stamp for _sub, stamp, _a, _r in fired]
@@ -353,7 +359,7 @@ class TestRegistry:
         with ConcurrentSessionServer(frag, backend="thread") as server:
             sub_id, _ = server.subscribe(query, boom)
             for u, v in list(graph.edges()):
-                server.delete_edge(u, v)
+                server.apply([DeleteEdge(u, v)])
             # The first match-changing batch tripped the callback; the
             # registry must have dropped it rather than poison the writer.
             assert sub_id not in server._subs
@@ -514,6 +520,38 @@ class TestBlockingSubscription:
         assert [d.lapsed for d in got] == [False]
         assert got[0].removed and not got[0].added
 
+    def test_another_connections_unsubscribe_is_a_no_op(self, instance):
+        """UNSUBSCRIBE cancels only the sender's own subscriptions: a second
+        connection quoting A's ``sub_id`` is acked, and A still gets the
+        PUSH of the next batch that changes its answer."""
+        graph, frag, query = instance
+        assert any(_as_sets(simulation(query, graph)).values())
+        got: List[protocol.PushDelta] = []
+        pushed = threading.Event()
+
+        def consume(sub) -> None:
+            for delta in sub:
+                got.append(delta)
+                break
+            pushed.set()
+
+        with serve_in_thread(frag, backend="thread") as srv:
+            with connect(srv.address, timeout=JOIN_TIMEOUT) as a, connect(
+                srv.address, timeout=JOIN_TIMEOUT
+            ) as b:
+                with a.subscribe(query) as sub:
+                    threading.Thread(target=consume, args=(sub,), daemon=True).start()
+                    ack = b._req(
+                        protocol.UnsubscribeRequest(sub_id=sub.sub_id),
+                        FrameKind.SUBSCRIBED,
+                    )
+                    assert (ack.sub_id, ack.relation) == (sub.sub_id, None)
+                    assert list(srv.ingress.server._subs) == [sub.sub_id]
+                    b.apply([DeleteEdge(u, v) for u, v in list(graph.edges())])
+                    assert pushed.wait(JOIN_TIMEOUT)
+        assert [d.lapsed for d in got] == [False]
+        assert got[0].sub_id == sub.sub_id and got[0].removed
+
 
 def _applied(
     baseline: Dict[object, Set[object]], deltas: List[protocol.PushDelta]
@@ -583,7 +621,7 @@ class TestAsyncSubscription:
                     # Not consuming: each edge deletion that changes the
                     # answer lands in the size-1 queue; the second overflows.
                     for u, v in list(graph.edges()):
-                        await client.delete_edge(u, v)
+                        await client.apply([DeleteEdge(u, v)])
                     deadline = time.time() + JOIN_TIMEOUT
                     got: List[protocol.PushDelta] = []
                     async for d in sub:

@@ -20,6 +20,7 @@ import pytest
 
 from repro import SimulationSession, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
+from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
 from repro.net import SessionClient, codec, protocol, serve_in_thread
 from repro.runtime.metrics import RunMetrics
@@ -87,7 +88,7 @@ class TestCoherence:
                 again = client.run(_renamed(query, "n"), algorithm="dgpm")
                 assert again.metrics.extras["cache_hit"] == 1.0
                 assert first.relation == simulation(query, graph)
-                client.delete_edge(*edge)
+                client.apply([DeleteEdge(*edge)])
                 repaired = client.run(query, algorithm="dgpm")
                 assert repaired.stamp == 1
                 assert repaired.metrics.extras["cache_hit"] == 1.0
@@ -195,7 +196,7 @@ class TestLifetime:
             session.run(query, algorithm="dgpm"),
             session.run(_renamed(query, "n"), algorithm="dgpm"),
         ]
-        session.delete_edge(*edge)
+        session.apply([DeleteEdge(*edge)])
         served.append(session.run(query, algorithm="dgpm"))
         assert served[-1].metrics.extras["maintained"] == 1.0
         for result in served:

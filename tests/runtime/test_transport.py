@@ -18,6 +18,7 @@ from repro.core import DgpmConfig, run_dgpm
 from repro.errors import ProtocolError
 from repro.graph.examples import figure1
 from repro.graph.generators import random_labeled_graph
+from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
 from repro.partition import random_partition
 from repro.runtime.mp import _shard_worker, respawn_worker
@@ -73,7 +74,7 @@ class TestResidentWorkerPool:
             for q, r in zip(queries, server.run_many(queries, algorithm="dgpm")):
                 assert r.stamp == 0
                 assert r.relation == simulation(q, graph)
-            outcome = server.delete_edge(*list(graph.edges())[0])
+            outcome = server.apply([DeleteEdge(*list(graph.edges())[0])])[0]
             assert outcome.stamp == 1
             # workers saw the broadcast: answers match the mutated oracle
             for q in queries:

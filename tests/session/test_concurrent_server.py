@@ -49,8 +49,8 @@ class TestThreadBackend:
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
             edges = list(graph.edges())
-            first = server.delete_edge(*edges[0])
-            second = server.delete_edge(*edges[1])
+            first = server.apply([DeleteEdge(*edges[0])])[0]
+            second = server.apply([DeleteEdge(*edges[1])])[0]
             assert (first.stamp, second.stamp) == (1, 2)
             assert server.stamp == 2
             r = server.run(queries[0], algorithm="dgpm")
@@ -91,10 +91,10 @@ class TestThreadBackend:
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(frag, backend="thread") as server:
             with pytest.raises(GraphError):
-                server.delete_edge("nope", "also-nope")
+                server.apply([DeleteEdge("nope", "also-nope")])
             # The writer path must stay serviceable after a failed ticket.
             edge = next(iter(graph.edges()))
-            assert server.delete_edge(*edge).stamp == 1
+            assert server.apply([DeleteEdge(*edge)])[0].stamp == 1
             assert server.run(queries[0], algorithm="dgpm").stamp == 1
 
     def test_a_failed_drain_gives_up_only_the_drainer_role(
@@ -116,11 +116,11 @@ class TestThreadBackend:
             monkeypatch.setattr(server, "_apply_batch", interrupted)
             with server._gate.writing():  # another writer, e.g. a rebalance
                 with pytest.raises(Interrupt):
-                    server.delete_edge(*edges[0])
+                    server.apply([DeleteEdge(*edges[0])])
                 assert server._gate._state == _GateState(writer=True)
             monkeypatch.undo()
             assert server._gate._state == _GateState()
-            assert server.delete_edge(*edges[1]).stamp == 1
+            assert server.apply([DeleteEdge(*edges[1])])[0].stamp == 1
 
     def test_partial_batch_failure_reports_applied_prefix(self, small_instance):
         """A batch failing midway raises MutationBatchError carrying the
@@ -171,7 +171,7 @@ class TestThreadBackend:
         with pytest.raises(ReproError, match="closed"):
             server.submit(queries[0])
         with pytest.raises(ReproError, match="closed"):
-            server.delete_edge(0, 1)
+            server.apply([DeleteEdge(0, 1)])
 
     def test_rejects_unknown_backend_and_sources(self, small_instance):
         _, frag, _ = small_instance
@@ -191,7 +191,7 @@ class TestThreadBackend:
         stamps = []
         with ConcurrentSessionServer(frag, backend="thread", n_workers=4) as server:
             def delete(edge):
-                stamps.append(server.delete_edge(*edge).stamp)
+                stamps.append(server.apply([DeleteEdge(*edge)])[0].stamp)
 
             threads = [threading.Thread(target=delete, args=(e,)) for e in edges]
             for t in threads:
@@ -270,7 +270,7 @@ class TestHitsOnTheCallingThread:
         with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
             cond = server._gate._cond = _SignallingCondition()
             server.run(queries[0], algorithm="dgpm")
-            write = threading.Thread(target=server.delete_edge, args=edge)
+            write = threading.Thread(target=server.apply, args=([DeleteEdge(*edge)],))
             if writer == "active":
                 entered, release = _hold(server.session, "apply", monkeypatch)
                 write.start()
@@ -456,7 +456,9 @@ class TestBatchesOnTheCallingThread:
             release = threading.Event()
             if busy == "drainer-applying":
                 entered, release = _hold(server.session, "apply", monkeypatch)
-                held = threading.Thread(target=server.delete_edge, args=edges[0])
+                held = threading.Thread(
+                    target=server.apply, args=([DeleteEdge(*edges[0])],)
+                )
                 held.start()
                 assert entered.wait(JOIN_TIMEOUT)
             elif busy == "reader":
@@ -511,7 +513,7 @@ class TestBatchesOnTheCallingThread:
                 assert entered.wait(JOIN_TIMEOUT)  # inside the inline batch
                 queued = threading.Thread(
                     target=lambda: results.update(
-                        queued=server.delete_edge(*edges[1])
+                        queued=server.apply([DeleteEdge(*edges[1])])[0]
                     )
                 )
                 queued.start()

@@ -16,6 +16,7 @@ from repro.core import dispatch
 from repro.core.dgpm import DGPM
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import fragment_graph
 from repro.session import SimulationSession
@@ -88,7 +89,7 @@ def test_compiled_cache_reused_and_recompiled_per_touched_fragment(
     assert compiled.compilations == base  # resident snapshots were reused
 
     old = {frag.fid: compiled.get(frag.fid) for frag in fragmentation}
-    session.delete_edge(0, 1)  # intra-fragment edge of fragment 0
+    session.apply([DeleteEdge(0, 1)])  # intra-fragment edge of fragment 0
     assert session.compiled_fragments() is compiled  # maintained, not dropped
     stale = [
         fid for fid, entry in old.items()

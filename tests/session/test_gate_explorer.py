@@ -105,7 +105,7 @@ INLINE_WRITER = Script(
     (Step(G.write_inline, wait=False), APPLY, Step(G.inline_done, admit=END)),
     writing=frozenset({1, 2}),
 )
-#: _mutate(): enqueue, then either drain the queue as the drainer (each
+#: apply(): enqueue, then either drain the queue as the drainer (each
 #: take finishes the batch in hand) or wait until a drainer applied the ticket
 QUEUED_WRITER = Script(
     "queued writer",
@@ -363,7 +363,7 @@ class TestScriptsAreTheServer:
 
     def test_mutate_as_the_drainer(self, server):
         server, gate, _, edges = server
-        server.delete_edge(*edges[0])
+        server.apply([DeleteEdge(*edges[0])])
         assert gate.steps == Explorer([QUEUED_WRITER]).trace()
 
     def test_close(self, server):

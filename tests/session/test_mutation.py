@@ -46,7 +46,7 @@ class TestMutationApi:
         for _ in range(20):
             edges = list(graph.edges())
             u, v = edges[rng.randrange(len(edges))]
-            outcome = session.delete_edge(u, v)
+            outcome = session.apply([DeleteEdge(u, v)])[0]
             assert outcome.kind == "delete"
             frag.validate()  # the acceptance-criterion invariant
         for q in queries:
@@ -59,11 +59,11 @@ class TestMutationApi:
         for _ in range(10):
             edges = list(graph.edges())
             u, v = edges[rng.randrange(len(edges))]
-            session.delete_edge(u, v)
+            session.apply([DeleteEdge(u, v)])
             deleted.append((u, v))
         u, v = deleted[0]
-        session.insert_edge(u, v)
-        session.add_node("fresh", "dom0")
+        session.apply([InsertEdge(u, v)])
+        session.apply([AddNode("fresh", "dom0")])
         assert session.deps is deps_before  # same object, patched in place
         fresh = DependencyGraphs(frag)
         assert session.deps.watchers == fresh.watchers
@@ -72,7 +72,7 @@ class TestMutationApi:
     def test_mutations_do_not_invalidate(self, served_session):
         graph, _, session, queries = served_session
         edges = list(graph.edges())
-        session.delete_edge(*edges[0])
+        session.apply([DeleteEdge(*edges[0])])
         assert session.stats.invalidations == 0
         assert session.stats.mutations == 1
 
@@ -96,10 +96,10 @@ class TestMutationApi:
     def test_mutation_errors_are_graph_errors(self, served_session):
         graph, _, session, _ = served_session
         with pytest.raises(GraphError):
-            session.delete_edge("nope", "nada")
+            session.apply([DeleteEdge("nope", "nada")])
         u, v = next(iter(graph.edges()))
         with pytest.raises(GraphError):
-            session.insert_edge(u, v)  # already present
+            session.apply([InsertEdge(u, v)])  # already present
 
 
 class TestCacheMaintenance:
@@ -116,7 +116,7 @@ class TestCacheMaintenance:
             for u, v in graph.edges()
             if not (graph.label(u) == "dom0" and graph.label(v) == "dom1")
         )
-        outcome = session.delete_edge(*target)
+        outcome = session.apply([DeleteEdge(*target)])[0]
         assert outcome.cache_kept == 1 and outcome.cache_evicted == 0
         again = session.run(q, algorithm="dgpm")
         assert again.metrics.extras.get("cache_hit") == 1.0
@@ -133,7 +133,7 @@ class TestCacheMaintenance:
             for u, v in graph.edges()
             if graph.label(u) == "dom0" and graph.label(v) == "dom1"
         )
-        outcome = session.delete_edge(*target)
+        outcome = session.apply([DeleteEdge(*target)])[0]
         assert outcome.cache_evicted == 1
         after = session.run(q, algorithm="dgpm")
         assert "cache_hit" not in after.metrics.extras
@@ -163,7 +163,7 @@ class TestCacheMaintenance:
                 break
             u, v = candidates[rng.randrange(len(candidates))]
             before = session.run(q, algorithm="dgpm").relation
-            outcome = session.delete_edge(u, v)
+            outcome = session.apply([DeleteEdge(u, v)])[0]
             assert len(warm_entries(session)) == 1
             assert outcome.cache_evicted == 0
             after = session.run(q, algorithm="dgpm")
@@ -191,9 +191,9 @@ class TestCacheMaintenance:
             for u, v in graph.edges()
             if graph.label(u) == "dom0" and graph.label(v) == "dom1"
         )
-        session.delete_edge(u, v)
+        session.apply([DeleteEdge(u, v)])
         assert session.run(q, algorithm="dgpm").relation == simulation(q, graph)
-        session.insert_edge(u, v)
+        session.apply([InsertEdge(u, v)])
         after = session.run(q, algorithm="dgpm")
         assert after.relation == simulation(q, graph)
         assert session.stats.invalidations == 0
@@ -206,7 +206,7 @@ class TestCacheMaintenance:
         shaped = Pattern({"a": "dom1", "b": "dom2"}, [("a", "b")])  # not
         session.run(point, algorithm="dgpm")
         session.run(shaped, algorithm="dgpm")
-        outcome = session.add_node("newbie", "dom0")
+        outcome = session.apply([AddNode("newbie", "dom0")])[0]
         assert outcome.cache_evicted == 1  # the point query (cold entry)
         assert outcome.cache_kept == 1     # the shaped query survives
         assert session.run(point, algorithm="dgpm").relation == simulation(point, graph)
@@ -240,13 +240,13 @@ class TestWarmSlotRotation:
             session.run(q, algorithm="dgpm")
             session.run(q, algorithm="dgpm")
         assert len(warm_entries(session)) == 0
-        session.delete_edge(u, v)  # relevant to both: fills both slots
+        session.apply([DeleteEdge(u, v)])  # relevant to both: fills both slots
         assert warm_queries() == {id(q) for q in early}
 
         session.run(late, algorithm="dgpm")
         session.run(late, algorithm="dgpm")  # hot now, still no state
         assert warm_queries() == {id(q) for q in early}
-        outcome = session.insert_edge(u, v)  # relevant to all three
+        outcome = session.apply([InsertEdge(u, v)])[0]  # relevant to all three
         assert warm_queries() == {id(early[1]), id(late)}
         assert outcome.cache_evicted == 0  # the retired entry was repaired first
         assert session.stats.entries_promoted == 3
@@ -256,11 +256,11 @@ class TestWarmSlotRotation:
         assert retired.metrics.extras.get("cache_hit") == 1.0
         assert retired.relation == simulation(early[0], graph)
         # ... and, served last, it takes the slot back from early[1] ...
-        assert session.delete_edge(u, v).cache_evicted == 0
+        assert session.apply([DeleteEdge(u, v)])[0].cache_evicted == 0
         assert warm_queries() == {id(late), id(early[0])}
         # ... whose entry, outside both slots now, the next relevant
         # mutation evicts.
-        assert session.insert_edge(u, v).cache_evicted == 1
+        assert session.apply([InsertEdge(u, v)])[0].cache_evicted == 1
         for q in (*early, late):
             assert session.run(q, algorithm="dgpm").relation == simulation(q, graph)
 

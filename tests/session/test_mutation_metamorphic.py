@@ -67,24 +67,24 @@ def _mutate_once(rng, session, graph, deleted):
     if r < 0.45 and graph.n_edges:
         edges = list(graph.edges())
         u, v = edges[rng.randrange(len(edges))]
-        session.delete_edge(u, v)
+        session.apply([DeleteEdge(u, v)])
         deleted.append((u, v))
         return "delete"
     if r < 0.75 and deleted:
         u, v = deleted.pop(rng.randrange(len(deleted)))
         if not graph.has_edge(u, v):
-            session.insert_edge(u, v)
+            session.apply([InsertEdge(u, v)])
             return "insert"
         return "noop"
     if r < 0.9:
         node = ("meta", session.stats.mutations)
         label = rng.choice(sorted(graph.label_alphabet(), key=repr))
-        session.add_node(node, label)
+        session.apply([AddNode(node, label)])
         return "add_node"
     nodes = list(graph.nodes())
     u, v = rng.choice(nodes), rng.choice(nodes)
     if u != v and not graph.has_edge(u, v):
-        session.insert_edge(u, v)
+        session.apply([InsertEdge(u, v)])
         return "insert"
     return "noop"
 
@@ -135,11 +135,11 @@ def test_dgpmd_stream_on_dag(rng, rng_seed):
         if step % 3 != 2 or not deleted:
             edges = list(graph.edges())
             u, v = edges[rng.randrange(len(edges))]
-            session.delete_edge(u, v)
+            session.apply([DeleteEdge(u, v)])
             deleted.append((u, v))
         else:
             u, v = deleted.pop()
-            session.insert_edge(u, v)  # re-insertion cannot create a cycle
+            session.apply([InsertEdge(u, v)])  # re-insertion cannot create a cycle
         frag.validate()
         q = queries[step % len(queries)]
         assert session.run(q, algorithm="dgpmd").relation == simulation(q, graph), step
@@ -159,8 +159,9 @@ def test_dgpmt_stream_on_growing_tree(rng, rng_seed):
     for step in range(8):
         parent = rng.choice(list(tree.nodes()))
         leaf = ("leaf", step)
-        session.add_node(leaf, rng.choice(labels), fid=frag.owner(parent))
-        session.insert_edge(parent, leaf)  # local edge: fragment stays connected
+        session.apply([AddNode(leaf, rng.choice(labels), fid=frag.owner(parent))])
+        # a local edge: the fragment stays connected
+        session.apply([InsertEdge(parent, leaf)])
         frag.validate()
         assert frag.has_connected_fragments()
         q = queries[step % len(queries)]

@@ -154,7 +154,7 @@ def test_a_pinned_entry_is_outside_the_lru_and_the_warm_budget():
             server.run(other)
         assert server.stats.cache_evictions >= len(others) - 1
         assert _pinned_entry(server, sub_id) is entry
-        server.delete_edge(*edge)
+        server.apply([DeleteEdge(*edge)])
         assert folded.stamps == [1]
         assert folded.view == _sets(simulation(query, graph))
         assert server.unsubscribe(sub_id)
@@ -207,11 +207,11 @@ def test_a_lapsed_precondition_re_pins_and_pushes_the_oracle(build, algorithm):
         sub_id, folded = _subscribe(server, query, algorithm)
         first = _pinned_entry(server, sub_id)
         assert first.algorithm in ("dgpmd", "dgpmt")
-        server.insert_edge(u, v)  # the shape flips: the entry lapses
+        server.apply([InsertEdge(u, v)])  # the shape flips: the entry lapses
         assert folded.view == _sets(simulation(query, graph))
         again = _pinned_entry(server, sub_id)
         assert again is not first and again.warm is not None
-        server.delete_edge(u, v)
+        server.apply([DeleteEdge(u, v)])
         assert folded.view == _sets(simulation(query, graph))
         assert folded.stamps == sorted(set(folded.stamps))
         assert _pinned_entry(server, sub_id).warm is not None
@@ -221,16 +221,16 @@ def test_a_rebalance_under_a_live_subscription():
     graph, frag, query, edge = _answer_changing_instance()
     with ConcurrentSessionServer(frag, backend="thread") as server:
         sub_id, folded = _subscribe(server, query)
-        server.delete_edge(*edge)
+        server.apply([DeleteEdge(*edge)])
         assert folded.stamps == [1]
         server.rebalance("repartition", traffic={})
-        server.insert_edge(*edge)  # re-pinned afresh, diffed from the view
+        server.apply([InsertEdge(*edge)])  # re-pinned afresh, diffed from the view
         assert folded.stamps == [1, 2]
         assert folded.view == _sets(simulation(query, graph))
         pinned = _pinned_entry(server, sub_id)
         assert pinned.warm is not None
         misses = server.stats.cache_misses
-        server.delete_edge(*edge)  # and repaired again from here on
+        server.apply([DeleteEdge(*edge)])  # and repaired again from here on
         assert folded.stamps == [1, 2, 3]
         assert folded.view == _sets(simulation(query, graph))
         assert _pinned_entry(server, sub_id) is pinned

@@ -20,6 +20,7 @@ from repro import (
 from repro.bench.workloads import cyclic_pattern
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import DeleteEdge
 from repro.session.sharding import HashRing
 
 
@@ -60,7 +61,7 @@ def test_rebalance_mid_feed_is_answer_invariant(backend, kwargs):
     stamped = []
     with ConcurrentSessionServer(frag, backend=backend, **kwargs) as server:
         for i, mutation in enumerate(mutations):
-            out = server.delete_edge(mutation[1], mutation[2])
+            out = server.apply([DeleteEdge(mutation[1], mutation[2])])[0]
             assert out.stamp == i + 1
             result = server.run(queries[i % len(queries)], algorithm="dgpm")
             assert result.stamp == i + 1
@@ -133,7 +134,7 @@ def test_traffic_counters_attribute_queries_and_mutations():
             set(stats.fragment_queries)
         ) or stats.fragment_queries
         u, v = next(iter(graph.edges()))
-        server.delete_edge(u, v)
+        server.apply([DeleteEdge(u, v)])
         assert stats.fragment_mutations
         merged = stats.traffic_snapshot()
         assert all(merged[f] >= c for f, c in stats.fragment_mutations.items())
@@ -195,10 +196,10 @@ def test_stats_reply_carries_partition_snapshot_over_the_wire():
         server.run(queries[0], algorithm="dgpm")  # hot: the delete promotes it
         a, b = next(iter(queries[0].edges()))
         pair = (queries[0].label(a), queries[0].label(b))
-        server.delete_edge(*next(
+        server.apply([DeleteEdge(*next(
             (u, v) for u, v in graph.edges()
             if (graph.label(u), graph.label(v)) == pair
-        ))
+        ))])
         reply = StatsReply(
             stats=server.stats,
             stamp=server.stamp,

@@ -60,7 +60,7 @@ class TestSessionRemoveNode:
         removed = []
         for _ in range(12):
             node = rng.choice(list(graph.nodes()))
-            outcome = session.remove_node(node)
+            outcome = session.apply([RemoveNode(node)])[0]
             removed.append(node)
             assert outcome.kind == "remove_node"
             assert outcome.delta.cascade is not None
@@ -72,7 +72,7 @@ class TestSessionRemoveNode:
     def test_remove_unknown_node_is_graph_error(self, served):
         _graph, _frag, session, _queries = served
         with pytest.raises(GraphError):
-            session.remove_node("no-such-node")
+            session.apply([RemoveNode("no-such-node")])
 
     def test_batch_mixing_removals_and_edges(self, served):
         graph, _frag, session, queries = served
@@ -94,7 +94,7 @@ class TestSessionRemoveNode:
     def test_deps_patched_not_rebuilt_across_removal(self, served):
         graph, _frag, session, _queries = served
         deps_before = session.deps
-        session.remove_node(next(iter(graph.nodes())))
+        session.apply([RemoveNode(next(iter(graph.nodes())))])
         assert session.deps is deps_before
 
 
@@ -123,7 +123,7 @@ class TestWarmRemoveNodeRegression:
         _make_warm(session, 3, 4)
         before = session.run(query).relation.as_dict()
         assert 1 in before["a"]
-        outcome = session.remove_node(1)
+        outcome = session.apply([RemoveNode(1)])[0]
         assert outcome.kind == "remove_node"
         after = session.run(query).relation.as_dict()
         assert 1 not in after["a"]
@@ -149,7 +149,7 @@ class TestWarmRemoveNodeRegression:
             session.run(query, algorithm="dgpm")
         _make_warm(session, 3, 2)
         assert 1 in session.run(query).relation.as_dict()["a"]
-        session.remove_node(1)
+        session.apply([RemoveNode(1)])
         after = session.run(query).relation.as_dict()
         assert after["a"] == {3}
         assert after["b"] == {2}

@@ -34,6 +34,7 @@ from repro.core.dispatch import choose_algorithm, choose_algorithm_if_decided
 from repro.errors import GraphError, PatternError, ReproError
 from repro.graph import algorithms
 from repro.graph.digraph import DiGraph
+from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, fragment_graph
 from tests.conftest import warm_entries
@@ -73,13 +74,13 @@ def test_auto_follows_dag_to_cyclic_and_back(backend):
         assert first.metrics.algorithm.startswith("dGPMd")
         assert not first.is_match
 
-        server.insert_edge(3, 0)  # crossing edge closing 0 -> 1 -> 2 -> 3 -> 0
+        server.apply([InsertEdge(3, 0)])  # crossing edge closing 0 -> 1 -> 2 -> 3 -> 0
         closed = server.run(TWO_CYCLE)
         assert closed.metrics.algorithm.split("/")[0] == "dGPM"
         assert closed.relation == simulation(TWO_CYCLE, frag.graph)
         assert closed.is_match
 
-        server.delete_edge(3, 0)
+        server.apply([DeleteEdge(3, 0)])
         reopened = server.run(TWO_CYCLE)
         assert reopened.metrics.algorithm.startswith("dGPMd")
         assert not reopened.is_match
@@ -91,12 +92,12 @@ def test_auto_follows_tree_to_non_tree_and_back(backend):
     with ConcurrentSessionServer(frag, backend=backend, n_workers=2) as server:
         assert server.run(query).metrics.algorithm.startswith("dGPMt")
 
-        server.insert_edge(u, v)
+        server.apply([InsertEdge(u, v)])
         grafted = server.run(query)
         assert grafted.metrics.algorithm.startswith("dGPMd")
         assert grafted.relation == simulation(query, frag.graph)
 
-        server.delete_edge(u, v)
+        server.apply([DeleteEdge(u, v)])
         pruned = server.run(query)
         assert pruned.metrics.algorithm.startswith("dGPMt")
         assert pruned.relation == simulation(query, frag.graph)
@@ -149,14 +150,14 @@ def test_cached_entries_do_not_outlive_their_drivers_precondition(
     for _ in range(3):  # a miss and two hits: the entry is hot
         assert served() == fresh() != error
     if warm_edge is not None:  # the first relevant write builds the state
-        session.delete_edge(*warm_edge)
-        session.insert_edge(*warm_edge)
+        session.apply([DeleteEdge(*warm_edge)])
+        session.apply([InsertEdge(*warm_edge)])
         assert served() == fresh() != error
     assert len(warm_entries(session)) == (warm_edge is not None)
-    session.insert_edge(u, v)
+    session.apply([InsertEdge(u, v)])
     assert len(warm_entries(session)) == 0
     assert served() == fresh() == error
-    session.delete_edge(u, v)
+    session.apply([DeleteEdge(u, v)])
     assert served() == fresh() != error
 
 
@@ -210,17 +211,18 @@ def test_serving_after_warm_never_traverses_the_base_graph(monkeypatch):
             server.subscribe(query, lambda *push: None)
         witness = shape.witness
         u, v = next((a, b) for a, b in graph.edges() if witness.get(a) != b)
-        server.delete_edge(u, v)
-        server.insert_edge(u, v)
+        server.apply([DeleteEdge(u, v)])
+        server.apply([InsertEdge(u, v)])
         server.run(queries[0])
         assert traversals.versions == []  # witness intact: nothing to settle
 
         u = next(iter(witness))
         v = witness[u]
-        server.delete_edge(u, v)  # the flag is unknown until a reader settles it
+        # the flag is unknown until a reader settles it
+        server.apply([DeleteEdge(u, v)])
         for query in queries[:3]:
             server.run(query)
-        server.insert_edge(u, v)
+        server.apply([InsertEdge(u, v)])
         server.run(queries[0])
         assert 1 <= len(traversals.versions) == len(set(traversals.versions)) <= 2
 

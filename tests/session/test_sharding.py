@@ -30,6 +30,7 @@ from repro import (
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.core.dispatch import ALGORITHMS
 from repro.errors import ReproError
+from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.session.session import SimulationSession
 from repro.session.sharding import HashRing
 
@@ -322,7 +323,7 @@ def test_sharded_subscription_evaluates_on_the_workers():
     ) as server:
         _, baseline = server.subscribe(TWO_CYCLE, lambda *push: pushes.append(push))
         assert baseline.metrics.algorithm == "dGPMd/sharded"
-        server.insert_edge(3, 0)  # closes a cycle: the dGPMd pin lapses
+        server.apply([InsertEdge(3, 0)])  # closes a cycle: the dGPMd pin lapses
         assert len(pushes) == 1
         repinned = server.run(TWO_CYCLE)  # a hit on the re-evaluated pin
         assert repinned.metrics.extras["cache_hit"] == 1.0
@@ -363,7 +364,7 @@ def test_close_never_fails_an_applied_mutation():
 
     def mutate(edge):
         try:
-            outcomes.append(server.delete_edge(*edge))
+            outcomes.append(server.apply([DeleteEdge(*edge)])[0])
         except ReproError as exc:
             (refusals if "closed" in str(exc) else hard_failures).append(exc)
 

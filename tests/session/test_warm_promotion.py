@@ -17,6 +17,7 @@ from repro.core.incremental import (
     IncrementalMatchState,
     edge_update_may_change_answer,
 )
+from repro.graph.mutations import AddNode, DeleteEdge, InsertEdge
 from repro.graph.pattern import Pattern
 from tests.conftest import warm_entries
 
@@ -88,7 +89,7 @@ def test_reads_build_nothing_and_the_first_relevant_write_promotes(built):
     assert len(promoted) > 1 and evicted
     u, v = _edge_with_labels(graph, pair)
     before = {id(q): session.run(q).relation for q in slots}
-    outcome = session.delete_edge(u, v)
+    outcome = session.apply([DeleteEdge(u, v)])[0]
     assert [id(q) for q in built] == [id(q) for q in promoted]
     assert session.stats.entries_promoted == len(promoted) == len(warm_entries(session))
     assert outcome.cache_evicted == len(evicted)
@@ -102,11 +103,11 @@ def test_reads_build_nothing_and_the_first_relevant_write_promotes(built):
 
     # (c) the re-insert and ten more relevant pairs repair through the
     # states the first write built: no construction, no further eviction.
-    session.insert_edge(u, v)
+    session.apply([InsertEdge(u, v)])
     for _ in range(10):
         u, v = _edge_with_labels(graph, pair)
-        for mutate in (session.delete_edge, session.insert_edge):
-            mutate(u, v)
+        for op in (DeleteEdge, InsertEdge):
+            session.apply([op(u, v)])
             for q in promoted:
                 served = session.run(q)
                 assert served.relation == simulation(q, graph)
@@ -116,9 +117,9 @@ def test_reads_build_nothing_and_the_first_relevant_write_promotes(built):
     assert session.stats.entries_promoted == len(promoted)
 
     # (d) a mutation no cached query can see promotes (and evicts) nothing.
-    session.add_node("fresh", "zz-unused")
-    session.add_node("fresher", "zz-unused")
-    session.insert_edge("fresh", "fresher")
+    session.apply([AddNode("fresh", "zz-unused")])
+    session.apply([AddNode("fresher", "zz-unused")])
+    session.apply([InsertEdge("fresh", "fresher")])
     assert len(built) == len(promoted)
     assert session.stats.entries_evicted == len(evicted)
     assert session.stats.invalidations == 0
@@ -135,7 +136,8 @@ def test_few_or_no_slots_serve_hits_and_relevant_writes(max_warm_states, built):
     q = Pattern({"a": "dom0", "b": "dom1"}, [("a", "b")])
     session.run(q)
     assert session.run(q).metrics.extras.get("cache_hit") == 1.0
-    outcome = session.delete_edge(*_edge_with_labels(graph, ("dom0", "dom1")))
+    edge = _edge_with_labels(graph, ("dom0", "dom1"))
+    [outcome] = session.apply([DeleteEdge(*edge)])
     assert len(built) == len(warm_entries(session)) == max_warm_states
     assert outcome.cache_evicted == 1 - max_warm_states
     assert session.run(q).relation == simulation(q, graph)
