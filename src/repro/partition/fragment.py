@@ -13,11 +13,12 @@ Matches the paper's Section 2.2 definition exactly:
   ``Vi ∪ Fi.O``, so it contains local edges plus crossing edges out of ``Vi``.
 
 Fragment metadata is *rebuildable in place*: the ``_add_*``/``_drop_*``
-helpers patch ``Vi``/``Fi.O``/``Fi.I`` one node at a time so the
-fragmentation's mutation API (:meth:`Fragmentation.delete_edge` and friends)
-can maintain the Section-2.2 invariants across updates without rebuilding
-fragments.  The sets stay exposed as frozensets -- callers outside the
-maintenance layer must treat them as immutable snapshots.
+helpers patch ``Vi``/``Fi.O``/``Fi.I`` one node at a time so the one
+fragment patch, :func:`repro.partition.fragmentation.replay` (run by the
+fragmentation's mutation API and by shard workers), can maintain the
+Section-2.2 invariants across updates without rebuilding fragments.  The
+sets stay exposed as frozensets -- callers outside the maintenance layer
+must treat them as immutable snapshots.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ class Fragment:
         return self._virtual_owner[node]
 
     # ------------------------------------------------------------------
-    # in-place metadata maintenance (used by Fragmentation's mutation API;
-    # each helper replaces one frozenset so readers never see a half-applied
-    # update)
+    # in-place metadata maintenance (called only by ``replay``; each helper
+    # replaces one frozenset so readers never see a half-applied update)
     # ------------------------------------------------------------------
     def _add_local_node(self, node: Node) -> None:
         """Grow ``Vi`` by one node (its graph entry is added by the caller)."""
@@ -98,9 +98,9 @@ class Fragment:
     def _drop_local_node(self, node: Node) -> None:
         """Shrink ``Vi`` by one (already isolated) node.
 
-        The caller (``Fragmentation.remove_node``) has deleted every incident
-        edge first, so the node is neither virtual anywhere nor an in-node
-        here; only the ``Vi`` membership remains to clear.
+        The caller (``replay`` of a ``remove_node`` delta) has deleted every
+        incident edge first, so the node is neither virtual anywhere nor an
+        in-node here; only the ``Vi`` membership remains to clear.
         """
         self.local_nodes = self.local_nodes - {node}
 

@@ -7,14 +7,15 @@ validates the consistency invariants (tests rely on
 :meth:`Fragmentation.validate`).
 
 A fragmentation is also *maintainable in place*: :meth:`Fragmentation.\
-delete_edge`, :meth:`Fragmentation.insert_edge` and
-:meth:`Fragmentation.add_node` patch the base graph, the owning fragment's
-stored subgraph, and the ``Fi.O``/``Fi.I`` membership of the touched
-endpoints together, so :meth:`validate` holds after every update.  Each
-returns a :class:`MutationDelta` describing exactly which boundary metadata
-moved -- consumers (the watcher tables of
+delete_edge`, :meth:`Fragmentation.insert_edge`, :meth:`Fragmentation.\
+add_node` and :meth:`Fragmentation.remove_node` edit the base graph, decide
+the ``Fi.O``/``Fi.I`` transitions of the touched endpoints, and return a
+:class:`MutationDelta` recording them; :func:`replay` then patches the
+fragments from that delta alone, so :meth:`validate` holds after every
+update.  :func:`replay` is the one fragment patch: a shard worker's
+:class:`FragmentShard` runs it too.  Other consumers (the watcher tables of
 :class:`~repro.core.depgraph.DependencyGraphs`, the session layer's caches)
-use it to patch their own state incrementally instead of rebuilding.
+use the delta to patch their own state incrementally instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -66,7 +67,12 @@ class MutationDelta:
 
 
 class Fragmentation:
-    """A fragmentation of a data graph over ``n`` sites."""
+    """A fragmentation of a data graph over ``n`` sites.
+
+    Each mutator checks its arguments, edits the base graph and the owner
+    map, decides the boundary transitions, and leaves every fragment edit
+    to :func:`replay`, the one fragment patch.
+    """
 
     def __init__(self, graph: DiGraph, fragments: List[Fragment], owner: Dict[Node, int]) -> None:
         self.graph = graph
@@ -166,6 +172,12 @@ class Fragmentation:
         and clears ``v`` from its owner's ``Fi.I`` when no incoming crossing
         edge remains.  :meth:`validate` holds afterwards.
         """
+        return self._replay(self._delete_base_edge(u, v))
+
+    def _delete_base_edge(self, u: Node, v: Node) -> MutationDelta:
+        """The base-graph half of :meth:`delete_edge`: check, remove the edge
+        from ``G`` and decide the boundary transitions from ``G``'s remaining
+        predecessors of ``v``; no fragment is touched."""
         if not self.graph.has_edge(u, v):
             raise GraphError(f"edge ({u!r}, {v!r}) is not in the graph")
         source_fid = self.owner(u)
@@ -173,21 +185,12 @@ class Fragmentation:
         u_label = self.graph.label(u)
         v_label = self.graph.label(v)
         self.graph.remove_edge(u, v)
-        source = self.fragments[source_fid]
-        source.graph.remove_edge(u, v)
-
         virtual_dropped = in_dropped = False
         if source_fid != target_fid:
             preds = self.graph.predecessors(v)
-            if not any(self._owner[p] == source_fid for p in preds):
-                # v's last crossing edge out of `source` is gone: v leaves
-                # Fi.O and its (edge-less) graph entry is pruned.
-                source._drop_virtual_node(v)
-                source.graph.remove_node(v)
-                virtual_dropped = True
-            if not any(self._owner[p] != target_fid for p in preds):
-                self.fragments[target_fid]._drop_in_node(v)
-                in_dropped = True
+            # v's last crossing edge out of `source` is gone: v leaves Fi.O
+            virtual_dropped = not any(self._owner[p] == source_fid for p in preds)
+            in_dropped = not any(self._owner[p] != target_fid for p in preds)
         return MutationDelta(
             kind="delete", u=u, v=v,
             source_fid=source_fid, target_fid=target_fid,
@@ -208,29 +211,15 @@ class Fragmentation:
             raise GraphError(f"edge ({u!r}, {v!r}) already present")
         source_fid = self.owner(u)
         target_fid = self.owner(v)
-        u_label = self.graph.label(u)
-        v_label = self.graph.label(v)
         self.graph.add_edge(u, v)
-        source = self.fragments[source_fid]
-
-        virtual_added = in_added = False
-        if source_fid != target_fid:
-            if v not in source.virtual_nodes:
-                source._add_virtual_node(v, owner=target_fid)
-                if v not in source.graph:
-                    source.graph.add_node(v, v_label)
-                virtual_added = True
-            target = self.fragments[target_fid]
-            if v not in target.in_nodes:
-                target._add_in_node(v)
-                in_added = True
-        source.graph.add_edge(u, v)
-        return MutationDelta(
+        crossing = source_fid != target_fid
+        return self._replay(MutationDelta(
             kind="insert", u=u, v=v,
             source_fid=source_fid, target_fid=target_fid,
-            u_label=u_label, v_label=v_label,
-            virtual_added=virtual_added, in_added=in_added,
-        )
+            u_label=self.graph.label(u), v_label=self.graph.label(v),
+            virtual_added=crossing and v not in self.fragments[source_fid].virtual_nodes,
+            in_added=crossing and v not in self.fragments[target_fid].in_nodes,
+        ))
 
     def add_node(self, node: Node, label: Label, fid: Optional[int] = None) -> MutationDelta:
         """Add an isolated ``node`` with ``label`` to fragment ``fid``.
@@ -246,26 +235,24 @@ class Fragmentation:
         if not 0 <= fid < self.n_fragments:
             raise FragmentationError(f"fragment id {fid} out of range")
         self.graph.add_node(node, label)
-        fragment = self.fragments[fid]
-        fragment.graph.add_node(node, label)
-        fragment._add_local_node(node)
         self._owner[node] = fid
-        return MutationDelta(
+        return self._replay(MutationDelta(
             kind="add_node", u=node, v=node,
             source_fid=fid, target_fid=fid,
             u_label=label, v_label=label,
-        )
+        ))
 
     def remove_node(self, node: Node) -> MutationDelta:
         """Remove ``node`` and every incident edge, everywhere.
 
-        A composite update: each incident edge is deleted through
-        :meth:`delete_edge` (so all boundary metadata transitions are
-        recorded as a ``cascade`` of ordinary deletion deltas), then the
-        now-isolated node leaves the base graph, its fragment's stored
-        subgraph, and the owner map.  :meth:`validate` holds afterwards.
-        A fragment may end up empty; :meth:`add_node` (default placement:
-        smallest fragment) will repopulate it first.
+        A composite update: each incident edge is deleted from ``G`` by
+        :meth:`delete_edge`'s base-graph half (so all boundary metadata
+        transitions are recorded as a ``cascade`` of ordinary deletion
+        deltas), then the now-isolated node leaves the base graph and the
+        owner map, and the composite delta is replayed into the fragments
+        once.  :meth:`validate` holds afterwards.  A fragment may end up
+        empty; :meth:`add_node` (default placement: smallest fragment) will
+        repopulate it first.
 
         Cascade order is load-bearing for the incremental repair layer:
         in-edges go first (a self-loop counts as an out-edge), so warm
@@ -281,20 +268,22 @@ class Fragmentation:
         cascade: List[MutationDelta] = []
         for p in list(self.graph.predecessors(node)):
             if p != node:
-                cascade.append(self.delete_edge(p, node))
+                cascade.append(self._delete_base_edge(p, node))
         for v in list(self.graph.successors(node)):
-            cascade.append(self.delete_edge(node, v))
+            cascade.append(self._delete_base_edge(node, v))
         self.graph.remove_node(node)
-        fragment = self.fragments[fid]
-        fragment.graph.remove_node(node)
-        fragment._drop_local_node(node)
         del self._owner[node]
-        return MutationDelta(
+        return self._replay(MutationDelta(
             kind="remove_node", u=node, v=node,
             source_fid=fid, target_fid=fid,
             u_label=label, v_label=label,
             cascade=tuple(cascade),
-        )
+        ))
+
+    def _replay(self, delta: MutationDelta) -> MutationDelta:
+        """Patch every fragment with ``delta`` through :func:`replay`."""
+        replay(dict(enumerate(self.fragments)), delta)
+        return delta
 
     # ------------------------------------------------------------------
     # shipping fragments to shard workers
@@ -470,10 +459,10 @@ class FragmentShard:
     Site programs only ever evaluate ``fragmentation[their_fid]``, so a
     mapping that answers ``shard[fid]`` for the owned ids is a drop-in
     stand-in for the full :class:`Fragmentation` on the worker side.  The
-    shard is also *maintainable*: :meth:`apply_delta` replays a
-    :class:`MutationDelta` against whichever owned fragments it touches,
-    using the delta's recorded boundary transitions instead of the base
-    graph (which the worker deliberately does not hold).
+    shard is also *maintainable*: :meth:`apply_delta` runs :func:`replay`,
+    the patch :class:`Fragmentation`'s own mutators run, over the owned
+    fragments, using the delta's recorded boundary transitions instead of
+    the base graph (which the worker deliberately does not hold).
     """
 
     __slots__ = ("_fragments",)
@@ -515,49 +504,60 @@ class FragmentShard:
 
     # ------------------------------------------------------------------
     def apply_delta(self, delta: MutationDelta) -> None:
-        """Replay one mutation against the owned fragments.
+        """Replay one mutation against the owned fragments (:func:`replay`).
 
-        Mirrors :meth:`Fragmentation.delete_edge` / :meth:`insert_edge` /
-        :meth:`add_node` fragment-by-fragment, trusting the delta's
-        ``virtual_*``/``in_*`` booleans for the boundary decisions that
-        would otherwise need the base graph.  Deltas touching no owned
-        fragment are no-ops, so the coordinator may over-deliver safely.
+        Deltas touching no owned fragment are no-ops, so the coordinator
+        may over-deliver safely.
         """
-        source = self._fragments.get(delta.source_fid)
-        target = self._fragments.get(delta.target_fid)
-        if delta.kind == "add_node":
-            if source is not None:
-                source.graph.add_node(delta.u, delta.u_label)
-                source._add_local_node(delta.u)
-            return
-        if delta.kind == "insert":
-            if source is not None:
-                if delta.crossing and delta.virtual_added:
-                    source._add_virtual_node(delta.v, owner=delta.target_fid)
-                    if delta.v not in source.graph:
-                        source.graph.add_node(delta.v, delta.v_label)
-                source.graph.add_edge(delta.u, delta.v)
-            if target is not None and delta.crossing and delta.in_added:
-                target._add_in_node(delta.v)
-            return
-        if delta.kind == "delete":
-            if source is not None:
-                source.graph.remove_edge(delta.u, delta.v)
-                if delta.crossing and delta.virtual_dropped:
-                    source._drop_virtual_node(delta.v)
-                    source.graph.remove_node(delta.v)
-            if target is not None and delta.crossing and delta.in_dropped:
-                target._drop_in_node(delta.v)
-            return
-        if delta.kind == "remove_node":
-            for edge_delta in delta.cascade:
-                self.apply_delta(edge_delta)
-            owner = self._fragments.get(delta.source_fid)
-            if owner is not None:
-                owner.graph.remove_node(delta.u)
-                owner._drop_local_node(delta.u)
-            return
-        raise FragmentationError(f"unknown mutation kind {delta.kind!r}")
+        replay(self._fragments, delta)
 
     def __repr__(self) -> str:
         return f"FragmentShard(fids={self.fids}, size={self.resident_size})"
+
+
+def replay(fragments: Mapping[int, Fragment], delta: MutationDelta) -> None:
+    """Patch the fragments of ``fragments`` that ``delta`` touches: the one
+    fragment patch.
+
+    Every site that holds fragments applies a mutation through here: the
+    :class:`Fragmentation` mutators over all fragments, after they have
+    edited the base graph and decided the boundary transitions, and a
+    :class:`FragmentShard` over the fragments its worker owns.  The delta's
+    ``virtual_*``/``in_*`` booleans stand in for the boundary decisions that
+    would otherwise need the base graph, which a shard deliberately does
+    not hold; a fid absent from ``fragments`` is skipped.
+    """
+    source = fragments.get(delta.source_fid)
+    target = fragments.get(delta.target_fid)
+    if delta.kind == "add_node":
+        if source is not None:
+            source.graph.add_node(delta.u, delta.u_label)
+            source._add_local_node(delta.u)
+        return
+    if delta.kind == "insert":
+        if source is not None:
+            if delta.crossing and delta.virtual_added:
+                source._add_virtual_node(delta.v, owner=delta.target_fid)
+                if delta.v not in source.graph:
+                    source.graph.add_node(delta.v, delta.v_label)
+            source.graph.add_edge(delta.u, delta.v)
+        if target is not None and delta.crossing and delta.in_added:
+            target._add_in_node(delta.v)
+        return
+    if delta.kind == "delete":
+        if source is not None:
+            source.graph.remove_edge(delta.u, delta.v)
+            if delta.crossing and delta.virtual_dropped:
+                source._drop_virtual_node(delta.v)
+                source.graph.remove_node(delta.v)
+        if target is not None and delta.crossing and delta.in_dropped:
+            target._drop_in_node(delta.v)
+        return
+    if delta.kind == "remove_node":
+        for edge_delta in delta.cascade:
+            replay(fragments, edge_delta)
+        if source is not None:
+            source.graph.remove_node(delta.u)
+            source._drop_local_node(delta.u)
+        return
+    raise FragmentationError(f"unknown mutation kind {delta.kind!r}")

@@ -19,10 +19,19 @@ tests confirm those numbers are not artifacts of in-process execution.
 
 A worker talks to the parent over the ``multiprocessing.Pipe`` it was
 spawned with and receives its whole initial state (its shard and the
-pre-built dependency graphs) through the spawn arguments.  The link is
-reliable and ordered, and the parent closes its copy of the child end at
-spawn time, so a vanished worker surfaces as ``EOFError`` / ``OSError`` --
+pre-built dependency graphs) through the spawn arguments.  Every start --
+the pool's first and a respawn after a death -- is one
+:func:`respawn_worker`: spawn, then a ``stats`` probe the worker must answer
+within :data:`PROBE_TIMEOUT`.  The link is reliable and ordered, and the
+parent closes its copy of the child end at spawn time, so a vanished worker
+surfaces as ``EOFError`` / ``OSError`` --
 :class:`~repro.errors.ProtocolError` to callers -- instead of a hang.
+
+The seven commands (:data:`SHARD_COMMANDS`) are ``q.start``, ``q.tick``
+and ``q.collect`` (one query's rounds), ``mutate`` (replay deltas),
+``install (adds, drops, deps)`` (re-ship fragments: moved ones on a ring
+change, every owned one plus new watcher tables on a re-partition),
+``stats`` and ``stop``; :func:`_shard_worker` documents each.
 """
 
 from __future__ import annotations
@@ -30,11 +39,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from multiprocessing.connection import Connection
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.depgraph import DependencyGraphs
 from repro.errors import ProtocolError
-from repro.partition.fragmentation import Fragmentation
 from repro.runtime.engine import LocalHost
 
 #: the sharded worker's full command inventory; the protocol-exhaustive
@@ -47,10 +54,13 @@ SHARD_COMMANDS: Tuple[str, ...] = (
     "q.collect",
     "mutate",
     "install",
-    "rebalance",
     "stats",
     "stop",
 )
+
+#: seconds a fresh worker has to answer its spawn probe; past it the attempt
+#: counts as failed, so a wedged child cannot hang the coordinator
+PROBE_TIMEOUT = 10.0
 
 
 def _peak_rss_kb() -> int:
@@ -82,7 +92,8 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
     This is the site model of the paper's Section 2.2 made literal: the
     worker holds a :class:`~repro.partition.fragmentation.FragmentShard`
     (its owned fragments only -- no base graph) plus the watcher tables,
-    and participates in coordinator-driven rounds.  Commands:
+    and participates in coordinator-driven rounds.  Every command replies
+    ``("ok", value)``, or ``("err", exc)`` if it raised; the seven commands:
 
     * ``("q.start", (name, query, config))`` -- build a
       :class:`~repro.runtime.engine.LocalHost` with one site program per
@@ -97,14 +108,14 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
     * ``("q.collect", None)`` -> ``("ok", (results, site_extras,
       network))``, the host's meter included; clears the query state.
     * ``("mutate", [MutationDelta, ...])`` -- replay deltas into the shard
-      and watcher tables -> ``("ok", n_applied)``.
-    * ``("install", (adds, drops))`` -- adopt/release fragment ownership on
-      ring changes -> ``("ok", owned_fids)``.
-    * ``("rebalance", (shard, deps))`` -- replace the worker's whole shard
-      *and* watcher tables after an online re-partition (``install`` moves
-      fragments of the current partition; a re-partition changes fragment
-      contents and boundary tables, so everything re-ships) ->
-      ``("ok", owned_fids)``.  Any active query state is reset.
+      (:func:`~repro.partition.fragmentation.replay`, the parent's own
+      fragment patch) and the watcher tables -> ``("ok", n_applied)``.
+    * ``("install", (adds, drops, deps))`` -- release the fids in ``drops``
+      and adopt the ``{fid: Fragment}`` in ``adds`` -> ``("ok",
+      owned_fids)``.  A ring move ships only the moved fragments with
+      ``deps=None``; a re-partition changes fragment contents and boundary
+      tables, so it ships every owned fragment with the new watcher tables
+      ``deps``, which also resets any active query state.
     * ``("stats", None)`` -> ``("ok", {...})`` incl. peak RSS.
     * ``("stop", None)`` -- close and exit.
     """
@@ -119,119 +130,53 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
             command, payload = transport.recv()
         except EOFError:  # pragma: no cover - parent died
             return
-        if command == "q.start":
-            name, query, config = payload
-            host = None
-            try:
-                host = local_host(
+        if command == "stop":
+            transport.close()
+            return
+        try:
+            if command == "q.start":
+                name, query, config = payload
+                host = None
+                fresh = local_host(
                     ALGORITHMS[name], shard.fids, shard, query, deps, config
                 )
-                reply = ("ok", host.start())
-            except Exception as exc:
-                host = None
-                reply = ("err", exc)
-        elif command == "q.tick":
-            try:
-                reply = ("ok", _active(host, command).tick(payload))
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "q.collect":
-            try:
-                reply = ("ok", _active(host, command).results())
-            except Exception as exc:
-                reply = ("err", exc)
-            host = None
-        elif command == "mutate":
-            try:
+                value = fresh.start()
+                host = fresh
+            elif command == "q.tick":
+                value = _active(host, command).tick(payload)
+            elif command == "q.collect":
+                active, host = host, None
+                value = _active(active, command).results()
+            elif command == "mutate":
                 for delta in payload:
                     shard.apply_delta(delta)
                     deps.apply_delta(delta)
-                reply = ("ok", len(payload))
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "install":
-            try:
-                adds, drops = payload
+                value = len(payload)
+            elif command == "install":
+                adds, drops, fresh_deps = payload
                 for fid in drops:
                     shard.drop(fid)
                 for fid, fragment in adds.items():
                     shard.install(fid, fragment)
-                reply = ("ok", shard.fids)
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "rebalance":
-            try:
-                shard, deps = payload
-                host = None
-                reply = ("ok", shard.fids)
-            except Exception as exc:
-                reply = ("err", exc)
-        elif command == "stats":
-            reply = (
-                "ok",
-                {
+                if fresh_deps is not None:
+                    deps, host = fresh_deps, None
+                value = shard.fids
+            elif command == "stats":
+                value = {
                     "fids": shard.fids,
                     "n_fragments": len(shard),
                     "resident_size": shard.resident_size,
                     "peak_rss_kb": _peak_rss_kb(),
-                },
-            )
-        elif command == "stop":
-            transport.close()
-            return
-        else:
-            reply = ("err", ProtocolError(f"unknown shard command {command!r}"))
+                }
+            else:
+                raise ProtocolError(f"unknown shard command {command!r}")
+            reply = ("ok", value)
+        except Exception as exc:
+            reply = ("err", exc)
         try:
             transport.send(reply)
         except Exception as exc:  # pragma: no cover - unpicklable payload
             transport.send(("err", ProtocolError(f"shard reply failed to pickle: {exc}")))
-
-
-def _spawn(target, inits: List[tuple]) -> List[Tuple[mp.Process, Connection]]:
-    """Spawn one ``target(child_end, init)`` worker per init payload; returns
-    ``[(process, parent_end), ...]`` in init order.
-
-    On any failure mid-batch every already-started worker is terminated
-    (and its link closed) before the error propagates -- no orphan
-    processes blocked on ``recv()`` forever.
-    """
-    pairs: List[Tuple[mp.Process, Connection]] = []
-    try:
-        for init in inits:
-            parent_conn, child_conn = mp.Pipe()
-            proc = mp.Process(target=target, args=(child_conn, init), daemon=True)
-            proc.start()
-            pairs.append((proc, parent_conn))
-            # Close the parent's copy of the child end: if the worker
-            # dies, the pipe hits EOF and recv raises instead of
-            # blocking forever.
-            child_conn.close()
-        return pairs
-    except BaseException:
-        for proc, link in pairs:
-            link.close()
-            if proc.is_alive():
-                proc.terminate()
-        raise
-
-
-def spawn_shard_workers(
-    fragmentation: Fragmentation,
-    deps: DependencyGraphs,
-    shard_fids: List[Tuple[int, ...]],
-) -> List[Tuple[mp.Process, Connection]]:
-    """Spawn one shard worker per entry of ``shard_fids``.
-
-    Worker ``i`` receives ``fragmentation.extract_shard(shard_fids[i])``
-    plus the pre-built dependency graphs -- never the base graph, so
-    per-worker memory scales with its owned fragments.  Returns
-    ``[(process, link), ...]`` in ``shard_fids`` order; the caller owns
-    shutdown.
-    """
-    return _spawn(
-        _shard_worker,
-        [(fragmentation.extract_shard(fids), deps) for fids in shard_fids],
-    )
 
 
 def respawn_worker(
@@ -239,34 +184,44 @@ def respawn_worker(
     init: tuple,
     policy,
 ) -> Tuple[mp.Process, Connection]:
-    """Spawn one worker with bounded retry + backoff (a ``RetryPolicy``).
+    """Start one ``target(child_end, init)`` worker with bounded retry +
+    backoff (a ``RetryPolicy``); the only way a worker starts.
 
     Each attempt is a full fresh spawn over a new pipe pair, followed by a
     ``stats`` round-trip that proves the worker is actually serving (a
-    dead-on-arrival worker only surfaces at first ``recv``).  On failure
+    dead-on-arrival worker only surfaces at first ``recv``; a silent one
+    fails the attempt after :data:`PROBE_TIMEOUT` seconds).  On failure
     the partial spawn is torn down, the policy's backoff is slept, and the
     next attempt starts clean; exhaustion raises
     :class:`~repro.errors.ProtocolError` chaining the last cause.
     """
     last: Optional[BaseException] = None
     for delay in policy.delays():
-        proc = link = None
+        link, child_end = mp.Pipe()
+        proc = mp.Process(target=target, args=(child_end, init), daemon=True)
         try:
-            [(proc, link)] = _spawn(target, [init])
+            proc.start()
+            # Close the parent's copy of the child end: if the worker
+            # dies, the pipe hits EOF and recv raises instead of
+            # blocking forever.
+            child_end.close()
             link.send(("stats", None))
+            if not link.poll(PROBE_TIMEOUT):
+                raise ProtocolError(
+                    f"worker did not answer its spawn probe within {PROBE_TIMEOUT} s"
+                )
             status, value = link.recv()
             if status != "ok":
                 raise ProtocolError(f"respawn probe failed: {value!r}")
             return proc, link
-        except (EOFError, OSError, ProtocolError) as exc:
-            last = exc
-            if link is not None:
-                try:
-                    link.close()
-                except OSError:  # pragma: no cover - best-effort teardown
-                    pass
-            if proc is not None and proc.is_alive():
+        except BaseException as exc:
+            child_end.close()
+            link.close()
+            if proc.is_alive():
                 proc.terminate()
+            if not isinstance(exc, (EOFError, OSError, ProtocolError)):
+                raise
+            last = exc
             time.sleep(delay)
     raise ProtocolError(
         f"worker respawn failed after {policy.attempts} attempt(s): {last!r}"

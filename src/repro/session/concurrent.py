@@ -523,34 +523,43 @@ class ConcurrentSessionServer:
     # lifecycle
     # ------------------------------------------------------------------
     def _spawn_shards(self) -> Tuple[HashRing, List["_ShardHandle"]]:
-        """Build the ring and spawn one fragment-owning worker per slot.
+        """Build the ring and start one fragment-owning worker per slot.
 
         Each worker ships out with only its owned fragments (plus the
         shared watcher tables) -- never the base graph -- so per-worker
         memory scales with ``|F|/n`` (held as exact ``resident_size`` counts
         by ``tests/session/test_sharding.py``; measured as
-        ``runtime.worker_rss_mb_max`` by the serving benchmark).
+        ``runtime.worker_rss_mb_max`` by the serving benchmark).  Slots
+        start one at a time through :meth:`_start_worker`, the respawn
+        path; if one fails, the workers already started are terminated.
         """
-        from repro.runtime.mp import spawn_shard_workers
-
         self._session.warm()
-        fragmentation = self._session.fragmentation
         ring = HashRing(
             tuple(range(self.n_workers)),
-            tuple(frag.fid for frag in fragmentation),
-        )
-        slots = list(ring.workers)
-        pairs = spawn_shard_workers(
-            fragmentation,
-            self._session.deps,
-            [ring.fragments_of(slot) for slot in slots],
+            tuple(frag.fid for frag in self._session.fragmentation),
         )
         handles: List[_ShardHandle] = []
-        for slot, (proc, link) in zip(slots, pairs):
-            if self._fault_plan is not None:
-                link = self._fault_plan.wrap(slot, link, on_kill=proc.terminate)
-            handles.append(_ShardHandle(proc, link, slot))
+        try:
+            for slot in ring.workers:
+                handles.append(self._start_worker(slot, ring.fragments_of(slot)))
+        except BaseException:
+            for handle in handles:
+                self._close_link(handle)
+                handle.process.terminate()
+            raise
         return ring, handles
+
+    def _start_worker(self, slot, fids) -> "_ShardHandle":
+        """Spawn and probe (:func:`~repro.runtime.mp.respawn_worker`) one
+        worker for ``slot`` holding ``fids`` of the current fragmentation."""
+        from repro.runtime.mp import _shard_worker, respawn_worker
+
+        shard = self._session.fragmentation.extract_shard(fids)
+        init = (shard, self._session.deps)
+        proc, link = respawn_worker(_shard_worker, init, self._respawn_policy)
+        if self._fault_plan is not None:
+            link = self._fault_plan.wrap(slot, link, on_kill=proc.terminate)
+        return _ShardHandle(proc, link, slot)
 
     def close(self) -> None:
         """Drain in-flight work and shut both pools down (idempotent).
@@ -789,33 +798,20 @@ class ConcurrentSessionServer:
         the slot leaves the ring and only its (migrated) fragments are
         re-shipped to the surviving owners.
         """
-        from repro.runtime.mp import _shard_worker, respawn_worker
-
         with self._pool_lock:
             for handle in list(self._shards):
                 if not handle.dead and handle.process.is_alive():
                     continue
                 handle.dead = True
-                fids = self._ring.fragments_of(handle.slot)
-                init = (
-                    self._session.fragmentation.extract_shard(fids),
-                    self._session.deps,
-                )
                 try:
-                    proc, link = respawn_worker(
-                        _shard_worker, init, self._respawn_policy
+                    fresh = self._start_worker(
+                        handle.slot, self._ring.fragments_of(handle.slot)
                     )
                 except ProtocolError:
                     self._evict_slot_locked(handle)
                     continue
-                if self._fault_plan is not None:
-                    link = self._fault_plan.wrap(
-                        handle.slot, link, on_kill=proc.terminate
-                    )
                 self._close_link(handle)
-                self._shards[self._shards.index(handle)] = _ShardHandle(
-                    proc, link, handle.slot
-                )
+                self._shards[self._shards.index(handle)] = fresh
                 self._respawns += 1
             if not self._shards:
                 raise ProtocolError(
@@ -905,7 +901,7 @@ class ConcurrentSessionServer:
             installs.setdefault(gaining, ({}, []))[0][fid] = frag
             installs.setdefault(losing, ({}, []))[1].append(fid)
         self._fan_out("install", {
-            live[slot]: (adds, sorted(drops))
+            live[slot]: (adds, sorted(drops), None)
             for slot, (adds, drops) in sorted(installs.items(), key=lambda i: repr(i[0]))
             if slot in live
         })
@@ -935,12 +931,12 @@ class ConcurrentSessionServer:
           regions and spreads them), rebuild the watcher tables once, and
           swap every serving layer over: the parent session
           (:meth:`SimulationSession.swap_fragmentation`) and sharded workers
-          (each re-ships its slot's freshly extracted shard).  Works on both
-          backends.
+          (each gets an ``install`` of every fragment of its slot plus the
+          new watcher tables).  Works on both backends.
         * ``"place"`` -- sharded backend only: keep the fragmentation, move
           whole fragments between workers along a traffic-balanced ring
-          (:meth:`HashRing.rebalanced`) using the existing ``install``
-          machinery; only moved fragments re-ship.
+          (:meth:`HashRing.rebalanced`) by ``install``; only moved
+          fragments re-ship.
 
         ``traffic`` overrides the ``{fid: count}`` window read from the
         parent session's counters (cache hits count, and never reach a
@@ -1008,8 +1004,14 @@ class ConcurrentSessionServer:
         if self._shards is not None:
             with self._pool_lock:
                 self._heal_pool_locked()
-                self._fan_out("rebalance", {
-                    h: (new_frag.extract_shard(self._ring.fragments_of(h.slot)), deps)
+                # Same ring, new contents: every owned fragment re-ships
+                # over its old copy, with the new watcher tables.
+                self._fan_out("install", {
+                    h: (
+                        {fid: new_frag[fid] for fid in self._ring.fragments_of(h.slot)},
+                        (),
+                        deps,
+                    )
                     for h in self._shards
                     if not h.dead
                 })

@@ -19,12 +19,10 @@ from repro.simulation.matchrel import MatchRelation
 from repro.simulation.hhk import simulation
 from repro.simulation.naive import naive_simulation
 from repro.simulation.dagsim import dag_simulation
-from repro.simulation.bounded import bounded_simulation
 
 __all__ = [
     "MatchRelation",
     "simulation",
     "naive_simulation",
     "dag_simulation",
-    "bounded_simulation",
 ]

@@ -1,5 +1,7 @@
 """Unit tests for fragments and fragmentations (Section 2.2)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import FragmentationError
@@ -228,3 +230,51 @@ class TestInPlaceMutation:
             fresh = DependencyGraphs(frag)
             assert deps.watchers == fresh.watchers, step
             assert deps.owners == fresh.owners, step
+
+    def test_shard_replay_keeps_copies_equal_to_the_parent(self, rng):
+        """Pickled shards -- one of every fragment, one of a subset -- fed
+        each delta through ``FragmentShard.apply_delta`` equal the parent's
+        fragments after every op of a random stream of all four kinds."""
+        g = random_labeled_graph(30, 90, n_labels=3, seed=5)
+        frag = fragment_graph(g, {v: v % 4 for v in g.nodes()})
+        shards = [
+            pickle.loads(pickle.dumps(frag.extract_shard(fids)))
+            for fids in ((0, 1, 2, 3), (1, 3))
+        ]
+
+        def view(fragment):
+            graph = fragment.graph
+            return (
+                fragment.local_nodes,
+                fragment.virtual_nodes,
+                fragment.in_nodes,
+                dict(fragment._virtual_owner),
+                {node: graph.label(node) for node in graph.nodes()},
+                set(graph.edges()),
+            )
+
+        kinds = set()
+        for step in range(160):
+            r = rng.random()
+            nodes = list(g.nodes())
+            if r < 0.4 and g.n_edges:
+                edges = list(g.edges())
+                delta = frag.delete_edge(*edges[rng.randrange(len(edges))])
+            elif r < 0.75:
+                u, v = rng.choice(nodes), rng.choice(nodes)
+                if g.has_edge(u, v):
+                    continue
+                delta = frag.insert_edge(u, v)
+            elif r < 0.88:
+                delta = frag.add_node(
+                    ("fresh", step), f"L{rng.randrange(3)}", fid=rng.randrange(4)
+                )
+            else:
+                delta = frag.remove_node(rng.choice(nodes))
+            kinds.add(delta.kind)
+            frag.validate()
+            for shard in shards:
+                shard.apply_delta(delta)
+                for fid in shard.fids:
+                    assert view(shard[fid]) == view(frag[fid]), (step, fid)
+        assert kinds == {"delete", "insert", "add_node", "remove_node"}

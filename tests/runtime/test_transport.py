@@ -9,6 +9,8 @@ names the link in every test id below.
 from __future__ import annotations
 
 import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro import ConcurrentSessionServer, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
 from repro.core import DgpmConfig, run_dgpm
 from repro.errors import ProtocolError
+from repro.runtime import mp as mp_mod
 from repro.graph.examples import figure1
 from repro.graph.generators import random_labeled_graph
 from repro.graph.mutations import DeleteEdge
@@ -95,6 +98,28 @@ class TestResidentWorkerPool:
                 assert server.run(q, algorithm="dgpm").relation == simulation(q, graph)
             assert server.respawns == 1
 
+    def test_failed_start_terminates_the_workers_already_started(
+        self, transport, small_instance, monkeypatch
+    ):
+        """The constructor starts each slot through respawn_worker; when a
+        later slot cannot start, the earlier workers do not outlive it."""
+        graph, frag, queries = small_instance
+        started = []
+        probed_spawn = mp_mod.respawn_worker
+
+        def second_start_fails(target, init, policy):
+            if started:
+                raise ProtocolError("injected: start exhausted")
+            started.append(probed_spawn(target, init, policy))
+            return started[-1]
+
+        monkeypatch.setattr(mp_mod, "respawn_worker", second_start_fails)
+        with pytest.raises(ProtocolError, match="injected"):
+            ConcurrentSessionServer(frag, backend="sharded", n_workers=2)
+        [(proc, _)] = started
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+
     def test_transport_is_not_a_parameter(self, small_instance):
         """One link, nothing to select: the old keyword is refused, not
         accepted and ignored."""
@@ -130,6 +155,12 @@ class TestTransportPrimitives:
 def _doa_worker(link, init):
     """A worker that dies on arrival: never serves."""
     return
+
+
+def _mute_worker(link, init):
+    """A worker that stays alive without ever answering, then exits by
+    itself (so a caller that waits it out leaks no process)."""
+    time.sleep(8.0)
 
 
 #: the policies every respawn scenario must behave identically under
@@ -192,6 +223,30 @@ class TestRespawnPolicy:
         init = self._shard_init()
         with pytest.raises(ProtocolError, match=f"{retry_policy.attempts} attempt"):
             respawn_worker(_doa_worker, init, retry_policy)
+
+    def test_silent_worker_fails_the_probe_instead_of_hanging(
+        self, transport, retry_policy, monkeypatch
+    ):
+        """A worker that never answers its spawn probe is a failed attempt
+        once PROBE_TIMEOUT passes: the policy runs out and the caller gets
+        ProtocolError instead of waiting for the child to exit."""
+        monkeypatch.setattr(mp_mod, "PROBE_TIMEOUT", 0.2, raising=False)
+        init = self._shard_init()
+        raised = []
+
+        def start():
+            try:
+                respawn_worker(_mute_worker, init, retry_policy)
+            except Exception as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=start, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "respawn_worker waited on a silent worker"
+        [exc] = raised
+        assert isinstance(exc, ProtocolError)
+        assert f"{retry_policy.attempts} attempt" in str(exc)
 
     def test_delays_grow_and_cap(self):
         policy = RetryPolicy(
