@@ -1,13 +1,15 @@
 """Unit tests for fragments and fragmentations (Section 2.2)."""
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FragmentationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_labeled_graph
-from repro.partition.fragmentation import fragment_graph
+from repro.partition.fragmentation import MutationDelta, fragment_graph, replay
 from repro.runtime.costmodel import DEFAULT_COST
 
 
@@ -278,3 +280,70 @@ class TestInPlaceMutation:
                 for fid in shard.fids:
                     assert view(shard[fid]) == view(frag[fid]), (step, fid)
         assert kinds == {"delete", "insert", "add_node", "remove_node"}
+
+
+class TestReplay:
+    """``replay`` is the one fragment patch every holder of fragments runs."""
+
+    def test_a_fid_the_mapping_does_not_hold_is_skipped(self, small_graph):
+        """A crossing insert replayed over the target fragment alone adds
+        ``v`` to its ``Fi.I`` and touches nothing of the source's."""
+        parent = fragment_graph(small_graph, {1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        target_only = fragment_graph(small_graph, {1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        source_before = target_only[0].graph.edges()
+        delta = parent.insert_edge(1, 5)
+        assert delta.crossing and delta.in_added
+        replay({1: target_only[1]}, delta)
+        assert target_only[1].in_nodes == parent[1].in_nodes
+        assert 5 in target_only[1].in_nodes
+        assert set(target_only[0].graph.edges()) == set(source_before)
+        assert 5 not in target_only[0].virtual_nodes
+
+    def test_remove_node_replays_its_cascade_then_the_node(self, small_graph):
+        """A composite delta replayed over fresh copies leaves them equal to
+        the parent: every cascaded edge deletion, then the node drop."""
+        owners = {1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+        parent = fragment_graph(small_graph, owners)
+        copy = fragment_graph(small_graph.copy(), owners)
+        delta = parent.remove_node(4)
+        assert delta.kind == "remove_node" and len(delta.cascade) == 3
+        replay({fid: copy[fid] for fid in (0, 1)}, delta)
+        for fid in (0, 1):
+            assert copy[fid].local_nodes == parent[fid].local_nodes
+            assert copy[fid].virtual_nodes == parent[fid].virtual_nodes
+            assert copy[fid].in_nodes == parent[fid].in_nodes
+            assert set(copy[fid].graph.edges()) == set(parent[fid].graph.edges())
+            assert set(copy[fid].graph.nodes()) == set(parent[fid].graph.nodes())
+
+    def test_an_unknown_kind_is_refused(self, small_frag):
+        delta = MutationDelta("rename", 1, 2, 0, 0, "A", "B")
+        with pytest.raises(FragmentationError, match="rename"):
+            replay({0: small_frag[0], 1: small_frag[1]}, delta)
+
+    def test_fragment_metadata_helpers_are_called_only_inside_replay(self):
+        """No site of ``src/`` edits a fragment's boundary sets except
+        through ``replay``."""
+        import repro
+
+        helpers = {
+            "_add_local_node",
+            "_drop_local_node",
+            "_add_virtual_node",
+            "_drop_virtual_node",
+            "_add_in_node",
+            "_drop_in_node",
+        }
+        callers = set()
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in helpers
+                    ):
+                        callers.add((path.name, func.name))
+        assert callers == {("fragmentation.py", "replay")}

@@ -257,3 +257,94 @@ class TestRespawnPolicy:
             RetryPolicy(attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
+
+
+# ----------------------------------------------------------------------
+# the worker's command loop, driven over its own link
+# ----------------------------------------------------------------------
+class TestShardCommands:
+    """One worker over fids (0, 2) of a 4-fragment partition, started the
+    one way a worker starts and spoken to command by command."""
+
+    @pytest.fixture()
+    def worker(self, transport):
+        from repro.core.depgraph import DependencyGraphs
+
+        graph = web_graph(40, 120, n_labels=3, seed=9)
+        frag = partition(graph, 4, seed=9)
+        deps = DependencyGraphs(frag)
+        proc, link = respawn_worker(
+            _shard_worker,
+            (frag.extract_shard((0, 2)), deps),
+            RETRY_POLICIES["single-shot"],
+        )
+
+        def ask(command, payload=None):
+            link.send((command, payload))
+            return link.recv()
+
+        try:
+            yield graph, frag, deps, ask
+        finally:
+            link.send(("stop", None))
+            proc.join(timeout=10)
+            link.close()
+
+    @staticmethod
+    def _start(ask, graph):
+        query = cyclic_pattern(graph, 3, 4, seed=0)
+        status, value = ask("q.start", ("dgpm", query, DgpmConfig()))
+        assert status == "ok", value
+
+    def test_ring_move_install_swaps_fids_and_keeps_the_active_query(self, worker):
+        """``install`` with ``deps=None`` moves fragments in and out and
+        leaves a running query's state alone."""
+        graph, frag, _, ask = worker
+        self._start(ask, graph)
+        assert ask("install", ({1: frag[1]}, [2], None)) == ("ok", (0, 1))
+        status, value = ask("q.tick", (1, []))
+        assert status == "ok", value
+        status, value = ask("stats")
+        assert status == "ok"
+        assert value["fids"] == (0, 1)
+        assert value["resident_size"] == frag[0].size + frag[1].size
+
+    def test_repartition_install_resets_the_active_query(self, worker):
+        """``install`` with new watcher tables re-ships every owned
+        fragment and drops the query state built over the old tables."""
+        graph, frag, deps, ask = worker
+        self._start(ask, graph)
+        assert ask("install", ({0: frag[0], 2: frag[2]}, (), deps)) == (
+            "ok",
+            (0, 2),
+        )
+        status, exc = ask("q.tick", (1, []))
+        assert status == "err"
+        assert isinstance(exc, ProtocolError)
+        assert "without an active q.start" in str(exc)
+
+    def test_an_error_reply_leaves_the_worker_serving(self, worker):
+        """A command that raises is answered ``("err", exc)`` and the loop
+        takes the next command; nothing else is lost."""
+        _, frag, _, ask = worker
+        status, exc = ask("rebalance", {})
+        assert status == "err"
+        assert "unknown shard command 'rebalance'" in str(exc)
+        status, exc = ask("q.collect")
+        assert status == "err"
+        assert isinstance(exc, ProtocolError)
+        status, value = ask("stats")
+        assert status == "ok"
+        assert value["fids"] == (0, 2)
+
+    def test_mutate_replays_the_parent_deltas(self, worker):
+        """``mutate`` patches the owned fragments with the parent's deltas:
+        the worker's resident size follows the parent's fragments."""
+        graph, frag, _, ask = worker
+        deltas = [frag.delete_edge(*edge) for edge in list(graph.edges())[:12]]
+        deltas.append(frag.add_node(("fresh", 0), "L0", fid=2))
+        deltas.append(frag.remove_node(next(iter(frag[0].local_nodes))))
+        assert ask("mutate", deltas) == ("ok", len(deltas))
+        status, value = ask("stats")
+        assert status == "ok"
+        assert value["resident_size"] == frag[0].size + frag[2].size
