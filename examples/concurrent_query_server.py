@@ -9,9 +9,9 @@ What this example shows
 
 * **many clients read at once** -- every in-flight ``submit()``/``run()``
   proceeds concurrently under a shared read lock;
-* **writes wait for a quiescent point** -- mutations are serialized,
-  coalesced into batches, and applied only while no query is in flight, so
-  a query can never observe half of a batch;
+* **writes wait for a quiescent point** -- each batch is applied under its
+  own write hold, one batch at a time and only while no query is in
+  flight, so a query can never observe half of a batch;
 * **every answer is stamped** -- ``result.stamp`` is the number of mutations
   the graph had absorbed when the query ran.  A result stamped ``s`` equals
   a from-scratch simulation on the graph after its first ``s`` updates:

@@ -41,8 +41,8 @@ Public surface
   write through the same ``apply(ops)``;
 * concurrent serving: :class:`ConcurrentSessionServer` fronts one session
   with many reader threads (or a pool of fragment-owning shard workers) under a
-  reader-writer protocol -- queries run concurrently, mutations apply in
-  coalesced batches at quiescent points, and every result carries the
+  reader-writer protocol -- queries run concurrently, each mutation batch
+  applies atomically at a quiescent point, and every result carries the
   mutation stamp it observed (:mod:`repro.session.concurrent`);
 * network serving: :mod:`repro.net` puts the concurrent server behind a
   TCP socket -- an asyncio ingress (:class:`~repro.net.server.

@@ -31,10 +31,10 @@ Concurrency model
   read at once; any other is awaited as an asyncio future.  A mutation
   batch that needs no wait (thread backend, at most
   :data:`~repro.session.concurrent.INLINE_MAX_OPS` updates, nothing holding
-  or waiting for the admission gate, no batch applying or queued) is
-  applied on the loop by :meth:`ConcurrentSessionServer.apply_if_free`;
-  while it holds the gate no hit could be answered anyway, and the op cap
-  bounds how long it holds the loop.  Other batches and stats snapshots run
+  or waiting for the admission gate) is applied on the loop by
+  :meth:`ConcurrentSessionServer.apply_if_free`; while it holds the gate no
+  hit could be answered anyway, and the op cap bounds how long it holds
+  the loop.  Other batches and stats snapshots run
   through the loop's default thread-pool executor.  Besides those hits and
   batches, the event loop only parses frames and encodes replies.
 * Per-request failures travel back as ``ERROR`` frames carrying the

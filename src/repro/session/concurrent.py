@@ -14,15 +14,14 @@ The snapshot/stamp contract
 * **Readers run concurrently.**  Any number of in-flight :meth:`run` /
   :meth:`submit` calls proceed at once under a shared hold of the gate.
 * **Writers run at quiescent points.**  :meth:`apply`, the one write call,
-  enqueues its batch as a ticket; one caller at a time, the *drainer*,
-  applies the whole queue as one batch under an exclusive hold,
-  taken only while *no* query is in flight (writer priority: an arriving
-  writer stops new readers from starting, in-flight readers drain, the
-  batch applies, readers resume).  A batch that needs no wait at all may be
-  applied on the calling thread instead (:meth:`apply_if_free`, which the
-  TCP ingress tries first).  A batch submitted through one :meth:`apply`
-  call is atomic: readers can never observe a graph between two updates of
-  the same batch.
+  applies its batch under its own exclusive hold of the gate, taken only
+  while *no* query is in flight (writer priority: an arriving writer stops
+  new readers from starting, in-flight readers drain, the batch applies,
+  readers resume); concurrent batches take the hold one after another.  A
+  batch that needs no wait at all may be applied on the calling thread
+  instead (:meth:`apply_if_free`, which the TCP ingress tries first).  A
+  batch submitted through one :meth:`apply` call is atomic: readers can
+  never observe a graph between two updates of the same batch.
 * **Every result is stamped.**  The server counts applied mutations; the
   *mutation stamp* of a query result is that counter at the moment the query
   ran.  Because writers only run at quiescent points, a result stamped ``s``
@@ -36,13 +35,15 @@ The snapshot/stamp contract
 The gate
 --------
 
-All of this is one condition variable over one immutable six-field record
+All of this is one condition variable over one immutable four-field record
 (:class:`_GateState`), whose transitions are pure and admit, refuse or
 wait.  ``tests/session/test_gate_explorer.py`` runs each server method's
 sequence of transitions for up to five callers over every reachable state
-and checks mutual exclusion, writer priority, tickets applied in admission
-order (none lost, none twice), :meth:`close` completing only after every
-admitted ticket, and that no state deadlocks.
+and checks mutual exclusion, writer priority, every admitted batch applied
+exactly once before its caller returns, :meth:`close` completing only after
+every admitted batch, and that no state deadlocks.  A blocked writer is a
+thread parked on the gate; the gate itself caps neither their number nor
+the readers'.
 
 One read path, two places a miss computes
 -----------------------------------------
@@ -187,15 +188,6 @@ class RebalanceOutcome:
 _ADMIT, _REFUSE, _WAIT = "admit", "refuse", "wait"
 
 
-@dataclass(eq=False)
-class _WriteTicket:
-    """One caller's mutation batch, waiting to be applied by some drainer."""
-
-    ops: List[MutationOp]
-    results: Optional[List[StampedOutcome]] = None
-    error: Optional[BaseException] = None
-
-
 class _GateState(NamedTuple):
     """A server's whole admission state.  Each method is a pure
     transition ``(state, *args) -> (decision, new state)``, run by
@@ -205,11 +197,6 @@ class _GateState(NamedTuple):
     writer: bool = False
     #: announced blocking writers; they bar new readers (writer priority)
     writers_waiting: int = 0
-    #: tickets not yet taken by a drainer, in admission order
-    queue: Tuple[_WriteTicket, ...] = ()
-    #: None while no caller holds the drainer role, else the batch it
-    #: applies (``()`` before its first batch, and for an inline batch)
-    applying: Optional[Tuple[_WriteTicket, ...]] = None
     closed: bool = False
 
     def read(self):
@@ -221,6 +208,9 @@ class _GateState(NamedTuple):
         return _ADMIT, self._replace(readers=self.readers - 1)
 
     def announce(self):
+        """Admit a blocking writer, which then waits for its hold."""
+        if self.closed:
+            return _REFUSE, self
         return _ADMIT, self._replace(writers_waiting=self.writers_waiting + 1)
 
     def write(self):
@@ -236,41 +226,13 @@ class _GateState(NamedTuple):
         return _ADMIT, self._replace(writer=False)
 
     def write_inline(self):
-        """The write hold and the drainer role at once, for a batch that
-        needs no wait: only an idle gate admits it."""
+        """The write hold for a batch that needs no wait: only an idle,
+        open gate admits it."""
         if self.closed:
             return _REFUSE, self
         if self != _GateState():
             return _WAIT, self
-        return _ADMIT, self._replace(writer=True, applying=())
-
-    def inline_done(self):
-        return _ADMIT, self._replace(writer=False, applying=None)
-
-    def resign(self):
-        """Give up the drainer role after a failed batch."""
-        return _ADMIT, self._replace(applying=None)
-
-    def enqueue(self, ticket: _WriteTicket):
-        if self.closed:
-            return _REFUSE, self
-        return _ADMIT, self._replace(queue=self.queue + (ticket,))
-
-    def claim(self, ticket: _WriteTicket):
-        """Become the drainer; refused once another drainer applied the
-        ticket (it is neither queued nor applying)."""
-        if ticket not in self.queue and ticket not in (self.applying or ()):
-            return _REFUSE, self
-        if self.applying is not None:
-            return _WAIT, self
-        return _ADMIT, self._replace(applying=())
-
-    def take(self):
-        """Finish the drainer's batch and take the whole queue as the next
-        one; with nothing queued, give up the drainer role (refuse)."""
-        if not self.queue:
-            return _REFUSE, self._replace(applying=None)
-        return _ADMIT, self._replace(queue=(), applying=self.queue)
+        return _ADMIT, self._replace(writer=True)
 
     def close(self):
         if self.closed:
@@ -278,9 +240,11 @@ class _GateState(NamedTuple):
         return _ADMIT, self._replace(closed=True)
 
     def drained(self):
-        if self.queue or self.applying is not None:
+        """:meth:`ConcurrentSessionServer.close`'s last write hold, taken
+        once every admitted writer and every reader is done."""
+        if self.writer or self.readers or self.writers_waiting:
             return _WAIT, self
-        return _ADMIT, self
+        return _ADMIT, self._replace(writer=True)
 
 
 def _wakes(old: _GateState, new: _GateState) -> bool:
@@ -289,15 +253,13 @@ def _wakes(old: _GateState, new: _GateState) -> bool:
         old.readers > new.readers == 0
         or old.writer > new.writer
         or (old.writers_waiting > new.writers_waiting and not new.writer)
-        or (old.applying is not None and new.applying is None)
-        or (bool(old.applying) and new.applying is not old.applying)
     )
 
 
 class _Gate:
     """A server's one admission lock: a condition over a :class:`_GateState`.
-    Writer priority keeps queries from starving mutations; a drainer applies
-    the whole queue per write hold, so writers cannot starve readers."""
+    Writer priority keeps queries from starving mutations; each batch takes
+    its own write hold and releases it, so readers resume between batches."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -335,10 +297,12 @@ class _Gate:
 
     @contextmanager
     def writing(self, wait: bool = True):
-        """An exclusive hold; yields whether it is held.  ``wait=False`` is
-        an inline batch's claim, which holds the drainer role too."""
+        """An exclusive hold; yields whether it is held.  ``wait=True``
+        always holds it, or raises on a closed gate; ``wait=False`` holds it
+        only on an idle, open gate."""
         if wait:
-            self.step(_GateState.announce)
+            if self.step(_GateState.announce) is None:
+                raise ReproError("the server is closed")
             try:
                 held = self.step(_GateState.write) is not None
             except BaseException:  # interrupted while parked
@@ -350,7 +314,7 @@ class _Gate:
             yield held
         finally:
             if held:
-                self.step(_GateState.write_done if wait else _GateState.inline_done)
+                self.step(_GateState.write_done)
 
 
 class _ShardHandle:
@@ -565,19 +529,20 @@ class ConcurrentSessionServer:
         """Drain in-flight work and shut both pools down (idempotent).
 
         New work is refused the moment the flag flips; queries already in
-        the executor and mutation tickets already enqueued are drained
-        first, so no batch's worker broadcast races the worker shutdown.
+        the executor and batches already admitted finish first, so no
+        batch's worker broadcast races the worker shutdown.
         """
         if not self._gate.step(_GateState.close):
             return
         self._executor.shutdown(wait=True)
-        # Let in-flight mutation batches finish their worker broadcasts
-        # before the workers are told to stop (bounded: a wedged drainer
-        # must not make close() hang forever).
-        self._gate.step(_GateState.drained, timeout=30.0)
+        # The last write hold: every admitted batch has finished its worker
+        # broadcast and no read computes on the pool (bounded: a wedged
+        # batch must not make close() hang forever).
+        held = self._gate.step(_GateState.drained, timeout=30.0) is not None
         if self._shards is not None:
-            with self._gate.writing():  # no read is computing on the pool
-                self._session._evaluate = self._session._evaluate_here
+            self._session._evaluate = self._session._evaluate_here
+        if held:
+            self._gate.step(_GateState.write_done)
         for handle in self._shards or ():
             try:
                 with handle.lock:
@@ -1107,7 +1072,7 @@ class ConcurrentSessionServer:
                 self.unsubscribe(sub_id)
 
     # ------------------------------------------------------------------
-    # writes (serialized, coalesced, applied at quiescent points)
+    # writes (serialized, applied at quiescent points)
     # ------------------------------------------------------------------
     def apply(self, updates: Sequence[MutationOp]) -> List[StampedOutcome]:
         """Apply a batch of updates in one quiescent point.
@@ -1125,30 +1090,7 @@ class ConcurrentSessionServer:
         :class:`~repro.graph.mutations.MutationOp` values.
         """
         ops = normalize_ops(updates)
-        if not ops:
-            return []
-        ticket = _WriteTicket(ops)
-        if not self._gate.step(_GateState.enqueue, ticket):
-            raise ReproError("the server is closed")
-        # One mutating caller at a time plays "drainer" and applies the
-        # whole pending queue (coalescing everyone else's tickets into its
-        # quiescent point); the claim of any other returns once its ticket
-        # is applied.
-        if self._gate.step(_GateState.claim, ticket):
-            try:
-                self._drain_writes()
-            except BaseException:
-                # An infrastructure failure (e.g. an interrupt while the
-                # subscribers are notified) in a *coalesced* batch must not
-                # masquerade as ours: if our own ticket was decided (results
-                # or error recorded), fall through and report that decision;
-                # re-raise only when the failure struck before our ticket
-                # was resolved.
-                if ticket.results is None and ticket.error is None:
-                    raise
-        if ticket.error is not None:
-            raise ticket.error
-        return ticket.results
+        return self._apply(ops) if ops else []
 
     def apply_if_free(
         self, updates: Sequence[MutationOp]
@@ -1158,93 +1100,67 @@ class ConcurrentSessionServer:
 
         No wait: the thread backend (a sharded batch waits for every
         worker's ack), at most :data:`INLINE_MAX_OPS` updates, and nothing
-        holding or waiting for the gate, no batch applying or queued.  The
-        batch runs through the drainer's code, holding the drainer role: a
-        ticket queued meanwhile is applied by its owner after it, and
-        :meth:`close` waits for it.
+        holding or waiting for the gate.  The batch runs through
+        :meth:`apply`'s code; a writer arriving meanwhile applies after it,
+        and :meth:`close` waits for it.
         """
-        ticket = _WriteTicket(normalize_ops(updates))
-        if self.backend != "thread" or len(ticket.ops) > INLINE_MAX_OPS:
+        ops = normalize_ops(updates)
+        if self.backend != "thread" or len(ops) > INLINE_MAX_OPS:
             return None
-        if not self._apply_batch([ticket], wait=False):
+        outcomes = self._apply(ops, wait=False)
+        if outcomes is None:
             self._check_open()
-            return None
-        if ticket.error is not None:
-            raise ticket.error
-        return ticket.results
+        return outcomes
 
-    def _drain_writes(self) -> None:
-        while (taken := self._gate.step(_GateState.take)) is not None:
-            batch = taken.applying
-            try:
-                self._apply_batch(batch)
-            except BaseException as exc:
-                for ticket in batch:
-                    if ticket.error is None and ticket.results is None:
-                        ticket.error = exc
-                self._gate.step(_GateState.resign)
-                raise
+    def _apply(
+        self, ops: List[MutationOp], wait: bool = True
+    ) -> Optional[List[StampedOutcome]]:
+        """Apply ``ops`` inside one write hold (the quiescent point).
 
-    def _apply_batch(self, batch: Sequence[_WriteTicket], wait: bool = True) -> bool:
-        """Apply every ticket inside one write hold (the quiescent point).
-
-        Per-ticket failures (e.g. deleting an edge that is already gone) are
-        recorded on that ticket and do not disturb the others; the worker
-        broadcast ships exactly the deltas the parent session produced.
-        ``wait=False`` is an inline batch's claim: if it is refused, apply
-        nothing and return False.
+        The worker broadcast ships exactly the deltas the parent session
+        produced and the subscribers hear of them, even when the batch
+        stops early -- on a failed update, or on an interrupt.
+        ``wait=False`` is an inline batch: if the gate is busy, apply
+        nothing and return None.
         """
         with self._gate.writing(wait) as held:
             if not held:
-                return False
-            stamp_before = self._stamp
-            applied_deltas: List[MutationDelta] = []
-            for ticket in batch:
-                results: List[StampedOutcome] = []
-                failed_op = None
-                try:
-                    for op in ticket.ops:
-                        failed_op = op
+                return None
+            outcomes: List[StampedOutcome] = []
+            deltas: List[MutationDelta] = []
+            try:
+                for op in ops:
+                    try:
                         outcome = self._session.apply([op])[0]
-                        if outcome.delta is not None:
-                            applied_deltas.append(outcome.delta)
-                        self._stamp += 1
-                        results.append(
-                            StampedOutcome(outcome=outcome, stamp=self._stamp)
-                        )
-                    ticket.results = results
-                except Exception as exc:
-                    # Only ordinary Exceptions become per-ticket failures
-                    # (KeyboardInterrupt and friends abort the whole drain
-                    # through _drain_writes' BaseException path instead).
-                    # Updates of this ticket applied before the failure stay
-                    # applied (stamps already advanced; additions have no
-                    # inverse, so no rollback) -- the caller gets the applied
-                    # prefix and the failing op; other tickets proceed.  A
-                    # ticket that failed on its very first update raises the
-                    # underlying error directly (nothing was applied).
-                    if not results and len(ticket.ops) == 1:
-                        ticket.error = exc
-                    else:
-                        error = MutationBatchError(
-                            f"update {failed_op!r} failed after "
-                            f"{len(results)} of {len(ticket.ops)} updates: {exc}",
-                            applied=results,
-                            failed_op=failed_op,
-                        )
-                        error.__cause__ = exc
-                        ticket.error = error
-            if self._shards is not None and applied_deltas:
-                # A failed worker is marked dead and its respawn re-extracts
-                # from the parent fragmentation (which already holds this
-                # batch), so nothing here can fail the batch.
-                self._broadcast_deltas_locked(applied_deltas)
-            if self._stamp != stamp_before and self._subs:
-                # Still inside the quiescent point: the deltas below are
-                # exactly the post-batch graph's, so every pushed delta is
-                # stamped with the state it describes.
-                self._notify_subscribers_locked()
-        return True
+                    except Exception as exc:
+                        # Only ordinary Exceptions become the batch's
+                        # failure; the prefix stays applied (stamps already
+                        # advanced; additions have no inverse, so no
+                        # rollback).  A one-update batch raises the
+                        # update's own error.
+                        if len(ops) == 1:
+                            raise
+                        raise MutationBatchError(
+                            f"update {op!r} failed after "
+                            f"{len(outcomes)} of {len(ops)} updates: {exc}",
+                            applied=outcomes,
+                            failed_op=op,
+                        ) from exc
+                    if outcome.delta is not None:
+                        deltas.append(outcome.delta)
+                    self._stamp += 1
+                    outcomes.append(StampedOutcome(outcome=outcome, stamp=self._stamp))
+            finally:
+                if self._shards is not None and deltas:
+                    # A failed worker is marked dead and its respawn
+                    # re-extracts from the parent fragmentation (which
+                    # already holds this batch), so this cannot fail.
+                    self._broadcast_deltas_locked(deltas)
+                if outcomes and self._subs:
+                    # Still inside the quiescent point: every pushed delta
+                    # is stamped with the post-batch graph it describes.
+                    self._notify_subscribers_locked()
+        return outcomes
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:

@@ -140,7 +140,7 @@ class TestLockDiscipline:
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
     def test_production_registry_guards_the_reader_writer_counts(self):
-        """The gate's record (reader and writer counts, queue, drainer,
+        """The gate's record (reader and writer counts, announced writers,
         closed) is committed only under its condition variable."""
         seeded = (
             "class _Gate:\n"

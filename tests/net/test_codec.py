@@ -17,6 +17,7 @@ collection sizes drawn on both sides of the kernels' threshold.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import os
 import struct
@@ -505,6 +506,90 @@ class TestRegistry:
         assert raced == [ref_encode(late)]
         assert first == ref_encode(protocol.Hello(role="client"))
         assert set(codec._BY_ID) == {*codec.FRAME_STRUCTS.values(), *codec.VALUE_STRUCTS.values()}
+
+
+# ----------------------------------------------------------------------
+# whole bodies, structure-aware: every registered struct, nested to the limit
+# ----------------------------------------------------------------------
+def _struct_arities():
+    """``{struct id: field count}`` for every registered struct."""
+    codec._ensure_registered()
+    return {
+        sid: len(dataclasses.fields(spec.cls)) if dataclasses.is_dataclass(spec.cls) else 2
+        for sid, spec in sorted(codec._BY_ID.items())
+    }
+
+
+ARITIES = _struct_arities()
+#: well-formed leaf bodies; the containers among them nest a level or two deeper
+LEAVES = st.sampled_from([
+    codec.encode(value)
+    for value in (
+        None, True, 0, -1, 2**63, 1.5, "", "é", b"\x00", (), [1, "a"],
+        {"k": (None,)}, frozenset({3}), tuple(range(RUN_MIN)),
+    )
+])
+
+
+@st.composite
+def nested_bodies(draw, depth: int) -> bytes:
+    """A whole body whose innermost value sits ``depth`` levels down.
+
+    Each level is a registered struct (ids taken in turn from a drawn
+    offset, so a chain of 26 struct levels or more names every one) with
+    its own field count or one off it, the chain in one of its fields and
+    well-formed leaves in the others; now and then a level is a one-item
+    container instead.
+    """
+    sids = list(ARITIES)
+    turn = draw(st.integers(0, len(sids) - 1))
+    body = draw(LEAVES)
+    for _ in range(depth):
+        if draw(st.integers(0, 3)) == 0:  # a one-item container
+            tag = draw(st.sampled_from([0x08, 0x09, 0x0A, 0x0B, 0x0C]))
+            head = bytes([tag, 1]) + (codec.encode(draw(HASHABLE)) if tag == 0x0A else b"")
+            body = head + body
+            continue
+        sid = sids[turn % len(sids)]
+        turn += 1
+        arity = max(ARITIES[sid] + draw(st.sampled_from([0, 0, 0, -1, 1])), 1)
+        at = draw(st.integers(0, arity - 1))
+        fields = [body if i == at else draw(LEAVES) for i in range(arity)]
+        body = b"\x0e" + _ref_varint(sid) + _ref_varint(arity) + b"".join(fields)
+    return body
+
+
+class TestWholeBodies:
+    """Only :class:`WireFormatError` escapes a decode of a whole nested body,
+    at the nesting limit and one level either side of it."""
+
+    @pytest.mark.parametrize(
+        "depth", [codec.MAX_DEPTH - 1, codec.MAX_DEPTH, codec.MAX_DEPTH + 1]
+    )
+    def test_nested_bodies_raise_only_wire_errors(self, depth):
+        kinds = list(protocol.FrameKind)
+
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(body=nested_bodies(depth), kind=st.sampled_from(kinds))
+        def check(body, kind):
+            header = protocol._HEADER.pack(
+                protocol.MAGIC, protocol.PROTOCOL_VERSION, kind, 0, 1, len(body)
+            )
+            errors = [_error(codec.decode, body), _error(protocol.decode, header + body)]
+            if depth > codec.MAX_DEPTH:  # the chain itself is too deep
+                assert all("nesting exceeds" in str(e) for e in errors)
+
+        check()
+
+
+def _error(decode, data: bytes):
+    """The :class:`WireFormatError` ``decode(data)`` raises, or None; any
+    other exception escapes."""
+    try:
+        decode(data)
+    except WireFormatError as exc:
+        return exc
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The stress/linearizability suite lives in ``test_concurrent_stress.py`` and
 the sharded backend's in ``test_sharding.py`` / ``test_sharded_faults.py``;
-here we pin down the API surface: stamps, batch atomicity, coalescing,
-error propagation, and lifecycle.
+here we pin down the API surface: stamps, batch atomicity, error
+propagation, and lifecycle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.bench.workloads import cyclic_pattern
 from repro.errors import GraphError, MutationBatchError, ReproError
 from repro.graph.mutations import DeleteEdge
 from repro.graph.pattern import Pattern
-from repro.session.concurrent import _GateState, _WriteTicket
+from repro.session.concurrent import _GateState
 
 
 @pytest.fixture()
@@ -92,7 +92,7 @@ class TestThreadBackend:
         with ConcurrentSessionServer(frag, backend="thread") as server:
             with pytest.raises(GraphError):
                 server.apply([DeleteEdge("nope", "also-nope")])
-            # The writer path must stay serviceable after a failed ticket.
+            # The writer path must stay serviceable after a failed batch.
             edge = next(iter(graph.edges()))
             assert server.apply([DeleteEdge(*edge)])[0].stamp == 1
             assert server.run(queries[0], algorithm="dgpm").stamp == 1
@@ -100,27 +100,61 @@ class TestThreadBackend:
     def test_a_failed_drain_gives_up_only_the_drainer_role(
         self, small_instance, monkeypatch
     ):
-        """A drain aborted by a non-Exception (an interrupt) reports it on its
-        tickets and releases the drainer role, and nothing else: another
-        writer's hold stays held."""
+        """An interrupt inside a batch (a non-Exception) reaches its caller
+        and releases only that batch's hold: a writer announced meanwhile
+        stays announced, then applies."""
         graph, frag, _ = small_instance
         edges = list(graph.edges())
 
         class Interrupt(BaseException):
             pass
 
-        def interrupted(batch, wait=True):
-            raise Interrupt
-
         with ConcurrentSessionServer(frag, backend="thread") as server:
-            monkeypatch.setattr(server, "_apply_batch", interrupted)
-            with server._gate.writing():  # another writer, e.g. a rebalance
-                with pytest.raises(Interrupt):
-                    server.apply([DeleteEdge(*edges[0])])
+            cond = server._gate._cond = _SignallingCondition()
+            # Each batch parks inside the session until released; the first
+            # is then interrupted.
+            entered = [threading.Event(), threading.Event()]
+            release = [threading.Event(), threading.Event()]
+            apply = server.session.apply
+
+            def interrupted(ops):
+                call = entered[0].is_set()
+                entered[call].set()
+                release[call].wait(JOIN_TIMEOUT)
+                if call == 0:
+                    raise Interrupt
+                return apply(ops)
+
+            monkeypatch.setattr(server.session, "apply", interrupted)
+            results = {}
+
+            def call(name, op):
+                try:
+                    results[name] = server.apply([op])
+                except Interrupt as exc:
+                    results[name] = exc
+
+            first = threading.Thread(target=call, args=("first", DeleteEdge(*edges[0])))
+            second = threading.Thread(target=call, args=("second", DeleteEdge(*edges[1])))
+            first.start()
+            try:
+                assert entered[0].wait(JOIN_TIMEOUT)  # inside the first batch
+                second.start()
+                assert cond.waited.wait(JOIN_TIMEOUT)  # announced, parked
+                assert server._gate._state == _GateState(writer=True, writers_waiting=1)
+                release[0].set()
+                assert entered[1].wait(JOIN_TIMEOUT)  # inside the second batch
                 assert server._gate._state == _GateState(writer=True)
-            monkeypatch.undo()
+            finally:
+                for event in release:
+                    event.set()
+            for thread in (first, second):
+                thread.join(JOIN_TIMEOUT)
+                assert not thread.is_alive(), "writer deadlocked"
+            assert isinstance(results["first"], Interrupt)
+            assert [o.stamp for o in results["second"]] == [1]
             assert server._gate._state == _GateState()
-            assert server.apply([DeleteEdge(*edges[1])])[0].stamp == 1
+            assert graph.has_edge(*edges[0]) and not graph.has_edge(*edges[1])
 
     def test_partial_batch_failure_reports_applied_prefix(self, small_instance):
         """A batch failing midway raises MutationBatchError carrying the
@@ -419,7 +453,7 @@ def _twin_servers(graph):
 
 class TestBatchesOnTheCallingThread:
     """apply_if_free() applies a batch that needs no wait where it is
-    called, through the drainer's code; any other batch is left alone."""
+    called, through apply()'s code; any other batch is left alone."""
 
     def test_a_free_batch_is_applied_here_with_the_drainers_stamps(
         self, small_instance
@@ -448,7 +482,7 @@ class TestBatchesOnTheCallingThread:
     def test_a_batch_that_must_wait_is_not_applied(
         self, small_instance, monkeypatch, busy
     ):
-        """None, and no side effect on the stamp, the graph or the queue."""
+        """None, and no side effect on the stamp, the graph or the gate."""
         graph, frag, queries = small_instance
         edges = list(graph.edges())
         with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
@@ -465,15 +499,12 @@ class TestBatchesOnTheCallingThread:
                 entered, release = _hold(server.session, "_touched_fids", monkeypatch)
                 reading = server.submit(queries[0], algorithm="dgpm")
                 assert entered.wait(JOIN_TIMEOUT)
-            # The other two hold the lock free, so that one check alone must
-            # refuse: set up by hand, as a drainer looks between two of its
-            # batches, and a ticket queued with no drainer yet.
+            # The other two are set up by hand, so that one field alone must
+            # refuse: a writer announced and parked, and a write held.
             elif busy == "drainer-between-batches":
-                server._gate._state = _GateState(applying=())
+                server._gate._state = _GateState(writers_waiting=1)
             else:
-                server._gate._state = _GateState(
-                    queue=(_WriteTicket([DeleteEdge(*edges[0])]),)
-                )
+                server._gate._state = _GateState(writer=True)
             try:
                 stamp = server.stamp
                 gate = server._gate._state
@@ -497,6 +528,8 @@ class TestBatchesOnTheCallingThread:
     def test_a_ticket_queued_meanwhile_is_drained_after_it(
         self, small_instance, monkeypatch
     ):
+        """A blocking apply() arriving during an inline batch parks on the
+        gate and applies after it, with the next stamp."""
         graph, frag, _ = small_instance
         edges = list(graph.edges())
         with ConcurrentSessionServer(frag, backend="thread") as server:
@@ -517,7 +550,7 @@ class TestBatchesOnTheCallingThread:
                     )
                 )
                 queued.start()
-                assert cond.waited.wait(JOIN_TIMEOUT)  # its owner waits for us
+                assert cond.waited.wait(JOIN_TIMEOUT)  # it waits for the inline batch
                 assert server.stamp == 0 and graph.has_edge(*edges[1])
             finally:
                 release.set()

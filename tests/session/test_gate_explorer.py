@@ -17,13 +17,13 @@ edge:
    record counts exactly the holds in flight;
 2. writer priority: no read is admitted while a writer is active or
    waiting;
-3. tickets are applied in admission order, none lost and none twice (an
-   inline batch is admitted by its claim), and a ticket's owner sees it
-   applied only after it was;
-4. ``close()`` completes only after every admitted ticket is applied, and
-   nothing is admitted after it;
+3. every admitted write (a blocking writer admitted by its announcement, an
+   inline batch by its hold) applies exactly once, before its caller
+   returns;
+4. ``close()`` completes only after every admitted write applied, and no
+   write is admitted once the gate is closed;
 5. every state that is not final lets some caller move (no deadlock, no
-   lost wake-up), and every final state is idle with an empty queue.
+   lost wake-up), and every final state is idle.
 
 :class:`TestScriptsAreTheServer` pins the scripts to the code: each server
 method, run once uncontended against a recording gate, steps through
@@ -40,14 +40,7 @@ import pytest
 from repro import ConcurrentSessionServer, partition, web_graph
 from repro.bench.workloads import cyclic_pattern
 from repro.graph.mutations import DeleteEdge
-from repro.session.concurrent import (
-    _ADMIT,
-    _WAIT,
-    _Gate,
-    _GateState,
-    _wakes,
-    _WriteTicket,
-)
+from repro.session.concurrent import _ADMIT, _WAIT, _Gate, _GateState, _wakes
 
 END = -1
 
@@ -61,8 +54,6 @@ class Step:
     transition: Optional[Callable]
     #: the caller parks on "wait" (False: it refuses instead)
     wait: bool = True
-    #: the transition takes the caller's ticket
-    ticket: bool = False
     #: next position on admit (None: the next step) and on refuse
     admit: Optional[int] = None
     refuse: int = END
@@ -99,46 +90,41 @@ BLOCKING_READER = Script(
     (Step(G.read), Step(G.read_done, admit=END)),
     reading=frozenset({1}),
 )
-#: apply_if_free(): claim the write hold and the drainer role at once
+#: apply_if_free(): the write hold, only on an idle gate
 INLINE_WRITER = Script(
     "inline writer",
-    (Step(G.write_inline, wait=False), APPLY, Step(G.inline_done, admit=END)),
+    (Step(G.write_inline, wait=False), APPLY, Step(G.write_done, admit=END)),
     writing=frozenset({1, 2}),
 )
-#: apply(): enqueue, then either drain the queue as the drainer (each
-#: take finishes the batch in hand) or wait until a drainer applied the ticket
-QUEUED_WRITER = Script(
-    "queued writer",
-    (
-        Step(G.enqueue, ticket=True),
-        Step(G.claim, ticket=True),
-        Step(G.take),
-        Step(G.announce),
-        Step(G.write),
-        APPLY,
-        Step(G.write_done, admit=2),
-    ),
-    writing=frozenset({5, 6}),
-    announced=frozenset({4}),
+#: apply(): announce, wait for the write hold, apply, release
+BLOCKING_WRITER = Script(
+    "blocking writer",
+    (Step(G.announce), Step(G.write), APPLY, Step(G.write_done, admit=END)),
+    writing=frozenset({2, 3}),
+    announced=frozenset({1}),
 )
-#: close() on the thread backend
-CLOSE = Script("close", (Step(G.close), Step(G.drained, admit=END)))
+#: close(): flip the flag, then take the last write hold
+CLOSE = Script(
+    "close",
+    (Step(G.close), Step(G.drained), Step(G.write_done, admit=END)),
+    writing=frozenset({2}),
+)
+
+#: the scripts whose write hold applies a batch
+WRITERS = (INLINE_WRITER, BLOCKING_WRITER)
 
 
 class Actor(NamedTuple):
     pc: int
     parked: bool
-    #: the tickets this caller's write hold applies
-    batch: Tuple[_WriteTicket, ...]
 
 
 class World(NamedTuple):
     gate: _GateState
     actors: Tuple[Actor, ...]
-    #: tickets in admission order, and in the order they were applied
-    admitted: Tuple[_WriteTicket, ...]
-    applied: Tuple[_WriteTicket, ...]
-    closed_down: bool
+    #: the callers whose write was admitted, and those whose batch applied
+    admitted: frozenset
+    applied: frozenset
 
 
 class Violation(AssertionError):
@@ -155,14 +141,10 @@ class Explorer:
 
     def __init__(self, scripts: Sequence[Script]) -> None:
         self.scripts = tuple(scripts)
-        self.tickets = tuple(_WriteTicket([]) for _ in self.scripts)
 
     def initial(self) -> World:
-        actors = tuple(
-            Actor(0, False, (ticket,) if script is INLINE_WRITER else ())
-            for script, ticket in zip(self.scripts, self.tickets)
-        )
-        return World(G(), actors, (), (), False)
+        actors = tuple(Actor(0, False) for _ in self.scripts)
+        return World(G(), actors, frozenset(), frozenset())
 
     def run(self) -> int:
         """Explore everything; returns the number of states reached."""
@@ -188,7 +170,6 @@ class Explorer:
                     world.gate == G(closed=world.gate.closed), "5", world,
                     "(final state not idle)",
                 )
-                _check(world.applied == world.admitted, "3", world, "(ticket lost)")
         return len(seen)
 
     def trace(self) -> List[str]:
@@ -206,50 +187,46 @@ class Explorer:
     # ------------------------------------------------------------------
     def move(self, world: World, i: int) -> World:
         """Caller ``i`` takes its next step, as :meth:`_Gate.step` would."""
-        script, ticket = self.scripts[i], self.tickets[i]
+        script = self.scripts[i]
         actor = world.actors[i]
         step = script.steps[actor.pc]
         nxt = actor.pc + 1 if step.admit is None else step.admit
         if step.transition is None:  # the session applies the batch
-            applied = world.applied + actor.batch
             _check(
-                applied == world.admitted[: len(applied)], "3", world,
-                f"({script.name} applies out of admission order)",
+                i in world.admitted and i not in world.applied, "3", world,
+                f"({script.name} applies a write not admitted, or twice)",
             )
-            return self._with(world, i, Actor(nxt, False, actor.batch), applied=applied)
-        args = (ticket,) if step.ticket else ()
-        decision, new = step.transition(world.gate, *args)
+            return self._with(world, i, Actor(nxt, False), applied=world.applied | {i})
+        decision, new = step.transition(world.gate)
         if decision == _WAIT:
             if step.wait:
                 return self._with(world, i, actor._replace(parked=True))
             return self._with(world, i, actor._replace(pc=step.refuse))
-        admitted, closed_down = world.admitted, world.closed_down
+        admitted = world.admitted
         if decision == _ADMIT:
             name = step.transition.__name__
             if name == "read":
                 self._check_read_admission(world, i)
-            elif name in ("enqueue", "write_inline"):
-                _check(not closed_down, "4", world, "(admitted after close)")
-                admitted += (ticket,)
-            elif name == "take":
-                actor = actor._replace(batch=new.applying)
+            elif name in ("announce", "write_inline"):
+                _check(not world.gate.closed, "4", world, "(admitted after close)")
+                admitted |= {i}
             elif name == "drained":
                 _check(
                     world.applied == world.admitted, "4", world,
-                    "(close completed before every ticket applied)",
+                    "(close completed before every write applied)",
                 )
-                closed_down = True
         else:
-            if step.transition is G.claim:
-                _check(ticket in world.applied, "3", world, "(owner saw it early)")
             nxt = step.refuse
+        if nxt == END and script in WRITERS:
+            _check(
+                (i in world.applied) == (i in admitted), "3", world,
+                f"({script.name} returned before its write applied)",
+            )
         actors = list(world.actors)
         actors[i] = actor._replace(pc=nxt, parked=False)
         if _wakes(world.gate, new):
             actors = [a._replace(parked=False) for a in actors]
-        return world._replace(
-            gate=new, actors=tuple(actors), admitted=admitted, closed_down=closed_down
-        )
+        return world._replace(gate=new, actors=tuple(actors), admitted=admitted)
 
     @staticmethod
     def _with(world: World, i: int, actor: Actor, **changes) -> World:
@@ -280,16 +257,16 @@ class Explorer:
 
 ACTOR_SETS = {
     "readers-writers-close": (
-        BLOCKING_READER, INLINE_READER, QUEUED_WRITER, INLINE_WRITER, CLOSE
+        BLOCKING_READER, INLINE_READER, BLOCKING_WRITER, INLINE_WRITER, CLOSE
     ),
     "two-drainers-inline": (
-        BLOCKING_READER, QUEUED_WRITER, QUEUED_WRITER, INLINE_WRITER
+        BLOCKING_READER, BLOCKING_WRITER, BLOCKING_WRITER, INLINE_WRITER
     ),
     "two-each-close": (
-        BLOCKING_READER, BLOCKING_READER, QUEUED_WRITER, QUEUED_WRITER, CLOSE
+        BLOCKING_READER, BLOCKING_READER, BLOCKING_WRITER, BLOCKING_WRITER, CLOSE
     ),
     "inline-races-drainers-close": (
-        INLINE_WRITER, INLINE_WRITER, QUEUED_WRITER, QUEUED_WRITER, CLOSE
+        INLINE_WRITER, INLINE_WRITER, BLOCKING_WRITER, BLOCKING_WRITER, CLOSE
     ),
 }
 
@@ -362,9 +339,11 @@ class TestScriptsAreTheServer:
         assert gate.steps == Explorer([INLINE_WRITER]).trace()
 
     def test_mutate_as_the_drainer(self, server):
+        """A lone apply() takes its own write hold: three gate steps."""
         server, gate, _, edges = server
         server.apply([DeleteEdge(*edges[0])])
-        assert gate.steps == Explorer([QUEUED_WRITER]).trace()
+        assert gate.steps == Explorer([BLOCKING_WRITER]).trace()
+        assert len(gate.steps) == 3
 
     def test_close(self, server):
         server, gate, _, _ = server

@@ -130,6 +130,41 @@ def test_no_lost_mutation_batch_after_kill(rng, rng_seed):
         assert server.stamp == len(ops)
 
 
+def test_an_interrupted_batch_still_reaches_the_workers(monkeypatch, rng, rng_seed):
+    """A batch stopped by an interrupt (a non-Exception) after its first
+    update ships that update to the workers: the next answer is the
+    oracle's on the parent graph, not the workers' stale copy's."""
+
+    class Interrupt(BaseException):
+        pass
+
+    seed = rng_seed % 1000
+    graph, frag, query = _fixture(seed)
+    before = simulation(query, graph)
+    cut, second = _answer_moving_ops(graph, query, 2, 0, rng)
+    with ConcurrentSessionServer(
+        frag, backend="sharded", n_workers=3, cache_size=0
+    ) as server:
+        apply = server.session.apply
+        calls = []
+
+        def interrupted(ops):
+            calls.append(ops)
+            if len(calls) == 2:
+                raise Interrupt
+            return apply(ops)
+
+        monkeypatch.setattr(server.session, "apply", interrupted)
+        with pytest.raises(Interrupt):
+            server.apply([cut, second])
+        monkeypatch.undo()
+        assert server.stamp == 1
+        assert not graph.has_edge(cut.u, cut.v)
+        expected = simulation(query, graph)
+        assert expected != before  # the applied update moved the answer
+        assert server.run(query, algorithm="dgpm").relation == expected
+
+
 def test_delays_jitter_without_breaking_answers(rng_seed):
     seed = rng_seed % 1000
     graph, frag, query = _fixture(seed)
