@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from typing import List, Tuple
 
 import pytest
@@ -268,6 +269,154 @@ class _SignallingCondition(threading.Condition):
     def wait(self, timeout=None):
         self.waited.set()
         return super().wait(timeout)
+
+
+class _Interrupt(BaseException):
+    """Stands in for Ctrl-C (a KeyboardInterrupt would stop the test run)."""
+
+
+class _InterruptingCondition(threading.Condition):
+    """A condition whose waits in the ``victim`` thread end in an
+    :class:`_Interrupt` once ``interrupt`` is set, as Ctrl-C ends a parked
+    wait.  ``parked`` reports the victim's first wait, ``others_parked``
+    any other thread's."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.victim = None
+        self.parked = threading.Event()
+        self.others_parked = threading.Event()
+        self.interrupt = threading.Event()
+
+    def wait(self, timeout=None):
+        if threading.current_thread() is not self.victim:
+            self.others_parked.set()
+            return super().wait(timeout)
+        self.parked.set()
+        while not self.interrupt.is_set():
+            super().wait(0.01)
+        raise _Interrupt
+
+
+class TestTheGateAroundAWriter:
+    """What a blocking writer's announcement does to the others: it bars
+    new readers until it withdraws or applies, and close() waits for it."""
+
+    def test_an_interrupted_parked_writer_wakes_the_readers_it_barred(
+        self, small_instance
+    ):
+        """apply() interrupted while parked for its write hold withdraws
+        its announcement and raises; a reader parked behind it is admitted
+        at once, while the read hold the writer waited for is still held."""
+        graph, frag, _ = small_instance
+        edge = next(iter(graph.edges()))
+        with ConcurrentSessionServer(frag, backend="thread") as server:
+            cond = server._gate._cond = _InterruptingCondition()
+            holding, leave, barred_in = (threading.Event() for _ in range(3))
+            results = {}
+
+            def hold():
+                with server._gate.reading():
+                    holding.set()
+                    leave.wait(JOIN_TIMEOUT)
+
+            def barred():
+                with server._gate.reading():
+                    barred_in.set()
+
+            def write():
+                try:
+                    results["writer"] = server.apply([DeleteEdge(*edge)])
+                except _Interrupt as exc:
+                    results["writer"] = exc
+
+            holder = threading.Thread(target=hold)
+            writer = threading.Thread(target=write)
+            reader = threading.Thread(target=barred)
+            cond.victim = writer
+            holder.start()
+            try:
+                assert holding.wait(JOIN_TIMEOUT)
+                writer.start()
+                assert cond.parked.wait(JOIN_TIMEOUT)  # behind the read hold
+                reader.start()
+                assert cond.others_parked.wait(JOIN_TIMEOUT)  # behind the writer
+                assert server._gate._state == _GateState(readers=1, writers_waiting=1)
+                assert not barred_in.is_set()
+                cond.interrupt.set()
+                assert barred_in.wait(JOIN_TIMEOUT), "the withdraw woke no reader"
+                assert not leave.is_set()  # admitted beside the held read
+            finally:
+                cond.interrupt.set()
+                leave.set()
+            for thread in (holder, writer, reader):
+                thread.join(JOIN_TIMEOUT)
+                assert not thread.is_alive(), "gate deadlocked"
+            assert isinstance(results["writer"], _Interrupt)
+            assert server._gate._state == _GateState()
+            assert server.stamp == 0 and graph.has_edge(*edge)
+            assert server.apply([DeleteEdge(*edge)])[0].stamp == 1
+
+    def test_close_applies_an_announced_writer_and_refuses_a_later_one(
+        self, small_instance
+    ):
+        """A writer announced before close() applies before close() returns;
+        one arriving after the flag flipped is refused at once, without
+        touching the gate's record."""
+        graph, frag, _ = small_instance
+        early, late = list(graph.edges())[:2]
+        server = ConcurrentSessionServer(frag, backend="thread")
+        cond = server._gate._cond = _SignallingCondition()
+        holding, leave = threading.Event(), threading.Event()
+        results = {}
+
+        def hold():
+            with server._gate.reading():
+                holding.set()
+                leave.wait(JOIN_TIMEOUT)
+
+        holder = threading.Thread(target=hold)
+        writer = threading.Thread(
+            target=lambda: results.update(early=server.apply([DeleteEdge(*early)]))
+        )
+        closing = threading.Thread(target=server.close)
+        holder.start()
+        try:
+            assert holding.wait(JOIN_TIMEOUT)
+            writer.start()
+            assert cond.waited.wait(JOIN_TIMEOUT)  # announced, parked
+            closing.start()
+            deadline = time.monotonic() + JOIN_TIMEOUT
+            while not server._gate._state.closed and time.monotonic() < deadline:
+                time.sleep(0.001)
+            gate = _GateState(readers=1, writers_waiting=1, closed=True)
+            assert server._gate._state == gate
+            with pytest.raises(ReproError, match="closed"):
+                server.apply([DeleteEdge(*late)])
+            assert server._gate._state == gate
+            assert closing.is_alive()  # close() waits for the announced writer
+        finally:
+            leave.set()
+        for thread in (holder, writer, closing):
+            thread.join(JOIN_TIMEOUT)
+            assert not thread.is_alive(), "close deadlocked"
+        assert [o.stamp for o in results["early"]] == [1]
+        assert not graph.has_edge(*early) and graph.has_edge(*late)
+        assert server._gate._state == _GateState(closed=True)
+
+    def test_a_closed_gate_refuses_both_write_holds(self, small_instance):
+        """writing() on a closed gate raises for a blocking writer and holds
+        nothing for an inline one; neither changes the record."""
+        _, frag, _ = small_instance
+        server = ConcurrentSessionServer(frag, backend="thread")
+        server.close()
+        gate = server._gate
+        with pytest.raises(ReproError, match="closed"):
+            with gate.writing():
+                pytest.fail("a closed gate admitted a blocking writer")
+        with gate.writing(wait=False) as held:
+            assert not held
+        assert gate._state == _GateState(closed=True)
 
 
 class TestHitsOnTheCallingThread:

@@ -11,7 +11,10 @@ admit or refuse, park on wait, wake every parked caller when
 :func:`~repro.session.concurrent._wakes` says so), over every reachable
 (record, caller positions) state -- a depth-first search with a visited
 set, never an enumeration of interleavings -- and checks on every state or
-edge:
+edge.  A caller parked on an interruptible step (``apply()`` waiting for
+its write hold) may also be interrupted there, in any state it is parked
+in, as Ctrl-C would; an interrupt is never counted as a way out of a
+deadlock.  The checks:
 
 1. mutual exclusion: a write hold excludes every other hold, and the
    record counts exactly the holds in flight;
@@ -19,11 +22,14 @@ edge:
    waiting;
 3. every admitted write (a blocking writer admitted by its announcement, an
    inline batch by its hold) applies exactly once, before its caller
-   returns;
+   returns, unless its caller is interrupted while parked for the hold and
+   withdraws it;
 4. ``close()`` completes only after every admitted write applied, and no
    write is admitted once the gate is closed;
-5. every state that is not final lets some caller move (no deadlock, no
-   lost wake-up), and every final state is idle.
+5. every state that is not final lets some caller move (no deadlock), no
+   parked caller's step would admit it (no lost wake-up: a caller parked
+   while it could proceed waits for some unrelated gate change), and every
+   final state is idle.
 
 :class:`TestScriptsAreTheServer` pins the scripts to the code: each server
 method, run once uncontended against a recording gate, steps through
@@ -57,6 +63,9 @@ class Step:
     #: next position on admit (None: the next step) and on refuse
     admit: Optional[int] = None
     refuse: int = END
+    #: next position of a caller interrupted while parked here (None: the
+    #: step is not interrupted)
+    interrupt: Optional[int] = None
 
 
 APPLY = Step(None)
@@ -96,12 +105,19 @@ INLINE_WRITER = Script(
     (Step(G.write_inline, wait=False), APPLY, Step(G.write_done, admit=END)),
     writing=frozenset({1, 2}),
 )
-#: apply(): announce, wait for the write hold, apply, release
+#: apply(): announce, wait for the write hold, apply, release; an interrupt
+#: while parked for the hold withdraws the announcement
 BLOCKING_WRITER = Script(
     "blocking writer",
-    (Step(G.announce), Step(G.write), APPLY, Step(G.write_done, admit=END)),
+    (
+        Step(G.announce),
+        Step(G.write, interrupt=4),
+        APPLY,
+        Step(G.write_done, admit=END),
+        Step(G.withdraw, admit=END),
+    ),
     writing=frozenset({2, 3}),
-    announced=frozenset({1}),
+    announced=frozenset({1, 4}),
 )
 #: close(): flip the flag, then take the last write hold
 CLOSE = Script(
@@ -156,10 +172,15 @@ class Explorer:
             self._check_state(world)
             moved = False
             for i, actor in enumerate(world.actors):
-                if actor.pc == END or actor.parked:
+                if actor.pc == END:
                     continue
-                moved = True
-                after = self.move(world, i)
+                if actor.parked:
+                    after = self.interrupt(world, i)
+                    if after is None:
+                        continue
+                else:
+                    moved = True
+                    after = self.move(world, i)
                 if after not in seen:
                     seen.add(after)
                     stack.append(after)
@@ -185,6 +206,14 @@ class Explorer:
         return names
 
     # ------------------------------------------------------------------
+    def interrupt(self, world: World, i: int) -> Optional[World]:
+        """Parked caller ``i`` is interrupted, if its step allows it: its
+        transition never committed, so only its position changes."""
+        target = self.scripts[i].steps[world.actors[i].pc].interrupt
+        if target is None:
+            return None
+        return self._with(world, i, Actor(target, False))
+
     def move(self, world: World, i: int) -> World:
         """Caller ``i`` takes its next step, as :meth:`_Gate.step` would."""
         script = self.scripts[i]
@@ -210,6 +239,12 @@ class Explorer:
             elif name in ("announce", "write_inline"):
                 _check(not world.gate.closed, "4", world, "(admitted after close)")
                 admitted |= {i}
+            elif name == "withdraw":
+                _check(
+                    i in admitted and i not in world.applied, "3", world,
+                    f"({script.name} withdraws a write not pending)",
+                )
+                admitted -= {i}
             elif name == "drained":
                 _check(
                     world.applied == world.admitted, "4", world,
@@ -241,6 +276,14 @@ class Explorer:
         ]
 
     def _check_state(self, world: World) -> None:
+        for script, actor in zip(self.scripts, world.actors):
+            if actor.parked:
+                step = script.steps[actor.pc]
+                _check(
+                    step.transition(world.gate)[0] == _WAIT, "5", world,
+                    f"(lost wake-up: {script.name} parked on "
+                    f"{step.transition.__name__})",
+                )
         readers = self._holders(world, "reading")
         writers = self._holders(world, "writing")
         _check(len(writers) <= 1 and not (writers and readers), "1", world)
@@ -268,6 +311,13 @@ ACTOR_SETS = {
     "inline-races-drainers-close": (
         INLINE_WRITER, INLINE_WRITER, BLOCKING_WRITER, BLOCKING_WRITER, CLOSE
     ),
+    # a writer interrupted while it bars readers from the read hold
+    "interrupted-writer-readers": (
+        BLOCKING_READER, BLOCKING_READER, INLINE_READER, BLOCKING_WRITER
+    ),
+    "interrupted-writers-close": (
+        BLOCKING_READER, BLOCKING_WRITER, BLOCKING_WRITER, CLOSE
+    ),
 }
 
 
@@ -291,6 +341,39 @@ def test_a_missing_wake_up_is_a_deadlock(monkeypatch):
     monkeypatch.setitem(globals(), "_wakes", forgetful)
     with pytest.raises(Violation, match="property 5"):
         Explorer(ACTOR_SETS["two-drainers-inline"]).run()
+
+
+def test_a_forgotten_withdraw_wake_up_is_caught(monkeypatch):
+    """A gate that forgets to wake the readers parked behind an announced
+    writer when it withdraws (interrupted while parked) is caught: the
+    readers would wait for the other readers to finish, for nothing."""
+    import repro.session.concurrent as concurrent
+
+    wakes = concurrent._wakes
+
+    def forgetful(old, new):
+        withdrawn = new == old._replace(writers_waiting=old.writers_waiting - 1)
+        return wakes(old, new) and not withdrawn
+
+    monkeypatch.setattr(concurrent, "_wakes", forgetful)
+    monkeypatch.setitem(globals(), "_wakes", forgetful)
+    with pytest.raises(Violation, match="property 5 violated .lost wake-up"):
+        Explorer(ACTOR_SETS["interrupted-writer-readers"]).run()
+
+
+def test_an_interrupt_is_no_way_out_of_a_deadlock():
+    """A writer whose hold never comes is a deadlock, although a parked
+    writer may always be interrupted: interrupts model Ctrl-C, not a
+    scheduler, so they never count as progress."""
+
+    def never(gate):
+        return _WAIT, gate
+
+    steps = list(BLOCKING_WRITER.steps)
+    steps[1] = Step(never, interrupt=steps[1].interrupt)
+    stuck = BLOCKING_WRITER._replace(name="stuck writer", steps=tuple(steps))
+    with pytest.raises(Violation, match=r"property 5 violated \(deadlock\)"):
+        Explorer([BLOCKING_READER, stuck]).run()
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +427,28 @@ class TestScriptsAreTheServer:
         server.apply([DeleteEdge(*edges[0])])
         assert gate.steps == Explorer([BLOCKING_WRITER]).trace()
         assert len(gate.steps) == 3
+
+    def test_interrupted_apply(self, server):
+        """apply() interrupted while parked for its write hold (here behind
+        a read hold) steps through its script's interrupt path."""
+        server, gate, _, edges = server
+
+        class Interrupt(BaseException):
+            pass
+
+        class Interrupted(type(gate._cond)):
+            def wait(self, timeout=None):
+                raise Interrupt
+
+        gate._cond = Interrupted()
+        with gate.reading():
+            with pytest.raises(Interrupt):
+                server.apply([DeleteEdge(*edges[0])])
+        announce, write = BLOCKING_WRITER.steps[:2]
+        withdraw = BLOCKING_WRITER.steps[write.interrupt]
+        path = [s.transition.__name__ for s in (announce, write, withdraw)]
+        assert gate.steps == ["read", *path, "read_done"]
+        assert gate._state == G() and server.stamp == 0
 
     def test_close(self, server):
         server, gate, _, _ = server
