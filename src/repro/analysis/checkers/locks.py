@@ -120,18 +120,21 @@ GUARDED: Tuple[GuardSpec, ...] = (
     ),
     GuardSpec(
         class_name="ConcurrentSessionServer",
-        attrs=("_stamp",),
+        attrs=("_stamp", "_rebalances"),
         locks=("self._gate.writing()",),
-        why="the stamp advances only at quiescent points (a write hold)",
+        why=(
+            "the stamp advances, and a rebalance counts, only at quiescent "
+            "points (a write hold)"
+        ),
     ),
     GuardSpec(
-        class_name="ConcurrentSessionServer",
-        attrs=("_shards", "_ring", "_respawns", "_rebalances"),
-        locks=("self._pool_lock",),
+        class_name="ShardPool",
+        attrs=("_handles", "_ring", "_respawns"),
+        locks=("self._lock",),
         why=(
-            "the sharded pool (worker handles, hash ring, respawn and "
-            "rebalance counters) is repaired/rebalanced by whichever "
-            "thread hits a dead worker or triggers a migration"
+            "the sharded pool (worker handles, hash ring, respawn counter) "
+            "is repaired/rebalanced by whichever thread hits a dead worker "
+            "or triggers a migration"
         ),
     ),
 )

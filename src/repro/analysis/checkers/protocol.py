@@ -106,9 +106,9 @@ class ProtocolExhaustivenessChecker:
 
 
 MP_MODULE = "runtime/mp.py"
-#: where shard commands are sent from: the coordinator, and the superstep
+#: where shard commands are sent from: the shard pool, and the superstep
 #: engine whose hosts its worker handles are (the ``q.*`` commands)
-SENDER_MODULES = ("session/concurrent.py", "runtime/engine.py")
+SENDER_MODULES = ("session/sharding.py", "runtime/engine.py")
 
 
 class ShardCommandChecker:

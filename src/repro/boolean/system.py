@@ -227,14 +227,3 @@ class EquationSystem:
     def reduced_system(self, keep: Optional[Iterable[VarName]] = None, max_terms: int = 4096) -> "EquationSystem":
         """:meth:`reduce` packaged back into an :class:`EquationSystem`."""
         return EquationSystem(self.reduce(keep, max_terms))
-
-
-def falsified_variables(
-    before: Mapping[VarName, bool], after: Mapping[VarName, bool]
-) -> Set[VarName]:
-    """Variables that flipped true -> false between two valuations.
-
-    dGPM only ever ships these (Section 4.1: "once v.rvec[u] is updated from
-    true to false, it never changes back").
-    """
-    return {name for name, val in after.items() if not val and before.get(name, True)}

@@ -70,15 +70,6 @@ def require_numpy():
     return _np
 
 
-def have_numpy() -> bool:
-    """True iff the array engine can run in this interpreter."""
-    try:
-        require_numpy()
-    except RuntimeError:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # CSR kernels shared by the array evaluators
 # ----------------------------------------------------------------------

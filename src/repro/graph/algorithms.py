@@ -186,30 +186,3 @@ def tree_root(graph: DiGraph) -> Node:
     if not is_tree(graph):
         raise GraphError("graph is not a rooted directed tree")
     return next(node for node in graph.nodes() if graph.in_degree(node) == 0)
-
-
-def condensation(graph: DiGraph) -> DiGraph:
-    """The DAG of strongly connected components.
-
-    Node ``i`` of the result is component ``i`` (labeled by its index); there
-    is an edge ``i -> j`` iff some edge of ``graph`` crosses from component
-    ``i`` to component ``j``.
-    """
-    components = tarjan_scc(graph)
-    component_of: Dict[Node, int] = {}
-    for i, comp in enumerate(components):
-        for node in comp:
-            component_of[node] = i
-    dag = DiGraph()
-    for i in range(len(components)):
-        dag.add_node(i, i)
-    for u, v in graph.edges():
-        cu, cv = component_of[u], component_of[v]
-        if cu != cv:
-            dag.add_edge(cu, cv)
-    return dag
-
-
-def reachable_from(graph: DiGraph, sources: Sequence[Node]) -> Set[Node]:
-    """All nodes reachable from ``sources`` by directed paths (inclusive)."""
-    return set(bfs_layers(graph, sources))

@@ -307,10 +307,6 @@ class DiGraph:
         except KeyError:
             raise GraphError(f"unknown node {node!r}") from None
 
-    def out_degree(self, node: Node) -> int:
-        """Number of out-edges of ``node``."""
-        return len(self.successors(node))
-
     def in_degree(self, node: Node) -> int:
         """Number of in-edges of ``node``."""
         return len(self.predecessors(node))

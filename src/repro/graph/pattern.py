@@ -115,10 +115,6 @@ class Pattern:
     def __repr__(self) -> str:
         return f"Pattern(|Vq|={self.n_nodes}, |Eq|={self.n_edges})"
 
-    def as_digraph(self) -> DiGraph:
-        """A copy of the underlying labeled digraph."""
-        return self._graph.copy()
-
     def label_alphabet(self) -> Set[Label]:
         """Labels mentioned by the query."""
         return self._graph.label_alphabet()
@@ -148,8 +144,3 @@ class Pattern:
         for u, r in ranks.items():
             groups[r].append(u)
         return groups
-
-
-def pattern_from_digraph(graph: DiGraph) -> Pattern:
-    """Convert a labeled digraph into a :class:`Pattern` (labels become ``fv``)."""
-    return Pattern(graph.labels(), graph.edges())

@@ -11,20 +11,20 @@ the fragments it owns and ship that host's reply back verbatim --
 site_extras, network)`` at collection -- so the mail its sites send each
 other, their compute time and their results are metered by the code that
 meters an in-process run.  The coordinator
-(:mod:`repro.session.concurrent`, ``backend="sharded"``) drives the workers
-through the same loop and the same protocol function as in-process
-evaluation; for any number of workers the run reproduces the simulator's
-relation, message count, DS bytes and round count exactly, which is how
-tests confirm those numbers are not artifacts of in-process execution.
+(:class:`repro.session.sharding.ShardPool`, ``backend="sharded"``) drives
+the workers through the same loop and the same protocol function as
+in-process evaluation; for any number of workers the run reproduces the
+simulator's relation, message count, DS bytes and round count exactly, which
+is how tests confirm those numbers are not artifacts of in-process execution.
 
 A worker talks to the parent over the ``multiprocessing.Pipe`` it was
 spawned with and receives its whole initial state (its shard and the
 pre-built dependency graphs) through the spawn arguments.  Every start --
 the pool's first and a respawn after a death -- is one
-:func:`respawn_worker`: spawn, then a ``stats`` probe the worker must answer
-within :data:`PROBE_TIMEOUT`.  The link is reliable and ordered, and the
-parent closes its copy of the child end at spawn time, so a vanished worker
-surfaces as ``EOFError`` / ``OSError`` --
+:func:`respawn_worker` call: spawn every worker, each posted a ``stats``
+probe it must answer within :data:`PROBE_TIMEOUT`.  The link is reliable and
+ordered, and the parent closes its copy of the child end at spawn time, so a
+vanished worker surfaces as ``EOFError`` / ``OSError`` --
 :class:`~repro.errors.ProtocolError` to callers -- instead of a hang.
 
 The seven commands (:data:`SHARD_COMMANDS`) are ``q.start``, ``q.tick``
@@ -39,7 +39,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from multiprocessing.connection import Connection
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.runtime.engine import LocalHost
@@ -47,7 +47,7 @@ from repro.runtime.engine import LocalHost
 #: the sharded worker's full command inventory; the protocol-exhaustive
 #: checker verifies every entry has a dispatch arm in ``_shard_worker`` and
 #: a sender: the superstep engine (repro.runtime.engine) posts the ``q.*``
-#: commands, the coordinator (repro.session.concurrent) the rest.
+#: commands, the shard pool (repro.session.sharding) the rest.
 SHARD_COMMANDS: Tuple[str, ...] = (
     "q.start",
     "q.tick",
@@ -179,50 +179,76 @@ def _shard_worker(transport: Connection, init: tuple) -> None:
             transport.send(("err", ProtocolError(f"shard reply failed to pickle: {exc}")))
 
 
+def _tear_down(proc: mp.Process, link: Connection) -> None:
+    link.close()
+    if proc.is_alive():
+        proc.terminate()
+
+
 def respawn_worker(
     target,
-    init: tuple,
+    inits: Sequence[tuple],
     policy,
-) -> Tuple[mp.Process, Connection]:
-    """Start one ``target(child_end, init)`` worker with bounded retry +
-    backoff (a ``RetryPolicy``); the only way a worker starts.
+) -> List[Tuple[mp.Process, Connection]]:
+    """Start one ``target(child_end, init)`` worker per entry of ``inits``,
+    each slot with its own bounded retry + backoff (a ``RetryPolicy``); the
+    only way a worker starts, the pool's first start and a respawn alike.
 
-    Each attempt is a full fresh spawn over a new pipe pair, followed by a
-    ``stats`` round-trip that proves the worker is actually serving (a
-    dead-on-arrival worker only surfaces at first ``recv``; a silent one
-    fails the attempt after :data:`PROBE_TIMEOUT` seconds).  On failure
-    the partial spawn is torn down, the policy's backoff is slept, and the
-    next attempt starts clean; exhaustion raises
-    :class:`~repro.errors.ProtocolError` chaining the last cause.
+    Each attempt spawns every worker still missing over a new pipe pair and
+    posts it a ``stats`` probe, then collects the replies: an answer proves
+    the worker is serving (a dead-on-arrival one only surfaces at ``recv``;
+    a silent one fails once :data:`PROBE_TIMEOUT` seconds have passed since
+    the spawns).  A failed worker is torn down and started clean after the
+    policy's backoff; a slot whose attempts run out tears down every worker
+    this call started and raises :class:`~repro.errors.ProtocolError`
+    chaining the last cause.
     """
+    started: Dict[int, Tuple[mp.Process, Connection]] = {}
+    spawned: List[Tuple[mp.Process, Connection]] = []
     last: Optional[BaseException] = None
-    for delay in policy.delays():
-        link, child_end = mp.Pipe()
-        proc = mp.Process(target=target, args=(child_end, init), daemon=True)
-        try:
-            proc.start()
-            # Close the parent's copy of the child end: if the worker
-            # dies, the pipe hits EOF and recv raises instead of
-            # blocking forever.
-            child_end.close()
-            link.send(("stats", None))
-            if not link.poll(PROBE_TIMEOUT):
-                raise ProtocolError(
-                    f"worker did not answer its spawn probe within {PROBE_TIMEOUT} s"
-                )
-            status, value = link.recv()
-            if status != "ok":
-                raise ProtocolError(f"respawn probe failed: {value!r}")
-            return proc, link
-        except BaseException as exc:
-            child_end.close()
-            link.close()
-            if proc.is_alive():
-                proc.terminate()
-            if not isinstance(exc, (EOFError, OSError, ProtocolError)):
-                raise
-            last = exc
+    try:
+        for delay in policy.delays():
+            attempt = {}
+            for i, init in enumerate(inits):
+                if i in started:
+                    continue
+                link, child_end = mp.Pipe()
+                proc = mp.Process(target=target, args=(child_end, init), daemon=True)
+                spawned.append((proc, link))
+                try:
+                    proc.start()
+                    link.send(("stats", None))
+                    attempt[i] = proc, link
+                except OSError as exc:
+                    _tear_down(proc, link)
+                    last = exc
+                finally:
+                    # Close the parent's copy of the child end: if the
+                    # worker dies, the pipe hits EOF and recv raises
+                    # instead of blocking forever.
+                    child_end.close()
+            deadline = time.monotonic() + PROBE_TIMEOUT
+            for i, (proc, link) in attempt.items():
+                try:
+                    if not link.poll(max(0.0, deadline - time.monotonic())):
+                        raise ProtocolError(
+                            "worker did not answer its spawn probe within "
+                            f"{PROBE_TIMEOUT} s"
+                        )
+                    status, value = link.recv()
+                    if status != "ok":
+                        raise ProtocolError(f"respawn probe failed: {value!r}")
+                    started[i] = proc, link
+                except (EOFError, OSError, ProtocolError) as exc:
+                    _tear_down(proc, link)
+                    last = exc
+            if len(started) == len(inits):
+                return [started[i] for i in range(len(inits))]
             time.sleep(delay)
+    finally:
+        if len(started) < len(inits):
+            for proc, link in spawned:
+                _tear_down(proc, link)
     raise ProtocolError(
         f"worker respawn failed after {policy.attempts} attempt(s): {last!r}"
     ) from last

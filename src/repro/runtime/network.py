@@ -139,11 +139,6 @@ class Network:
         """Number of protocol data messages."""
         return sum(self.count_by_kind[k] for k in DATA_KINDS if k in self.count_by_kind)
 
-    @property
-    def total_bytes(self) -> int:
-        """All bytes, including query broadcast, control and results."""
-        return sum(self.bytes_by_kind.values())
-
     def breakdown(self) -> Dict[str, int]:
         """Bytes per message kind, with string keys for reporting."""
         return {kind.value: n for kind, n in sorted(self.bytes_by_kind.items())}

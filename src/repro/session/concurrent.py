@@ -62,20 +62,19 @@ is how many misses, and hits that fell through to the pool, run at once
 computes:
 
 * ``backend="thread"`` -- in process, over the session's fragmentation.
-* ``backend="sharded"`` -- the paper's site model as a deployment: each of
-  a pool of :func:`~repro.runtime.mp._shard_worker` OS processes owns only
-  the fragments a :class:`~repro.session.sharding.HashRing` assigns it
-  (never the base graph), and this class plays coordinator.  A miss is
-  the same :func:`~repro.core.protocol.run_protocol` call as in-process
-  evaluation, with the worker handles as the engine's hosts: one superstep
-  loop, one metering path, so rounds, messages, DS and PT mean the same on
-  both backends and do not depend on ``n_workers``
+* ``backend="sharded"`` -- the paper's site model as a deployment: a
+  :class:`~repro.session.sharding.ShardPool` of OS worker processes, each
+  owning only the fragments its :class:`~repro.session.sharding.HashRing`
+  slot is assigned (never the base graph).  A miss is the pool's
+  :meth:`~repro.session.sharding.ShardPool.evaluate`, the same
+  :func:`~repro.core.protocol.run_protocol` call as in-process evaluation:
+  one superstep loop, one metering path, so rounds, messages, DS and PT
+  mean the same on both backends and do not depend on ``n_workers``
   (``extras["colocated_ds_bytes"]`` is the part of DS that stayed inside a
-  worker).  Mutation batches ship, inside the same write hold that
-  patches the parent session, only to the workers owning the touched
-  fragments; a dead worker is respawned (or evicted) from the parent's
-  authoritative fragmentation, so no batch is ever lost.  After
-  :meth:`close` the session computes in process again.
+  worker).  A mutation batch ships to the pool inside the same write hold
+  that patches the parent session.  This class keeps the gate, the stamp,
+  the subscriptions and the rebalance policy; after :meth:`close` the
+  session computes in process again.
 
 >>> server = ConcurrentSessionServer(fragmentation, backend="thread")
 >>> futures = [server.submit(q) for q in queries]     # concurrent reads
@@ -98,23 +97,16 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from repro.core.config import DgpmConfig
 from repro.core.depgraph import DependencyGraphs
-from repro.core.protocol import run_protocol
-from repro.errors import (
-    MutationBatchError,
-    Overloaded,
-    ProtocolError,
-    ReproError,
-    TransportError,
-)
+from repro.errors import MutationBatchError, Overloaded, ReproError
 from repro.graph.mutations import MutationOp, normalize_ops
 from repro.graph.pattern import Pattern
 from repro.partition.fragmentation import Fragmentation, MutationDelta
 from repro.partition.metrics import PartitionStats, partition_stats
 from repro.partition.partitioners import min_cut_partition, traffic_node_weights
-from repro.runtime.metrics import RunMetrics, RunResult
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.transport import FaultPlan, RetryPolicy
 from repro.session.session import MutationOutcome, Pin, QueryKey, SimulationSession
-from repro.session.sharding import HashRing
+from repro.session.sharding import HashRing, ShardPool
 from repro.simulation.matchrel import MatchRelation
 
 #: standing queries one server holds at most; each pins a warm cache entry
@@ -317,73 +309,6 @@ class _Gate:
                 self.step(_GateState.write_done)
 
 
-class _ShardHandle:
-    """One shard worker: its process, link, dispatch lock and ring slot.
-
-    To the superstep engine (:mod:`repro.runtime.engine`) this is the remote
-    host: :meth:`post` and :meth:`collect` carry its ``q.*`` commands.
-    """
-
-    __slots__ = ("process", "link", "lock", "slot", "dead", "owed")
-
-    def __init__(self, process, link, slot) -> None:
-        self.process = process
-        self.link = link  # the parent end of the worker's pipe (or a FaultyTransport)
-        self.lock = threading.Lock()
-        self.slot = slot
-        self.dead = False  # set on link failure; the heal pass respawns it
-        self.owed = False  # posted to, reply not collected yet
-
-    def _link_error(self, command: str, exc: BaseException) -> ProtocolError:
-        """The uniform dead-worker error for every link operation.
-
-        A worker that died (OOM-kill, segfault) surfaces as ``EOFError`` /
-        ``OSError`` here (``TransportError`` from an injected fault) instead
-        of blocking forever: the pipe's child end is closed in the parent at
-        spawn time, so the pipe hits EOF.
-        """
-        return ProtocolError(
-            f"worker process (pid {self.process.pid}) died mid-"
-            f"{command}: {exc!r}"
-        )
-
-    def request(self, command: str, payload):
-        """One command/reply round-trip (under the pool lock, as :meth:`post`)."""
-        self.post(command, payload)
-        return self.collect(command)
-
-    def post(self, command: str, payload) -> None:
-        """Send without waiting for the reply (pair with :meth:`collect`).
-
-        Only valid under the pool lock, when nothing else can interleave
-        on this link -- supersteps and broadcasts use it to overlap all
-        workers' work instead of round-tripping one worker at a time.  A
-        broken link marks the worker dead.
-        """
-        try:
-            with self.lock:
-                self.link.send((command, payload))
-        except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
-            self.dead = True
-            raise self._link_error(command, exc) from exc
-        self.owed = True
-
-    def collect(self, command: str):
-        """Receive the reply to an earlier :meth:`post`; a broken link or a
-        worker that lost track of the protocol marks the worker dead."""
-        self.owed = False
-        try:
-            with self.lock:
-                status, reply = self.link.recv()
-        except (EOFError, BrokenPipeError, TransportError, OSError) as exc:
-            self.dead = True
-            raise self._link_error(command, exc) from exc
-        if status == "err":
-            self.dead = isinstance(reply, ProtocolError) or self.dead
-            raise reply if isinstance(reply, BaseException) else ProtocolError(str(reply))
-        return reply
-
-
 class ConcurrentSessionServer:
     """Thread/sharded front-end serving one resident session concurrently.
 
@@ -463,14 +388,6 @@ class ConcurrentSessionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve"
         )
-        #: sharded backend: worker pool keyed by ring slot, serialized by a
-        #: reentrant pool lock (ring state, respawns, and distributed runs)
-        self._pool_lock = threading.RLock()
-        self._fault_plan = fault_plan
-        self._respawn_policy = respawn if respawn is not None else RetryPolicy()
-        self._shards: Optional[List[_ShardHandle]] = None
-        self._ring: Optional[HashRing] = None
-        self._respawns = 0
         self._rebalances = 0
         #: standing queries: sub_id -> (delta callback, pin on the cache
         #: entry).  Their lock is only ever taken second, inside a gate hold
@@ -479,52 +396,14 @@ class ConcurrentSessionServer:
         self._sub_lock = threading.Lock()
         self._subs: Dict[int, Tuple[Callable[[int, int, Tuple, Tuple], None], Pin]] = {}
         self._next_sub_id = 1
+        self._pool: Optional[ShardPool] = None
         if backend == "sharded":
-            self._ring, self._shards = self._spawn_shards()
-            self._session._evaluate = self._evaluate_on_shards
+            self._pool = ShardPool(self._session, n_workers, fault_plan, respawn)
+            self._session._evaluate = self._pool.evaluate
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn_shards(self) -> Tuple[HashRing, List["_ShardHandle"]]:
-        """Build the ring and start one fragment-owning worker per slot.
-
-        Each worker ships out with only its owned fragments (plus the
-        shared watcher tables) -- never the base graph -- so per-worker
-        memory scales with ``|F|/n`` (held as exact ``resident_size`` counts
-        by ``tests/session/test_sharding.py``; measured as
-        ``runtime.worker_rss_mb_max`` by the serving benchmark).  Slots
-        start one at a time through :meth:`_start_worker`, the respawn
-        path; if one fails, the workers already started are terminated.
-        """
-        self._session.warm()
-        ring = HashRing(
-            tuple(range(self.n_workers)),
-            tuple(frag.fid for frag in self._session.fragmentation),
-        )
-        handles: List[_ShardHandle] = []
-        try:
-            for slot in ring.workers:
-                handles.append(self._start_worker(slot, ring.fragments_of(slot)))
-        except BaseException:
-            for handle in handles:
-                self._close_link(handle)
-                handle.process.terminate()
-            raise
-        return ring, handles
-
-    def _start_worker(self, slot, fids) -> "_ShardHandle":
-        """Spawn and probe (:func:`~repro.runtime.mp.respawn_worker`) one
-        worker for ``slot`` holding ``fids`` of the current fragmentation."""
-        from repro.runtime.mp import _shard_worker, respawn_worker
-
-        shard = self._session.fragmentation.extract_shard(fids)
-        init = (shard, self._session.deps)
-        proc, link = respawn_worker(_shard_worker, init, self._respawn_policy)
-        if self._fault_plan is not None:
-            link = self._fault_plan.wrap(slot, link, on_kill=proc.terminate)
-        return _ShardHandle(proc, link, slot)
-
     def close(self) -> None:
         """Drain in-flight work and shut both pools down (idempotent).
 
@@ -539,21 +418,11 @@ class ConcurrentSessionServer:
         # broadcast and no read computes on the pool (bounded: a wedged
         # batch must not make close() hang forever).
         held = self._gate.step(_GateState.drained, timeout=30.0) is not None
-        if self._shards is not None:
+        if self._pool is not None:
             self._session._evaluate = self._session._evaluate_here
+            self._pool.close()
         if held:
             self._gate.step(_GateState.write_done)
-        for handle in self._shards or ():
-            try:
-                with handle.lock:
-                    handle.link.send(("stop", None))
-            except (BrokenPipeError, TransportError, OSError):
-                pass
-        for handle in self._shards or ():
-            handle.process.join(timeout=10)
-            if handle.process.is_alive():  # pragma: no cover - defensive
-                handle.process.terminate()
-            handle.link.close()  # else the parent-side FDs live until GC
 
     def __enter__(self) -> "ConcurrentSessionServer":
         return self
@@ -643,17 +512,17 @@ class ConcurrentSessionServer:
         )
 
     # ------------------------------------------------------------------
-    # sharded backend: fragment-owning workers behind a consistent-hash ring
+    # sharded backend: the pool's view, and what a rebalance did
     # ------------------------------------------------------------------
     @property
     def ring(self) -> Optional[HashRing]:
         """The current fragment->worker assignment (sharded backend)."""
-        return self._ring
+        return self._pool.ring if self._pool is not None else None
 
     @property
     def respawns(self) -> int:
         """Workers respawned after a death (sharded backend)."""
-        return self._respawns
+        return self._pool.respawns if self._pool is not None else 0
 
     @property
     def rebalances(self) -> int:
@@ -673,206 +542,11 @@ class ConcurrentSessionServer:
 
     def shard_stats(self) -> List[dict]:
         """Per-shard-worker stats (owned fragments, resident size, peak RSS)."""
-        if self._shards is None:
+        if self._pool is None:
             raise ReproError("shard_stats requires the sharded backend")
         self._check_open()
         with self._gate.reading():
-            with self._pool_lock:
-                self._heal_pool_locked()
-                return [
-                    handle.request("stats", None)
-                    for handle in self._shards
-                    if not handle.dead
-                ]
-
-    def _evaluate_on_shards(self, key: QueryKey) -> RunResult:
-        """The session's miss while this sharded server is open: it runs on
-        the pool, taking the pool lock after the server's (see :attr:`session`)."""
-        # Queries are pure reads, so a worker death mid-run is retried from
-        # scratch after the pool heals (bounded: each retry removes or
-        # respawns at least one dead worker).
-        with self._pool_lock:
-            last: Optional[BaseException] = None
-            for _ in range(self.n_workers + 2):
-                self._heal_pool_locked()
-                try:
-                    return self._run_plan_locked(key)
-                except ProtocolError as exc:
-                    last = exc
-            raise ProtocolError(
-                f"sharded query failed after repeated pool repair: {last}"
-            ) from last
-
-    def _run_plan_locked(self, key: QueryKey) -> RunResult:
-        """One distributed run: the protocol in-process evaluation runs,
-        with every site placed on the worker that owns its fragment.
-
-        The superstep loop, the metering and the metrics are
-        :func:`~repro.core.protocol.run_protocol`'s; what is this backend's
-        own is the placement and draining the replies an aborted run left
-        owed.
-        """
-        session = self._session
-        handles = {h.slot: h for h in self._shards if not h.dead}
-        if not handles:
-            raise ProtocolError(
-                "every shard worker has died -- rebuild the server"
-            )
-        if len(handles) < len(self._shards):
-            # Marked dead by the heal pass itself (a failed install): its
-            # fragments have no live host until the next heal respawns it.
-            raise ProtocolError("a shard worker died while the pool healed")
-        placement = {
-            frag.fid: handles[self._ring.owner_of(frag.fid)]
-            for frag in session.fragmentation
-        }
-        try:
-            return run_protocol(
-                key.spec, key.query, session.fragmentation, session.config,
-                placement=placement,
-            )
-        except BaseException:
-            self._abort_outstanding(handles.values())
-            raise
-
-    @staticmethod
-    def _abort_outstanding(handles: Iterable[_ShardHandle]) -> None:
-        """Drain replies still owed after an aborted run.
-
-        Unread replies would mispair with the next command on the link;
-        collect-and-discard from every still-live worker (``q.start``
-        unconditionally resets worker query state, so no abort command is
-        needed).  A worker whose link fails here is marked dead by
-        :meth:`_ShardHandle.collect`; a worker-side error reply leaves the
-        link clean.
-        """
-        for handle in handles:
-            if not handle.dead and handle.owed:
-                try:
-                    handle.collect("abort-drain")
-                except Exception:
-                    pass
-
-    def _heal_pool_locked(self) -> None:
-        """Respawn every dead shard worker; shrink the ring on give-up.
-
-        A respawned worker receives its shard freshly extracted from the
-        parent's *current* fragmentation -- every mutation applied while it
-        was down is inherently included, so no batch is ever lost.  If the
-        bounded :class:`~repro.runtime.transport.RetryPolicy` is exhausted,
-        the slot leaves the ring and only its (migrated) fragments are
-        re-shipped to the surviving owners.
-        """
-        with self._pool_lock:
-            for handle in list(self._shards):
-                if not handle.dead and handle.process.is_alive():
-                    continue
-                handle.dead = True
-                try:
-                    fresh = self._start_worker(
-                        handle.slot, self._ring.fragments_of(handle.slot)
-                    )
-                except ProtocolError:
-                    self._evict_slot_locked(handle)
-                    continue
-                self._close_link(handle)
-                self._shards[self._shards.index(handle)] = fresh
-                self._respawns += 1
-            if not self._shards:
-                raise ProtocolError(
-                    "every shard worker has died -- rebuild the server"
-                )
-
-    def _evict_slot_locked(self, handle: _ShardHandle) -> None:
-        """Remove an unrecoverable slot; re-ship only the migrated fragments."""
-        with self._pool_lock:
-            if len(self._ring.workers) == 1:
-                self._shards.remove(handle)
-                return  # _heal_pool_locked raises "every shard worker died"
-            self._install_moves_locked(self._ring.leave(handle.slot), gone=handle)
-            self._shards.remove(handle)
-            self._close_link(handle)
-
-    @staticmethod
-    def _close_link(handle: _ShardHandle) -> None:
-        try:
-            handle.link.close()
-        except (OSError, TransportError):  # pragma: no cover
-            pass
-
-    def _broadcast_deltas_locked(self, deltas: List[MutationDelta]) -> None:
-        """Route applied deltas to owning workers (+ watchers on boundary moves).
-
-        Boundary transitions (``virtual_added``/``virtual_dropped``) patch
-        every worker's watcher tables; all other deltas only touch the
-        fragments of their source/target owners.  A worker that fails here
-        is marked dead: its replacement re-extracts from the authoritative
-        parent fragmentation at heal time, so the batch is never lost.
-        """
-        with self._pool_lock:
-            live = {h.slot: h for h in self._shards if not h.dead}
-            per_slot: dict = {}
-            for delta in deltas:
-                # A composite delta (remove_node) routes by the union of its
-                # cascade parts plus the dropped node's own fragment.
-                parts = (delta, *delta.cascade)
-                if any(p.virtual_added or p.virtual_dropped for p in parts):
-                    slots = set(live)
-                else:
-                    slots = set()
-                    for part in parts:
-                        for fid in (part.source_fid, part.target_fid):
-                            slot = self._ring.owner_of(fid)
-                            if slot in live:
-                                slots.add(slot)
-                for slot in slots:
-                    per_slot.setdefault(slot, []).append(delta)
-            self._fan_out("mutate", {live[s]: batch for s, batch in per_slot.items()})
-
-    @staticmethod
-    def _fan_out(command: str, payloads: Dict[_ShardHandle, object]) -> None:
-        """Post ``command`` to every worker at once, then collect the replies.
-
-        A worker that fails either way -- a dead link, or an in-worker
-        failure that may have diverged its shard -- is retired: its respawn
-        re-extracts the parent's (already updated) state, so nothing is lost.
-        """
-        posted: List[_ShardHandle] = []
-        for handle, payload in payloads.items():
-            try:
-                handle.post(command, payload)
-                posted.append(handle)
-            except ProtocolError:
-                pass  # post marked it dead
-        for handle in posted:
-            try:
-                handle.collect(command)
-            except Exception:
-                handle.dead = True
-
-    def _install_moves_locked(
-        self, new_ring: HashRing, gone: Optional[_ShardHandle] = None
-    ) -> int:
-        """Adopt ``new_ring``: ship each moved fragment to its gaining worker
-        and drop it from its losing one; returns how many moved.  A slot
-        without a live worker (``gone`` is leaving) picks its share up when
-        its respawn extracts from the new ring; a worker that fails the
-        install is retired the same way."""
-        moved = self._ring.moved(new_ring)
-        live = {h.slot: h for h in self._shards if h is not gone and not h.dead}
-        installs: Dict = {}
-        for fid, (losing, gaining) in moved.items():
-            frag = self._session.fragmentation[fid]
-            installs.setdefault(gaining, ({}, []))[0][fid] = frag
-            installs.setdefault(losing, ({}, []))[1].append(fid)
-        self._fan_out("install", {
-            live[slot]: (adds, sorted(drops), None)
-            for slot, (adds, drops) in sorted(installs.items(), key=lambda i: repr(i[0]))
-            if slot in live
-        })
-        with self._pool_lock:  # reentrant: every caller already holds it
-            self._ring = new_ring
-        return len(moved)
+            return self._pool.stats()
 
     # ------------------------------------------------------------------
     # online repartitioning
@@ -915,7 +589,7 @@ class ConcurrentSessionServer:
             raise ReproError(
                 f"unknown rebalance mode {mode!r} (known: repartition, place)"
             )
-        if mode == "place" and self._shards is None:
+        if mode == "place" and self._pool is None:
             raise ReproError(
                 "mode='place' moves fragments between shard workers; it "
                 "requires backend='sharded'"
@@ -931,13 +605,13 @@ class ConcurrentSessionServer:
                 traffic.pop(-1, None)
             before = partition_stats(self._session.fragmentation)
             if mode == "place":
-                moved = self._rebalance_placement_locked(traffic)
+                moved = self._pool.place(traffic)
+                self._session.stats.reset_fragment_traffic()
                 after = before
             else:
                 moved = self._rebalance_repartition_locked(traffic, seed)
                 after = partition_stats(self._session.fragmentation)
-            with self._pool_lock:
-                self._rebalances += 1
+            self._rebalances += 1
         return RebalanceOutcome(
             mode=mode,
             stamp=self._stamp,
@@ -966,27 +640,8 @@ class ConcurrentSessionServer:
         # re-extracts from, so a worker that fails below heals onto the
         # *new* partition, never the old one.
         session.swap_fragmentation(new_frag, deps=deps)
-        if self._shards is not None:
-            with self._pool_lock:
-                self._heal_pool_locked()
-                # Same ring, new contents: every owned fragment re-ships
-                # over its old copy, with the new watcher tables.
-                self._fan_out("install", {
-                    h: (
-                        {fid: new_frag[fid] for fid in self._ring.fragments_of(h.slot)},
-                        (),
-                        deps,
-                    )
-                    for h in self._shards
-                    if not h.dead
-                })
-        return moved
-
-    def _rebalance_placement_locked(self, traffic: Dict[int, int]) -> int:
-        with self._pool_lock:
-            self._heal_pool_locked()
-            moved = self._install_moves_locked(self._ring.rebalanced(traffic))
-        self._session.stats.reset_fragment_traffic()
+        if self._pool is not None:
+            self._pool.reinstall(deps)
         return moved
 
     # ------------------------------------------------------------------
@@ -1151,11 +806,11 @@ class ConcurrentSessionServer:
                     self._stamp += 1
                     outcomes.append(StampedOutcome(outcome=outcome, stamp=self._stamp))
             finally:
-                if self._shards is not None and deltas:
+                if self._pool is not None and deltas:
                     # A failed worker is marked dead and its respawn
                     # re-extracts from the parent fragmentation (which
                     # already holds this batch), so this cannot fail.
-                    self._broadcast_deltas_locked(deltas)
+                    self._pool.broadcast(deltas)
                 if outcomes and self._subs:
                     # Still inside the quiescent point: every pushed delta
                     # is stamped with the post-batch graph it describes.

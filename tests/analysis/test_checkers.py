@@ -119,21 +119,21 @@ class TestLockDiscipline:
         an unguarded write to any of it is flagged by the default checker."""
         from repro.analysis.checkers.locks import GUARDED
 
-        spec = next(s for s in GUARDED if "_shards" in s.attrs)
+        spec = next(s for s in GUARDED if "_handles" in s.attrs)
         assert {"_ring", "_respawns"} <= set(spec.attrs)
-        assert spec.locks == ("self._pool_lock",)
+        assert spec.locks == ("self._lock",)
         seeded = (
-            "class ConcurrentSessionServer:\n"
+            "class ShardPool:\n"
             "    def evict(self, handle):\n"
-            "        self._shards.remove(handle)\n"
+            "        self._handles.remove(handle)\n"
             "        self._ring = None\n"
             "        self._respawns += 1\n"
         )
         findings = check(LockDisciplineChecker(), {"m.py": seeded})
-        assert {f.detail for f in findings} == {"_shards", "_ring", "_respawns"}
+        assert {f.detail for f in findings} == {"_handles", "_ring", "_respawns"}
         clean = seeded.replace(
             "    def evict(self, handle):\n        ",
-            "    def evict(self, handle):\n        with self._pool_lock:\n            ",
+            "    def evict(self, handle):\n        with self._lock:\n            ",
         ).replace("\n        self._ring", "\n            self._ring").replace(
             "\n        self._respawns", "\n            self._respawns"
         )
@@ -160,9 +160,10 @@ class TestLockDiscipline:
         assert check(LockDisciplineChecker(), {"m.py": clean}) == []
 
     def test_production_registry_guards_the_stamp_under_both_write_acquires(self):
-        """The stamp advances under a write hold -- waiting or not: the
-        guard matches ``writing()`` whatever its arguments; a write outside
-        the gate, or under an unrelated lock, is a finding."""
+        """The stamp advances, and a rebalance counts, under a write hold --
+        waiting or not: the guard matches ``writing()`` whatever its
+        arguments; a write outside the gate, or under an unrelated lock, is
+        a finding."""
 
         def server(*body: str) -> str:
             return "class ConcurrentSessionServer:\n    def batch(self, wait):\n" + "".join(
@@ -171,12 +172,9 @@ class TestLockDiscipline:
 
         flagged = [
             server("self._stamp += 1"),
-            server("with self._pool_lock:", "    self._stamp += 1"),
+            server("with self._sub_lock:", "    self._stamp += 1"),
             server("with self._gate.reading():", "    self._stamp += 1"),
         ]
-        for src in flagged:
-            findings = check(LockDisciplineChecker(), {"m.py": src})
-            assert [f.detail for f in findings] == ["_stamp"], src
         clean = [
             server("with self._gate.writing():", "    self._stamp += 1"),
             server(
@@ -185,8 +183,12 @@ class TestLockDiscipline:
                 "        self._stamp += 1",
             ),
         ]
-        for src in clean:
-            assert check(LockDisciplineChecker(), {"m.py": src}) == [], src
+        for attr in ("_stamp", "_rebalances"):
+            for src in (s.replace("_stamp", attr) for s in flagged):
+                findings = check(LockDisciplineChecker(), {"m.py": src})
+                assert [f.detail for f in findings] == [attr], src
+            for src in (s.replace("_stamp", attr) for s in clean):
+                assert check(LockDisciplineChecker(), {"m.py": src}) == [], src
 
 
 class TestFrozenCrossing:
@@ -422,7 +424,7 @@ class TestShardCommands:
     def _full_tree(self):
         return {
             "runtime/mp.py": self.MP,
-            "session/concurrent.py": self.COORDINATOR,
+            "session/sharding.py": self.COORDINATOR,
         }
 
     def test_wired_inventory_clean(self):
@@ -445,7 +447,7 @@ class TestShardCommands:
 
     def test_missing_sender_flagged(self):
         tree = self._full_tree()
-        tree["session/concurrent.py"] = (
+        tree["session/sharding.py"] = (
             'def drive(handle):\n    handle.request("ping", None)\n'
         )
         findings = check(ShardCommandChecker(), tree)
@@ -456,7 +458,7 @@ class TestShardCommands:
     def test_superstep_engine_counts_as_a_sender(self):
         """The ``q.*`` commands are posted by the engine, not the coordinator."""
         tree = self._full_tree()
-        tree["session/concurrent.py"] = (
+        tree["session/sharding.py"] = (
             'def drive(handle):\n    handle.request("ping", None)\n'
         )
         tree["runtime/engine.py"] = 'def run(host):\n    host.post("stop", None)\n'

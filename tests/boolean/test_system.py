@@ -3,11 +3,7 @@
 import pytest
 
 from repro.boolean.expr import FALSE, TRUE, Var, conj, disj
-from repro.boolean.system import (
-    EquationBlowupError,
-    EquationSystem,
-    falsified_variables,
-)
+from repro.boolean.system import EquationBlowupError, EquationSystem
 from repro.errors import ReproError
 
 
@@ -109,8 +105,3 @@ class TestIntrospection:
         assert len(system) == 1
         assert "x" in system
         assert "y" not in system
-
-    def test_falsified_variables(self):
-        before = {"a": True, "b": True, "c": False}
-        after = {"a": False, "b": True, "c": False}
-        assert falsified_variables(before, after) == {"a"}

@@ -503,7 +503,6 @@ def test_require_numpy_without_numpy_is_one_clear_error(monkeypatch):
     _hide_numpy(monkeypatch)
     with pytest.raises(RuntimeError, match="engine='array' requires numpy"):
         ac.require_numpy()
-    assert not ac.have_numpy()
 
 
 def test_dict_engine_serves_without_numpy(monkeypatch):

@@ -137,22 +137,3 @@ class TestComponentsAndTrees:
 
     def test_empty_graph_is_not_tree(self):
         assert not algorithms.is_tree(DiGraph())
-
-
-class TestCondensationAndReachability:
-    def test_condensation_of_two_cycles(self):
-        g = DiGraph({i: "N" for i in range(6)})
-        for i in (0, 1, 2):
-            g.add_edge(i, (i + 1) % 3)
-        for i in (3, 4, 5):
-            g.add_edge(i, 3 + ((i - 3 + 1) % 3))
-        g.add_edge(0, 3)
-        dag = algorithms.condensation(g)
-        assert dag.n_nodes == 2
-        assert dag.n_edges == 1
-        assert algorithms.is_dag(dag)
-
-    def test_reachable_from(self):
-        g = chain(4)
-        assert algorithms.reachable_from(g, [1]) == {1, 2, 3}
-        assert algorithms.reachable_from(g, [0]) == {0, 1, 2, 3}

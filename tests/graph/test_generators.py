@@ -96,7 +96,7 @@ class TestRandomTree:
 
     def test_max_children_respected(self):
         t = random_tree(300, seed=3, max_children=2)
-        assert all(t.out_degree(v) <= 2 for v in t.nodes())
+        assert all(len(t.successors(v)) <= 2 for v in t.nodes())
 
     def test_edge_count(self):
         t = random_tree(50, seed=1)

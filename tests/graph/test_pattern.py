@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import PatternError
-from repro.graph.digraph import DiGraph
-from repro.graph.pattern import Pattern, pattern_from_digraph
+from repro.graph.pattern import Pattern
 
 
 class TestConstruction:
@@ -30,12 +29,6 @@ class TestConstruction:
         assert q.parents("b") == ["a"]
         assert "a" in q
         assert "z" not in q
-
-    def test_from_digraph(self):
-        g = DiGraph({"a": "A", "b": "B"}, [("a", "b")])
-        q = pattern_from_digraph(g)
-        assert q.shape == (2, 1)
-        assert q.label("a") == "A"
 
 
 class TestDagProperties:
@@ -65,12 +58,6 @@ class TestDagProperties:
     def test_diameter(self):
         q = Pattern({"a": "A", "b": "B", "c": "C"}, [("a", "b"), ("b", "c")])
         assert q.diameter() == 2
-
-    def test_as_digraph_is_copy(self):
-        q = Pattern({"a": "A"}, [])
-        g = q.as_digraph()
-        g.add_node("new", "X")
-        assert "new" not in q
 
     def test_label_alphabet(self):
         q = Pattern({"a": "A", "b": "B", "c": "A"})

@@ -50,7 +50,7 @@ class TestNetwork:
         net.send(Message(0, 1, MessageKind.VAR_UPDATE, None, 100))
         net.send(Message(0, 1, MessageKind.CONTROL, None, 16))
         assert net.data_bytes == 100
-        assert net.total_bytes == 116
+        assert sum(net.breakdown().values()) == 116
         assert net.data_message_count == 1
         assert net.breakdown() == {"var_update": 100, "control": 16}
 

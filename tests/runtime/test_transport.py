@@ -91,7 +91,7 @@ class TestResidentWorkerPool:
         graph, frag, queries = small_instance
         with ConcurrentSessionServer(frag, backend="sharded", n_workers=2) as server:
             assert server.run(queries[0], algorithm="dgpm").stamp == 0
-            victim = server._shards[0]
+            victim = server._pool._handles[0]
             victim.process.terminate()
             victim.process.join(timeout=10)
             for q in queries * 2:
@@ -101,24 +101,26 @@ class TestResidentWorkerPool:
     def test_failed_start_terminates_the_workers_already_started(
         self, transport, small_instance, monkeypatch
     ):
-        """The constructor starts each slot through respawn_worker; when a
-        later slot cannot start, the earlier workers do not outlive it."""
+        """The constructor starts every slot in one respawn_worker call; when
+        a later slot cannot start, the workers already started do not
+        outlive it."""
         graph, frag, queries = small_instance
-        started = []
+        started = _record_spawns(monkeypatch)
         probed_spawn = mp_mod.respawn_worker
 
-        def second_start_fails(target, init, policy):
-            if started:
-                raise ProtocolError("injected: start exhausted")
-            started.append(probed_spawn(target, init, policy))
-            return started[-1]
+        def second_start_fails(target, inits, policy):
+            return probed_spawn(_serve_unless_none, [inits[0], None], policy)
 
         monkeypatch.setattr(mp_mod, "respawn_worker", second_start_fails)
-        with pytest.raises(ProtocolError, match="injected"):
-            ConcurrentSessionServer(frag, backend="sharded", n_workers=2)
-        [(proc, _)] = started
-        proc.join(timeout=10)
-        assert not proc.is_alive()
+        with pytest.raises(ProtocolError, match="1 attempt"):
+            ConcurrentSessionServer(
+                frag, backend="sharded", n_workers=2,
+                respawn=RetryPolicy(attempts=1, backoff_s=0.0),
+            )
+        assert len(started) == 2
+        for proc in started:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
 
     def test_transport_is_not_a_parameter(self, small_instance):
         """One link, nothing to select: the old keyword is refused, not
@@ -157,6 +159,34 @@ def _doa_worker(link, init):
     return
 
 
+def _serve_unless_none(link, init):
+    """A shard worker, or one that dies on arrival when ``init`` is None."""
+    if init is not None:
+        _shard_worker(link, init)
+
+
+def _die_until_set(link, init):
+    """Dies on arrival until its event is set (it sets it), then serves."""
+    event, shard_init = init
+    if event.is_set():
+        _shard_worker(link, shard_init)
+    else:
+        event.set()
+
+
+def _record_spawns(monkeypatch) -> list:
+    """Every worker process started while the test runs, in start order."""
+    started = []
+
+    class Recorded(multiprocessing.Process):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    monkeypatch.setattr(mp_mod.mp, "Process", Recorded)
+    return started
+
+
 def _mute_worker(link, init):
     """A worker that stays alive without ever answering, then exits by
     itself (so a caller that waits it out leaks no process)."""
@@ -186,7 +216,7 @@ class TestRespawnPolicy:
     def test_respawn_probes_a_live_worker(self, transport, retry_policy):
         """A fresh spawn under any policy serves the probe immediately."""
         init = self._shard_init()
-        proc, link = respawn_worker(_shard_worker, init, retry_policy)
+        [(proc, link)] = respawn_worker(_shard_worker, [init], retry_policy)
         try:
             link.send(("stats", None))
             status, stats = link.recv()
@@ -200,11 +230,11 @@ class TestRespawnPolicy:
     def test_respawn_after_kill_restores_service(self, transport, retry_policy):
         """Kill -> respawn yields a worker with the same shard."""
         init = self._shard_init()
-        proc, link = respawn_worker(_shard_worker, init, retry_policy)
+        [(proc, link)] = respawn_worker(_shard_worker, [init], retry_policy)
         proc.terminate()
         proc.join(timeout=10)
         link.close()
-        proc2, link2 = respawn_worker(_shard_worker, init, retry_policy)
+        [(proc2, link2)] = respawn_worker(_shard_worker, [init], retry_policy)
         try:
             link2.send(("stats", None))
             status, stats = link2.recv()
@@ -215,6 +245,32 @@ class TestRespawnPolicy:
             proc2.join(timeout=10)
             link2.close()
 
+    def test_one_call_starts_every_slot_and_retries_only_the_failed_one(
+        self, transport, monkeypatch
+    ):
+        """Several inits start together; a slot whose first attempt dies is
+        started again on its own, and the slots that served keep their
+        first worker."""
+        init = self._shard_init()
+        healthy, flaky = multiprocessing.Event(), multiprocessing.Event()
+        healthy.set()
+        started = _record_spawns(monkeypatch)
+        policy = RetryPolicy(attempts=2, backoff_s=0.0)
+        workers = respawn_worker(
+            _die_until_set, [(healthy, init), (flaky, init)], policy
+        )
+        try:
+            assert len(started) == 3  # slot 0 once, slot 1 twice
+            assert [proc for proc, _ in workers] == [started[0], started[2]]
+            for _, link in workers:
+                link.send(("stats", None))
+                assert link.recv()[1]["fids"] == (0, 2)
+        finally:
+            for proc, link in workers:
+                link.send(("stop", None))
+                proc.join(timeout=10)
+                link.close()
+
     def test_exhausted_policy_raises_with_attempt_count(
         self, transport, retry_policy
     ):
@@ -222,7 +278,7 @@ class TestRespawnPolicy:
         at the probe."""
         init = self._shard_init()
         with pytest.raises(ProtocolError, match=f"{retry_policy.attempts} attempt"):
-            respawn_worker(_doa_worker, init, retry_policy)
+            respawn_worker(_doa_worker, [init], retry_policy)
 
     def test_silent_worker_fails_the_probe_instead_of_hanging(
         self, transport, retry_policy, monkeypatch
@@ -236,7 +292,7 @@ class TestRespawnPolicy:
 
         def start():
             try:
-                respawn_worker(_mute_worker, init, retry_policy)
+                respawn_worker(_mute_worker, [init], retry_policy)
             except Exception as exc:
                 raised.append(exc)
 
@@ -247,6 +303,23 @@ class TestRespawnPolicy:
         [exc] = raised
         assert isinstance(exc, ProtocolError)
         assert f"{retry_policy.attempts} attempt" in str(exc)
+
+    def test_silent_workers_share_one_probe_deadline(self, transport, monkeypatch):
+        """Every worker of a call is spawned before any probe is awaited, so
+        four silent ones cost one PROBE_TIMEOUT, not four, and none of them
+        outlives the failed call."""
+        monkeypatch.setattr(mp_mod, "PROBE_TIMEOUT", 1.0, raising=False)
+        started = _record_spawns(monkeypatch)
+        begin = time.monotonic()
+        with pytest.raises(ProtocolError, match="1 attempt"):
+            respawn_worker(
+                _mute_worker, [self._shard_init()] * 4, RETRY_POLICIES["single-shot"]
+            )
+        assert time.monotonic() - begin < 2.5
+        assert len(started) == 4
+        for proc in started:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
 
     def test_delays_grow_and_cap(self):
         policy = RetryPolicy(
@@ -273,9 +346,9 @@ class TestShardCommands:
         graph = web_graph(40, 120, n_labels=3, seed=9)
         frag = partition(graph, 4, seed=9)
         deps = DependencyGraphs(frag)
-        proc, link = respawn_worker(
+        [(proc, link)] = respawn_worker(
             _shard_worker,
-            (frag.extract_shard((0, 2)), deps),
+            [(frag.extract_shard((0, 2)), deps)],
             RETRY_POLICIES["single-shot"],
         )
 

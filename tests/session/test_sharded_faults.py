@@ -202,7 +202,7 @@ def test_exhausted_respawn_evicts_slot_and_reships_migrated(
     ) as server:
         assert server.run(query, algorithm="dgpm").relation == oracle
         old_ring = server.ring
-        victim = server._shards[0]
+        victim = server._pool._handles[0]
         victim.process.terminate()
         victim.process.join(timeout=10)
         monkeypatch.setattr(mp_mod, "respawn_worker", never_spawns)
@@ -233,7 +233,7 @@ def test_all_workers_dead_raises_instead_of_hanging(monkeypatch, rng_seed):
         respawn=RetryPolicy(attempts=1, backoff_s=0.0),
         cache_size=0,
     ) as server:
-        for handle in list(server._shards):
+        for handle in list(server._pool._handles):
             handle.process.terminate()
             handle.process.join(timeout=10)
         monkeypatch.setattr(mp_mod, "respawn_worker", never_spawns)
@@ -250,7 +250,7 @@ def test_plain_worker_kill_respawns_without_a_fault_plan(rng_seed):
         frag, backend="sharded", n_workers=3, cache_size=0
     ) as server:
         assert server.run(query, algorithm="dgpm").relation == oracle
-        victim = server._shards[1]
+        victim = server._pool._handles[1]
         victim.process.terminate()
         victim.process.join(timeout=10)
         assert server.run(query, algorithm="dgpm").relation == oracle

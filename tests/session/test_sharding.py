@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.bench.workloads import cyclic_pattern, dag_pattern, tree_pattern
 from repro.core.dispatch import ALGORITHMS
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.graph.mutations import DeleteEdge, InsertEdge
 from repro.session.session import SimulationSession
 from repro.session.sharding import HashRing
@@ -289,7 +289,7 @@ def test_a_cached_query_outlives_a_dead_worker_and_close(rng_seed):
     with server:
         first = server.run(cached, algorithm="dgpm")
         assert first.relation == simulation(cached, graph)
-        victim = server._shards[0]
+        victim = server._pool._handles[0]
         victim.process.terminate()
         victim.process.join(timeout=10)
         hit = server.run(cached, algorithm="dgpm")
@@ -380,6 +380,32 @@ def test_close_never_fails_an_applied_mutation():
     assert server.stamp == len(outcomes)
 
 
+def test_close_does_not_wait_on_a_wedged_worker_link():
+    """A run wedged on a worker's link (its lock held, never released)
+    cannot hold up close(): that worker is killed instead of sent
+    ``stop``, and no worker outlives close().  The run's retry then finds
+    the pool closed instead of starting workers nobody will stop."""
+    graph = web_graph(40, 120, seed=5)
+    server = ConcurrentSessionServer(
+        hash_partition(graph, 4), backend="sharded", n_workers=2
+    )
+    pool = server._pool
+    _, key = server.session.lookup(cyclic_pattern(graph, 3, 4, seed=5), "dgpm")
+    handles = list(pool._handles)
+    assert handles[0].lock.acquire(timeout=10)
+    closer = threading.Thread(target=server.close)
+    closer.start()
+    closer.join(timeout=20)
+    wedged = closer.is_alive()
+    handles[0].lock.release()
+    closer.join(timeout=20)
+    assert not wedged, "close() waited on a held worker link"
+    assert not any(h.process.is_alive() for h in handles)
+    with pytest.raises(ProtocolError, match="pool is closed"):
+        pool.evaluate(key)
+    assert pool._handles == handles and pool.respawns == 0
+
+
 # ----------------------------------------------------------------------
 # argument validation
 # ----------------------------------------------------------------------
@@ -439,7 +465,7 @@ def test_workers_hold_their_owned_fragments_and_not_the_graph():
 @pytest.fixture
 def q_starts(monkeypatch):
     """The slot of every ``q.start`` the coordinator posts to a worker."""
-    from repro.session.concurrent import _ShardHandle
+    from repro.session.sharding import _ShardHandle
 
     slots = []
     post = _ShardHandle.post

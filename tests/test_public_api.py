@@ -88,6 +88,24 @@ class TestExports:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_thread_server_does_not_load_multiprocessing(self):
+        """The shard pool imports ``repro.runtime.mp`` only when it starts a
+        worker: a thread-backend server, built and closed over the whole
+        library, leaves the process machinery (and its memory) out."""
+        script = (
+            "import sys, repro, repro.net, repro.bench.workloads\n"
+            "graph = repro.web_graph(40, 120, seed=1)\n"
+            "with repro.ConcurrentSessionServer(repro.partition(graph, 2, seed=1)) as s:\n"
+            "    s.run(repro.bench.workloads.cyclic_pattern(graph, 2, 2, seed=1))\n"
+            "print(sorted(m for m in ('multiprocessing', 'repro.runtime.mp') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
