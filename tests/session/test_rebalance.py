@@ -94,6 +94,28 @@ def test_rebalance_improves_cut_and_boundary():
         assert snap.total_boundary == outcome.boundary_after
 
 
+def test_thread_rebalance_never_reaches_a_shard_pool(monkeypatch):
+    """A thread server holds no shard pool: nothing of ``ShardPool`` is
+    built or called while it serves, rebalances and closes, yet the
+    rebalance is counted and the answers stay exact."""
+    from repro.session import sharding
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread server reached the shard pool")
+
+    for name in ("__init__", "evaluate", "reinstall", "place", "stats", "close"):
+        monkeypatch.setattr(sharding.ShardPool, name, refuse)
+    graph, frag, queries = _instance()
+    with ConcurrentSessionServer(frag, backend="thread", n_workers=2) as server:
+        assert server.ring is None and server.respawns == 0
+        outcome = server.rebalance(seed=3)
+        assert outcome.mode == "repartition" and server.rebalances == 1
+        for query in queries:
+            assert server.run(query, algorithm="dgpm").relation == simulation(
+                query, graph
+            )
+
+
 def test_place_mode_requires_sharded_backend():
     _, frag, _ = _instance()
     with ConcurrentSessionServer(frag, backend="thread") as server:
