@@ -16,10 +16,8 @@ demands, for every member:
   the safe codec's ``FRAME_STRUCTS`` dict: the codec is the only body
   encoding, so a frame class missing there cannot be sent at all.
 
-One kind has its arms elsewhere (:data:`FRAMER_KINDS`): ``RESULT_CHUNK`` is
-produced and consumed by the framer itself -- ``Connection`` in the protocol
-module slices and reassembles -- so that module must reference it outside
-the decode table.
+Every kind travels between server and client: the framer sends and receives
+each frame as it is, so no kind has its arms anywhere else.
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ SERVER_MODULE = "net/server.py"
 CLIENT_MODULE = "net/client.py"
 CODEC_MODULE = "net/codec.py"
 
-#: kinds whose arms live in the protocol module (the framer) rather than in
-#: server + client
-FRAMER_KINDS: Tuple[str, ...] = ("RESULT_CHUNK",)
 RULE = "protocol-exhaustive"
 
 
@@ -45,7 +40,7 @@ class ProtocolExhaustivenessChecker:
     rule = RULE
     description = (
         "every FrameKind member has a FRAME_CLASSES entry, server and "
-        "client arms, and a codec registration (RESULT_CHUNK: the framer's)"
+        "client arms, and a codec registration"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -59,7 +54,7 @@ class ProtocolExhaustivenessChecker:
                 f"no FrameKind enum found in {PROTOCOL_MODULE}",
             )
             return
-        frame_classes, table = _frame_class_map(protocol)
+        frame_classes = _frame_class_map(protocol)
         codec = project.module(CODEC_MODULE)
         codec_structs = (
             None if codec is None else _dict_string_keys(codec, "FRAME_STRUCTS")
@@ -73,25 +68,16 @@ class ProtocolExhaustivenessChecker:
                     f"FrameKind.{kind} has no FRAME_CLASSES entry: the codec "
                     "cannot decode it",
                 )
-            if kind in FRAMER_KINDS:
-                if kind not in _arms(protocol, frame_classes, table):
+            for module, what in (
+                (SERVER_MODULE, "the server has no dispatch arm for it"),
+                (CLIENT_MODULE, "no client sends or handles it"),
+            ):
+                if kind not in _arms(project.module(module), frame_classes):
                     yield _finding(
                         protocol, node, kind,
-                        f"FrameKind.{kind} has its arms in {PROTOCOL_MODULE} "
-                        "rather than server + client, but that module never "
-                        "references it outside FRAME_CLASSES",
+                        f"neither FrameKind.{kind} nor its frame class is "
+                        f"referenced in {module}: {what}",
                     )
-            else:
-                for module, what in (
-                    (SERVER_MODULE, "the server has no dispatch arm for it"),
-                    (CLIENT_MODULE, "no client sends or handles it"),
-                ):
-                    if kind not in _arms(project.module(module), frame_classes):
-                        yield _finding(
-                            protocol, node, kind,
-                            f"neither FrameKind.{kind} nor its frame class is "
-                            f"referenced in {module}: {what}",
-                        )
             if (
                 codec_structs is not None
                 and frame_cls is not None
@@ -233,19 +219,18 @@ def _enum_members(
     return []
 
 
-def _frame_class_map(module: ParsedModule) -> Tuple[Dict[str, str], Optional[ast.AST]]:
+def _frame_class_map(module: ParsedModule) -> Dict[str, str]:
     """``FrameKind member -> frame class name`` from the ``FRAME_CLASSES``
-    dict literal (entries whose value is not a plain name map to ``""``),
-    and the assignment node itself."""
+    dict literal (entries whose value is not a plain name map to ``""``)."""
     node = _assignment(module, "FRAME_CLASSES")
     if node is None or not isinstance(node.value, ast.Dict):
-        return {}, None
+        return {}
     return {
         kind: value.id if isinstance(value, ast.Name) else ""
         for key, value in zip(node.value.keys, node.value.values)
         if key is not None
         for kind in _kinds_in(key)
-    }, node
+    }
 
 
 def _dict_string_keys(module: ParsedModule, name: str) -> Set[str]:
@@ -267,22 +252,14 @@ def _kinds_in(tree: ast.AST) -> Set[str]:
     }
 
 
-def _arms(
-    module: Optional[ParsedModule],
-    frame_classes: Dict[str, str],
-    skip: Optional[ast.AST] = None,
-) -> Set[str]:
+def _arms(module: Optional[ParsedModule], frame_classes: Dict[str, str]) -> Set[str]:
     """The kinds ``module`` has an arm for: ``FrameKind.<X>`` reads, plus the
-    kinds whose frame class it names (``RunReply`` / ``protocol.RunReply``);
-    nothing under ``skip`` (the decode table, in its own module) counts."""
+    kinds whose frame class it names (``RunReply`` / ``protocol.RunReply``)."""
     if module is None:
         return set()
-    skipped = set() if skip is None else {id(sub) for sub in ast.walk(skip)}
     arms: Set[str] = set()
     by_class = {cls: kind for kind, cls in frame_classes.items() if cls}
     for node in module.walk():
-        if id(node) in skipped:
-            continue
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):

@@ -108,7 +108,7 @@ class FrameSocket:
         self.sock.sendall(self.conn.send(frame, seq))
 
     def recv(self) -> Event:
-        """The next logical frame; :class:`EOFError` once the peer has closed."""
+        """The next frame; :class:`EOFError` once the peer has closed."""
         while not self._events:
             self._events.extend(self.conn.receive(self.sock.recv(READ_SIZE)))
         return self._events.popleft()
@@ -159,11 +159,11 @@ class _ClientCore:
         """Send ``frame``; return/resolve to ``then(reply)`` (subclass hook)."""
         raise NotImplementedError
 
-    def hello(self, role: str = "client", token: bytes = b"") -> Any:
+    def hello(self, role: str = "client") -> Any:
         """Identity/liveness probe: returns/resolves to the server's
         :class:`~repro.net.protocol.Hello`.  Optional -- every request
         works on a connection that never said it."""
-        return self._req(protocol.Hello(role=role, token=token), FrameKind.HELLO)
+        return self._req(protocol.Hello(role=role), FrameKind.HELLO)
 
     def run(self, query: Pattern, algorithm: str = "auto") -> Any:
         """Evaluate one query under the server's config; returns/resolves to
@@ -237,7 +237,7 @@ class SessionClient(_ClientCore):
         if self._reconnect is None:  # pragma: no cover - guarded by _broken
             raise TransportError("the client is closed")
         last: Optional[BaseException] = None
-        for delay in self._reconnect.delays():
+        for tried, delay in enumerate(self._reconnect.delays(), 1):
             try:
                 self._link = _dial(
                     self._host, self._port, self._timeout, self._max_frame
@@ -245,7 +245,8 @@ class SessionClient(_ClientCore):
                 return self._link
             except TransportError as exc:
                 last = exc
-                time.sleep(delay)
+                if tried < self._reconnect.attempts:
+                    time.sleep(delay)
         raise TransportError(
             f"reconnect to {self._host}:{self._port} failed after "
             f"{self._reconnect.attempts} attempts: {last}"

@@ -89,6 +89,8 @@ MAX_DEPTH = 64
 
 #: protocol frame classes (net/protocol.py) -> struct id.  Every FrameKind's
 #: body class must appear here; the protocol-exhaustive checker enforces it.
+#: Id 14 (a chunked reply's slice) is retired, never reused: every reply is
+#: one frame, and a body naming it is refused
 FRAME_STRUCTS: Dict[str, int] = {
     "Hello": 1,
     "RunRequest": 2,
@@ -103,7 +105,6 @@ FRAME_STRUCTS: Dict[str, int] = {
     "SubscribeReply": 11,
     "UnsubscribeRequest": 12,
     "PushDelta": 13,
-    "ResultChunk": 14,
 }
 
 #: payload types carried inside frames -> struct id.  Ids 35 and 36 (a

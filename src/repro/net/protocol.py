@@ -24,7 +24,7 @@ objects; nothing on the wire path pickles (the ``pickle-confined`` analyzer
 rule holds the line).
 
 :class:`Connection` is the one definition of "a message on a socket".  It is
-sans-IO: bytes in -> complete logical frames out (:meth:`Connection.receive`),
+sans-IO: bytes in -> complete frames out (:meth:`Connection.receive`),
 typed frames in -> bytes out (:meth:`Connection.send`); no sockets, no
 asyncio, no threads.  The blocking client, the asyncio client and the
 ingress are three thin drivers over it.  Its contract:
@@ -33,15 +33,17 @@ ingress are three thin drivers over it.  Its contract:
   :class:`~repro.errors.WireFormatError` for anything a peer can put in the
   bytes -- bad magic/version/reserved bits, an unknown kind or an oversized
   declared length (both checked on the header, *before* the body is
-  touched), an undecodable or mistyped body, a ``RESULT_CHUNK`` slice out of
-  order or nested in another -- plus :class:`EOFError` /
+  touched), an undecodable or mistyped body -- plus :class:`EOFError` /
   :class:`~repro.errors.TransportError` when handed ``b""`` (the peer closed
   between frames / mid-frame).  After it raises, the stream cannot be
   resynchronized: drop the socket.  A call is all-or-nothing: frames the
   same read completed *before* the malformed one are not delivered either.
 * it buffers at most one unfinished frame (``HEADER_SIZE + max_frame``
-  bytes) and one unfinished chunked reply (the same bound again), whatever
-  the peer declares.
+  bytes), whatever the peer declares.
+
+Every reply and ``PUSH`` is one frame of at most ``max_frame`` body bytes;
+a reply that would be larger is refused at encode (the ingress answers it
+with an ``ERROR`` instead).
 
 The encode -> decode round-trip is the identity for every frame type
 (property-tested in ``tests/net/test_protocol.py`` and
@@ -88,7 +90,7 @@ HEADER_SIZE = _HEADER.size
 class FrameKind(enum.IntEnum):
     """Discriminant of every frame on the wire."""
 
-    HELLO = 1  # either side announces itself (role + optional token)
+    HELLO = 1  # either side announces itself (its role)
     RUN = 2  # client -> server: evaluate one query
     MUTATE = 3  # client -> server: apply one mutation batch
     STATS = 4  # client -> server: serving counters snapshot
@@ -101,7 +103,6 @@ class FrameKind(enum.IntEnum):
     UNSUBSCRIBE = 12  # client -> server: cancel a standing query
     PUSH = 13  # server -> client: stamped match delta for a subscription
     SUBSCRIBED = 14  # server -> client: subscription ack (initial snapshot)
-    RESULT_CHUNK = 15  # server -> client: one slice of a chunked reply
 
 
 def _require(field: str, value: Any, expected: type) -> None:
@@ -117,18 +118,14 @@ class Hello:
     """Connection opener: who is speaking.
 
     An optional identity/liveness probe: the server answers with its own
-    ``Hello``.  ``versions`` announces every protocol version the sender can
-    speak; ``token`` is opaque bytes a peer may attach (the server does not
-    read it).  A ``role`` or ``token`` of another type is refused at decode.
+    ``Hello``.  The version the sender speaks is the frame header's; a
+    ``role`` of another type is refused at decode.
     """
 
     role: str
-    token: bytes = b""
-    versions: Tuple[int, ...] = (PROTOCOL_VERSION,)
 
     def __post_init__(self) -> None:
         _require("Hello.role", self.role, str)
-        _require("Hello.token", self.token, bytes)
 
 
 @dataclass(frozen=True)
@@ -338,28 +335,6 @@ class PushDelta:
     lapsed: bool = False
 
 
-@dataclass(frozen=True)
-class ResultChunk:
-    """One slice of a chunked reply.
-
-    A reply whose encoded size exceeds the sender's chunk size is sent as
-    ``total`` consecutive ``RESULT_CHUNK`` frames sharing the request's
-    ``seq``, in ``index`` order; concatenating the payloads yields one
-    complete encoded frame (header included), which the receiver decodes as
-    the real reply.  Chunking keeps every wire frame small, so one huge
-    relation cannot monopolize a pipelined connection.
-    """
-
-    index: int
-    total: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        _require("ResultChunk.index", self.index, int)
-        _require("ResultChunk.total", self.total, int)
-        _require("ResultChunk.payload", self.payload, bytes)
-
-
 FRAME_CLASSES = {
     FrameKind.HELLO: Hello,
     FrameKind.RUN: RunRequest,
@@ -374,12 +349,11 @@ FRAME_CLASSES = {
     FrameKind.UNSUBSCRIBE: UnsubscribeRequest,
     FrameKind.PUSH: PushDelta,
     FrameKind.SUBSCRIBED: SubscribeReply,
-    FrameKind.RESULT_CHUNK: ResultChunk,
 }
 #: what travels as what
 _KIND_OF = {cls: kind for kind, cls in FRAME_CLASSES.items()}
 
-#: one received logical frame: ``(kind, seq, payload)``
+#: one received frame: ``(kind, seq, payload)``
 Event = Tuple[FrameKind, int, Any]
 
 
@@ -468,24 +442,12 @@ def decode(data: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> Tuple[Any, int]:
 # the framer
 # ----------------------------------------------------------------------
 class Connection:
-    """Sans-IO state of one socket: see the module docstring for the contract.
+    """Sans-IO state of one socket: see the module docstring for the contract."""
 
-    ``chunk_size``, when set, makes :meth:`send` slice any larger frame into
-    ``RESULT_CHUNK`` frames (only the ingress sets it).
-    """
-
-    def __init__(
-        self, max_frame: int = DEFAULT_MAX_FRAME, chunk_size: Optional[int] = None
-    ) -> None:
+    def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self._max_frame = max_frame
-        self._chunk_size = chunk_size
         self._seq = 0
         self._buf = bytearray()
-        #: the chunked reply being reassembled and the ``(seq, total, index)``
-        #: its next slice must carry; the sender writes one reply's slices as
-        #: a unit, so there is at most one and its slices are consecutive
-        self._chunks = bytearray()
-        self._due: Optional[Tuple[int, int, int]] = None
 
     @property
     def buffered(self) -> int:
@@ -499,30 +461,16 @@ class Connection:
 
     def send(self, frame: Any, seq: int = 0) -> bytes:
         """The bytes that carry ``frame`` under ``seq``."""
-        data = encode(frame, seq, self._max_frame)
-        size = self._chunk_size
-        if size is None or len(data) <= size:
-            return data
-        # The complete encoded frame (header included), sliced; the caller
-        # writes the slices as one unit so nothing interleaves with them.
-        total = -(-len(data) // size)
-        return b"".join(
-            encode(
-                ResultChunk(index, total, data[index * size : (index + 1) * size]),
-                seq,
-                self._max_frame,
-            )
-            for index in range(total)
-        )
+        return encode(frame, seq, self._max_frame)
 
     def receive(self, data: bytes) -> List[Event]:
-        """Feed what one read returned; the logical frames it completed.
+        """Feed what one read returned; the frames it completed.
 
         ``b""`` means the peer closed: :class:`EOFError` between frames,
         :class:`TransportError` mid-frame.
         """
         if not data:
-            if self._buf or self._due is not None:
+            if self._buf:
                 raise TransportError(
                     f"peer closed mid-frame ({len(self._buf)} bytes of an "
                     "unfinished frame read)"
@@ -542,48 +490,9 @@ class Connection:
                     break
                 payload = _decode_body(kind, bytes(view[pos + HEADER_SIZE : end]))
                 pos = end
-                if kind is FrameKind.RESULT_CHUNK or self._due is not None:
-                    event = self._reassemble(kind, seq, payload)
-                    if event is not None:
-                        events.append(event)
-                else:
-                    events.append((kind, seq, payload))
+                events.append((kind, seq, payload))
         if src is self._buf:
             del self._buf[:pos]
         elif pos < size:
             self._buf += data[pos:]
         return events
-
-    def _reassemble(self, kind: FrameKind, seq: int, chunk: Any) -> Optional[Event]:
-        """Fold one frame into the chunked reply in progress."""
-        if kind is not FrameKind.RESULT_CHUNK:
-            raise WireFormatError(
-                f"a {kind.name} frame interleaved inside a chunked reply"
-            )
-        due = self._due or (seq, chunk.total, 0)
-        if (seq, chunk.total, chunk.index) != due or chunk.total < 1:
-            raise WireFormatError(
-                f"chunk {chunk.index}/{chunk.total} (seq {seq}) where "
-                f"{due[2]}/{due[1]} (seq {due[0]}) was due"
-            )
-        if len(self._chunks) + len(chunk.payload) > HEADER_SIZE + self._max_frame:
-            raise WireFormatError(
-                f"chunked reply exceeds {HEADER_SIZE + self._max_frame} bytes"
-            )
-        self._chunks += chunk.payload
-        if chunk.index + 1 < chunk.total:
-            self._due = (seq, chunk.total, chunk.index + 1)
-            return None
-        data, self._chunks, self._due = bytes(self._chunks), bytearray(), None
-        if (
-            len(data) >= HEADER_SIZE
-            and _header_at(data, 0, self._max_frame)[0] is FrameKind.RESULT_CHUNK
-        ):
-            raise WireFormatError("a RESULT_CHUNK frame nested inside a chunked reply")
-        inner, inner_seq = decode(data, self._max_frame)
-        if inner_seq != seq:
-            raise WireFormatError(
-                f"chunked reply reassembled with seq {inner_seq} "
-                f"(its slices carried {seq})"
-            )
-        return kind_of(inner), seq, inner

@@ -62,8 +62,10 @@ task into ``PUSH`` frames that share the ``SUBSCRIBE`` frame's ``seq``
 A subscriber that falls further behind than its declared buffer is
 *lapsed*: dropped from the registry, with one final
 ``PushDelta(lapsed=True)``.  Closing the connection unsubscribes everything
-it registered.  Replies whose encoded size exceeds
-:data:`CHUNK_SIZE` travel as consecutive ``RESULT_CHUNK`` slices.
+it registered.
+
+Every reply and ``PUSH`` is one frame, written whole; a reply that would
+exceed ``max_frame`` is answered with an ``ERROR`` on its ``seq`` instead.
 
 Graceful shutdown: :meth:`aclose` stops accepting, lets every in-flight
 request finish and flush its reply (bounded by :data:`DRAIN_TIMEOUT`), then
@@ -92,7 +94,8 @@ from repro.net.protocol import (
 )
 from repro.session.concurrent import ConcurrentSessionServer
 
-#: replies whose encoded frame exceeds this are sliced into RESULT_CHUNK frames
+#: nothing slices replies; ``benchmarks/serving``'s codec probe still reads
+#: this name (``net.chunked_replies`` counts replies larger than it)
 CHUNK_SIZE = 512 * 1024
 
 #: requests one connection may have in flight; a frame past it is refused
@@ -239,14 +242,12 @@ class NetworkSessionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
-        conn = Connection(max_frame=self._max_frame, chunk_size=CHUNK_SIZE)
+        conn = Connection(max_frame=self._max_frame)
         write_lock = asyncio.Lock()  # replies from parallel tasks interleave
         inflight: Set[asyncio.Task] = set()
         subs: Dict[int, _SubState] = {}
 
         async def reply(seq: int, frame: object) -> None:
-            # One write per reply: the slices of a chunked reply leave as a
-            # unit, so they never interleave with other replies.
             data = conn.send(frame, seq)
             async with write_lock:
                 writer.write(data)

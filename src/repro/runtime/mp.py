@@ -207,7 +207,7 @@ def respawn_worker(
     spawned: List[Tuple[mp.Process, Connection]] = []
     last: Optional[BaseException] = None
     try:
-        for delay in policy.delays():
+        for tried, delay in enumerate(policy.delays(), 1):
             attempt = {}
             for i, init in enumerate(inits):
                 if i in started:
@@ -244,7 +244,8 @@ def respawn_worker(
                     last = exc
             if len(started) == len(inits):
                 return [started[i] for i in range(len(inits))]
-            time.sleep(delay)
+            if tried < policy.attempts:
+                time.sleep(delay)
     finally:
         if len(started) < len(inits):
             for proc, link in spawned:

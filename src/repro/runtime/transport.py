@@ -38,7 +38,8 @@ class RetryPolicy:
     with it, and the sharded worker pool respawns dead workers with it
     (``repro.runtime.mp.respawn_worker``).  ``attempts`` bounds the
     number of tries; :meth:`delays` yields the pause *after* each failed
-    try, growing by ``multiplier`` up to ``max_backoff_s``.
+    try, growing by ``multiplier`` up to ``max_backoff_s`` (a caller skips
+    the last one: no try follows it).
     """
 
     attempts: int = 3

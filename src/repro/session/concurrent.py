@@ -118,6 +118,10 @@ MAX_SUBSCRIPTIONS = 1024
 #: in the session, so an inline batch holds that thread ~5 ms at most
 INLINE_MAX_OPS = 16
 
+#: seconds :meth:`ConcurrentSessionServer.close` waits for running work to
+#: finish before it stops the shard workers regardless
+CLOSE_DRAIN_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class StampedResult:
@@ -407,22 +411,25 @@ class ConcurrentSessionServer:
     def close(self) -> None:
         """Drain in-flight work and shut both pools down (idempotent).
 
-        New work is refused the moment the flag flips; queries already in
-        the executor and batches already admitted finish first, so no
-        batch's worker broadcast races the worker shutdown.
+        New work is refused the moment the flag flips; queries computing and
+        batches already admitted get :data:`CLOSE_DRAIN_TIMEOUT` to finish,
+        so no batch's worker broadcast races the worker shutdown.  A query
+        wedged on a worker past it fails when the pool kills that worker;
+        a query still queued then computes in process.
         """
         if not self._gate.step(_GateState.close):
             return
-        self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=False)
         # The last write hold: every admitted batch has finished its worker
         # broadcast and no read computes on the pool (bounded: a wedged
-        # batch must not make close() hang forever).
-        held = self._gate.step(_GateState.drained, timeout=30.0) is not None
+        # batch or miss must not make close() hang forever).
+        held = self._gate.step(_GateState.drained, timeout=CLOSE_DRAIN_TIMEOUT)
         if self._pool is not None:
             self._session._evaluate = self._session._evaluate_here
             self._pool.close()
-        if held:
+        if held is not None:
             self._gate.step(_GateState.write_done)
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "ConcurrentSessionServer":
         return self

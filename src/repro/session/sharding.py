@@ -365,7 +365,8 @@ class ShardPool:
         for handle in self._handles:
             handle.process.join(timeout=10)
             if handle.process.is_alive():  # pragma: no cover - defensive
-                handle.process.terminate()
+                handle.process.kill()  # SIGTERM waits out a stopped worker
+                handle.process.join()
             handle.link.close()  # else the parent-side FDs live until GC
 
     def evaluate(self, key: "QueryKey") -> "RunResult":

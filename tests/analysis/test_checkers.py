@@ -352,24 +352,6 @@ class TestProtocolExhaustiveness:
         )
         assert check(ProtocolExhaustivenessChecker(), tree) == []
 
-    def test_framer_owned_kind_needs_a_use_outside_the_decode_table(self):
-        tree = self._full_tree()
-        tree["net/protocol.py"] = (
-            self.PROTOCOL.replace("    RUN = 2\n", "    RUN = 2\n    RESULT_CHUNK = 4\n")
-            .replace("class Hello:", "class ResultChunk:\n    pass\nclass Hello:")
-            .replace(
-                "    FrameKind.RUN: RunRequest,\n",
-                "    FrameKind.RUN: RunRequest,\n"
-                "    FrameKind.RESULT_CHUNK: ResultChunk,\n",
-            )
-        )
-        findings = check(ProtocolExhaustivenessChecker(), tree)
-        assert [f.detail for f in findings] == ["RESULT_CHUNK"]
-        tree["net/protocol.py"] += (
-            "def receive(kind):\n    return kind is FrameKind.RESULT_CHUNK\n"
-        )
-        assert check(ProtocolExhaustivenessChecker(), tree) == []
-
 
 class TestPickleConfined:
     def test_confined_tree_clean(self):

@@ -37,6 +37,7 @@ from repro.net.protocol import (
     HEADER_SIZE,
     MAGIC,
     PROTOCOL_VERSION,
+    READ_SIZE,
     Connection,
     FrameKind,
     decode,
@@ -148,8 +149,7 @@ ERRORS = st.one_of(
 )
 
 FRAMES = st.one_of(
-    st.builds(protocol.Hello, role=st.sampled_from(["client", "server", "worker"]),
-              token=st.binary(max_size=16)),
+    st.builds(protocol.Hello, role=st.sampled_from(["client", "server", "worker"])),
     st.builds(
         protocol.RunRequest,
         query=patterns(),
@@ -428,7 +428,7 @@ class TestRejection:
 
     def test_encode_refuses_oversized_payload(self):
         with pytest.raises(WireFormatError, match="refusing to send"):
-            encode(protocol.ResultChunk(0, 1, b"x" * 1024), max_frame=64)
+            encode(protocol.Hello(role="x" * 1024), max_frame=64)
 
     def test_garbage_body(self):
         with pytest.raises(WireFormatError, match="undecodable"):
@@ -488,6 +488,13 @@ class TestRejection:
         with pytest.raises(WireFormatError, match="unknown struct id 35"):
             codec.decode(scrambled)
 
+    def test_a_hello_in_the_layout_with_token_and_versions_is_refused(self):
+        """HELLO carries its role only: the version is the header's, and the
+        token it once carried was never read."""
+        body = _struct("Hello", "client", b"", (PROTOCOL_VERSION,))
+        with pytest.raises(WireFormatError, match="cannot rebuild Hello"):
+            decode(_frame(FrameKind.HELLO, body))
+
 
 # ----------------------------------------------------------------------
 # the framer over a real socket
@@ -545,14 +552,12 @@ REPLIES = st.one_of(
 
 @st.composite
 def streams(draw):
-    """A valid server->client byte stream (plain, chunked and PUSH frames
-    interleaved between replies) and the logical frames it carries."""
-    chunking = Connection(chunk_size=draw(st.integers(min_value=24, max_value=200)))
-    plain = Connection()
+    """A valid server->client byte stream (replies and PUSH frames) and the
+    frames it carries."""
+    sender = Connection()
     data, events = b"", []
     for frame in draw(st.lists(REPLIES, min_size=1, max_size=5)):
         seq = draw(SEQS)
-        sender = chunking if draw(st.booleans()) else plain
         data += sender.send(frame, seq)
         events.append((protocol.kind_of(frame), seq, frame))
     return data, events
@@ -598,7 +603,7 @@ class TestConnection:
     @settings(max_examples=100, deadline=None)
     @given(stream=streams(), flip=st.integers(min_value=0), bit=st.integers(0, 7))
     def test_allocation_is_bounded_by_the_bytes_received(self, stream, flip, bit):
-        """What a frame *declares* (lengths, counts, slice totals) reserves
+        """What a frame *declares* (lengths, counts) reserves
         nothing: over valid and bit-flipped streams the peak is a fixed floor
         (a refusal's message, cause and traceback: up to 7 KiB measured)
         plus a small multiple of the bytes that actually arrived (measured
@@ -615,13 +620,15 @@ class TestConnection:
         "header, complaint",
         [
             (_frame(10, b"")[:HEADER_SIZE], "unknown frame kind 10"),  # the retired OBJ
+            # the retired RESULT_CHUNK
+            (_frame(15, b"")[:HEADER_SIZE], "unknown frame kind 15"),
             (_frame(200, b"")[:HEADER_SIZE], "unknown frame kind 200"),
             (
                 struct.pack(">4sBBHII", MAGIC, PROTOCOL_VERSION, FrameKind.RUN, 0, 1, 1 << 30),
                 "oversized frame",
             ),
         ],
-        ids=["kind-10", "unknown-kind", "oversized-length"],
+        ids=["kind-10", "kind-15", "unknown-kind", "oversized-length"],
     )
     def test_header_is_refused_before_the_body(self, header, complaint):
         """Sixteen bytes are enough: nothing of the body has arrived yet."""
@@ -642,46 +649,25 @@ class TestConnection:
             conn.receive(good + b"\x00" * HEADER_SIZE)
         assert Connection().receive(good) == [(FrameKind.STATS, 7, protocol.StatsRequest())]
 
-    @pytest.mark.parametrize(
-        "slices, complaint",
-        [
-            ([(1, 3, 5)], "was due"),  # starts past slice 0
-            ([(0, 3, 5), (2, 3, 5)], "was due"),  # skips one
-            ([(0, 3, 5), (0, 3, 5)], "was due"),  # repeats one
-            ([(0, 3, 5), (1, 4, 5)], "was due"),  # changes its mind on total
-            ([(0, 3, 5), (1, 3, 6)], "was due"),  # another seq's slice
-            ([(3, 3, 5)], "was due"),  # past its own total
-            ([(0, 0, 5)], "was due"),  # a reply of no slices
-            ([("0", 3, 5)], "must be int"),
-        ],
-    )
-    def test_chunk_slices_must_arrive_in_order(self, slices, complaint):
-        conn = Connection()
-        with pytest.raises(WireFormatError, match=complaint):
-            for index, total, seq in slices:
-                body = _struct("ResultChunk", index, total, b"x" * 8)
-                conn.receive(_frame(FrameKind.RESULT_CHUNK, body, seq=seq))
+    def test_a_reply_above_512_kib_is_one_result_frame(self):
+        """No reply is sliced: one header whose length covers the whole
+        body, and one event for it, however the bytes arrive."""
+        relation = MatchRelation(
+            ("a", "b"), {"a": frozenset(range(40_000)), "b": frozenset(range(-1, 39_999))}
+        )
+        reply = protocol.RunReply(relation, _GOLDEN_METRICS, stamp=7)
+        data = Connection().send(reply, 5)
+        assert len(data) > 512 * 1024
+        assert data[5] == FrameKind.RESULT
+        assert struct.unpack_from(">I", data, 12)[0] == len(data) - HEADER_SIZE
+        assert _feed(data, range(0, len(data), READ_SIZE)) == [
+            (FrameKind.RESULT, 5, reply)
+        ]
 
-    def test_a_frame_inside_a_chunked_reply_is_refused(self):
-        conn = Connection()
-        conn.receive(encode(protocol.ResultChunk(0, 2, b"x"), seq=5))
-        with pytest.raises(WireFormatError, match="interleaved"):
-            conn.receive(encode(protocol.PushDelta(sub_id=1, stamp=1), seq=9))
-
-    def test_a_chunk_nested_in_a_chunked_reply_is_refused_on_its_header(self):
-        """The reassembled frame's kind is checked before its body: the inner
-        body here is not even codec bytes."""
-        inner = _frame(FrameKind.RESULT_CHUNK, b"\xff not a codec value", seq=5)
-        conn = Connection()
-        with pytest.raises(WireFormatError, match="nested inside a chunked reply"):
-            conn.receive(encode(protocol.ResultChunk(0, 1, inner), seq=5))
-
-    def test_chunk_reassembly_is_bounded_whatever_total_says(self):
-        """A peer declaring 2**40 slices buys no more than one frame's worth."""
-        conn = Connection(max_frame=256)
-        payload = b"x" * 100
-        with pytest.raises(WireFormatError, match="exceeds"):
-            for index in range(4):
-                conn.receive(
-                    encode(protocol.ResultChunk(index, 2**40, payload), seq=5)
-                )
+    def test_the_retired_slice_struct_is_refused(self):
+        """Struct id 14 carried a chunked reply's slice; it is never reused."""
+        body = bytes([0x0E, 14, 3]) + b"".join(
+            codec.encode(value) for value in (0, 1, b"x")
+        )
+        with pytest.raises(WireFormatError, match="unknown struct id 14"):
+            decode(_frame(FrameKind.RESULT, body))

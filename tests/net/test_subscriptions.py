@@ -8,8 +8,8 @@ replayed to that stamp -- across the thread and sharded backends,
 with ``remove_node`` in the update stream.
 
 Also here: the optional HELLO probe (clients that never say it can run,
-apply and subscribe; a version-1 header is refused), chunked replies, and
-subscription lapse/teardown behavior.
+apply and subscribe; a version-1 header is refused), replies larger than
+one read, and subscription lapse/teardown behavior.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 
 from repro import ConcurrentSessionServer, partition, simulation, web_graph
 from repro.bench.workloads import cyclic_pattern
-from repro.errors import TransportError
+from repro.errors import TransportError, WireFormatError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutations import (
     AddNode,
@@ -221,7 +221,7 @@ class TestNegotiation:
         graph, frag, query = instance
         with serve_in_thread(frag, backend="thread") as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
-                assert client.hello().versions == (protocol.PROTOCOL_VERSION,)
+                assert client.hello() == protocol.Hello(role="server")
                 assert _as_sets(client.run(query).relation) == _as_sets(
                     simulation(query, graph)
                 )
@@ -261,10 +261,18 @@ class TestNegotiation:
         asyncio.run(main())
 
     def test_server_announces_v2_only(self, instance):
+        """The version travels in every frame header (byte 4), the server's
+        HELLO reply included."""
         _graph, frag, _query = instance
         with serve_in_thread(frag, backend="thread") as srv:
-            with SessionClient(*srv.address, timeout=JOIN_TIMEOUT) as client:
-                assert client.hello().versions == (2,)
+            sock = socket.create_connection(srv.address, timeout=JOIN_TIMEOUT)
+            try:
+                sock.sendall(protocol.encode(protocol.Hello(role="client"), seq=3))
+                data = sock.recv(65536)
+                assert data[4] == 2
+                assert protocol.decode(data) == (protocol.Hello(role="server"), 3)
+            finally:
+                sock.close()
 
     def test_subscribe_frame_at_v1_is_refused(self, instance):
         """A hand-rolled version-1 SUBSCRIBE header earns one v2 ERROR
@@ -297,8 +305,7 @@ class TestNegotiation:
             with serve_in_thread(frag, backend="thread") as srv:
                 client = await connect(srv.address, async_=True)
                 try:
-                    hello = await client.hello()
-                    assert hello.versions == (protocol.PROTOCOL_VERSION,)
+                    assert await client.hello() == protocol.Hello(role="server")
                     result = await client.run(query)
                     assert _as_sets(result.relation) == _as_sets(
                         simulation(query, graph)
@@ -669,32 +676,54 @@ class TestAsyncSubscription:
 
 
 # ----------------------------------------------------------------------
-# chunked replies
+# replies larger than one read
 # ----------------------------------------------------------------------
-class TestChunkedReplies:
-    def test_large_v2_reply_is_chunked_and_reassembled(self, instance, monkeypatch):
-        graph, frag, query = instance
-        monkeypatch.setattr("repro.net.server.CHUNK_SIZE", 512)
+@pytest.fixture(scope="module")
+def large_reply():
+    """A graph and a query whose RESULT frame is larger than one
+    ``READ_SIZE`` read (~140 KB: eight query nodes, each matching most of
+    2,000 nodes)."""
+    graph = web_graph(2000, 8000, n_labels=1, seed=3)
+    label = graph.label(next(iter(graph.nodes())))
+    names = "abcdefgh"
+    query = Pattern({u: label for u in names}, list(zip(names, names[1:])))
+    return graph, partition(graph, 3, seed=3), query
+
+
+class TestLargeReplies:
+    def test_a_reply_larger_than_one_read_arrives_exact(self, large_reply):
+        graph, frag, query = large_reply
+        expected = _as_sets(simulation(query, graph))
         with serve_in_thread(frag, backend="thread") as srv:
             with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
                 result = client.run(query)
-                assert _as_sets(result.relation) == _as_sets(
-                    simulation(query, graph)
-                )
+        reply = protocol.RunReply(result.relation, result.metrics, result.stamp)
+        assert len(protocol.encode(reply)) > protocol.READ_SIZE
+        assert _as_sets(result.relation) == expected
 
-    def test_async_chunk_reassembly(self, instance, monkeypatch):
-        graph, frag, query = instance
-        monkeypatch.setattr("repro.net.server.CHUNK_SIZE", 512)
+    def test_async_client_reads_a_reply_larger_than_one_read(self, large_reply):
+        graph, frag, query = large_reply
 
         async def main():
             with serve_in_thread(frag, backend="thread") as srv:
                 client = await connect(srv.address, async_=True)
                 try:
-                    result = await client.run(query)
-                    assert _as_sets(result.relation) == _as_sets(
-                        simulation(query, graph)
-                    )
+                    return await client.run(query)
                 finally:
                     await client.aclose()
 
-        asyncio.run(main())
+        result = asyncio.run(main())
+        assert _as_sets(result.relation) == _as_sets(simulation(query, graph))
+
+    def test_a_reply_larger_than_max_frame_comes_back_as_an_error(self, large_reply):
+        """The server refuses to frame it and says why on the request's own
+        seq; the connection keeps serving."""
+        graph, frag, query = large_reply
+        small = Pattern({"a": "nope"}, [])
+        with serve_in_thread(frag, backend="thread", max_frame=protocol.READ_SIZE) as srv:
+            with connect(srv.address, timeout=JOIN_TIMEOUT) as client:
+                with pytest.raises(WireFormatError, match="refusing to send"):
+                    client.run(query)
+                assert _as_sets(client.run(small).relation) == _as_sets(
+                    simulation(small, graph)
+                )

@@ -321,6 +321,19 @@ class TestRespawnPolicy:
             proc.join(timeout=10)
             assert not proc.is_alive()
 
+    def test_an_exhausted_start_sleeps_no_backoff_after_its_last_try(
+        self, transport
+    ):
+        """The backoff separates tries: a one-try policy with a 1 s backoff
+        raises as soon as its dead-on-arrival worker fails the probe."""
+        init = (multiprocessing.Event(), self._shard_init())  # never set
+        begin = time.monotonic()
+        with pytest.raises(ProtocolError, match="1 attempt"):
+            respawn_worker(
+                _die_until_set, [init], RetryPolicy(attempts=1, backoff_s=1.0)
+            )
+        assert time.monotonic() - begin < 0.5
+
     def test_delays_grow_and_cap(self):
         policy = RetryPolicy(
             attempts=5, backoff_s=0.1, multiplier=2.0, max_backoff_s=0.3

@@ -14,6 +14,11 @@ the test output on failure).  The contract under test, per ISSUE 8:
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
+
 from repro import (
     ConcurrentSessionServer,
     hash_partition,
@@ -23,6 +28,7 @@ from repro import (
 from repro.bench.workloads import cyclic_pattern
 from repro.errors import ProtocolError
 from repro.runtime.transport import FaultPlan, RetryPolicy
+from repro.session import concurrent
 
 import pytest
 
@@ -256,3 +262,35 @@ def test_plain_worker_kill_respawns_without_a_fault_plan(rng_seed):
         assert server.run(query, algorithm="dgpm").relation == oracle
         assert server.respawns == 1
         assert len(server.ring.workers) == 3  # no eviction: the respawn took
+
+
+def test_close_kills_a_worker_a_miss_is_wedged_on(monkeypatch):
+    """A miss blocked on a stopped worker holds close() up only for the
+    drain bound: then the pool kills that worker, the miss fails, and no
+    worker outlives close()."""
+    monkeypatch.setattr(concurrent, "CLOSE_DRAIN_TIMEOUT", 1.0)
+    graph, frag, query = _fixture(5)
+    server = ConcurrentSessionServer(frag, backend="sharded", n_workers=2, cache_size=0)
+    processes = [handle.process for handle in server._pool._handles]
+    try:
+        evaluate, entered = server.session._evaluate, threading.Event()
+
+        def spy(key):
+            entered.set()
+            return evaluate(key)
+
+        server.session._evaluate = spy
+        os.kill(processes[0].pid, signal.SIGSTOP)
+        future = server.submit(query, algorithm="dgpm")
+        assert entered.wait(30)
+        begin = time.monotonic()
+        server.close()
+        assert time.monotonic() - begin < 1.0 + 5.0
+        with pytest.raises(ProtocolError):
+            future.result(timeout=30)
+        assert not any(proc.is_alive() for proc in processes)
+    finally:
+        for proc in processes:
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
